@@ -89,6 +89,10 @@ def test_vector_view_heartbeat_merge(benchmark, paper_graph):
     assert receiver.knows_link(
         (sender.pid, paper_graph.neighbors(sender.pid)[0])
     )
+    # every timed round repeats the same non-empty merge: adopted rows are
+    # stored at d + 1, so the sender's own row and its K - 1 links that do
+    # not end at the receiver win again
+    assert int((snapshot.d < receiver.d).sum()) == K
 
 
 def test_vector_view_snapshot(benchmark, paper_graph):
@@ -96,6 +100,8 @@ def test_vector_view_snapshot(benchmark, paper_graph):
     view = VectorView(0, paper_graph, params)
     snapshot = benchmark(lambda: view.emit_heartbeat(1.0))
     assert snapshot.sender == 0
+    assert snapshot.logb.shape == (N + paper_graph.link_count, params.intervals)
+    assert not snapshot.logb.flags.writeable
 
 
 def test_staleness_sweep(benchmark, paper_graph):

@@ -43,7 +43,11 @@ ViewType = Union[ProcessView, VectorView]
 
 @dataclass(frozen=True)
 class HeartbeatMessage:
-    """Wrapper for the ``(Lambda_j, C_j)`` snapshot on the wire."""
+    """Wrapper for the ``(Lambda_j, C_j)`` snapshot on the wire.
+
+    One message object goes to every neighbour of the sender; a
+    ``VectorSnapshot``'s arrays are read-only for that reason.
+    """
 
     snapshot: Union[HeartbeatSnapshot, VectorSnapshot]
 

@@ -4,18 +4,33 @@ Algorithm 4's per-heartbeat work touches every process estimate and every
 known link estimate; at the paper's scale (100 processes, up to 1000
 links, U = 100 intervals) the object implementation spends its time in
 Python attribute access.  :class:`VectorView` keeps the whole ``C_k`` as
-a handful of NumPy arrays and performs the ``selectBestEstimate`` merge
-as masked array assignments.
+one fused NumPy table and performs the ``selectBestEstimate`` merge as a
+single comparison followed by index-based row copies.
 
 Behavioural equivalence with :class:`repro.core.knowledge.ProcessView`
 is enforced by differential tests driving both implementations through
 identical event sequences.
 
-Implementation note: link estimates are stored in a dense table indexed
-by the *global* link id of the true topology.  This is a simulation
-shortcut only — a ``known`` bitmask gates every read, so a process can
-never observe an estimate for a link it has not heard about; the paper's
-incremental ``Lambda_k`` discovery semantics are preserved exactly.
+Implementation note: process and link estimates share one table of
+``n + m`` rows — rows ``[0, n)`` are processes, row ``n + i`` is the link
+with *global* id ``i`` in the true topology — held as an ``(n+m, U)``
+log-belief block ``logb`` plus ``(n+m,)`` vectors ``d`` (distortion),
+``last``, ``seq`` and ``known``.  ``proc_*`` / ``link_*`` are slices of
+these, so writes through either name reach the same memory.  The dense
+link rows are a simulation shortcut only — the ``known`` bitmask gates
+every read, so a process can never observe an estimate for a link it has
+not heard about; the paper's incremental ``Lambda_k`` discovery semantics
+are preserved exactly.
+
+The merge relies on this invariant, which every event preserves::
+
+    link_known[i]  <=>  isfinite(link_d[i]);   proc_d >= 0;   proc_d[pid] == 0
+
+With it, ``snapshot.d < self.d`` alone is ``selectBestEstimate`` for all
+three cases of Algorithm 4: a link unknown to the sender carries ``inf``
+and never wins, a link unknown only to the receiver loses to any finite
+distortion (adopted wholesale, ``d + 1``), and nothing is below the
+receiver's own ``0``, so its self-estimate is never overwritten.
 """
 
 from __future__ import annotations
@@ -33,38 +48,28 @@ from repro.types import Link, ProcessId
 
 
 class VectorSnapshot:
-    """Array-backed heartbeat payload (the ``(Lambda_j, C_j)`` message)."""
+    """Array-backed heartbeat payload (the ``(Lambda_j, C_j)`` message).
 
-    __slots__ = (
-        "sender",
-        "sender_seq",
-        "proc_logb",
-        "proc_d",
-        "proc_seq",
-        "link_logb",
-        "link_d",
-        "link_known",
-    )
+    ``logb`` / ``d`` / ``seq`` are read-only copies of the sender's fused
+    table (processes first, then links; an unknown link has ``d == inf``).
+    One snapshot object is delivered to every neighbour of the sender.
+    """
+
+    __slots__ = ("sender", "sender_seq", "logb", "d", "seq")
 
     def __init__(
         self,
         sender: ProcessId,
         sender_seq: int,
-        proc_logb: np.ndarray,
-        proc_d: np.ndarray,
-        proc_seq: np.ndarray,
-        link_logb: np.ndarray,
-        link_d: np.ndarray,
-        link_known: np.ndarray,
+        logb: np.ndarray,
+        d: np.ndarray,
+        seq: np.ndarray,
     ) -> None:
         self.sender = sender
         self.sender_seq = sender_seq
-        self.proc_logb = proc_logb
-        self.proc_d = proc_d
-        self.proc_seq = proc_seq
-        self.link_logb = link_logb
-        self.link_d = link_d
-        self.link_known = link_known
+        self.logb = logb
+        self.d = d
+        self.seq = seq
 
 
 class VectorView:
@@ -95,53 +100,50 @@ class VectorView:
         self.neighbors: Tuple[ProcessId, ...] = graph.neighbors(pid)
         u = self.params.intervals
         n = graph.n
-        m = graph.link_count
+        rows = n + graph.link_count
         self._midpoints = interval_midpoints(u)
         self._log_mid = np.log(self._midpoints)
         self._log_one_minus_mid = np.log1p(-self._midpoints)
 
-        # beliefs are stored as unnormalised log-posteriors (see
+        # the fused table: rows [0, n) are processes, rows [n, n+m) links.
+        # Beliefs are stored as unnormalised log-posteriors (see
         # repro.core.bayesian.BeliefEstimator for why log space)
-        self.proc_logb = np.zeros((n, u))
-        self.proc_d = np.full(n, math.inf)
-        self.proc_d[pid] = 0.0
-        self.proc_seq = np.zeros(n, dtype=np.int64)
-        self.proc_suspected = np.zeros(n, dtype=np.int64)
-        self.proc_last = np.full(n, float(now))
-        self.timeout = np.full(n, self.params.delta)
+        self.logb = np.zeros((rows, u))
+        self.d = np.full(rows, math.inf)
+        self.seq = np.zeros(rows, dtype=np.int64)
+        self.last = np.full(rows, float(now))
+        self.known = np.ones(rows, dtype=bool)
+        self.known[n:] = False
 
-        self.link_logb = np.zeros((m, u))
-        self.link_d = np.full(m, math.inf)
-        self.link_known = np.zeros(m, dtype=bool)
-        self.link_last = np.full(m, float(now))
+        # per-kind names are views onto the fused table: writes go through
+        self.proc_logb, self.link_logb = self.logb[:n], self.logb[n:]
+        self.proc_d, self.link_d = self.d[:n], self.d[n:]
+        self.proc_last, self.link_last = self.last[:n], self.last[n:]
+        self.proc_seq = self.seq[:n]
+        self.link_known = self.known[n:]
+
+        self.proc_d[pid] = 0.0
+        self.proc_suspected = np.zeros(n, dtype=np.int64)
+        self.timeout = np.full(n, self.params.delta)
+        #: neighbour -> fused row of the direct link to it
         self._incident_rows: Dict[ProcessId, int] = {}
         for q in self.neighbors:
-            row = graph.link_id(Link.of(pid, q))
-            self.link_known[row] = True
-            self.link_d[row] = 0.0
+            row = n + graph.link_id(Link.of(pid, q))
+            self.known[row] = True
+            self.d[row] = 0.0
             self._incident_rows[q] = row
 
     # -- belief row updates (log-space Bayes, underflow-immune) ----------------------
 
-    def _proc_failure(self, row: int, factor: int) -> None:
-        b = self.proc_logb[row]
-        b += factor * self._log_mid
-        b -= b.max()
+    def _observe(self, row: int, log_likelihood: np.ndarray, factor: int) -> None:
+        """``factor`` identical observations on fused row ``row``.
 
-    def _proc_success(self, row: int, factor: int) -> None:
-        b = self.proc_logb[row]
-        b += factor * self._log_one_minus_mid
-        b -= b.max()
-
-    def _link_failure(self, row: int, factor: int) -> None:
-        b = self.link_logb[row]
-        b += factor * self._log_mid
-        b -= b.max()
-
-    def _link_success(self, row: int, factor: int) -> None:
-        b = self.link_logb[row]
-        b += factor * self._log_one_minus_mid
-        b -= b.max()
+        ``log_likelihood`` is ``_log_mid`` for failures (crash / loss) and
+        ``_log_one_minus_mid`` for successes.
+        """
+        b = self.logb[row]
+        b += log_likelihood if factor == 1 else factor * log_likelihood
+        b -= np.maximum.reduce(b)  # b.max() minus its Python-level wrapper
 
     @staticmethod
     def _softmax_rows(logb: np.ndarray) -> np.ndarray:
@@ -184,69 +186,53 @@ class VectorView:
 
     def emit_heartbeat(self, now: float) -> VectorSnapshot:
         """Lines 14-17: bump own seq and snapshot the tables."""
-        self.proc_seq[self.pid] += 1
-        self.proc_last[self.pid] = now
+        self.seq[self.pid] += 1
+        self.last[self.pid] = now
         return self.peek_snapshot(now)
 
     def peek_snapshot(self, now: float) -> VectorSnapshot:
-        """Snapshot without bumping the sequencer (piggybacking, §4.1)."""
-        return VectorSnapshot(
-            sender=self.pid,
-            sender_seq=int(self.proc_seq[self.pid]),
-            proc_logb=self.proc_logb.copy(),
-            proc_d=self.proc_d.copy(),
-            proc_seq=self.proc_seq.copy(),
-            link_logb=self.link_logb.copy(),
-            link_d=self.link_d.copy(),
-            link_known=self.link_known.copy(),
-        )
+        """Snapshot without bumping the sequencer (piggybacking, §4.1).
+
+        The arrays are copies (later updates of this view never reach a
+        snapshot in flight) and read-only (the one object goes to every
+        neighbour, so no receiver may write into it).
+        """
+        logb, d, seq = self.logb.copy(), self.d.copy(), self.seq.copy()
+        logb.flags.writeable = d.flags.writeable = seq.flags.writeable = False
+        return VectorSnapshot(self.pid, int(seq[self.pid]), logb, d, seq)
 
     # -- Event 1 ---------------------------------------------------------------------
 
     def handle_heartbeat(self, snapshot: VectorSnapshot, now: float) -> None:
         j = snapshot.sender
-        if j not in self._incident_rows:
+        lrow = self._incident_rows.get(j)
+        if lrow is None:
             raise ProtocolError(
                 f"process {self.pid} received a heartbeat from non-neighbour {j}"
             )
-        gap = snapshot.sender_seq - int(self.proc_seq[j])
+        gap = snapshot.sender_seq - int(self.seq[j])
         missed = max(gap - 1, 0)
         adjust = int(self.proc_suspected[j]) - missed
         self.proc_suspected[j] = 0
-        lrow = self._incident_rows[j]
-        self._link_success(lrow, 1)  # the heartbeat itself arrived
+        success = self._log_one_minus_mid
+        self._observe(lrow, success, 1)  # the heartbeat itself arrived
         if adjust > 0:
-            self._link_success(lrow, adjust)
+            self._observe(lrow, success, adjust)
             if adjust > 1:
                 self.timeout[j] += self.params.delta
         elif adjust < 0:
-            self._link_failure(lrow, -adjust)
-        self.link_last[lrow] = now
+            self._observe(lrow, self._log_mid, -adjust)
+        self.last[lrow] = now
 
-        # process estimate merge (selectBestEstimate, vectorised)
-        mask = snapshot.proc_d < self.proc_d
-        mask[self.pid] = False
-        if mask.any():
-            self.proc_logb[mask] = snapshot.proc_logb[mask]
-            self.proc_d[mask] = snapshot.proc_d[mask] + 1.0
-            self.proc_seq[mask] = snapshot.proc_seq[mask]
-            self.proc_last[mask] = now
-
-        # link estimate merge for common links
-        common = self.link_known & snapshot.link_known
-        lmask = common & (snapshot.link_d < self.link_d)
-        if lmask.any():
-            self.link_logb[lmask] = snapshot.link_logb[lmask]
-            self.link_d[lmask] = snapshot.link_d[lmask] + 1.0
-            self.link_last[lmask] = now
-
-        # newly learned links: adopt wholesale, distortion + 1
-        new = snapshot.link_known & ~self.link_known
-        if new.any():
-            self.link_logb[new] = snapshot.link_logb[new]
-            self.link_d[new] = snapshot.link_d[new] + 1.0
-            self.link_last[new] = now
-            self.link_known |= new
+        # selectBestEstimate over processes, common links and newly learned
+        # links at once: strictly smaller distortion wins (module note)
+        rows = (snapshot.d < self.d).nonzero()[0]
+        if rows.size:
+            self.logb[rows] = snapshot.logb.take(rows, 0)  # cheaper than [rows]
+            self.d[rows] = snapshot.d[rows] + 1.0
+            self.seq[rows] = snapshot.seq[rows]
+            self.last[rows] = now
+            self.known[rows] = True
 
     # -- Event 2 ---------------------------------------------------------------------
 
@@ -260,21 +246,21 @@ class VectorView:
             for q in self.neighbors:
                 if stale[q]:
                     self.proc_suspected[q] += 1
-                    self._proc_failure(q, 1)
-                    self._link_failure(self._incident_rows[q], 1)
+                    self._observe(q, self._log_mid, 1)
+                    self._observe(self._incident_rows[q], self._log_mid, 1)
                     suspected.append(q)
         return suspected
 
     # -- Events 3/4 ------------------------------------------------------------------
 
     def record_up_tick(self) -> None:
-        self._proc_success(self.pid, 1)
+        self._observe(self.pid, self._log_one_minus_mid, 1)
 
     def record_downtime(self, ticks: int) -> None:
         if ticks < 0:
             raise ProtocolError(f"negative downtime {ticks}")
         if ticks:
-            self._proc_failure(self.pid, ticks)
+            self._observe(self.pid, self._log_mid, ticks)
 
     # -- diagnostics -----------------------------------------------------------------
 

@@ -29,13 +29,14 @@ def trained_vector_view(graph, config, observations=4000):
     for idx, link in enumerate(graph.links):
         target = learnable_link_probability(config, link)
         failures = int(round(target * observations))
-        view._link_failure(idx, failures)
-        view._link_success(idx, observations - failures)
+        row = graph.n + idx  # link rows follow the process rows
+        view._observe(row, view._log_mid, failures)
+        view._observe(row, view._log_one_minus_mid, observations - failures)
     for p in graph.processes:
         target = config.crash_probability(p)
         failures = int(round(target * observations))
-        view._proc_failure(p, failures)
-        view._proc_success(p, observations - failures)
+        view._observe(p, view._log_mid, failures)
+        view._observe(p, view._log_one_minus_mid, observations - failures)
     return view
 
 

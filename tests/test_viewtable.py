@@ -50,6 +50,13 @@ def assert_equivalent(graph, obj: ProcessView, vec: VectorView):
             assert obj.link_distortion(link) == vec.link_distortion(link)
 
 
+def assert_invariant(vec: VectorView):
+    """What lets one ``snapshot.d < self.d`` stand for the whole merge."""
+    assert np.array_equal(vec.link_known, np.isfinite(vec.link_d))
+    assert (vec.proc_d >= 0).all()
+    assert vec.proc_d[vec.pid] == 0
+
+
 class TestVectorViewBasics:
     def test_initial_state(self):
         g = ring(5)
@@ -133,10 +140,19 @@ class _Driver:
             obj.record_up_tick()
             vec.record_up_tick()
 
+    def downtime(self, pid, ticks):
+        obj, vec = self.pairs[pid]
+        obj.record_downtime(ticks)
+        vec.record_downtime(ticks)
+
+    def check_one(self, pid):
+        obj, vec = self.pairs[pid]
+        assert_equivalent(self.graph, obj, vec)
+        assert_invariant(vec)
+
     def check(self):
         for p in self.graph.processes:
-            obj, vec = self.pairs[p]
-            assert_equivalent(self.graph, obj, vec)
+            self.check_one(p)
 
 
 class TestDifferentialEquivalence:
@@ -177,28 +193,36 @@ class TestDifferentialEquivalence:
         d.exchange(0, 1, 1.0)
         d.check()
 
-    @settings(max_examples=15, deadline=None)
-    @given(seed=st.integers(0, 10_000))
-    def test_random_schedules(self, seed):
-        """Random mixed event schedules keep both implementations equal."""
+    @settings(max_examples=60, deadline=None)
+    @given(seed=st.integers(0, 10_000), sparse=st.booleans())
+    def test_random_schedules(self, seed, sparse):
+        """Random mixed event schedules keep both implementations equal.
+
+        The touched process is compared, and the fused table's invariant
+        asserted, after every event; the sparse graph makes most links
+        arrive second-hand (newly learned, then refreshed as common).
+        """
         rng = RandomSource("diff", seed)
-        g = k_regular(6, 4)
+        g = ring(7) if sparse else k_regular(6, 4)
         d = _Driver(g)
         now = 0.0
-        for _ in range(40):
+        for _ in range(60):
             now += 0.5
-            action = rng.integer(4)
+            action = rng.integer(5)
+            pid = rng.integer(g.n)
             if action == 0:
-                sender = rng.integer(6)
-                receivers = list(g.neighbors(sender))
-                receiver = receivers[rng.integer(len(receivers))]
-                d.exchange(sender, receiver, now)
+                receivers = list(g.neighbors(pid))
+                sender, pid = pid, receivers[rng.integer(len(receivers))]
+                d.exchange(sender, pid, now)
             elif action == 1:
-                d.emit_lost(rng.integer(6), now)
+                d.emit_lost(pid, now)
             elif action == 2:
-                d.sweep(rng.integer(6), now)
+                d.sweep(pid, now)
+            elif action == 3:
+                d.tick(pid, crashed=bool(rng.integer(2)))
             else:
-                d.tick(rng.integer(6), crashed=bool(rng.integer(2)))
+                d.downtime(pid, rng.integer(4))
+            d.check_one(pid)
         d.check()
 
 
@@ -229,3 +253,39 @@ class TestVectorMergeDetails:
                 for q in g.neighbors(p):
                     views[q].handle_heartbeat(snap, float(t))
         assert all(v.all_links_known() for v in views.values())
+
+
+class TestFusedTable:
+    def test_per_kind_names_alias_the_fused_table(self):
+        g = ring(5)
+        vec = VectorView(0, g, PARAMS)
+        assert np.shares_memory(vec.proc_logb, vec.logb)
+        assert np.shares_memory(vec.link_logb, vec.logb)
+        vec.link_known[:] = True
+        vec.link_d[:] = 2.0
+        vec.proc_seq[3] = 9
+        assert vec.known.all() and vec.all_links_known()
+        assert (vec.d[g.n :] == 2.0).all()
+        assert vec.seq[3] == 9
+
+    def test_snapshot_is_read_only(self):
+        g = ring(5)
+        snap = VectorView(1, g, PARAMS).emit_heartbeat(1.0)
+        VectorView(0, g, PARAMS).handle_heartbeat(snap, 1.0)
+        for array in (snap.logb, snap.d, snap.seq):
+            with pytest.raises(ValueError):
+                array[0] = 1
+
+    def test_snapshot_is_a_copy_not_a_slice(self):
+        """Sender-side updates after emission never reach a snapshot in flight."""
+        g = ring(5)
+        b, c = (VectorView(p, g, PARAMS) for p in (1, 2))
+        snap = b.emit_heartbeat(1.0)
+        frozen = (snap.logb.copy(), snap.d.copy(), snap.seq.copy())
+        b.record_downtime(3)
+        b.handle_heartbeat(c.emit_heartbeat(1.5), 1.5)
+        b.staleness_sweep(5.0)
+        b.emit_heartbeat(5.0)
+        for before, after in zip(frozen, (snap.logb, snap.d, snap.seq)):
+            assert np.array_equal(before, after)
+        assert snap.sender_seq == 1
