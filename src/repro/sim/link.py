@@ -71,13 +71,12 @@ class LossyLinkLayer:
             raise UnknownLinkError(
                 f"no link between {sender} and {receiver}"
             )
-        link = Link.of(sender, receiver)
-        loss = self._config.loss_probability(link)
+        idx = self._graph.link_id(Link.of(sender, receiver))
+        loss = float(self._config.loss_vector[idx])
         draw = None
         if 0.0 < loss < 1.0:
             # same child labels the unbuffered per-link streams used, so
             # the draw sequence is bit-identical
-            idx = self._graph.link_id(link)
             draw = self._root.child("loss", idx).buffered()
         entry = (loss, draw)
         self._cache[(sender, receiver)] = entry

@@ -23,7 +23,7 @@ from __future__ import annotations
 
 import hashlib
 from contextlib import contextmanager
-from typing import Dict, Iterator, Optional, Sequence, Union
+from typing import Dict, Iterator, Optional, Sequence, Tuple, Union
 
 import numpy as np
 
@@ -82,26 +82,41 @@ def ledger_scope(ledger: DrawLedger) -> Iterator[DrawLedger]:
         _ACTIVE_LEDGER = None
 
 
+#: First refill of a :class:`BufferedUniforms` and the factor by which
+#: each later refill grows, up to the wrapper's ``block`` cap.
+_FIRST_BLOCK = 4
+_BLOCK_GROWTH = 4
+
+
 class BufferedUniforms:
     """Block-buffered uniform draws off one :class:`numpy.random.Generator`.
 
     ``next()`` is bit-identical to calling ``float(generator.random())``
     repeatedly — NumPy fills a batched ``random(size)`` request from the
-    same underlying bit stream in the same order — but amortises the
-    per-call Generator dispatch over ``block`` draws, which matters on
-    per-message hot paths (crash and link-loss draws).
+    same underlying bit stream in the same order, so ``random(4)`` then
+    ``random(16)`` yield the values of one ``random(20)`` — but amortises
+    the per-call Generator dispatch over a block of draws, which matters
+    on per-message hot paths (crash and link-loss draws).
 
-    The wrapper advances the generator ``block`` draws at a time, so a
+    Refills are sized to demand: the first is ``_FIRST_BLOCK`` values and
+    each later one ``_BLOCK_GROWTH`` times the previous, capped at
+    ``block``.  A stream that is drawn a handful of times (one link's
+    loss draws between two reconfigurations) never pays for a full block,
+    while a long-lived stream reaches the cap after three refills.
+
+    The wrapper advances the generator a block of draws at a time, so a
     stream must be consumed either entirely through one wrapper or
     entirely through direct calls — mixing the two would skip buffered
     values.  (All simulation hot paths own their child stream outright.)
 
     Ledger accounting counts one logical draw per ``next()`` call — the
-    value actually consumed — not the ``block``-sized refills, so
-    buffered and unbuffered consumption of a stream ledger identically.
+    value actually consumed — not the block-sized refills, so buffered
+    and unbuffered consumption of a stream ledger identically.
     """
 
-    __slots__ = ("_generator", "_block", "_buffer", "_pos", "_ledger", "_stream")
+    __slots__ = (
+        "_generator", "_block", "_size", "_buffer", "_pos", "_ledger", "_stream"
+    )
 
     def __init__(
         self,
@@ -114,8 +129,9 @@ class BufferedUniforms:
             raise ValueError(f"block must be >= 1, got {block}")
         self._generator = generator
         self._block = block
+        self._size = min(_FIRST_BLOCK, block)  # the next refill's size
         self._buffer: list = []
-        self._pos = block  # force a refill on first draw
+        self._pos = 0
         self._ledger = _ledger
         self._stream = _stream
 
@@ -124,13 +140,16 @@ class BufferedUniforms:
         if self._ledger is not None:
             self._ledger.record(self._stream)
         pos = self._pos
-        if pos >= len(self._buffer):
+        buffer = self._buffer
+        if pos >= len(buffer):
+            size = self._size
             # .tolist() converts float64 -> float exactly and makes the
             # per-draw indexing a plain list access
-            self._buffer = self._generator.random(self._block).tolist()
+            buffer = self._buffer = self._generator.random(size).tolist()
+            self._size = min(size * _BLOCK_GROWTH, self._block)
             pos = 0
         self._pos = pos + 1
-        return self._buffer[pos]
+        return buffer[pos]
 
 
 def _seed_bytes(seed: SeedLike) -> bytes:
@@ -154,18 +173,68 @@ def _seed_bytes(seed: SeedLike) -> bytes:
     raise TypeError(f"unsupported seed type: {type(seed)!r}")
 
 
-def derive_seed(*parts: SeedLike) -> int:
-    """Hash an arbitrary sequence of seed parts into a 64-bit integer."""
-    digest = hashlib.sha256()
+def _absorb(digest: "hashlib._Hash", parts: Sequence[SeedLike]) -> None:
+    """Feed ``parts`` to ``digest``, each behind its 4-byte length."""
     for part in parts:
         chunk = _seed_bytes(part)
         digest.update(len(chunk).to_bytes(4, "little"))
         digest.update(chunk)
+
+
+def _seed_of(digest: "hashlib._Hash") -> int:
     return int.from_bytes(digest.digest()[:8], "little")
+
+
+def derive_seed(*parts: SeedLike) -> int:
+    """Hash an arbitrary sequence of seed parts into a 64-bit integer.
+
+    The seed is the first 8 bytes, little-endian, of the SHA-256 of the
+    parts, each encoded by type and prefixed with its 4-byte length.
+    Length prefixing makes the hash a streaming one: the digest state
+    after ``parts[:k]``, fed ``parts[k:]``, is the digest of ``parts``.
+    :meth:`RandomSource.child` relies on this to derive a seed from its
+    parent's state without re-hashing the parent's path.
+    """
+    digest = hashlib.sha256()
+    _absorb(digest, parts)
+    return _seed_of(digest)
+
+
+#: A ledger key in run-length form: (the rendered labels before the last
+#: one, with their trailing "/"; the last label; how often it repeats).
+_LedgerKey = Tuple[str, str, int]
+
+
+def _render_key(key: _LedgerKey) -> str:
+    head, last, run = key
+    return head + last if run == 1 else f"{head}{last}*{run}"
+
+
+def _extend_key(key: _LedgerKey, labels: Sequence[SeedLike]) -> _LedgerKey:
+    """``key`` plus ``labels``, consecutive repeats folded to ``label*n``.
+
+    A network reconfigured 62 times keys its streams
+    ``.../reconfigured*62/...`` instead of growing by one path segment
+    per reconfiguration.  Only the ledger key is folded, never the seed.
+    """
+    head, last, run = key
+    for label in labels:
+        text = str(label)
+        if text == last:
+            run += 1
+        else:
+            head = _render_key((head, last, run)) + "/"
+            last, run = text, 1
+    return head, last, run
 
 
 class RandomSource:
     """A labelled, splittable deterministic random stream.
+
+    Each stream keeps the SHA-256 state that has absorbed its own label
+    path, so deriving a child hashes only the child's new labels however
+    deep the parent sits; ``root.child(*a).child(*b)`` has exactly the
+    seed ``derive_seed(*root.seed_parts, *a, *b)``.
 
     Example:
         >>> root = RandomSource(42)
@@ -175,18 +244,39 @@ class RandomSource:
         True
     """
 
-    __slots__ = ("_seed_parts", "_generator", "_ledger", "_stream")
+    __slots__ = (
+        "_seed_parts", "_digest", "_generator", "_ledger", "_key", "_stream"
+    )
 
-    def __init__(self, *seed_parts: SeedLike) -> None:
+    def __init__(
+        self, *seed_parts: SeedLike, _parent: Optional["RandomSource"] = None
+    ) -> None:
         if not seed_parts:
             raise ValueError("at least one seed part is required")
-        self._seed_parts = seed_parts
-        self._generator = np.random.default_rng(derive_seed(*seed_parts))
-        self._ledger = _ACTIVE_LEDGER
-        # ledger keys use the root *name* only: later parts of a
-        # directly-constructed root (scenario name, protocol, trial
-        # index) vary per trial and would fragment the ledger keyspace
-        self._stream = str(seed_parts[0]) if self._ledger is not None else ""
+        # _parent is child()'s way in: seed_parts are then the labels that
+        # extend the parent's path, hashed onto a copy of its digest state
+        if _parent is None:
+            digest = hashlib.sha256()
+            ledger = None
+            self._seed_parts = seed_parts
+        else:
+            digest = _parent._digest.copy()
+            ledger = _parent._ledger
+            self._seed_parts = _parent._seed_parts + seed_parts
+        _absorb(digest, seed_parts)
+        self._digest = digest
+        self._generator = np.random.default_rng(_seed_of(digest))
+        if ledger is None:
+            # ledger keys use the root *name* only: later parts of a
+            # directly-constructed root (scenario name, protocol, trial
+            # index) vary per trial and would fragment the ledger keyspace
+            ledger = _ACTIVE_LEDGER
+            key = None if ledger is None else ("", str(self._seed_parts[0]), 1)
+        else:
+            key = _extend_key(_parent._key, seed_parts)
+        self._ledger = ledger
+        self._key = key
+        self._stream = "" if key is None else _render_key(key)
 
     @property
     def seed_parts(self) -> Sequence[SeedLike]:
@@ -203,14 +293,13 @@ class RandomSource:
         return self._generator
 
     def child(self, *labels: SeedLike) -> "RandomSource":
-        """Derive an independent child stream for the given labels."""
-        node = RandomSource(*self._seed_parts, *labels)
-        if self._ledger is not None:
-            node._ledger = self._ledger
-            node._stream = (
-                self._stream + "/" + "/".join(str(label) for label in labels)
-            )
-        return node
+        """Derive an independent child stream for the given labels.
+
+        Raises:
+            ValueError: if no label is given (the "child" would replay
+                this stream's draws).
+        """
+        return RandomSource(*labels, _parent=self)
 
     def buffered(self, block: int = 256) -> BufferedUniforms:
         """Wrap this stream's generator for block-buffered uniform draws.

@@ -2,8 +2,16 @@
 
 import numpy as np
 import pytest
+from hypothesis import given, strategies as st
 
-from repro.util.rng import BufferedUniforms, RandomSource, derive_seed
+from repro.util import rng as rng_module
+from repro.util.rng import (
+    BufferedUniforms,
+    DrawLedger,
+    RandomSource,
+    derive_seed,
+    ledger_scope,
+)
 
 
 class TestDeriveSeed:
@@ -29,6 +37,74 @@ class TestDeriveSeed:
         with pytest.raises(TypeError):
             derive_seed(object())
 
+    def test_golden_seeds(self):
+        """Pins the seed rule: SHA-256 over the type-encoded, length-prefixed
+        parts, first 8 bytes little-endian.  A change here reseeds every
+        stream in the repository."""
+        assert derive_seed("repro", 7) == 12153797410018589675
+        assert (
+            derive_seed(
+                "net", "reconfigured", "reconfigured", "link-layer", "loss", 100
+            )
+            == 13397123410203446428
+        )
+        assert (
+            derive_seed(b"\x00\xff", 0.25, True, ("x", -1, (2.5, False)))
+            == 14689434670549766572
+        )
+
+
+_SCALAR_PART = (
+    st.text(max_size=6)
+    | st.integers(min_value=-(2**100), max_value=2**100)
+    | st.booleans()
+    | st.floats(allow_nan=False)
+    | st.binary(max_size=6)
+)
+_SEED_PART = st.recursive(
+    _SCALAR_PART,
+    lambda inner: st.lists(inner, max_size=3).map(tuple),
+    max_leaves=6,
+)
+
+
+class TestChildDerivation:
+    @given(
+        parts=st.lists(_SEED_PART, min_size=1, max_size=80),
+        cuts=st.sets(st.integers(min_value=1, max_value=79)),
+    )
+    def test_chained_children_equal_flat_construction(self, parts, cuts):
+        """However a label path is split across child() calls, the stream
+        is the one ``RandomSource(*path)`` builds from scratch."""
+        bounds = [0, *sorted(c for c in cuts if c < len(parts)), len(parts)]
+        chained = RandomSource(*parts[: bounds[1]])
+        for lo, hi in zip(bounds[1:], bounds[2:]):
+            chained = chained.child(*parts[lo:hi])
+        assert chained.seed_parts == tuple(parts)
+        draws = chained.random_array(4).tolist()
+        assert draws == RandomSource(*parts).random_array(4).tolist()
+        seeded = np.random.default_rng(derive_seed(*parts))
+        assert draws == seeded.random(4).tolist()
+
+    def test_child_hashes_only_its_new_labels(self, monkeypatch):
+        """The machine-independent guard against per-child cost growing
+        with depth (quadratic in the number of reconfigurations)."""
+        deep = RandomSource("root")
+        for _ in range(200):
+            deep = deep.child("reconfigured")
+        calls = []
+        encode = rng_module._seed_bytes
+
+        def counting(part):
+            calls.append(part)
+            return encode(part)
+
+        monkeypatch.setattr(rng_module, "_seed_bytes", counting)
+        leaf = deep.child("loss", 17)
+        assert calls == ["loss", 17]
+        flat = RandomSource("root", *["reconfigured"] * 200, "loss", 17)
+        assert leaf.random() == flat.random()
+
 
 class TestRandomSource:
     def test_reproducible(self):
@@ -50,6 +126,11 @@ class TestRandomSource:
     def test_requires_seed(self):
         with pytest.raises(ValueError):
             RandomSource()
+
+    def test_child_requires_a_label(self):
+        """A label-less "child" would replay its parent's draws."""
+        with pytest.raises(ValueError):
+            RandomSource(42).child()
 
     def test_bernoulli_extremes(self):
         rng = RandomSource(1)
@@ -116,6 +197,60 @@ class TestRandomSource:
         assert rng.seed_parts == ("root", "x", 2)
 
 
+class _CountingGenerator:
+    """A Generator stand-in that records each ``random(size)`` request."""
+
+    def __init__(self, generator):
+        self._generator = generator
+        self.requests = []
+
+    def random(self, size):
+        self.requests.append(size)
+        return self._generator.random(size)
+
+
+def _ledger_key(build):
+    """The one ledger key a single draw on ``build()``'s stream lands on."""
+    ledger = DrawLedger()
+    with ledger_scope(ledger):
+        build().random()
+    (key,) = ledger.as_dict()
+    return key
+
+
+class TestLedgerKeys:
+    def test_repeated_labels_are_run_length_encoded(self):
+        def build():
+            net = RandomSource("scenario", "trial", 3).child("network")
+            for _ in range(62):
+                net = net.child("reconfigured")
+            return net.child("link-layer").child("loss", 100)
+
+        assert (
+            _ledger_key(build)
+            == "scenario/network/reconfigured*62/link-layer/loss/100"
+        )
+
+    def test_runs_fold_within_and_across_child_calls(self):
+        def across():
+            return RandomSource("r").child("a", "a").child("a", "b")
+
+        assert _ledger_key(across) == "r/a*3/b"
+        assert _ledger_key(lambda: RandomSource("r").child("r", 1, 1)) == "r*2/1*2"
+
+    def test_keys_without_repeats_are_plain_paths(self):
+        def build():
+            return RandomSource("unit", "ignored").child("net", 3).child("loss")
+
+        assert _ledger_key(build) == "unit/net/3/loss"
+
+    def test_folding_never_touches_the_seed(self):
+        with ledger_scope(DrawLedger()):
+            folded = RandomSource("r").child("x").child("x")
+        assert folded.seed_parts == ("r", "x", "x")
+        assert folded.random() == RandomSource("r", "x", "x").random()
+
+
 class TestBufferedUniforms:
     def test_bit_identical_to_single_draws(self):
         """The kernel's batched draws must equal one-at-a-time draws."""
@@ -130,6 +265,36 @@ class TestBufferedUniforms:
         draw = RandomSource("buffered-range").buffered(block=4)
         values = [draw.next() for _ in range(64)]
         assert all(isinstance(v, float) and 0.0 <= v < 1.0 for v in values)
+
+    @pytest.mark.parametrize("block", [1, 3, 16, 256])
+    def test_every_block_cap_matches_single_draws(self, block):
+        singles = RandomSource("buffered-cap", block)
+        spy = _CountingGenerator(RandomSource("buffered-cap", block).generator)
+        buffered = BufferedUniforms(spy, block)
+        expected = [singles.random() for _ in range(2000)]
+        assert [buffered.next() for _ in range(2000)] == expected
+        assert max(spy.requests) <= block
+
+    def test_refills_follow_demand(self):
+        """A stream drawn twice must not pay for a full block; a long one
+        must still reach the cap."""
+        spy = _CountingGenerator(RandomSource("buffered-demand").generator)
+        buffered = BufferedUniforms(spy)
+        buffered.next()
+        buffered.next()
+        assert sum(spy.requests) < 256
+        for _ in range(2000):
+            buffered.next()
+        assert spy.requests == sorted(spy.requests)  # sizes only grow
+        assert spy.requests[-1] == 256
+
+    def test_ledger_counts_values_consumed_not_refills(self):
+        ledger = DrawLedger()
+        with ledger_scope(ledger):
+            buffered = RandomSource("buffered-ledger").child("loss").buffered()
+        for _ in range(7):
+            buffered.next()
+        assert ledger.as_dict() == {"buffered-ledger/loss": 7}
 
     def test_block_must_be_positive(self):
         with pytest.raises(ValueError):
