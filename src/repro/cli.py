@@ -64,7 +64,7 @@ import os
 import sys
 from typing import Dict, List, Optional
 
-from repro.errors import ValidationError
+from repro.errors import ReproError, ValidationError
 from repro.exec import backend_specs, parse_backend
 from repro.experiments.campaign import Campaign, parse_sweeps
 from repro.experiments.registry import (
@@ -851,11 +851,14 @@ def _run_experiments(args: argparse.Namespace) -> int:
             None if args.no_store else ResultStore(args.store).check_writable()
         )
         result = spec.run(scale=scale, params=params, campaign=campaign)
-    except (ValueError, OSError) as exc:
+    except (ValueError, OSError, ReproError) as exc:
         if store is not None:
-            # value-level validation (connectivity<n) fires inside
-            # spec.run, after the probe — clean up an empty store file
+            # value-level validation (connectivity<n) and a trial's own
+            # failure fire inside spec.run, after the probe — clean up
+            # an empty store file
             store.discard_probe_residue()
+        if not isinstance(exc, (ValueError, OSError)):
+            raise  # a trial's ReproError: main() maps it
         print(f"error: {exc}", file=sys.stderr)
         return 2
     store_error: Optional[Exception] = None
@@ -1439,6 +1442,17 @@ def _run_lint(args: argparse.Namespace) -> int:
 
 def main(argv: Optional[List[str]] = None) -> int:
     args = make_parser().parse_args(argv)
+    try:
+        return _dispatch(args)
+    except ReproError as exc:
+        # a typed failure inside a trial (unattainable K, no convergence
+        # before the deadline, ...), possibly re-raised from a worker
+        # process: one line on stderr, never a traceback
+        print(f"error: {type(exc).__name__}: {exc}", file=sys.stderr)
+        return 2
+
+
+def _dispatch(args: argparse.Namespace) -> int:
     if args.command == "list":
         return _run_list()
     if args.command == "demo":

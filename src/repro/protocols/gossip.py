@@ -17,8 +17,15 @@ Implementation notes:
   neighbours (optionally capped by a ``fanout``), until the per-broadcast
   round budget ``rounds`` is exhausted.
 * :func:`calibrate_rounds` automates the paper's "determined
-  interactively": it finds the smallest round budget whose empirical
-  all-reached frequency meets the target over a batch of seeded trials.
+  interactively": it probes round budgets ``1..8, 10, 12, ...`` and
+  returns the first whose empirical all-reached frequency meets the
+  target over a batch of seeded trials.  Each probe is a sequential
+  test: it stops at the trial that decides its verdict (enough hits to
+  pass, or too many misses to still pass), so the ``make_network``
+  factory is called for a prefix ``0..j`` of the trial indices, not
+  necessarily all of them.  The skipped trials could not have changed
+  the result; only the opt-in ``rng.*`` draw ledger of a calibration
+  spec shrinks with them.
 * Message accounting distinguishes DATA and ACK categories so experiments
   can report either (the paper's Figure 4 counts data messages; an
   ablation bench reports the ACK-inclusive ratio too).
@@ -27,7 +34,7 @@ Implementation notes:
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Any, Callable, Dict, Optional, Set
+from typing import Any, Callable, Dict, Iterator, Optional, Set
 
 from repro.core.broadcast import MessageId, ReliableBroadcastProcess
 from repro.errors import CalibrationError, ValidationError
@@ -220,6 +227,16 @@ def run_gossip_trial(
     }
 
 
+def _probe_ladder(max_rounds: int) -> Iterator[int]:
+    """Budgets probed by :func:`calibrate_rounds`: ``1..8``, then steps
+    of 2, the last step clamped so ``max_rounds`` itself is tried."""
+    rounds = 1
+    while rounds < max_rounds:
+        yield rounds
+        rounds += 1 if rounds < 8 else 2  # coarser steps once large
+    yield max_rounds
+
+
 def calibrate_rounds(
     make_network: Callable[[int], Network],
     k_target: float,
@@ -228,16 +245,24 @@ def calibrate_rounds(
     origin: ProcessId = 0,
     fanout: Optional[int] = None,
 ) -> int:
-    """Find the smallest round budget meeting ``k_target`` empirically.
+    """Find the first probed round budget meeting ``k_target`` empirically.
 
     The paper tuned the step count "interactively" until all processes
     were reached with the target probability; this automates the same
     search.  ``make_network(trial_index)`` must build an independently
     seeded network per trial.
 
+    Budgets are probed in the order ``1, 2, ..., 8, 10, 12, ...`` up to
+    and including ``max_rounds``.  A probe runs trials ``0, 1, 2, ...``
+    and stops as soon as ``reached / trials >= k_target`` can no longer
+    change: it already holds, or even all remaining trials reaching
+    could not make it hold.  The verdict is exactly that of running all
+    ``trials``.
+
     Returns:
-        The smallest ``rounds`` whose all-reached frequency over
-        ``trials`` runs is >= ``k_target``.
+        The first probed ``rounds`` whose all-reached frequency over
+        ``trials`` runs is >= ``k_target`` — the smallest such budget up
+        to 8, and within one round of it above (steps of 2).
 
     Raises:
         CalibrationError: if ``max_rounds`` is insufficient.
@@ -245,8 +270,8 @@ def calibrate_rounds(
     if not 0.0 < k_target < 1.0:
         raise ValidationError(f"k_target must be in (0,1), got {k_target}")
     check_positive_int(trials, "trials")
-    rounds = 1
-    while rounds <= max_rounds:
+    check_positive_int(max_rounds, "max_rounds")
+    for rounds in _probe_ladder(max_rounds):
         reached = 0
         for t in range(trials):
             outcome = run_gossip_trial(
@@ -257,9 +282,16 @@ def calibrate_rounds(
                 fanout=fanout,
             )
             reached += int(outcome["reached"])
+            # the same float expression as the verdict below, never
+            # ceil(k * trials): 0.99 * 100 is 99.00000000000001
+            if (
+                reached / trials >= k_target
+                or (reached + trials - 1 - t) / trials < k_target
+            ):
+                break
         if reached / trials >= k_target:
             return rounds
-        rounds += 1 if rounds < 8 else 2  # coarser steps once large
     raise CalibrationError(
-        f"gossip did not reach K={k_target} within {max_rounds} rounds"
+        f"gossip did not reach K={k_target} within {max_rounds} rounds "
+        f"(reached {reached} of {t + 1} trials run at rounds={rounds})"
     )

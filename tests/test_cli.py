@@ -6,6 +6,13 @@ import os
 import pytest
 
 from repro.cli import main, make_parser
+from repro.experiments.campaign import TrialSpec
+from repro.experiments.registry import (
+    ExperimentSpec,
+    register_experiment,
+    unregister_experiment,
+)
+from repro.results.schema import ResultSet
 
 
 class TestParser:
@@ -555,3 +562,75 @@ class TestScenarioProtocolSweeps:
         )
         assert rc == 2
         assert "did you mean 'gossip'" in capsys.readouterr().err
+
+
+@pytest.fixture
+def failing_experiment():
+    """A registered experiment whose two trials raise CalibrationError:
+    gossip calibration over links that lose every message."""
+
+    def build(ctx):
+        return [
+            TrialSpec.make(
+                "repro.experiments.figure4:gossip_calibration_task",
+                n=4,
+                connectivity=2,
+                crash=0.0,
+                loss=1.0,
+                k_target=0.9,
+                trials=5,
+                seed_tag=tag,
+            )
+            for tag in ("a", "b")
+        ]
+
+    register_experiment(
+        ExperimentSpec(
+            name="cal-fail",
+            description="every trial fails to calibrate",
+            build=build,
+            aggregate=lambda ctx, results: ResultSet.from_rows(
+                "cal-fail", "t", ["v"], [[0.0]]
+            ),
+        )
+    )
+    yield "cal-fail"
+    unregister_experiment("cal-fail")
+
+
+class TestTrialErrorsExitCleanly:
+    """A ReproError raised inside a trial is a one-line error, exit 2."""
+
+    @staticmethod
+    def check(capsys, rc):
+        captured = capsys.readouterr()
+        assert rc == 2
+        assert captured.out == ""
+        lines = captured.err.splitlines()
+        assert len(lines) == 1
+        assert lines[0].startswith(
+            "error: CalibrationError: gossip did not reach K=0.9 within 64 rounds"
+        )
+        assert "reached 0 of 1 trials run at rounds=64" in lines[0]
+
+    @pytest.mark.parametrize("backend", ["serial", "process:2"])
+    def test_experiments_run(self, failing_experiment, backend, tmp_path, capsys):
+        store = tmp_path / "sub" / "results.jsonl"
+        rc = main(
+            [
+                "experiments", "run", failing_experiment, "--no-cache",
+                "--backend", backend, "--store", str(store),
+            ]
+        )
+        self.check(capsys, rc)
+        # the writability probe's empty file does not outlive the failure
+        assert not store.parent.exists()
+
+    def test_campaign_command(self, failing_experiment, capsys):
+        rc = main(
+            ["campaign", failing_experiment, "--no-cache", "--backend", "serial"]
+        )
+        self.check(capsys, rc)
+
+    def test_legacy_experiment_command(self, failing_experiment, capsys):
+        self.check(capsys, main([failing_experiment]))

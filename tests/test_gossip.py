@@ -1,8 +1,16 @@
 """Unit tests for the reference gossip baseline (Section 5)."""
 
-import pytest
+from unittest import mock
 
+import pytest
+from hypothesis import given, settings, strategies as st
+
+import repro.protocols.gossip as gossip
 from repro.errors import CalibrationError, ValidationError
+from repro.experiments.campaign import Campaign
+from repro.experiments.figure4 import figure4_build
+from repro.experiments.heterogeneous import heterogeneity_build
+from repro.experiments.runner import current_scale
 from repro.protocols.gossip import (
     GossipBroadcast,
     GossipParameters,
@@ -167,3 +175,317 @@ class TestCalibration:
         config = Configuration.reliable(ring(4))
         with pytest.raises(ValidationError):
             calibrate_rounds(lambda t: build_network(config, t), k_target=1.5)
+
+    def test_invalid_max_rounds(self):
+        config = Configuration.reliable(ring(4))
+        for bad in (0, -1, 2.5):
+            with pytest.raises(ValidationError, match="max_rounds"):
+                calibrate_rounds(
+                    lambda t: build_network(config, t),
+                    k_target=0.9,
+                    max_rounds=bad,
+                )
+
+    def test_real_probes_stop_at_their_verdict(self):
+        """Unmocked: a reliable ring passes rounds=1 at its 9th hit of 10;
+        a dead link loses every probe at its first miss."""
+        built = []
+
+        def factory(config, tag):
+            def make(t):
+                built.append(t)
+                return build_network(config, (tag, t))
+
+            return make
+
+        reliable = Configuration.reliable(ring(6))
+        assert calibrate_rounds(factory(reliable, "seq"), 0.9, trials=10) == 1
+        assert built == list(range(9))
+        del built[:]
+        dead = Configuration.uniform(line(2), loss=1.0)
+        with pytest.raises(CalibrationError):
+            calibrate_rounds(factory(dead, "seq2"), 0.9, trials=5, max_rounds=6)
+        assert built == [0] * 6
+
+
+# -- sequential calibration: scripted outcomes ----------------------------------------
+
+
+class ScriptedTrials:
+    """Stand-in for ``run_gossip_trial`` reading ``reached`` from a table.
+
+    ``table[rounds][trial]`` is the scripted outcome; budgets missing
+    from the table never reach.  ``calls`` logs ``(rounds, trial)`` in
+    call order, the trial index being what the ``make_network`` factory
+    handed to :func:`calibrate_rounds` was called with.
+    """
+
+    def __init__(self, table):
+        self.table = table
+        self.calls = []
+
+    def make_network(self, t):
+        return t
+
+    def run_gossip_trial(self, make_network, rounds, **kwargs):
+        t = make_network()
+        self.calls.append((rounds, t))
+        row = self.table.get(rounds)
+        return {"reached": 1.0 if row is not None and row[t] else 0.0}
+
+    def calibrate(self, fn, k_target, trials, max_rounds=64):
+        """Run ``fn`` against this script; returns ``(result, calls)``
+        where ``result`` is the budget or the string ``"CalibrationError"``."""
+        self.calls = []
+        with mock.patch.object(gossip, "run_gossip_trial", self.run_gossip_trial):
+            try:
+                result = fn(self.make_network, k_target, trials, max_rounds)
+            except CalibrationError:
+                result = "CalibrationError"
+        return result, self.calls
+
+
+def misses(trials, *missed):
+    """A probe's outcome row: every trial reaches except ``missed``."""
+    return [t not in missed for t in range(trials)]
+
+
+def exhaustive_ladder(max_rounds):
+    """Budgets 1..8, 10, 12, ... below ``max_rounds``, then ``max_rounds``."""
+    steps = [*range(1, 9), *range(10, max_rounds, 2)]
+    return [r for r in steps if r < max_rounds] + [max_rounds]
+
+
+def calibrate_rounds_exhaustive(make_network, k_target, trials, max_rounds=64):
+    """The pre-sequential loop, kept as the reference: every probe runs
+    the full batch and is judged once, at its end."""
+    for rounds in exhaustive_ladder(max_rounds):
+        reached = 0
+        for t in range(trials):
+            outcome = gossip.run_gossip_trial(
+                lambda t=t: make_network(t),
+                rounds=rounds,
+                origin=0,
+                k_target=k_target,
+                fanout=None,
+            )
+            reached += int(outcome["reached"])
+        if reached / trials >= k_target:
+            return rounds
+    raise CalibrationError("exhausted")
+
+
+@st.composite
+def calibration_cases(draw):
+    trials = draw(st.integers(1, 40))
+    k_target = draw(
+        st.one_of(
+            st.sampled_from([0.9, 0.95, 0.99, 0.9999]),
+            st.floats(0.0, 1.0, exclude_min=True, exclude_max=True),
+        )
+    )
+    max_rounds = draw(st.integers(1, 13))
+    # rows sit near the pass/lose boundary: a handful of misses, or noise
+    row = st.one_of(
+        st.sets(st.integers(0, trials - 1), max_size=4).map(
+            lambda missed: misses(trials, *missed)
+        ),
+        st.lists(st.booleans(), min_size=trials, max_size=trials),
+    )
+    table = {
+        rounds: draw(row) for rounds in exhaustive_ladder(max_rounds)
+    }
+    return trials, k_target, max_rounds, table
+
+
+class TestSequentialCalibration:
+    @settings(max_examples=300, deadline=None)
+    @given(calibration_cases())
+    def test_same_verdict_as_exhaustive(self, case):
+        trials, k_target, max_rounds, table = case
+        script = ScriptedTrials(table)
+        want, full = script.calibrate(
+            calibrate_rounds_exhaustive, k_target, trials, max_rounds
+        )
+        got, run = script.calibrate(
+            calibrate_rounds, k_target, trials, max_rounds
+        )
+        assert got == want
+        # only trials are skipped: the same probes in the same order,
+        # each a gap-free prefix 0..j of the exhaustive run's indices
+        probes = list(dict.fromkeys(r for r, _ in full))
+        assert list(dict.fromkeys(r for r, _ in run)) == probes
+        assert [r for r, _ in run] == sorted(r for r, _ in run)
+        for rounds in probes:
+            indices = [t for r, t in run if r == rounds]
+            assert indices == list(range(len(indices)))
+
+    def test_float_edge_99_of_100_passes(self):
+        """0.99 * 100 is 99.00000000000001, but 99 / 100 >= 0.99 holds:
+        99 hits pass, and the probe stops at the 99th."""
+        script = ScriptedTrials({1: misses(100, 99)})
+        got, calls = script.calibrate(calibrate_rounds, 0.99, 100)
+        assert got == 1
+        assert calls == [(1, t) for t in range(99)]
+
+    def test_float_edge_early_miss_still_passes(self):
+        script = ScriptedTrials({1: misses(100, 3)})
+        got, calls = script.calibrate(calibrate_rounds, 0.99, 100)
+        assert got == 1
+        assert calls == [(1, t) for t in range(100)]
+
+    def test_quick_scale_stopping_points(self):
+        """K=0.95 over 20 trials: lost at the 2nd miss, won at the 19th hit."""
+        script = ScriptedTrials(
+            {
+                1: misses(20, 0, 1),
+                2: misses(20, 3, 7),
+                3: misses(20, 5),
+                4: misses(20),
+            }
+        )
+        got, calls = script.calibrate(calibrate_rounds, 0.95, 20)
+        assert got == 3
+        assert calls == (
+            [(1, 0), (1, 1)]
+            + [(2, t) for t in range(8)]
+            + [(3, t) for t in range(20)]
+        )
+        script.table[3] = misses(20, 5, 6)
+        got, calls = script.calibrate(calibrate_rounds, 0.95, 20)
+        assert got == 4
+        assert calls[-19:] == [(4, t) for t in range(19)]
+        assert len(calls) == 2 + 8 + 7 + 19
+
+    def test_paper_scale_loses_at_first_miss(self):
+        """K=0.9999 over 200 trials tolerates no miss at all."""
+        script = ScriptedTrials({1: misses(200, 17), 2: misses(200)})
+        got, calls = script.calibrate(calibrate_rounds, 0.9999, 200)
+        assert got == 2
+        assert calls == [(1, t) for t in range(18)] + [
+            (2, t) for t in range(200)
+        ]
+
+
+class TestProbeLadder:
+    @staticmethod
+    def probed(max_rounds):
+        """Budgets tried, in order, when no trial ever reaches."""
+        got, calls = ScriptedTrials({}).calibrate(
+            calibrate_rounds, 0.9, 1, max_rounds
+        )
+        assert got == "CalibrationError"
+        return [rounds for rounds, _ in calls]
+
+    def test_default_ladder_unchanged(self):
+        assert self.probed(64) == list(range(1, 9)) + list(range(10, 65, 2))
+
+    @pytest.mark.parametrize("max_rounds", [1, 5, 8, 9, 10, 11, 63])
+    def test_ends_on_max_rounds(self, max_rounds):
+        ladder = self.probed(max_rounds)
+        assert ladder == exhaustive_ladder(max_rounds)
+        assert ladder[-1] == max_rounds
+        assert ladder == sorted(set(ladder))
+
+    def test_odd_max_rounds_is_probed(self):
+        """max_rounds=9 used to probe 8, jump to 10 and give up."""
+        script = ScriptedTrials({9: misses(10)})
+        got, calls = script.calibrate(calibrate_rounds, 0.9, 10, max_rounds=9)
+        assert got == 9
+        # K=0.9 over 10 trials: a probe is lost at its 2nd miss
+        lost = [r for r in range(1, 9) for _ in range(2)]
+        assert [r for r, _ in calls] == lost + [9] * 9
+
+    def test_error_reports_last_probe_tally(self):
+        script = ScriptedTrials({9: misses(10, 2, 4)})
+        with mock.patch.object(
+            gossip, "run_gossip_trial", script.run_gossip_trial
+        ):
+            with pytest.raises(CalibrationError) as exc_info:
+                calibrate_rounds(
+                    script.make_network, 0.9, trials=10, max_rounds=9
+                )
+        message = str(exc_info.value)
+        assert "K=0.9 within 9 rounds" in message
+        assert "reached 3 of 5 trials run at rounds=9" in message
+
+
+# -- calibrated budgets of the quick-scale figures (regression) ------------------------
+
+#: ``rounds`` of every quick-scale calibration point, computed with the
+#: exhaustive loop (the commit before calibration became sequential).
+QUICK_CALIBRATED_ROUNDS = {
+    "figure4a k=2 P=0.01": 6,
+    "figure4a k=4 P=0.01": 2,
+    "figure4a k=6 P=0.01": 1,
+    "figure4a k=2 P=0.03": 7,
+    "figure4a k=4 P=0.03": 3,
+    "figure4a k=6 P=0.03": 1,
+    "figure4a k=2 P=0.05": 7,
+    "figure4a k=4 P=0.05": 3,
+    "figure4a k=6 P=0.05": 1,
+    "figure4a k=2 P=0.07": 8,
+    "figure4a k=4 P=0.07": 3,
+    "figure4a k=6 P=0.07": 2,
+    "figure4b k=2 L=0.01": 6,
+    "figure4b k=4 L=0.01": 2,
+    "figure4b k=6 L=0.01": 1,
+    "figure4b k=2 L=0.03": 7,
+    "figure4b k=4 L=0.03": 3,
+    "figure4b k=6 L=0.03": 1,
+    "figure4b k=2 L=0.05": 7,
+    "figure4b k=4 L=0.05": 2,
+    "figure4b k=6 L=0.05": 1,
+    "figure4b k=2 L=0.07": 7,
+    "figure4b k=4 L=0.07": 3,
+    "figure4b k=6 L=0.07": 1,
+    "heterogeneous k=2 uniform": 7,
+    "heterogeneous k=2 hetero": 6,
+    "heterogeneous k=4 uniform": 3,
+    "heterogeneous k=4 hetero": 2,
+    "heterogeneous k=6 uniform": 1,
+    "heterogeneous k=6 hetero": 1,
+}
+
+
+class _CalibrationRecorder(Campaign):
+    """Serial campaign remembering the budget of every spec it runs (the
+    ``*_build`` functions run the calibrations and return the rest)."""
+
+    def __init__(self):
+        super().__init__()
+        self.calibrated = []
+
+    def run(self, specs):
+        results = super().run(specs)
+        self.calibrated += [
+            (spec.kwargs(), int(result["rounds"]))
+            for spec, result in zip(specs, results)
+        ]
+        return results
+
+
+@pytest.fixture(scope="module")
+def quick_calibrated_rounds():
+    scale = current_scale("quick")
+    found = {}
+    for name, axis, prefix, build in (
+        ("figure4a", "crash", "P=", lambda c: figure4_build("crash", scale, c)),
+        ("figure4b", "loss", "L=", lambda c: figure4_build("loss", scale, c)),
+        ("heterogeneous", "mode", "", lambda c: heterogeneity_build(scale, c)),
+    ):
+        recorder = _CalibrationRecorder()
+        build(recorder)
+        for kwargs, rounds in recorder.calibrated:
+            point = f"{name} k={kwargs['connectivity']} {prefix}{kwargs[axis]}"
+            found[point] = rounds
+    return found
+
+
+class TestQuickCalibratedRounds:
+    def test_covers_every_point(self, quick_calibrated_rounds):
+        assert sorted(quick_calibrated_rounds) == sorted(QUICK_CALIBRATED_ROUNDS)
+
+    @pytest.mark.parametrize("point", sorted(QUICK_CALIBRATED_ROUNDS))
+    def test_rounds(self, quick_calibrated_rounds, point):
+        assert quick_calibrated_rounds[point] == QUICK_CALIBRATED_ROUNDS[point]
