@@ -197,8 +197,11 @@ class Campaign:
 
     The cumulative counters :attr:`executed` and :attr:`cached` track how
     much work the campaign actually did versus recovered from disk, and
-    :attr:`peak_buffered` records the largest number of out-of-order
-    results ever held back while restoring submission order.
+    :attr:`peak_buffered` records the largest number of backend results
+    ever held back while restoring submission order or waiting for a
+    later duplicate (cache hits, held from the scan to their last yield,
+    are not counted; <= 1 for a duplicate-free batch on the serial
+    backend).
     """
 
     def __init__(
@@ -257,10 +260,14 @@ class Campaign:
         Results are yielded *incrementally*: as the backend streams
         completions (in any order), each one is either yielded straight
         through or held in a small reorder buffer until every earlier
-        spec has been satisfied.  Buffered entries are dropped as soon
-        as their last duplicate is yielded and cache hits are re-read
-        lazily at yield time, so peak memory is bounded by the
-        out-of-orderness of the backend — not the campaign size.
+        spec has been satisfied.  Each cache entry is read exactly once,
+        by the scan that classifies the specs; a hit's payload (a dict of
+        a few floats, smaller than the spec and key already held for it)
+        is kept from that scan until its last duplicate is yielded, so
+        nothing that happens to the cache directory afterwards can fail
+        the run.  Backend results are dropped from the reorder buffer at
+        their last duplicate the same way, so what the buffer holds is
+        bounded by the out-of-orderness of the backend.
         """
         if self.rng_ledger:
             specs = [
@@ -272,7 +279,7 @@ class Campaign:
         order: List[str] = []
         needs: Dict[str, int] = {}
         pending: List[TrialSpec] = []
-        cached_keys: set = set()
+        hits: Dict[str, TrialResult] = {}
         for spec in specs:
             key = spec.key()
             order.append(key)
@@ -281,7 +288,7 @@ class Campaign:
                 continue
             hit = self.cache.get(key) if self.cache is not None else None
             if hit is not None:
-                cached_keys.add(key)
+                hits[key] = hit
                 self.cached += 1
                 self._fold_ledger(hit)
             else:
@@ -291,18 +298,9 @@ class Campaign:
         cursor = 0
 
         def take(key: str) -> TrialResult:
+            held = buffer if key in buffer else hits
             needs[key] -= 1
-            if key in buffer:
-                result = buffer[key]
-                if needs[key] == 0:
-                    del buffer[key]
-                return result
-            result = self.cache.get(key) if self.cache is not None else None
-            if result is None:
-                raise ValidationError(
-                    f"trial cache entry {key[:12]}... disappeared mid-run"
-                )
-            return result
+            return held.pop(key) if needs[key] == 0 else held[key]
 
         def strip(result: TrialResult) -> TrialResult:
             if not self.rng_ledger:
@@ -326,13 +324,13 @@ class Campaign:
             buffer[key] = result
             self.peak_buffered = max(self.peak_buffered, len(buffer))
             while cursor < len(order) and (
-                order[cursor] in buffer or order[cursor] in cached_keys
+                order[cursor] in buffer or order[cursor] in hits
             ):
                 yield strip(take(order[cursor]))
                 cursor += 1
         while cursor < len(order):
             key = order[cursor]
-            if key not in buffer and key not in cached_keys:
+            if key not in buffer and key not in hits:
                 raise ValidationError(
                     f"backend {self.backend.describe()!r} never returned "
                     f"a result for trial {key[:12]}..."

@@ -24,6 +24,7 @@ reproduction always printed.
 from __future__ import annotations
 
 import csv
+import functools
 import io
 import math
 import os
@@ -49,12 +50,17 @@ Cell = Union[float, int, str, None]
 DERIVED_SEED_POLICY = "derived:experiment-scale-params"
 
 
+@functools.lru_cache(maxsize=None)
 def _git_describe() -> Optional[str]:
     """Best-effort ``git describe`` of the *repro source tree*.
 
     Runs in the package's own directory — never the process CWD, which
     may be some unrelated repository whose commit would then be stamped
     into provenance.  Installed (non-checkout) packages yield None.
+
+    Computed once per process: the code a process runs is the code it
+    imported, so the first answer (``None`` included) is the truthful
+    one for every later capture, and a sweep of N runs forks once.
     """
     import repro
 

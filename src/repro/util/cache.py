@@ -14,7 +14,10 @@ The cache is deliberately dumb and robust:
   prune with ``rm``;
 * writes are atomic (temp file + :func:`os.replace`) so a killed process
   never leaves a half-written entry;
-* unreadable or malformed entries are treated as misses, never as errors.
+* unreadable or malformed entries are treated as misses, never as errors:
+  :meth:`TrialCache.get` returns a payload only when it has the shape
+  trials are stored in — a dict of real numbers — so a hand-edited or
+  truncated entry is recomputed and overwritten, not aggregated.
 """
 
 from __future__ import annotations
@@ -73,15 +76,25 @@ class TrialCache:
         return os.path.join(self._dir, f"{key}.json")
 
     def get(self, key: str) -> Optional[Dict]:
-        """Return the cached payload for ``key``, or None on any miss."""
+        """Return the cached payload for ``key``, or None on any miss.
+
+        A payload is a ``{metric: number}`` dict (what
+        :func:`~repro.experiments.campaign.execute_spec` writes); an
+        entry holding anything else is a miss.
+        """
         try:
-            with open(self._path(key), "r", encoding="utf-8") as fh:
-                entry = json.load(fh)
+            with open(self._path(key), "rb") as fh:
+                entry = json.loads(fh.read())
         except (OSError, ValueError):
             return None
-        if not isinstance(entry, dict) or "result" not in entry:
+        result = entry.get("result") if isinstance(entry, dict) else None
+        if not isinstance(result, dict):
             return None
-        return entry["result"]
+        for value in result.values():
+            # JSON yields exact types, so this also rejects true/false
+            if type(value) not in (float, int):
+                return None
+        return result
 
     def put(self, key: str, result: Dict, context: Optional[Dict] = None) -> None:
         """Atomically persist ``result`` (with optional debug ``context``)."""

@@ -1,5 +1,6 @@
 """Tests for the campaign subsystem (parallel execution, cache, resume)."""
 
+import json
 import os
 
 import pytest
@@ -39,6 +40,18 @@ def _convergence_spec(trial: int, deadline: float = 1200.0) -> TrialSpec:
         deadline=deadline,
         trial=trial,
     )
+
+
+#: Valid JSON under "result" that no trial ever writes (trials store a
+#: dict of numbers) — each used to reach the aggregate hooks as a "hit".
+WRONG_SHAPE_PAYLOADS = ([1, 2], 3, {"messages": "x"}, "s")
+
+
+def _overwrite_entry(cache: TrialCache, key: str, payload: object) -> str:
+    path = os.path.join(cache.directory, f"{key}.json")
+    with open(path, "w") as fh:
+        json.dump({"result": payload}, fh)
+    return path
 
 
 class TestTrialSpec:
@@ -89,6 +102,21 @@ class TestTrialCache:
         with open(os.path.join(str(tmp_path), f"{key}.json"), "w") as fh:
             fh.write("{not json")
         assert cache.get(key) is None
+
+    @pytest.mark.parametrize("payload", WRONG_SHAPE_PAYLOADS)
+    def test_wrong_shape_entry_is_a_miss(self, tmp_path, payload):
+        cache = TrialCache(str(tmp_path))
+        key = content_key({"a": 1})
+        _overwrite_entry(cache, key, payload)
+        assert key in cache
+        assert cache.get(key) is None
+
+    def test_number_payloads_are_hits(self, tmp_path):
+        cache = TrialCache(str(tmp_path))
+        key = content_key({"a": 1})
+        for payload in ({}, {"m": 1}, {"m": float("inf"), "rng.x": 3.0}):
+            cache.put(key, payload)
+            assert cache.get(key) == payload
 
     def test_clear(self, tmp_path):
         cache = TrialCache(str(tmp_path))
@@ -171,6 +199,46 @@ class TestCampaignCache:
         assert resumed.cached == 2
         assert resumed.executed == 1
         assert len(results) == 3
+
+    @pytest.mark.parametrize("payload", WRONG_SHAPE_PAYLOADS)
+    def test_wrong_shape_entry_is_recomputed_and_rewritten(
+        self, tmp_path, payload
+    ):
+        cache = TrialCache(str(tmp_path))
+        specs = [_convergence_spec(t) for t in range(2)]
+        reference = Campaign(cache=cache).run(specs)
+        path = _overwrite_entry(cache, specs[1].key(), payload)
+
+        repaired = Campaign(cache=cache)
+        assert repaired.run(specs) == reference
+        assert (repaired.cached, repaired.executed) == (1, 1)
+        with open(path) as fh:
+            assert json.load(fh)["result"] == reference[1]
+
+    @pytest.mark.parametrize("backend", ["serial", "shard:2"])
+    @pytest.mark.parametrize("payload", WRONG_SHAPE_PAYLOADS)
+    def test_cli_repairs_a_wrong_shape_entry(
+        self, tmp_path, capsys, payload, backend
+    ):
+        from repro.cli import main
+
+        argv = [
+            "experiments", "run", "table1", "--scale", "quick",
+            "--cache-dir", str(tmp_path), "--no-store", "--backend", backend,
+        ]
+        assert main(argv) == 0
+        table = capsys.readouterr().out.split("campaign:")[0]
+        cache = TrialCache(str(tmp_path))
+        key = next(iter(cache.keys()))
+        good = cache.get(key)
+        _overwrite_entry(cache, key, payload)
+
+        assert main(argv) == 0
+        captured = capsys.readouterr()
+        assert captured.out.split("campaign:")[0] == table
+        assert "1 trials executed, 4 cache hits" in captured.out
+        assert captured.err == ""
+        assert cache.get(key) == good
 
     def test_cache_is_spec_keyed(self, tmp_path):
         cache = TrialCache(str(tmp_path))

@@ -30,13 +30,15 @@ from repro.results.schema import Provenance, diff_result_sets
 from repro.util.cache import TrialCache
 
 
-def _convergence_spec(trial: int, deadline: float = 1200.0) -> TrialSpec:
+def _convergence_spec(
+    trial: int, deadline: float = 1200.0, loss: float = 0.0
+) -> TrialSpec:
     return TrialSpec.make(
         CONVERGENCE_FN,
         n=8,
         connectivity=2,
         crash=0.0,
-        loss=0.0,
+        loss=loss,
         deadline=deadline,
         trial=trial,
     )
@@ -44,6 +46,23 @@ def _convergence_spec(trial: int, deadline: float = 1200.0) -> TrialSpec:
 
 def _specs(count: int):
     return [_convergence_spec(trial) for trial in range(count)]
+
+
+class CountingCache(TrialCache):
+    """A TrialCache that records the keys of every ``get`` and ``put``."""
+
+    def __init__(self, directory: str) -> None:
+        super().__init__(directory)
+        self.gets = []
+        self.puts = []
+
+    def get(self, key):
+        self.gets.append(key)
+        return super().get(key)
+
+    def put(self, key, result, context=None):
+        self.puts.append(key)
+        super().put(key, result, context=context)
 
 
 class TestSpecStrings:
@@ -236,6 +255,82 @@ class TestStreaming:
         assert again == first + first[:1]
         assert campaign.cached == 3
         assert campaign.executed == 0
+
+    def test_cached_specs_are_read_exactly_once(self, tmp_path):
+        specs = _specs(4)
+        first = Campaign(backend="serial", cache=TrialCache(str(tmp_path))).run(
+            specs
+        )
+        cache = CountingCache(str(tmp_path))
+        campaign = Campaign(backend="serial", cache=cache)
+        again = campaign.run(specs + specs[1:3] + specs[:1])
+        assert again == first + first[1:3] + first[:1]
+        assert sorted(cache.gets) == sorted(spec.key() for spec in specs)
+        assert cache.puts == []
+        assert (campaign.cached, campaign.executed) == (4, 0)
+        assert campaign.peak_buffered == 0  # counts backend results only
+
+    def test_half_filled_cache_reads_each_spec_once_and_writes_each_miss(
+        self, tmp_path
+    ):
+        specs = _specs(6)
+        reference = Campaign(backend="serial").run(specs)
+        Campaign(backend="serial", cache=TrialCache(str(tmp_path))).run(
+            specs[::2]
+        )
+        cache = CountingCache(str(tmp_path))
+        campaign = Campaign(backend="serial", cache=cache)
+        assert campaign.run(specs + specs) == reference + reference
+        assert sorted(cache.gets) == sorted(spec.key() for spec in specs)
+        assert sorted(cache.puts) == sorted(
+            spec.key() for spec in specs[1::2]
+        )
+        assert (campaign.cached, campaign.executed) == (3, 3)
+
+    def test_cache_emptied_mid_stream_still_yields_everything(self, tmp_path):
+        # a concurrent `repro cache clear` used to abort a resumed run
+        # ("disappeared mid-run"): hits were read again at yield time
+        cache = TrialCache(str(tmp_path))
+        specs = _specs(4)
+        reference = Campaign(backend="serial", cache=cache).run(specs)
+        stream = Campaign(backend="serial", cache=cache).run_stream(
+            specs + specs[:2]
+        )
+        head = next(stream)
+        assert cache.clear() == 4
+        assert [head] + list(stream) == reference + reference[:2]
+
+    @pytest.mark.parametrize("backend", ["serial", "process:2", "shard-inline"])
+    def test_resumed_rows_equal_the_cacheless_run(self, tmp_path, backend):
+        def make():
+            if backend == "shard-inline":
+                return ShardQueueBackend(workers=2, shards=3, inline=True)
+            return backend
+
+        specs = _specs(5) + _specs(2)
+        reference = Campaign(backend="serial").run(specs)
+        cache = TrialCache(str(tmp_path))
+        Campaign(backend="serial", cache=cache).run(specs[:2])
+        half = Campaign(backend=make(), cache=cache)
+        assert half.run(specs) == reference
+        assert (half.cached, half.executed) == (2, 3)
+        full = Campaign(backend=make(), cache=cache)
+        assert full.run(specs) == reference
+        assert (full.cached, full.executed) == (5, 0)
+
+    def test_ledgered_resume_counts_the_same_draws(self, tmp_path):
+        # lossy links, so the trials draw and the ledger has streams
+        specs = [_convergence_spec(t, 2400.0, loss=0.02) for t in (0, 1, 2, 0)]
+        cacheless = Campaign(backend="serial", rng_ledger=True)
+        reference = cacheless.run(specs)
+        assert cacheless.rng_draws
+        cache = TrialCache(str(tmp_path))
+        Campaign(backend="serial", cache=cache, rng_ledger=True).run(specs[:2])
+        for cached in (2, 3):
+            resumed = Campaign(backend="serial", cache=cache, rng_ledger=True)
+            assert resumed.run(specs) == reference
+            assert resumed.cached == cached
+            assert resumed.rng_draws == cacheless.rng_draws
 
 
 class TestCampaignBackendParam:

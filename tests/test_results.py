@@ -8,6 +8,7 @@ cell-by-cell diff with its tolerance semantics.
 
 import json
 import math
+import subprocess
 
 import pytest
 
@@ -17,6 +18,7 @@ from repro.results.schema import (
     Provenance,
     ResultRow,
     ResultSet,
+    _git_describe,
     diff_result_sets,
 )
 from repro.results.store import ResultStore, default_store_path
@@ -223,8 +225,10 @@ class TestResultStore:
 
     def test_git_provenance_is_source_tree_not_cwd(self, tmp_path,
                                                    monkeypatch):
+        _git_describe.cache_clear()
         from_repo = Provenance.capture("demo").git
         monkeypatch.chdir(tmp_path)  # not a git repository
+        _git_describe.cache_clear()  # describe again, from the new CWD
         assert Provenance.capture("demo").git == from_repo
 
     def test_query_filters(self, tmp_path):
@@ -317,6 +321,89 @@ class TestResultStore:
         blocker.write_text("")
         with pytest.raises(OSError):
             ResultStore(str(blocker / "x" / "r.jsonl")).check_writable()
+
+
+class TestGitDescribedOncePerProcess:
+    """``Provenance.git`` costs one subprocess per process, not per capture."""
+
+    @pytest.fixture(autouse=True)
+    def _fresh_memo(self):
+        # the memo is process-wide: reset it so test order does not matter
+        _git_describe.cache_clear()
+        yield
+        _git_describe.cache_clear()
+
+    @pytest.fixture
+    def spawns(self, monkeypatch):
+        """Replace ``subprocess.run`` with a counter that answers v9-test."""
+        calls = []
+
+        def fake_run(argv, **kwargs):
+            calls.append(argv)
+            return subprocess.CompletedProcess(argv, 0, "v9-test\n", "")
+
+        monkeypatch.setattr(subprocess, "run", fake_run)
+        return calls
+
+    def test_five_captures_spawn_one_subprocess(self, spawns, monkeypatch):
+        stamps = iter(f"2026-01-01T00:00:0{i}Z" for i in range(5))
+        monkeypatch.setattr(
+            "repro.results.schema._utc_now", lambda: next(stamps)
+        )
+        captured = [
+            Provenance.capture("demo", params={"i": i}) for i in range(5)
+        ]
+        assert len(spawns) == 1
+        assert spawns[0][:2] == ["git", "describe"]
+        assert [p.git for p in captured] == ["v9-test"] * 5
+        # everything else is still stamped per capture
+        assert [p.created_at for p in captured] == [
+            f"2026-01-01T00:00:0{i}Z" for i in range(5)
+        ]
+        assert [p.params for p in captured] == [{"i": i} for i in range(5)]
+
+    def test_three_api_runs_spawn_one_subprocess(self, spawns, tmp_path):
+        import repro.api as api
+
+        store = str(tmp_path / "runs.jsonl")
+        runs = [
+            api.run_experiment("table1", scale="quick", store=store)
+            for _ in range(3)
+        ]
+        assert len(spawns) == 1
+        assert [r.provenance.git for r in runs] == ["v9-test"] * 3
+        assert all(r.provenance.created_at for r in runs)
+        stored = ResultStore(store).load()
+        assert [r.provenance.git for r in stored] == ["v9-test"] * 3
+
+    @pytest.mark.parametrize(
+        "failure",
+        [
+            OSError("no git on PATH"),
+            subprocess.TimeoutExpired(cmd="git", timeout=5),
+        ],
+    )
+    def test_failure_is_memoised_and_never_retried(self, monkeypatch, failure):
+        calls = []
+
+        def failing_run(argv, **kwargs):
+            calls.append(argv)
+            raise failure
+
+        monkeypatch.setattr(subprocess, "run", failing_run)
+        assert [Provenance.capture("demo").git for _ in range(3)] == [None] * 3
+        assert len(calls) == 1
+
+    def test_nonzero_exit_is_memoised_as_none(self, monkeypatch):
+        calls = []
+
+        def not_a_checkout(argv, **kwargs):
+            calls.append(argv)
+            return subprocess.CompletedProcess(argv, 128, "", "fatal: ...")
+
+        monkeypatch.setattr(subprocess, "run", not_a_checkout)
+        assert [Provenance.capture("demo").git for _ in range(2)] == [None] * 2
+        assert len(calls) == 1
 
 
 class TestDiff:
