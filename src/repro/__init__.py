@@ -19,8 +19,8 @@ Quickstart::
     plan = optimize(tree, k_target=0.9999, view=config)
     print(plan.total_messages, plan.achieved)
 
-See ``examples/`` for full simulated runs and ``benchmarks/`` for the
-regeneration of every table and figure of the paper.
+See ``examples/`` for full simulated runs and ``repro experiments run``
+for the regeneration of every table and figure of the paper.
 """
 
 from repro.analysis.convergence import (

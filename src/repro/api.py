@@ -34,7 +34,6 @@ environment variables.
 
 from __future__ import annotations
 
-import warnings
 from dataclasses import dataclass, field
 from typing import TYPE_CHECKING, Dict, List, Optional, Sequence, Tuple, Union
 
@@ -48,7 +47,6 @@ from repro.exec import (
     SerialBackend,
     ShardQueueBackend,
     parse_backend,
-    resolve_backend,
 )
 from repro.experiments.campaign import Campaign
 from repro.experiments.registry import (
@@ -99,7 +97,6 @@ from repro.scenario.registry import promote_scenario as _promote_scenario
 from repro.scenario.run import ScenarioReport, protocol_row, scenario_reports
 from repro.scenario.schema import ScenarioSpec
 from repro.scenario.trial import run_scenario_trial
-from repro.util.cache import TrialCache
 
 __all__ = [
     # protocol surface
@@ -246,8 +243,6 @@ def hunt(
     min_regret: float = 0.0,
     shrink: bool = True,
     backend: BackendArg = None,
-    workers: Optional[int] = None,
-    cache: Union[bool, str, None] = None,
     store: Union[bool, str, ResultStore, None] = None,
 ) -> HuntResult:
     """Adversarial search over ``budget`` generated scenarios.
@@ -256,10 +251,10 @@ def hunt(
     ``top``-K worst, and (by default) shrinks each find's timeline to a
     minimal counterexample.  Deterministic for a pinned seed regardless
     of the execution ``backend`` (a spec string like ``"process:4"`` or
-    an :class:`ExecutionBackend`; ``workers=``/``cache=`` are deprecated
-    aliases).  With ``store``, the frontier is appended to the results
-    store (generator-seed provenance included) and the returned result
-    reflects the stored run id via :meth:`HuntResult.to_result_set`.
+    an :class:`ExecutionBackend`).  With ``store``, the frontier is
+    appended to the results store (generator-seed provenance included)
+    and the returned result reflects the stored run id via
+    :meth:`HuntResult.to_result_set`.
     """
     result_store = _store(store)
     if result_store is not None:
@@ -275,7 +270,7 @@ def hunt(
             oracle=oracle,
             min_regret=min_regret,
             shrink=shrink,
-            campaign=_campaign(backend, workers, cache),
+            campaign=Campaign(backend=backend),
         )
     except Exception:
         if result_store is not None:
@@ -314,60 +309,7 @@ def _scale(scale: Union[str, ExperimentScale, None]) -> ExperimentScale:
     return current_scale(scale)
 
 
-def _trial_cache(cache: Union[bool, str, None]) -> Optional[TrialCache]:
-    """None/False = no cache, True = default directory, str = that one."""
-    if cache is True:
-        return TrialCache()
-    if isinstance(cache, str):
-        return TrialCache(cache)
-    return None
-
-
 BackendArg = Union[str, ExecutionBackend, None]
-
-
-def _campaign(
-    backend: BackendArg,
-    workers: Optional[int],
-    cache: Union[bool, str, None],
-    rng_ledger: bool = False,
-) -> Campaign:
-    """Resolve the ``backend=`` surface (and its deprecated aliases).
-
-    ``workers=`` and ``cache=`` keep working but emit a
-    ``DeprecationWarning`` and map onto the equivalent backend
-    (``workers=N`` -> serial or a process pool, ``cache=...`` -> a
-    :class:`TrialCache` wired into the backend).  Passing either
-    alongside ``backend=`` is a conflict error.
-    """
-    if backend is not None:
-        if workers is not None or cache is not None:
-            raise ValidationError(
-                "pass either backend= or the deprecated workers=/cache= "
-                "kwargs, not both"
-            )
-        return Campaign(
-            backend=resolve_backend(backend), rng_ledger=rng_ledger
-        )
-    if workers is not None:
-        warnings.warn(
-            "workers= is deprecated; pass backend='process:N' "
-            "(or 'serial') instead",
-            DeprecationWarning,
-            stacklevel=3,
-        )
-    if cache is not None:
-        warnings.warn(
-            "cache= is deprecated; append '+cache[=DIR]' to the backend "
-            "spec (e.g. backend='process:4+cache') instead",
-            DeprecationWarning,
-            stacklevel=3,
-        )
-    return Campaign(
-        workers=1 if workers is None else workers,
-        cache=_trial_cache(cache),
-        rng_ledger=rng_ledger,
-    )
 
 
 # -- typed result records -------------------------------------------------------------
@@ -546,8 +488,6 @@ def run_scenario(
     scale: Union[str, ExperimentScale, None] = None,
     trials: Optional[int] = None,
     backend: BackendArg = None,
-    workers: Optional[int] = None,
-    cache: Union[bool, str, None] = None,
     params: Optional[ParamOverrides] = None,
     n: Optional[int] = None,
     loss: Optional[float] = None,
@@ -570,9 +510,6 @@ def run_scenario(
             ``"process:8"``, ``"shard:8"``, optional ``+cache[=DIR]``
             suffix) or an :class:`ExecutionBackend` instance.
             Name-based scenarios only.
-        workers: deprecated alias — maps to ``backend="process:N"``.
-        cache: deprecated alias — False/None = no on-disk cache, True =
-            the default cache directory, a string = that directory.
         params: per-protocol parameter overrides, keyed by protocol
             name or alias, e.g. ``{"two-phase": {"rounds": 40}}``.
         n / loss / crash / duration: scenario overrides (``n`` only for
@@ -582,7 +519,7 @@ def run_scenario(
         resolve_protocol(p).name for p in (protocols or default_protocols())
     )
     scale_obj = _scale(scale)
-    campaign = _campaign(backend, workers, cache)
+    campaign = Campaign(backend=backend)
 
     if isinstance(scenario, ScenarioSpec):
         if campaign.workers > 1:
@@ -677,8 +614,6 @@ def run_experiment(
     scale: Union[str, ExperimentScale, None] = None,
     params: Optional[Dict[str, object]] = None,
     backend: BackendArg = None,
-    workers: Optional[int] = None,
-    cache: Union[bool, str, None] = None,
     store: Union[bool, str, ResultStore, None] = None,
     rng_ledger: bool = False,
 ) -> ResultSet:
@@ -694,9 +629,6 @@ def run_experiment(
             ``"process:8"``, ``"shard:8"``, optional ``+cache[=DIR]``
             suffix) or an :class:`ExecutionBackend` instance; the
             result is bit-identical whichever backend runs it.
-        workers: deprecated alias — maps to ``backend="process:N"``.
-        cache: deprecated alias — False/None = no on-disk trial cache,
-            True = the default cache directory, a string = that one.
         store: where to append the result — None/False = do not persist,
             True = the default results store, a string = that JSONL
             path, or a :class:`~repro.results.ResultStore`.  When
@@ -719,7 +651,7 @@ def run_experiment(
     result_store = _store(store)
     if result_store is not None:
         result_store.check_writable()
-    campaign = _campaign(backend, workers, cache, rng_ledger=rng_ledger)
+    campaign = Campaign(backend=backend, rng_ledger=rng_ledger)
     try:
         result = spec.run(
             scale=_scale(scale), params=params_obj, campaign=campaign

@@ -13,21 +13,21 @@ Usage::
     # the experiment registry + durable results store
     python -m repro experiments list
     python -m repro experiments describe figure4a
-    python -m repro experiments run figure4a --scale quick --workers 4
+    python -m repro experiments run figure4a --scale quick --backend process:4
     python -m repro results show
     python -m repro results show figure4a-0001-1a2b3c4d
     python -m repro results export --format csv --out results.csv
     python -m repro results diff --experiment figure4a   # latest two runs
 
     # parallel + cached + resumable campaigns over the same experiments
-    python -m repro campaign figure4a --workers 4 --scale quick
+    python -m repro campaign figure4a --backend process:4 --scale quick
     python -m repro campaign figure6 --sweep topology=tree --sweep size=24,48
     python -m repro campaign figure4b --sweep loss=0.01,0.05 --sweep connectivity=2,4
 
     # declarative dynamic-environment scenarios (repro.scenario)
     python -m repro scenario list
     python -m repro scenario describe partition-heal
-    python -m repro scenario run partition-heal --workers 4 --scale quick
+    python -m repro scenario run partition-heal --backend shard:4 --scale quick
     python -m repro scenario run wan-brownout --protocols adaptive,optimal,gossip
     python -m repro scenario run burst-storm --sweep gossip.rounds=4,8
 
@@ -36,10 +36,6 @@ Usage::
     python -m repro scenario run gen:7:1 --scale quick
     python -m repro scenario hunt --budget 200 --scale quick
     python -m repro scenario hunt --budget 50 --promote worst-partition
-
-    # hot-path benchmarks + the performance regression gate
-    python -m repro bench --scale quick
-    python -m repro bench compare BENCH_core.json fresh.json --max-regression 0.25
 
     # the protocol registry (built-ins + plugins)
     python -m repro protocols list
@@ -93,12 +89,6 @@ from repro.scenario.registry import (
 from repro.scenario.run import SCENARIO_SWEEP_KEYS, scenario_reports
 from repro.util.cache import TrialCache, default_cache_dir
 from repro.util.tables import render_table
-
-#: Fixed subcommand names a registered experiment may never shadow.
-_RESERVED_COMMANDS = frozenset(
-    ("list", "demo", "protocols", "experiments", "results", "campaign",
-     "scenario", "bench", "backends")
-)
 
 
 def _run_demo() -> int:
@@ -162,13 +152,6 @@ def _add_campaign_options(cmd: argparse.ArgumentParser, sweep_help: str) -> None
             "execution backend: serial, process[:N], shard[:N[:S]] — "
             "see 'repro backends list' (default: process with all CPUs)"
         ),
-    )
-    cmd.add_argument(
-        "--workers",
-        type=int,
-        default=None,
-        metavar="N",
-        help="(deprecated) worker processes; use --backend process:N",
     )
     cmd.add_argument(
         "--sweep",
@@ -251,27 +234,6 @@ def make_parser() -> argparse.ArgumentParser:
         "describe", help="print one protocol's spec (params, flags, aliases)"
     )
     prot_desc.add_argument("name", metavar="PROTOCOL")
-
-    # legacy per-experiment spellings, one subcommand per registered
-    # experiment (delegating to the registry); an experiment whose name
-    # collides with a fixed subcommand (a plugin named "campaign") must
-    # not take down the parser — it stays reachable via 'experiments run'
-    for spec in experiment_specs():
-        if spec.name in _RESERVED_COMMANDS:
-            continue
-        cmd = sub.add_parser(spec.name, help=spec.description)
-        cmd.add_argument(
-            "--scale",
-            choices=["quick", "default", "full"],
-            default=None,
-            help="experiment size preset (default: REPRO_BENCH_SCALE or 'default')",
-        )
-        cmd.add_argument(
-            "--out",
-            metavar="DIR",
-            default=None,
-            help="also write text/JSON artefacts to DIR",
-        )
 
     exps = sub.add_parser(
         "experiments",
@@ -394,63 +356,6 @@ def make_parser() -> argparse.ArgumentParser:
         help=(
             "record per-stream RNG draw counts into the result's "
             "provenance (metric values are unaffected)"
-        ),
-    )
-
-    bench = sub.add_parser(
-        "bench",
-        help="hot-path benchmarks + the performance regression gate",
-        description=(
-            "Run the core benchmark suite (engine event throughput, "
-            "network delivery path, scenario and figure trial "
-            "throughput) and write a machine-readable summary — by "
-            "convention the repo-root BENCH_core.json.  'bench compare' "
-            "diffs two summaries with a relative-tolerance threshold "
-            "and exits non-zero on regression; CI gates on it."
-        ),
-    )
-    bench.add_argument(
-        "--scale",
-        choices=["quick", "default", "full"],
-        default="quick",
-        help="benchmark workload size (default: quick)",
-    )
-    bench.add_argument(
-        "--repeats",
-        type=int,
-        default=3,
-        metavar="N",
-        help="timed runs per bench; the fastest wins (default: 3)",
-    )
-    bench.add_argument(
-        "--bench",
-        action="append",
-        default=[],
-        metavar="NAME",
-        dest="benches",
-        help="run only this bench; repeatable (default: all)",
-    )
-    bench.add_argument(
-        "--out",
-        metavar="FILE",
-        default=None,
-        help="summary path (default: ./BENCH_core.json; merges selective runs)",
-    )
-    bench_sub = bench.add_subparsers(dest="bench_command", required=False)
-    bench_cmp = bench_sub.add_parser(
-        "compare",
-        help="diff two bench summaries; non-zero exit on regression",
-    )
-    bench_cmp.add_argument("baseline", metavar="BASELINE.json")
-    bench_cmp.add_argument("current", metavar="CURRENT.json")
-    bench_cmp.add_argument(
-        "--max-regression",
-        type=float,
-        default=0.25,
-        metavar="FRAC",
-        help=(
-            "allowed relative throughput drop before failing "
-            "(default: 0.25 = fail below 75%% of baseline)"
         ),
     )
 
@@ -605,10 +510,6 @@ def make_parser() -> argparse.ArgumentParser:
         ),
     )
     hunt_cmd.add_argument(
-        "--workers", type=int, default=None, metavar="N",
-        help="(deprecated) worker processes; use --backend process:N",
-    )
-    hunt_cmd.add_argument(
         "--cache-dir", default=None, metavar="DIR",
         help="trial cache directory",
     )
@@ -663,46 +564,43 @@ def make_parser() -> argparse.ArgumentParser:
         action="store_true",
         help="print the rule table and exit",
     )
+
+    # legacy per-experiment spellings, one subcommand per registered
+    # experiment (delegating to the registry), added after every fixed
+    # subcommand: an experiment whose name collides with one (a plugin
+    # named "campaign") must not take down the parser — it stays
+    # reachable via 'experiments run'
+    for spec in experiment_specs():
+        if spec.name in sub.choices:
+            continue
+        cmd = sub.add_parser(spec.name, help=spec.description)
+        cmd.add_argument(
+            "--scale",
+            choices=["quick", "default", "full"],
+            default=None,
+            help="experiment size preset (default: REPRO_BENCH_SCALE or 'default')",
+        )
+        cmd.add_argument(
+            "--out",
+            metavar="DIR",
+            default=None,
+            help="also write text/JSON artefacts to DIR",
+        )
     return parser
 
 
-def _campaign_setup(args: argparse.Namespace):
+def _campaign_setup(args: argparse.Namespace) -> Campaign:
     """Shared --backend/--cache-dir/--no-cache handling of the
-    campaign-backed subcommands; returns ``(campaign, workers, cache)``.
-
-    ``--workers N`` still works as a deprecated alias for
-    ``--backend process:N`` (with a stderr notice); combining the two
-    is an error.
-    """
-    backend_spec = getattr(args, "backend", None)
-    if args.workers is not None:
-        if backend_spec is not None:
-            raise ValidationError(
-                "pass --backend or the deprecated --workers, not both"
-            )
-        print(
-            "notice: --workers is deprecated; use --backend process:N",
-            file=sys.stderr,
-        )
-    cache = None if args.no_cache else TrialCache(args.cache_dir)
-    rng_ledger = getattr(args, "rng_ledger", False)
-    if backend_spec is not None:
-        campaign = Campaign(
-            backend=parse_backend(backend_spec),
-            cache=cache,
-            rng_ledger=rng_ledger,
-        )
-    else:
-        workers = (
-            args.workers if args.workers is not None else (os.cpu_count() or 1)
-        )
-        campaign = Campaign(
-            workers=workers, cache=cache, rng_ledger=rng_ledger
-        )
-    return campaign, campaign.workers, campaign.cache
+    campaign-backed subcommands."""
+    return Campaign(
+        backend=parse_backend(args.backend or "process"),
+        cache=None if args.no_cache else TrialCache(args.cache_dir),
+        rng_ledger=getattr(args, "rng_ledger", False),
+    )
 
 
-def _campaign_summary(campaign: Campaign, workers: int, cache) -> str:
+def _campaign_summary(campaign: Campaign) -> str:
+    cache = campaign.cache
     return (
         f"campaign: {campaign.executed} trials executed, "
         f"{campaign.cached} cache hits "
@@ -750,7 +648,7 @@ def _run_campaign(args: argparse.Namespace) -> int:
     scale = current_scale(args.scale)
     try:
         spec = resolve_experiment(args.experiment)
-        campaign, workers, cache = _campaign_setup(args)
+        campaign = _campaign_setup(args)
         sweeps = parse_sweeps(args.sweep)
         result = spec.run(scale=scale, params=sweeps, campaign=campaign)
     except ValueError as exc:
@@ -759,7 +657,7 @@ def _run_campaign(args: argparse.Namespace) -> int:
         print(f"error: {exc}", file=sys.stderr)
         return 2
     print(result.render())
-    print(f"\n{_campaign_summary(campaign, workers, cache)}")
+    print(f"\n{_campaign_summary(campaign)}")
     if campaign.rng_ledger:
         print(
             f"rng ledger: {len(campaign.rng_draws)} streams, "
@@ -772,10 +670,12 @@ def _run_campaign(args: argparse.Namespace) -> int:
             spec,
             args.out,
             metadata={
-                "workers": workers,
+                "workers": campaign.workers,
                 "trials_executed": campaign.executed,
                 "cache_hits": campaign.cached,
-                "cache_dir": cache.directory if cache else None,
+                "cache_dir": (
+                    campaign.cache.directory if campaign.cache else None
+                ),
                 "sweeps": args.sweep,
             },
         )
@@ -841,7 +741,7 @@ def _run_experiments(args: argparse.Namespace) -> int:
     store: Optional[ResultStore] = None
     try:
         spec = resolve_experiment(args.name)
-        campaign, workers, cache = _campaign_setup(args)
+        campaign = _campaign_setup(args)
         # validate the sweeps before touching the filesystem: a typo'd
         # --sweep key must not leave a freshly created store file behind
         params = spec.make_params(parse_sweeps(args.sweep))
@@ -868,7 +768,7 @@ def _run_experiments(args: argparse.Namespace) -> int:
         except (OSError, ValueError) as exc:
             store_error = exc  # never discard a computed table over this
     print(result.render())
-    print(f"\n{_campaign_summary(campaign, workers, cache)}")
+    print(f"\n{_campaign_summary(campaign)}")
     if campaign.rng_ledger:
         print(
             f"rng ledger: {len(campaign.rng_draws)} streams, "
@@ -883,7 +783,7 @@ def _run_experiments(args: argparse.Namespace) -> int:
             spec,
             args.out,
             metadata={
-                "workers": workers,
+                "workers": campaign.workers,
                 "trials_executed": campaign.executed,
                 "cache_hits": campaign.cached,
                 "sweeps": args.sweep,
@@ -1079,10 +979,6 @@ def _run_list() -> int:
         "(capability flags, params, plugins)"
     )
     _print_protocol_table()
-    print(
-        "\nbench [compare]  hot-path benchmarks -> BENCH_core.json "
-        "(CI regression gate)"
-    )
     print("\ndemo  30-second optimal-vs-gossip demo")
     return 0
 
@@ -1159,46 +1055,6 @@ def _scenario_sweep_combos(sweeps: Dict[str, List]) -> List[Dict]:
     return combos
 
 
-def _run_bench(args: argparse.Namespace) -> int:
-    """``repro bench [run options]`` / ``repro bench compare A B``."""
-    from repro.benchrunner import (
-        DEFAULT_SUMMARY,
-        compare_summaries,
-        load_summary,
-        render_summary,
-        run_benches,
-        write_summary,
-    )
-
-    if getattr(args, "bench_command", None) == "compare":
-        try:
-            baseline = load_summary(args.baseline)
-            current = load_summary(args.current)
-            report, regressions = compare_summaries(
-                baseline, current, max_regression=args.max_regression
-            )
-        except (OSError, ValueError) as exc:
-            print(f"error: {exc}", file=sys.stderr)
-            return 2
-        print(report)
-        return 1 if regressions else 0
-
-    try:
-        summary = run_benches(
-            scale_name=args.scale,
-            repeats=args.repeats,
-            names=args.benches or None,
-        )
-        out = args.out or DEFAULT_SUMMARY
-        write_summary(summary, out)
-    except (OSError, ValueError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
-    print(render_summary(summary))
-    print(f"\nsummary written to {out}")
-    return 0
-
-
 def _run_scenario(args: argparse.Namespace) -> int:
     if args.scenario_command == "list":
         from repro.scenario.registry import promoted_names, scenarios_dir
@@ -1241,7 +1097,7 @@ def _run_scenario(args: argparse.Namespace) -> int:
                 "--protocols needs at least one protocol; choose from "
                 + ", ".join(protocol_names())
             )
-        campaign, workers, cache = _campaign_setup(args)
+        campaign = _campaign_setup(args)
         sweeps = parse_sweeps(args.sweep)
         for key in sweeps:
             if "." in key:
@@ -1280,7 +1136,7 @@ def _run_scenario(args: argparse.Namespace) -> int:
         if index:
             print()
         print(report.render())
-    print(f"\n{_campaign_summary(campaign, workers, cache)}")
+    print(f"\n{_campaign_summary(campaign)}")
     if args.out:
         for report in reports:
             report.write(args.out)
@@ -1342,7 +1198,7 @@ def _run_scenario_hunt(args: argparse.Namespace, scale) -> int:
 
     store = ResultStore(args.store or None) if args.store is not None else None
     try:
-        campaign, workers, cache = _campaign_setup(args)
+        campaign = _campaign_setup(args)
         if store is not None:
             store.check_writable()
         result = hunt(
@@ -1363,7 +1219,7 @@ def _run_scenario_hunt(args: argparse.Namespace, scale) -> int:
         print(f"error: {exc}", file=sys.stderr)
         return 2
     print(result.render())
-    print(f"\n{_campaign_summary(campaign, workers, cache)}")
+    print(f"\n{_campaign_summary(campaign)}")
     if store is not None:
         stored = store.append(result.to_result_set())
         print(f"stored as {stored.run_id} ({store.path})")
@@ -1467,8 +1323,6 @@ def _dispatch(args: argparse.Namespace) -> int:
         return _run_campaign(args)
     if args.command == "scenario":
         return _run_scenario(args)
-    if args.command == "bench":
-        return _run_bench(args)
     if args.command == "backends":
         return _run_backends(args)
     if args.command == "lint":

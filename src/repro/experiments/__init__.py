@@ -2,7 +2,7 @@
 
 Each module exposes a ``*_table()`` function returning a
 :class:`repro.util.tables.SeriesTable` with the same rows/curves the paper
-plots; the benchmark suite calls these and prints the tables.
+plots; ``tests/conformance/test_paper_shapes.py`` asserts their shapes.
 
 Scales: the paper runs 100 processes with ``K = 0.9999``; certifying that
 reliability empirically needs orders of magnitude more trials than a
@@ -10,13 +10,13 @@ laptop benchmark should burn, so each experiment accepts an
 :class:`ExperimentScale` (default: reduced sizes, ``K = 0.99``) and the
 ``REPRO_BENCH_SCALE`` environment variable selects ``quick`` /
 ``default`` / ``full`` (paper-sized) presets.  The README's
-paper-mapping table links every figure to its module, benchmark and
-tests; ``docs/architecture.md`` describes the campaign runner that
+paper-mapping table links every figure to its module, shape test and
+unit tests; ``docs/architecture.md`` describes the campaign runner that
 executes these experiments in parallel with on-disk caching.
 """
 
 from repro.experiments.campaign import Campaign, TrialSpec, execute_spec
-from repro.experiments.runner import ExperimentScale, TrialRunner, current_scale
+from repro.experiments.runner import ExperimentScale, current_scale
 from repro.experiments.figure1 import figure1_table
 from repro.experiments.figure4 import figure4_table
 from repro.experiments.figure5 import figure5_table
@@ -37,7 +37,6 @@ from repro.experiments.table1 import table1_render
 __all__ = [
     "Campaign",
     "ExperimentScale",
-    "TrialRunner",
     "TrialSpec",
     "current_scale",
     "execute_spec",

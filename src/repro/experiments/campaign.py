@@ -176,9 +176,6 @@ class Campaign:
     """Executes batches of :class:`TrialSpec` with caching and a backend.
 
     Args:
-        workers: deprecated-but-supported worker process count; ``1``
-            maps to the serial backend and ``N > 1`` to a process pool.
-            Mutually exclusive with ``backend``.
         cache: optional :class:`TrialCache`; when set, completed trials
             are persisted and later batches skip anything already on
             disk.  Cache writes happen in the parent as results arrive,
@@ -206,31 +203,16 @@ class Campaign:
 
     def __init__(
         self,
-        workers: Optional[int] = None,
         cache: Optional[TrialCache] = None,
         rng_ledger: bool = False,
         backend: Union["str", "ExecutionBackend", None] = None,
     ) -> None:
         # deferred: repro.exec imports TrialSpec/execute_spec from here
-        from repro.exec import (
-            ProcessPoolBackend,
-            SerialBackend,
-            resolve_backend,
-        )
+        from repro.exec import SerialBackend, resolve_backend
 
-        if backend is not None and workers is not None:
-            raise ValidationError(
-                "pass either workers= (deprecated) or backend=, not both"
-            )
-        if backend is None:
-            count = 1 if workers is None else workers
-            if count < 1:
-                raise ValidationError(f"workers must be >= 1, got {count}")
-            backend = (
-                SerialBackend() if count == 1 else ProcessPoolBackend(count)
-            )
-        else:
-            backend = resolve_backend(backend)
+        backend = (
+            SerialBackend() if backend is None else resolve_backend(backend)
+        )
         if cache is not None:
             backend.cache = cache
         self.backend = backend

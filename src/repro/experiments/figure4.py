@@ -318,9 +318,9 @@ def figure4_table(
 
     Args:
         campaign: execution engine; defaults to a serial, cache-less
-            :class:`Campaign`.  Pass one with ``workers > 1`` and/or a
-            :class:`~repro.util.cache.TrialCache` to parallelise — the
-            table is identical in all cases.
+            :class:`Campaign`.  Pass one with a parallel ``backend``
+            and/or a :class:`~repro.util.cache.TrialCache` — the table
+            is identical in all cases.
     """
     scale = scale or current_scale()
     campaign = campaign or Campaign()

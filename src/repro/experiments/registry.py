@@ -265,7 +265,7 @@ class ExperimentSpec:
         params_type: frozen dataclass of sweepable axes (None for a
             parameterless experiment).
         simulated: True when trials run the discrete-event simulator
-            (these are the ones worth fanning out with ``--workers``);
+            (these are the ones worth fanning out with ``--backend``);
             analytic experiments (Figure 1, Table 1) are False.
     """
 

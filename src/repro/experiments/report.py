@@ -87,9 +87,8 @@ class ExperimentRecord:
 class ReportWriter:
     """Accumulates experiment records and writes a combined report.
 
-    Benches use this (via the shared ``report_dir`` fixture) so a full
-    ``pytest benchmarks/ --benchmark-only`` run leaves both human-readable
-    and JSON artefacts under ``benchmarks/results/``.
+    The CLI's ``--out DIR`` uses this so a figure run leaves both
+    human-readable and JSON artefacts under ``DIR``.
     """
 
     def __init__(self, directory: str) -> None:

@@ -1,4 +1,4 @@
-"""Shared experiment plumbing: scales, seeded trials, network factories.
+"""Shared experiment plumbing: scales, sweep grids, network factories.
 
 The figure modules build their trial grids from an :class:`ExperimentScale`
 and execute them through :class:`repro.experiments.campaign.Campaign`
@@ -11,14 +11,13 @@ from __future__ import annotations
 
 import os
 from dataclasses import dataclass, replace
-from typing import Callable, Dict, List, Optional, Sequence, Tuple
+from typing import Dict, List, Optional, Sequence, Tuple
 
 from repro.errors import ValidationError
 from repro.sim.engine import Simulator
 from repro.sim.network import Network, NetworkOptions
 from repro.topology.configuration import Configuration
 from repro.util.rng import RandomSource, SeedLike
-from repro.util.stats import OnlineStats
 
 #: Environment variable selecting the benchmark scale preset.
 SCALE_ENV = "REPRO_BENCH_SCALE"
@@ -157,42 +156,3 @@ def make_network(
     rng = RandomSource("repro-experiment", seed, *extra_seed)
     return Network(sim, config, rng, options=options)
 
-
-class TrialRunner:
-    """Runs a seeded trial function several times and aggregates.
-
-    Example:
-        >>> runner = TrialRunner(base_seed="demo")
-        >>> stats = runner.run(lambda seed: float(len(str(seed))), trials=3)
-        >>> stats.count
-        3
-    """
-
-    def __init__(self, base_seed: SeedLike = "trial") -> None:
-        self._base_seed = base_seed
-
-    def run(
-        self,
-        trial: Callable[[RandomSource], float],
-        trials: int,
-    ) -> OnlineStats:
-        """Call ``trial`` with ``trials`` independent seed streams."""
-        stats = OnlineStats()
-        for index in range(trials):
-            stream = RandomSource(self._base_seed, index)
-            stats.add(trial(stream))
-        return stats
-
-    def run_many(
-        self,
-        trial: Callable[[RandomSource], Dict[str, float]],
-        trials: int,
-    ) -> Dict[str, OnlineStats]:
-        """As :meth:`run` but the trial returns several named metrics."""
-        stats: Dict[str, OnlineStats] = {}
-        for index in range(trials):
-            stream = RandomSource(self._base_seed, index)
-            outcome = trial(stream)
-            for key, value in outcome.items():
-                stats.setdefault(key, OnlineStats()).add(value)
-        return stats

@@ -26,8 +26,8 @@ Determinism: the search phase submits name-based campaign specs
 spec payloads, all through one :class:`~repro.experiments.campaign.Campaign`
 whose results come back in submission order regardless of the execution
 backend — so a hunt with a pinned seed is bit-identical across
-``--backend serial``, ``--backend process:N`` and ``--backend shard:N``
-(and the deprecated ``--workers N``), including the minimized timelines.
+``--backend serial``, ``--backend process:N`` and ``--backend shard:N``,
+including the minimized timelines.
 """
 
 from __future__ import annotations

@@ -384,42 +384,42 @@ class TestCampaignLedger:
 class TestLedgerProvenance:
     PARAMS = {"crash": [0.05], "connectivity": [2], "trials": [2]}
 
-    def _run(self, workers: int, **kwargs):
+    def _run(self, backend: str = "serial", **kwargs):
         return api.run_experiment(
             "figure4a",
             scale="quick",
             params=self.PARAMS,
-            workers=workers,
+            backend=backend,
             **kwargs,
         )
 
     def test_workers_1_vs_4_bit_identical(self):
-        one = self._run(1, rng_ledger=True)
-        four = self._run(4, rng_ledger=True)
+        one = self._run(rng_ledger=True)
+        four = self._run("process:4", rng_ledger=True)
         assert one.provenance.rng_ledger is not None
         assert one.provenance.rng_ledger == four.provenance.rng_ledger
         assert one.rows == four.rows
         assert diff_result_sets(one, four).clean
 
     def test_ledger_off_by_default_and_metrics_unchanged(self):
-        plain = self._run(1)
-        ledgered = self._run(1, rng_ledger=True)
+        plain = self._run()
+        ledgered = self._run(rng_ledger=True)
         assert plain.provenance.rng_ledger is None
         assert plain.rows == ledgered.rows
 
     def test_provenance_json_round_trip(self):
-        ledgered = self._run(1, rng_ledger=True)
+        ledgered = self._run(rng_ledger=True)
         payload = ledgered.provenance.to_json()
         assert payload["rng_ledger"] == dict(ledgered.provenance.rng_ledger)
         back = Provenance.from_json(json.loads(json.dumps(payload)))
         assert back.rng_ledger == ledgered.provenance.rng_ledger
 
-        plain = self._run(1)
+        plain = self._run()
         assert "rng_ledger" not in plain.provenance.to_json()
         assert Provenance.from_json(plain.provenance.to_json()).rng_ledger is None
 
     def test_diff_attributes_drift_to_stream(self):
-        base = self._run(1, rng_ledger=True)
+        base = self._run(rng_ledger=True)
         stream = next(iter(base.provenance.rng_ledger))
         tampered = replace(
             base,
@@ -434,6 +434,6 @@ class TestLedgerProvenance:
         assert "rng-ledger" in diff.render()
 
     def test_one_sided_ledger_is_not_a_mismatch(self):
-        plain = self._run(1)
-        ledgered = self._run(1, rng_ledger=True)
+        plain = self._run()
+        ledgered = self._run(rng_ledger=True)
         assert diff_result_sets(plain, ledgered).clean

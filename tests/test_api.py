@@ -156,7 +156,7 @@ class TestRunScenario:
     def test_custom_spec_rejects_workers(self):
         spec = api.get_scenario("partition-heal", "quick")
         with pytest.raises(ValidationError, match="serially"):
-            api.run_scenario(spec, ("flooding",), workers=2, trials=1)
+            api.run_scenario(spec, ("flooding",), backend="process:2", trials=1)
 
     def test_custom_spec_rejects_n(self):
         spec = api.get_scenario("partition-heal", "quick")
@@ -196,4 +196,6 @@ class TestRunScenario:
     def test_custom_spec_rejects_cache(self):
         spec = api.get_scenario("partition-heal", "quick")
         with pytest.raises(ValidationError, match="cache"):
-            api.run_scenario(spec, ("flooding",), cache=True, trials=1)
+            api.run_scenario(
+                spec, ("flooding",), backend="serial+cache", trials=1
+            )

@@ -150,13 +150,13 @@ class TestCampaignExecution:
 
     def test_parallel_matches_serial(self):
         specs = [_convergence_spec(t) for t in range(4)]
-        serial = Campaign(workers=1).run(specs)
-        parallel = Campaign(workers=2).run(specs)
+        serial = Campaign().run(specs)
+        parallel = Campaign(backend="process:2").run(specs)
         assert serial == parallel
 
     def test_workers_validated(self):
         with pytest.raises(ValidationError):
-            Campaign(workers=0)
+            Campaign(backend="process:0")
 
     def test_aggregate_orders_fold(self):
         stats = Campaign.aggregate(
@@ -254,7 +254,7 @@ class TestFigureCampaigns:
 
     def test_parallel_figure4_identical_to_serial(self):
         serial = figure4_table(variant="loss", scale=TINY, values=(0.05,))
-        campaign = Campaign(workers=2)
+        campaign = Campaign(backend="process:2")
         parallel = figure4_table(
             variant="loss", scale=TINY, values=(0.05,), campaign=campaign
         )

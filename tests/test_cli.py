@@ -30,6 +30,20 @@ class TestParser:
         with pytest.raises(SystemExit):
             make_parser().parse_args(["figure1", "--scale", "giant"])
 
+    def test_bench_command_is_gone(self, capsys):
+        with pytest.raises(SystemExit) as exit_info:
+            main(["bench"])
+        assert exit_info.value.code == 2
+        assert "invalid choice: 'bench'" in capsys.readouterr().err
+
+    def test_help_and_list_name_no_removed_command(self, capsys):
+        with pytest.raises(SystemExit):
+            main(["--help"])
+        assert main(["list"]) == 0
+        out = capsys.readouterr().out
+        assert "bench" not in out
+        assert "--workers" not in out
+
 
 class TestCommands:
     def test_list(self, capsys):
@@ -77,11 +91,11 @@ class TestCommands:
 class TestCampaignCommand:
     def test_parser_accepts_campaign(self):
         args = make_parser().parse_args(
-            ["campaign", "figure4a", "--workers", "4", "--scale", "quick"]
+            ["campaign", "figure4a", "--backend", "process:4", "--scale", "quick"]
         )
         assert args.command == "campaign"
         assert args.experiment == "figure4a"
-        assert args.workers == 4
+        assert args.backend == "process:4"
 
     def test_parser_rejects_analytic_experiments(self):
         with pytest.raises(SystemExit):
@@ -123,8 +137,8 @@ class TestCampaignCommand:
             "figure4b",
             "--scale",
             "quick",
-            "--workers",
-            "1",
+            "--backend",
+            "serial",
             "--cache-dir",
             str(tmp_path / "cache"),
             "--sweep",
@@ -195,7 +209,9 @@ class TestCampaignCommand:
         assert "ring" in capsys.readouterr().err
 
     def test_workers_zero_errors(self, capsys):
-        rc = main(["campaign", "figure4a", "--no-cache", "--workers", "0"])
+        rc = main(
+            ["campaign", "figure4a", "--no-cache", "--backend", "process:0"]
+        )
         assert rc == 2
         assert "workers" in capsys.readouterr().err
 
@@ -293,7 +309,7 @@ class TestExperimentsCommand:
         store = str(tmp_path / "results.jsonl")
         argv = [
             "experiments", "run", "figure1",
-            "--no-cache", "--workers", "1", "--store", store,
+            "--no-cache", "--backend", "serial", "--store", store,
         ]
         assert main(argv) == 0
         out = capsys.readouterr().out
@@ -596,6 +612,54 @@ def failing_experiment():
     )
     yield "cal-fail"
     unregister_experiment("cal-fail")
+
+
+@pytest.fixture
+def shadowing_experiments():
+    """Experiments named like the fixed subcommands ``lint``/``backends``."""
+    names = ("lint", "backends")
+    for name in names:
+        register_experiment(
+            ExperimentSpec(
+                name=name,
+                description=f"plugin shadowing '{name}'",
+                build=lambda ctx: [],
+                aggregate=lambda ctx, results, name=name: ResultSet.from_rows(
+                    name, "shadow plugin", ["v"], [[1.0]]
+                ),
+            )
+        )
+    yield names
+    for name in names:
+        unregister_experiment(name)
+
+
+class TestExperimentShadowingSubcommand:
+    """A plugin named like a fixed subcommand never breaks the parser."""
+
+    def test_other_commands_still_run(self, shadowing_experiments, capsys):
+        assert main(["protocols", "list"]) == 0
+
+    def test_help_builds(self, shadowing_experiments, capsys):
+        with pytest.raises(SystemExit) as exit_info:
+            main(["--help"])
+        assert exit_info.value.code == 0
+
+    def test_fixed_subcommand_wins(self, shadowing_experiments, capsys):
+        assert main(["lint", "--explain"]) == 0
+        assert "D001" in capsys.readouterr().out
+
+    def test_plugin_reachable_through_experiments_run(
+        self, shadowing_experiments, capsys
+    ):
+        rc = main(
+            [
+                "experiments", "run", "lint", "--no-cache", "--no-store",
+                "--backend", "serial",
+            ]
+        )
+        assert rc == 0
+        assert "shadow plugin" in capsys.readouterr().out
 
 
 class TestTrialErrorsExitCleanly:

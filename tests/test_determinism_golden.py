@@ -250,7 +250,7 @@ def test_figure4a_table_digest():
     result = resolve_experiment("figure4a").run(
         scale=current_scale("quick"),
         params={"crash": [0.03], "connectivity": [2, 4], "trials": [3]},
-        campaign=Campaign(workers=1, cache=None),
+        campaign=Campaign(),
     )
     _check("figure4a-table", result.render())
 

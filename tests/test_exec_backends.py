@@ -3,12 +3,10 @@
 Covers the backend matrix bit-identity guarantee (serial == process ==
 shard at any shard count and steal schedule), worker-loss resume with
 zero lost trials and correct per-shard attempt provenance, the
-spec-string grammar, the deprecated ``workers=``/``cache=`` kwarg
-mapping, the streaming reorder buffer's memory cap, and the CLI
+spec-string grammar, the ``backend=`` parameter of ``Campaign`` and
+``repro.api``, the streaming reorder buffer's memory cap, and the CLI
 surface (``--backend``, ``repro backends list``).
 """
-
-import warnings
 
 import pytest
 
@@ -334,17 +332,20 @@ class TestStreaming:
 
 
 class TestCampaignBackendParam:
-    def test_workers_and_backend_conflict(self):
-        with pytest.raises(ValidationError, match="not both"):
-            Campaign(workers=2, backend="serial")
-
     def test_workers_zero_still_rejected(self):
         with pytest.raises(ValidationError, match="workers must be >= 1"):
-            Campaign(workers=0)
+            Campaign(backend="process:0")
 
     def test_workers_map_to_backends(self):
-        assert isinstance(Campaign(workers=1).backend, SerialBackend)
-        assert isinstance(Campaign(workers=3).backend, ProcessPoolBackend)
+        serial, pool = Campaign(), Campaign(backend="process:3")
+        assert isinstance(serial.backend, SerialBackend)
+        assert isinstance(pool.backend, ProcessPoolBackend)
+        assert (serial.workers, pool.workers) == (1, 3)
+
+    def test_workers_kwarg_is_gone(self):
+        # removed, not silently ignored
+        with pytest.raises(TypeError):
+            Campaign(workers=2)
 
     def test_cache_kwarg_wires_into_backend(self, tmp_path):
         cache = TrialCache(str(tmp_path))
@@ -364,53 +365,15 @@ class TestCampaignBackendParam:
         assert all(s["attempts"] == 1 for s in record["shards"])
 
 
-class TestApiDeprecations:
-    PARAMS = {"crash": [0.05], "connectivity": [2], "trials": [1]}
-
-    def test_workers_kwarg_warns_and_maps(self):
-        with pytest.warns(DeprecationWarning, match="workers= is deprecated"):
-            result = api.run_experiment(
-                "figure4a", scale="quick", params=self.PARAMS, workers=1
-            )
-        assert len(result.rows) == 1
-
-    def test_cache_kwarg_warns(self, tmp_path):
-        with pytest.warns(DeprecationWarning, match="cache= is deprecated"):
-            api.run_experiment(
-                "figure4a",
-                scale="quick",
-                params=self.PARAMS,
-                cache=str(tmp_path),
-            )
-
-    def test_backend_and_workers_conflict(self):
-        with pytest.raises(ValidationError, match="not both"):
-            api.run_experiment(
-                "figure4a", scale="quick", backend="serial", workers=2
-            )
-
-    def test_backend_kwarg_does_not_warn(self):
-        with warnings.catch_warnings(record=True) as caught:
-            warnings.simplefilter("always")
-            api.run_experiment(
-                "figure4a",
-                scale="quick",
-                params=self.PARAMS,
-                backend="serial",
-            )
-        assert not any(
-            issubclass(w.category, DeprecationWarning) for w in caught
-        )
-
-    def test_backend_matches_deprecated_workers(self):
-        with pytest.warns(DeprecationWarning):
-            old = api.run_experiment(
-                "figure4a", scale="quick", params=self.PARAMS, workers=1
-            )
-        new = api.run_experiment(
-            "figure4a", scale="quick", params=self.PARAMS, backend="serial"
-        )
-        assert old.rows == new.rows
+class TestApiBackend:
+    def test_workers_and_cache_kwargs_are_gone(self):
+        # removed, not silently ignored
+        with pytest.raises(TypeError):
+            api.run_experiment("figure4a", scale="quick", workers=1)
+        with pytest.raises(TypeError):
+            api.run_scenario("partition-heal", ("gossip",), cache=True)
+        with pytest.raises(TypeError):
+            api.hunt("0", 1, workers=1)
 
     def test_run_scenario_backend_instance(self):
         backend = ShardQueueBackend(workers=1, shards=2, inline=True)
@@ -494,30 +457,6 @@ class TestCli:
         )
         assert code == 0
         assert "backend=serial" in capsys.readouterr().out
-
-    def test_workers_flag_prints_deprecation_notice(self, capsys):
-        code = main(
-            [
-                "campaign", "figure4a", "--scale", "quick",
-                "--workers", "1", "--no-cache",
-                "--sweep", "crash=0.05", "--sweep", "connectivity=2",
-                "--sweep", "trials=1",
-            ]
-        )
-        assert code == 0
-        captured = capsys.readouterr()
-        assert "--workers is deprecated" in captured.err
-        assert "backend=serial" in captured.out
-
-    def test_backend_and_workers_conflict(self, capsys):
-        code = main(
-            [
-                "campaign", "figure4a",
-                "--backend", "serial", "--workers", "2",
-            ]
-        )
-        assert code == 2
-        assert "not both" in capsys.readouterr().err
 
     def test_unknown_backend_spec(self, capsys):
         code = main(["campaign", "figure4a", "--backend", "threads"])

@@ -1,7 +1,7 @@
 """Tests for the experiment harness (scales, runner, figure modules).
 
-Heavy experiments run at a tiny scale here — the full regeneration lives
-in benchmarks/.
+Heavy experiments run at a tiny scale here — the paper's curve shapes
+are asserted at the quick preset in tests/conformance/.
 """
 
 import math
@@ -19,7 +19,6 @@ from repro.experiments.runner import (
     FULL,
     QUICK,
     SCALE_ENV,
-    TrialRunner,
     current_scale,
     make_network,
     scaled,
@@ -64,27 +63,6 @@ class TestScales:
         derived = scaled(QUICK, n=99)
         assert derived.n == 99
         assert derived.k_target == QUICK.k_target
-
-
-class TestTrialRunner:
-    def test_aggregates(self):
-        runner = TrialRunner("seed")
-        stats = runner.run(lambda stream: stream.random(), trials=10)
-        assert stats.count == 10
-        assert 0.0 <= stats.mean <= 1.0
-
-    def test_deterministic(self):
-        a = TrialRunner("x").run(lambda s: s.random(), 5).mean
-        b = TrialRunner("x").run(lambda s: s.random(), 5).mean
-        assert a == b
-
-    def test_run_many(self):
-        runner = TrialRunner("seed")
-        stats = runner.run_many(
-            lambda s: {"a": s.random(), "b": 2.0}, trials=4
-        )
-        assert stats["a"].count == 4
-        assert stats["b"].mean == 2.0
 
 
 class TestMakeNetwork:

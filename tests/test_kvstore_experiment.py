@@ -99,13 +99,13 @@ def _kv_specs(trials=2):
 class TestCampaignDeterminism:
     def test_serial_and_parallel_runs_are_bit_identical(self):
         specs = _kv_specs()
-        serial = Campaign(workers=1).run(specs)
-        parallel = Campaign(workers=4).run(specs)
+        serial = Campaign().run(specs)
+        parallel = Campaign(backend="process:4").run(specs)
         assert serial == parallel
 
     def test_reruns_are_bit_identical(self):
         specs = _kv_specs()
-        assert Campaign(workers=1).run(specs) == Campaign(workers=1).run(specs)
+        assert Campaign().run(specs) == Campaign().run(specs)
 
     def test_task_rebuilds_the_trial_from_scalars(self):
         payload = KVWorkloadParams(ops=16, surge_ops=4).to_payload()
@@ -131,7 +131,7 @@ class TestKVStoreExperiment:
         result = resolve_experiment("kvstore").run(
             scale=current_scale("quick"),
             params={"trials": 1, "ops": 16},
-            campaign=Campaign(workers=1, cache=None),
+            campaign=Campaign(),
         )
         from repro.experiments.kvstore import DEFAULT_SCENARIOS, KV_COLUMNS
 
@@ -167,7 +167,7 @@ class TestKVStoreExperiment:
                 "trials": 1,
                 "ops": 16,
             },
-            campaign=Campaign(workers=1, cache=None),
+            campaign=Campaign(),
         )
         assert len(result.rows) == 4
         mixes = {
@@ -183,7 +183,7 @@ class TestKVStoreExperiment:
             resolve_experiment("kvstore").run(
                 scale=current_scale("quick"),
                 params={"kvstore.zipff_s": [0.8], "trials": 1},
-                campaign=Campaign(workers=1, cache=None),
+                campaign=Campaign(),
             )
 
 

@@ -139,13 +139,13 @@ def _membership_specs(trials=2):
 class TestCampaignDeterminism:
     def test_serial_and_parallel_runs_are_bit_identical(self):
         specs = _membership_specs()
-        serial = Campaign(workers=1).run(specs)
-        parallel = Campaign(workers=4).run(specs)
+        serial = Campaign().run(specs)
+        parallel = Campaign(backend="process:4").run(specs)
         assert serial == parallel
 
     def test_reruns_are_bit_identical(self):
         specs = _membership_specs()
-        assert Campaign(workers=1).run(specs) == Campaign(workers=1).run(specs)
+        assert Campaign().run(specs) == Campaign().run(specs)
 
 
 class TestMembershipExperiment:
@@ -158,7 +158,7 @@ class TestMembershipExperiment:
                 "view_size": [8],
                 "trials": 2,
             },
-            campaign=Campaign(workers=1, cache=None),
+            campaign=Campaign(),
         )
         assert result.columns == (
             "scenario",
@@ -192,7 +192,7 @@ class TestMembershipExperiment:
             resolve_experiment("membership").run(
                 scale=current_scale("quick"),
                 params={"policy": ["head:rnd:pushpull"], "trials": 1},
-                campaign=Campaign(workers=1, cache=None),
+                campaign=Campaign(),
             )
 
 

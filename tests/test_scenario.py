@@ -497,7 +497,7 @@ class TestScenarioCampaign:
         )
         serial = scenario_report("rolling-restart", campaign=Campaign(), **kwargs)
         parallel = scenario_report(
-            "rolling-restart", campaign=Campaign(workers=2), **kwargs
+            "rolling-restart", campaign=Campaign(backend="process:2"), **kwargs
         )
         assert parallel.render() == serial.render()
         assert parallel.to_json() == serial.to_json()
@@ -606,7 +606,7 @@ class TestScenarioCli:
             [
                 "scenario", "run", "flash-crowd",
                 "--scale", "quick",
-                "--workers", "1",
+                "--backend", "serial",
                 "--no-cache",
                 "--protocols", "optimal,gossip,flooding",
                 "--sweep", "trials=1",
@@ -795,11 +795,11 @@ class TestAdversarialUnits:
 
         serial = hunt(
             seed="unit", budget=3, scale=QUICK, top=2, trials=1,
-            shrink=False, campaign=Campaign(workers=1, cache=None),
+            shrink=False, campaign=Campaign(),
         )
         parallel = hunt(
             seed="unit", budget=3, scale=QUICK, top=2, trials=1,
-            shrink=False, campaign=Campaign(workers=2, cache=None),
+            shrink=False, campaign=Campaign(backend="process:2"),
         )
         assert json.dumps(serial.to_json(), sort_keys=True) == json.dumps(
             parallel.to_json(), sort_keys=True
@@ -814,7 +814,7 @@ class TestAdversarialUnits:
 
         result = hunt(
             seed="unit2", budget=2, scale=QUICK, top=1, trials=1,
-            shrink=False, campaign=Campaign(workers=1, cache=None),
+            shrink=False, campaign=Campaign(),
         )
         payload = json.dumps(result.to_json())
         parsed = parse_hunt_json(payload)
