@@ -15,10 +15,11 @@ travel through campaign payloads and result stores.
 
 from __future__ import annotations
 
-from typing import Dict, Iterable, Mapping, Optional, Tuple
+from typing import Any, Dict, Iterable, Mapping, Optional, Tuple
 
 from repro.errors import ValidationError
 from repro.types import ProcessId
+from repro.util.validation import check_non_negative_int
 
 __all__ = ["VectorClock"]
 
@@ -26,14 +27,9 @@ __all__ = ["VectorClock"]
 def _validated(counts: Mapping[ProcessId, int]) -> Dict[ProcessId, int]:
     out: Dict[ProcessId, int] = {}
     for pid, count in counts.items():
-        pid = int(pid)
-        count = int(count)
-        if pid < 0:
-            raise ValidationError(f"clock entry pid must be >= 0, got {pid}")
-        if count < 0:
-            raise ValidationError(
-                f"clock counter for pid {pid} must be >= 0, got {count}"
-            )
+        # never int(): 2.7 or True must be refused, not truncated
+        check_non_negative_int(pid, "clock entry pid")
+        check_non_negative_int(count, f"clock counter for pid {pid}")
         if count:  # zero entries are the implicit default — keep clocks compact
             out[pid] = count
     return out
@@ -76,8 +72,9 @@ class VectorClock:
 
     def advance(self, pid: ProcessId) -> "VectorClock":
         """A new clock with ``pid``'s counter incremented by one."""
+        check_non_negative_int(pid, "clock entry pid")
         counts = dict(self._counts)
-        counts[int(pid)] = counts.get(int(pid), 0) + 1
+        counts[pid] = counts.get(pid, 0) + 1
         clock = VectorClock.__new__(VectorClock)
         clock._counts = counts
         return clock
@@ -123,6 +120,28 @@ class VectorClock:
             return 1
         return None
 
+    def waits_for(
+        self, writer: ProcessId, local: "VectorClock"
+    ) -> Optional[Tuple[ProcessId, int]]:
+        """Causal deliverability of a write stamped ``self`` by ``writer``.
+
+        ``None`` when a replica at ``local`` may apply it: the writer's
+        entry is the next in sequence and no other entry is ahead of
+        ``local``.  Otherwise one entry ``(pid, count)`` that ``local``
+        has to reach first (the writer's own, tested first, else the
+        first found in dict order) — enough to index a hold-back buffer,
+        because an applied write moves one local entry by exactly one.
+        Unvalidated, like :meth:`counter`: both clocks are already valid.
+        """
+        mine, theirs = self._counts, local._counts
+        previous = mine.get(writer, 0) - 1
+        if previous != theirs.get(writer, 0):
+            return (writer, previous)
+        for pid, count in mine.items():
+            if count > theirs.get(pid, 0) and pid != writer:
+                return (pid, count)
+        return None
+
     def __eq__(self, other: object) -> bool:
         if not isinstance(other, VectorClock):
             return NotImplemented
@@ -147,7 +166,7 @@ class VectorClock:
             raise ValidationError(
                 f"vector clock JSON must be an object, got {type(payload).__name__}"
             )
-        counts: Dict[ProcessId, int] = {}
+        counts: Dict[ProcessId, Any] = {}  # counters: the constructor validates
         for key, value in payload.items():
             try:
                 pid = int(key)
@@ -155,11 +174,6 @@ class VectorClock:
                 raise ValidationError(
                     f"vector clock key {key!r} is not a process id"
                 ) from None
-            if not isinstance(value, int) or isinstance(value, bool):
-                raise ValidationError(
-                    f"vector clock counter for pid {pid} must be an int, "
-                    f"got {value!r}"
-                )
             counts[pid] = value
         return cls(counts)
 

@@ -13,8 +13,12 @@ it into a replicated key-value store:
   ``W`` applies at a replica with clock ``V`` only when
   ``W[j] == V[j] + 1`` and ``W[k] <= V[k]`` for every ``k != j`` (the
   classic causal-broadcast condition).  Out-of-order writes wait in a
-  hold-back buffer that flushes *transitively*: each apply re-scans the
-  buffer until no more writes are ready;
+  hold-back buffer that flushes *transitively*.  A held-back write is
+  either *deliverable* (in a heap, applied smallest id first) or
+  *parked* under one clock entry ``(pid, count)`` the local clock has
+  not reached.  An applied write moves exactly one local entry by
+  exactly one, so applying ``(j, c)`` wakes only the writes parked on
+  ``(j, c)`` — the buffer is never scanned;
 * **convergence**: concurrent writes to one key resolve last-writer-wins
   over the deterministic total order ``(clock.total(), writer)``, which
   extends happens-before — replicas that applied the same write set hold
@@ -29,8 +33,10 @@ clock, matching the paper's crash-recovery regime.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Dict, Optional, Tuple
+from heapq import heappop, heappush
+from typing import Dict, List, Optional, Tuple
 
+from repro.errors import ReproError
 from repro.kvstore.clocks import VectorClock
 from repro.types import ProcessId
 
@@ -40,7 +46,7 @@ __all__ = ["CausalOrderError", "KVReplica", "KVWrite", "WriteId"]
 WriteId = Tuple[ProcessId, int]
 
 
-class CausalOrderError(RuntimeError):
+class CausalOrderError(ReproError, RuntimeError):
     """A replica was about to apply a write before its dependencies."""
 
 
@@ -86,7 +92,10 @@ class KVReplica:
         self.pid: ProcessId = node.pid
         self.clock = VectorClock()
         self._store: Dict[str, KVWrite] = {}
+        # every held-back write, indexed by exactly one of the two below
         self._buffer: Dict[WriteId, KVWrite] = {}
+        self._parked: Dict[WriteId, List[KVWrite]] = {}
+        self._deliverable: List[WriteId] = []  # heap
         node.on_deliver = self._on_deliver
         self._monitor = monitor
         if monitor is not None:
@@ -154,21 +163,25 @@ class KVReplica:
         write = payload
         if write.writer == self.pid:
             return  # own writes applied at put() time
-        if write.clock.counter(write.writer) <= self.clock.counter(write.writer):
+        write_id = write.write_id
+        if write_id[1] <= self.clock.counter(write.writer):
             return  # duplicate (re-delivery or already-seen sequence number)
-        self._buffer[write.write_id] = write
+        if write_id not in self._buffer:  # else re-delivered while held back
+            self._buffer[write_id] = write
+            self._park(write)
         self._flush()
+
+    def _park(self, write: KVWrite) -> None:
+        """Index a held-back write: deliverable, or the entry it waits for."""
+        entry = write.clock.waits_for(write.writer, self.clock)
+        if entry is None:
+            heappush(self._deliverable, write.write_id)
+        else:
+            self._parked.setdefault(entry, []).append(write)
 
     def _ready(self, write: KVWrite) -> bool:
         """The causal-broadcast deliverability condition."""
-        clock = self.clock
-        for pid, count in write.clock.items():
-            if pid == write.writer:
-                if count != clock.counter(pid) + 1:
-                    return False
-            elif count > clock.counter(pid):
-                return False
-        return True
+        return write.clock.waits_for(write.writer, self.clock) is None
 
     def _apply(self, write: KVWrite) -> None:
         if write.writer != self.pid and not self._ready(write):
@@ -183,18 +196,12 @@ class KVReplica:
             self._store[write.key] = write
         if self._monitor is not None:
             self._monitor.on_apply(self.pid, write, self._node.now)
+        # the local clock just reached entry write_id: wake its waiters only
+        for waiter in self._parked.pop(write.write_id, ()):
+            self._park(waiter)
 
     def _flush(self) -> None:
-        # transitive: each apply may unblock further buffered writes, so
-        # re-scan (in deterministic WriteId order) until a full pass
-        # applies nothing
-        applied = True
-        while applied:
-            applied = False
-            for write_id in sorted(self._buffer):
-                write = self._buffer[write_id]
-                if self._ready(write):
-                    del self._buffer[write_id]
-                    self._apply(write)
-                    applied = True
-                    break
+        # transitive: an apply may make parked writes deliverable; the heap
+        # yields the smallest deliverable WriteId, the deterministic order
+        while self._deliverable:
+            self._apply(self._buffer.pop(heappop(self._deliverable)))

@@ -15,7 +15,10 @@ Implementation notes:
 * Forwarding is driven by a per-process periodic step timer; every
   process holding a message retransmits it each step to all non-excluded
   neighbours (optionally capped by a ``fanout``), until the per-broadcast
-  round budget ``rounds`` is exhausted.
+  round budget ``rounds`` is exhausted.  A state with rounds left sits in
+  ``_active`` (arrival order) and leaves it on its last forward, so a
+  step visits the broadcasts in flight, not every one ever seen;
+  ``_states`` keeps them all as the seen/ACK record.
 * :func:`calibrate_rounds` automates the paper's "determined
   interactively": it probes round budgets ``1..8, 10, 12, ...`` and
   returns the first whose empirical all-reached frequency meets the
@@ -107,7 +110,8 @@ class GossipBroadcast(ReliableBroadcastProcess):
     ) -> None:
         super().__init__(pid, network, monitor, k_target)
         self.params = params or GossipParameters()
-        self._states: Dict[MessageId, _GossipState] = {}
+        self._states: Dict[MessageId, _GossipState] = {}  # seen/ACK record
+        self._active: Dict[MessageId, _GossipState] = {}  # rounds left
 
     def on_start(self) -> None:
         self.set_periodic(self.params.step_period, "gossip-step", self._step)
@@ -117,9 +121,10 @@ class GossipBroadcast(ReliableBroadcastProcess):
     def broadcast(self, payload: Any) -> MessageId:
         mid = self.next_message_id()
         message = GossipData(mid=mid, payload=payload)
-        self._states[mid] = _GossipState(message, self.params.rounds)
+        state = _GossipState(message, self.params.rounds)
+        self._states[mid] = self._active[mid] = state
         self.deliver(mid, payload)
-        self._forward(self._states[mid])  # origin forwards immediately
+        self._forward(state)  # origin forwards immediately
         return mid
 
     # -- reception ------------------------------------------------------------------
@@ -138,7 +143,7 @@ class GossipBroadcast(ReliableBroadcastProcess):
         state = self._states.get(payload.mid)
         if state is None:
             state = _GossipState(payload, self.params.rounds)
-            self._states[payload.mid] = state
+            self._states[payload.mid] = self._active[payload.mid] = state
             self.deliver(payload.mid, payload.payload)
         # rule (a): never forward back to a process we received from
         state.excluded.add(sender)
@@ -146,12 +151,13 @@ class GossipBroadcast(ReliableBroadcastProcess):
     # -- stepping -------------------------------------------------------------------
 
     def _step(self) -> None:
-        for state in self._states.values():
-            if state.rounds_left > 0:
-                self._forward(state)
+        for state in list(self._active.values()):  # _forward retires states
+            self._forward(state)
 
     def _forward(self, state: _GossipState) -> None:
         state.rounds_left -= 1
+        if state.rounds_left <= 0:
+            del self._active[state.message.mid]
         targets = [q for q in self.neighbors if q not in state.excluded]
         if self.params.fanout is not None and len(targets) > self.params.fanout:
             targets = targets[: self.params.fanout]
@@ -161,7 +167,7 @@ class GossipBroadcast(ReliableBroadcastProcess):
     # -- introspection ---------------------------------------------------------------
 
     def active_broadcasts(self) -> int:
-        return sum(1 for s in self._states.values() if s.rounds_left > 0)
+        return len(self._active)
 
 
 def run_gossip_trial(

@@ -184,7 +184,8 @@ class GossipPVBroadcast(_SamplerHost, ReliableBroadcastProcess):
         self.params = params
         self.membership = params
         self.sampler = PeerSampler(pid, self.neighbors, params, rng)
-        self._states: Dict[MessageId, _GossipState] = {}
+        self._states: Dict[MessageId, _GossipState] = {}  # seen/ACK record
+        self._active: Dict[MessageId, _GossipState] = {}  # rounds left
 
     def on_start(self) -> None:
         self.start_membership()
@@ -193,9 +194,10 @@ class GossipPVBroadcast(_SamplerHost, ReliableBroadcastProcess):
     def broadcast(self, payload: Any) -> MessageId:
         mid = self.next_message_id()
         message = GossipData(mid=mid, payload=payload)
-        self._states[mid] = _GossipState(message, self.params.rounds)
+        state = _GossipState(message, self.params.rounds)
+        self._states[mid] = self._active[mid] = state
         self.deliver(mid, payload)
-        self._forward(self._states[mid])
+        self._forward(state)
         return mid
 
     def on_message(self, sender: ProcessId, payload: Any) -> None:
@@ -212,17 +214,18 @@ class GossipPVBroadcast(_SamplerHost, ReliableBroadcastProcess):
         state = self._states.get(payload.mid)
         if state is None:
             state = _GossipState(payload, self.params.rounds)
-            self._states[payload.mid] = state
+            self._states[payload.mid] = self._active[payload.mid] = state
             self.deliver(payload.mid, payload.payload)
         state.excluded.add(sender)
 
     def _step(self) -> None:
-        for state in self._states.values():
-            if state.rounds_left > 0:
-                self._forward(state)
+        for state in list(self._active.values()):  # _forward retires states
+            self._forward(state)
 
     def _forward(self, state: _GossipState) -> None:
         state.rounds_left -= 1
+        if state.rounds_left <= 0:
+            del self._active[state.message.mid]
         targets = [q for q in self.sampled_peers if q not in state.excluded]
         if self.params.fanout is not None and len(targets) > self.params.fanout:
             targets = targets[: self.params.fanout]

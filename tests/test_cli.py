@@ -698,3 +698,27 @@ class TestTrialErrorsExitCleanly:
 
     def test_legacy_experiment_command(self, failing_experiment, capsys):
         self.check(capsys, main([failing_experiment]))
+
+    def test_causal_order_violation_in_a_kv_trial(self, monkeypatch, capsys):
+        """The replica's apply guard is a ReproError too: forced to fail,
+        it leaves ``experiments run kvstore`` in one line, not a traceback."""
+        from repro.errors import ReproError
+        from repro.kvstore.replica import CausalOrderError, KVReplica
+
+        assert issubclass(CausalOrderError, ReproError)
+        assert issubclass(CausalOrderError, RuntimeError)  # old except sites hold
+        monkeypatch.setattr(KVReplica, "_ready", lambda self, write: False)
+        rc = main(
+            [
+                "experiments", "run", "kvstore", "--scale", "quick",
+                "--no-cache", "--no-store", "--backend", "serial",
+                "--sweep", "protocol=gossip", "--sweep", "scenario=hot-key-storm",
+                "--sweep", "trials=1", "--sweep", "ops=16",
+            ]
+        )  # fmt: skip
+        captured = capsys.readouterr()
+        assert rc == 2
+        assert captured.out == ""
+        [line] = captured.err.splitlines()
+        assert line.startswith("error: CausalOrderError: replica ")
+        assert "before its dependencies" in line

@@ -13,14 +13,17 @@ from repro.experiments.heterogeneous import heterogeneity_build
 from repro.experiments.runner import current_scale
 from repro.protocols.gossip import (
     GossipBroadcast,
+    GossipData,
     GossipParameters,
     calibrate_rounds,
     run_gossip_trial,
 )
+from repro.protocols.partial_view import GossipPVBroadcast, GossipPVParams
 from repro.sim.monitors import BroadcastMonitor
 from repro.sim.trace import MessageCategory
 from repro.topology.configuration import Configuration
 from repro.topology.generators import k_regular, line, ring
+from repro.util.rng import RandomSource
 from tests.conftest import build_network
 
 
@@ -122,6 +125,112 @@ class TestLossyNetwork:
             return reached / 40
 
         assert reach_rate(8) >= reach_rate(1)
+
+
+# -- stepping: a step visits the broadcasts with rounds left, nothing else -------------
+
+
+class CountingDict(dict):
+    """A dict that counts the values its ``values()`` hands out."""
+
+    visits = 0
+
+    def values(self):
+        for value in super().values():
+            self.visits += 1
+            yield value
+
+
+def recording_process(kind, rounds):
+    """Process 0 of an unstarted 10-process deployment; its sends are
+    recorded as ``(receiver, mid, category)`` instead of transmitted."""
+    network = build_network(Configuration.reliable(k_regular(10, 4)), "step")
+    monitor = BroadcastMonitor(10)
+    if kind == "gossip":
+        proc = GossipBroadcast(0, network, monitor, 0.99, GossipParameters(rounds))
+    else:
+        proc = GossipPVBroadcast(
+            0, network, monitor, 0.99, GossipPVParams(rounds=rounds),
+            rng=RandomSource("step-pv", 0),
+        )  # fmt: skip
+    sent = []
+    proc.send = lambda q, message, category: sent.append((q, message.mid, category))
+    return proc, sent
+
+
+def rescanning_step(proc):
+    """The step loop as it was: every state ever seen, live or not."""
+    for state in proc._states.values():
+        if state.rounds_left > 0:
+            proc._forward(state)
+
+
+@pytest.mark.parametrize("kind", ["gossip", "gossip-pv"])
+class TestStepVisitsOnlyLiveBroadcasts:
+    ROUNDS = 3
+
+    def twins(self, kind):
+        """The process under test and its twin stepped by the old loop,
+        held to the same sends and the same live count at every check."""
+        proc, sent = recording_process(kind, self.ROUNDS)
+        twin, twin_sent = recording_process(kind, self.ROUNDS)
+
+        def receive(mids):
+            for proc_ in (proc, twin):
+                for i, mid in enumerate(mids):
+                    sender = proc_.neighbors[i % len(proc_.neighbors)]
+                    proc_.on_message(sender, GossipData(mid, "x"))
+
+        def check():
+            assert sent == twin_sent
+            # dict.values: the check itself must not count as a visit
+            live = sum(s.rounds_left > 0 for s in dict.values(proc._states))
+            assert len(proc._active) == live
+            assert all(s.rounds_left > 0 for s in dict.values(proc._active))
+            if kind == "gossip":
+                assert proc.active_broadcasts() == live
+            return live
+
+        return proc, twin, sent, receive, check
+
+    def test_two_live_of_fifty_seen(self, kind):
+        proc, twin, sent, receive, check = self.twins(kind)
+        receive([(7, n) for n in range(48)])
+        assert check() == 48
+        for _ in range(self.ROUNDS):
+            proc._step()
+            rescanning_step(twin)
+            check()
+        assert check() == 0 and len(proc._states) == 48
+        receive([(8, 0)])
+        own = proc.broadcast("own")  # forwards at once: one round spent
+        assert twin.broadcast("own") == own
+        assert check() == 2 and len(proc._states) == 50
+
+        proc._states, proc._active = CountingDict(proc._states), CountingDict(proc._active)
+        forwarded = []
+        forward = proc._forward
+        proc._forward = lambda state: (forwarded.append(state.message.mid), forward(state))
+        before = len(sent)
+        proc._step()
+        rescanning_step(twin)
+        assert forwarded == [(8, 0), own]  # arrival order
+        assert proc._states.visits + proc._active.visits == 2  # not 50
+        assert {mid for _, mid, _ in sent[before:]} == {(8, 0), own}
+        # rounds left: (8, 0) 2 -> 1 -> 0, the own broadcast 1 -> 0
+        while check():
+            proc._step()
+            rescanning_step(twin)
+        proc._step()  # nothing live: nothing visited
+        assert proc._states.visits + proc._active.visits == 2 + 2 + 1
+
+    def test_a_one_round_broadcast_is_never_live(self, kind):
+        proc, sent = recording_process(kind, rounds=1)
+        proc.broadcast("m")
+        assert sent and not proc._active and len(proc._states) == 1
+        del sent[:]
+        proc._step()
+        assert sent == []
 
 
 class TestRunGossipTrial:

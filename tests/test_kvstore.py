@@ -102,6 +102,58 @@ class TestVectorClock:
         with pytest.raises(ValidationError):
             VectorClock.from_json([1, 2])
 
+    @pytest.mark.parametrize("bad", [-1, 1.9, 2.0, True, "3", None])
+    def test_pids_and_counters_are_never_truncated_or_coerced(self, bad):
+        """The constructor, ``of`` and ``advance`` refuse what ``from_json``
+        refuses: no clock exists whose own ``to_json`` would not load."""
+        with pytest.raises(ValidationError):
+            VectorClock().advance(bad)
+        with pytest.raises(ValidationError):
+            VectorClock({bad: 2})
+        with pytest.raises(ValidationError):
+            VectorClock({1: bad})
+        with pytest.raises(ValidationError):
+            VectorClock.of([(1, bad)])
+
+    def test_advance_validates_like_the_constructor(self):
+        with pytest.raises(ValidationError, match="pid must be >= 0"):
+            VectorClock().advance(-1)
+        with pytest.raises(ValidationError, match="pid must be >= 0"):
+            VectorClock({-1: 1})
+        # and what it accepts round-trips
+        clock = VectorClock().advance(1).advance(1)
+        assert clock == VectorClock({1: 2}) == VectorClock.from_json(clock.to_json())
+
+    def test_waits_for_names_the_entry_a_write_is_blocked_on(self):
+        local = VectorClock({0: 2, 1: 1})
+        # next in sequence from writer 0, nothing else ahead: deliverable
+        assert VectorClock({0: 3, 1: 1}).waits_for(0, local) is None
+        assert VectorClock({2: 1}).waits_for(2, local) is None
+        # a gap in the writer's own sequence is reported first
+        assert VectorClock({0: 5, 1: 4}).waits_for(0, local) == (0, 4)
+        # a dependency on another writer: that writer's entry
+        assert VectorClock({0: 3, 1: 2}).waits_for(0, local) == (1, 2)
+        # already applied: not deliverable either
+        assert VectorClock({0: 2}).waits_for(0, local) is not None
+
+    @given(
+        st.dictionaries(st.integers(0, 5), st.integers(1, 4), max_size=5),
+        st.dictionaries(st.integers(0, 5), st.integers(1, 4), max_size=5),
+        st.integers(0, 5),
+    )
+    def test_waits_for_is_the_causal_broadcast_condition(self, w, v, writer):
+        stamp, local = VectorClock(w), VectorClock(v)
+        deliverable = stamp.counter(writer) == local.counter(writer) + 1 and all(
+            count <= local.counter(pid)
+            for pid, count in stamp.items()
+            if pid != writer
+        )
+        entry = stamp.waits_for(writer, local)
+        assert (entry is None) == deliverable
+        if entry is not None and stamp.counter(writer) > local.counter(writer):
+            pid, count = entry  # an entry ``local`` has yet to reach
+            assert local.counter(pid) < count <= stamp.counter(pid)
+
     @given(
         st.dictionaries(
             st.integers(min_value=0, max_value=64),
