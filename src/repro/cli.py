@@ -591,10 +591,25 @@ def make_parser() -> argparse.ArgumentParser:
 
 def _campaign_setup(args: argparse.Namespace) -> Campaign:
     """Shared --backend/--cache-dir/--no-cache handling of the
-    campaign-backed subcommands."""
+    campaign-backed subcommands: a ``+cache[=DIR]`` backend suffix names
+    the cache, ``--cache-dir`` (or its default) applies without one, and
+    neither option may contradict the suffix."""
+    backend = parse_backend(args.backend or "process")
+    cache = backend.cache
+    if cache is None:
+        cache = None if args.no_cache else TrialCache(args.cache_dir)
+    elif args.no_cache or (
+        args.cache_dir is not None
+        and os.path.realpath(args.cache_dir) != os.path.realpath(cache.directory)
+    ):
+        given = "--no-cache" if args.no_cache else f"--cache-dir {args.cache_dir!r}"
+        raise ValidationError(
+            f"{given} contradicts --backend {args.backend!r}, which "
+            f"attaches the cache {cache.directory!r}"
+        )
     return Campaign(
-        backend=parse_backend(args.backend or "process"),
-        cache=None if args.no_cache else TrialCache(args.cache_dir),
+        backend=backend,
+        cache=cache,
         rng_ledger=getattr(args, "rng_ledger", False),
     )
 

@@ -49,7 +49,12 @@ from typing import (
 
 from repro.errors import ValidationError
 from repro.exec.backend import ExecutionBackend, ShardRecord
-from repro.experiments.campaign import TrialResult, TrialSpec, execute_spec
+from repro.experiments.campaign import (
+    TrialResult,
+    TrialSpec,
+    cached_result,
+    execute_spec,
+)
 from repro.util.cache import TrialCache
 
 #: Environment variable carrying a :class:`FaultPlan` string — lets CI
@@ -133,7 +138,7 @@ def _run_shard(
         if die_after is not None and index >= die_after:
             return [], executed, cached, True
         key = spec.key()
-        hit = cache.get(key) if cache is not None else None
+        hit = cached_result(cache, spec, key)
         if hit is not None:
             pairs.append((spec, hit))
             cached += 1

@@ -31,7 +31,7 @@ simulator state ever crosses a process boundary.
 from __future__ import annotations
 
 import importlib
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from typing import (
     TYPE_CHECKING,
     Callable,
@@ -72,13 +72,19 @@ class TrialSpec:
         params: keyword arguments as a sorted tuple of ``(name, value)``
             pairs (kept hashable so specs can be deduplicated).  Values
             must be JSON-able scalars — they form the cache key.
+        reads: metric names the spec's consumer will read — a cache
+            entry lacking one is a miss (:func:`cached_result`); not
+            part of the spec's identity or key.
     """
 
     fn: str
     params: Tuple[Tuple[str, object], ...]
+    reads: Tuple[str, ...] = field(default=(), compare=False)
 
     @classmethod
-    def make(cls, fn: str, **params: object) -> "TrialSpec":
+    def make(
+        cls, fn: str, reads: Tuple[str, ...] = (), **params: object
+    ) -> "TrialSpec":
         """Build a spec, validating the function path and parameters."""
         if ":" not in fn:
             raise ValidationError(
@@ -93,7 +99,7 @@ class TrialSpec:
                 )
             if isinstance(value, float) and value != value:
                 raise ValidationError(f"trial param {name} is NaN")
-        return cls(fn=fn, params=tuple(sorted(params.items())))
+        return cls(fn, tuple(sorted(params.items())), tuple(reads))
 
     def kwargs(self) -> Dict[str, object]:
         """The parameters as a plain keyword-argument dict."""
@@ -159,6 +165,24 @@ def execute_spec(spec: TrialSpec) -> TrialResult:
         for stream, draws in ledger.as_dict().items():
             out[RNG_KEY_PREFIX + stream] = float(draws)
     return out
+
+
+def cached_result(
+    cache: Optional[TrialCache], spec: TrialSpec, key: str
+) -> Optional[TrialResult]:
+    """The whole cache entry of ``spec``, or None on any miss.
+
+    Whole: it carries every metric the spec's consumer reads.  An entry
+    of the right shape but the wrong keys is recomputed and overwritten
+    like any malformed one, not left to fail its consumer with a
+    ``KeyError``.
+    """
+    hit = cache.get(key) if cache is not None else None
+    if hit is not None:
+        for metric in spec.reads:
+            if metric not in hit:
+                return None
+    return hit
 
 
 def _execute_keyed(spec: TrialSpec) -> Tuple[TrialSpec, TrialResult]:
@@ -254,7 +278,7 @@ class Campaign:
         if self.rng_ledger:
             specs = [
                 TrialSpec.make(
-                    spec.fn, **{**spec.kwargs(), "rng_ledger": True}
+                    spec.fn, spec.reads, **{**spec.kwargs(), "rng_ledger": True}
                 )
                 for spec in specs
             ]
@@ -268,7 +292,7 @@ class Campaign:
             needs[key] = needs.get(key, 0) + 1
             if needs[key] > 1:
                 continue
-            hit = self.cache.get(key) if self.cache is not None else None
+            hit = cached_result(self.cache, spec, key)
             if hit is not None:
                 hits[key] = hit
                 self.cached += 1

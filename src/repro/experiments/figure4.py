@@ -11,6 +11,10 @@ algorithms must deliver to all processes with the same probability ``K``.
 
 * The **optimal** side is deterministic: ``sum(~m)`` from ``optimize``
   over the MRT under the true configuration (the cost function of Eq. 3).
+  It is computed once per grid point, by the phase-1 task that already
+  holds the point's configuration (:func:`phase1_reference`), and
+  reaches the aggregate as a trial result — through the cache, the
+  worker pipes and every backend, like the round budget beside it.
 * The **reference** side is empirical: gossip rounds are first calibrated
   so the all-reached frequency meets ``K`` (the paper's "determined
   interactively"), then data-message counts are averaged over measurement
@@ -44,7 +48,6 @@ from repro.protocols.gossip import calibrate_rounds, run_gossip_trial
 from repro.topology.configuration import Configuration
 from repro.topology.generators import k_regular
 from repro.topology.graph import Graph
-from repro.util.stats import OnlineStats
 from repro.util.tables import Series, SeriesTable
 
 #: Probability values plotted in the paper for each variant.
@@ -58,19 +61,21 @@ def optimal_messages(graph: Graph, config: Configuration, k_target: float) -> in
     return optimize(tree, k_target, config).total_messages
 
 
-def calibrate_reference(
-    config: Configuration, seed_tag: str, k_target: float, trials: int
-) -> int:
-    """Calibrate the gossip round budget for one configuration.
+def phase1_reference(
+    graph: Graph, config: Configuration, seed_tag: str, k_target: float, trials: int
+) -> Dict[str, float]:
+    """Phase 1 for one configuration: round budget and optimal cost.
 
-    Seeds are fully determined by ``seed_tag`` and the trial index, so
-    the result is identical wherever this runs.
+    Calibration seeds are fully determined by ``seed_tag`` and the trial
+    index, so the result is identical wherever this runs.
     """
-    return calibrate_rounds(
+    rounds = calibrate_rounds(
         lambda t: make_network(config, "fig4-cal", seed_tag, t),
         k_target=k_target,
         trials=trials,
     )
+    optimal = optimal_messages(graph, config, k_target)
+    return {"rounds": float(rounds), "optimal_messages": float(optimal)}
 
 
 def measure_reference_once(
@@ -103,7 +108,7 @@ def _uniform_config(
 # -- campaign trial functions (spawn-safe module-level entry points) ----------------
 
 
-def gossip_calibration_task(
+def gossip_phase1_task(
     *,
     n: int,
     connectivity: int,
@@ -113,10 +118,9 @@ def gossip_calibration_task(
     trials: int,
     seed_tag: str,
 ) -> Dict[str, float]:
-    """Campaign task: calibrate rounds for a uniform configuration."""
-    _, config = _uniform_config(n, connectivity, float(crash), float(loss))
-    rounds = calibrate_reference(config, seed_tag, k_target, trials)
-    return {"rounds": float(rounds)}
+    """Campaign task: round budget and optimal cost of one uniform point."""
+    graph, config = _uniform_config(n, connectivity, float(crash), float(loss))
+    return phase1_reference(graph, config, seed_tag, k_target, trials)
 
 
 def gossip_measurement_task(
@@ -139,38 +143,63 @@ def gossip_measurement_task(
     return {"messages": messages}
 
 
-CALIBRATION_FN = "repro.experiments.figure4:gossip_calibration_task"
-MEASUREMENT_FN = "repro.experiments.figure4:gossip_measurement_task"
+TASK_FNS = (
+    "repro.experiments.figure4:gossip_phase1_task",
+    "repro.experiments.figure4:gossip_measurement_task",
+)
 
 
-def reference_messages(
-    graph: Graph,
-    config: Configuration,
-    k_target: float,
+def _point_params(
+    scale: ExperimentScale, connectivity: int, crash: float, loss: float
+) -> Dict[str, object]:
+    """The spec parameters both tasks of one point share (they fix its seeds)."""
+    return {
+        "n": scale.n,
+        "connectivity": connectivity,
+        "crash": crash,
+        "loss": loss,
+        "k_target": scale.k_target,
+        "seed_tag": f"k{connectivity}-P{crash}-L{loss}-n{scale.n}",
+    }
+
+
+def run_phase1(
     scale: ExperimentScale,
-    seed_tag: str,
-    count_acks: bool = False,
-) -> Tuple[float, int]:
-    """Mean gossip data messages at the calibrated round budget.
+    campaign: Campaign,
+    fns: Tuple[str, str],
+    points: Sequence[Dict[str, object]],
+    **measurement_params: object,
+) -> Tuple[List[Dict[str, float]], List[TrialSpec]]:
+    """Run phase 1 of ``points``: its results and the specs they parameterise.
 
-    In-process serial path (used by :func:`figure4_point` and the
-    heterogeneous extension); the campaign tasks above compute the exact
-    same per-trial values from the same seeds.
-
-    Returns:
-        ``(mean_messages, rounds)``.
+    ``fns`` is the (phase-1, measurement) task pair: one phase-1 trial per
+    point, then ``scale.trials`` measurement specs per point at its budget.
     """
-    rounds = calibrate_reference(
-        config, seed_tag, k_target, scale.calibration_trials
-    )
-    stats = OnlineStats()
-    for t in range(scale.trials):
-        stats.add(
-            measure_reference_once(
-                config, seed_tag, t, rounds, k_target, count_acks
+    phase1_fn, measurement_fn = fns
+    phase1 = campaign.run(
+        [
+            TrialSpec.make(
+                phase1_fn,
+                ("rounds", "optimal_messages"),
+                trials=scale.calibration_trials,
+                **point,
             )
+            for point in points
+        ]
+    )
+    meas_specs = [
+        TrialSpec.make(
+            measurement_fn,
+            ("messages",),
+            rounds=int(result["rounds"]),
+            trial=trial,
+            **point,
+            **measurement_params,
         )
-    return stats.mean, rounds
+        for point, result in zip(points, phase1)
+        for trial in range(scale.trials)
+    ]
+    return phase1, meas_specs
 
 
 def figure4_point(
@@ -180,24 +209,28 @@ def figure4_point(
     scale: ExperimentScale,
     count_acks: bool = False,
 ) -> Dict[str, float]:
-    """One (connectivity, P, L) point: the ratio and its components."""
-    graph, config = _uniform_config(scale.n, connectivity, crash, loss)
-    optimal = optimal_messages(graph, config, scale.k_target)
-    seed_tag = _seed_tag(connectivity, crash, loss, scale.n)
-    reference, rounds = reference_messages(
-        graph, config, scale.k_target, scale, seed_tag, count_acks
+    """One (connectivity, P, L) point: the ratio and its components.
+
+    The same phase-1 task, measurement tasks and fold as one point of
+    the :func:`figure4_table` grid.
+    """
+    campaign = Campaign()
+    (phase1,), meas_specs = run_phase1(
+        scale,
+        campaign,
+        TASK_FNS,
+        [_point_params(scale, connectivity, crash, loss)],
+        count_acks=count_acks,
     )
+    measurements = campaign.run(meas_specs)
+    reference = Campaign.aggregate(measurements, "messages").mean
     return {
         "connectivity": float(connectivity),
-        "optimal_messages": float(optimal),
+        "optimal_messages": phase1["optimal_messages"],
         "reference_messages": reference,
-        "rounds": float(rounds),
-        "ratio": reference / optimal,
+        "rounds": phase1["rounds"],
+        "ratio": reference / phase1["optimal_messages"],
     }
-
-
-def _seed_tag(connectivity: int, crash: float, loss: float, n: int) -> str:
-    return f"k{connectivity}-P{crash}-L{loss}-n{n}"
 
 
 def _variant_axes(
@@ -226,79 +259,42 @@ def figure4_build(
     campaign: Campaign,
     values: Optional[Sequence[float]] = None,
     count_acks: bool = False,
-) -> List[TrialSpec]:
+) -> Tuple[List[Dict[str, float]], List[TrialSpec]]:
     """Phase 1 + the phase-2 specs of one Figure 4 variant.
 
-    The calibration phase (one round-budget fit per grid point) runs
-    through ``campaign`` immediately — its results parameterise the
-    measurement specs this returns.  Callers (``figure4_table``, the
-    experiment registry) run the returned specs through the same
-    campaign and hand the results to :func:`figure4_aggregate`.
+    Phase 1 (one round-budget fit and one optimal cost per grid point)
+    runs through ``campaign`` immediately — its results parameterise the
+    measurement specs.  Returns ``(phase-1 results, measurement specs)``:
+    callers (``figure4_table``, the experiment registry) run the specs
+    through the same campaign and hand both result lists to
+    :func:`figure4_aggregate`.
     """
     values, _, _ = _variant_axes(variant, values)
-    points = point_grid(scale, values)
-
-    # Phase 1: one calibration per (value, connectivity) point.
-    cal_specs: List[TrialSpec] = []
-    for value, connectivity in points:
-        crash, loss = _probs(variant, value)
-        cal_specs.append(
-            TrialSpec.make(
-                CALIBRATION_FN,
-                n=scale.n,
-                connectivity=connectivity,
-                crash=crash,
-                loss=loss,
-                k_target=scale.k_target,
-                trials=scale.calibration_trials,
-                seed_tag=_seed_tag(connectivity, crash, loss, scale.n),
-            )
-        )
-    calibrations = campaign.run(cal_specs)
-
-    # Phase 2: the measurement trials, fanned out across all points.
-    meas_specs: List[TrialSpec] = []
-    for (value, connectivity), calibration in zip(points, calibrations):
-        crash, loss = _probs(variant, value)
-        for trial in range(scale.trials):
-            meas_specs.append(
-                TrialSpec.make(
-                    MEASUREMENT_FN,
-                    n=scale.n,
-                    connectivity=connectivity,
-                    crash=crash,
-                    loss=loss,
-                    k_target=scale.k_target,
-                    rounds=int(calibration["rounds"]),
-                    trial=trial,
-                    seed_tag=_seed_tag(connectivity, crash, loss, scale.n),
-                    count_acks=count_acks,
-                )
-            )
-    return meas_specs
+    points = [
+        _point_params(scale, connectivity, *_probs(variant, value))
+        for value, connectivity in point_grid(scale, values)
+    ]
+    return run_phase1(scale, campaign, TASK_FNS, points, count_acks=count_acks)
 
 
 def figure4_aggregate(
     variant: str,
     scale: ExperimentScale,
+    phase1: Sequence[Dict[str, float]],
     measurements: Sequence[Dict[str, float]],
     values: Optional[Sequence[float]] = None,
 ) -> SeriesTable:
-    """Fold ordered measurement results into the Figure 4 table."""
+    """Fold ordered phase-1 and measurement results into the Figure 4 table."""
     values, label, title = _variant_axes(variant, values)
-    points = point_grid(scale, values)
     table = SeriesTable(title=title, x_label="connectivity (links/process)")
     by_value: Dict[float, Series] = {
         value: Series(name=f"{label}={value:g}") for value in values
     }
-    for (value, connectivity), chunk in zip(
-        points, chunked(measurements, scale.trials)
+    for (value, connectivity), point, chunk in zip(
+        point_grid(scale, values), phase1, chunked(measurements, scale.trials)
     ):
-        crash, loss = _probs(variant, value)
-        graph, config = _uniform_config(scale.n, connectivity, crash, loss)
-        optimal = optimal_messages(graph, config, scale.k_target)
         reference = Campaign.aggregate(chunk, "messages").mean
-        by_value[value].add(connectivity, reference / optimal)
+        by_value[value].add(connectivity, reference / point["optimal_messages"])
     for value in values:
         table.add_series(by_value[value])
     return table
@@ -324,8 +320,10 @@ def figure4_table(
     """
     scale = scale or current_scale()
     campaign = campaign or Campaign()
-    meas_specs = figure4_build(
+    phase1, meas_specs = figure4_build(
         variant, scale, campaign, values=values, count_acks=count_acks
     )
     measurements = campaign.run(meas_specs)
-    return figure4_aggregate(variant, scale, measurements, values=values)
+    return figure4_aggregate(
+        variant, scale, phase1, measurements, values=values
+    )

@@ -16,7 +16,8 @@ oblivious baseline cannot.
 
 Both configurations rebuild deterministically from scalars (the
 heterogeneous one from its own ``("hetero", connectivity, seed)``
-stream), so the calibration and measurement trials are campaign specs
+stream), so the phase-1 trials (round budget + optimal cost, one per
+compared configuration) and the measurement trials are campaign specs
 like the Figure 4 ones and ``repro campaign heterogeneous`` parallelises
 the comparison.  Protocol stacks deploy through the protocol registry
 (via the shared gossip trial runner), never by direct construction.
@@ -28,9 +29,9 @@ from typing import Dict, List, Optional, Sequence, Tuple
 
 from repro.experiments.campaign import Campaign, TrialSpec, chunked
 from repro.experiments.figure4 import (
-    calibrate_reference,
     measure_reference_once,
-    optimal_messages,
+    phase1_reference,
+    run_phase1,
 )
 from repro.experiments.runner import ExperimentScale, current_scale
 from repro.topology.configuration import Configuration
@@ -70,7 +71,7 @@ def _seed_tag(mode: str, connectivity: int, mean_loss: float, seed: int) -> str:
     return f"het-{mode}-{connectivity}-{mean_loss}-{seed}"
 
 
-def hetero_calibration_task(
+def hetero_phase1_task(
     *,
     mode: str,
     n: int,
@@ -81,16 +82,10 @@ def hetero_calibration_task(
     k_target: float,
     trials: int,
 ) -> Dict[str, float]:
-    """Campaign task: calibrate gossip rounds for one compared config."""
-    connectivity, seed = int(connectivity), int(seed)
-    mean_loss = float(mean_loss)
-    _, config = _build_config(
-        mode, int(n), connectivity, mean_loss, float(spread), seed
-    )
-    rounds = calibrate_reference(
-        config, _seed_tag(mode, connectivity, mean_loss, seed), k_target, trials
-    )
-    return {"rounds": float(rounds)}
+    """Campaign task: round budget and optimal cost of one compared config."""
+    graph, config = _build_config(mode, n, connectivity, mean_loss, spread, seed)
+    seed_tag = _seed_tag(mode, connectivity, mean_loss, seed)
+    return phase1_reference(graph, config, seed_tag, k_target, trials)
 
 
 def hetero_measurement_task(
@@ -106,88 +101,54 @@ def hetero_measurement_task(
     trial: int,
 ) -> Dict[str, float]:
     """Campaign task: one gossip measurement trial on a compared config."""
-    connectivity, seed = int(connectivity), int(seed)
-    mean_loss = float(mean_loss)
-    _, config = _build_config(
-        mode, int(n), connectivity, mean_loss, float(spread), seed
-    )
+    _, config = _build_config(mode, n, connectivity, mean_loss, spread, seed)
     messages = measure_reference_once(
         config,
         _seed_tag(mode, connectivity, mean_loss, seed),
-        int(trial),
-        int(rounds),
+        trial,
+        rounds,
         k_target,
     )
     return {"messages": messages}
 
 
-CALIBRATION_FN = "repro.experiments.heterogeneous:hetero_calibration_task"
-MEASUREMENT_FN = "repro.experiments.heterogeneous:hetero_measurement_task"
+TASK_FNS = (
+    "repro.experiments.heterogeneous:hetero_phase1_task",
+    "repro.experiments.heterogeneous:hetero_measurement_task",
+)
 
 
-def _cal_spec(
+def _point_params(
     mode: str,
     connectivity: int,
     mean_loss: float,
     scale: ExperimentScale,
     spread: float,
     seed: int,
-) -> TrialSpec:
-    return TrialSpec.make(
-        CALIBRATION_FN,
-        mode=mode,
-        n=scale.n,
-        connectivity=int(connectivity),
-        mean_loss=float(mean_loss),
-        spread=float(spread),
-        seed=int(seed),
-        k_target=scale.k_target,
-        trials=scale.calibration_trials,
-    )
-
-
-def _meas_specs(
-    mode: str,
-    connectivity: int,
-    mean_loss: float,
-    scale: ExperimentScale,
-    spread: float,
-    seed: int,
-    rounds: int,
-) -> List[TrialSpec]:
-    return [
-        TrialSpec.make(
-            MEASUREMENT_FN,
-            mode=mode,
-            n=scale.n,
-            connectivity=int(connectivity),
-            mean_loss=float(mean_loss),
-            spread=float(spread),
-            seed=int(seed),
-            k_target=scale.k_target,
-            rounds=int(rounds),
-            trial=trial,
-        )
-        for trial in range(scale.trials)
-    ]
+) -> Dict[str, object]:
+    """The spec parameters both tasks of one compared config share."""
+    return {
+        "mode": mode,
+        "n": scale.n,
+        "connectivity": int(connectivity),
+        "mean_loss": float(mean_loss),
+        "spread": float(spread),
+        "seed": int(seed),
+        "k_target": scale.k_target,
+    }
 
 
 def _aggregate_point(
     connectivity: int,
-    mean_loss: float,
-    scale: ExperimentScale,
-    spread: float,
-    seed: int,
-    measurements: Dict[str, Sequence[Dict[str, float]]],
+    phase1: Sequence[Dict[str, float]],
+    measurements: Sequence[Sequence[Dict[str, float]]],
 ) -> Dict[str, float]:
+    """Fold one point's phase-1 result and measurement chunk per mode."""
     out: Dict[str, float] = {"connectivity": float(connectivity)}
-    for mode in MODES:
-        graph, config = _build_config(
-            mode, scale.n, connectivity, mean_loss, spread, seed
-        )
-        optimal = optimal_messages(graph, config, scale.k_target)
-        reference = Campaign.aggregate(measurements[mode], "messages").mean
-        out[f"{mode}_optimal"] = float(optimal)
+    for mode, result, chunk in zip(MODES, phase1, measurements):
+        optimal = result["optimal_messages"]
+        reference = Campaign.aggregate(chunk, "messages").mean
+        out[f"{mode}_optimal"] = optimal
         out[f"{mode}_reference"] = reference
         out[f"{mode}_ratio"] = reference / optimal
     out["gain_delta"] = out["hetero_ratio"] - out["uniform_ratio"]
@@ -209,22 +170,18 @@ def heterogeneity_point(
             (1.0 means per-link losses uniform over [0, 2*mean]).
     """
     campaign = campaign or Campaign()
-    cal = campaign.run(
+    phase1, meas_specs = run_phase1(
+        scale,
+        campaign,
+        TASK_FNS,
         [
-            _cal_spec(mode, connectivity, mean_loss, scale, spread, seed)
+            _point_params(mode, connectivity, mean_loss, scale, spread, seed)
             for mode in MODES
-        ]
+        ],
     )
-    rounds = {mode: int(c["rounds"]) for mode, c in zip(MODES, cal)}
-    measurements: Dict[str, Sequence[Dict[str, float]]] = {}
-    for mode in MODES:
-        measurements[mode] = campaign.run(
-            _meas_specs(
-                mode, connectivity, mean_loss, scale, spread, seed, rounds[mode]
-            )
-        )
+    measurements = campaign.run(meas_specs)
     return _aggregate_point(
-        connectivity, mean_loss, scale, spread, seed, measurements
+        connectivity, phase1, list(chunked(measurements, scale.trials))
     )
 
 
@@ -244,42 +201,30 @@ def heterogeneity_build(
     connectivities: Optional[Sequence[int]] = None,
     spread: float = 1.0,
     seed: int = 0,
-) -> List[TrialSpec]:
-    """Calibration phase + the measurement specs of the comparison.
+) -> Tuple[List[Dict[str, float]], List[TrialSpec]]:
+    """Phase 1 + the measurement specs of the comparison.
 
-    As with Figure 4, the calibration fits run through ``campaign``
-    eagerly; the returned measurement specs are what the caller (or the
-    experiment registry) executes and aggregates.
+    As with Figure 4, phase 1 runs through ``campaign`` eagerly; returns
+    ``(phase-1 results, measurement specs)`` — the caller (or the
+    experiment registry) executes the specs and hands both result lists
+    to :func:`heterogeneity_aggregate`.
     """
-    points = _points(scale, connectivities)
-    cal_specs = [
-        _cal_spec(mode, k, mean_loss, scale, spread, seed)
-        for k in points
+    points = [
+        _point_params(mode, k, mean_loss, scale, spread, seed)
+        for k in _points(scale, connectivities)
         for mode in MODES
     ]
-    calibrations = campaign.run(cal_specs)
-    meas_specs: List[TrialSpec] = []
-    for (k, mode), calibration in zip(
-        [(k, mode) for k in points for mode in MODES], calibrations
-    ):
-        meas_specs.extend(
-            _meas_specs(
-                mode, k, mean_loss, scale, spread, seed, int(calibration["rounds"])
-            )
-        )
-    return meas_specs
+    return run_phase1(scale, campaign, TASK_FNS, points)
 
 
 def heterogeneity_aggregate(
     scale: ExperimentScale,
+    phase1: Sequence[Dict[str, float]],
     measurements: Sequence[Dict[str, float]],
     mean_loss: float = 0.05,
     connectivities: Optional[Sequence[int]] = None,
-    spread: float = 1.0,
-    seed: int = 0,
 ) -> SeriesTable:
-    """Fold ordered measurement results into the comparison table."""
-    points = _points(scale, connectivities)
+    """Fold ordered phase-1 and measurement results into the comparison table."""
     table = SeriesTable(
         title=(
             "Extension - heterogeneous environments "
@@ -289,12 +234,13 @@ def heterogeneity_aggregate(
     )
     uniform = Series("ratio (uniform L)")
     hetero = Series("ratio (heterogeneous L)")
-    mode_chunks = chunked(measurements, scale.trials)
-    for k in points:
-        chunks: Dict[str, Sequence[Dict[str, float]]] = {
-            mode: next(mode_chunks) for mode in MODES
-        }
-        point = _aggregate_point(k, mean_loss, scale, spread, seed, chunks)
+    chunks = list(chunked(measurements, scale.trials))
+    for k, point_phase1, point_chunks in zip(
+        _points(scale, connectivities),
+        chunked(phase1, len(MODES)),
+        chunked(chunks, len(MODES)),
+    ):
+        point = _aggregate_point(k, point_phase1, point_chunks)
         uniform.add(k, point["uniform_ratio"])
         hetero.add(k, point["hetero_ratio"])
     table.add_series(uniform)
@@ -313,11 +259,9 @@ def heterogeneity_table(
     """Reference/optimal ratio: uniform vs heterogeneous environments."""
     scale = scale or current_scale()
     campaign = campaign or Campaign()
-    measurements = campaign.run(
-        heterogeneity_build(
-            scale, campaign, mean_loss, connectivities, spread, seed
-        )
+    phase1, meas_specs = heterogeneity_build(
+        scale, campaign, mean_loss, connectivities, spread, seed
     )
     return heterogeneity_aggregate(
-        scale, measurements, mean_loss, connectivities, spread, seed
+        scale, phase1, campaign.run(meas_specs), mean_loss, connectivities
     )

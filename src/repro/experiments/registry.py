@@ -9,10 +9,12 @@ axes), and a uniform two-hook execution contract:
 
 * ``build(ctx) -> list[TrialSpec]`` — describe every trial as a
   seed-complete campaign spec (multi-phase experiments such as Figure 4
-  run their calibration pre-phase through ``ctx.campaign`` and return
-  the measurement specs);
+  run phase 1 through ``ctx.campaign``, keep its results in
+  ``ctx.phase1`` and return the measurement specs);
 * ``aggregate(ctx, results) -> ResultSet`` — fold the ordered results
-  into a typed, provenance-stamped :class:`~repro.results.ResultSet`.
+  (and ``ctx.phase1``) into a typed, provenance-stamped
+  :class:`~repro.results.ResultSet`; it folds numbers and does no
+  analytic work, so a fully cached run costs cache reads only.
 
 :func:`run_experiment` composes the two through a
 :class:`~repro.experiments.campaign.Campaign`, so every registered
@@ -52,7 +54,7 @@ from repro.errors import (
     ValidationError,
     did_you_mean,
 )
-from repro.experiments.campaign import Campaign, TrialSpec
+from repro.experiments.campaign import Campaign, TrialResult, TrialSpec
 from repro.experiments.runner import ExperimentScale, current_scale, scaled
 from repro.results.schema import Provenance, ResultSet
 from repro.util.plugins import load_entry_point_plugins, load_env_plugins
@@ -64,9 +66,6 @@ ENTRY_POINT_GROUP = "repro.experiments"
 #: Comma-separated ``module:attr`` list of plugin specs to load.
 PLUGIN_ENV = "REPRO_EXPERIMENTS"
 
-#: Result type of one campaign trial.
-TrialResult = Dict[str, float]
-
 
 @dataclass
 class ExperimentContext:
@@ -76,16 +75,20 @@ class ExperimentContext:
         scale: the sizing preset the run uses (before the experiment's
             own parameter overrides are applied — hooks derive their
             effective scale from ``scale`` + ``params``).
-        campaign: execution engine; ``build`` hooks may run pre-phases
-            (calibration) through it, and :func:`run_experiment` uses it
-            for the main trial batch.
+        campaign: execution engine; ``build`` hooks may run phase 1
+            (calibration, optimal cost) through it, and
+            :func:`run_experiment` uses it for the main trial batch.
         params: instance of the spec's ``params_type`` (never None when
             the spec declares one — defaults are materialised).
+        phase1: the ordered phase-1 results a ``build`` hook ran, kept
+            for its ``aggregate`` hook (empty for single-phase
+            experiments).
     """
 
     scale: ExperimentScale
     campaign: Campaign
     params: Optional[object] = None
+    phase1: Sequence[TrialResult] = ()
 
 
 # -- typed per-experiment parameter dataclasses ---------------------------------------
@@ -701,7 +704,10 @@ def _figure4_hooks(name: str, variant: str) -> Tuple[BuildHook, AggregateHook]:
 
         scale = _sized_scale(ctx.scale, ctx.params, trials_in_scale=True)
         values = getattr(ctx.params, variant)
-        return figure4_build(variant, scale, ctx.campaign, values=values)
+        ctx.phase1, specs = figure4_build(
+            variant, scale, ctx.campaign, values=values
+        )
+        return specs
 
     def aggregate(
         ctx: ExperimentContext, results: Sequence[TrialResult]
@@ -710,7 +716,9 @@ def _figure4_hooks(name: str, variant: str) -> Tuple[BuildHook, AggregateHook]:
 
         scale = _sized_scale(ctx.scale, ctx.params, trials_in_scale=True)
         values = getattr(ctx.params, variant)
-        table = figure4_aggregate(variant, scale, results, values=values)
+        table = figure4_aggregate(
+            variant, scale, ctx.phase1, results, values=values
+        )
         return ResultSet.from_table(name, table)
 
     return build, aggregate
@@ -804,12 +812,13 @@ def _heterogeneous_build(ctx: ExperimentContext) -> List[TrialSpec]:
 
     p: HeterogeneousParams = ctx.params
     scale = _sized_scale(ctx.scale, p, trials_in_scale=True)
-    return heterogeneity_build(
+    ctx.phase1, specs = heterogeneity_build(
         scale,
         ctx.campaign,
         mean_loss=p.loss if p.loss is not None else 0.05,
         connectivities=p.connectivity,
     )
+    return specs
 
 
 def _heterogeneous_aggregate(
@@ -821,6 +830,7 @@ def _heterogeneous_aggregate(
     scale = _sized_scale(ctx.scale, p, trials_in_scale=True)
     table = heterogeneity_aggregate(
         scale,
+        ctx.phase1,
         results,
         mean_loss=p.loss if p.loss is not None else 0.05,
         connectivities=p.connectivity,

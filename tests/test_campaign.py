@@ -2,6 +2,8 @@
 
 import json
 import os
+import sys
+from collections import Counter
 
 import pytest
 
@@ -16,6 +18,7 @@ from repro.experiments.campaign import (
 from repro.experiments.figure4 import figure4_table
 from repro.experiments.figure5 import CONVERGENCE_FN
 from repro.experiments.runner import QUICK, scaled
+from repro.topology.configuration import Configuration
 from repro.util.cache import TrialCache, content_key
 
 TINY = scaled(
@@ -300,3 +303,202 @@ class TestSweepParsing:
     def test_parse_sweeps_mapping(self):
         sweeps = parse_sweeps(["loss=0.1", "connectivity=2"])
         assert sweeps == {"loss": [0.1], "connectivity": [2]}
+
+
+# -- a cached re-run does no analytic work (PR 21) ----------------------------------
+
+#: (experiment, small quick-scale sweep, phase-1 specs the sweep yields)
+PHASED = [
+    ("figure4a", {"crash": (0.01, 0.05), "connectivity": (2, 4), "trials": 3}, 4),
+    ("figure4b", {"loss": (0.01, 0.05), "connectivity": (2, 4), "trials": 3}, 4),
+    ("heterogeneous", {"connectivity": (2, 4), "trials": 3}, 4),
+]
+PHASED_TRIALS = 3
+
+#: the names the analytic side of a Figure 4 point goes through, as
+#: module globals (perf/trace.py counts the first three the same way)
+ANALYTIC_GLOBALS = ("maximum_reliability_tree", "optimize", "reach", "k_regular")
+
+
+@pytest.fixture
+def work(monkeypatch):
+    """Machine-independent work counters, by rebinding module globals."""
+    counts = Counter()
+
+    def counting(name, fn):
+        def wrapper(*args, **kwargs):
+            counts[name] += 1
+            return fn(*args, **kwargs)
+
+        return wrapper
+
+    for module_name, module in list(sys.modules.items()):
+        if not module_name.startswith("repro"):
+            continue
+        for name in ANALYTIC_GLOBALS:
+            fn = vars(module).get(name)
+            if getattr(fn, "__name__", None) == name:
+                monkeypatch.setattr(module, name, counting(name, fn))
+    for name in ("uniform", "random_uniform"):
+        fn = getattr(Configuration, name).__func__
+        monkeypatch.setattr(
+            Configuration, name, classmethod(counting(f"Configuration.{name}", fn))
+        )
+    return counts
+
+
+class _Recorder(Campaign):
+    """A campaign remembering each batch of specs it ran."""
+
+    def __init__(self, **kwargs):
+        super().__init__(**kwargs)
+        self.batches = []
+
+    def run(self, specs):
+        self.batches.append(list(specs))
+        return super().run(specs)
+
+
+def _run(name, params, backend):
+    from repro import api
+
+    return api.run_experiment(name, scale="quick", params=params, backend=backend)
+
+
+@pytest.mark.parametrize("name,params,points", PHASED)
+class TestCachedRunDoesNoAnalyticWork:
+    def test_fully_cached_run_builds_nothing(
+        self, tmp_path, work, name, params, points
+    ):
+        backend = f"serial+cache={tmp_path}"
+        cold = _run(name, params, backend)
+        entries = len(TrialCache(str(tmp_path)))
+        assert entries == points * (1 + PHASED_TRIALS)
+        # (ii) the optimal plan is built once per phase-1 spec, cold
+        assert work["maximum_reliability_tree"] == points
+        assert work["optimize"] == points
+
+        work.clear()
+        resumed = _run(name, params, backend)
+        # (i) nothing analytic on a resume, and nothing written
+        assert dict(work) == {}
+        assert len(TrialCache(str(tmp_path))) == entries
+        assert resumed.rows == cold.rows
+
+    def test_rows_equal_on_every_path(self, tmp_path, name, params, points):
+        from repro.experiments.registry import resolve_experiment
+
+        cold = _run(name, params, f"serial+cache={tmp_path}")
+        assert _run(name, params, "process:2").rows == cold.rows
+        # (iii) without a cache phase 1 still runs once: build hands its
+        # results to aggregate instead of aggregate re-deriving them
+        bare = Campaign()
+        result = resolve_experiment(name).run(
+            scale=QUICK, params=params, campaign=bare
+        )
+        assert result.rows == cold.rows
+        assert bare.executed == points * (1 + PHASED_TRIALS)
+        assert bare.cached == 0
+
+    def test_entry_under_the_old_task_name_is_not_consulted(
+        self, tmp_path, monkeypatch, name, params, points
+    ):
+        from repro.experiments.registry import resolve_experiment
+
+        spec = resolve_experiment(name)
+        cache = TrialCache(str(tmp_path))
+        first = _Recorder(cache=cache)
+        cold = spec.run(scale=QUICK, params=params, campaign=first)
+        phase1, measurements = first.batches
+        assert len(phase1) == points
+
+        # what a cache written before the rename holds: the same phase-1
+        # params under the old function name, a budget and nothing else
+        old_keys = set()
+        for new in phase1:
+            old = TrialSpec.make(
+                new.fn.replace("phase1", "calibration"), **new.kwargs()
+            )
+            assert old.fn != new.fn
+            cache.put(old.key(), {"rounds": 1.0})
+            old_keys.add(old.key())
+            os.unlink(os.path.join(cache.directory, f"{new.key()}.json"))
+
+        asked = []
+        get = TrialCache.get
+        monkeypatch.setattr(
+            TrialCache, "get", lambda self, key: asked.append(key) or get(self, key)
+        )
+        second = Campaign(cache=cache)
+        warm = spec.run(scale=QUICK, params=params, campaign=second)
+        assert warm.rows == cold.rows
+        assert not old_keys & set(asked)
+        assert (second.executed, second.cached) == (points, len(measurements))
+
+
+@pytest.mark.parametrize("backend", ["serial", "shard:2"])
+@pytest.mark.parametrize(
+    "phase,lacking", [("phase1", "optimal_messages"), ("measurement", "messages")]
+)
+@pytest.mark.parametrize("name", ["figure4a", "heterogeneous"])
+def test_cli_repairs_an_entry_lacking_its_metric(
+    tmp_path, capsys, name, phase, lacking, backend
+):
+    """Right shape, wrong keys: a miss that is recomputed, not a KeyError."""
+    from repro.cli import main
+
+    argv = [
+        "experiments", "run", name, "--scale", "quick", "--no-store",
+        "--sweep", "connectivity=2", "--sweep", "trials=2",
+        "--backend", f"{backend}+cache={tmp_path}",
+    ]
+    assert main(argv) == 0
+    table = capsys.readouterr().out.split("campaign:")[0]
+    cache = TrialCache(str(tmp_path))
+    for key in cache.keys():
+        path = os.path.join(cache.directory, f"{key}.json")
+        with open(path) as fh:
+            entry = json.load(fh)
+        if phase in entry["context"]["fn"]:
+            break
+    good = dict(entry["result"])
+    del entry["result"][lacking]
+    entry["result"]["messages" if lacking != "messages" else "rounds"] = 1.0
+    with open(path, "w") as fh:
+        json.dump(entry, fh)
+
+    assert main(argv) == 0
+    captured = capsys.readouterr()
+    assert captured.err == ""
+    assert captured.out.split("campaign:")[0] == table
+    assert "campaign: 1 trials executed" in captured.out
+    assert cache.get(key) == good
+
+
+def test_aggregates_reference_no_analytic_name():
+    """One code path: the folds cannot rebuild what phase 1 computed."""
+    from repro.experiments import figure4, heterogeneous
+
+    banned = {
+        "optimal_messages", "_uniform_config", "_build_config",
+        "k_regular", "Configuration",
+    }
+    for fn in (
+        figure4.figure4_aggregate,
+        heterogeneous.heterogeneity_aggregate,
+        heterogeneous._aggregate_point,
+    ):
+        assert not banned & set(fn.__code__.co_names), fn.__name__
+    assert not hasattr(figure4, "reference_messages")
+
+
+def test_figure4_point_is_one_point_of_the_grid():
+    from repro.experiments.figure4 import figure4_point
+
+    table = figure4_table(variant="loss", scale=TINY, values=(0.05,))
+    for connectivity, ratio in zip(table.series[0].xs, table.series[0].ys):
+        point = figure4_point(int(connectivity), crash=0.0, loss=0.05, scale=TINY)
+        assert point["ratio"] == ratio
+        assert (
+            point["reference_messages"] / point["optimal_messages"] == ratio
+        )

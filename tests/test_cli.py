@@ -588,7 +588,7 @@ def failing_experiment():
     def build(ctx):
         return [
             TrialSpec.make(
-                "repro.experiments.figure4:gossip_calibration_task",
+                "repro.experiments.figure4:gossip_phase1_task",
                 n=4,
                 connectivity=2,
                 crash=0.0,
@@ -722,3 +722,53 @@ class TestTrialErrorsExitCleanly:
         [line] = captured.err.splitlines()
         assert line.startswith("error: CausalOrderError: replica ")
         assert "before its dependencies" in line
+
+
+class TestBackendCacheSuffix:
+    """``--backend NAME+cache=DIR`` names the cache the run really uses."""
+
+    ARGV = [
+        "experiments", "run", "figure4a", "--scale", "quick", "--no-store",
+        "--sweep", "connectivity=2", "--sweep", "crash=0.01",
+        "--sweep", "trials=2",
+    ]
+
+    def test_suffix_directory_is_used_and_reported(
+        self, tmp_path, monkeypatch, capsys
+    ):
+        monkeypatch.chdir(tmp_path)
+        named = tmp_path / "named"
+        argv = self.ARGV + ["--backend", f"serial+cache={named}"]
+        assert main(argv) == 0
+        out = capsys.readouterr().out
+        assert f"3 trials executed, 0 cache hits (backend=serial, cache={named})" in out
+        assert len(list(named.glob("*.json"))) == 3
+        assert not (tmp_path / ".repro-cache").exists()
+
+        assert main(argv) == 0
+        assert "0 trials executed, 3 cache hits" in capsys.readouterr().out
+
+    def test_agreeing_cache_dir_is_accepted(self, tmp_path, monkeypatch, capsys):
+        monkeypatch.chdir(tmp_path)
+        argv = self.ARGV + [
+            "--backend", f"serial+cache={tmp_path / 'c'}", "--cache-dir", "c",
+        ]
+        assert main(argv) == 0
+        assert f"cache={tmp_path / 'c'})" in capsys.readouterr().out
+
+    @pytest.mark.parametrize(
+        "extra,named",
+        [(["--cache-dir", "other"], "'other'"), (["--no-cache"], "--no-cache")],
+    )
+    def test_contradicting_options_exit_2(
+        self, tmp_path, monkeypatch, capsys, extra, named
+    ):
+        monkeypatch.chdir(tmp_path)
+        spec = f"serial+cache={tmp_path / 'c'}"
+        assert main(self.ARGV + ["--backend", spec] + extra) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        (line,) = captured.err.splitlines()
+        assert line.startswith("error: ")
+        assert named in line and repr(spec) in line and str(tmp_path / "c") in line
+        assert not list((tmp_path / "c").glob("*.json"))
