@@ -25,6 +25,8 @@ import os
 import re
 from typing import Iterable, List, Optional, Sequence, Set, Tuple
 
+from repro.errors import ValidationError
+
 from .rules import RULE_CODES, RULES, ModuleContext, Violation
 
 __all__ = [
@@ -46,7 +48,7 @@ def _select_codes(select: Optional[Iterable[str]]) -> Set[str]:
     codes = {code.strip().upper() for code in select if code.strip()}
     unknown = codes - set(RULE_CODES) - {"D000"}
     if unknown:
-        raise ValueError(
+        raise ValidationError(
             f"unknown rule code(s): {', '.join(sorted(unknown))}; "
             f"known codes: {', '.join(RULE_CODES)}"
         )

@@ -34,8 +34,18 @@ environment variables.
 
 from __future__ import annotations
 
+from contextlib import contextmanager
 from dataclasses import dataclass, field
-from typing import TYPE_CHECKING, Dict, List, Optional, Sequence, Tuple, Union
+from typing import (
+    TYPE_CHECKING,
+    Dict,
+    Iterator,
+    List,
+    Optional,
+    Sequence,
+    Tuple,
+    Union,
+)
 
 if TYPE_CHECKING:
     from repro.analysis.rules import Violation
@@ -256,10 +266,7 @@ def hunt(
     and the returned result reflects the stored run id via
     :meth:`HuntResult.to_result_set`.
     """
-    result_store = _store(store)
-    if result_store is not None:
-        result_store.check_writable()
-    try:
+    with probed_store(store) as result_store:
         result = run_hunt(
             seed,
             budget,
@@ -272,10 +279,6 @@ def hunt(
             shrink=shrink,
             campaign=Campaign(backend=backend),
         )
-    except Exception:
-        if result_store is not None:
-            result_store.discard_probe_residue()
-        raise
     if result_store is not None:
         result_store.append(result.to_result_set())
     return result
@@ -643,26 +646,43 @@ def run_experiment(
     (scale, params, seed policy, package version, git state, schema
     version), and diffs against other runs via :func:`diff_results`.
     """
-    spec = resolve_experiment(experiment)
-    # validate params before any filesystem side effects, then probe the
-    # store before running: an unwritable store path must fail here, not
-    # after the trials already burned
-    params_obj = spec.make_params(params)
-    result_store = _store(store)
-    if result_store is not None:
-        result_store.check_writable()
-    campaign = Campaign(backend=backend, rng_ledger=rng_ledger)
-    try:
-        result = spec.run(
-            scale=_scale(scale), params=params_obj, campaign=campaign
-        )
-    except Exception:
-        if result_store is not None:
-            result_store.discard_probe_residue()
-        raise
+    result, result_store = run_in_campaign(
+        Campaign(backend=backend, rng_ledger=rng_ledger),
+        experiment,
+        scale=scale,
+        params=params,
+        store=store,
+    )
     if result_store is not None:
         result = result_store.append(result)
     return result
+
+
+def run_in_campaign(
+    campaign: Campaign,
+    experiment: Union[str, ExperimentSpec],
+    *,
+    scale: Union[str, ExperimentScale, None] = None,
+    params: Optional[Dict[str, object]] = None,
+    store: Union[bool, str, ResultStore, None] = None,
+) -> Tuple[ResultSet, Optional[ResultStore]]:
+    """What :func:`run_experiment` is built on, on a caller-built campaign.
+
+    ``repro experiments run`` builds the :class:`Campaign` itself (it
+    prints the executed / cache-hit counters afterwards) and calls this.
+    Returns the result *before* it is stored, with the probed store:
+    appending is the caller's, so the CLI can still print a computed
+    table when the append fails.
+    """
+    spec = resolve_experiment(experiment)
+    # validate params before any filesystem side effects: a typo'd axis
+    # must not leave a freshly created store file behind
+    params_obj = spec.make_params(params)
+    with probed_store(store) as result_store:
+        result = spec.run(
+            scale=_scale(scale), params=params_obj, campaign=campaign
+        )
+    return result, result_store
 
 
 # -- results surface ------------------------------------------------------------------
@@ -678,6 +698,28 @@ def _store(
     if isinstance(store, ResultStore):
         return store
     return ResultStore(str(store))
+
+
+@contextmanager
+def probed_store(
+    store: Union[bool, str, ResultStore, None],
+) -> Iterator[Optional[ResultStore]]:
+    """Resolve ``store`` and probe it around a run that will append to it.
+
+    An unwritable store path must fail here, not after the trials
+    already burned; a run that raises after the probe (value-level
+    validation, a trial's own failure) removes the empty file the probe
+    left behind.
+    """
+    result_store = _store(store)
+    if result_store is not None:
+        result_store.check_writable()
+    try:
+        yield result_store
+    except Exception:
+        if result_store is not None:
+            result_store.discard_probe_residue()
+        raise
 
 
 def load_results(

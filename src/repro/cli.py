@@ -19,10 +19,10 @@ Usage::
     python -m repro results export --format csv --out results.csv
     python -m repro results diff --experiment figure4a   # latest two runs
 
-    # parallel + cached + resumable campaigns over the same experiments
-    python -m repro campaign figure4a --backend process:4 --scale quick
-    python -m repro campaign figure6 --sweep topology=tree --sweep size=24,48
-    python -m repro campaign figure4b --sweep loss=0.01,0.05 --sweep connectivity=2,4
+    # parallel + cached + resumable runs, with per-axis sweeps
+    python -m repro experiments run figure4a --backend process:4 --no-store
+    python -m repro experiments run figure6 --sweep topology=tree --sweep size=24,48
+    python -m repro experiments run figure4b --sweep loss=0.01,0.05 --sweep connectivity=2,4
 
     # declarative dynamic-environment scenarios (repro.scenario)
     python -m repro scenario list
@@ -42,30 +42,37 @@ Usage::
     python -m repro protocols describe two-phase
     python -m repro --version
 
-Every experiment command — the legacy per-figure spellings, ``campaign``
-and ``experiments run`` — dispatches through the experiment registry
-(:mod:`repro.experiments.registry`), so built-ins and plugin experiments
-share one execution path: trials compile to campaign specs, fan out over
-worker processes, persist in the on-disk trial cache, and aggregate into
-typed :class:`~repro.results.ResultSet` records.  ``experiments run``
-additionally appends each run to the results store
+This module is the argparse table plus printing; behaviour lives in
+:mod:`repro.api` and the packages under it.  There is one way to run an
+experiment: ``experiments run`` hands the :class:`Campaign` it built from
+``--backend/--cache-dir/--no-cache`` to the function
+:func:`repro.api.run_experiment` is built on, and the short ``repro
+<experiment>`` spelling is the same handler with ``--backend serial
+--no-cache --no-store`` fixed by its parser row.  Trials compile to
+campaign specs, fan out over worker processes, persist in the on-disk
+trial cache, and aggregate into typed :class:`~repro.results.ResultSet`
+records; a stored run lands in the results store
 (``.repro-results.jsonl`` by default), which is what ``repro results
 show/export/diff`` query — ``diff`` is the run-to-run regression gate.
+
+There is one place a failure becomes an exit code: :func:`main`.
+Handlers raise; they do not print ``error:`` lines or return 2.
 """
 
 from __future__ import annotations
 
 import argparse
+import json
 import os
 import sys
 from typing import Dict, List, Optional
 
+from repro import api
 from repro.errors import ReproError, ValidationError
 from repro.exec import backend_specs, parse_backend
 from repro.experiments.campaign import Campaign, parse_sweeps
 from repro.experiments.registry import (
     ExperimentSpec,
-    experiment_names,
     experiment_specs,
     resolve_experiment,
 )
@@ -79,19 +86,34 @@ from repro.protocols.registry import (
     protocol_specs,
     resolve_protocol,
 )
-from repro.results.schema import ResultSet, diff_result_sets
-from repro.results.store import ResultStore, default_store_path
+from repro.results.schema import ResultSet
+from repro.results.store import (
+    ResultStore,
+    default_store_path,
+    results_csv,
+    results_json,
+)
+from repro.scenario.adversarial import hunt
+from repro.scenario.generate import ScenarioGenerator
 from repro.scenario.registry import (
     build_scenario,
+    promote_scenario,
+    promoted_names,
     scenario_names,
     scenario_trials,
+    scenarios_dir,
 )
-from repro.scenario.run import SCENARIO_SWEEP_KEYS, scenario_reports
+from repro.scenario.run import (
+    SCENARIO_SWEEP_KEYS,
+    scenario_reports,
+    sweep_combos,
+)
+from repro.scenario.trial import canonical_spec_json
 from repro.util.cache import TrialCache, default_cache_dir
 from repro.util.tables import render_table
 
 
-def _run_demo() -> int:
+def _run_demo(args: argparse.Namespace) -> int:
     """A self-contained optimal-vs-gossip comparison (quickstart-sized).
 
     Deploys both stacks through the protocol registry — the same
@@ -136,15 +158,20 @@ def _run_demo() -> int:
     return 0
 
 
-def _add_campaign_options(cmd: argparse.ArgumentParser, sweep_help: str) -> None:
-    """The shared option block of the campaign-backed subcommands."""
-    cmd.add_argument(
+def _option_parents() -> Dict[str, argparse.ArgumentParser]:
+    """The option blocks several subcommands share, as argparse parents."""
+    parents = {
+        name: argparse.ArgumentParser(add_help=False)
+        for name in ("scale", "execution", "artefacts", "store", "store_opt")
+    }
+    parents["scale"].add_argument(
         "--scale",
         choices=["quick", "default", "full"],
         default=None,
         help="experiment size preset (default: REPRO_BENCH_SCALE or 'default')",
     )
-    cmd.add_argument(
+    execution = parents["execution"]
+    execution.add_argument(
         "--backend",
         default=None,
         metavar="SPEC",
@@ -153,34 +180,24 @@ def _add_campaign_options(cmd: argparse.ArgumentParser, sweep_help: str) -> None
             "see 'repro backends list' (default: process with all CPUs)"
         ),
     )
-    cmd.add_argument(
-        "--sweep",
-        action="append",
-        default=[],
-        metavar="KEY=V1,V2,...",
-        help=sweep_help,
-    )
-    cmd.add_argument(
+    execution.add_argument(
         "--cache-dir",
         default=None,
         metavar="DIR",
         help=f"trial cache directory (default: $REPRO_CACHE_DIR or {default_cache_dir()!r})",
     )
-    cmd.add_argument(
+    execution.add_argument(
         "--no-cache",
         action="store_true",
         help="disable the on-disk trial cache",
     )
-    cmd.add_argument(
+    parents["artefacts"].add_argument(
         "--out",
         metavar="DIR",
         default=None,
         help="also write text/JSON artefacts to DIR",
     )
-
-
-def _add_store_option(cmd: argparse.ArgumentParser) -> None:
-    cmd.add_argument(
+    parents["store"].add_argument(
         "--store",
         metavar="FILE",
         default=None,
@@ -189,13 +206,19 @@ def _add_store_option(cmd: argparse.ArgumentParser) -> None:
             f"{default_store_path()!r})"
         ),
     )
-
-
-def _version_string() -> str:
-    """Package version from installed metadata, source-tree fallback."""
-    from repro.api import version
-
-    return version()
+    parents["store_opt"].add_argument(
+        "--store",
+        nargs="?",
+        const="",
+        default=None,
+        metavar="FILE",
+        help=(
+            "append the result to the results store (default path when "
+            "FILE is omitted) for zero-drift re-run diffs via 'repro "
+            "results diff'"
+        ),
+    )
+    return parents
 
 
 def make_parser() -> argparse.ArgumentParser:
@@ -210,11 +233,21 @@ def make_parser() -> argparse.ArgumentParser:
     parser.add_argument(
         "--version",
         action="version",
-        version=f"%(prog)s {_version_string()}",
+        version=f"%(prog)s {api.version()}",
     )
+    shared = _option_parents()
     sub = parser.add_subparsers(dest="command", required=True)
-    sub.add_parser("list", help="list available experiments")
-    sub.add_parser("demo", help="30-second optimal-vs-gossip demo")
+
+    def leaf(group, name: str, handler, parents=(), **kwargs):
+        """One table row: a subcommand and the handler it dispatches to."""
+        cmd = group.add_parser(
+            name, parents=[shared[key] for key in parents], **kwargs
+        )
+        cmd.set_defaults(handler=handler)
+        return cmd
+
+    leaf(sub, "list", _run_list, help="list available experiments")
+    leaf(sub, "demo", _run_demo, help="30-second optimal-vs-gossip demo")
 
     prot = sub.add_parser(
         "protocols",
@@ -227,13 +260,14 @@ def make_parser() -> argparse.ArgumentParser:
         ),
     )
     prot_sub = prot.add_subparsers(dest="protocols_command", required=True)
-    prot_sub.add_parser(
-        "list", help="list registered protocols with capability flags"
+    leaf(
+        prot_sub, "list", _protocols_list,
+        help="list registered protocols with capability flags",
     )
-    prot_desc = prot_sub.add_parser(
-        "describe", help="print one protocol's spec (params, flags, aliases)"
-    )
-    prot_desc.add_argument("name", metavar="PROTOCOL")
+    leaf(
+        prot_sub, "describe", _protocols_describe,
+        help="print one protocol's spec (params, flags, aliases)",
+    ).add_argument("name", metavar="PROTOCOL")
 
     exps = sub.add_parser(
         "experiments",
@@ -249,22 +283,29 @@ def make_parser() -> argparse.ArgumentParser:
         ),
     )
     exps_sub = exps.add_subparsers(dest="experiments_command", required=True)
-    exps_sub.add_parser(
-        "list", help="list registered experiments with artefacts and axes"
+    leaf(
+        exps_sub, "list", _experiments_list,
+        help="list registered experiments with artefacts and axes",
     )
-    exps_desc = exps_sub.add_parser(
-        "describe", help="print one experiment's spec (axes, aliases)"
-    )
-    exps_desc.add_argument("name", metavar="EXPERIMENT")
-    exps_run = exps_sub.add_parser(
-        "run", help="run one experiment through the registry"
+    leaf(
+        exps_sub, "describe", _experiments_describe,
+        help="print one experiment's spec (axes, aliases)",
+    ).add_argument("name", metavar="EXPERIMENT")
+    exps_run = leaf(
+        exps_sub, "run", _run_experiment,
+        parents=("scale", "execution", "artefacts", "store"),
+        help="run one experiment through the registry",
     )
     exps_run.add_argument("name", metavar="EXPERIMENT")
-    _add_campaign_options(
-        exps_run,
-        sweep_help=(
-            "override one experiment axis; repeatable "
-            "(see 'repro experiments describe <name>' for the axes)"
+    exps_run.add_argument(
+        "--sweep",
+        action="append",
+        default=[],
+        metavar="KEY=V1,V2,...",
+        help=(
+            "override one experiment axis; repeatable (e.g. --sweep "
+            "connectivity=2,4,8 --sweep loss=0.01,0.05; see 'repro "
+            "experiments describe <name>' for the axes)"
         ),
     )
     exps_run.add_argument(
@@ -275,12 +316,12 @@ def make_parser() -> argparse.ArgumentParser:
             "provenance (metric values are unaffected)"
         ),
     )
-    _add_store_option(exps_run)
     exps_run.add_argument(
         "--no-store",
         action="store_true",
         help="do not append the result to the results store",
     )
+    exps_run.set_defaults(short=False)
 
     res = sub.add_parser(
         "results",
@@ -293,8 +334,9 @@ def make_parser() -> argparse.ArgumentParser:
         ),
     )
     res_sub = res.add_subparsers(dest="results_command", required=True)
-    res_show = res_sub.add_parser(
-        "show", help="list stored runs, or print one run's table"
+    res_show = leaf(
+        res_sub, "show", _results_show, parents=("store",),
+        help="list stored runs, or print one run's table",
     )
     res_show.add_argument(
         "run_id", nargs="?", default=None, metavar="RUN_ID",
@@ -302,9 +344,9 @@ def make_parser() -> argparse.ArgumentParser:
     )
     res_show.add_argument("--experiment", default=None, metavar="NAME")
     res_show.add_argument("--last", type=int, default=None, metavar="N")
-    _add_store_option(res_show)
-    res_export = res_sub.add_parser(
-        "export", help="export stored runs as CSV or JSON"
+    res_export = leaf(
+        res_sub, "export", _results_export, parents=("store",),
+        help="export stored runs as CSV or JSON",
     )
     res_export.add_argument("--experiment", default=None, metavar="NAME")
     res_export.add_argument(
@@ -314,9 +356,9 @@ def make_parser() -> argparse.ArgumentParser:
         "--out", default=None, metavar="FILE",
         help="write to FILE (default: stdout)",
     )
-    _add_store_option(res_export)
-    res_diff = res_sub.add_parser(
-        "diff", help="compare two runs cell-by-cell (regression check)"
+    res_diff = leaf(
+        res_sub, "diff", _results_diff, parents=("store",),
+        help="compare two runs cell-by-cell (regression check)",
     )
     res_diff.add_argument(
         "runs", nargs="*", metavar="RUN_ID",
@@ -329,34 +371,6 @@ def make_parser() -> argparse.ArgumentParser:
     res_diff.add_argument(
         "--tolerance", type=float, default=0.0, metavar="T",
         help="max allowed per-cell absolute drift (default: 0 = bit-identical)",
-    )
-    _add_store_option(res_diff)
-
-    camp = sub.add_parser(
-        "campaign",
-        help="run a simulated experiment in parallel with result caching",
-        description=(
-            "Run one of the simulated experiments as a campaign: trials "
-            "fan out across worker processes and completed trials are "
-            "cached on disk, so re-runs and interrupted sweeps resume "
-            "for free.  Output is bit-identical to the serial command."
-        ),
-    )
-    camp.add_argument("experiment", choices=experiment_names(simulated=True))
-    _add_campaign_options(
-        camp,
-        sweep_help=(
-            "override one sweep axis; repeatable (e.g. --sweep "
-            "connectivity=2,4,8 --sweep loss=0.01,0.05 --sweep topology=tree)"
-        ),
-    )
-    camp.add_argument(
-        "--rng-ledger",
-        action="store_true",
-        help=(
-            "record per-stream RNG draw counts into the result's "
-            "provenance (metric values are unaffected)"
-        ),
     )
 
     backends = sub.add_parser(
@@ -373,7 +387,10 @@ def make_parser() -> argparse.ArgumentParser:
     backends_sub = backends.add_subparsers(
         dest="backends_command", required=True
     )
-    backends_sub.add_parser("list", help="list backends and spec syntax")
+    leaf(
+        backends_sub, "list", _run_backends,
+        help="list backends and spec syntax",
+    )
 
     scen = sub.add_parser(
         "scenario",
@@ -387,14 +404,15 @@ def make_parser() -> argparse.ArgumentParser:
         ),
     )
     scen_sub = scen.add_subparsers(dest="scenario_command", required=True)
-    scen_sub.add_parser("list", help="list built-in scenarios")
-    desc = scen_sub.add_parser("describe", help="print one scenario's spec")
-    desc.add_argument("name", metavar="SCENARIO")
-    desc.add_argument(
-        "--scale", choices=["quick", "default", "full"], default=None
-    )
-    run = scen_sub.add_parser(
-        "run", help="run one scenario across protocols"
+    leaf(scen_sub, "list", _scenario_list, help="list built-in scenarios")
+    leaf(
+        scen_sub, "describe", _scenario_describe, parents=("scale",),
+        help="print one scenario's spec",
+    ).add_argument("name", metavar="SCENARIO")
+    run = leaf(
+        scen_sub, "run", _scenario_run,
+        parents=("scale", "execution", "artefacts", "store_opt"),
+        help="run one scenario across protocols",
     )
     run.add_argument("name", metavar="SCENARIO")
     run.add_argument(
@@ -407,9 +425,12 @@ def make_parser() -> argparse.ArgumentParser:
             + "; aliases accepted — see 'repro protocols list')"
         ),
     )
-    _add_campaign_options(
-        run,
-        sweep_help=(
+    run.add_argument(
+        "--sweep",
+        action="append",
+        default=[],
+        metavar="KEY=V1,V2,...",
+        help=(
             "override one axis; repeatable; keys: "
             + ", ".join(SCENARIO_SWEEP_KEYS)
             + " plus per-protocol params as protocol.param "
@@ -417,21 +438,9 @@ def make_parser() -> argparse.ArgumentParser:
             "multiple values print one table per combination"
         ),
     )
-    run.add_argument(
-        "--store",
-        nargs="?",
-        const="",
-        default=None,
-        metavar="FILE",
-        help=(
-            "append the comparison table to the results store "
-            "(default path when FILE is omitted) for zero-drift re-run "
-            "diffs via 'repro results diff'"
-        ),
-    )
 
-    gen_cmd = scen_sub.add_parser(
-        "generate",
+    gen_cmd = leaf(
+        scen_sub, "generate", _scenario_generate, parents=("scale",),
         help="print seeded generated scenarios",
         description=(
             "Sample scenarios from the seeded generator: every spec is a "
@@ -446,9 +455,6 @@ def make_parser() -> argparse.ArgumentParser:
         help="first generator index (default 0)",
     )
     gen_cmd.add_argument(
-        "--scale", choices=["quick", "default", "full"], default=None
-    )
-    gen_cmd.add_argument(
         "--json", action="store_true",
         help="print canonical JSON, one spec per line",
     )
@@ -457,8 +463,9 @@ def make_parser() -> argparse.ArgumentParser:
         help="write one <name>.json file per spec to DIR",
     )
 
-    hunt_cmd = scen_sub.add_parser(
-        "hunt",
+    hunt_cmd = leaf(
+        scen_sub, "hunt", _scenario_hunt,
+        parents=("scale", "execution", "store_opt"),
         help="adversarial search for worst-case adaptive-vs-oracle regret",
         description=(
             "Fan a budget of generated scenarios through the campaign "
@@ -500,41 +507,12 @@ def make_parser() -> argparse.ArgumentParser:
         help="promote the rank-1 minimized find into the scenario registry",
     )
     hunt_cmd.add_argument(
-        "--scale", choices=["quick", "default", "full"], default=None
-    )
-    hunt_cmd.add_argument(
-        "--backend", default=None, metavar="SPEC",
-        help=(
-            "execution backend: serial, process[:N], shard[:N[:S]] — "
-            "see 'repro backends list' (default: process with all CPUs)"
-        ),
-    )
-    hunt_cmd.add_argument(
-        "--cache-dir", default=None, metavar="DIR",
-        help="trial cache directory",
-    )
-    hunt_cmd.add_argument(
-        "--no-cache", action="store_true",
-        help="disable the on-disk trial cache",
-    )
-    hunt_cmd.add_argument(
         "--out", metavar="DIR", default=None,
         help="write the full hunt JSON artefact to DIR",
     )
-    hunt_cmd.add_argument(
-        "--store",
-        nargs="?",
-        const="",
-        default=None,
-        metavar="FILE",
-        help=(
-            "append the frontier to the results store (default path "
-            "when FILE is omitted)"
-        ),
-    )
 
-    lint_cmd = sub.add_parser(
-        "lint",
+    lint_cmd = leaf(
+        sub, "lint", _run_lint,
         help="determinism static analysis (rules D001-D005)",
         description=(
             "Check Python sources against the determinism contract: no "
@@ -565,26 +543,22 @@ def make_parser() -> argparse.ArgumentParser:
         help="print the rule table and exit",
     )
 
-    # legacy per-experiment spellings, one subcommand per registered
-    # experiment (delegating to the registry), added after every fixed
-    # subcommand: an experiment whose name collides with one (a plugin
-    # named "campaign") must not take down the parser — it stays
-    # reachable via 'experiments run'
+    # the short spelling, one row per registered experiment: the same
+    # handler as 'experiments run' with --backend serial --no-cache
+    # --no-store fixed (the README's side-effect-free quickstart form).
+    # Added after every fixed subcommand: an experiment whose name
+    # collides with one (a plugin named "results") must not take down
+    # the parser — it stays reachable via 'experiments run'
     for spec in experiment_specs():
         if spec.name in sub.choices:
             continue
-        cmd = sub.add_parser(spec.name, help=spec.description)
-        cmd.add_argument(
-            "--scale",
-            choices=["quick", "default", "full"],
-            default=None,
-            help="experiment size preset (default: REPRO_BENCH_SCALE or 'default')",
-        )
-        cmd.add_argument(
-            "--out",
-            metavar="DIR",
-            default=None,
-            help="also write text/JSON artefacts to DIR",
+        leaf(
+            sub, spec.name, _run_experiment, parents=("scale", "artefacts"),
+            help=spec.description,
+        ).set_defaults(
+            name=spec.name, short=True, sweep=[], rng_ledger=False,
+            backend="serial", cache_dir=None, no_cache=True,
+            store=None, no_store=True,
         )
     return parser
 
@@ -624,6 +598,12 @@ def _campaign_summary(campaign: Campaign) -> str:
     )
 
 
+def _write_json(path: str, payload: object) -> None:
+    with open(path, "w", encoding="utf-8") as fh:
+        json.dump(payload, fh, indent=2, sort_keys=True)
+        fh.write("\n")
+
+
 def _write_result_artefacts(
     result: ResultSet,
     spec: ExperimentSpec,
@@ -646,136 +626,21 @@ def _write_result_artefacts(
         fh.write(result.render() + "\n")
 
 
-def _run_registry_experiment(args: argparse.Namespace) -> int:
-    """Legacy ``repro figure4a``-style commands, through the registry."""
-    scale = current_scale(args.scale)
-    spec = resolve_experiment(args.command)
-    result = spec.run(scale=scale)
-    print(result.render())
-    if args.out:
-        _write_result_artefacts(result, spec, args.out)
-        if result.x_label is not None:
-            print(f"\nartefacts written to {args.out}/")
-    return 0
+def _run_experiment(args: argparse.Namespace) -> int:
+    """``repro experiments run NAME`` and the short ``repro NAME``.
 
-
-def _run_campaign(args: argparse.Namespace) -> int:
-    scale = current_scale(args.scale)
-    try:
-        spec = resolve_experiment(args.experiment)
-        campaign = _campaign_setup(args)
-        sweeps = parse_sweeps(args.sweep)
-        result = spec.run(scale=scale, params=sweeps, campaign=campaign)
-    except ValueError as exc:
-        # ValidationError and the builders' ValueErrors (bad variant,
-        # bad topology, bad worker count) all surface as clean usage errors
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
-    print(result.render())
-    print(f"\n{_campaign_summary(campaign)}")
-    if campaign.rng_ledger:
-        print(
-            f"rng ledger: {len(campaign.rng_draws)} streams, "
-            f"{sum(campaign.rng_draws.values())} draws "
-            "(recorded in provenance)"
-        )
-    if args.out:
-        _write_result_artefacts(
-            result,
-            spec,
-            args.out,
-            metadata={
-                "workers": campaign.workers,
-                "trials_executed": campaign.executed,
-                "cache_hits": campaign.cached,
-                "cache_dir": (
-                    campaign.cache.directory if campaign.cache else None
-                ),
-                "sweeps": args.sweep,
-            },
-        )
-        print(f"artefacts written to {args.out}/")
-    return 0
-
-
-def _print_experiment_table() -> None:
-    """One line per registered experiment: name, artefact, axes."""
-    specs = experiment_specs()
-    rows = []
-    for spec in specs:
-        rows.append(
-            [
-                spec.name,
-                spec.artefact or "-",
-                ", ".join(spec.aliases) or "-",
-                ", ".join(spec.sweep_keys()) or "-",
-            ]
-        )
-    print(
-        render_table(
-            ["experiment", "artefact", "aliases", "sweep axes"], rows
-        )
+    The short spelling prints the bare table: no campaign summary, and
+    artefacts without the campaign counters.
+    """
+    spec = resolve_experiment(args.name)
+    campaign = _campaign_setup(args)
+    result, store = api.run_in_campaign(
+        campaign,
+        spec,
+        scale=args.scale,
+        params=parse_sweeps(args.sweep),
+        store=False if args.no_store else (args.store or True),
     )
-
-
-def _run_experiments(args: argparse.Namespace) -> int:
-    """``repro experiments list|describe|run``."""
-    if args.experiments_command == "list":
-        _print_experiment_table()
-        print(
-            "\n  'repro experiments describe <name>' for the axes; "
-            "'repro experiments run <name>' executes through the "
-            "campaign engine and stores the typed result; plugins "
-            "register via the 'repro.experiments' entry-point group "
-            "or REPRO_EXPERIMENTS"
-        )
-        return 0
-    if args.experiments_command == "describe":
-        try:
-            spec = resolve_experiment(args.name)
-        except ValidationError as exc:
-            print(f"error: {exc}", file=sys.stderr)
-            return 2
-        print(f"{spec.name} — {spec.description}")
-        print(f"  artefact:     {spec.artefact or '(none)'}")
-        print(f"  aliases:      {', '.join(spec.aliases) or '(none)'}")
-        print(f"  execution:    {'simulated' if spec.simulated else 'analytic'}"
-              " (campaign-backed either way)")
-        rows = spec.param_fields()
-        if not rows:
-            print("  axes:         (none)")
-        else:
-            print("  axes:         (sweep as --sweep <axis>=v1,v2)")
-            width = max(len(name) for name, _, _ in rows)
-            for name, type_name, _ in rows:
-                print(f"    {name:<{width}}  {type_name}")
-        return 0
-
-    # run
-    scale = current_scale(args.scale)
-    store: Optional[ResultStore] = None
-    try:
-        spec = resolve_experiment(args.name)
-        campaign = _campaign_setup(args)
-        # validate the sweeps before touching the filesystem: a typo'd
-        # --sweep key must not leave a freshly created store file behind
-        params = spec.make_params(parse_sweeps(args.sweep))
-        # probe the store before running: an unwritable --store path
-        # must fail here, not after the trials already burned
-        store = (
-            None if args.no_store else ResultStore(args.store).check_writable()
-        )
-        result = spec.run(scale=scale, params=params, campaign=campaign)
-    except (ValueError, OSError, ReproError) as exc:
-        if store is not None:
-            # value-level validation (connectivity<n) and a trial's own
-            # failure fire inside spec.run, after the probe — clean up
-            # an empty store file
-            store.discard_probe_residue()
-        if not isinstance(exc, (ValueError, OSError)):
-            raise  # a trial's ReproError: main() maps it
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
     store_error: Optional[Exception] = None
     if store is not None:
         try:
@@ -783,6 +648,12 @@ def _run_experiments(args: argparse.Namespace) -> int:
         except (OSError, ValueError) as exc:
             store_error = exc  # never discard a computed table over this
     print(result.render())
+    if args.short:
+        if args.out:
+            _write_result_artefacts(result, spec, args.out)
+            if result.x_label is not None:
+                print(f"\nartefacts written to {args.out}/")
+        return 0
     print(f"\n{_campaign_summary(campaign)}")
     if campaign.rng_ledger:
         print(
@@ -814,138 +685,149 @@ def _run_experiments(args: argparse.Namespace) -> int:
     return 0
 
 
-def _canonical_experiment(name: Optional[str]) -> Optional[str]:
-    """Resolve an experiment filter through the registry when possible.
-
-    Stored runs may come from plugins that are not installed right now,
-    so an unresolvable name falls back to the raw string instead of
-    erroring — the query then simply matches the stored name.
-    """
-    if name is None:
-        return None
-    try:
-        return resolve_experiment(name).name
-    except ValidationError:
-        return name
-
-
-def _run_results(args: argparse.Namespace) -> int:
-    """``repro results show|export|diff`` (all read-only on the store)."""
-    try:
-        return _run_results_inner(args, ResultStore(args.store))
-    except OSError as exc:
-        # unreadable store path / unwritable --out: usage error, not a
-        # traceback
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
-
-
-def _run_results_inner(args: argparse.Namespace, store: ResultStore) -> int:
-    if args.results_command == "show":
-        if args.run_id:
-            try:
-                result = store.get(args.run_id)
-            except ValidationError as exc:
-                print(f"error: {exc}", file=sys.stderr)
-                return 2
-            print(result.render())
-            prov = result.provenance
-            if prov is not None:
-                print(
-                    f"\nrun {result.run_id}: {prov.experiment} "
-                    f"({prov.artefact or 'no artefact'}), "
-                    f"scale {prov.scale or '?'}"
-                )
-                if prov.params:
-                    params = ", ".join(
-                        f"{k}={v}" for k, v in sorted(prov.params.items())
-                    )
-                    print(f"  params:   {params}")
-                print(f"  seed:     {prov.seed}")
-                print(
-                    f"  version:  repro {prov.repro_version} "
-                    f"(schema v{prov.schema_version}"
-                    + (f", git {prov.git}" if prov.git else "")
-                    + ")"
-                )
-                if prov.created_at:
-                    print(f"  created:  {prov.created_at}")
-            return 0
-        try:
-            results = store.query(
-                experiment=_canonical_experiment(args.experiment),
-                last=args.last,
-            )
-        except ValidationError as exc:
-            print(f"error: {exc}", file=sys.stderr)
-            return 2
-        if not results:
-            print(f"no stored runs in {store.path}")
-            return 0
-        rows = []
-        for result in results:
-            prov = result.provenance
-            rows.append(
-                [
-                    result.run_id or "-",
-                    result.experiment,
-                    prov.scale if prov else "-",
-                    len(result.rows),
-                    (prov.created_at if prov else None) or "-",
-                ]
-            )
-        print(
-            render_table(
-                ["run id", "experiment", "scale", "rows", "created (UTC)"],
-                rows,
-            )
+def _print_experiment_table() -> None:
+    """One line per registered experiment: name, artefact, axes."""
+    specs = experiment_specs()
+    rows = []
+    for spec in specs:
+        rows.append(
+            [
+                spec.name,
+                spec.artefact or "-",
+                ", ".join(spec.aliases) or "-",
+                ", ".join(spec.sweep_keys()) or "-",
+            ]
         )
-        print(f"\n{len(results)} run(s) in {store.path}")
-        return 0
-
-    if args.results_command == "export":
-        experiment = _canonical_experiment(args.experiment)
-        text = (
-            store.export_csv(experiment=experiment)
-            if args.fmt == "csv"
-            else store.export_json(experiment=experiment)
+    print(
+        render_table(
+            ["experiment", "artefact", "aliases", "sweep axes"], rows
         )
-        if args.out:
-            with open(args.out, "w", encoding="utf-8") as fh:
-                fh.write(text if text.endswith("\n") else text + "\n")
-            print(f"exported to {args.out}")
-        else:
-            print(text, end="" if text.endswith("\n") else "\n")
-        return 0
+    )
 
-    # diff
-    try:
-        if args.runs and len(args.runs) == 2:
-            a, b = (store.get(run_id) for run_id in args.runs)
-        elif not args.runs and args.experiment:
-            latest = store.latest(
-                experiment=_canonical_experiment(args.experiment), count=2
+
+def _experiments_list(args: argparse.Namespace) -> int:
+    _print_experiment_table()
+    print(
+        "\n  'repro experiments describe <name>' for the axes; "
+        "'repro experiments run <name>' executes through the "
+        "campaign engine and stores the typed result; plugins "
+        "register via the 'repro.experiments' entry-point group "
+        "or REPRO_EXPERIMENTS"
+    )
+    return 0
+
+
+def _experiments_describe(args: argparse.Namespace) -> int:
+    spec = resolve_experiment(args.name)
+    print(f"{spec.name} — {spec.description}")
+    print(f"  artefact:     {spec.artefact or '(none)'}")
+    print(f"  aliases:      {', '.join(spec.aliases) or '(none)'}")
+    print(f"  execution:    {'simulated' if spec.simulated else 'analytic'}"
+          " (campaign-backed either way)")
+    rows = spec.param_fields()
+    if not rows:
+        print("  axes:         (none)")
+    else:
+        print("  axes:         (sweep as --sweep <axis>=v1,v2)")
+        width = max(len(name) for name, _, _ in rows)
+        for name, type_name, _ in rows:
+            print(f"    {name:<{width}}  {type_name}")
+    return 0
+
+
+def _results_show(args: argparse.Namespace) -> int:
+    """``repro results show [RUN_ID]`` (read-only on the store)."""
+    store = ResultStore(args.store)
+    if args.run_id:
+        result = store.get(args.run_id)
+        print(result.render())
+        prov = result.provenance
+        if prov is not None:
+            print(
+                f"\nrun {result.run_id}: {prov.experiment} "
+                f"({prov.artefact or 'no artefact'}), "
+                f"scale {prov.scale or '?'}"
             )
-            if len(latest) < 2:
-                raise ValidationError(
-                    f"need two stored runs of {args.experiment!r} to diff, "
-                    f"found {len(latest)} in {store.path}"
+            if prov.params:
+                params = ", ".join(
+                    f"{k}={v}" for k, v in sorted(prov.params.items())
                 )
-            a, b = latest
-        else:
+                print(f"  params:   {params}")
+            print(f"  seed:     {prov.seed}")
+            print(
+                f"  version:  repro {prov.repro_version} "
+                f"(schema v{prov.schema_version}"
+                + (f", git {prov.git}" if prov.git else "")
+                + ")"
+            )
+            if prov.created_at:
+                print(f"  created:  {prov.created_at}")
+        return 0
+    results = api.load_results(
+        store=store, experiment=args.experiment, last=args.last
+    )
+    if not results:
+        print(f"no stored runs in {store.path}")
+        return 0
+    rows = []
+    for result in results:
+        prov = result.provenance
+        rows.append(
+            [
+                result.run_id or "-",
+                result.experiment,
+                prov.scale if prov else "-",
+                len(result.rows),
+                (prov.created_at if prov else None) or "-",
+            ]
+        )
+    print(
+        render_table(
+            ["run id", "experiment", "scale", "rows", "created (UTC)"],
+            rows,
+        )
+    )
+    print(f"\n{len(results)} run(s) in {store.path}")
+    return 0
+
+
+def _results_export(args: argparse.Namespace) -> int:
+    results = api.load_results(
+        store=ResultStore(args.store), experiment=args.experiment
+    )
+    text = results_csv(results) if args.fmt == "csv" else results_json(results)
+    if args.out:
+        with open(args.out, "w", encoding="utf-8") as fh:
+            fh.write(text if text.endswith("\n") else text + "\n")
+        print(f"exported to {args.out}")
+    else:
+        print(text, end="" if text.endswith("\n") else "\n")
+    return 0
+
+
+def _results_diff(args: argparse.Namespace) -> int:
+    """``repro results diff``: exit 1 on drift beyond ``--tolerance``."""
+    store = ResultStore(args.store)
+    if len(args.runs) == 2:
+        pair = args.runs
+    elif not args.runs and args.experiment:
+        pair = api.load_results(store=store, experiment=args.experiment, last=2)
+        if len(pair) < 2:
             raise ValidationError(
-                "results diff takes exactly two RUN_IDs, or --experiment "
-                "NAME to diff its latest two runs"
+                f"need two stored runs of {args.experiment!r} to diff, "
+                f"found {len(pair)} in {store.path}"
             )
-        diff = diff_result_sets(a, b, tolerance=args.tolerance)
-    except ValidationError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
+    else:
+        raise ValidationError(
+            "results diff takes exactly two RUN_IDs, or --experiment "
+            "NAME to diff its latest two runs"
+        )
+    diff = api.diff_results(*pair, tolerance=args.tolerance, store=store)
     print(diff.render())
     return 0 if diff.clean else 1
 
 
-def _run_list() -> int:
+def _run_list(args: argparse.Namespace) -> int:
     """``repro list``: experiments plus the non-experiment subcommands."""
     print("experiments:")
     specs = experiment_specs()
@@ -958,17 +840,6 @@ def _run_list() -> int:
     )
     _print_experiment_table()
     print(
-        "\ncampaign <experiment>  parallel cached run of any simulated "
-        "experiment above"
-    )
-    simulated = [spec for spec in specs if spec.simulated]
-    sweep_width = max(len(spec.name) for spec in simulated)
-    for spec in simulated:
-        print(
-            f"  {spec.name:<{sweep_width}}  --sweep "
-            f"{', '.join(spec.sweep_keys())}"
-        )
-    print(
         "\nresults show|export|diff  the durable results store "
         "(provenance, CSV/JSON export, regression diff)"
     )
@@ -977,8 +848,6 @@ def _run_list() -> int:
         "(protocol comparisons under stress)"
     )
     print(f"  built-ins: {', '.join(scenario_names())}")
-    from repro.scenario.registry import promoted_names, scenarios_dir
-
     promoted = promoted_names()
     if promoted:
         print(
@@ -1007,21 +876,18 @@ def _print_protocol_table() -> None:
         print(f"  {spec.name:<{name_width}}  [{flags}]  {spec.description}")
 
 
-def _run_protocols(args: argparse.Namespace) -> int:
-    """``repro protocols list`` / ``repro protocols describe NAME``."""
-    if args.protocols_command == "list":
-        _print_protocol_table()
-        print(
-            "\n  'repro protocols describe <name>' for params and aliases; "
-            "plugins register via the 'repro.protocols' entry-point group "
-            "or REPRO_PROTOCOLS"
-        )
-        return 0
-    try:
-        spec = resolve_protocol(args.name)
-    except ValidationError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
+def _protocols_list(args: argparse.Namespace) -> int:
+    _print_protocol_table()
+    print(
+        "\n  'repro protocols describe <name>' for params and aliases; "
+        "plugins register via the 'repro.protocols' entry-point group "
+        "or REPRO_PROTOCOLS"
+    )
+    return 0
+
+
+def _protocols_describe(args: argparse.Namespace) -> int:
+    spec = resolve_protocol(args.name)
     print(f"{spec.name} — {spec.description}")
     print(f"  aliases:      {', '.join(spec.aliases) or '(none)'}")
     print(f"  capabilities: {', '.join(spec.capabilities()) or '(none)'}")
@@ -1045,108 +911,48 @@ def _run_protocols(args: argparse.Namespace) -> int:
     return 0
 
 
-def _integer_sweep_value(key: str, value) -> int:
-    """Sweep values for the integer axes must be whole numbers.
-
-    ``--sweep trials=2.9`` silently running 2 trials would change the
-    user's request without saying so; every other malformed sweep errors,
-    so these do too.
-    """
-    number = float(value)
-    if number != int(number):
-        raise ValidationError(
-            f"--sweep {key} takes integer values, got {value!r}"
-        )
-    return int(number)
-
-
-def _scenario_sweep_combos(sweeps: Dict[str, List]) -> List[Dict]:
-    """Cartesian product of sweep values → one override dict per combo."""
-    combos: List[Dict] = [{}]
-    for key, values in sweeps.items():
-        combos = [
-            {**combo, key: value} for combo in combos for value in values
-        ]
-    return combos
+def _scenario_list(args: argparse.Namespace) -> int:
+    scale = current_scale(None)
+    promoted = promoted_names()
+    width = max(len(n) for n in scenario_names() + promoted)
+    for name in scenario_names():
+        spec = build_scenario(name, scale)
+        print(f"  {name:<{width}}  built-in  {spec.description}")
+    for name in promoted:
+        spec = build_scenario(name, scale)
+        print(f"  {name:<{width}}  promoted  {spec.description}")
+    if promoted:
+        print(f"\n  promoted scenarios load from {scenarios_dir()}/")
+    print(
+        f"\n  {scenario_trials(scale)} trials/protocol at "
+        f"{scale.name} scale; 'repro scenario describe <name>' for "
+        "the full spec; generated scenarios run as gen:<seed>:<index>"
+    )
+    return 0
 
 
-def _run_scenario(args: argparse.Namespace) -> int:
-    if args.scenario_command == "list":
-        from repro.scenario.registry import promoted_names, scenarios_dir
+def _scenario_describe(args: argparse.Namespace) -> int:
+    print(build_scenario(args.name, current_scale(args.scale)).describe())
+    return 0
 
-        scale = current_scale(None)
-        promoted = promoted_names()
-        width = max(len(n) for n in scenario_names() + promoted)
-        for name in scenario_names():
-            spec = build_scenario(name, scale)
-            print(f"  {name:<{width}}  built-in  {spec.description}")
-        for name in promoted:
-            spec = build_scenario(name, scale)
-            print(f"  {name:<{width}}  promoted  {spec.description}")
-        if promoted:
-            print(f"\n  promoted scenarios load from {scenarios_dir()}/")
-        print(
-            f"\n  {scenario_trials(scale)} trials/protocol at "
-            f"{scale.name} scale; 'repro scenario describe <name>' for "
-            "the full spec; generated scenarios run as gen:<seed>:<index>"
-        )
-        return 0
-    scale = current_scale(args.scale)
-    if args.scenario_command == "generate":
-        return _run_scenario_generate(args, scale)
-    if args.scenario_command == "hunt":
-        return _run_scenario_hunt(args, scale)
-    if args.scenario_command == "describe":
-        try:
-            print(build_scenario(args.name, scale).describe())
-        except ValueError as exc:
-            print(f"error: {exc}", file=sys.stderr)
-            return 2
-        return 0
 
-    # run
+def _scenario_run(args: argparse.Namespace) -> int:
     protocols = [p.strip() for p in args.protocols.split(",") if p.strip()]
-    try:
-        if not protocols:
-            raise ValidationError(
-                "--protocols needs at least one protocol; choose from "
-                + ", ".join(protocol_names())
-            )
-        campaign = _campaign_setup(args)
-        sweeps = parse_sweeps(args.sweep)
-        for key in sweeps:
-            if "." in key:
-                # dotted per-protocol parameter keys ("gossip.rounds")
-                # validate against the registry; values keep their parsed
-                # type (the param dataclass coerces them)
-                from repro.protocols.registry import parse_param_key
-
-                parse_param_key(key)
-            elif key not in SCENARIO_SWEEP_KEYS:
-                raise ValidationError(
-                    f"scenario runs do not sweep {key!r}; supported keys: "
-                    + ", ".join(SCENARIO_SWEEP_KEYS)
-                    + ", plus protocol.param (e.g. gossip.rounds)"
-                )
-        combos = [
-            {k: (v if "." in k
-                 else _integer_sweep_value(k, v) if k in ("n", "trials")
-                 else float(v))
-             for k, v in combo.items()}
-            for combo in _scenario_sweep_combos(sweeps)
-        ]
-        # all combinations batch through ONE campaign run: the worker
-        # pool spins up once and combos overlap instead of barriering
-        reports = scenario_reports(
-            args.name,
-            combos,
-            protocols=protocols,
-            scale=scale,
-            campaign=campaign,
+    if not protocols:
+        raise ValidationError(
+            "--protocols needs at least one protocol; choose from "
+            + ", ".join(protocol_names())
         )
-    except ValueError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
+    campaign = _campaign_setup(args)
+    # all combinations batch through ONE campaign run: the worker
+    # pool spins up once and combos overlap instead of barriering
+    reports = scenario_reports(
+        args.name,
+        sweep_combos(parse_sweeps(args.sweep)),
+        protocols=protocols,
+        scale=current_scale(args.scale),
+        campaign=campaign,
+    )
     for index, report in enumerate(reports):
         if index:
             print()
@@ -1157,41 +963,24 @@ def _run_scenario(args: argparse.Namespace) -> int:
             report.write(args.out)
         print(f"artefacts written to {args.out}/")
     if args.store is not None:
-        try:
-            store = ResultStore(args.store or None)
-            run_ids = [
-                store.append(report.to_result_set()).run_id
-                for report in reports
-            ]
-        except (OSError, ValueError) as exc:
-            print(f"error: {exc}", file=sys.stderr)
-            return 2
+        store = ResultStore(args.store or None)
+        run_ids = [
+            store.append(report.to_result_set()).run_id for report in reports
+        ]
         print(f"stored as {', '.join(run_ids)} ({store.path})")
     return 0
 
 
-def _run_scenario_generate(args: argparse.Namespace, scale) -> int:
+def _scenario_generate(args: argparse.Namespace) -> int:
     """``repro scenario generate``: sample and print/write seeded specs."""
-    import json as _json
-
-    from repro.scenario.generate import ScenarioGenerator
-    from repro.scenario.trial import canonical_spec_json
-
-    try:
-        specs = ScenarioGenerator(args.seed, scale).specs(
-            args.count, start=args.start
-        )
-    except ValueError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
+    specs = ScenarioGenerator(args.seed, current_scale(args.scale)).specs(
+        args.count, start=args.start
+    )
     if args.out:
         os.makedirs(args.out, exist_ok=True)
         for spec in specs:
             stem = spec.name.replace(":", "-")
-            path = os.path.join(args.out, f"{stem}.json")
-            with open(path, "w", encoding="utf-8") as fh:
-                _json.dump(spec.to_json(), fh, indent=2, sort_keys=True)
-                fh.write("\n")
+            _write_json(os.path.join(args.out, f"{stem}.json"), spec.to_json())
         print(f"{len(specs)} specs written to {args.out}/")
     elif args.json:
         for spec in specs:
@@ -1204,22 +993,15 @@ def _run_scenario_generate(args: argparse.Namespace, scale) -> int:
     return 0
 
 
-def _run_scenario_hunt(args: argparse.Namespace, scale) -> int:
+def _scenario_hunt(args: argparse.Namespace) -> int:
     """``repro scenario hunt``: adversarial worst-case regret search."""
-    import json as _json
-
-    from repro.scenario.adversarial import hunt
-    from repro.scenario.registry import promote_scenario
-
-    store = ResultStore(args.store or None) if args.store is not None else None
-    try:
-        campaign = _campaign_setup(args)
-        if store is not None:
-            store.check_writable()
+    campaign = _campaign_setup(args)
+    wanted = False if args.store is None else (args.store or True)
+    with api.probed_store(wanted) as store:
         result = hunt(
             args.seed,
             args.budget,
-            scale=scale,
+            scale=current_scale(args.scale),
             top=args.top,
             trials=args.trials,
             protocol=args.protocol,
@@ -1228,11 +1010,6 @@ def _run_scenario_hunt(args: argparse.Namespace, scale) -> int:
             shrink=not args.no_shrink,
             campaign=campaign,
         )
-    except ValueError as exc:
-        if store is not None:
-            store.discard_probe_residue()
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
     print(result.render())
     print(f"\n{_campaign_summary(campaign)}")
     if store is not None:
@@ -1244,22 +1021,14 @@ def _run_scenario_hunt(args: argparse.Namespace, scale) -> int:
             args.out,
             f"hunt_{result.seed}_{result.scale}_b{result.budget}.json",
         )
-        with open(path, "w", encoding="utf-8") as fh:
-            _json.dump(result.to_json(), fh, indent=2, sort_keys=True)
-            fh.write("\n")
+        _write_json(path, result.to_json())
         print(f"hunt artefact written to {path}")
     if args.promote:
         if not result.finds:
-            print(
-                "error: nothing to promote (no finds cleared --min-regret)",
-                file=sys.stderr,
+            raise ValidationError(
+                "nothing to promote (no finds cleared --min-regret)"
             )
-            return 2
-        try:
-            path = promote_scenario(result.finds[0].minimized, args.promote)
-        except ValueError as exc:
-            print(f"error: {exc}", file=sys.stderr)
-            return 2
+        path = promote_scenario(result.finds[0].minimized, args.promote)
         print(
             f"promoted rank-1 find to {path} "
             f"(run it with: repro scenario run {args.promote})"
@@ -1283,7 +1052,7 @@ def _run_backends(args: argparse.Namespace) -> int:
 
 def _run_lint(args: argparse.Namespace) -> int:
     """``repro lint PATH...`` — the determinism static-analysis gate."""
-    from repro.analysis.lint import format_report, lint_paths
+    from repro.analysis.lint import format_report
     from repro.analysis.rules import rule_table
 
     if args.explain:
@@ -1296,53 +1065,33 @@ def _run_lint(args: argparse.Namespace) -> int:
         )
         return 0
     if not args.paths:
-        print("error: lint needs at least one PATH", file=sys.stderr)
-        return 2
-    select = (
-        None if args.select is None else [c for c in args.select.split(",")]
-    )
-    try:
-        violations = lint_paths(args.paths, select=select)
-    except (FileNotFoundError, ValueError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
+        raise ValidationError("lint needs at least one PATH")
+    select = None if args.select is None else args.select.split(",")
+    violations = api.lint_paths(args.paths, select=select)
     report, exit_code = format_report(violations)
     print(report, file=sys.stderr if exit_code else sys.stdout)
     return exit_code
 
 
 def main(argv: Optional[List[str]] = None) -> int:
+    """Parse, dispatch, and map a failure to an exit code — the only
+    place that happens.
+
+    A usage or filesystem error (``ValidationError`` / ``OSError``)
+    prints ``error: <msg>``; any other typed failure — one raised inside
+    a trial (unattainable K, no convergence before the deadline, ...),
+    possibly re-raised from a worker process — prints ``error: <Type>:
+    <msg>``.  Both are one line on stderr and exit 2, never a traceback;
+    anything else is a bug and stays a traceback.
+    """
     args = make_parser().parse_args(argv)
     try:
-        return _dispatch(args)
-    except ReproError as exc:
-        # a typed failure inside a trial (unattainable K, no convergence
-        # before the deadline, ...), possibly re-raised from a worker
-        # process: one line on stderr, never a traceback
-        print(f"error: {type(exc).__name__}: {exc}", file=sys.stderr)
+        return args.handler(args)
+    except (ReproError, OSError) as exc:
+        usage = isinstance(exc, (ValidationError, OSError))
+        message = str(exc) if usage else f"{type(exc).__name__}: {exc}"
+        print(f"error: {message}", file=sys.stderr)
         return 2
-
-
-def _dispatch(args: argparse.Namespace) -> int:
-    if args.command == "list":
-        return _run_list()
-    if args.command == "demo":
-        return _run_demo()
-    if args.command == "protocols":
-        return _run_protocols(args)
-    if args.command == "experiments":
-        return _run_experiments(args)
-    if args.command == "results":
-        return _run_results(args)
-    if args.command == "campaign":
-        return _run_campaign(args)
-    if args.command == "scenario":
-        return _run_scenario(args)
-    if args.command == "backends":
-        return _run_backends(args)
-    if args.command == "lint":
-        return _run_lint(args)
-    return _run_registry_experiment(args)
 
 
 if __name__ == "__main__":  # pragma: no cover

@@ -75,9 +75,13 @@ class AdaptiveParameters:
 
     Attributes:
         knowledge: heartbeat period, interval count, tick period.
-        view_impl: "vector" (NumPy tables, default — use for any
-            non-trivial system size) or "object" (didactic reference
-            implementation; behaviourally identical).
+        view_impl: "vector" (NumPy tables, default — what every
+            registry deployment runs) or "object": the literal
+            Algorithm 4 :class:`ProcessView`, kept as the differential
+            reference ``VectorView`` is tested against
+            (``tests/test_viewtable.py``, ``test_adaptive.py``,
+            ``test_determinism.py``).  This is the only place it is
+            selectable; no protocol params class forwards it.
         recompute_at_receiver: re-run ``optimize`` at every hop as in
             Algorithm 1 line 9 (same result, more CPU).
         piggyback_knowledge: attach the sender's ``(Lambda, C)`` snapshot

@@ -10,8 +10,8 @@ heartbeat per incident link per ``delta``, so messages/link accumulate at
 We run the full adaptive stack (vectorised views) until the
 :func:`repro.analysis.convergence.views_converged` predicate holds and
 report ``heartbeat messages sent / link count``.  Trials are described as
-campaign specs (seed-complete, spawn-safe), so ``repro campaign`` can
-fan them out across worker processes with results identical to the
+campaign specs (seed-complete, spawn-safe), so ``repro experiments run``
+can fan them out across worker processes with results identical to the
 serial run.
 """
 
@@ -22,7 +22,7 @@ from typing import Dict, List, Optional, Sequence, Tuple
 
 from repro.analysis.convergence import ConvergenceCriterion, views_converged
 from repro.core.adaptive import AdaptiveParameters
-from repro.errors import ConvergenceTimeoutError
+from repro.errors import ConvergenceTimeoutError, ValidationError
 from repro.experiments.campaign import Campaign, TrialSpec, chunked
 from repro.protocols.registry import (
     AdaptiveProtocolParams,
@@ -55,15 +55,22 @@ def _registry_params(
 
     Deployment goes through the protocol registry (the same
     ``factory(ctx)`` path as scenario trials); callers that tune
-    :class:`AdaptiveParameters` directly keep working.
+    :class:`AdaptiveParameters` directly keep working — except for
+    ``view_impl="object"``, which the registry does not deploy and this
+    refuses rather than silently measuring the vector view instead.
     """
     p = params or AdaptiveParameters()
+    if p.view_impl != "vector":
+        raise ValidationError(
+            "figure 5/6 runs deploy the vector view; view_impl="
+            f"{p.view_impl!r} is only selectable on AdaptiveParameters "
+            "handed to AdaptiveBroadcast directly"
+        )
     kp = p.knowledge
     return AdaptiveProtocolParams(
         delta=kp.delta,
         intervals=kp.intervals,
         tick=kp.tick,
-        view_impl=p.view_impl,
         recompute_at_receiver=p.recompute_at_receiver,
         piggyback_knowledge=p.piggyback_knowledge,
     )

@@ -7,8 +7,8 @@ effort stays nearly constant).  The metric is the same messages/link
 counter as Figure 5, with a mildly unreliable uniform configuration.
 
 Like Figures 4/5, every (topology, n, trial) cell is a seed-complete
-campaign spec, so ``repro campaign figure6`` parallelises and caches the
-sweep; ``--sweep topology=... --sweep size=... --sweep loss=...`` widens
+campaign spec, so ``repro experiments run figure6`` parallelises and
+caches the sweep; ``--sweep topology=... --sweep size=... --sweep loss=...`` widens
 or narrows the grid (multiple loss values add one curve per topology x
 loss combination).
 """
@@ -17,6 +17,7 @@ from __future__ import annotations
 
 from typing import Dict, List, Optional, Sequence
 
+from repro.errors import ValidationError
 from repro.experiments.campaign import Campaign, TrialSpec, chunked
 from repro.experiments.figure5 import convergence_messages_per_link
 from repro.experiments.runner import ExperimentScale, current_scale
@@ -55,7 +56,7 @@ def scalability_trial_task(
     elif topology == "tree":
         graph = random_tree(n, RandomSource("fig6-tree", n, trial))
     else:
-        raise ValueError(f"topology must be 'ring' or 'tree', got {topology!r}")
+        raise ValidationError(f"topology must be 'ring' or 'tree', got {topology!r}")
     config = Configuration.uniform(graph, crash=0.0, loss=loss)
     effort = convergence_messages_per_link(
         graph,
@@ -99,7 +100,7 @@ def figure6_point(
 ) -> Dict[str, float]:
     """Convergence effort for one (topology, n) point."""
     if topology not in TOPOLOGIES:
-        raise ValueError(f"topology must be 'ring' or 'tree', got {topology!r}")
+        raise ValidationError(f"topology must be 'ring' or 'tree', got {topology!r}")
     campaign = campaign or Campaign()
     trials = scale.convergence_trials(trials)
     results = campaign.run(_point_specs(topology, n, scale, trials, loss))
@@ -125,7 +126,7 @@ def _cell_grid(
     losses = tuple(losses or (loss,))
     for topology in topologies:
         if topology not in TOPOLOGIES:
-            raise ValueError(
+            raise ValidationError(
                 f"topology must be 'ring' or 'tree', got {topology!r}"
             )
     cells = [

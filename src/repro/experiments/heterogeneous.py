@@ -18,8 +18,8 @@ Both configurations rebuild deterministically from scalars (the
 heterogeneous one from its own ``("hetero", connectivity, seed)``
 stream), so the phase-1 trials (round budget + optimal cost, one per
 compared configuration) and the measurement trials are campaign specs
-like the Figure 4 ones and ``repro campaign heterogeneous`` parallelises
-the comparison.  Protocol stacks deploy through the protocol registry
+like the Figure 4 ones and ``repro experiments run heterogeneous``
+parallelises the comparison.  Protocol stacks deploy through the protocol registry
 (via the shared gossip trial runner), never by direct construction.
 """
 

@@ -623,7 +623,7 @@ def _sized_scale(
 ) -> ExperimentScale:
     """Apply the shared n / connectivity / trials axes to the scale.
 
-    Mirrors the legacy ``repro campaign`` sweep semantics exactly: ``n``
+    The ``--sweep`` semantics of ``repro experiments run``: ``n``
     replaces the system size first, swept connectivities must fit below
     the (possibly overridden) ``n`` — an explicitly requested value must
     never be silently dropped by the builders' ``connectivity < n`` grid

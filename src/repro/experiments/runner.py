@@ -2,7 +2,8 @@
 
 The figure modules build their trial grids from an :class:`ExperimentScale`
 and execute them through :class:`repro.experiments.campaign.Campaign`
-(serially by default; in parallel with caching under ``repro campaign``).
+(serially by default; in parallel with caching under ``repro experiments
+run``).
 This module owns the sizing presets and the seed-derivation helpers both
 paths share.
 """

@@ -73,7 +73,6 @@ class AdaptivePVParams(MembershipParams):
     delta: float = 1.0
     intervals: int = 50
     tick: float = 1.0
-    view_impl: str = "vector"
 
     def __post_init__(self) -> None:
         super().__post_init__()
@@ -85,8 +84,7 @@ class AdaptivePVParams(MembershipParams):
         return AdaptiveParameters(
             knowledge=KnowledgeParameters(
                 delta=self.delta, intervals=self.intervals, tick=self.tick
-            ),
-            view_impl=self.view_impl,
+            )
         )
 
 

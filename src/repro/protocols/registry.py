@@ -160,7 +160,6 @@ class AdaptiveProtocolParams:
         intervals: Bayesian interval count ``U`` (paper: 100; scenario
             runs default to 50 — see ``SCENARIO_KNOWLEDGE``).
         tick: self-reliability tick period (Events 3/4).
-        view_impl: "vector" (NumPy tables) or "object" (didactic).
         recompute_at_receiver: re-run ``optimize`` at every hop
             (Algorithm 1 line 9, literally).
         piggyback_knowledge: attach knowledge snapshots to forwarded
@@ -170,7 +169,6 @@ class AdaptiveProtocolParams:
     delta: float = 1.0
     intervals: int = 100
     tick: float = 1.0
-    view_impl: str = "vector"
     recompute_at_receiver: bool = False
     piggyback_knowledge: bool = False
 
@@ -178,17 +176,12 @@ class AdaptiveProtocolParams:
         check_positive(self.delta, "delta")
         check_positive_int(self.intervals, "intervals")
         check_positive(self.tick, "tick")
-        if self.view_impl not in ("vector", "object"):
-            raise ValidationError(
-                f"view_impl must be 'vector' or 'object', got {self.view_impl!r}"
-            )
 
     def to_adaptive_parameters(self) -> AdaptiveParameters:
         return AdaptiveParameters(
             knowledge=KnowledgeParameters(
                 delta=self.delta, intervals=self.intervals, tick=self.tick
             ),
-            view_impl=self.view_impl,
             recompute_at_receiver=self.recompute_at_receiver,
             piggyback_knowledge=self.piggyback_knowledge,
         )

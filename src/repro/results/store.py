@@ -350,45 +350,50 @@ class ResultStore:
     # -- exporting --------------------------------------------------------------------
 
     def export_json(self, experiment: Optional[str] = None) -> str:
-        """Matching runs as a JSON array (full records, provenance included)."""
-        return json.dumps(
-            [r.to_json() for r in self.query(experiment=experiment)],
-            indent=2,
-            sort_keys=True,
-        )
+        """:func:`results_json` of the matching runs."""
+        return results_json(self.query(experiment=experiment))
 
     def export_csv(self, experiment: Optional[str] = None) -> str:
-        """Matching runs as one flat CSV.
+        """:func:`results_csv` of the matching runs."""
+        return results_csv(self.query(experiment=experiment))
 
-        Each data row is prefixed with ``run_id``, ``experiment`` and
-        ``scale`` so rows from different runs stay distinguishable; the
-        data columns are the union of the matched runs' columns (gaps
-        stay empty), which keeps mixed-experiment exports loadable.
-        """
-        import csv
-        import io
 
-        results = self.query(experiment=experiment)
-        data_columns: List[str] = []
-        for result in results:
-            for column in result.columns:
-                if column not in data_columns:
-                    data_columns.append(column)
-        out = io.StringIO()
-        writer = csv.writer(out, lineterminator="\n")
-        writer.writerow(["run_id", "experiment", "scale"] + data_columns)
-        for result in results:
-            scale = result.provenance.scale if result.provenance else ""
-            for row in result.rows:
-                cells = row.as_dict()
-                writer.writerow(
-                    [result.run_id or "", result.experiment, scale]
-                    + [
-                        "" if cells.get(c) is None else cells.get(c)
-                        for c in data_columns
-                    ]
-                )
-        return out.getvalue()
+def results_json(results: List[ResultSet]) -> str:
+    """Runs as a JSON array (full records, provenance included)."""
+    return json.dumps([r.to_json() for r in results], indent=2, sort_keys=True)
+
+
+def results_csv(results: List[ResultSet]) -> str:
+    """Runs as one flat CSV.
+
+    Each data row is prefixed with ``run_id``, ``experiment`` and
+    ``scale`` so rows from different runs stay distinguishable; the
+    data columns are the union of the runs' columns (gaps stay empty),
+    which keeps mixed-experiment exports loadable.
+    """
+    import csv
+    import io
+
+    data_columns: List[str] = []
+    for result in results:
+        for column in result.columns:
+            if column not in data_columns:
+                data_columns.append(column)
+    out = io.StringIO()
+    writer = csv.writer(out, lineterminator="\n")
+    writer.writerow(["run_id", "experiment", "scale"] + data_columns)
+    for result in results:
+        scale = result.provenance.scale if result.provenance else ""
+        for row in result.rows:
+            cells = row.as_dict()
+            writer.writerow(
+                [result.run_id or "", result.experiment, scale]
+                + [
+                    "" if cells.get(c) is None else cells.get(c)
+                    for c in data_columns
+                ]
+            )
+    return out.getvalue()
 
 
 DiffSource = Union[ResultSet, str]

@@ -17,7 +17,7 @@ from dataclasses import dataclass, field
 from itertools import islice
 from typing import Dict, List, Optional, Sequence, Tuple
 
-from repro.errors import ValidationError
+from repro.errors import ValidationError, did_you_mean
 from repro.experiments.campaign import Campaign, TrialSpec
 from repro.experiments.runner import ExperimentScale, current_scale, scaled
 from repro.protocols.registry import (
@@ -33,11 +33,39 @@ from repro.scenario.registry import (
 from repro.scenario.schema import ScenarioSpec
 from repro.scenario.trial import TRIAL_FN
 from repro.util.tables import render_table
+from repro.util.validation import coerce_scalar
 
 #: Scalar keys ``repro scenario run --sweep`` accepts; dotted
 #: ``protocol.param`` keys (``gossip.rounds=4,8``) sweep per-protocol
 #: parameters on top — see :func:`repro.protocols.registry.parse_param_key`.
 SCENARIO_SWEEP_KEYS = ("n", "trials", "loss", "crash", "duration")
+
+
+def _scalar_sweep_value(key: str, value: object) -> float:
+    """One scalar override, checked against :data:`SCENARIO_SWEEP_KEYS`.
+
+    ``n`` and ``trials`` must be whole numbers: ``trials=2.9`` silently
+    running 2 trials would change the request without saying so.
+    """
+    if key not in SCENARIO_SWEEP_KEYS:
+        _, hint = did_you_mean(key, SCENARIO_SWEEP_KEYS)
+        raise ValidationError(
+            f"scenario runs do not sweep {key!r}; supported keys: "
+            + ", ".join(SCENARIO_SWEEP_KEYS)
+            + f", plus protocol.param (e.g. gossip.rounds){hint}"
+        )
+    kind = int if key in ("n", "trials") else float
+    return coerce_scalar(f"--sweep {key}", kind, value)
+
+
+def sweep_combos(sweeps: Dict[str, List]) -> List[Dict]:
+    """Cartesian product of sweep values → one override dict per combo."""
+    combos: List[Dict] = [{}]
+    for key, values in sweeps.items():
+        combos = [
+            {**combo, key: value} for combo in combos for value in values
+        ]
+    return combos
 
 
 def _fmt(value: object) -> str:
@@ -204,17 +232,19 @@ def split_param_overrides(
 ) -> Tuple[Dict[str, float], Dict[str, Dict[str, object]]]:
     """Split one sweep combo into scalar overrides and dotted param keys.
 
-    Dotted keys (``gossip.rounds``) resolve through the protocol
-    registry: the protocol half may be an alias, the parameter half must
-    exist on the protocol's params dataclass, and the protocol must be
-    part of the run — a sweep that silently targeted an absent protocol
-    would mislabel the table.
+    Scalar keys must be one of :data:`SCENARIO_SWEEP_KEYS` — an unknown
+    one would otherwise reach the trial function as a keyword.  Dotted
+    keys (``gossip.rounds``) resolve through the protocol registry: the
+    protocol half may be an alias, the parameter half must exist on the
+    protocol's params dataclass, and the protocol must be part of the
+    run — a sweep that silently targeted an absent protocol would
+    mislabel the table.
     """
     overrides: Dict[str, float] = {}
     params: Dict[str, Dict[str, object]] = {}
     for key, value in combo.items():
         if "." not in str(key):
-            overrides[key] = value
+            overrides[key] = _scalar_sweep_value(key, value)
             continue
         spec, param = parse_param_key(str(key))
         if spec.name not in protocols:
@@ -287,7 +317,9 @@ def scenario_reports(
     forming barriers.
     Each ``combo`` may carry ``n``, ``loss``, ``crash``, ``duration``,
     ``trials`` and dotted per-protocol parameter keys
-    (``gossip.rounds``); results are sliced back per combination, so the
+    (``gossip.rounds``) — any other key, or a fractional ``n`` /
+    ``trials``, raises :class:`ValidationError` before a trial is
+    submitted; results are sliced back per combination, so the
     tables are identical to running the combinations separately.
     """
     scale = scale or current_scale()
@@ -306,10 +338,7 @@ def scenario_reports(
         overrides, param_overrides = split_param_overrides(
             dict(combo), protocols
         )
-        trials_override = overrides.pop("trials", None)
-        trials = scenario_trials(
-            scale, int(trials_override) if trials_override is not None else None
-        )
+        trials = scenario_trials(scale, overrides.pop("trials", None))
         if trials < 1:
             raise ValidationError(f"trials must be >= 1, got {trials}")
         spec = _validated_spec(scenario, scale, overrides)

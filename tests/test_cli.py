@@ -89,23 +89,33 @@ class TestCommands:
 
 
 class TestCampaignCommand:
-    def test_parser_accepts_campaign(self):
+    """The campaign-engine options of ``experiments run ... --no-store``
+    (what the removed ``repro campaign`` spelling was)."""
+
+    def test_parser_accepts_run_options(self):
         args = make_parser().parse_args(
-            ["campaign", "figure4a", "--backend", "process:4", "--scale", "quick"]
-        )
-        assert args.command == "campaign"
-        assert args.experiment == "figure4a"
+            ["experiments", "run", "figure4a", "--backend", "process:4",
+             "--scale", "quick", "--no-store"]
+        )  # fmt: skip
+        assert args.command == "experiments"
+        assert args.name == "figure4a"
         assert args.backend == "process:4"
 
-    def test_parser_rejects_analytic_experiments(self):
-        with pytest.raises(SystemExit):
-            make_parser().parse_args(["campaign", "figure1"])
+    def test_campaign_spelling_is_gone(self, capsys):
+        with pytest.raises(SystemExit) as exit_info:
+            main(["campaign", "figure4a"])
+        assert exit_info.value.code == 2
+        assert "invalid choice: 'campaign'" in capsys.readouterr().err
+        assert main(["list"]) == 0
+        assert "campaign <experiment>" not in capsys.readouterr().out
 
     def test_bad_sweep_key_errors(self, tmp_path, capsys):
         rc = main(
             [
-                "campaign",
+                "experiments",
+                "run",
                 "figure4a",
+                "--no-store",
                 "--scale",
                 "quick",
                 "--cache-dir",
@@ -120,8 +130,10 @@ class TestCampaignCommand:
     def test_malformed_sweep_errors(self, tmp_path, capsys):
         rc = main(
             [
-                "campaign",
+                "experiments",
+                "run",
                 "figure4a",
+                "--no-store",
                 "--cache-dir",
                 str(tmp_path),
                 "--sweep",
@@ -133,8 +145,10 @@ class TestCampaignCommand:
 
     def test_campaign_runs_and_caches(self, tmp_path, capsys):
         argv = [
-            "campaign",
+            "experiments",
+            "run",
             "figure4b",
+            "--no-store",
             "--scale",
             "quick",
             "--backend",
@@ -168,8 +182,10 @@ class TestCampaignCommand:
     def test_out_of_range_connectivity_sweep_errors(self, capsys):
         rc = main(
             [
-                "campaign",
+                "experiments",
+                "run",
                 "figure4a",
+                "--no-store",
                 "--scale",
                 "quick",
                 "--no-cache",
@@ -183,8 +199,10 @@ class TestCampaignCommand:
     def test_figure6_trials_sweep_is_exact(self, capsys):
         rc = main(
             [
-                "campaign",
+                "experiments",
+                "run",
                 "figure6",
+                "--no-store",
                 "--scale",
                 "quick",
                 "--no-cache",
@@ -203,22 +221,26 @@ class TestCampaignCommand:
 
     def test_bad_topology_value_errors(self, capsys):
         rc = main(
-            ["campaign", "figure6", "--no-cache", "--sweep", "topology=torus"]
-        )
+            ["experiments", "run", "figure6", "--no-store", "--no-cache",
+             "--sweep", "topology=torus"]
+        )  # fmt: skip
         assert rc == 2
         assert "ring" in capsys.readouterr().err
 
     def test_workers_zero_errors(self, capsys):
         rc = main(
-            ["campaign", "figure4a", "--no-cache", "--backend", "process:0"]
-        )
+            ["experiments", "run", "figure4a", "--no-store", "--no-cache",
+             "--backend", "process:0"]
+        )  # fmt: skip
         assert rc == 2
         assert "workers" in capsys.readouterr().err
 
     def test_campaign_no_cache(self, tmp_path, capsys):
         argv = [
-            "campaign",
+            "experiments",
+            "run",
             "figure4b",
+            "--no-store",
             "--scale",
             "quick",
             "--no-cache",
@@ -690,12 +712,6 @@ class TestTrialErrorsExitCleanly:
         # the writability probe's empty file does not outlive the failure
         assert not store.parent.exists()
 
-    def test_campaign_command(self, failing_experiment, capsys):
-        rc = main(
-            ["campaign", failing_experiment, "--no-cache", "--backend", "serial"]
-        )
-        self.check(capsys, rc)
-
     def test_legacy_experiment_command(self, failing_experiment, capsys):
         self.check(capsys, main([failing_experiment]))
 
@@ -772,3 +788,81 @@ class TestBackendCacheSuffix:
         assert line.startswith("error: ")
         assert named in line and repr(spec) in line and str(tmp_path / "c") in line
         assert not list((tmp_path / "c").glob("*.json"))
+
+
+class TestOneRunPath:
+    """The short ``repro <experiment>`` spelling is ``experiments run``
+    with ``--backend serial --no-cache --no-store`` fixed."""
+
+    def test_short_spelling_prints_the_same_table(self, capsys):
+        assert main(["figure4a", "--scale", "quick"]) == 0
+        short = capsys.readouterr().out
+        assert main(
+            ["experiments", "run", "figure4a", "--scale", "quick",
+             "--backend", "serial", "--no-cache", "--no-store"]
+        ) == 0  # fmt: skip
+        table, _, summary = capsys.readouterr().out.partition("\ncampaign:")
+        assert table == short
+        assert "(backend=serial, cache=off)" in summary
+
+    def test_short_spelling_is_a_parser_row(self):
+        args = make_parser().parse_args(["figure4a", "--scale", "quick"])
+        run = make_parser().parse_args(
+            ["experiments", "run", "figure4a", "--scale", "quick",
+             "--backend", "serial", "--no-cache", "--no-store"]
+        )  # fmt: skip
+        assert args.handler is run.handler
+        for option in ("name", "scale", "backend", "cache_dir", "no_cache",
+                       "sweep", "rng_ledger", "store", "no_store", "out"):
+            assert getattr(args, option) == getattr(run, option), option
+
+
+# (command, the options that name a path it writes to)
+WRITERS = {
+    "experiments-run": (
+        ["experiments", "run", "figure1", "--backend", "serial"],
+        {"--cache-dir": ["--no-store"], "--out": ["--no-cache", "--no-store"],
+         "--store": ["--no-cache"]},
+    ),
+    "scenario-run": (
+        ["scenario", "run", "partition-heal", "--scale", "quick",
+         "--backend", "serial", "--protocols", "flooding", "--sweep", "trials=1"],
+        {"--cache-dir": [], "--out": ["--no-cache"], "--store": ["--no-cache"]},
+    ),
+    "scenario-hunt": (
+        ["scenario", "hunt", "--scale", "quick", "--backend", "serial",
+         "--budget", "1", "--trials", "1", "--no-shrink",
+         "--protocol", "flooding", "--oracle", "gossip"],
+        {"--cache-dir": [], "--out": ["--no-cache"], "--store": ["--no-cache"]},
+    ),
+    "scenario-generate": (
+        ["scenario", "generate", "--scale", "quick", "--count", "1"],
+        {"--out": []},
+    ),
+    "short-spelling": (["figure1"], {"--out": []}),
+}  # fmt: skip
+
+
+@pytest.mark.parametrize(
+    "command,option",
+    [(name, option) for name, (_, options) in WRITERS.items() for option in options],
+)
+def test_unwritable_path_is_one_error_line_and_exit_2(
+    command, option, tmp_path, monkeypatch, capsys
+):
+    """Every path-taking option of every writing command fails the same
+    way: exit 2, one ``error: `` line on stderr, never a traceback."""
+    monkeypatch.chdir(tmp_path)  # a default cache/store must land here
+    blocker = tmp_path / "file"
+    blocker.write_text("not a directory")
+    argv, options = WRITERS[command]
+    target = blocker / "sub" / "x"
+    rc = main(argv + options[option] + [option, str(target)])
+    err = capsys.readouterr().err
+    assert rc == 2
+    assert "Traceback" not in err
+    (line,) = err.splitlines()
+    assert line.startswith("error: ")
+    assert str(blocker) in line
+    assert blocker.read_text() == "not a directory"
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["file"]  # no residue

@@ -449,8 +449,8 @@ class TestCli:
     def test_backend_flag(self, capsys):
         code = main(
             [
-                "campaign", "figure4a", "--scale", "quick",
-                "--backend", "serial", "--no-cache",
+                "experiments", "run", "figure4a", "--no-store",
+                "--scale", "quick", "--backend", "serial", "--no-cache",
                 "--sweep", "crash=0.05", "--sweep", "connectivity=2",
                 "--sweep", "trials=1",
             ]
@@ -459,6 +459,9 @@ class TestCli:
         assert "backend=serial" in capsys.readouterr().out
 
     def test_unknown_backend_spec(self, capsys):
-        code = main(["campaign", "figure4a", "--backend", "threads"])
+        code = main(
+            ["experiments", "run", "figure4a", "--no-store",
+             "--backend", "threads"]
+        )  # fmt: skip
         assert code == 2
         assert "unknown backend" in capsys.readouterr().err

@@ -439,11 +439,11 @@ class TestCliIntegration:
         # crash make_parser; it stays reachable via 'experiments run'
         from repro.cli import make_parser
 
-        register_experiment(_dummy_spec(name="campaign"))
+        register_experiment(_dummy_spec(name="results"))
         parser = make_parser()
-        args = parser.parse_args(["campaign", "figure4a", "--no-cache"])
-        assert args.command == "campaign"  # the fixed subcommand won
-        assert resolve_experiment("campaign").description == "test experiment"
+        args = parser.parse_args(["results", "show", "--last", "1"])
+        assert args.results_command == "show"  # the fixed subcommand won
+        assert resolve_experiment("results").description == "test experiment"
 
     def test_unwritable_store_path_fails_before_running(self, tmp_path,
                                                         capsys):

@@ -541,6 +541,29 @@ class TestScenarioCampaign:
                 "partition-heal", protocols=("carrier-pigeon",), scale=QUICK
             )
 
+    @pytest.mark.parametrize(
+        "combo,expected",
+        [
+            ({"los": 0.1}, "do not sweep 'los'.*n, trials, loss, crash, duration"
+                           ".*did you mean 'loss'"),
+            ({"trials": 2.9}, "--sweep trials takes integer values, got 2.9"),
+            ({"loss": "lots"}, "--sweep loss takes numeric values, got 'lots'"),
+        ],
+        ids=["unknown-key", "fractional-trials", "non-numeric"],
+    )  # fmt: skip
+    def test_bad_sweep_is_rejected_before_any_trial(self, combo, expected):
+        """The API path checks what the CLI checks: a typo'd key must not
+        reach the trial function as a keyword."""
+        from repro.scenario.run import scenario_reports
+
+        campaign = Campaign()
+        kwargs = dict(protocols=("flooding",), scale=QUICK, campaign=campaign)
+        with pytest.raises(ValidationError, match=expected):
+            scenario_reports("partition-heal", [{"trials": 1}, combo], **kwargs)
+        with pytest.raises(ValidationError, match=expected):
+            scenario_report("partition-heal", overrides=combo, **kwargs)
+        assert (campaign.executed, campaign.cached) == (0, 0)
+
 
 class TestScenarioCli:
     def test_list(self, capsys):
