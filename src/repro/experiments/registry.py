@@ -22,18 +22,14 @@ experiment — built-in or third-party — parallelises, caches and resumes
 uniformly, and its output lands in the results store as durable data
 rather than rendered text.
 
-Third-party packages register experiments exactly like protocols:
-
-* **entry points** — declare ``[project.entry-points."repro.experiments"]``
-  pointing at an :class:`ExperimentSpec` (or a zero-argument callable /
-  list of specs);
-* **environment variable** — ``REPRO_EXPERIMENTS=module:attr,...``
-  loads specs from importable modules (reaches campaign workers too).
+Third-party packages register experiments exactly like protocols,
+through the ``repro.experiments`` entry-point group or the
+``REPRO_EXPERIMENTS`` environment variable — the shared mechanism is
+:mod:`repro.util.registry`.
 """
 
 from __future__ import annotations
 
-import os
 from dataclasses import dataclass, fields as dataclass_fields
 from typing import (
     Any,
@@ -57,7 +53,7 @@ from repro.errors import (
 from repro.experiments.campaign import Campaign, TrialResult, TrialSpec
 from repro.experiments.runner import ExperimentScale, current_scale, scaled
 from repro.results.schema import Provenance, ResultSet
-from repro.util.plugins import load_entry_point_plugins, load_env_plugins
+from repro.util.registry import Registry, normalise
 from repro.util.validation import coerce_scalar, unwrap_optional
 
 #: Entry-point group third-party packages register experiment specs under.
@@ -345,8 +341,8 @@ class ExperimentSpec:
         bare = str(key)
         if "." in bare:
             prefix, _, rest = bare.partition(".")
-            owners = {_norm(self.name), *(_norm(a) for a in self.aliases)}
-            if _norm(prefix) in owners and rest:
+            owners = {normalise(self.name), *(normalise(a) for a in self.aliases)}
+            if normalise(prefix) in owners and rest:
                 bare = rest
         if bare in names:
             return bare
@@ -435,69 +431,35 @@ def _coerce_axis(experiment: str, key: str, hint: Any, value: Any) -> Any:
 
 # -- the registry ---------------------------------------------------------------------
 
-_REGISTRY: Dict[str, ExperimentSpec] = {}  # canonical name -> spec, in order
-_LOOKUP: Dict[str, str] = {}  # normalized name/alias -> canonical name
-_plugins_loaded = False
+
+def _check_spec(name: str, spec: ExperimentSpec) -> None:
+    if not callable(spec.build) or not callable(spec.aggregate):
+        raise ValidationError(
+            f"experiment {name!r} build/aggregate hooks must be callable"
+        )
 
 
-def _norm(name: str) -> str:
-    return str(name).strip().lower().replace("_", "-")
+#: The one experiment registry; the functions below are its public face.
+EXPERIMENTS: Registry[ExperimentSpec] = Registry(
+    ExperimentSpec,
+    kind="experiment",
+    unknown_error=UnknownExperimentError,
+    entry_point_group=ENTRY_POINT_GROUP,
+    plugin_env=PLUGIN_ENV,
+    check=_check_spec,
+)
 
 
 def register_experiment(
     spec: ExperimentSpec, replace: bool = False
 ) -> ExperimentSpec:
-    """Register an experiment spec; returns it for chaining.
-
-    Raises:
-        ValidationError: on an empty/duplicate name or alias (unless
-            ``replace`` is set, which atomically swaps the old spec out).
-    """
-    if not isinstance(spec, ExperimentSpec):
-        raise ValidationError(
-            "register_experiment takes an ExperimentSpec, "
-            f"got {type(spec).__name__}"
-        )
-    name = _norm(spec.name)
-    if not name:
-        raise ValidationError("experiment name must be non-empty")
-    if not callable(spec.build) or not callable(spec.aggregate):
-        raise ValidationError(
-            f"experiment {name!r} build/aggregate hooks must be callable"
-        )
-    keys = [name] + [_norm(a) for a in spec.aliases]
-    for key in keys:
-        owner = _LOOKUP.get(key)
-        if owner is not None and owner != name and not replace:
-            raise ValidationError(
-                f"experiment name/alias {key!r} is already registered "
-                f"(by {owner!r}); pass replace=True to override"
-            )
-    if name in _REGISTRY and not replace:
-        raise ValidationError(
-            f"experiment {name!r} is already registered; "
-            "pass replace=True to override"
-        )
-    # evict the current owner of every colliding key (see the protocol
-    # registry: a replacing spec must never orphan another spec)
-    for key in keys:
-        unregister_experiment(key, missing_ok=True)
-    _REGISTRY[name] = spec
-    for key in keys:
-        _LOOKUP[key] = name
-    return spec
+    """Register an experiment spec (:meth:`Registry.register`); returns it."""
+    return EXPERIMENTS.register(spec, replace=replace)
 
 
 def unregister_experiment(name: str, missing_ok: bool = False) -> None:
     """Remove an experiment and all its aliases (mainly for tests/plugins)."""
-    canonical = _LOOKUP.get(_norm(name))
-    if canonical is None:
-        if missing_ok:
-            return
-        raise UnknownExperimentError(f"unknown experiment {name!r}")
-    _REGISTRY.pop(canonical, None)
-    for key in [k for k, v in _LOOKUP.items() if v == canonical]:
-        del _LOOKUP[key]
+    EXPERIMENTS.unregister(name, missing_ok=missing_ok)
 
 
 def resolve_experiment(
@@ -509,21 +471,7 @@ def resolve_experiment(
     with the closest registered match as a "did you mean?" suggestion —
     the same error shape as the protocol registry's.
     """
-    if isinstance(experiment, ExperimentSpec):
-        return experiment
-    key = _norm(experiment)
-    if key not in _LOOKUP:
-        discover_plugins()
-    canonical = _LOOKUP.get(key)
-    if canonical is None:
-        suggestion, hint = did_you_mean(key, _LOOKUP)
-        raise UnknownExperimentError(
-            f"unknown experiment {experiment!r}; choose from "
-            + ", ".join(experiment_names())
-            + hint,
-            suggestion=suggestion,
-        )
-    return _REGISTRY[canonical]
+    return EXPERIMENTS.resolve(experiment)
 
 
 def experiment_names(simulated: Optional[bool] = None) -> Tuple[str, ...]:
@@ -532,18 +480,25 @@ def experiment_names(simulated: Optional[bool] = None) -> Tuple[str, ...]:
     Args:
         simulated: filter on the spec's ``simulated`` flag (None = all).
     """
-    discover_plugins()
     return tuple(
         name
-        for name, spec in _REGISTRY.items()
+        for name, spec in zip(EXPERIMENTS.names(), EXPERIMENTS.specs())
         if simulated is None or spec.simulated == simulated
     )
 
 
 def experiment_specs() -> List[ExperimentSpec]:
     """All registered specs, in registration order."""
-    discover_plugins()
-    return list(_REGISTRY.values())
+    return EXPERIMENTS.specs()
+
+
+def discover_plugins(force: bool = False) -> List[str]:
+    """Load third-party experiment specs; returns newly registered names.
+
+    Lazy, once per process unless ``force``; the sources and their order
+    are :mod:`repro.util.registry`'s.
+    """
+    return EXPERIMENTS.discover(force=force)
 
 
 def run_experiment(
@@ -564,53 +519,6 @@ def run_experiment(
     return resolve_experiment(experiment).run(
         scale=scale, params=params, campaign=campaign
     )
-
-
-# -- plugin discovery -----------------------------------------------------------------
-
-
-def _register_plugin_object(obj: Any, source: str) -> List[str]:
-    """Register whatever a plugin hook produced; returns new names."""
-    if callable(obj) and not isinstance(obj, ExperimentSpec):
-        obj = obj()
-    specs = list(obj) if isinstance(obj, (list, tuple)) else [obj]
-    registered = []
-    for spec in specs:
-        if not isinstance(spec, ExperimentSpec):
-            raise ValidationError(
-                f"plugin {source} produced {type(spec).__name__}, "
-                "expected ExperimentSpec"
-            )
-        if _norm(spec.name) in _LOOKUP:
-            continue  # already present (built-in or earlier plugin) — keep it
-        register_experiment(spec)
-        registered.append(spec.name)
-    return registered
-
-
-def discover_plugins(force: bool = False) -> List[str]:
-    """Load third-party experiment specs; returns newly registered names.
-
-    Sources, in order: installed-package entry points in the
-    ``repro.experiments`` group, then the ``REPRO_EXPERIMENTS``
-    environment variable (``module:attr`` items, comma-separated).
-    Discovery is lazy and runs once per process; a broken plugin is
-    skipped with a warning rather than taking the registry down.
-    """
-    global _plugins_loaded
-    if _plugins_loaded and not force:
-        return []
-    _plugins_loaded = True
-    registered = load_entry_point_plugins(
-        ENTRY_POINT_GROUP, _register_plugin_object, kind="experiment"
-    )
-    registered += load_env_plugins(
-        os.environ.get(PLUGIN_ENV, ""),
-        PLUGIN_ENV,
-        _register_plugin_object,
-        kind="experiment",
-    )
-    return registered
 
 
 # -- built-in experiment hooks --------------------------------------------------------

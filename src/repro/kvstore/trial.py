@@ -37,9 +37,10 @@ from repro.kvstore.workload import (
     WorkloadGenerator,
     decode_workload,
 )
-from repro.protocols.registry import DeployContext, resolve_protocol
+from repro.protocols.registry import resolve_protocol
 from repro.scenario.registry import build_scenario
 from repro.scenario.schema import ScenarioSpec
+from repro.scenario.trial import _canonical_params, _deploy, decode_params
 from repro.sim.dynamics import DynamicsDriver
 from repro.sim.engine import Simulator
 from repro.sim.monitors import BroadcastMonitor, InvariantMonitor
@@ -77,13 +78,7 @@ def run_kv_trial(
     """
     proto = resolve_protocol(protocol)
     wparams = workload or KVWorkloadParams()
-    overrides = None
-    if params:
-        canonical: Dict[str, Dict[str, object]] = {}
-        for key, values in params.items():
-            name = resolve_protocol(key).name
-            canonical.setdefault(name, {}).update(values)
-        overrides = canonical.get(proto.name)
+    overrides = _canonical_params(params).get(proto.name)
 
     graph, tiers = spec.topology.build_with_tiers()
     config = spec.environment.base_configuration(graph, tiers)
@@ -95,15 +90,7 @@ def run_kv_trial(
     )
     network = Network(sim, config, root.child("net"), options=options)
     monitor = BroadcastMonitor(graph.n)
-    proto_params = proto.make_params(scenario=spec, overrides=overrides)
-    ctx = DeployContext(
-        network=network,
-        monitor=monitor,
-        k_target=spec.k_target,
-        rng=root,
-        params=proto_params,
-    )
-    nodes = proto.deploy(ctx)
+    nodes = _deploy(proto, spec, network, monitor, root, overrides)
 
     driver = DynamicsDriver(network, spec.timeline, name=spec.name, tiers=tiers)
     driver.install()
@@ -186,8 +173,6 @@ def kv_trial_task(
     per-protocol overrides — both strings because campaign spec
     parameters are hashable JSON-able scalars.
     """
-    from repro.scenario.trial import decode_params
-
     scale_obj = current_scale(str(scale))
     if n is not None:
         scale_obj = scaled(scale_obj, n=int(n))

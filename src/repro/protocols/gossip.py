@@ -195,11 +195,7 @@ def run_gossip_trial(
     # deployment goes through the protocol registry — the same
     # factory(ctx) path as scenario trials and the public API (imported
     # lazily: the registry imports this module for the factory)
-    from repro.protocols.registry import (
-        DeployContext,
-        GossipProtocolParams,
-        resolve_protocol,
-    )
+    from repro.protocols.registry import DeployContext, resolve_protocol
 
     network = make_network()
     monitor = BroadcastMonitor(network.graph.n)
@@ -208,7 +204,7 @@ def run_gossip_trial(
             network=network,
             monitor=monitor,
             k_target=k_target,
-            params=GossipProtocolParams(
+            params=GossipParameters(
                 rounds=rounds, step_period=step_period, fanout=fanout
             ),
         )

@@ -18,14 +18,10 @@ and the CLI all deploy through this registry, so adding a sixth protocol
                                      ctx.k_target) for p in ctx.processes],
     ))
 
-Third-party packages can ship protocols without touching this codebase:
-
-* **entry points** — declare ``[project.entry-points."repro.protocols"]``
-  pointing at a :class:`ProtocolSpec` (or a zero-argument callable / list
-  of specs); the registry discovers installed plugins lazily;
-* **environment variable** — ``REPRO_PROTOCOLS=module:attr,...`` loads
-  specs from importable modules, which also reaches campaign worker
-  processes (they re-import this module and re-run discovery).
+Third-party packages ship protocols without touching this codebase
+through the ``repro.protocols`` entry-point group or the
+``REPRO_PROTOCOLS`` environment variable; name resolution, aliases and
+plugin discovery are one shared mechanism, :mod:`repro.util.registry`.
 
 Capability flags replace protocol-name special-casing at the call sites:
 
@@ -48,8 +44,7 @@ Capability flags replace protocol-name special-casing at the call sites:
 from __future__ import annotations
 
 import dataclasses
-import os
-from dataclasses import dataclass, field, fields as dataclass_fields
+from dataclasses import dataclass, fields as dataclass_fields
 from typing import (
     Any,
     Callable,
@@ -83,7 +78,7 @@ from repro.protocols.partial_view import (
 from repro.protocols.twophase import TwoPhaseBroadcast, TwoPhaseParameters
 from repro.sim.monitors import BroadcastMonitor
 from repro.sim.network import Network
-from repro.util.plugins import load_entry_point_plugins, load_env_plugins
+from repro.util.registry import Registry
 from repro.util.rng import RandomSource
 from repro.util.validation import (
     check_positive,
@@ -95,9 +90,7 @@ from repro.util.validation import (
 #: Entry-point group third-party packages register protocol specs under.
 ENTRY_POINT_GROUP = "repro.protocols"
 
-#: Comma-separated ``module:attr`` list of plugin specs to load — the
-#: uninstalled-plugin path (reaches spawn-safe campaign workers too,
-#: since the environment is inherited and discovery re-runs on import).
+#: Comma-separated ``module:attr`` list of plugin specs to load.
 PLUGIN_ENV = "REPRO_PROTOCOLS"
 
 #: Knowledge-activity sizing scenario runs hand the adaptive protocol:
@@ -194,56 +187,15 @@ class OptimalProtocolParams:
     recompute_at_receiver: bool = False
 
 
-@dataclass(frozen=True)
-class GossipProtocolParams:
-    """Knobs of the Section 5 reference gossip.
-
-    Attributes:
-        rounds: per-broadcast forwarding rounds.  The paper calibrates
-            this empirically per environment (``needs_calibration``);
-            scenario runs default to the scenario's fixed
-            ``gossip_rounds`` budget.
-        step_period: virtual-time length of one forwarding step.
-        fanout: max neighbours targeted per step (None = all eligible,
-            the paper's baseline behaviour).
-    """
-
-    rounds: int = 5
-    step_period: float = 1.0
-    fanout: Optional[int] = None
-
-    def __post_init__(self) -> None:
-        check_positive_int(self.rounds, "rounds")
-        check_positive(self.step_period, "step_period")
-        if self.fanout is not None:
-            check_positive_int(self.fanout, "fanout")
+#: The gossip and two-phase knobs *are* the protocols' own frozen
+#: parameter classes; the registry-era names stay importable as aliases.
+GossipProtocolParams = GossipParameters
+TwoPhaseProtocolParams = TwoPhaseParameters
 
 
 @dataclass(frozen=True)
 class FloodingProtocolParams:
     """Flooding has no knobs; the empty dataclass keeps the surface uniform."""
-
-
-@dataclass(frozen=True)
-class TwoPhaseProtocolParams:
-    """Knobs of the bimodal-style two-phase baseline.
-
-    Attributes:
-        gossip_period: interval between anti-entropy digest exchanges.
-        rounds: anti-entropy rounds each process runs.  This is an
-            explicit parameter: scenario runs *default* it to
-            ``max(1, int(duration / gossip_period))`` (one repair
-            opportunity per period for the whole run) via the spec's
-            ``scenario_defaults`` hook — override with
-            ``--sweep two-phase.rounds=...`` or a params override.
-    """
-
-    gossip_period: float = 1.0
-    rounds: int = 10
-
-    def __post_init__(self) -> None:
-        check_positive(self.gossip_period, "gossip_period")
-        check_positive_int(self.rounds, "rounds")
 
 
 # -- the spec -------------------------------------------------------------------------
@@ -335,7 +287,9 @@ class ProtocolSpec:
                         f"protocol {self.name!r} has no parameter {key!r} "
                         f"(available: {', '.join(names) or 'none'}){hint}"
                     )
-                values[key] = _coerce_value(self.name, key, hints[key], value)
+                values[key] = coerce_scalar(
+                    f"protocol parameter {self.name}.{key}", hints[key], value
+                )
         return self.params_type(**values)
 
     def deploy(self, ctx: DeployContext) -> List[object]:
@@ -359,72 +313,33 @@ def _type_name(hint: Any) -> str:
     return getattr(hint, "__name__", str(hint))
 
 
-def _coerce_value(protocol: str, key: str, hint: Any, value: Any) -> Any:
-    """Coerce a sweep/override value to a parameter field's type."""
-    return coerce_scalar(f"protocol parameter {protocol}.{key}", hint, value)
-
-
 # -- the registry ---------------------------------------------------------------------
 
-_REGISTRY: Dict[str, ProtocolSpec] = {}  # canonical name -> spec, in order
-_LOOKUP: Dict[str, str] = {}  # normalized name/alias -> canonical name
-_plugins_loaded = False
+
+def _check_spec(name: str, spec: ProtocolSpec) -> None:
+    if not callable(spec.factory):
+        raise ValidationError(f"protocol {name!r} factory is not callable")
 
 
-def _norm(name: str) -> str:
-    return str(name).strip().lower().replace("_", "-")
+#: The one protocol registry; the functions below are its public face.
+PROTOCOLS: Registry[ProtocolSpec] = Registry(
+    ProtocolSpec,
+    kind="protocol",
+    unknown_error=UnknownProtocolError,
+    entry_point_group=ENTRY_POINT_GROUP,
+    plugin_env=PLUGIN_ENV,
+    check=_check_spec,
+)
 
 
 def register_protocol(spec: ProtocolSpec, replace: bool = False) -> ProtocolSpec:
-    """Register a protocol spec; returns it for chaining.
-
-    Raises:
-        ValidationError: on an empty/duplicate name or alias (unless
-            ``replace`` is set, which atomically swaps the old spec out).
-    """
-    if not isinstance(spec, ProtocolSpec):
-        raise ValidationError(
-            f"register_protocol takes a ProtocolSpec, got {type(spec).__name__}"
-        )
-    name = _norm(spec.name)
-    if not name:
-        raise ValidationError("protocol name must be non-empty")
-    if not callable(spec.factory):
-        raise ValidationError(f"protocol {name!r} factory is not callable")
-    keys = [name] + [_norm(a) for a in spec.aliases]
-    for key in keys:
-        owner = _LOOKUP.get(key)
-        if owner is not None and owner != name and not replace:
-            raise ValidationError(
-                f"protocol name/alias {key!r} is already registered "
-                f"(by {owner!r}); pass replace=True to override"
-            )
-    if name in _REGISTRY and not replace:
-        raise ValidationError(
-            f"protocol {name!r} is already registered; "
-            "pass replace=True to override"
-        )
-    # evict the current owner of every colliding key, not just `name`:
-    # a replacing spec whose alias steals another protocol's canonical
-    # name must not leave that protocol orphaned in the registry
-    for key in keys:
-        unregister_protocol(key, missing_ok=True)
-    _REGISTRY[name] = spec
-    for key in keys:
-        _LOOKUP[key] = name
-    return spec
+    """Register a protocol spec (:meth:`Registry.register`); returns it."""
+    return PROTOCOLS.register(spec, replace=replace)
 
 
 def unregister_protocol(name: str, missing_ok: bool = False) -> None:
     """Remove a protocol and all its aliases (mainly for tests/plugins)."""
-    canonical = _LOOKUP.get(_norm(name))
-    if canonical is None:
-        if missing_ok:
-            return
-        raise UnknownProtocolError(f"unknown protocol {name!r}")
-    _REGISTRY.pop(canonical, None)
-    for key in [k for k, v in _LOOKUP.items() if v == canonical]:
-        del _LOOKUP[key]
+    PROTOCOLS.unregister(name, missing_ok=missing_ok)
 
 
 def resolve_protocol(protocol: Union[str, ProtocolSpec]) -> ProtocolSpec:
@@ -434,33 +349,26 @@ def resolve_protocol(protocol: Union[str, ProtocolSpec]) -> ProtocolSpec:
     the closest registered match as a "did you mean?" suggestion — the
     single error path shared by the CLI, the scenario engine and the API.
     """
-    if isinstance(protocol, ProtocolSpec):
-        return protocol
-    key = _norm(protocol)
-    if key not in _LOOKUP:
-        discover_plugins()
-    canonical = _LOOKUP.get(key)
-    if canonical is None:
-        suggestion, hint = did_you_mean(key, _LOOKUP)
-        raise UnknownProtocolError(
-            f"unknown protocol {protocol!r}; choose from "
-            + ", ".join(protocol_names())
-            + hint,
-            suggestion=suggestion,
-        )
-    return _REGISTRY[canonical]
+    return PROTOCOLS.resolve(protocol)
 
 
 def protocol_names() -> Tuple[str, ...]:
     """Canonical names of all registered protocols, in registration order."""
-    discover_plugins()
-    return tuple(_REGISTRY)
+    return PROTOCOLS.names()
 
 
 def protocol_specs() -> List[ProtocolSpec]:
     """All registered specs, in registration order."""
-    discover_plugins()
-    return list(_REGISTRY.values())
+    return PROTOCOLS.specs()
+
+
+def discover_plugins(force: bool = False) -> List[str]:
+    """Load third-party protocol specs; returns newly registered names.
+
+    Lazy, once per process unless ``force``; the sources and their order
+    are :mod:`repro.util.registry`'s.
+    """
+    return PROTOCOLS.discover(force=force)
 
 
 def default_protocols() -> Tuple[str, ...]:
@@ -494,53 +402,6 @@ def parse_param_key(key: str) -> Tuple[ProtocolSpec, str]:
     return spec, param
 
 
-# -- plugin discovery -----------------------------------------------------------------
-
-
-def _register_plugin_object(obj: Any, source: str) -> List[str]:
-    """Register whatever a plugin hook produced; returns new names."""
-    if callable(obj) and not isinstance(obj, ProtocolSpec):
-        obj = obj()
-    specs = list(obj) if isinstance(obj, (list, tuple)) else [obj]
-    registered = []
-    for spec in specs:
-        if not isinstance(spec, ProtocolSpec):
-            raise ValidationError(
-                f"plugin {source} produced {type(spec).__name__}, "
-                "expected ProtocolSpec"
-            )
-        if _norm(spec.name) in _LOOKUP:
-            continue  # already present (built-in or earlier plugin) — keep it
-        register_protocol(spec)
-        registered.append(spec.name)
-    return registered
-
-
-def discover_plugins(force: bool = False) -> List[str]:
-    """Load third-party protocol specs; returns newly registered names.
-
-    Sources, in order: installed-package entry points in the
-    ``repro.protocols`` group, then the ``REPRO_PROTOCOLS`` environment
-    variable (``module:attr`` items, comma-separated).  Discovery is
-    lazy and runs once per process; a broken plugin is skipped with a
-    warning rather than taking the whole registry down.
-    """
-    global _plugins_loaded
-    if _plugins_loaded and not force:
-        return []
-    _plugins_loaded = True
-    registered = load_entry_point_plugins(
-        ENTRY_POINT_GROUP, _register_plugin_object, kind="protocol"
-    )
-    registered += load_env_plugins(
-        os.environ.get(PLUGIN_ENV, ""),
-        PLUGIN_ENV,
-        _register_plugin_object,
-        kind="protocol",
-    )
-    return registered
-
-
 # -- built-in protocol factories ------------------------------------------------------
 
 
@@ -568,14 +429,8 @@ def _deploy_optimal(ctx: DeployContext) -> List[object]:
 
 
 def _deploy_gossip(ctx: DeployContext) -> List[object]:
-    params: GossipProtocolParams = ctx.params or GossipProtocolParams()
-    gossip = GossipParameters(
-        rounds=params.rounds,
-        step_period=params.step_period,
-        fanout=params.fanout,
-    )
     return [
-        GossipBroadcast(p, ctx.network, ctx.monitor, ctx.k_target, gossip)
+        GossipBroadcast(p, ctx.network, ctx.monitor, ctx.k_target, ctx.params)
         for p in ctx.processes
     ]
 
@@ -588,10 +443,6 @@ def _deploy_flooding(ctx: DeployContext) -> List[object]:
 
 
 def _deploy_two_phase(ctx: DeployContext) -> List[object]:
-    params: TwoPhaseProtocolParams = ctx.params or TwoPhaseProtocolParams()
-    two_phase = TwoPhaseParameters(
-        gossip_period=params.gossip_period, rounds=params.rounds
-    )
     # the "twophase" child label predates the registry; keeping it keeps
     # every historical seed stream (and warm trial cache) valid
     return [
@@ -600,17 +451,18 @@ def _deploy_two_phase(ctx: DeployContext) -> List[object]:
             ctx.network,
             ctx.monitor,
             ctx.k_target,
-            two_phase,
+            ctx.params,
             rng=ctx.rng.child("twophase", p),
         )
         for p in ctx.processes
     ]
 
 
-def _deploy_gossip_pv(ctx: DeployContext) -> List[object]:
-    params: GossipPVParams = ctx.params or GossipPVParams()
+def _deploy_pv(ctx: DeployContext, node_type: type, params_type: type):
+    """The partial-view family: one sampler-hosting node per process."""
+    params = ctx.params or params_type()
     return [
-        GossipPVBroadcast(
+        node_type(
             p,
             ctx.network,
             ctx.monitor,
@@ -620,36 +472,18 @@ def _deploy_gossip_pv(ctx: DeployContext) -> List[object]:
         )
         for p in ctx.processes
     ]
+
+
+def _deploy_gossip_pv(ctx: DeployContext) -> List[object]:
+    return _deploy_pv(ctx, GossipPVBroadcast, GossipPVParams)
 
 
 def _deploy_flooding_pv(ctx: DeployContext) -> List[object]:
-    params: FloodingPVParams = ctx.params or FloodingPVParams()
-    return [
-        FloodingPVBroadcast(
-            p,
-            ctx.network,
-            ctx.monitor,
-            ctx.k_target,
-            params,
-            rng=ctx.rng.child("membership", p),
-        )
-        for p in ctx.processes
-    ]
+    return _deploy_pv(ctx, FloodingPVBroadcast, FloodingPVParams)
 
 
 def _deploy_adaptive_pv(ctx: DeployContext) -> List[object]:
-    params: AdaptivePVParams = ctx.params or AdaptivePVParams()
-    return [
-        AdaptivePVBroadcast(
-            p,
-            ctx.network,
-            ctx.monitor,
-            ctx.k_target,
-            params,
-            rng=ctx.rng.child("membership", p),
-        )
-        for p in ctx.processes
-    ]
+    return _deploy_pv(ctx, AdaptivePVBroadcast, AdaptivePVParams)
 
 
 def _adaptive_scenario_defaults(spec: Any) -> Dict[str, Any]:
@@ -700,7 +534,7 @@ register_protocol(
         factory=_deploy_gossip,
         description="Section 5 reference gossip with ACK suppression",
         aliases=("reference",),
-        params_type=GossipProtocolParams,
+        params_type=GossipParameters,
         needs_calibration=True,
         scenario_defaults=_gossip_scenario_defaults,
     )
@@ -720,7 +554,7 @@ register_protocol(
         factory=_deploy_two_phase,
         description="bimodal-style flood + anti-entropy repair baseline",
         aliases=("twophase", "bimodal"),
-        params_type=TwoPhaseProtocolParams,
+        params_type=TwoPhaseParameters,
         needs_rng=True,
         default_compare=False,  # heavyweight baseline: opt-in via --protocols
         scenario_defaults=_two_phase_scenario_defaults,

@@ -51,7 +51,12 @@ class TwoPhaseParameters:
 
     Attributes:
         gossip_period: interval between digest exchanges.
-        rounds: number of anti-entropy rounds to run per process.
+        rounds: number of anti-entropy rounds to run per process.  An
+            explicit parameter: scenario runs *default* it to
+            ``max(1, int(duration / gossip_period))`` (one repair
+            opportunity per period for the whole run) via the spec's
+            ``scenario_defaults`` hook — override with
+            ``--sweep two-phase.rounds=...`` or a params override.
     """
 
     gossip_period: float = 1.0

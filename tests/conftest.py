@@ -82,3 +82,18 @@ def build_network(
 @pytest.fixture
 def network_factory():
     return build_network
+
+
+@pytest.fixture
+def clean_registry():
+    """Snapshot the protocol and experiment registries; restore them after."""
+    from repro.experiments.registry import EXPERIMENTS
+    from repro.protocols.registry import PROTOCOLS
+
+    saved = [
+        (r, dict(r._specs), dict(r._owner), r._discovered)
+        for r in (PROTOCOLS, EXPERIMENTS)
+    ]
+    yield
+    for r, specs, owner, discovered in saved:
+        r._specs, r._owner, r._discovered = specs, owner, discovered

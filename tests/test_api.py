@@ -7,24 +7,10 @@ import pytest
 from repro import api
 from repro.errors import UnknownProtocolError, ValidationError
 from repro.experiments.runner import current_scale
-from repro.protocols import registry as reg
 from repro.protocols.flooding import FloodingBroadcast
 from repro.protocols.registry import ProtocolSpec
 
 QUICK = current_scale("quick")
-
-
-@pytest.fixture
-def clean_registry():
-    saved_registry = dict(reg._REGISTRY)
-    saved_lookup = dict(reg._LOOKUP)
-    saved_loaded = reg._plugins_loaded
-    yield
-    reg._REGISTRY.clear()
-    reg._REGISTRY.update(saved_registry)
-    reg._LOOKUP.clear()
-    reg._LOOKUP.update(saved_lookup)
-    reg._plugins_loaded = saved_loaded
 
 
 class TestProtocolSurface:

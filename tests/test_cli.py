@@ -866,3 +866,46 @@ def test_unwritable_path_is_one_error_line_and_exit_2(
     assert str(blocker) in line
     assert blocker.read_text() == "not a directory"
     assert sorted(p.name for p in tmp_path.iterdir()) == ["file"]  # no residue
+
+
+def test_plugin_raising_at_import_is_skipped_by_the_cli_and_its_workers(tmp_path):
+    """A ``REPRO_EXPERIMENTS`` module that raises at import costs one
+    warning on stderr: listing exits 0 without a traceback, and a
+    ``process:2`` run completes although every spawned worker inherits
+    the variable and re-runs discovery."""
+    import subprocess
+    import sys
+
+    import repro
+
+    (tmp_path / "exploding_plugin.py").write_text(
+        "raise RuntimeError('boom at import')\n"
+    )
+    src = os.path.dirname(os.path.dirname(repro.__file__))
+    env = dict(
+        os.environ,
+        PYTHONPATH=os.pathsep.join([src, str(tmp_path)]),
+        REPRO_EXPERIMENTS="exploding_plugin:SPEC",
+    )
+
+    def repro_cli(*argv):
+        return subprocess.run(
+            [sys.executable, "-m", "repro", *argv],
+            capture_output=True, text=True, timeout=240, cwd=tmp_path, env=env,
+        )  # fmt: skip
+
+    listing = repro_cli("experiments", "list")
+    assert listing.returncode == 0, listing.stderr
+    assert "figure4a" in listing.stdout
+    assert "skipping experiment plugin 'exploding_plugin:SPEC'" in listing.stderr
+    assert "boom at import" in listing.stderr
+    assert "Traceback" not in listing.stderr
+
+    run = repro_cli(
+        "experiments", "run", "figure1", "--backend", "process:2",
+        "--no-cache", "--no-store",
+    )  # fmt: skip
+    assert run.returncode == 0, run.stderr
+    assert "30 trials executed" in run.stdout
+    assert "backend=process:2" in run.stdout
+    assert "Traceback" not in run.stderr

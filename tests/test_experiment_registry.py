@@ -5,9 +5,12 @@ axis params (coercion, unknown keys, single-vs-multi value axes), the
 uniform build/aggregate execution path (bit-identical to the legacy
 table builders), provenance stamping, the api surface (run_experiment /
 load_results / diff_results with a store), and plugin discovery
-(entry points + REPRO_EXPERIMENTS).
+(entry points + REPRO_EXPERIMENTS).  The registry mechanics themselves
+(normalisation, collisions, lazy discovery, plugin atomicity) are tested
+once, generically, in ``test_registry.py``.
 """
 
+import dataclasses
 import sys
 import textwrap
 
@@ -42,20 +45,6 @@ TINY = scaled(
     calibration_trials=6,
     k_target=0.9,
 )
-
-
-@pytest.fixture
-def clean_registry():
-    """Snapshot the registry and restore it after the test."""
-    saved_registry = dict(reg._REGISTRY)
-    saved_lookup = dict(reg._LOOKUP)
-    saved_loaded = reg._plugins_loaded
-    yield
-    reg._REGISTRY.clear()
-    reg._REGISTRY.update(saved_registry)
-    reg._LOOKUP.clear()
-    reg._LOOKUP.update(saved_lookup)
-    reg._plugins_loaded = saved_loaded
 
 
 def _dummy_spec(name="test-exp", **kwargs):
@@ -142,6 +131,17 @@ class TestRegistration:
             register_experiment(replacement, replace=True) is replacement
         )
         assert resolve_experiment("test-exp") is replacement
+
+    def test_replace_keeps_registration_order(self, clean_registry):
+        # re-registering a built-in must not move it in `experiments list`
+        names = experiment_names()
+        register_experiment(resolve_experiment("figure1"), replace=True)
+        register_experiment(
+            dataclasses.replace(resolve_experiment("figure4a"), aliases=()),
+            replace=True,
+        )
+        assert experiment_names() == names
+        assert experiment_names(simulated=False) == ("figure1", "table1")
 
     def test_alias_collision_with_builtin_rejected(self, clean_registry):
         with pytest.raises(ValidationError, match="already registered"):
@@ -423,14 +423,31 @@ class TestPluginDiscovery:
             discover_plugins(force=True)
         assert "figure4a" in experiment_names()  # registry still intact
 
-    def test_unknown_name_triggers_discovery(self, clean_registry,
-                                             plugin_on_path):
-        # resolving a not-yet-known name must look at plugins before
-        # giving up, exactly like the protocol registry
-        reg._plugins_loaded = False
-        assert resolve_experiment("dummy-exp").description == (
-            "dummy plugin experiment"
+    def test_two_spec_plugin_registers_all_or_nothing(self, clean_registry,
+                                                      tmp_path, monkeypatch):
+        # the second spec's alias collides with a built-in: the plugin is
+        # skipped whole, its first spec must not stay behind
+        monkeypatch.syspath_prepend(str(tmp_path))
+        (tmp_path / "pair_exp_plugin.py").write_text(
+            PLUGIN_MODULE.replace("dummy-exp", "pair-first").replace(
+                '"dexp"', '"pair1"'
+            )
+            + "import dataclasses\n"
+            + "SPECS = [SPEC, dataclasses.replace("
+            + 'SPEC, name="pair-second", aliases=("fig1",))]\n'
         )
+        monkeypatch.setenv(reg.PLUGIN_ENV, "pair_exp_plugin:SPECS")
+        before = experiment_names()
+        try:
+            with pytest.warns(UserWarning, match="skipping experiment plugin"):
+                assert discover_plugins(force=True) == []
+        finally:
+            sys.modules.pop("pair_exp_plugin", None)
+        assert experiment_names() == before
+        assert resolve_experiment("fig1").name == "figure1"
+        for name in ("pair-first", "pair1", "pair-second"):
+            with pytest.raises(UnknownExperimentError):
+                resolve_experiment(name)
 
 
 class TestCliIntegration:

@@ -4,9 +4,12 @@ Covers the new public protocol surface: spec registration round-trips,
 alias resolution, did-you-mean errors, typed parameter
 building/coercion, capability-flag-driven instrumentation in scenario
 trials, plugin discovery (entry points + REPRO_PROTOCOLS), and the
-pre/post-refactor bit-identity regression pin.
+pre/post-refactor bit-identity regression pin.  The registry mechanics
+themselves (normalisation, collisions, lazy discovery, plugin atomicity)
+are tested once, generically, in ``test_registry.py``.
 """
 
+import dataclasses
 import sys
 import textwrap
 
@@ -40,20 +43,6 @@ from repro.topology.generators import ring
 from repro.util.rng import RandomSource
 
 QUICK = current_scale("quick")
-
-
-@pytest.fixture
-def clean_registry():
-    """Snapshot the registry and restore it after the test."""
-    saved_registry = dict(reg._REGISTRY)
-    saved_lookup = dict(reg._LOOKUP)
-    saved_loaded = reg._plugins_loaded
-    yield
-    reg._REGISTRY.clear()
-    reg._REGISTRY.update(saved_registry)
-    reg._LOOKUP.clear()
-    reg._LOOKUP.update(saved_lookup)
-    reg._plugins_loaded = saved_loaded
 
 
 def _flood_spec(name="test-flood", **kwargs):
@@ -155,6 +144,19 @@ class TestRegistration:
         assert resolve_protocol("new-alias") is replacement
         with pytest.raises(UnknownProtocolError):
             resolve_protocol("old-alias")
+
+    def test_replace_keeps_registration_order(self, clean_registry):
+        # re-registering a built-in must not move it: protocol_names(),
+        # default_protocols() and the scenario-run row order follow it
+        names, defaults = protocol_names(), default_protocols()
+        register_protocol(resolve_protocol("adaptive"), replace=True)
+        register_protocol(
+            dataclasses.replace(resolve_protocol("gossip"), aliases=()),
+            replace=True,
+        )
+        assert protocol_names() == names
+        assert default_protocols() == defaults
+        assert [spec.name for spec in protocol_specs()] == list(names)
 
     def test_unregister_removes_aliases(self, clean_registry):
         register_protocol(_flood_spec(aliases=("tf",)))
@@ -393,14 +395,31 @@ class TestPluginDiscovery:
             discover_plugins(force=True)
         assert "gossip" in protocol_names()  # registry still intact
 
-    def test_unknown_name_triggers_discovery(self, clean_registry,
-                                             plugin_on_path):
-        # resolving a not-yet-known name must look at plugins before
-        # giving up — the CLI path for uninstalled REPRO_PROTOCOLS specs
-        reg._plugins_loaded = False
-        assert resolve_protocol("dummy-proto").description == (
-            "dummy plugin protocol"
+    def test_two_spec_plugin_registers_all_or_nothing(self, clean_registry,
+                                                      tmp_path, monkeypatch):
+        # the second spec's alias collides with a built-in: the plugin is
+        # skipped whole, its first spec must not stay behind
+        monkeypatch.syspath_prepend(str(tmp_path))
+        (tmp_path / "pair_proto_plugin.py").write_text(
+            PLUGIN_MODULE.replace("dummy-proto", "pair-first").replace(
+                '"dummy"', '"pair1"'
+            )
+            + "import dataclasses\n"
+            + "SPECS = [SPEC, dataclasses.replace("
+            + 'SPEC, name="pair-second", aliases=("oracle",))]\n'
         )
+        monkeypatch.setenv(reg.PLUGIN_ENV, "pair_proto_plugin:SPECS")
+        before = protocol_names()
+        try:
+            with pytest.warns(UserWarning, match="skipping protocol plugin"):
+                assert discover_plugins(force=True) == []
+        finally:
+            sys.modules.pop("pair_proto_plugin", None)
+        assert protocol_names() == before
+        assert resolve_protocol("oracle").name == "optimal"
+        for name in ("pair-first", "pair1", "pair-second"):
+            with pytest.raises(UnknownProtocolError):
+                resolve_protocol(name)
 
 
 class TestReviewRegressions:
