@@ -53,7 +53,6 @@ if TYPE_CHECKING:
 from repro.errors import ValidationError
 from repro.exec import (
     ExecutionBackend,
-    ProcessPoolBackend,
     SerialBackend,
     ShardQueueBackend,
     parse_backend,
@@ -169,7 +168,6 @@ __all__ = [
     "compare",
     "ExecutionBackend",
     "SerialBackend",
-    "ProcessPoolBackend",
     "ShardQueueBackend",
     "parse_backend",
     # typed results
@@ -525,7 +523,7 @@ def run_scenario(
     campaign = Campaign(backend=backend)
 
     if isinstance(scenario, ScenarioSpec):
-        if campaign.workers > 1:
+        if campaign.backend.workers > 1:
             raise ValidationError(
                 "a custom ScenarioSpec runs serially (backend='serial'): "
                 "campaign workers rebuild trials from the scenario *name*; "

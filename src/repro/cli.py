@@ -669,7 +669,7 @@ def _run_experiment(args: argparse.Namespace) -> int:
             spec,
             args.out,
             metadata={
-                "workers": campaign.workers,
+                "workers": campaign.backend.workers,
                 "trials_executed": campaign.executed,
                 "cache_hits": campaign.cached,
                 "sweeps": args.sweep,

@@ -2,18 +2,20 @@
 
 One streaming contract — :meth:`ExecutionBackend.submit` yields
 ``(spec, result)`` pairs in completion order — carries a campaign from
-in-process serial execution to a multiprocessing pool to a simulated
-work-stealing fleet with worker loss, without ever changing the
+in-process serial execution to a work-stealing fleet of spawned
+workers with simulated worker loss, without ever changing the
 aggregate output: the campaign restores submission order, so results
-are bit-identical at any worker count and any steal schedule.
+are bit-identical at any worker count and any steal schedule.  The
+backend that computes a fresh trial is the only code that writes it
+to the trial cache.
 
-Pick a backend by spec string (``"serial"``, ``"process:8"``,
-``"shard:8:32"``, optional ``+cache[=DIR]`` suffix) via
-:func:`parse_backend`, or construct one directly.
+Pick a backend by spec string (``"serial"``, ``"shard:8:32"``;
+``"process:8"`` is another spelling of ``"shard:8"``; optional
+``+cache[=DIR]`` suffix) via :func:`parse_backend`, or construct one
+directly.
 """
 
 from repro.exec.backend import ExecutionBackend, ShardRecord
-from repro.exec.pool import ProcessPoolBackend
 from repro.exec.serial import SerialBackend
 from repro.exec.shard import (
     FAULTS_ENV,
@@ -31,7 +33,6 @@ __all__ = [
     "ExecutionBackend",
     "ShardRecord",
     "SerialBackend",
-    "ProcessPoolBackend",
     "ShardQueueBackend",
     "FaultPlan",
     "FAULTS_ENV",

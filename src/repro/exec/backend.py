@@ -11,10 +11,12 @@ A backend is a strategy for turning a batch of :class:`TrialSpec` into
   backend is free to fan out, steal work, or retry failed workers
   without ever affecting the aggregate output;
 * :attr:`ExecutionBackend.cache` is the shared
-  :class:`~repro.util.cache.TrialCache` (or ``None``); backends that
-  run workers out-of-process pass the cache *directory* down so workers
-  persist finished trials themselves and a retried shard recovers its
-  predecessor's work instead of recomputing it.
+  :class:`~repro.util.cache.TrialCache` (or ``None``); a backend that
+  has one persists each fresh result *before* yielding it, and is the
+  only writer — the campaign reads the cache but never writes it.
+  Backends that run workers out-of-process pass the cache *directory*
+  down so workers persist finished trials themselves and a retried
+  shard recovers its predecessor's work instead of recomputing it.
 
 Backends that partition work additionally report
 :class:`ShardRecord` entries through :meth:`ExecutionBackend.shard_records`
@@ -67,7 +69,7 @@ class ExecutionBackend(ABC):
     """Strategy for executing a batch of campaign trial specs.
 
     Attributes:
-        name: short registry name (``"serial"``, ``"process"``, ...).
+        name: short registry name (``"serial"``, ``"shard"``).
         workers: logical worker count the backend fans out to.
         cache: shared :class:`TrialCache`; the campaign wires its own
             cache in before submitting, and spec strings may attach one
@@ -86,12 +88,14 @@ class ExecutionBackend(ABC):
     ) -> Iterator[Tuple[TrialSpec, TrialResult]]:
         """Execute ``specs``, yielding each exactly once as it completes.
 
-        Completion order is unconstrained; callers reorder.  Raising
-        from a trial function propagates to the consumer.
+        Completion order is unconstrained; callers reorder.  With a
+        :attr:`cache`, every freshly computed result is on disk before
+        it is yielded.  Raising from a trial function propagates to the
+        consumer.
         """
 
     def describe(self) -> str:
-        """The backend in spec-string form (``"process:4"``)."""
+        """The backend in spec-string form (``"shard:4"``)."""
         if self.workers == 1:
             return self.name
         return f"{self.name}:{self.workers}"

@@ -6,7 +6,9 @@ key, so the same spec set shards identically regardless of submission
 order), shards are dealt round-robin onto per-worker deques, and an
 idle worker that drains its own deque *steals from the tail* of the
 busiest sibling.  Shard execution happens in spawn-context worker
-processes (or inline, for ``workers=1`` and deterministic tests).
+processes (or inline, when only one slot would run and in
+deterministic tests).  This is the only parallel backend: the
+``process[:N]`` spec string is another spelling of ``shard[:N]``.
 
 Worker loss is simulated, not suffered: a fault-injection hook — keyed
 by ``(shard id, attempt)`` so it is independent of timing and worker
@@ -49,13 +51,10 @@ from typing import (
 
 from repro.errors import ValidationError
 from repro.exec.backend import ExecutionBackend, ShardRecord
-from repro.experiments.campaign import (
-    TrialResult,
-    TrialSpec,
-    cached_result,
-    execute_spec,
-)
+from repro.exec.serial import execute_and_cache
+from repro.experiments.campaign import TrialResult, TrialSpec, cached_result
 from repro.util.cache import TrialCache
+from repro.util.validation import check_positive_int
 
 #: Environment variable carrying a :class:`FaultPlan` string — lets CI
 #: smoke jobs kill workers without touching the Python surface.
@@ -137,19 +136,13 @@ def _run_shard(
     for index, spec in enumerate(specs):
         if die_after is not None and index >= die_after:
             return [], executed, cached, True
-        key = spec.key()
-        hit = cached_result(cache, spec, key)
+        hit = cached_result(cache, spec, spec.key())
         if hit is not None:
             pairs.append((spec, hit))
             cached += 1
             continue
-        result = execute_spec(spec)
+        pairs.append((spec, execute_and_cache(spec, cache)))
         executed += 1
-        if cache is not None:
-            cache.put(
-                key, result, context={"fn": spec.fn, "params": spec.kwargs()}
-            )
-        pairs.append((spec, result))
     if die_after is not None:
         # finished the shard but died before reporting: the work
         # survives only through the cache write-through above
@@ -160,7 +153,7 @@ def _run_shard(
 class _InlineExecutor:
     """Executor double that runs submissions eagerly in-process.
 
-    Used for ``workers=1`` and for tests that need deterministic,
+    Used when only one slot would run and for tests that need deterministic,
     subprocess-free scheduling; the scheduler code is identical either
     way because :func:`concurrent.futures.wait` accepts plain futures.
     """
@@ -188,7 +181,8 @@ class ShardQueueBackend(ExecutionBackend):
         fault_injector: test hook, ``(shard, attempt) -> completed`` or
             ``None``; defaults to the :data:`FAULTS_ENV` plan if set.
         inline: run shards in-process instead of spawning workers
-            (default: only when ``workers == 1``).
+            (default: decided per batch — inline when only one slot
+            would run, so a one-spec batch never starts a pool).
     """
 
     name = "shard"
@@ -204,15 +198,13 @@ class ShardQueueBackend(ExecutionBackend):
         super().__init__()
         if workers is None:
             workers = os.cpu_count() or 1
-        if workers < 1:
-            raise ValidationError(f"workers must be >= 1, got {workers}")
-        if shards is not None and shards < 1:
-            raise ValidationError(f"shards must be >= 1, got {shards}")
-        self.workers = workers
+        self.workers = check_positive_int(workers, "workers")
+        if shards is not None:
+            check_positive_int(shards, "shards")
         self.shards = shards
         self.cache = cache
         self.fault_injector = fault_injector
-        self.inline = (workers == 1) if inline is None else inline
+        self.inline = inline
         self._records: List[ShardRecord] = []
 
     def describe(self) -> str:
@@ -264,7 +256,8 @@ class ShardQueueBackend(ExecutionBackend):
         attempts: Dict[int, int] = {}
         stats: Dict[int, Dict[str, int]] = {}
         cache_dir = self.cache.directory if self.cache is not None else None
-        if self.inline:
+        inline = slots == 1 if self.inline is None else self.inline
+        if inline:
             executor = _InlineExecutor()
         else:
             executor = ProcessPoolExecutor(

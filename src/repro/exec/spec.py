@@ -4,7 +4,8 @@ One grammar serves the CLI (``--backend``) and the API (``backend=``)::
 
     NAME[:ARG[:ARG]][+cache[=DIR]]
 
-where NAME picks the backend, the integer ARGs are positional
+where NAME picks the backend (``process`` is a spelling of ``shard``),
+the integer ARGs are the backend's positional constructor arguments
 (``workers`` then, for ``shard``, the shard count) and the optional
 ``+cache`` suffix attaches a shared :class:`~repro.util.cache.TrialCache`
 (default directory, or ``DIR``).
@@ -17,7 +18,6 @@ from typing import Callable, List, Optional, Tuple, Union
 
 from repro.errors import ValidationError
 from repro.exec.backend import ExecutionBackend
-from repro.exec.pool import ProcessPoolBackend
 from repro.exec.serial import SerialBackend
 from repro.exec.shard import ShardQueueBackend
 from repro.util.cache import TrialCache
@@ -30,23 +30,8 @@ class BackendInfo:
     name: str
     syntax: str
     description: str
-    factory: Callable[[List[int]], ExecutionBackend]
+    factory: Callable[..., ExecutionBackend]  # called with the integer ARGs
     max_args: int
-
-
-def _make_serial(args: List[int]) -> ExecutionBackend:
-    return SerialBackend()
-
-
-def _make_process(args: List[int]) -> ExecutionBackend:
-    return ProcessPoolBackend(workers=args[0] if args else None)
-
-
-def _make_shard(args: List[int]) -> ExecutionBackend:
-    return ShardQueueBackend(
-        workers=args[0] if args else None,
-        shards=args[1] if len(args) > 1 else None,
-    )
 
 
 BACKENDS: Tuple[BackendInfo, ...] = (
@@ -54,14 +39,14 @@ BACKENDS: Tuple[BackendInfo, ...] = (
         name="serial",
         syntax="serial",
         description="every trial in-process, in submission order",
-        factory=_make_serial,
+        factory=SerialBackend,
         max_args=0,
     ),
     BackendInfo(
         name="process",
         syntax="process[:N]",
-        description="spawn-context pool of N workers (default: all CPUs)",
-        factory=_make_process,
+        description="spelling of shard[:N]: N workers (default: all CPUs)",
+        factory=ShardQueueBackend,
         max_args=1,
     ),
     BackendInfo(
@@ -71,7 +56,7 @@ BACKENDS: Tuple[BackendInfo, ...] = (
             "S content-keyed shards (default 4xN) on N work-stealing "
             "workers; died shards retry via the shared cache"
         ),
-        factory=_make_shard,
+        factory=ShardQueueBackend,
         max_args=2,
     ),
 )
@@ -117,7 +102,7 @@ def parse_backend(text: str) -> ExecutionBackend:
             f"backend {name!r} takes at most {info.max_args} "
             f"argument(s) ({info.syntax}), got {len(args)}"
         )
-    backend = info.factory(args)
+    backend = info.factory(*args)
     if cache is not None:
         backend.cache = cache
     return backend

@@ -21,11 +21,13 @@ execution:
   resume for free (only never-finished trials execute).
 
 *How* trials execute is delegated to a pluggable
-:class:`~repro.exec.ExecutionBackend` (in-process serial, spawn-context
-process pool, or a work-stealing shard queue with simulated worker
-loss — see :mod:`repro.exec`).  Out-of-process workers re-import the
-experiment modules and resolve the trial function by name, so no live
-simulator state ever crosses a process boundary.
+:class:`~repro.exec.ExecutionBackend` (in-process serial, or a
+work-stealing shard queue of spawned workers with simulated worker
+loss — see :mod:`repro.exec`).  The backend that computes a fresh trial
+is the one that writes it to the cache; the campaign only reads hits.
+Out-of-process workers re-import the experiment modules and resolve the
+trial function by name, so no live simulator state ever crosses a
+process boundary.
 """
 
 from __future__ import annotations
@@ -136,7 +138,7 @@ class TrialSpec:
 
 
 def execute_spec(spec: TrialSpec) -> TrialResult:
-    """Run one trial in the current process (also the pool worker body).
+    """Run one trial in the current process (also the shard worker body).
 
     The reserved ``rng_ledger`` parameter never reaches the trial
     function: when present and true, the trial runs inside a
@@ -185,11 +187,6 @@ def cached_result(
     return hit
 
 
-def _execute_keyed(spec: TrialSpec) -> Tuple[TrialSpec, TrialResult]:
-    """Pool worker body: tag the result with its spec for unordered reads."""
-    return spec, execute_spec(spec)
-
-
 def chunked(results: Sequence[TrialResult], size: int):
     """Slice ordered campaign results into consecutive per-point chunks."""
     for start in range(0, len(results), size):
@@ -202,10 +199,9 @@ class Campaign:
     Args:
         cache: optional :class:`TrialCache`; when set, completed trials
             are persisted and later batches skip anything already on
-            disk.  Cache writes happen in the parent as results arrive,
-            so an interrupted campaign keeps everything that finished.
-            The cache is also wired into the backend so out-of-process
-            workers share it.
+            disk.  The cache is wired into the backend, which writes
+            each fresh result before yielding it, so an interrupted
+            campaign keeps everything that finished.
         rng_ledger: when true, every trial runs with an active
             :class:`~repro.util.rng.DrawLedger`; per-stream draw counts
             accumulate into :attr:`rng_draws` (summed over executed and
@@ -213,7 +209,7 @@ class Campaign:
             trials cache under distinct content keys, so default runs
             stay byte-identical to a build without the ledger.
         backend: an :class:`~repro.exec.ExecutionBackend` instance or a
-            spec string (``"serial"``, ``"process:8"``, ``"shard:8"``);
+            spec string (``"serial"``, ``"shard:8"``);
             defaults to serial.
 
     The cumulative counters :attr:`executed` and :attr:`cached` track how
@@ -240,7 +236,6 @@ class Campaign:
         if cache is not None:
             backend.cache = cache
         self.backend = backend
-        self.workers = backend.workers
         self.cache = backend.cache
         self.rng_ledger = rng_ledger
         self.executed = 0
@@ -259,8 +254,8 @@ class Campaign:
         """Execute ``specs``, yielding results in submission order.
 
         Duplicate specs (same content key) execute once.  With a cache,
-        hits are returned without executing; every fresh result is
-        persisted the moment it arrives, so a crash or Ctrl-C part-way
+        hits are returned without executing; the backend persists every
+        fresh result before yielding it, so a crash or Ctrl-C part-way
         through loses only the in-flight trials.
 
         Results are yielded *incrementally*: as the backend streams
@@ -318,16 +313,9 @@ class Campaign:
             }
 
         for spec, result in self.backend.submit(pending):
-            key = spec.key()
             self.executed += 1
-            if self.cache is not None:
-                self.cache.put(
-                    key,
-                    result,
-                    context={"fn": spec.fn, "params": spec.kwargs()},
-                )
             self._fold_ledger(result)
-            buffer[key] = result
+            buffer[spec.key()] = result
             self.peak_buffered = max(self.peak_buffered, len(buffer))
             while cursor < len(order) and (
                 order[cursor] in buffer or order[cursor] in hits
@@ -359,8 +347,8 @@ class Campaign:
         """Backend execution provenance, or ``None`` for unsharded runs.
 
         Only sharded backends produce a record (shard ids, attempts,
-        executed-vs-cached per shard), so serial and pool provenance
-        JSON stays byte-identical to earlier builds.
+        executed-vs-cached per shard), so serial provenance JSON stays
+        byte-identical to earlier builds.
         """
         records = self.backend.shard_records()
         if not records:

@@ -54,7 +54,11 @@ from repro.experiments.campaign import Campaign, TrialResult, TrialSpec
 from repro.experiments.runner import ExperimentScale, current_scale, scaled
 from repro.results.schema import Provenance, ResultSet
 from repro.util.registry import Registry, normalise
-from repro.util.validation import coerce_scalar, unwrap_optional
+from repro.util.validation import (
+    check_positive_int,
+    coerce_scalar,
+    unwrap_optional,
+)
 
 #: Entry-point group third-party packages register experiment specs under.
 ENTRY_POINT_GROUP = "repro.experiments"
@@ -96,8 +100,8 @@ class ExperimentContext:
 
 
 def _check_trials(trials: Optional[int]) -> None:
-    if trials is not None and trials < 1:
-        raise ValidationError(f"swept trials must be >= 1, got {trials}")
+    if trials is not None:
+        check_positive_int(trials, "swept trials")
 
 
 @dataclass(frozen=True)
@@ -115,7 +119,10 @@ class Table1Params:
     intervals: Optional[int] = None
 
     def __post_init__(self) -> None:
-        if self.intervals is not None and self.intervals < 2:
+        if (
+            self.intervals is not None
+            and check_positive_int(self.intervals, "intervals") < 2
+        ):
             raise ValidationError(
                 f"intervals must be >= 2, got {self.intervals}"
             )

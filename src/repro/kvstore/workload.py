@@ -35,6 +35,12 @@ from repro.errors import ValidationError, did_you_mean
 from repro.scenario.schema import ScenarioSpec
 from repro.types import ProcessId
 from repro.util.rng import RandomSource
+from repro.util.validation import (
+    check_non_negative,
+    check_non_negative_int,
+    check_positive_int,
+    check_probability,
+)
 
 __all__ = ["KVOp", "KVWorkloadParams", "WorkloadGenerator", "decode_workload"]
 
@@ -59,26 +65,13 @@ class KVWorkloadParams:
     surge_zipf_s: float = 1.4
 
     def __post_init__(self) -> None:
-        if self.keys < 1:
-            raise ValidationError(f"keys must be >= 1, got {self.keys}")
-        if self.zipf_s < 0.0:
-            raise ValidationError(f"zipf_s must be >= 0, got {self.zipf_s}")
-        if self.surge_zipf_s < 0.0:
-            raise ValidationError(
-                f"surge_zipf_s must be >= 0, got {self.surge_zipf_s}"
-            )
-        if not 0.0 <= self.write_ratio <= 1.0:
-            raise ValidationError(
-                f"write_ratio must be in [0, 1], got {self.write_ratio}"
-            )
-        if self.ops < 1:
-            raise ValidationError(f"ops must be >= 1, got {self.ops}")
-        if self.regions < 1:
-            raise ValidationError(f"regions must be >= 1, got {self.regions}")
-        if self.surge_ops < 0:
-            raise ValidationError(
-                f"surge_ops must be >= 0, got {self.surge_ops}"
-            )
+        check_positive_int(self.keys, "keys")
+        check_non_negative(self.zipf_s, "zipf_s")
+        check_non_negative(self.surge_zipf_s, "surge_zipf_s")
+        check_probability(self.write_ratio, "write_ratio")
+        check_positive_int(self.ops, "ops")
+        check_positive_int(self.regions, "regions")
+        check_non_negative_int(self.surge_ops, "surge_ops")
 
     def to_payload(self) -> str:
         """Canonical JSON — the spawn-safe campaign parameter encoding."""

@@ -28,6 +28,7 @@ from typing import Callable, Dict, Iterable, List, Optional, Tuple
 from repro.errors import ValidationError
 from repro.types import ProcessId
 from repro.util.rng import RandomSource
+from repro.util.validation import check_positive, check_positive_int
 
 #: Legal values for the ``view_selection`` / ``peer_selection`` policies.
 #: ``head`` prefers the *youngest* descriptors, ``tail`` the oldest,
@@ -60,14 +61,9 @@ class MembershipParams:
     propagation: str = "pushpull"
 
     def __post_init__(self) -> None:
-        if self.view_size < 1:
-            raise ValidationError(f"view_size must be >= 1, got {self.view_size}")
-        if self.exchange_period <= 0:
-            raise ValidationError(
-                f"exchange_period must be positive, got {self.exchange_period}"
-            )
-        if self.max_age < 1:
-            raise ValidationError(f"max_age must be >= 1, got {self.max_age}")
+        check_positive_int(self.view_size, "view_size")
+        check_positive(self.exchange_period, "exchange_period")
+        check_positive_int(self.max_age, "max_age")
         for label in ("view_selection", "peer_selection"):
             value = getattr(self, label)
             if value not in SELECTION_POLICIES:

@@ -107,8 +107,8 @@ class Provenance:
             stream whose draw count diverged.
         execution: optional execution-backend record (backend name,
             worker count, per-shard attempts and executed-vs-cached
-            counts) from a sharded campaign; None for serial and pool
-            runs.  Purely informational — ``diff`` never compares it,
+            counts) from a sharded campaign; None for serial runs.
+            Purely informational — ``diff`` never compares it,
             because any backend must produce bit-identical rows.
     """
 

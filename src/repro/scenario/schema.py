@@ -42,7 +42,12 @@ from repro.topology.generators import (
 from repro.topology.graph import Graph
 from repro.types import Link
 from repro.util.rng import RandomSource
-from repro.util.validation import check_positive, check_probability
+from repro.util.validation import (
+    check_non_negative,
+    check_non_negative_int,
+    check_positive,
+    check_probability,
+)
 
 LinkPair = Tuple[int, int]
 
@@ -227,14 +232,11 @@ class WorkloadSpec:
 
     def __post_init__(self) -> None:
         check_positive(self.period, "period")
-        if self.start < 0.0:
-            raise ValidationError(f"start must be >= 0, got {self.start}")
-        if self.count < 0:
-            raise ValidationError(f"count must be >= 0, got {self.count}")
+        check_non_negative(self.start, "start")
+        check_non_negative_int(self.count, "count")
         if self.origin not in ("rotate", "fixed", "random"):
             raise ValidationError(f"unknown origin policy {self.origin!r}")
-        if self.surge_count < 0:
-            raise ValidationError("surge_count must be >= 0")
+        check_non_negative_int(self.surge_count, "surge_count")
         if self.surge_count and self.surge_at is None:
             raise ValidationError("surge_count needs surge_at")
 
@@ -438,7 +440,7 @@ class BurstToggle:
         _check_at(self.at)
         if self.model not in ("none", "iid", "markov"):
             raise ValidationError(f"unknown crash model {self.model!r}")
-        if self.mean_down_ticks < 1.0:
+        if check_positive(self.mean_down_ticks, "mean_down_ticks") < 1.0:
             raise ValidationError(
                 f"mean_down_ticks must be >= 1, got {self.mean_down_ticks}"
             )

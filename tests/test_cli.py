@@ -907,5 +907,5 @@ def test_plugin_raising_at_import_is_skipped_by_the_cli_and_its_workers(tmp_path
     )  # fmt: skip
     assert run.returncode == 0, run.stderr
     assert "30 trials executed" in run.stdout
-    assert "backend=process:2" in run.stdout
+    assert "backend=shard:2" in run.stdout
     assert "Traceback" not in run.stderr

@@ -2,8 +2,9 @@
 
 Covers the backend matrix bit-identity guarantee (serial == process ==
 shard at any shard count and steal schedule), worker-loss resume with
-zero lost trials and correct per-shard attempt provenance, the
-spec-string grammar, the ``backend=`` parameter of ``Campaign`` and
+zero lost trials and correct per-shard attempt provenance, the one
+cache write per fresh trial, the spec-string grammar (``process:N`` is
+a spelling of ``shard:N``), the ``backend=`` parameter of ``Campaign`` and
 ``repro.api``, the streaming reorder buffer's memory cap, and the CLI
 surface (``--backend``, ``repro backends list``).
 """
@@ -11,12 +12,12 @@ surface (``--backend``, ``repro backends list``).
 import pytest
 
 import repro.api as api
+import repro.exec.shard as shard_module
 from repro.cli import main
 from repro.errors import ValidationError
 from repro.exec import (
     FAULTS_ENV,
     FaultPlan,
-    ProcessPoolBackend,
     SerialBackend,
     ShardQueueBackend,
     parse_backend,
@@ -70,10 +71,11 @@ class TestSpecStrings:
         assert backend.describe() == "serial"
 
     def test_process_workers(self):
-        backend = parse_backend("process:8")
-        assert isinstance(backend, ProcessPoolBackend)
-        assert backend.workers == 8
-        assert backend.describe() == "process:8"
+        # `process:N` is another spelling of `shard:N`
+        backend = parse_backend("process:3")
+        assert isinstance(backend, ShardQueueBackend)
+        assert backend.workers == 3
+        assert backend.describe() == "shard:3"
 
     def test_shard_workers_and_shards(self):
         backend = parse_backend("shard:4:32")
@@ -116,8 +118,23 @@ class TestSpecStrings:
             resolve_backend(4)
 
     def test_workers_validated(self):
-        with pytest.raises(ValidationError, match="workers must be >= 1"):
+        with pytest.raises(ValidationError, match="workers must be positive"):
             parse_backend("shard:0")
+
+    @pytest.mark.parametrize(
+        "sizes",
+        [
+            {"workers": 2.5},
+            {"workers": True},
+            {"workers": 0},
+            {"workers": 2, "shards": 1.5},
+            {"workers": 2, "shards": True},
+            {"workers": 2, "shards": 0},
+        ],
+    )
+    def test_shard_sizes_must_be_positive_ints(self, sizes):
+        with pytest.raises(ValidationError, match="must be"):
+            ShardQueueBackend(**sizes)
 
 
 class TestBackendMatrix:
@@ -146,6 +163,39 @@ class TestBackendMatrix:
         backend = ShardQueueBackend(workers=2, inline=True)
         assert Campaign(backend=backend).run([]) == []
         assert backend.shard_records() == []
+
+    def test_one_spec_batch_never_starts_a_pool(self, monkeypatch):
+        def no_pool(*args, **kwargs):
+            raise AssertionError("a one-spec batch started a process pool")
+
+        specs = _specs(1)
+        serial = Campaign(backend="serial").run(specs)
+        monkeypatch.setattr(shard_module, "ProcessPoolExecutor", no_pool)
+        assert Campaign(backend="shard:4").run(specs) == serial
+
+
+class TestOneCacheWriter:
+    """The backend that computes a fresh trial is the only code caching it."""
+
+    @pytest.mark.parametrize("backend", ["serial", "shard-inline"])
+    def test_one_put_per_fresh_trial(self, tmp_path, monkeypatch, backend):
+        specs = _specs(3)
+        reference = Campaign(backend="serial").run(specs)
+        # counted on the class: a shard worker opens its own TrialCache
+        puts = []
+        put = TrialCache.put
+
+        def counting_put(self, key, result, context=None):
+            puts.append(key)
+            put(self, key, result, context=context)
+
+        monkeypatch.setattr(TrialCache, "put", counting_put)
+        cache = TrialCache(str(tmp_path))
+        if backend == "shard-inline":
+            backend = ShardQueueBackend(workers=2, cache=cache, inline=True)
+        campaign = Campaign(backend=backend, cache=cache)
+        assert campaign.run(specs) == reference
+        assert sorted(puts) == sorted(spec.key() for spec in specs)
 
 
 class TestWorkerLoss:
@@ -333,14 +383,14 @@ class TestStreaming:
 
 class TestCampaignBackendParam:
     def test_workers_zero_still_rejected(self):
-        with pytest.raises(ValidationError, match="workers must be >= 1"):
+        with pytest.raises(ValidationError, match="workers must be positive"):
             Campaign(backend="process:0")
 
     def test_workers_map_to_backends(self):
-        serial, pool = Campaign(), Campaign(backend="process:3")
+        serial, sharded = Campaign(), Campaign(backend="process:3")
         assert isinstance(serial.backend, SerialBackend)
-        assert isinstance(pool.backend, ProcessPoolBackend)
-        assert (serial.workers, pool.workers) == (1, 3)
+        assert isinstance(sharded.backend, ShardQueueBackend)
+        assert (serial.backend.workers, sharded.backend.workers) == (1, 3)
 
     def test_workers_kwarg_is_gone(self):
         # removed, not silently ignored

@@ -26,6 +26,7 @@ from repro.experiments.registry import (
     ExperimentSpec,
     Figure4aParams,
     HeterogeneousParams,
+    Table1Params,
     discover_plugins,
     experiment_names,
     register_experiment,
@@ -214,10 +215,20 @@ class TestParams:
         assert params.n == 4
 
     def test_trials_below_one_rejected(self):
-        with pytest.raises(ValidationError, match=">= 1"):
+        with pytest.raises(ValidationError, match="must be positive"):
             Figure4aParams(trials=0)
-        with pytest.raises(ValidationError, match=">= 1"):
+        with pytest.raises(ValidationError, match="must be positive"):
             HeterogeneousParams(trials=-1)
+
+    @pytest.mark.parametrize("trials", [1.5, True, float("nan")])
+    def test_fractional_and_bool_trials_rejected(self, trials):
+        with pytest.raises(ValidationError, match="swept trials must be an int"):
+            Figure4aParams(trials=trials)
+
+    @pytest.mark.parametrize("intervals", [2.5, True, 1, float("inf")])
+    def test_table1_intervals_rejected(self, intervals):
+        with pytest.raises(ValidationError, match="intervals must be"):
+            Table1Params(intervals=intervals)
 
     def test_connectivity_above_n_rejected_at_build(self):
         with pytest.raises(ValidationError, match="must be below n=10"):

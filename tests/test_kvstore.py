@@ -511,6 +511,24 @@ class TestWorkloadGenerator:
             with pytest.raises(ValidationError):
                 KVWorkloadParams(**bad)
 
+    @pytest.mark.parametrize(
+        "bad",
+        [
+            {"zipf_s": float("nan")},
+            {"zipf_s": float("inf")},
+            {"surge_zipf_s": float("nan")},
+            {"write_ratio": float("nan")},
+            {"keys": 2.5},
+            {"keys": True},
+            {"ops": 1.5},
+            {"regions": 2.0},
+            {"surge_ops": 0.5},
+        ],
+    )
+    def test_non_finite_fractional_and_bool_params_rejected(self, bad):
+        with pytest.raises(ValidationError, match=next(iter(bad))):
+            KVWorkloadParams(**bad)
+
     def test_payload_round_trip(self):
         params = KVWorkloadParams(zipf_s=1.1, write_ratio=0.5, ops=10)
         assert decode_workload(params.to_payload()) == params

@@ -49,10 +49,15 @@ class TestMembershipParams:
             {"view_selection": "youngest"},
             {"peer_selection": "oldest"},
             {"propagation": "pushpullpush"},
+            {"exchange_period": float("nan")},
+            {"exchange_period": float("inf")},
+            {"view_size": 2.5},
+            {"view_size": True},
+            {"max_age": 3.0},
         ],
     )
     def test_invalid_knobs_rejected(self, overrides):
-        with pytest.raises(ValidationError):
+        with pytest.raises(ValidationError, match=next(iter(overrides))):
             MembershipParams(**overrides)
 
     def test_policy_triple(self):

@@ -113,6 +113,31 @@ class TestSchema:
             assert graph.n == n
             assert graph.is_connected()
 
+    @pytest.mark.parametrize(
+        "part, field, value",
+        [
+            ("workload", "count", 2.5),
+            ("workload", "count", True),
+            ("workload", "surge_count", 1.5),
+            ("workload", "start", float("nan")),
+            ("workload", "start", float("inf")),
+            ("burst-toggle", "mean_down_ticks", float("nan")),
+            ("burst-toggle", "mean_down_ticks", float("inf")),
+            ("burst-toggle", "mean_down_ticks", 0.5),
+        ],
+    )
+    def test_scenario_json_rejects_malformed_numbers(self, part, field, value):
+        # e.g. a hand-edited promoted .repro-scenarios/*.json
+        payload = build_scenario("partition-heal", QUICK).to_json()
+        if part == "workload":
+            payload["workload"][field] = value
+        else:
+            payload["timeline"].append(
+                {"kind": part, "at": 1.0, "model": "markov", field: value}
+            )
+        with pytest.raises(ValidationError, match=field):
+            ScenarioSpec.from_json(payload)
+
     def test_workload_surge_times(self):
         wl = WorkloadSpec(period=10.0, start=5.0, count=2, surge_at=7.0,
                           surge_count=3)
