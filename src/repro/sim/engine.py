@@ -1,17 +1,23 @@
 """The discrete-event simulation kernel.
 
 A classic calendar-queue-free design: a binary heap of plain
-``(time, priority, seq, event)`` tuples ordered by their first three
+``(time, priority, seq, item)`` tuples ordered by their first three
 fields.  Storing native tuples (rather than rich event objects) keeps
 every ``heappush``/``heappop`` comparison inside CPython's C tuple
 comparator — no Python-level ``__lt__`` calls on the hot path.
-Cancellation is lazy (events are flagged and skipped on pop), which keeps
+Cancellation is lazy (items are flagged and skipped on pop), which keeps
 both scheduling and cancelling O(log n) / O(1).
 
-Determinism: given the same schedule calls in the same order, the engine
-executes callbacks in exactly the same order — simultaneous events tie-break
+The queue item is a contract, not a class: anything with ``cancelled``,
+``name`` (read only by the trace) and ``callback()``.  ``schedule`` queues
+and returns an :class:`~repro.sim.events.Event`; a network delivery and a
+periodic re-arm push their own item through ``_push``, which alone
+allocates ``seq``.
+
+Determinism: given the same push calls in the same order, the engine
+executes callbacks in exactly the same order — simultaneous items tie-break
 on priority then insertion sequence, and ``seq`` is unique per simulator so
-tuple comparison never reaches the (incomparable) event slot.  All
+tuple comparison never reaches the (incomparable) item slot.  All
 randomness lives in the protocols' :class:`repro.util.rng.RandomSource`
 streams, never in the engine.
 """
@@ -20,35 +26,15 @@ from __future__ import annotations
 
 import heapq
 import math
-from typing import Callable, List, Optional, Tuple
+from typing import Any, Callable, List, Optional, Tuple
 
 from repro.errors import SchedulingError, SimulationError
 from repro.sim.events import DEFAULT_PRIORITY, Event, TraceRecord
 
 _INF = math.inf
 
-#: One queued entry: ``(time, priority, seq, event)``.
-QueueEntry = Tuple[float, int, int, Event]
-
-
-class EventHandle:
-    """Caller-facing handle allowing an event to be cancelled."""
-
-    __slots__ = ("_event",)
-
-    def __init__(self, event: Event) -> None:
-        self._event = event
-
-    @property
-    def time(self) -> float:
-        return self._event.time
-
-    @property
-    def active(self) -> bool:
-        return not self._event.cancelled
-
-    def cancel(self) -> None:
-        self._event.cancel()
+#: One queued entry: ``(time, priority, seq, item)``.
+QueueEntry = Tuple[float, int, int, Any]
 
 
 class Simulator:
@@ -107,16 +93,19 @@ class Simulator:
         return sum(1 for entry in self._queue if not entry[3].cancelled)
 
     @property
-    def trace_enabled(self) -> bool:
-        """Whether this simulator records an execution trace."""
-        return self._trace_enabled
-
-    @property
     def trace(self) -> List[TraceRecord]:
         """Engine trace records (only populated when ``trace=True``)."""
         return self._trace
 
     # -- scheduling ---------------------------------------------------------------
+
+    def _push(self, time: float, priority: int, item: Any) -> int:
+        """Queue ``item`` and return its ``seq``.  ``time`` is unchecked:
+        callers validate it (or the latency/period it derives from)."""
+        seq = self._seq
+        self._seq = seq + 1
+        heapq.heappush(self._queue, (time, priority, seq, item))
+        return seq
 
     def schedule(
         self,
@@ -124,14 +113,15 @@ class Simulator:
         callback: Callable[[], None],
         name: str = "",
         priority: int = DEFAULT_PRIORITY,
-    ) -> EventHandle:
+    ) -> Event:
         """Schedule ``callback`` to run ``delay`` time units from now.
+
+        Returns the queued :class:`Event` (``time``, ``active``, ``cancel()``).
 
         Raises:
             SchedulingError: on negative, NaN or infinite delay.
         """
-        # `delay != delay` is the NaN test; spelled inline (instead of
-        # math.isnan/math.isinf) to keep this per-message path call-free
+        # `delay != delay` is the NaN test
         if delay < 0.0 or delay != delay or delay == _INF:
             raise SchedulingError(f"invalid delay {delay!r}")
         time = self._now + delay
@@ -139,11 +129,9 @@ class Simulator:
             raise SchedulingError(
                 f"cannot schedule at t={time!r} (now={self._now!r})"
             )
-        seq = self._seq
-        self._seq = seq + 1
-        event = Event(time, priority, seq, callback, name)
-        heapq.heappush(self._queue, (time, priority, seq, event))
-        return EventHandle(event)
+        event = Event(time, priority, -1, callback, name)
+        event.seq = self._push(time, priority, event)
+        return event
 
     def schedule_at(
         self,
@@ -151,7 +139,7 @@ class Simulator:
         callback: Callable[[], None],
         name: str = "",
         priority: int = DEFAULT_PRIORITY,
-    ) -> EventHandle:
+    ) -> Event:
         """Schedule ``callback`` at an absolute virtual time.
 
         Raises:
@@ -161,11 +149,9 @@ class Simulator:
             raise SchedulingError(
                 f"cannot schedule at t={time!r} (now={self._now!r})"
             )
-        seq = self._seq
-        self._seq = seq + 1
-        event = Event(time, priority, seq, callback, name)
-        heapq.heappush(self._queue, (time, priority, seq, event))
-        return EventHandle(event)
+        event = Event(time, priority, -1, callback, name)
+        event.seq = self._push(time, priority, event)
+        return event
 
     # -- execution ----------------------------------------------------------------
 
@@ -182,14 +168,14 @@ class Simulator:
         queue = self._queue
         while queue:
             entry = heapq.heappop(queue)
-            event = entry[3]
-            if event.cancelled:
+            item = entry[3]
+            if item.cancelled:
                 continue
             self._now = entry[0]
             if self._trace_enabled:
-                self._trace.append(TraceRecord(self._now, "exec", event.name))
+                self._trace.append(TraceRecord(self._now, "exec", item.name))
             self._executed += 1
-            event.callback()
+            item.callback()
             return True
         return False
 
@@ -228,8 +214,8 @@ class Simulator:
         try:
             while queue and remaining != 0 and not self._stopped:
                 entry = queue[0]
-                event = entry[3]
-                if event.cancelled:
+                item = entry[3]
+                if item.cancelled:
                     pop(queue)
                     continue
                 time = entry[0]
@@ -238,9 +224,9 @@ class Simulator:
                 pop(queue)
                 self._now = time
                 if tracing:
-                    trace_append(TraceRecord(time, "exec", event.name))
+                    trace_append(TraceRecord(time, "exec", item.name))
                 executed += 1
-                event.callback()
+                item.callback()
                 remaining -= 1
         finally:
             self._executed += executed

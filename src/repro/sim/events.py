@@ -6,11 +6,14 @@ deterministic, insertion-stable order, which keeps seeded experiments
 exactly reproducible.
 
 Hot-path note: the engine's heap stores plain ``(time, priority, seq,
-event)`` tuples, so ``heapq`` compares native tuples and never calls into
-:class:`Event` during push/pop.  ``Event`` itself is a ``__slots__``
-record (no per-instance dict, no dataclass machinery); it still defines
-the full ``(time, priority, seq)`` ordering protocol for direct
-``sorted()`` use in tests and diagnostics.
+item)`` tuples, so ``heapq`` compares native tuples and never calls into
+the item during push/pop.  A queue item is anything with ``cancelled``,
+``name`` and ``callback()``: :class:`Event` is the general one, and the
+network queues its own per-message delivery object without an ``Event``.
+``Event`` itself is a ``__slots__`` record (no per-instance dict, no
+dataclass machinery); it is what ``Simulator.schedule`` returns, and it
+still defines the full ``(time, priority, seq)`` ordering protocol for
+direct ``sorted()`` use in tests and diagnostics.
 """
 
 from __future__ import annotations
@@ -59,6 +62,10 @@ class Event:
     @property
     def key(self) -> Tuple[float, int, int]:
         return (self.time, self.priority, self.seq)
+
+    @property
+    def active(self) -> bool:
+        return not self.cancelled
 
     def cancel(self) -> None:
         """Mark the event so the engine skips it (O(1), lazy removal)."""

@@ -11,10 +11,11 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Dict, Optional, Tuple
 
-from repro.errors import UnknownLinkError, ValidationError
+from repro.errors import UnknownLinkError
 from repro.topology.configuration import Configuration
 from repro.types import Link, ProcessId
 from repro.util.rng import BufferedUniforms, RandomSource
+from repro.util.validation import check_non_negative
 
 #: One cached directed-pair entry: (loss probability, buffered stream or
 #: None when the loss is degenerate and no draw is ever needed).
@@ -29,8 +30,9 @@ class LatencyModel:
     jitter: float = 0.0
 
     def __post_init__(self) -> None:
-        if self.base < 0 or self.jitter < 0:
-            raise ValidationError("latency parameters must be >= 0")
+        # deliveries are pushed at now + latency unchecked
+        check_non_negative(self.base, "latency base")
+        check_non_negative(self.jitter, "latency jitter")
 
     def sample(self, rng: RandomSource) -> float:
         if self.jitter == 0.0:

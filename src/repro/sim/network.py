@@ -11,6 +11,8 @@ messages with the paper's probabilistic semantics:
 A transmission therefore succeeds with ``(1-P_s)(1-L)(1-P_r)`` — exactly
 the success probability the ``reach`` function (Eq. 1/2) optimises for.
 Every attempt is counted in :class:`repro.sim.trace.MessageStats`.
+A message surviving steps 1–2 is one ``_Delivery`` on the engine's heap,
+itself the queue item (no ``Event``); step 3 runs when it is popped.
 """
 
 from __future__ import annotations
@@ -44,17 +46,21 @@ class NetworkOptions:
 
 
 class _Delivery:
-    """One scheduled message arrival.
+    """One message in flight, queued on the engine's heap as it is.
 
-    A ``__slots__`` callable instead of a per-message closure: the send
-    path allocates exactly one small object per in-flight message, and
-    the receive-side crash draw + stats recording happen when the engine
-    invokes it at delivery time.  ``send_time`` is the *send* timestamp —
-    transmission records are stamped with when the attempt was made,
-    matching the original accounting.
+    It meets the engine's queue-item contract itself — a delivery is
+    never cancelled, and its ``name`` is rendered only when the engine
+    trace reads it — so the send path allocates exactly one small object
+    per in-flight message.  The receive-side crash draw + stats recording
+    happen when the engine calls :meth:`callback` at delivery time.
+    ``send_time`` is the *send* timestamp — transmission records are
+    stamped with when the attempt was made, matching the original
+    accounting.
     """
 
     __slots__ = ("network", "send_time", "sender", "receiver", "category", "payload")
+
+    cancelled = False
 
     def __init__(
         self,
@@ -72,7 +78,11 @@ class _Delivery:
         self.category = category
         self.payload = payload
 
-    def __call__(self) -> None:
+    @property
+    def name(self) -> str:
+        return f"deliver:{self.sender}->{self.receiver}"
+
+    def callback(self) -> None:
         network = self.network
         receiver = self.receiver
         if network._crash_model.crashed_step(receiver, network._sim.now):
@@ -320,13 +330,10 @@ class Network:
         delay = self._latency_base
         if self._latency_jitter != 0.0:
             delay += self._latency_jitter * self._latency_rng.random()
-        sim.schedule(
-            delay,
+        sim._push(
+            now + delay,
+            DELIVERY_PRIORITY,
             _Delivery(self, now, sender, receiver, category, payload),
-            # the per-message name only exists for the engine trace;
-            # skip the f-string entirely on untraced (production) runs
-            name=f"deliver:{sender}->{receiver}" if sim.trace_enabled else "",
-            priority=DELIVERY_PRIORITY,
         )
         return True
 

@@ -5,6 +5,10 @@ and convenience wrappers around the network/engine: ``send``,
 ``set_timer`` and ``set_periodic``.  Protocol implementations (optimal,
 adaptive, gossip, ...) subclass it and override the ``on_*`` hooks.
 
+A periodic timer is one :class:`~repro.sim.events.Event` for its whole
+life: each firing re-queues it while it is still the armed one, so
+(re-)arming or cancelling a name leaves at most one chain.
+
 Crash semantics: *step* crashes (message-level) are applied by the
 network.  *Burst* crashes (Markov model) additionally call
 :meth:`handle_crash` / :meth:`handle_recovery`, which wipe volatile memory
@@ -16,7 +20,8 @@ from __future__ import annotations
 
 from typing import Any, Callable, Dict, Tuple
 
-from repro.sim.engine import EventHandle, Simulator
+from repro.sim.engine import Simulator
+from repro.sim.events import Event
 from repro.sim.network import Network
 from repro.sim.stable_storage import StableStorage, VolatileMemory
 from repro.sim.trace import MessageCategory
@@ -38,10 +43,10 @@ class SimProcess:
     __slots__ = (
         "pid",
         "network",
+        "neighbors",
         "volatile",
         "stable",
         "_timers",
-        "_periodic",
         "_down",
     )
     # NOTE: protocol subclasses deliberately do NOT declare __slots__ —
@@ -54,10 +59,11 @@ class SimProcess:
         self.network = network
         self.volatile = VolatileMemory()
         self.stable = StableStorage()
-        self._timers: Dict[str, EventHandle] = {}
-        self._periodic: Dict[str, Tuple[float, Callable[[], None]]] = {}
+        self._timers: Dict[str, Event] = {}
         self._down = False
         network.register(self)
+        #: The ``neighbors(p_k)`` of the paper (the topology never changes).
+        self.neighbors: Tuple[ProcessId, ...] = network.graph.neighbors(pid)
 
     # -- environment --------------------------------------------------------------
 
@@ -68,11 +74,6 @@ class SimProcess:
     @property
     def now(self) -> float:
         return self.network.sim.now
-
-    @property
-    def neighbors(self) -> Tuple[ProcessId, ...]:
-        """The ``neighbors(p_k)`` of the paper."""
-        return self.network.graph.neighbors(self.pid)
 
     @property
     def is_down(self) -> bool:
@@ -126,51 +127,44 @@ class SimProcess:
         self._timers[name] = self.sim.schedule(delay, fire, name=event_name)
 
     def cancel_timer(self, name: str) -> None:
-        handle = self._timers.pop(name, None)
-        if handle is not None:
-            handle.cancel()
+        event = self._timers.pop(name, None)
+        if event is not None:
+            event.cancel()
 
     def timer_active(self, name: str) -> bool:
         return name in self._timers
 
     def set_periodic(self, period: float, name: str, action: Callable[[], None]) -> None:
-        """Run ``action`` every ``period`` time units until cancelled.
+        """(Re-)arm ``action`` every ``period`` time units until cancelled.
 
-        The first firing happens one full period from now.  A down process
-        skips firings but the schedule keeps ticking (the process resumes
-        its periodic activity on recovery).
+        The first firing happens one full period from now; re-arming a
+        name cancels its running chain first.  A down process skips
+        firings but the schedule keeps ticking (the process resumes its
+        periodic activity on recovery).
         """
         check_positive(period, "period")
-        self._periodic[name] = (period, action)
         timer_key = f"__periodic__{name}"
-        event_name = f"periodic:{self.pid}:{name}"
-        periodic = self._periodic
+        self.cancel_timer(timer_key)
         timers = self._timers
-        schedule = self.sim.schedule
+        sim = self.sim
 
         def tick() -> None:
-            entry = periodic.get(name)
-            if entry is None:
-                return
-            current_period, current_action = entry
             if not self._down:
-                current_action()
-            if name in periodic:
-                timers[timer_key] = schedule(
-                    current_period, tick, name=event_name
-                )
+                action()
+            if timers.get(timer_key) is event:
+                event.time = time = sim.now + period
+                event.seq = sim._push(time, event.priority, event)
 
-        timers[timer_key] = schedule(period, tick, name=event_name)
+        event = sim.schedule(period, tick, name=f"periodic:{self.pid}:{name}")
+        timers[timer_key] = event
 
     def cancel_periodic(self, name: str) -> None:
-        self._periodic.pop(name, None)
         self.cancel_timer(f"__periodic__{name}")
 
     def cancel_all_timers(self) -> None:
-        for handle in self._timers.values():
-            handle.cancel()
+        for event in self._timers.values():
+            event.cancel()
         self._timers.clear()
-        self._periodic.clear()
 
     # -- crash plumbing (called by the network's crash model) ----------------------
 

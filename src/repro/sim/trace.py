@@ -24,6 +24,9 @@ class MessageCategory(enum.Enum):
     HEARTBEAT = "heartbeat"
     CONTROL = "control"
 
+    # C identity hash (Enum's is Python code, run on every record())
+    __hash__ = object.__hash__
+
 
 class DropReason(enum.Enum):
     """Why a transmission failed."""
@@ -31,6 +34,8 @@ class DropReason(enum.Enum):
     SENDER_CRASH = "sender_crash"
     LINK_LOSS = "link_loss"
     RECEIVER_CRASH = "receiver_crash"
+
+    __hash__ = object.__hash__
 
 
 @dataclass(frozen=True)

@@ -1,9 +1,15 @@
 """Unit tests for the flooding and two-phase baselines."""
 
+import random
+from functools import partial
+
 import pytest
 
 from repro.protocols.flooding import FloodingBroadcast
 from repro.protocols.twophase import (
+    TpData,
+    TpDigest,
+    TpRequest,
     TwoPhaseBroadcast,
     TwoPhaseParameters,
 )
@@ -131,3 +137,53 @@ class TestTwoPhase:
         procs[1]._messages[mid] = "hidden"
         network.sim.run(until=10.0)
         assert mid in procs[0]._messages  # learned via digest exchange
+
+
+def digest_reference(proc, sender, payload):
+    """The digest handler as it was before the subset guards: both walks
+    run on every digest."""
+    missing = frozenset(mid for mid in payload.known if mid not in proc._messages)
+    if missing:
+        proc.send(sender, TpRequest(wanted=missing), category=MessageCategory.CONTROL)
+    surplus = [mid for mid in proc._messages if mid not in payload.known]
+    for mid in surplus:
+        proc.send(
+            sender, TpData(mid, proc._messages[mid]), category=MessageCategory.DATA
+        )
+
+
+class TestDigestHandlerDifferential:
+    def test_same_sends_as_the_reference(self):
+        """Random digest/store pairs — equal, subset, superset, overlapping,
+        disjoint — produce the identical send sequence, down to the
+        iteration order of each request's id set."""
+        _, _, procs = deploy_twophase(Configuration.reliable(line(2)))
+        proc = procs[0]
+        rnd = random.Random(7)
+        universe = [(origin, seq) for origin in range(6) for seq in range(12)]
+        shapes = set()
+        for _ in range(400):
+            store_ids = rnd.sample(universe, rnd.randint(0, 30))
+            pick = rnd.random()
+            if pick < 0.4:
+                known_ids = store_ids
+            elif pick < 0.6:
+                known_ids = rnd.sample(store_ids, rnd.randint(0, len(store_ids)))
+            elif pick < 0.8:
+                known_ids = store_ids + rnd.sample(universe, 5)
+            else:
+                known_ids = rnd.sample(universe, rnd.randint(0, 30))
+            known = frozenset(known_ids)
+            shapes.add((known <= set(store_ids), set(store_ids) <= known))
+
+            runs = []
+            for handle in (proc.on_message, partial(digest_reference, proc)):
+                sent = []
+                proc._messages = {mid: f"v{mid}" for mid in store_ids}
+                proc.send = lambda q, payload, category: sent.append(
+                    (q, payload, category, tuple(getattr(payload, "wanted", ())))
+                )
+                handle(1, TpDigest(known=known))
+                runs.append(sent)
+            assert runs[0] == runs[1]
+        assert len(shapes) == 4  # equal, subset, superset and neither

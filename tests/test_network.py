@@ -47,6 +47,22 @@ class TestLatencyModel:
         with pytest.raises(ValidationError):
             LatencyModel(base=-1.0)
 
+    @pytest.mark.parametrize(
+        "fields",
+        [
+            {"base": float("nan")},
+            {"base": float("inf")},
+            {"jitter": float("nan")},
+            {"jitter": float("inf")},
+            {"base": True},
+        ],
+    )
+    def test_non_finite_or_bool_rejected(self, fields):
+        """Deliveries are pushed at ``now + latency`` unchecked, so a bad
+        field must fail at construction, not sit in the heap."""
+        with pytest.raises(ValidationError):
+            LatencyModel(**fields)
+
 
 class TestLossyLinkLayer:
     def test_lossless(self):

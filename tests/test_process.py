@@ -81,6 +81,45 @@ class TestTimers:
         network.sim.run(until=6.0)
         assert ticks == [1.0, 2.0]
 
+    def test_rearm_periodic_replaces_the_chain(self):
+        network, procs = wire(Configuration.reliable(ring(3)))
+        a, b = [], []
+        procs[0].set_periodic(1.0, "x", lambda: a.append(network.sim.now))
+        network.sim.run(until=2.5)
+        procs[0].set_periodic(1.0, "x", lambda: b.append(network.sim.now))
+        network.sim.run(until=5.5)
+        assert a == [1.0, 2.0]
+        assert b == [3.5, 4.5, 5.5]
+
+    def test_rearm_periodic_from_its_own_action(self):
+        network, procs = wire(Configuration.reliable(ring(3)))
+        a, b = [], []
+
+        def first():
+            a.append(network.sim.now)
+            procs[0].set_periodic(2.0, "x", lambda: b.append(network.sim.now))
+
+        procs[0].set_periodic(1.0, "x", first)
+        network.sim.run(until=6.0)
+        assert a == [1.0]
+        assert b == [3.0, 5.0]
+        assert network.sim.pending_events == 1  # the one armed chain
+
+    def test_cancel_periodic_from_its_own_action(self):
+        network, procs = wire(Configuration.reliable(ring(3)))
+        ticks = []
+
+        def action():
+            ticks.append(network.sim.now)
+            if len(ticks) == 2:
+                procs[0].cancel_periodic("x")
+
+        procs[0].set_periodic(1.0, "x", action)
+        network.sim.run(until=6.0)
+        assert ticks == [1.0, 2.0]
+        assert not procs[0].timer_active("__periodic__x")
+        assert network.sim.pending_events == 0
+
     def test_cancel_all(self):
         network, procs = wire(Configuration.reliable(ring(3)))
         procs[0].set_timer(1.0, "a")

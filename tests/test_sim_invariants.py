@@ -7,7 +7,9 @@ never stamps a record outside ``[0, now]``.  Here it rides along a batch
 of generated scenarios at quick scale — any violation surfaces as an
 :class:`~repro.sim.monitors.InvariantViolation` from inside the run.
 The engine-level tests pin the guarantees the monitor builds on:
-cancelled events never fire and nothing schedules in the past.
+cancelled events never fire and nothing schedules in the past — and the
+kernel's work counters: one ``Event`` per ``schedule`` call, none per
+message in flight and none per periodic firing.
 """
 
 from __future__ import annotations
@@ -16,18 +18,23 @@ import pytest
 
 from repro.errors import SchedulingError, UnreachableTargetError
 from repro.experiments.runner import current_scale
+from repro.protocols.gossip import run_gossip_trial
 from repro.protocols.registry import resolve_protocol
 from repro.scenario.generate import ScenarioGenerator
 from repro.scenario.schema import ScenarioSpec
 from repro.scenario.trial import _deploy, _workload_origins, run_scenario_trial
 from repro.sim.dynamics import DynamicsDriver
 from repro.sim.engine import Simulator
+from repro.sim.events import Event
 from repro.sim.monitors import (
     BroadcastMonitor,
     InvariantMonitor,
     InvariantViolation,
 )
 from repro.sim.network import Network, NetworkOptions
+from repro.sim.process import SimProcess
+from repro.topology.configuration import Configuration
+from repro.topology.generators import line, ring
 from repro.util.rng import RandomSource
 
 SMOKE_SCENARIOS = 50
@@ -163,3 +170,91 @@ def test_nothing_schedules_in_the_past():
         sim.schedule_at(2.0, lambda: None)
     with pytest.raises(SchedulingError):
         sim.schedule(-1.0, lambda: None)
+
+
+def test_schedule_returns_the_queued_event():
+    """The returned ``Event`` serves every use the old handle had."""
+    sim = Simulator()
+    relative = sim.schedule(2.0, lambda: None)
+    absolute = sim.schedule_at(3.0, lambda: None)
+    assert isinstance(relative, Event) and isinstance(absolute, Event)
+    assert (relative.time, absolute.time) == (2.0, 3.0)
+    assert relative.active and absolute.active
+    relative.cancel()
+    assert not relative.active and absolute.active
+    assert sim.pending_events == 1
+
+
+def test_one_event_per_schedule_call_none_per_message(monkeypatch):
+    """A gossip run builds an ``Event`` only per ``schedule``/``schedule_at``
+    call: deliveries and periodic re-arms queue without one."""
+    constructed, calls, networks = [], [], []
+    event_init = Event.__init__
+
+    def counting_init(self, *args, **kwargs):
+        constructed.append(1)
+        event_init(self, *args, **kwargs)
+
+    monkeypatch.setattr(Event, "__init__", counting_init)
+    def counted(original):
+        def counting(self, *args, **kwargs):
+            calls.append(1)
+            return original(self, *args, **kwargs)
+
+        return counting
+
+    monkeypatch.setattr(Simulator, "schedule", counted(Simulator.schedule))
+    monkeypatch.setattr(Simulator, "schedule_at", counted(Simulator.schedule_at))
+
+    config = Configuration.reliable(ring(12))
+    rounds = 4
+
+    def make_network():
+        networks.append(Network(Simulator(), config, RandomSource("work-counters", 0)))
+        return networks[0]
+
+    run_gossip_trial(make_network, rounds)
+    sim, stats = networks[0].sim, networks[0].stats
+    n = config.graph.n
+    assert stats.delivered() > n  # messages did flow
+    # one periodic chain per process, plus the origin's kick
+    assert len(calls) == len(constructed) == n + 1
+    # every firing at t = 1 .. rounds + 2 re-used its process's one Event
+    assert sim.executed_events == stats.delivered() + 1 + n * (rounds + 2)
+
+
+class _Sink(SimProcess):
+    def __init__(self, pid, network):
+        super().__init__(pid, network)
+        self.received = []
+
+    def on_message(self, sender, payload):
+        self.received.append(payload)
+
+
+def _wired_pair(trace=False):
+    sim = Simulator(trace=trace)
+    network = Network(sim, Configuration.reliable(line(2)), RandomSource("pair", 0))
+    procs = [_Sink(p, network) for p in range(2)]
+    network.start()
+    return sim, procs
+
+
+def test_engine_trace_names_deliveries():
+    sim, procs = _wired_pair(trace=True)
+    procs[0].send(1, "a")
+    procs[1].send(0, "b")
+    sim.run()
+    assert [r.detail for r in sim.trace] == ["deliver:0->1", "deliver:1->0"]
+
+
+def test_step_and_pending_events_see_deliveries():
+    sim, procs = _wired_pair()
+    procs[0].send(1, "a")
+    procs[0].send(1, "b")
+    assert sim.pending_events == 2
+    assert sim.step()
+    assert sim.pending_events == 1 and procs[1].received == ["a"]
+    assert sim.step()
+    assert not sim.step()
+    assert sim.pending_events == 0 and procs[1].received == ["a", "b"]
