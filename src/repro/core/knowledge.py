@@ -37,9 +37,16 @@ from typing import Dict, FrozenSet, Iterable, List, Optional, Tuple
 
 from repro.core.bayesian import DEFAULT_INTERVALS
 from repro.core.estimates import UNKNOWN_DISTORTION, Estimate, select_best_estimate
-from repro.errors import ProtocolError
+from repro.errors import ProtocolError, UnknownProcessError
 from repro.types import Link, ProcessId
 from repro.util.validation import check_positive, check_positive_int
+
+
+def check_process(p: ProcessId, n: int) -> ProcessId:
+    """``p``, or UnknownProcessError (a KeyError) unless ``0 <= p < n``."""
+    if isinstance(p, bool) or not 0 <= p < n:
+        raise UnknownProcessError(f"process {p!r} not in 0..{n - 1}")
+    return p
 
 
 @dataclass(frozen=True)
@@ -138,7 +145,7 @@ class ProcessView:
 
     def crash_probability(self, p: ProcessId) -> float:
         """Estimated ``P_p`` (posterior mean; 0.5 when entirely unknown)."""
-        return self.proc[p].point_estimate()
+        return self.proc[check_process(p, self.n)].point_estimate()
 
     def loss_probability(self, link: Link) -> float:
         """Estimated ``L`` of a known link.
@@ -153,7 +160,7 @@ class ProcessView:
         return est.point_estimate()
 
     def distortion_of(self, p: ProcessId) -> float:
-        return self.proc[p].distortion
+        return self.proc[check_process(p, self.n)].distortion
 
     def link_distortion(self, link: Link) -> float:
         link = Link.of(*link)
@@ -274,7 +281,7 @@ class ProcessView:
     # -- diagnostics ---------------------------------------------------------------
 
     def proc_map_interval(self, p: ProcessId) -> int:
-        return self.proc[p].beliefs.map_interval()
+        return self.proc[check_process(p, self.n)].beliefs.map_interval()
 
     def link_map_interval(self, link: Link) -> int:
         link = Link.of(*link)

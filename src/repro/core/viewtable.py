@@ -13,14 +13,15 @@ identical event sequences.
 
 Implementation note: process and link estimates share one table of
 ``n + m`` rows — rows ``[0, n)`` are processes, row ``n + i`` is the link
-with *global* id ``i`` in the true topology — held as an ``(n+m, U)``
-log-belief block ``logb`` plus ``(n+m,)`` vectors ``d`` (distortion),
-``last``, ``seq`` and ``known``.  ``proc_*`` / ``link_*`` are slices of
-these, so writes through either name reach the same memory.  The dense
-link rows are a simulation shortcut only — the ``known`` bitmask gates
-every read, so a process can never observe an estimate for a link it has
-not heard about; the paper's incremental ``Lambda_k`` discovery semantics
-are preserved exactly.
+with *global* id ``i`` in the true topology — as one ``(n+m, U+3)``
+float64 record per row, ``rec = logb[0..U) | d | seq | last`` (``seq`` is
+exact below ``2**53``).  ``logb``, ``d``, ``seq`` and ``last`` are column
+views of ``rec`` and ``proc_*`` / ``link_*`` row slices of those, so
+writes through any name reach the same memory; ``known`` is its own bool
+vector.  The dense link rows are a simulation shortcut only — ``known``
+gates every read, so a process can never observe an estimate for a link
+it has not heard about; the paper's incremental ``Lambda_k`` discovery
+semantics are preserved exactly.
 
 The merge relies on this invariant, which every event preserves::
 
@@ -30,7 +31,9 @@ With it, ``snapshot.d < self.d`` alone is ``selectBestEstimate`` for all
 three cases of Algorithm 4: a link unknown to the sender carries ``inf``
 and never wins, a link unknown only to the receiver loses to any finite
 distortion (adopted wholesale, ``d + 1``), and nothing is below the
-receiver's own ``0``, so its self-estimate is never overwritten.
+receiver's own ``0``, so its self-estimate is never overwritten.  A
+snapshot's record copy already holds ``d + 1``, the distortion every
+receiver adopts, so the adoption is one gather and one scatter.
 """
 
 from __future__ import annotations
@@ -41,35 +44,37 @@ from typing import Dict, FrozenSet, List, Optional, Tuple
 import numpy as np
 
 from repro.core.bayesian import interval_midpoints
-from repro.core.knowledge import KnowledgeParameters
+from repro.core.knowledge import KnowledgeParameters, check_process
 from repro.errors import ProtocolError
 from repro.topology.graph import Graph
 from repro.types import Link, ProcessId
+from repro.util.validation import check_non_negative_int
+
+#: Columns of a record after its ``U`` log-beliefs (module note).
+_D, _SEQ, _LAST = -3, -2, -1
 
 
 class VectorSnapshot:
     """Array-backed heartbeat payload (the ``(Lambda_j, C_j)`` message).
 
-    ``logb`` / ``d`` / ``seq`` are read-only copies of the sender's fused
-    table (processes first, then links; an unknown link has ``d == inf``).
-    One snapshot object is delivered to every neighbour of the sender.
+    Read-only copies of the sender's table: ``rec`` with ``d + 1`` in its
+    ``d`` column (what a receiver adopts), and ``d``, the sender's own
+    (``inf`` for an unknown link).  ``logb`` and ``seq`` are views of
+    ``rec``.  One snapshot object goes to every neighbour of the sender.
     """
 
-    __slots__ = ("sender", "sender_seq", "logb", "d", "seq")
+    __slots__ = ("sender", "sender_seq", "rec", "d")
 
     def __init__(
-        self,
-        sender: ProcessId,
-        sender_seq: int,
-        logb: np.ndarray,
-        d: np.ndarray,
-        seq: np.ndarray,
+        self, sender: ProcessId, sender_seq: int, rec: np.ndarray, d: np.ndarray
     ) -> None:
         self.sender = sender
         self.sender_seq = sender_seq
-        self.logb = logb
+        self.rec = rec
         self.d = d
-        self.seq = seq
+
+    logb = property(lambda self: self.rec[:, :_D])
+    seq = property(lambda self: self.rec[:, _SEQ])
 
 
 class VectorView:
@@ -105,13 +110,13 @@ class VectorView:
         self._log_mid = np.log(self._midpoints)
         self._log_one_minus_mid = np.log1p(-self._midpoints)
 
-        # the fused table: rows [0, n) are processes, rows [n, n+m) links.
+        # the record table: rows [0, n) are processes, rows [n, n+m) links.
         # Beliefs are stored as unnormalised log-posteriors (see
         # repro.core.bayesian.BeliefEstimator for why log space)
-        self.logb = np.zeros((rows, u))
-        self.d = np.full(rows, math.inf)
-        self.seq = np.zeros(rows, dtype=np.int64)
-        self.last = np.full(rows, float(now))
+        self.rec = np.zeros((rows, u + 3))
+        self.rec[:, _D], self.rec[:, _LAST] = math.inf, now
+        self.logb, self.d = self.rec[:, :_D], self.rec[:, _D]
+        self.seq, self.last = self.rec[:, _SEQ], self.rec[:, _LAST]
         self.known = np.ones(rows, dtype=bool)
         self.known[n:] = False
 
@@ -143,7 +148,7 @@ class VectorView:
         """
         b = self.logb[row]
         b += log_likelihood if factor == 1 else factor * log_likelihood
-        b -= np.maximum.reduce(b)  # b.max() minus its Python-level wrapper
+        b -= b[b.argmax()]  # b.max(): the first maximum (or NaN), 3x cheaper
 
     @staticmethod
     def _softmax_rows(logb: np.ndarray) -> np.ndarray:
@@ -159,28 +164,36 @@ class VectorView:
             self.graph.links[i] for i in np.flatnonzero(self.link_known)
         )
 
+    def _link_index(self, link: Link, strict: bool = False) -> Optional[int]:
+        """Dense id of ``link`` if it is in ``Lambda_k`` (a link outside the
+        graph is unknown); else None, or ProtocolError if ``strict``."""
+        link = Link.of(*link)
+        i = self.graph.link_id(link) if self.graph.has_link(*link) else None
+        if i is not None and self.link_known[i]:
+            return i
+        if strict:
+            raise ProtocolError(f"link {link} not known to process {self.pid}")
+        return None
+
     def knows_link(self, link: Link) -> bool:
-        return bool(self.link_known[self.graph.link_id(Link.of(*link))])
+        return self._link_index(link) is not None
 
     def _row_point(self, logb_row: np.ndarray) -> float:
         shifted = np.exp(logb_row - logb_row.max())
         return float((shifted / shifted.sum()) @ self._midpoints)
 
     def crash_probability(self, p: ProcessId) -> float:
-        return self._row_point(self.proc_logb[p])
+        return self._row_point(self.proc_logb[check_process(p, self.n)])
 
     def loss_probability(self, link: Link) -> float:
-        row = self.graph.link_id(Link.of(*link))
-        if not self.link_known[row]:
-            raise ProtocolError(f"link {link} not known to process {self.pid}")
-        return self._row_point(self.link_logb[row])
+        return self._row_point(self.link_logb[self._link_index(link, True)])
 
     def distortion_of(self, p: ProcessId) -> float:
-        return float(self.proc_d[p])
+        return float(self.proc_d[check_process(p, self.n)])
 
     def link_distortion(self, link: Link) -> float:
-        row = self.graph.link_id(Link.of(*link))
-        return float(self.link_d[row]) if self.link_known[row] else math.inf
+        i = self._link_index(link)
+        return math.inf if i is None else float(self.link_d[i])
 
     # -- heartbeat emission -----------------------------------------------------------
 
@@ -197,9 +210,10 @@ class VectorView:
         snapshot in flight) and read-only (the one object goes to every
         neighbour, so no receiver may write into it).
         """
-        logb, d, seq = self.logb.copy(), self.d.copy(), self.seq.copy()
-        logb.flags.writeable = d.flags.writeable = seq.flags.writeable = False
-        return VectorSnapshot(self.pid, int(seq[self.pid]), logb, d, seq)
+        rec, d = self.rec.copy(), self.d.copy()
+        rec[:, _D] += 1.0  # the distortion a receiver adopts (module note)
+        rec.flags.writeable = d.flags.writeable = False
+        return VectorSnapshot(self.pid, int(self.seq[self.pid]), rec, d)
 
     # -- Event 1 ---------------------------------------------------------------------
 
@@ -228,9 +242,7 @@ class VectorView:
         # links at once: strictly smaller distortion wins (module note)
         rows = (snapshot.d < self.d).nonzero()[0]
         if rows.size:
-            self.logb[rows] = snapshot.logb.take(rows, 0)  # cheaper than [rows]
-            self.d[rows] = snapshot.d[rows] + 1.0
-            self.seq[rows] = snapshot.seq[rows]
+            self.rec[rows] = snapshot.rec.take(rows, 0)  # cheaper than [rows]
             self.last[rows] = now
             self.known[rows] = True
 
@@ -260,18 +272,17 @@ class VectorView:
         if ticks < 0:
             raise ProtocolError(f"negative downtime {ticks}")
         if ticks:
-            self._observe(self.pid, self._log_mid, ticks)
+            self._observe(
+                self.pid, self._log_mid, check_non_negative_int(ticks, "factor")
+            )
 
     # -- diagnostics -----------------------------------------------------------------
 
     def proc_map_interval(self, p: ProcessId) -> int:
-        return int(np.argmax(self.proc_logb[p]))
+        return int(np.argmax(self.proc_logb[check_process(p, self.n)]))
 
     def link_map_interval(self, link: Link) -> int:
-        row = self.graph.link_id(Link.of(*link))
-        if not self.link_known[row]:
-            raise ProtocolError(f"link {link} not known to process {self.pid}")
-        return int(np.argmax(self.link_logb[row]))
+        return int(np.argmax(self.link_logb[self._link_index(link, True)]))
 
     def proc_point_estimates(self) -> np.ndarray:
         """Posterior-mean crash probability of every process (vector)."""

@@ -24,6 +24,27 @@ from repro.util.rng import RandomSource
 from repro.util.validation import check_probability
 
 
+def _set_crash(vec: np.ndarray, crash: Mapping[ProcessId, float]) -> np.ndarray:
+    """``vec`` with each ``crash`` entry validated and written into it."""
+    for p, value in crash.items():
+        if not 0 <= p < len(vec):
+            raise ConfigurationError(f"process {p} not in graph")
+        vec[p] = check_probability(value, f"crash[{p}]")
+    return vec
+
+
+def _set_loss(vec: np.ndarray, graph: Graph, loss: Mapping[Link, float]) -> np.ndarray:
+    """``vec`` with each ``loss`` entry validated and written into it."""
+    for raw, value in loss.items():
+        link = Link.of(*raw)
+        try:
+            idx = graph.link_id(link)
+        except Exception as exc:
+            raise ConfigurationError(f"link {link} not in graph") from exc
+        vec[idx] = check_probability(value, f"loss[{link}]")
+    return vec
+
+
 class Configuration:
     """Immutable crash/loss probability assignment for a graph.
 
@@ -53,26 +74,22 @@ class Configuration:
     ) -> None:
         check_probability(default_crash, "default_crash")
         check_probability(default_loss, "default_loss")
-        crash_vec = np.full(graph.n, float(default_crash))
-        if crash:
-            for p, value in crash.items():
-                if not 0 <= p < graph.n:
-                    raise ConfigurationError(f"process {p} not in graph")
-                crash_vec[p] = check_probability(value, f"crash[{p}]")
+        crash_vec = _set_crash(np.full(graph.n, float(default_crash)), crash or {})
         loss_vec = np.full(graph.link_count, float(default_loss))
-        if loss:
-            for raw, value in loss.items():
-                link = Link.of(*raw)
-                try:
-                    idx = graph.link_id(link)
-                except Exception as exc:
-                    raise ConfigurationError(f"link {link} not in graph") from exc
-                loss_vec[idx] = check_probability(value, f"loss[{link}]")
         self._graph = graph
         self._crash = crash_vec
         self._crash.setflags(write=False)
-        self._loss = loss_vec
+        self._loss = _set_loss(loss_vec, graph, loss or {})
         self._loss.setflags(write=False)
+
+    def _derive(self, crash: np.ndarray, loss: np.ndarray) -> "Configuration":
+        """This graph with validated vectors, without ``__init__``'s pass over
+        every entry; an unchanged vector is shared (both are read-only)."""
+        derived = object.__new__(Configuration)
+        derived._graph, derived._crash, derived._loss = self._graph, crash, loss
+        crash.setflags(write=False)
+        loss.setflags(write=False)
+        return derived
 
     # -- constructors -------------------------------------------------------------
 
@@ -184,18 +201,14 @@ class Configuration:
 
     def with_crash(self, updates: Mapping[ProcessId, float]) -> "Configuration":
         """New configuration with some crash probabilities replaced."""
-        crash = {p: float(self._crash[p]) for p in self._graph.processes}
-        crash.update(updates)
-        loss = {link: float(self._loss[i]) for i, link in enumerate(self._graph.links)}
-        return Configuration(self._graph, crash=crash, loss=loss)
+        return self._derive(_set_crash(self._crash.copy(), updates), self._loss)
 
     def with_loss(self, updates: Mapping[Link, float]) -> "Configuration":
         """New configuration with some loss probabilities replaced."""
-        crash = {p: float(self._crash[p]) for p in self._graph.processes}
-        loss = {link: float(self._loss[i]) for i, link in enumerate(self._graph.links)}
-        for raw, value in updates.items():
-            loss[Link.of(*raw)] = value
-        return Configuration(self._graph, crash=crash, loss=loss)
+        # normalised first, so a later spelling of the same link wins
+        loss = {Link.of(*raw): value for raw, value in updates.items()}
+        loss_vec = _set_loss(self._loss.copy(), self._graph, loss)
+        return self._derive(self._crash, loss_vec)
 
     def for_graph(self, graph: Graph) -> "Configuration":
         """Re-key this configuration onto another graph over the same

@@ -265,7 +265,7 @@ class RandomSource:
             self._seed_parts = _parent._seed_parts + seed_parts
         _absorb(digest, seed_parts)
         self._digest = digest
-        self._generator = np.random.default_rng(_seed_of(digest))
+        # _generator stays unset until first read: see __getattr__
         if ledger is None:
             # ledger keys use the root *name* only: later parts of a
             # directly-constructed root (scenario name, protocol, trial
@@ -277,6 +277,14 @@ class RandomSource:
         self._ledger = ledger
         self._key = key
         self._stream = "" if key is None else _render_key(key)
+
+    def __getattr__(self, name: str) -> np.random.Generator:
+        # reached only for an unset slot: _generator is built on first
+        # read, since many streams only derive children and never draw
+        if name != "_generator":
+            raise AttributeError(name)
+        generator = self._generator = np.random.default_rng(_seed_of(self._digest))
+        return generator
 
     @property
     def seed_parts(self) -> Sequence[SeedLike]:

@@ -126,6 +126,67 @@ class TestDerivation:
         assert updated.loss_probability(link) == 0.77
         assert small_config.loss_probability(link) == 0.01
 
+    @staticmethod
+    def _rebuilt(config, crash=None, loss=None):
+        """A derivation done the long way: every entry through ``__init__``."""
+        graph = config.graph
+        crash_map = {p: float(config.crash_vector[p]) for p in graph.processes}
+        crash_map.update(crash or {})
+        loss_map = {
+            link: float(config.loss_vector[i]) for i, link in enumerate(graph.links)
+        }
+        for raw, value in (loss or {}).items():
+            loss_map[Link.of(*raw)] = value
+        return Configuration(graph, crash=crash_map, loss=loss_map)
+
+    @pytest.mark.parametrize(
+        "crash, loss",
+        [
+            ({0: 0.9}, None),
+            ({}, None),
+            ({5: 1.0, 1: 0}, None),
+            (None, {(1, 0): 0.77}),
+            (None, {(0, 1): 0.5, (1, 0): 0.25}),  # the later spelling wins
+            (None, {}),
+        ],
+    )
+    def test_derivations_equal_a_full_rebuild(self, small_config, crash, loss):
+        derived = (
+            small_config.with_crash(crash)
+            if crash is not None
+            else small_config.with_loss(loss)
+        )
+        assert derived == self._rebuilt(small_config, crash, loss)
+        for vector in (derived.crash_vector, derived.loss_vector):
+            assert not vector.flags.writeable
+        # the parent is untouched by its derivation
+        assert small_config == self._rebuilt(small_config)
+
+    @pytest.mark.parametrize(
+        "crash, loss",
+        [
+            ({99: 0.1}, None),
+            ({-1: 0.1}, None),
+            ({2: 1.5}, None),
+            ({2: True}, None),
+            ({2: float("nan")}, None),
+            (None, {(0, 5): 0.1}),
+            (None, {(0, 1): -0.2}),
+            (None, {(0, 1): "0.2"}),
+        ],
+    )
+    def test_derivations_raise_what_a_full_rebuild_raises(
+        self, small_config, crash, loss
+    ):
+        with pytest.raises((ConfigurationError, ValidationError)) as rebuilt:
+            self._rebuilt(small_config, crash, loss)
+        with pytest.raises(rebuilt.type) as derived:
+            if crash is not None:
+                small_config.with_crash(crash)
+            else:
+                small_config.with_loss(loss)
+        assert str(derived.value) == str(rebuilt.value)
+
     def test_for_graph_subset(self, small_graph, small_config):
         sub = small_graph.subgraph_links(
             [Link.of(0, 1), Link.of(1, 2), Link.of(2, 3), Link.of(3, 4), Link.of(4, 5)]

@@ -197,6 +197,74 @@ class TestRandomSource:
         assert rng.seed_parts == ("root", "x", 2)
 
 
+class TestLazyGenerator:
+    def test_child_only_stream_never_builds_a_generator(self, monkeypatch):
+        built = []
+        default_rng = np.random.default_rng
+
+        def counting(seed):
+            built.append(seed)
+            return default_rng(seed)
+
+        monkeypatch.setattr(np.random, "default_rng", counting)
+        root = RandomSource("lazy", 3)
+        leaf = root.child("network").child("loss", 4)
+        assert built == []
+        leaf.random()
+        assert built == [derive_seed("lazy", 3, "network", "loss", 4)]
+
+    @pytest.mark.parametrize(
+        "draw",
+        [
+            lambda s: [s.random() for _ in range(5)],
+            lambda s: s.random_array(5).tolist(),
+            lambda s: [s.integer(10) for _ in range(5)],
+            lambda s: s.shuffled(range(10)),
+            lambda s: _drain(s.buffered(), 5),
+            lambda s: s.generator.random(5).tolist(),
+        ],
+    )
+    def test_draws_equal_an_eagerly_built_generator(self, draw):
+        eager = np.random.default_rng(derive_seed("lazy-eq", "x"))
+        lazy = RandomSource("lazy-eq").child("x")
+        assert draw(lazy) == draw(_Eager(eager))
+
+    def test_unknown_attributes_still_raise(self):
+        with pytest.raises(AttributeError, match="nope"):
+            RandomSource("lazy-attr").nope
+
+
+def _drain(buffered, count):
+    return [buffered.next() for _ in range(count)]
+
+
+class _Eager:
+    """The draw helpers' calls, made straight on a given Generator."""
+
+    def __init__(self, generator):
+        self.generator = generator
+
+    def random(self):
+        return float(self.generator.random())
+
+    def random_array(self, size):
+        return self.generator.random(size)
+
+    def integer(self, high):
+        return int(self.generator.integers(high))
+
+    def shuffled(self, seq):
+        out = list(seq)
+        self.generator.shuffle(out)
+        return out
+
+    def buffered(self):
+        return self
+
+    def next(self):
+        return float(self.generator.random())
+
+
 class _CountingGenerator:
     """A Generator stand-in that records each ``random(size)`` request."""
 

@@ -11,7 +11,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from repro.errors import ProtocolError
+from repro.errors import ProtocolError, UnknownProcessError, ValidationError
 from repro.core.knowledge import KnowledgeParameters, ProcessView
 from repro.core.viewtable import VectorView
 from repro.topology.generators import k_regular, ring
@@ -48,6 +48,47 @@ def assert_equivalent(graph, obj: ProcessView, vec: VectorView):
                 vec.loss_probability(link), abs=1e-9
             ), f"loss estimate of {link}"
             assert obj.link_distortion(link) == vec.link_distortion(link)
+    assert_outside_graph_agrees(graph, obj, vec)
+
+
+def outcome(call, *args):
+    """``call(*args)``'s value, or the type of the exception it raised."""
+    try:
+        return call(*args)
+    except Exception as exc:
+        return type(exc)
+
+
+def assert_outside_graph_agrees(graph, obj: ProcessView, vec: VectorView):
+    """Ids outside the graph get the same answer from both views.
+
+    A pid outside ``[0, n)`` is an ``UnknownProcessError`` (never a NumPy
+    index wrapping to another row), a link outside the graph is simply
+    unknown, and a downtime must be an int.
+    """
+    for p in (-1, -graph.n, graph.n, True):
+        for name in ("crash_probability", "distortion_of", "proc_map_interval"):
+            got = outcome(getattr(obj, name), p), outcome(getattr(vec, name), p)
+            assert got == (UnknownProcessError,) * 2, (name, p)
+    missing = [
+        Link.of(u, v)
+        for u in graph.processes
+        for v in range(u + 1, graph.n)
+        if not graph.has_link(u, v)
+    ]
+    expected = {
+        "knows_link": False,
+        "link_distortion": math.inf,
+        "loss_probability": ProtocolError,
+        "link_map_interval": ProtocolError,
+    }
+    for link in missing[:1]:
+        for name, answer in expected.items():
+            got = outcome(getattr(obj, name), link), outcome(getattr(vec, name), link)
+            assert got == (answer,) * 2, (name, link)
+    for ticks in (True, 1.5):
+        got = outcome(obj.record_downtime, ticks), outcome(vec.record_downtime, ticks)
+        assert got == (ValidationError,) * 2, ticks
 
 
 def assert_invariant(vec: VectorView):
@@ -272,9 +313,51 @@ class TestFusedTable:
         g = ring(5)
         snap = VectorView(1, g, PARAMS).emit_heartbeat(1.0)
         VectorView(0, g, PARAMS).handle_heartbeat(snap, 1.0)
-        for array in (snap.logb, snap.d, snap.seq):
+        for array in (snap.rec, snap.logb, snap.d, snap.seq):
             with pytest.raises(ValueError):
                 array[0] = 1
+
+    def test_columns_are_views_of_one_record_per_row(self):
+        g = ring(5)
+        vec = VectorView(0, g, PARAMS)
+        u = PARAMS.intervals
+        assert vec.rec.shape == (g.n + g.link_count, u + 3)
+        assert vec.rec.dtype == np.float64
+        for name in (
+            "logb", "d", "seq", "last", "proc_logb", "link_logb",
+            "proc_d", "link_d", "proc_last", "link_last", "proc_seq",
+        ):
+            assert np.shares_memory(getattr(vec, name), vec.rec), name
+        assert not np.shares_memory(vec.known, vec.rec)
+        vec.proc_last[2] = 7.5
+        vec.link_d[1] = 3.0
+        assert vec.rec[2, u + 2] == 7.5 and vec.rec[g.n + 1, u] == 3.0
+
+    def test_snapshot_carries_the_senders_values_and_d_plus_one(self):
+        g = ring(5)
+        a, b, c = (VectorView(p, g, PARAMS) for p in (0, 1, 2))
+        b.record_downtime(2)
+        b.handle_heartbeat(c.emit_heartbeat(1.0), 1.0)
+        b.staleness_sweep(2.5)
+        snap = b.emit_heartbeat(3.0)
+        assert np.array_equal(snap.logb, b.logb)
+        assert np.array_equal(snap.d, b.d)
+        assert np.array_equal(snap.seq, b.seq)
+        assert np.array_equal(snap.rec[:, -3], b.d + 1.0)
+        assert snap.sender_seq == b.seq[1] == 1
+        for array in (snap.rec, snap.logb, snap.d, snap.seq):
+            assert not array.flags.writeable
+        before = a.rec.copy()
+        a.handle_heartbeat(snap, 4.0)
+        adopted = snap.d < before[:, -3]
+        assert adopted.sum() > 1
+        assert np.array_equal(a.d[adopted], b.d[adopted] + 1.0)
+        assert np.array_equal(a.logb[adopted], b.logb[adopted])
+        assert np.array_equal(a.seq[adopted], b.seq[adopted])
+        assert (a.last[adopted] == 4.0).all()
+        kept = ~adopted
+        kept[g.n + g.link_id(Link.of(0, 1))] = False  # the incoming link
+        assert np.array_equal(a.rec[kept], before[kept])
 
     def test_snapshot_is_a_copy_not_a_slice(self):
         """Sender-side updates after emission never reach a snapshot in flight."""
@@ -289,3 +372,25 @@ class TestFusedTable:
         for before, after in zip(frozen, (snap.logb, snap.d, snap.seq)):
             assert np.array_equal(before, after)
         assert snap.sender_seq == 1
+
+
+def test_argmax_normalisation_is_maximum_reduce_bit_for_bit():
+    """``b - b[b.argmax()]`` (the view's row update) equals subtracting
+    ``np.maximum.reduce(b)``, bit for bit, also with ties, infinities and
+    NaN.  (Signed zeros are the one case where the two picks differ; a
+    log-belief row never holds ``-0.0``: it starts at ``+0.0`` and only
+    ever adds negative log-likelihoods or subtracts its own maximum.)"""
+    rng = np.random.default_rng(27)
+    alphabet = np.array([-7.25, -1.0, -0.5, 0.0, 2.0, -np.inf, np.inf, np.nan])
+    for _ in range(2000):
+        size = int(rng.integers(1, 60))
+        if rng.random() < 0.5:
+            row = rng.choice(alphabet, size)  # ties, infinities and NaN
+        else:
+            row = rng.normal(size=size)
+            row[rng.random(size) < 0.1] = -np.inf
+        with np.errstate(invalid="ignore"):
+            fast, reference = row.copy(), row.copy()
+            fast -= fast[fast.argmax()]
+            reference -= np.maximum.reduce(reference)
+        assert fast.tobytes() == reference.tobytes(), row
