@@ -14,7 +14,7 @@ from typing import Dict, Optional, Tuple
 from repro.errors import UnknownLinkError
 from repro.topology.configuration import Configuration
 from repro.types import Link, ProcessId
-from repro.util.rng import BufferedUniforms, RandomSource
+from repro.util.rng import BufferedUniforms, RandomSource, StreamBatch
 from repro.util.validation import check_non_negative
 
 #: One cached directed-pair entry: (loss probability, buffered stream or
@@ -43,9 +43,9 @@ class LatencyModel:
 class LossyLinkLayer:
     """Draws per-transmission loss outcomes from per-link streams.
 
-    One child random stream per link keeps outcomes independent of the
-    order in which other links transmit — crucial for reproducibility
-    when protocols are refactored.
+    One random stream per link keeps outcomes independent of the order in
+    which other links transmit; the first lossy transmission seeds them all
+    in one :class:`StreamBatch`, bit for bit the ``child("loss", idx)`` streams.
 
     Hot-path layout: the first transmission over a directed pair
     validates the link and materialises a ``(loss, draw)`` entry under
@@ -57,13 +57,14 @@ class LossyLinkLayer:
     layer.
     """
 
-    __slots__ = ("_config", "_graph", "_root", "_cache")
+    __slots__ = ("_config", "_graph", "_root", "_cache", "_loss_streams")
 
     def __init__(self, config: Configuration, rng: RandomSource) -> None:
         self._config = config
         self._graph = config.graph
         self._root = rng.child("link-layer")
         self._cache: Dict[Tuple[ProcessId, ProcessId], _LinkEntry] = {}
+        self._loss_streams: Optional[StreamBatch] = None
 
     def _materialize(
         self, sender: ProcessId, receiver: ProcessId
@@ -77,9 +78,11 @@ class LossyLinkLayer:
         loss = float(self._config.loss_vector[idx])
         draw = None
         if 0.0 < loss < 1.0:
-            # same child labels the unbuffered per-link streams used, so
-            # the draw sequence is bit-identical
-            draw = self._root.child("loss", idx).buffered()
+            if self._loss_streams is None:
+                losses = enumerate(self._config.loss_vector.tolist())
+                lossy = [i for i, p in losses if 0.0 < p < 1.0]
+                self._loss_streams = self._root.batch("loss", lossy)
+            draw = self._loss_streams.buffered(idx)
         entry = (loss, draw)
         self._cache[(sender, receiver)] = entry
         self._cache[(receiver, sender)] = entry

@@ -7,6 +7,7 @@ every subsequent outcome.  :class:`RandomSource` therefore hands out
 independent :class:`numpy.random.Generator`, so per-link loss draws,
 per-process crash draws and workload generation each consume their own
 stream and experiments remain reproducible under refactoring.
+:class:`StreamBatch` seeds many sibling streams in one vectorised pass.
 
 The module also hosts the opt-in **draw ledger** (:class:`DrawLedger`
 plus :func:`ledger_scope`): while a ledger is active, every stream
@@ -21,11 +22,15 @@ perturb a trial's outcomes.
 
 from __future__ import annotations
 
+import functools
 import hashlib
 from contextlib import contextmanager
 from typing import Dict, Iterator, Optional, Sequence, Tuple, Union
 
 import numpy as np
+
+from repro.errors import ValidationError
+from repro.util.validation import check_positive_int
 
 SeedLike = Union[int, str, bytes]
 
@@ -125,8 +130,7 @@ class BufferedUniforms:
         _ledger: Optional[DrawLedger] = None,
         _stream: str = "",
     ) -> None:
-        if block < 1:
-            raise ValueError(f"block must be >= 1, got {block}")
+        check_positive_int(block, "block")
         self._generator = generator
         self._block = block
         self._size = min(_FIRST_BLOCK, block)  # the next refill's size
@@ -200,6 +204,51 @@ def derive_seed(*parts: SeedLike) -> int:
     return _seed_of(digest)
 
 
+# NumPy's SeedSequence (random/bit_generator.pyx) on (words, seeds) arrays
+def _hash_constants(init: int, mult: int, calls: int) -> np.ndarray:
+    """(xor, multiplier) of ``calls`` successive hashmixes, ``(2, calls, 1)``."""
+    chain = np.cumprod([init] + [mult] * calls, dtype=np.uint32)
+    return np.stack([chain[:-1], chain[1:]])[:, :, None]
+
+
+_POOL_HASH = _hash_constants(0x43B0D7E5, 0x931E8875, 16)  # INIT_A, MULT_A
+_STATE_HASH = _hash_constants(0x8B51F9DD, 0x58F38DED, 8)  # INIT_B, MULT_B
+_MIX_L, _MIX_R = np.uint32(0xCA01F9DD), np.uint32(0x4973F715)
+
+
+def _hashmix(value: np.ndarray, xor: np.ndarray, mult: np.ndarray) -> np.ndarray:
+    value = (value ^ xor) * mult
+    return value ^ (value >> np.uint32(16))
+
+
+def _pcg64_seed_words(entropy: np.ndarray) -> np.ndarray:
+    """Rows ``SeedSequence(s).generate_state(4, np.uint64)`` for seeds given as
+    (low, high) 32-bit word rows; a zero high word mixes as one-word entropy."""
+    pool = _hashmix(np.vstack([entropy, np.zeros_like(entropy)]), *_POOL_HASH[:, :4])
+    xor, mult = _POOL_HASH[:, 4:].reshape(2, 4, 3, 1)
+    for src in range(4):
+        # the three mixes out of one source word are independent
+        dst = [d for d in range(4) if d != src]
+        mixed = pool[dst] * _MIX_L - _hashmix(pool[src], xor[src], mult[src]) * _MIX_R
+        pool[dst] = mixed ^ (mixed >> np.uint32(16))
+    state = _hashmix(pool[[0, 1, 2, 3] * 2], *_STATE_HASH).astype(np.uint64)
+    return np.ascontiguousarray((state[0::2] | state[1::2] << np.uint64(32)).T)
+
+
+@functools.cache
+def _preset_seed() -> type:
+    """PCG64's seed sequence for a precomputed row (numpy.random loads lazily)."""
+
+    class PresetSeed(np.random.bit_generator.ISeedSequence):
+        def __init__(self, words: np.ndarray) -> None:
+            self._words = words
+
+        def generate_state(self, n_words: int, dtype=np.uint32) -> np.ndarray:
+            return self._words
+
+    return PresetSeed
+
+
 #: A ledger key in run-length form: (the rendered labels before the last
 #: one, with their trailing "/"; the last label; how often it repeats).
 _LedgerKey = Tuple[str, str, int]
@@ -226,6 +275,48 @@ def _extend_key(key: _LedgerKey, labels: Sequence[SeedLike]) -> _LedgerKey:
             head = _render_key((head, last, run)) + "/"
             last, run = text, 1
     return head, last, run
+
+
+def _bind_ledger(parent: Optional["RandomSource"], labels: Sequence[SeedLike]) -> tuple:
+    """Ledger, key and rendered key of the stream ``parent`` derives by ``labels``."""
+    ledger = None if parent is None else parent._ledger
+    if ledger is None:
+        # keyed by the root *name* only: a root's later parts (scenario name,
+        # protocol, trial index) vary per trial and would fragment the keys
+        root = labels[0] if parent is None else parent._seed_parts[0]
+        ledger, key = _ACTIVE_LEDGER, ("", str(root), 1)
+    else:
+        key = _extend_key(parent._key, labels)
+    return ledger, key, "" if ledger is None else _render_key(key)
+
+
+class StreamBatch:
+    """The streams ``source.child(label, i)`` for many int ids, seeded at once.
+
+    ``buffered(i)`` is ``source.child(label, i).buffered()`` bit for bit,
+    ledger included, with no ``RandomSource`` or ``SeedSequence`` of its own.
+    """
+
+    __slots__ = ("_source", "_label", "_rows", "_words")
+
+    def __init__(self, source: "RandomSource", label: SeedLike, ids: Sequence[int]):
+        digest = source._digest.copy()
+        _absorb(digest, (label,))
+        seeds = []
+        for i in ids:  # what _absorb feeds for an int: length 16, 16 bytes
+            child = digest.copy()
+            child.update(b"\x10\0\0\0" + i.to_bytes(16, "little", signed=True))
+            seeds.append(child.digest()[:8])
+        entropy = np.frombuffer(b"".join(seeds), dtype="<u4").reshape(-1, 2)
+        self._words = _pcg64_seed_words(entropy.T)
+        self._rows = {i: row for row, i in enumerate(ids)}
+        self._source, self._label = source, label
+
+    def buffered(self, i: int, block: int = 256) -> BufferedUniforms:
+        ledger, _, stream = _bind_ledger(self._source, (self._label, i))
+        seed = _preset_seed()(self._words[self._rows[i]])
+        generator = np.random.Generator(np.random.PCG64(seed))
+        return BufferedUniforms(generator, block, _ledger=ledger, _stream=stream)
 
 
 class RandomSource:
@@ -257,26 +348,14 @@ class RandomSource:
         # extend the parent's path, hashed onto a copy of its digest state
         if _parent is None:
             digest = hashlib.sha256()
-            ledger = None
             self._seed_parts = seed_parts
         else:
             digest = _parent._digest.copy()
-            ledger = _parent._ledger
             self._seed_parts = _parent._seed_parts + seed_parts
         _absorb(digest, seed_parts)
         self._digest = digest
         # _generator stays unset until first read: see __getattr__
-        if ledger is None:
-            # ledger keys use the root *name* only: later parts of a
-            # directly-constructed root (scenario name, protocol, trial
-            # index) vary per trial and would fragment the ledger keyspace
-            ledger = _ACTIVE_LEDGER
-            key = None if ledger is None else ("", str(self._seed_parts[0]), 1)
-        else:
-            key = _extend_key(_parent._key, seed_parts)
-        self._ledger = ledger
-        self._key = key
-        self._stream = "" if key is None else _render_key(key)
+        self._ledger, self._key, self._stream = _bind_ledger(_parent, seed_parts)
 
     def __getattr__(self, name: str) -> np.random.Generator:
         # reached only for an unset slot: _generator is built on first
@@ -308,6 +387,10 @@ class RandomSource:
                 this stream's draws).
         """
         return RandomSource(*labels, _parent=self)
+
+    def batch(self, label: SeedLike, ids: Sequence[int]) -> StreamBatch:
+        """``child(label, i)`` for every int ``i`` in ``ids``: see StreamBatch."""
+        return StreamBatch(self, label, ids)
 
     def buffered(self, block: int = 256) -> BufferedUniforms:
         """Wrap this stream's generator for block-buffered uniform draws.
@@ -342,6 +425,8 @@ class RandomSource:
             return False
         if p >= 1.0:
             return True
+        if p != p:  # NaN
+            raise ValidationError(f"p must be a probability, got {p!r}")
         self._count(1)
         return bool(self._generator.random() < p)
 
@@ -351,6 +436,8 @@ class RandomSource:
             return np.zeros(size, dtype=bool)
         if p >= 1.0:
             return np.ones(size, dtype=bool)
+        if p != p:  # NaN
+            raise ValidationError(f"p must be a probability, got {p!r}")
         self._count(size)
         return self._generator.random(size) < p
 

@@ -1,6 +1,8 @@
 """Unit tests for the network substrate (links, delivery, accounting)."""
 
+import numpy as np
 import pytest
+from numpy.random import bit_generator
 
 from repro.errors import SimulationError, UnknownLinkError, ValidationError
 from repro.sim.link import LatencyModel, LossyLinkLayer
@@ -9,7 +11,7 @@ from repro.sim.trace import DropReason, MessageCategory
 from repro.topology.configuration import Configuration
 from repro.topology.generators import line, ring
 from repro.types import Link
-from repro.util.rng import RandomSource
+from repro.util.rng import DrawLedger, RandomSource, ledger_scope
 from tests.conftest import build_network
 
 
@@ -88,6 +90,99 @@ class TestLossyLinkLayer:
         layer = LossyLinkLayer(Configuration.reliable(g), RandomSource(1))
         with pytest.raises(UnknownLinkError):
             layer.transmit(0, 2)
+
+
+def _mixed_loss(graph):
+    """Links cycle through lossless, lossy, always lost and lossy."""
+    levels = (0.0, 0.35, 1.0, 0.6)
+    return Configuration(
+        graph, loss={link: levels[i % 4] for i, link in enumerate(graph.links)}
+    )
+
+
+def _drive(layer, graph, rounds=6):
+    """Transmit ``rounds`` times over every link, alternating direction."""
+    return [
+        layer.transmit(*(link if r % 2 else reversed(link)))
+        for r in range(rounds)
+        for link in graph.links
+    ]
+
+
+class TestLinkLossStreams:
+    """The layer's batch-seeded loss streams are the per-link child streams."""
+
+    def test_outcomes_and_ledger_equal_child_streams(self):
+        graph = ring(10).with_links([(0, 5), (2, 7)])
+        config = _mixed_loss(graph)
+
+        def reference(root, link):
+            loss = config.loss_probability(link)
+            if not 0.0 < loss < 1.0:
+                return lambda: loss <= 0.0
+            idx = graph.link_id(link)
+            stream = root.child("link-layer").child("loss", idx).buffered()
+            return lambda: stream.next() >= loss
+
+        runs = []
+        for batched in (True, False):
+            ledger = DrawLedger()
+            with ledger_scope(ledger):
+                root = RandomSource("scenario", 4).child("network")
+                if batched:
+                    outcomes = _drive(LossyLinkLayer(config, root), graph)
+                else:
+                    draws = {link: reference(root, link) for link in graph.links}
+                    outcomes = [draws[link]() for _ in range(6) for link in graph.links]
+            runs.append((outcomes, ledger.as_dict()))
+        assert runs[0] == runs[1]
+        keys = runs[0][1]
+        assert len(keys) == sum(0 < p < 1 for p in config.loss_vector)
+        assert set(keys.values()) == {6}
+
+    @pytest.fixture
+    def counters(self, monkeypatch):
+        counts = {"default_rng": 0, "SeedSequence": 0, "batch": 0}
+
+        def counting(owner, name):
+            original = getattr(owner, name)
+
+            def wrapper(*args, **kwargs):
+                counts[name] += 1
+                return original(*args, **kwargs)
+
+            monkeypatch.setattr(owner, name, wrapper)
+
+        counting(np.random, "default_rng")
+        counting(np.random, "SeedSequence")
+        counting(RandomSource, "batch")
+        return counts
+
+    def test_one_batch_and_no_default_rng(self, counters):
+        graph = ring(12)
+        layer = LossyLinkLayer(_mixed_loss(graph), RandomSource(3))
+        _drive(layer, graph)
+        assert counters == {"default_rng": 0, "SeedSequence": 0, "batch": 1}
+        streams = {id(draw) for _, draw in layer._cache.values() if draw is not None}
+        assert len(streams) == 6  # the lossy half of 12 links, one per link
+        for _, draw in layer._cache.values():
+            if draw is not None:
+                seed_seq = draw._generator.bit_generator.seed_seq
+                assert not isinstance(seed_seq, bit_generator.SeedSequence)
+
+    @pytest.mark.parametrize(
+        "config, transmit",
+        [
+            (_mixed_loss(ring(12)), False),
+            (Configuration.reliable(ring(12)), True),
+            (Configuration.uniform(ring(12), loss=1.0), True),
+        ],
+    )
+    def test_no_batch_without_a_lossy_transmission(self, counters, config, transmit):
+        layer = LossyLinkLayer(config, RandomSource(3))
+        if transmit:
+            _drive(layer, config.graph)
+        assert counters["batch"] == 0
 
 
 class TestNetworkDelivery:

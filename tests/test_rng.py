@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 from hypothesis import given, strategies as st
 
+from repro.errors import ValidationError
 from repro.util import rng as rng_module
 from repro.util.rng import (
     BufferedUniforms,
@@ -138,6 +139,19 @@ class TestRandomSource:
         assert rng.bernoulli(1.0) is True
         assert not rng.bernoulli_array(0.0, 10).any()
         assert rng.bernoulli_array(1.0, 10).all()
+
+    @pytest.mark.parametrize(
+        "flip",
+        [lambda s: s.bernoulli(float("nan")), lambda s: s.bernoulli_array(np.nan, 4)],
+    )
+    def test_bernoulli_nan_is_rejected_before_drawing(self, flip):
+        ledger = DrawLedger()
+        with ledger_scope(ledger):
+            rng = RandomSource("nan-flip")
+        with pytest.raises(ValidationError):
+            flip(rng)
+        assert ledger.as_dict() == {}
+        assert rng.random() == RandomSource("nan-flip").random()
 
     def test_bernoulli_rate(self):
         rng = RandomSource(3)
@@ -368,6 +382,11 @@ class TestBufferedUniforms:
         with pytest.raises(ValueError):
             RandomSource("buffered-bad").buffered(block=0)
 
+    @pytest.mark.parametrize("block", [2.5, True, 0, -1, "8"])
+    def test_bad_block_is_rejected_at_construction(self, block):
+        with pytest.raises(ValidationError, match="block"):
+            RandomSource("buffered-bad").buffered(block)
+
     def test_wraps_the_streams_own_generator(self):
         source = RandomSource("buffered-shared")
         assert isinstance(source.buffered(), BufferedUniforms)
@@ -375,3 +394,63 @@ class TestBufferedUniforms:
         a = RandomSource("twin").buffered(block=3)
         b = RandomSource("twin").buffered(block=1000)
         assert [a.next() for _ in range(10)] == [b.next() for _ in range(10)]
+
+
+def _pcg64_seeds(seeds):
+    """The batch's PCG64 seed rows for ``seeds``, mixed in one pass."""
+    entropy = np.array([[s & 0xFFFFFFFF for s in seeds], [s >> 32 for s in seeds]])
+    return rng_module._pcg64_seed_words(entropy.astype(np.uint32))
+
+
+class TestStreamBatch:
+    def test_seed_words_give_numpys_pcg64_seeding(self):
+        drawn = np.random.default_rng(2024).integers(0, 2**64, 10_000, np.uint64)
+        edges = [0, 1, 2**32 - 1, 2**32, 2**63, 2**64 - 1]
+        seeds = [int(s) for s in drawn] + edges
+        rows = _pcg64_seeds(seeds)
+        for seed, row in zip(seeds, rows):
+            preset = np.random.PCG64(rng_module._preset_seed()(row))
+            assert preset.state == np.random.PCG64(seed).state, seed
+
+    @pytest.mark.parametrize("block", [1, 3, 4, 16, 64, 256])
+    def test_buffered_equals_child_buffered(self, block):
+        parent = RandomSource("batch", 5).child("reconfigured").child("link-layer")
+        ids = [0, 1, 499, 10**6]
+        batch = parent.batch("loss", [7, *ids])
+        for i in ids:
+            expected = parent.child("loss", i).buffered(block)
+            got = batch.buffered(i, block)
+            assert _drain(got, 1000) == _drain(expected, 1000), i
+
+    def test_ledger_keys_and_counts_equal_child_streams(self):
+        def drive(build):
+            ledger = DrawLedger()
+            with ledger_scope(ledger):
+                parent = RandomSource("scenario", 2).child("x").child("x")
+                for i, draws in ((3, 5), (40, 1), (3, 2)):
+                    _drain(build(parent, i), draws)
+            return ledger.as_dict()
+
+        batched = drive(lambda parent, i: parent.batch("loss", [3, 40]).buffered(i))
+        reference = drive(lambda parent, i: parent.child("loss", i).buffered())
+        assert batched == reference
+        assert reference == {"scenario/x*2/loss/3": 7, "scenario/x*2/loss/40": 1}
+
+    def test_unledgered_parent_binds_the_ambient_ledger_like_child(self):
+        parent = RandomSource("outside", 1)
+        batch = parent.batch("loss", [9])
+        counts = []
+        for build in (
+            lambda: batch.buffered(9),
+            lambda: parent.child("loss", 9).buffered(),
+        ):
+            ledger = DrawLedger()
+            with ledger_scope(ledger):
+                _drain(build(), 3)
+            counts.append(ledger.as_dict())
+        assert counts == [{"outside": 3}] * 2
+
+    def test_empty_batch_and_unknown_id(self):
+        batch = RandomSource("empty").batch("loss", [])
+        with pytest.raises(KeyError):
+            batch.buffered(0)
