@@ -81,7 +81,7 @@ class LossyLinkLayer:
             if self._loss_streams is None:
                 losses = enumerate(self._config.loss_vector.tolist())
                 lossy = [i for i, p in losses if 0.0 < p < 1.0]
-                self._loss_streams = self._root.batch("loss", lossy)
+                self._loss_streams = StreamBatch(self._root, "loss", lossy)
             draw = self._loss_streams.buffered(idx)
         entry = (loss, draw)
         self._cache[(sender, receiver)] = entry

@@ -312,11 +312,11 @@ class StreamBatch:
         self._rows = {i: row for row, i in enumerate(ids)}
         self._source, self._label = source, label
 
-    def buffered(self, i: int, block: int = 256) -> BufferedUniforms:
+    def buffered(self, i: int) -> BufferedUniforms:
         ledger, _, stream = _bind_ledger(self._source, (self._label, i))
         seed = _preset_seed()(self._words[self._rows[i]])
         generator = np.random.Generator(np.random.PCG64(seed))
-        return BufferedUniforms(generator, block, _ledger=ledger, _stream=stream)
+        return BufferedUniforms(generator, _ledger=ledger, _stream=stream)
 
 
 class RandomSource:
@@ -387,10 +387,6 @@ class RandomSource:
                 this stream's draws).
         """
         return RandomSource(*labels, _parent=self)
-
-    def batch(self, label: SeedLike, ids: Sequence[int]) -> StreamBatch:
-        """``child(label, i)`` for every int ``i`` in ``ids``: see StreamBatch."""
-        return StreamBatch(self, label, ids)
 
     def buffered(self, block: int = 256) -> BufferedUniforms:
         """Wrap this stream's generator for block-buffered uniform draws.

@@ -11,7 +11,7 @@ from repro.sim.trace import DropReason, MessageCategory
 from repro.topology.configuration import Configuration
 from repro.topology.generators import line, ring
 from repro.types import Link
-from repro.util.rng import DrawLedger, RandomSource, ledger_scope
+from repro.util.rng import DrawLedger, RandomSource, StreamBatch, ledger_scope
 from tests.conftest import build_network
 
 
@@ -142,31 +142,32 @@ class TestLinkLossStreams:
 
     @pytest.fixture
     def counters(self, monkeypatch):
-        counts = {"default_rng": 0, "SeedSequence": 0, "batch": 0}
+        counts = {"default_rng": 0, "batch": 0}
 
-        def counting(owner, name):
+        def counting(key, owner, name):
             original = getattr(owner, name)
 
             def wrapper(*args, **kwargs):
-                counts[name] += 1
+                counts[key] += 1
                 return original(*args, **kwargs)
 
             monkeypatch.setattr(owner, name, wrapper)
 
-        counting(np.random, "default_rng")
-        counting(np.random, "SeedSequence")
-        counting(RandomSource, "batch")
+        counting("default_rng", np.random, "default_rng")
+        counting("batch", StreamBatch, "__init__")
         return counts
 
     def test_one_batch_and_no_default_rng(self, counters):
         graph = ring(12)
         layer = LossyLinkLayer(_mixed_loss(graph), RandomSource(3))
         _drive(layer, graph)
-        assert counters == {"default_rng": 0, "SeedSequence": 0, "batch": 1}
+        assert counters == {"default_rng": 0, "batch": 1}
         streams = {id(draw) for _, draw in layer._cache.values() if draw is not None}
         assert len(streams) == 6  # the lossy half of 12 links, one per link
         for _, draw in layer._cache.values():
             if draw is not None:
+                # PCG64 builds its SeedSequence in compiled code, out of reach
+                # of a patch: the guard is that no drawn stream holds one
                 seed_seq = draw._generator.bit_generator.seed_seq
                 assert not isinstance(seed_seq, bit_generator.SeedSequence)
 

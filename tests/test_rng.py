@@ -10,6 +10,7 @@ from repro.util.rng import (
     BufferedUniforms,
     DrawLedger,
     RandomSource,
+    StreamBatch,
     derive_seed,
     ledger_scope,
 )
@@ -412,15 +413,14 @@ class TestStreamBatch:
             preset = np.random.PCG64(rng_module._preset_seed()(row))
             assert preset.state == np.random.PCG64(seed).state, seed
 
-    @pytest.mark.parametrize("block", [1, 3, 4, 16, 64, 256])
-    def test_buffered_equals_child_buffered(self, block):
+    def test_buffered_equals_child_buffered(self):
+        # 1,000 draws pass through every refill size (4, 16, 64, 256)
         parent = RandomSource("batch", 5).child("reconfigured").child("link-layer")
         ids = [0, 1, 499, 10**6]
-        batch = parent.batch("loss", [7, *ids])
+        batch = StreamBatch(parent, "loss", [7, *ids])
         for i in ids:
-            expected = parent.child("loss", i).buffered(block)
-            got = batch.buffered(i, block)
-            assert _drain(got, 1000) == _drain(expected, 1000), i
+            expected = parent.child("loss", i).buffered()
+            assert _drain(batch.buffered(i), 1000) == _drain(expected, 1000), i
 
     def test_ledger_keys_and_counts_equal_child_streams(self):
         def drive(build):
@@ -431,14 +431,16 @@ class TestStreamBatch:
                     _drain(build(parent, i), draws)
             return ledger.as_dict()
 
-        batched = drive(lambda parent, i: parent.batch("loss", [3, 40]).buffered(i))
+        batched = drive(
+            lambda parent, i: StreamBatch(parent, "loss", [3, 40]).buffered(i)
+        )
         reference = drive(lambda parent, i: parent.child("loss", i).buffered())
         assert batched == reference
         assert reference == {"scenario/x*2/loss/3": 7, "scenario/x*2/loss/40": 1}
 
     def test_unledgered_parent_binds_the_ambient_ledger_like_child(self):
         parent = RandomSource("outside", 1)
-        batch = parent.batch("loss", [9])
+        batch = StreamBatch(parent, "loss", [9])
         counts = []
         for build in (
             lambda: batch.buffered(9),
@@ -451,6 +453,6 @@ class TestStreamBatch:
         assert counts == [{"outside": 3}] * 2
 
     def test_empty_batch_and_unknown_id(self):
-        batch = RandomSource("empty").batch("loss", [])
+        batch = StreamBatch(RandomSource("empty"), "loss", [])
         with pytest.raises(KeyError):
             batch.buffered(0)
