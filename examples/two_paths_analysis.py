@@ -9,7 +9,8 @@ shows the message budgets both strategies need for a target reliability.
 Run:  python examples/two_paths_analysis.py
 """
 
-from repro import RandomSource, ratio_series
+import repro.api as api
+from repro import RandomSource
 from repro.analysis.two_paths import (
     adaptive_reach,
     gossip_reach,
@@ -21,7 +22,7 @@ from repro.util.tables import line_plot
 
 
 def main():
-    table = ratio_series()
+    table = api.run_experiment("figure1", backend="serial")
     print(table.render())
     print()
     print(line_plot(table, height=12))

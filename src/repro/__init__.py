@@ -30,7 +30,7 @@ from repro.analysis.convergence import (
     views_converged,
 )
 from repro.analysis.optimality import is_maximum_spanning_tree, verify_adaptiveness
-from repro.analysis.two_paths import message_ratio, ratio_series
+from repro.analysis.two_paths import message_ratio
 from repro.core.adaptive import (
     AdaptiveBroadcast,
     AdaptiveParameters,
@@ -242,7 +242,6 @@ __all__ = [
     "ConvergenceMonitor",
     # analysis
     "message_ratio",
-    "ratio_series",
     "ConvergenceCriterion",
     "views_converged",
     "estimate_errors",

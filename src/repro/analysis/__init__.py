@@ -33,12 +33,10 @@ from repro.analysis.two_paths import (
     adaptive_reach,
     gossip_reach,
     message_ratio,
-    ratio_series,
 )
 
 __all__ = [
     "message_ratio",
-    "ratio_series",
     "gossip_reach",
     "adaptive_reach",
     "ConvergenceCriterion",

@@ -18,11 +18,10 @@ only ~87.5% of the gossip algorithm's messages (Figure 1).
 from __future__ import annotations
 
 import math
-from typing import Iterable, List, Sequence
+from typing import List
 
 from repro.errors import ValidationError
 from repro.util.rng import RandomSource
-from repro.util.tables import Series, SeriesTable
 from repro.util.validation import check_open_probability, check_positive_int
 
 
@@ -76,24 +75,6 @@ def required_messages(loss: float, k_target: float) -> int:
     check_open_probability(loss, "loss")
     check_open_probability(k_target, "k_target")
     return max(1, math.ceil(math.log(1.0 - k_target) / math.log(loss)))
-
-
-def ratio_series(
-    losses: Sequence[float] = (1e-2, 1e-3, 1e-4),
-    alphas: Iterable[float] = tuple(range(1, 11)),
-) -> SeriesTable:
-    """Regenerate Figure 1: ``k1/k0`` vs ``alpha`` for each ``L``."""
-    table = SeriesTable(
-        title="Figure 1 - adaptive vs traditional gossip (k1/k0)",
-        x_label="alpha",
-    )
-    alphas = list(alphas)
-    for loss in losses:
-        series = Series(name=f"L={loss:g}")
-        for alpha in alphas:
-            series.add(alpha, message_ratio(loss, alpha))
-        table.add_series(series)
-    return table
 
 
 def simulate_two_paths(

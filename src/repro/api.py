@@ -101,9 +101,19 @@ from repro.results.store import ResultStore, resolve_result
 from repro.scenario.adversarial import Find, HuntResult
 from repro.scenario.adversarial import hunt as run_hunt
 from repro.scenario.generate import ScenarioGenerator
-from repro.scenario.registry import build_scenario, promoted_names, scenario_names
+from repro.scenario.registry import (
+    build_scenario,
+    promoted_names,
+    scenario_names,
+    scenario_trials,
+)
 from repro.scenario.registry import promote_scenario as _promote_scenario
-from repro.scenario.run import ScenarioReport, protocol_row, scenario_reports
+from repro.scenario.run import (
+    ComparisonResult,
+    ProtocolResult,
+    protocol_row,
+    scenario_reports,
+)
 from repro.scenario.schema import ScenarioSpec
 from repro.scenario.trial import run_scenario_trial
 
@@ -356,94 +366,6 @@ class TrialResult:
         )
 
 
-@dataclass(frozen=True)
-class ProtocolResult:
-    """One protocol's aggregated row of a scenario comparison."""
-
-    protocol: str
-    delivery_ratio: float
-    data_messages: float
-    total_messages: float
-    reconv_time: Optional[float]
-    reconverged: Optional[float]
-
-    def to_row(self) -> Dict[str, object]:
-        return {
-            "protocol": self.protocol,
-            "delivery_ratio": self.delivery_ratio,
-            "data_messages": self.data_messages,
-            "total_messages": self.total_messages,
-            "reconv_time": self.reconv_time,
-            "reconverged": self.reconverged,
-        }
-
-
-@dataclass(frozen=True)
-class ComparisonResult:
-    """A protocols-by-metrics scenario comparison (typed + renderable)."""
-
-    scenario: str
-    description: str
-    scale: str
-    trials: int
-    overrides: Dict[str, object] = field(default_factory=dict)
-    rows: Tuple[ProtocolResult, ...] = ()
-
-    def row(self, protocol: str) -> ProtocolResult:
-        """The row of one protocol (name or alias)."""
-        name = resolve_protocol(protocol).name
-        for entry in self.rows:
-            if entry.protocol == name:
-                return entry
-        raise ValidationError(
-            f"protocol {name!r} is not part of this comparison "
-            f"({', '.join(r.protocol for r in self.rows)})"
-        )
-
-    def to_report(self) -> ScenarioReport:
-        return ScenarioReport(
-            scenario=self.scenario,
-            description=self.description,
-            scale=self.scale,
-            trials=self.trials,
-            overrides=dict(self.overrides),
-            rows=[entry.to_row() for entry in self.rows],
-        )
-
-    def render(self, precision: int = 4) -> str:
-        return self.to_report().render(precision)
-
-    def to_json(self) -> Dict[str, object]:
-        return self.to_report().to_json()
-
-    @classmethod
-    def from_report(cls, report: ScenarioReport) -> "ComparisonResult":
-        return cls(
-            scenario=report.scenario,
-            description=report.description,
-            scale=report.scale,
-            trials=report.trials,
-            overrides=dict(report.overrides),
-            rows=tuple(
-                ProtocolResult(
-                    protocol=str(row["protocol"]),
-                    delivery_ratio=float(row["delivery_ratio"]),
-                    data_messages=float(row["data_messages"]),
-                    total_messages=float(row["total_messages"]),
-                    reconv_time=(
-                        None if row["reconv_time"] is None
-                        else float(row["reconv_time"])
-                    ),
-                    reconverged=(
-                        None if row["reconverged"] is None
-                        else float(row["reconverged"])
-                    ),
-                )
-                for row in report.rows
-            ),
-        )
-
-
 # -- execution ------------------------------------------------------------------------
 
 
@@ -520,6 +442,7 @@ def run_scenario(
         resolve_protocol(p).name for p in (protocols or default_protocols())
     )
     scale_obj = _scale(scale)
+    count = scenario_trials(scale_obj, trials)
     campaign = Campaign(backend=backend)
 
     if isinstance(scenario, ScenarioSpec):
@@ -544,11 +467,6 @@ def run_scenario(
         spec = scenario.with_overrides(
             loss=loss, crash=crash, duration=duration
         )
-        from repro.scenario.registry import scenario_trials
-
-        count = scenario_trials(scale_obj, trials)
-        if count < 1:
-            raise ValidationError(f"trials must be >= 1, got {count}")
         rows = []
         for name in resolved:
             chunk = [
@@ -556,18 +474,17 @@ def run_scenario(
                 for trial in range(count)
             ]
             rows.append(protocol_row(name, chunk))
-        report = ScenarioReport(
+        return ComparisonResult(
             scenario=spec.name,
             description=spec.description,
             scale=scale_obj.name,
             trials=count,
-            rows=rows,
+            rows=tuple(rows),
         )
-        return ComparisonResult.from_report(report)
 
     combo: Dict[str, object] = {}
     if trials is not None:
-        combo["trials"] = trials
+        combo["trials"] = count
     for key, value in (("n", n), ("loss", loss), ("crash", crash),
                        ("duration", duration)):
         if value is not None:
@@ -577,14 +494,13 @@ def run_scenario(
         for param, value in overrides.items():
             combo[f"{name}.{param}"] = value
 
-    report = scenario_reports(
+    return scenario_reports(
         str(scenario),
         [combo],
         protocols=resolved,
         scale=scale_obj,
         campaign=campaign,
     )[0]
-    return ComparisonResult.from_report(report)
 
 
 def compare(
@@ -640,7 +556,7 @@ def run_experiment(
             :class:`~repro.util.rng.DrawLedger`.
 
     The returned :class:`~repro.results.ResultSet` renders the exact
-    table the legacy per-figure commands print, carries full provenance
+    table the ``repro <experiment>`` commands print, carries full provenance
     (scale, params, seed policy, package version, git state, schema
     version), and diffs against other runs via :func:`diff_results`.
     """

@@ -71,12 +71,7 @@ from repro import api
 from repro.errors import ReproError, ValidationError
 from repro.exec import backend_specs, parse_backend
 from repro.experiments.campaign import Campaign, parse_sweeps
-from repro.experiments.registry import (
-    ExperimentSpec,
-    experiment_specs,
-    resolve_experiment,
-)
-from repro.experiments.report import ExperimentRecord, ReportWriter
+from repro.experiments.registry import experiment_specs, resolve_experiment
 from repro.experiments.runner import current_scale
 from repro.protocols.registry import (
     DeployContext,
@@ -605,25 +600,25 @@ def _write_json(path: str, payload: object) -> None:
 
 
 def _write_result_artefacts(
+    name: str,
     result: ResultSet,
-    spec: ExperimentSpec,
     out_dir: str,
-    metadata: Optional[Dict[str, object]] = None,
+    campaign: Optional[Campaign] = None,
 ) -> None:
-    """``--out`` artefacts for one registry-run experiment.
-
-    Figure-shaped results keep the legacy ReportWriter layout
-    (``<name>.txt`` / ``<name>.json`` with the series data); flat tables
-    (Table 1) keep their historical text artefact.
-    """
-    if result.x_label is not None:
-        writer = ReportWriter(out_dir)
-        writer.add(ExperimentRecord.from_result_set(result, spec, metadata))
-        return
+    """``--out`` artefacts for one experiment run: ``<name>.txt`` holds
+    the printed table, ``<name>.json`` the result set (``ResultSet.to_json``)
+    plus, given the ``campaign``, its counters under ``"campaign"``."""
     os.makedirs(out_dir, exist_ok=True)
-    stem = "table_1" if spec.name == "table1" else spec.name
-    with open(os.path.join(out_dir, f"{stem}.txt"), "w") as fh:
+    with open(os.path.join(out_dir, f"{name}.txt"), "w") as fh:
         fh.write(result.render() + "\n")
+    payload = result.to_json()
+    if campaign is not None:
+        payload["campaign"] = {
+            "workers": campaign.backend.workers,
+            "trials_executed": campaign.executed,
+            "cache_hits": campaign.cached,
+        }
+    _write_json(os.path.join(out_dir, f"{name}.json"), payload)
 
 
 def _run_experiment(args: argparse.Namespace) -> int:
@@ -650,9 +645,8 @@ def _run_experiment(args: argparse.Namespace) -> int:
     print(result.render())
     if args.short:
         if args.out:
-            _write_result_artefacts(result, spec, args.out)
-            if result.x_label is not None:
-                print(f"\nartefacts written to {args.out}/")
+            _write_result_artefacts(spec.name, result, args.out)
+            print(f"\nartefacts written to {args.out}/")
         return 0
     print(f"\n{_campaign_summary(campaign)}")
     if campaign.rng_ledger:
@@ -664,17 +658,7 @@ def _run_experiment(args: argparse.Namespace) -> int:
     if store is not None and store_error is None:
         print(f"stored as {result.run_id} in {store.path}")
     if args.out:
-        _write_result_artefacts(
-            result,
-            spec,
-            args.out,
-            metadata={
-                "workers": campaign.backend.workers,
-                "trials_executed": campaign.executed,
-                "cache_hits": campaign.cached,
-                "sweeps": args.sweep,
-            },
-        )
+        _write_result_artefacts(spec.name, result, args.out, campaign)
         print(f"artefacts written to {args.out}/")
     if store_error is not None:
         print(

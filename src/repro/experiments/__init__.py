@@ -1,8 +1,12 @@
 """Experiment harness regenerating every table and figure of Section 5.
 
-Each module exposes a ``*_table()`` function returning a
-:class:`repro.util.tables.SeriesTable` with the same rows/curves the paper
-plots; ``tests/conformance/test_paper_shapes.py`` asserts their shapes.
+Each module exposes a ``*_build`` / ``*_aggregate`` pair: ``build``
+describes every trial as a campaign spec, ``aggregate`` folds the ordered
+trial results into a :class:`repro.results.ResultSet` with the rows and
+curves the paper plots.  The experiment registry composes the two, and
+:func:`run_experiment` (or :func:`repro.api.run_experiment`) is the one
+way to run an experiment; ``tests/conformance/test_paper_shapes.py``
+asserts the curves' shapes.
 
 Scales: the paper runs 100 processes with ``K = 0.9999``; certifying that
 reliability empirically needs orders of magnitude more trials than a
@@ -17,11 +21,6 @@ executes these experiments in parallel with on-disk caching.
 
 from repro.experiments.campaign import Campaign, TrialSpec, execute_spec
 from repro.experiments.runner import ExperimentScale, current_scale
-from repro.experiments.figure1 import figure1_table
-from repro.experiments.figure4 import figure4_table
-from repro.experiments.figure5 import figure5_table
-from repro.experiments.figure6 import figure6_table
-from repro.experiments.heterogeneous import heterogeneity_table
 from repro.experiments.registry import (
     ExperimentContext,
     ExperimentSpec,
@@ -32,7 +31,6 @@ from repro.experiments.registry import (
     run_experiment,
     unregister_experiment,
 )
-from repro.experiments.table1 import table1_render
 
 __all__ = [
     "Campaign",
@@ -40,12 +38,6 @@ __all__ = [
     "TrialSpec",
     "current_scale",
     "execute_spec",
-    "figure1_table",
-    "figure4_table",
-    "figure5_table",
-    "figure6_table",
-    "heterogeneity_table",
-    "table1_render",
     "ExperimentSpec",
     "ExperimentContext",
     "register_experiment",

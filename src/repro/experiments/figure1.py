@@ -12,11 +12,11 @@ exactly like Figures 4/5/6.
 
 from __future__ import annotations
 
-from typing import Dict, Iterable, List, Optional, Sequence, Tuple
+from typing import Dict, Iterable, List, Sequence, Tuple
 
 from repro.analysis.two_paths import message_ratio
-from repro.experiments.campaign import Campaign, TrialSpec
-from repro.util.tables import Series, SeriesTable
+from repro.experiments.campaign import TrialSpec
+from repro.results.schema import ResultSet
 
 #: The loss probabilities plotted in the paper's Figure 1.
 PAPER_LOSSES = (1e-2, 1e-3, 1e-4)
@@ -43,9 +43,9 @@ def figure1_build(
     losses: Sequence[float] = PAPER_LOSSES,
     alphas: Iterable[float] = PAPER_ALPHAS,
 ) -> List[TrialSpec]:
-    """One spec per (L, alpha) point, in the serial plotting order."""
+    """One spec per (L, alpha) point, in the plotting order."""
     return [
-        TrialSpec.make(RATIO_FN, loss=float(loss), alpha=float(alpha))
+        TrialSpec.make(RATIO_FN, ("ratio",), loss=float(loss), alpha=float(alpha))
         for loss, alpha in _grid(losses, list(alphas))
     ]
 
@@ -54,31 +54,17 @@ def figure1_aggregate(
     results: Sequence[Dict[str, float]],
     losses: Sequence[float] = PAPER_LOSSES,
     alphas: Iterable[float] = PAPER_ALPHAS,
-) -> SeriesTable:
-    """Fold the point results back into the Figure 1 series table."""
-    table = SeriesTable(
-        title="Figure 1 - adaptive vs traditional gossip (k1/k0)",
-        x_label="alpha",
-    )
-    by_loss: Dict[float, Series] = {}
+) -> ResultSet:
+    """Fold the point results into Figure 1: one curve per ``L``."""
+    by_loss: Dict[float, Dict[float, float]] = {}
     for (loss, alpha), result in zip(_grid(losses, list(alphas)), results):
-        if loss not in by_loss:
-            by_loss[loss] = Series(name=f"L={loss:g}")
-            table.add_series(by_loss[loss])
-        by_loss[loss].add(alpha, result["ratio"])
-    return table
-
-
-def figure1_table(
-    losses: Sequence[float] = PAPER_LOSSES,
-    alphas: Iterable[float] = PAPER_ALPHAS,
-    campaign: Optional[Campaign] = None,
-) -> SeriesTable:
-    """``k1/k0`` versus ``alpha``, one curve per ``L`` — Figure 1."""
-    campaign = campaign or Campaign()
-    alphas = list(alphas)
-    results = campaign.run(figure1_build(losses, alphas))
-    return figure1_aggregate(results, losses, alphas)
+        by_loss.setdefault(loss, {})[alpha] = result["ratio"]
+    return ResultSet.from_curves(
+        "figure1",
+        "Figure 1 - adaptive vs traditional gossip (k1/k0)",
+        "alpha",
+        [(f"L={loss:g}", points) for loss, points in by_loss.items()],
+    )
 
 
 def expected_anchor_points() -> dict:

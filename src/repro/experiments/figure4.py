@@ -23,7 +23,7 @@ algorithms must deliver to all processes with the same probability ``K``.
   ``needs_calibration`` capability flag marks exactly this knob.
 
 Execution is campaign-based (see :mod:`repro.experiments.campaign`):
-:func:`figure4_table` describes every calibration and measurement trial
+:func:`figure4_build` describes every calibration and measurement trial
 as a seed-complete :class:`~repro.experiments.campaign.TrialSpec` and a
 :class:`~repro.experiments.campaign.Campaign` runs them — serially
 in-process by default, or fanned out over worker processes with on-disk
@@ -39,16 +39,15 @@ from repro.core.optimize import optimize
 from repro.experiments.campaign import Campaign, TrialSpec, chunked
 from repro.experiments.runner import (
     ExperimentScale,
-    current_scale,
     make_network,
     point_grid,
     variant_axes,
 )
 from repro.protocols.gossip import calibrate_rounds, run_gossip_trial
+from repro.results.schema import ResultSet
 from repro.topology.configuration import Configuration
 from repro.topology.generators import k_regular
 from repro.topology.graph import Graph
-from repro.util.tables import Series, SeriesTable
 
 #: Probability values plotted in the paper for each variant.
 PAPER_CRASH_VALUES = (0.01, 0.03, 0.05, 0.07)
@@ -202,37 +201,6 @@ def run_phase1(
     return phase1, meas_specs
 
 
-def figure4_point(
-    connectivity: int,
-    crash: float,
-    loss: float,
-    scale: ExperimentScale,
-    count_acks: bool = False,
-) -> Dict[str, float]:
-    """One (connectivity, P, L) point: the ratio and its components.
-
-    The same phase-1 task, measurement tasks and fold as one point of
-    the :func:`figure4_table` grid.
-    """
-    campaign = Campaign()
-    (phase1,), meas_specs = run_phase1(
-        scale,
-        campaign,
-        TASK_FNS,
-        [_point_params(scale, connectivity, crash, loss)],
-        count_acks=count_acks,
-    )
-    measurements = campaign.run(meas_specs)
-    reference = Campaign.aggregate(measurements, "messages").mean
-    return {
-        "connectivity": float(connectivity),
-        "optimal_messages": phase1["optimal_messages"],
-        "reference_messages": reference,
-        "rounds": phase1["rounds"],
-        "ratio": reference / phase1["optimal_messages"],
-    }
-
-
 def _variant_axes(
     variant: str, values: Optional[Sequence[float]]
 ) -> Tuple[Tuple[float, ...], str, str]:
@@ -265,9 +233,8 @@ def figure4_build(
     Phase 1 (one round-budget fit and one optimal cost per grid point)
     runs through ``campaign`` immediately — its results parameterise the
     measurement specs.  Returns ``(phase-1 results, measurement specs)``:
-    callers (``figure4_table``, the experiment registry) run the specs
-    through the same campaign and hand both result lists to
-    :func:`figure4_aggregate`.
+    the caller (the experiment registry) runs the specs through the same
+    campaign and hands both result lists to :func:`figure4_aggregate`.
     """
     values, _, _ = _variant_axes(variant, values)
     points = [
@@ -283,47 +250,18 @@ def figure4_aggregate(
     phase1: Sequence[Dict[str, float]],
     measurements: Sequence[Dict[str, float]],
     values: Optional[Sequence[float]] = None,
-) -> SeriesTable:
+) -> ResultSet:
     """Fold ordered phase-1 and measurement results into the Figure 4 table."""
     values, label, title = _variant_axes(variant, values)
-    table = SeriesTable(title=title, x_label="connectivity (links/process)")
-    by_value: Dict[float, Series] = {
-        value: Series(name=f"{label}={value:g}") for value in values
-    }
+    by_value: Dict[float, Dict[int, float]] = {value: {} for value in values}
     for (value, connectivity), point, chunk in zip(
         point_grid(scale, values), phase1, chunked(measurements, scale.trials)
     ):
         reference = Campaign.aggregate(chunk, "messages").mean
-        by_value[value].add(connectivity, reference / point["optimal_messages"])
-    for value in values:
-        table.add_series(by_value[value])
-    return table
-
-
-def figure4_table(
-    variant: str = "crash",
-    scale: Optional[ExperimentScale] = None,
-    values: Optional[Sequence[float]] = None,
-    count_acks: bool = False,
-    campaign: Optional[Campaign] = None,
-) -> SeriesTable:
-    """Regenerate Figure 4(a) (``variant="crash"``) or 4(b) (``"loss"``).
-
-    Each curve fixes one probability value; the x-axis sweeps network
-    connectivity.  y = reference/optimal message ratio.
-
-    Args:
-        campaign: execution engine; defaults to a serial, cache-less
-            :class:`Campaign`.  Pass one with a parallel ``backend``
-            and/or a :class:`~repro.util.cache.TrialCache` — the table
-            is identical in all cases.
-    """
-    scale = scale or current_scale()
-    campaign = campaign or Campaign()
-    phase1, meas_specs = figure4_build(
-        variant, scale, campaign, values=values, count_acks=count_acks
-    )
-    measurements = campaign.run(meas_specs)
-    return figure4_aggregate(
-        variant, scale, phase1, measurements, values=values
+        by_value[value][connectivity] = reference / point["optimal_messages"]
+    return ResultSet.from_curves(
+        "figure4a" if variant == "crash" else "figure4b",
+        title,
+        "connectivity (links/process)",
+        [(f"{label}={value:g}", by_value[value]) for value in values],
     )

@@ -29,9 +29,9 @@ from repro.protocols.registry import (
     DeployContext,
     resolve_protocol,
 )
+from repro.results.schema import ResultSet
 from repro.experiments.runner import (
     ExperimentScale,
-    current_scale,
     make_network,
     point_grid,
     variant_axes,
@@ -41,7 +41,6 @@ from repro.sim.trace import MessageCategory
 from repro.topology.configuration import Configuration
 from repro.topology.generators import k_regular
 from repro.topology.graph import Graph
-from repro.util.tables import Series, SeriesTable
 
 #: Probability values plotted in the paper for each variant.
 PAPER_CRASH_VALUES = (0.0, 0.01, 0.03, 0.05)
@@ -168,6 +167,7 @@ def _point_specs(
     return [
         TrialSpec.make(
             CONVERGENCE_FN,
+            ("messages_per_link",),
             n=scale.n,
             connectivity=int(connectivity),
             crash=float(crash),
@@ -177,33 +177,6 @@ def _point_specs(
         )
         for trial in range(trials)
     ]
-
-
-def _point_row(
-    connectivity: int, results: Sequence[Dict[str, float]]
-) -> Dict[str, float]:
-    stats = Campaign.aggregate(results, "messages_per_link")
-    return {
-        "connectivity": float(connectivity),
-        "messages_per_link": stats.mean,
-        "stdev": stats.stdev,
-        "trials": float(stats.count),
-    }
-
-
-def figure5_point(
-    connectivity: int,
-    crash: float,
-    loss: float,
-    scale: ExperimentScale,
-    trials: Optional[int] = None,
-    campaign: Optional[Campaign] = None,
-) -> Dict[str, float]:
-    """One (connectivity, P, L) point of Figure 5 (mean over trials)."""
-    campaign = campaign or Campaign()
-    trials = scale.convergence_trials(trials)
-    specs = _point_specs(connectivity, crash, loss, scale, trials)
-    return _point_row(connectivity, campaign.run(specs))
 
 
 def _variant_axes(
@@ -244,37 +217,20 @@ def figure5_aggregate(
     results: Sequence[Dict[str, float]],
     values: Optional[Sequence[float]] = None,
     trials: Optional[int] = None,
-) -> SeriesTable:
+) -> ResultSet:
     """Fold ordered convergence results into the Figure 5 table."""
     values, label, title = _variant_axes(variant, values)
     trials = scale.convergence_trials(trials)
-    points = point_grid(scale, values)
-    table = SeriesTable(title=title, x_label="connectivity (links/process)")
-    by_value: Dict[float, Series] = {
-        value: Series(name=f"{label}={value:g}") for value in values
-    }
-    for (value, connectivity), chunk in zip(points, chunked(results, trials)):
-        row = _point_row(connectivity, chunk)
-        by_value[value].add(connectivity, row["messages_per_link"])
-    for value in values:
-        table.add_series(by_value[value])
-    return table
-
-
-def figure5_table(
-    variant: str = "crash",
-    scale: Optional[ExperimentScale] = None,
-    values: Optional[Sequence[float]] = None,
-    trials: Optional[int] = None,
-    campaign: Optional[Campaign] = None,
-) -> SeriesTable:
-    """Regenerate Figure 5(a) (``variant="crash"``) or 5(b) (``"loss"``).
-
-    x = connectivity, y = heartbeat messages per link until all processes
-    learned the reliability probabilities.  All points' trials run in one
-    campaign batch, so worker processes stay busy across the whole grid.
-    """
-    scale = scale or current_scale()
-    campaign = campaign or Campaign()
-    results = campaign.run(figure5_build(variant, scale, values, trials))
-    return figure5_aggregate(variant, scale, results, values, trials)
+    by_value: Dict[float, Dict[int, float]] = {value: {} for value in values}
+    for (value, connectivity), chunk in zip(
+        point_grid(scale, values), chunked(results, trials)
+    ):
+        by_value[value][connectivity] = Campaign.aggregate(
+            chunk, "messages_per_link"
+        ).mean
+    return ResultSet.from_curves(
+        "figure5a" if variant == "crash" else "figure5b",
+        title,
+        "connectivity (links/process)",
+        [(f"{label}={value:g}", by_value[value]) for value in values],
+    )

@@ -15,16 +15,16 @@ loss combination).
 
 from __future__ import annotations
 
-from typing import Dict, List, Optional, Sequence
+from typing import Dict, List, Optional, Sequence, Tuple
 
 from repro.errors import ValidationError
 from repro.experiments.campaign import Campaign, TrialSpec, chunked
 from repro.experiments.figure5 import convergence_messages_per_link
-from repro.experiments.runner import ExperimentScale, current_scale
+from repro.experiments.runner import ExperimentScale
+from repro.results.schema import ResultSet
 from repro.topology.configuration import Configuration
 from repro.topology.generators import random_tree, ring
 from repro.util.rng import RandomSource
-from repro.util.tables import Series, SeriesTable
 
 #: Loss probability used for the scalability runs (mildly lossy links —
 #: the paper does not state the exact value; 0.01 keeps suspicion traffic
@@ -80,6 +80,7 @@ def _point_specs(
     return [
         TrialSpec.make(
             SCALABILITY_FN,
+            ("messages_per_link",),
             topology=topology,
             n=int(n),
             loss=float(loss),
@@ -88,29 +89,6 @@ def _point_specs(
         )
         for trial in range(trials)
     ]
-
-
-def figure6_point(
-    topology: str,
-    n: int,
-    scale: ExperimentScale,
-    trials: Optional[int] = None,
-    loss: float = DEFAULT_LOSS,
-    campaign: Optional[Campaign] = None,
-) -> Dict[str, float]:
-    """Convergence effort for one (topology, n) point."""
-    if topology not in TOPOLOGIES:
-        raise ValidationError(f"topology must be 'ring' or 'tree', got {topology!r}")
-    campaign = campaign or Campaign()
-    trials = scale.convergence_trials(trials)
-    results = campaign.run(_point_specs(topology, n, scale, trials, loss))
-    stats = Campaign.aggregate(results, "messages_per_link")
-    return {
-        "n": float(n),
-        "messages_per_link": stats.mean,
-        "stdev": stats.stdev,
-        "trials": float(stats.count),
-    }
 
 
 def _cell_grid(
@@ -163,48 +141,25 @@ def figure6_aggregate(
     loss: float = DEFAULT_LOSS,
     topologies: Optional[Sequence[str]] = None,
     losses: Optional[Sequence[float]] = None,
-) -> SeriesTable:
-    """Fold ordered scalability results into the Figure 6 table."""
+) -> ResultSet:
+    """Fold ordered scalability results into the Figure 6 table.
+
+    One curve per topology; several ``losses`` add ``L=`` suffixes and
+    one curve per topology x loss combination.
+    """
     cells, losses = _cell_grid(scale, sizes, topologies, losses, loss)
     trials = scale.convergence_trials(trials)
-    table = SeriesTable(
-        title="Figure 6 - adaptive algorithm scalability",
-        x_label="number of processes",
-    )
-    series_map: Dict[object, Series] = {}
+    curves: Dict[Tuple[str, float], Dict[int, float]] = {}
     for (topology, loss_value, n), chunk in zip(cells, chunked(results, trials)):
-        key = (topology, loss_value)
-        if key not in series_map:
-            name = topology if len(losses) == 1 else f"{topology} L={loss_value:g}"
-            series_map[key] = Series(name=name)
-            table.add_series(series_map[key])
         stats = Campaign.aggregate(chunk, "messages_per_link")
-        series_map[key].add(n, stats.mean)
-    return table
-
-
-def figure6_table(
-    scale: Optional[ExperimentScale] = None,
-    sizes: Optional[Sequence[int]] = None,
-    trials: Optional[int] = None,
-    loss: float = DEFAULT_LOSS,
-    topologies: Optional[Sequence[str]] = None,
-    losses: Optional[Sequence[float]] = None,
-    campaign: Optional[Campaign] = None,
-) -> SeriesTable:
-    """Regenerate Figure 6: messages/link to converge vs system size.
-
-    Args:
-        topologies: subset of ``("ring", "tree")`` to sweep.
-        losses: loss probabilities to sweep; a single value keeps the
-            paper's series naming (one curve per topology), several add
-            ``L=`` suffixes and one curve per combination.
-    """
-    scale = scale or current_scale()
-    campaign = campaign or Campaign()
-    results = campaign.run(
-        figure6_build(scale, sizes, trials, loss, topologies, losses)
-    )
-    return figure6_aggregate(
-        scale, results, sizes, trials, loss, topologies, losses
+        curves.setdefault((topology, loss_value), {})[n] = stats.mean
+    single = len(losses) == 1
+    return ResultSet.from_curves(
+        "figure6",
+        "Figure 6 - adaptive algorithm scalability",
+        "number of processes",
+        [
+            (topology if single else f"{topology} L={loss_value:g}", points)
+            for (topology, loss_value), points in curves.items()
+        ],
     )

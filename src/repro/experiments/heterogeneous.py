@@ -33,12 +33,12 @@ from repro.experiments.figure4 import (
     phase1_reference,
     run_phase1,
 )
-from repro.experiments.runner import ExperimentScale, current_scale
+from repro.experiments.runner import ExperimentScale
+from repro.results.schema import ResultSet
 from repro.topology.configuration import Configuration
 from repro.topology.generators import k_regular
 from repro.topology.graph import Graph
 from repro.util.rng import RandomSource
-from repro.util.tables import Series, SeriesTable
 
 MODES = ("uniform", "hetero")
 
@@ -155,36 +155,6 @@ def _aggregate_point(
     return out
 
 
-def heterogeneity_point(
-    connectivity: int,
-    mean_loss: float,
-    scale: ExperimentScale,
-    spread: float = 1.0,
-    seed: int = 0,
-    campaign: Optional[Campaign] = None,
-) -> Dict[str, float]:
-    """Ratios for a uniform vs an equal-mean heterogeneous configuration.
-
-    Args:
-        spread: half-width of the loss distribution relative to the mean
-            (1.0 means per-link losses uniform over [0, 2*mean]).
-    """
-    campaign = campaign or Campaign()
-    phase1, meas_specs = run_phase1(
-        scale,
-        campaign,
-        TASK_FNS,
-        [
-            _point_params(mode, connectivity, mean_loss, scale, spread, seed)
-            for mode in MODES
-        ],
-    )
-    measurements = campaign.run(meas_specs)
-    return _aggregate_point(
-        connectivity, phase1, list(chunked(measurements, scale.trials))
-    )
-
-
 def _points(
     scale: ExperimentScale, connectivities: Optional[Sequence[int]]
 ) -> List[int]:
@@ -205,9 +175,13 @@ def heterogeneity_build(
     """Phase 1 + the measurement specs of the comparison.
 
     As with Figure 4, phase 1 runs through ``campaign`` eagerly; returns
-    ``(phase-1 results, measurement specs)`` — the caller (or the
+    ``(phase-1 results, measurement specs)`` — the caller (the
     experiment registry) executes the specs and hands both result lists
     to :func:`heterogeneity_aggregate`.
+
+    Args:
+        spread: half-width of the loss distribution relative to the mean
+            (1.0 means per-link losses uniform over [0, 2*mean]).
     """
     points = [
         _point_params(mode, k, mean_loss, scale, spread, seed)
@@ -223,17 +197,10 @@ def heterogeneity_aggregate(
     measurements: Sequence[Dict[str, float]],
     mean_loss: float = 0.05,
     connectivities: Optional[Sequence[int]] = None,
-) -> SeriesTable:
+) -> ResultSet:
     """Fold ordered phase-1 and measurement results into the comparison table."""
-    table = SeriesTable(
-        title=(
-            "Extension - heterogeneous environments "
-            f"(mean L={mean_loss}, equal-mean comparison)"
-        ),
-        x_label="connectivity (links/process)",
-    )
-    uniform = Series("ratio (uniform L)")
-    hetero = Series("ratio (heterogeneous L)")
+    uniform: Dict[int, float] = {}
+    hetero: Dict[int, float] = {}
     chunks = list(chunked(measurements, scale.trials))
     for k, point_phase1, point_chunks in zip(
         _points(scale, connectivities),
@@ -241,27 +208,12 @@ def heterogeneity_aggregate(
         chunked(chunks, len(MODES)),
     ):
         point = _aggregate_point(k, point_phase1, point_chunks)
-        uniform.add(k, point["uniform_ratio"])
-        hetero.add(k, point["hetero_ratio"])
-    table.add_series(uniform)
-    table.add_series(hetero)
-    return table
-
-
-def heterogeneity_table(
-    scale: Optional[ExperimentScale] = None,
-    mean_loss: float = 0.05,
-    connectivities: Optional[Sequence[int]] = None,
-    spread: float = 1.0,
-    seed: int = 0,
-    campaign: Optional[Campaign] = None,
-) -> SeriesTable:
-    """Reference/optimal ratio: uniform vs heterogeneous environments."""
-    scale = scale or current_scale()
-    campaign = campaign or Campaign()
-    phase1, meas_specs = heterogeneity_build(
-        scale, campaign, mean_loss, connectivities, spread, seed
-    )
-    return heterogeneity_aggregate(
-        scale, phase1, campaign.run(meas_specs), mean_loss, connectivities
+        uniform[k] = point["uniform_ratio"]
+        hetero[k] = point["hetero_ratio"]
+    return ResultSet.from_curves(
+        "heterogeneous",
+        "Extension - heterogeneous environments "
+        f"(mean L={mean_loss}, equal-mean comparison)",
+        "connectivity (links/process)",
+        [("ratio (uniform L)", uniform), ("ratio (heterogeneous L)", hetero)],
     )

@@ -72,6 +72,21 @@ KV_COLUMNS: Tuple[str, ...] = (
     "control_msgs",
 )
 
+#: The trial metrics :func:`kvstore_aggregate` reads.
+_READS: Tuple[str, ...] = (
+    "delivery_ratio",
+    "kv_stale_reads",
+    "kv_staleness_versions",
+    "kv_visibility_p50",
+    "kv_visibility_p99",
+    "kv_buffer_mean",
+    "kv_buffer_max",
+    "kv_convergence_time",
+    "data_messages",
+    "control_messages",
+    "heartbeat_messages",
+)
+
 
 def _default_protocols() -> Tuple[str, ...]:
     """All registered broadcast protocols, in registry order.
@@ -118,6 +133,7 @@ def kvstore_build(scale: ExperimentScale, params) -> List[TrialSpec]:
                         specs.append(
                             TrialSpec.make(
                                 KV_TRIAL_FN,
+                                _READS,
                                 scenario=str(scenario),
                                 protocol=str(protocol),
                                 scale=scale.name,

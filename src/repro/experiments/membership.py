@@ -67,6 +67,17 @@ MEMBERSHIP_COLUMNS: Tuple[str, ...] = (
     "recovery_s",
 )
 
+#: The trial metrics :func:`membership_aggregate` reads.
+_READS: Tuple[str, ...] = (
+    "delivery_ratio",
+    "view_indegree_mean",
+    "view_indegree_p99",
+    "view_indegree_max",
+    "view_staleness",
+    "view_clustering",
+    "view_partition_recovery",
+)
+
 
 def parse_policy_triple(policy: str) -> Tuple[str, str, str]:
     """Split and validate a ``view:peer:propagation`` policy triple."""
@@ -124,6 +135,7 @@ def membership_build(scale: ExperimentScale, params) -> List[TrialSpec]:
                     specs.append(
                         TrialSpec.make(
                             MEMBERSHIP_TRIAL_FN,
+                            _READS,
                             scenario=str(scenario),
                             protocol=str(protocol),
                             scale=scale.name,

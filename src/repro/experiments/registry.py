@@ -516,8 +516,8 @@ def run_experiment(
 ) -> ResultSet:
     """Run one registered experiment end to end.
 
-    The uniform execution path behind ``repro experiments run``, the
-    legacy per-figure CLI commands and :func:`repro.api.run_experiment`:
+    The one execution path behind ``repro experiments run``, the short
+    ``repro <experiment>`` commands and :func:`repro.api.run_experiment`:
     resolve the spec, materialise its typed params, ``build`` the trial
     specs, execute them through the campaign (serially by default;
     parallel and cached when the campaign says so) and ``aggregate``
@@ -583,10 +583,9 @@ def _figure1_aggregate(
     )
 
     p: Figure1Params = ctx.params
-    table = figure1_aggregate(
+    return figure1_aggregate(
         results, losses=p.loss or PAPER_LOSSES, alphas=p.alpha or PAPER_ALPHAS
     )
-    return ResultSet.from_table("figure1", table)
 
 
 def _table1_build(ctx: ExperimentContext) -> List[TrialSpec]:
@@ -599,21 +598,13 @@ def _table1_build(ctx: ExperimentContext) -> List[TrialSpec]:
 def _table1_aggregate(
     ctx: ExperimentContext, results: Sequence[TrialResult]
 ) -> ResultSet:
-    from repro.experiments.table1 import (
-        TABLE1_HEADERS,
-        TABLE1_TITLE,
-        table1_aggregate,
-    )
+    from repro.experiments.table1 import table1_aggregate
 
     p: Table1Params = ctx.params
-    intervals = p.intervals if p.intervals is not None else 5
-    rows = table1_aggregate(results, intervals)
-    return ResultSet.from_rows(
-        "table1", TABLE1_TITLE, TABLE1_HEADERS, [list(r) for r in rows]
-    )
+    return table1_aggregate(results, p.intervals if p.intervals is not None else 5)
 
 
-def _figure4_hooks(name: str, variant: str) -> Tuple[BuildHook, AggregateHook]:
+def _figure4_hooks(variant: str) -> Tuple[BuildHook, AggregateHook]:
     def build(ctx: ExperimentContext) -> List[TrialSpec]:
         from repro.experiments.figure4 import figure4_build
 
@@ -631,15 +622,12 @@ def _figure4_hooks(name: str, variant: str) -> Tuple[BuildHook, AggregateHook]:
 
         scale = _sized_scale(ctx.scale, ctx.params, trials_in_scale=True)
         values = getattr(ctx.params, variant)
-        table = figure4_aggregate(
-            variant, scale, ctx.phase1, results, values=values
-        )
-        return ResultSet.from_table(name, table)
+        return figure4_aggregate(variant, scale, ctx.phase1, results, values=values)
 
     return build, aggregate
 
 
-def _figure5_hooks(name: str, variant: str) -> Tuple[BuildHook, AggregateHook]:
+def _figure5_hooks(variant: str) -> Tuple[BuildHook, AggregateHook]:
     def build(ctx: ExperimentContext) -> List[TrialSpec]:
         from repro.experiments.figure5 import figure5_build
 
@@ -656,10 +644,9 @@ def _figure5_hooks(name: str, variant: str) -> Tuple[BuildHook, AggregateHook]:
 
         scale = _sized_scale(ctx.scale, ctx.params, trials_in_scale=False)
         values = getattr(ctx.params, variant)
-        table = figure5_aggregate(
+        return figure5_aggregate(
             variant, scale, results, values=values, trials=ctx.params.trials
         )
-        return ResultSet.from_table(name, table)
 
     return build, aggregate
 
@@ -683,7 +670,7 @@ def _figure6_aggregate(
     from repro.experiments.figure6 import figure6_aggregate
 
     p: Figure6Params = ctx.params
-    table = figure6_aggregate(
+    return figure6_aggregate(
         ctx.scale,
         results,
         sizes=p.size,
@@ -691,7 +678,6 @@ def _figure6_aggregate(
         topologies=p.topology,
         losses=p.loss,
     )
-    return ResultSet.from_table("figure6", table)
 
 
 def _membership_build(ctx: ExperimentContext) -> List[TrialSpec]:
@@ -743,14 +729,13 @@ def _heterogeneous_aggregate(
 
     p: HeterogeneousParams = ctx.params
     scale = _sized_scale(ctx.scale, p, trials_in_scale=True)
-    table = heterogeneity_aggregate(
+    return heterogeneity_aggregate(
         scale,
         ctx.phase1,
         results,
         mean_loss=p.loss if p.loss is not None else 0.05,
         connectivities=p.connectivity,
     )
-    return ResultSet.from_table("heterogeneous", table)
 
 
 # -- built-in registrations -----------------------------------------------------------
@@ -779,7 +764,7 @@ register_experiment(
         aggregate=_table1_aggregate,
     )
 )
-_f4a_build, _f4a_aggregate = _figure4_hooks("figure4a", "crash")
+_f4a_build, _f4a_aggregate = _figure4_hooks("crash")
 register_experiment(
     ExperimentSpec(
         name="figure4a",
@@ -791,7 +776,7 @@ register_experiment(
         aggregate=_f4a_aggregate,
     )
 )
-_f4b_build, _f4b_aggregate = _figure4_hooks("figure4b", "loss")
+_f4b_build, _f4b_aggregate = _figure4_hooks("loss")
 register_experiment(
     ExperimentSpec(
         name="figure4b",
@@ -803,7 +788,7 @@ register_experiment(
         aggregate=_f4b_aggregate,
     )
 )
-_f5a_build, _f5a_aggregate = _figure5_hooks("figure5a", "crash")
+_f5a_build, _f5a_aggregate = _figure5_hooks("crash")
 register_experiment(
     ExperimentSpec(
         name="figure5a",
@@ -815,7 +800,7 @@ register_experiment(
         aggregate=_f5a_aggregate,
     )
 )
-_f5b_build, _f5b_aggregate = _figure5_hooks("figure5b", "loss")
+_f5b_build, _f5b_aggregate = _figure5_hooks("loss")
 register_experiment(
     ExperimentSpec(
         name="figure5b",

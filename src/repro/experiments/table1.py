@@ -11,18 +11,14 @@ experiment — trivially cheap here, but uniform.
 
 from __future__ import annotations
 
-from typing import Dict, List, Optional, Sequence, Tuple
+from typing import Dict, List, Sequence
 
 from repro.core.bayesian import BeliefEstimator
-from repro.experiments.campaign import Campaign, TrialSpec
+from repro.experiments.campaign import TrialSpec
+from repro.results.schema import ResultSet
 
 #: The paper's published case-(b) beliefs, for verification.
 PAPER_AFTER_SUSPICION = (0.04, 0.12, 0.20, 0.28, 0.36)
-
-#: Title/headers shared by the text renderer and the registry's
-#: ResultSet aggregation, so both surfaces print the same table.
-TABLE1_TITLE = "Table 1 - adapting failure beliefs after a suspicion"
-TABLE1_HEADERS = ("interval", "P_F|B", "P_B initial", "P_B after suspicion")
 
 
 def belief_row_task(*, intervals: int, u: int) -> Dict[str, float]:
@@ -47,15 +43,21 @@ BELIEF_FN = "repro.experiments.table1:belief_row_task"
 def table1_build(intervals: int = 5) -> List[TrialSpec]:
     """One spec per belief interval."""
     return [
-        TrialSpec.make(BELIEF_FN, intervals=int(intervals), u=u)
+        TrialSpec.make(
+            BELIEF_FN,
+            ("lo", "hi", "midpoint", "initial", "after"),
+            intervals=int(intervals),
+            u=u,
+        )
         for u in range(intervals)
     ]
 
 
 def table1_aggregate(
     results: Sequence[Dict[str, float]], intervals: int = 5
-) -> List[Tuple[str, float, float, float]]:
-    """Fold the per-interval results into Table 1's rows."""
+) -> ResultSet:
+    """Fold the per-interval results into Table 1: (interval bounds,
+    P_F|B midpoint, initial belief, belief after one suspicion)."""
     rows = []
     for u, result in enumerate(results):
         lo, hi = result["lo"], result["hi"]
@@ -63,30 +65,11 @@ def table1_aggregate(
             f"[{lo:.1f}, {hi:.1f})" if u < intervals - 1 else f"[{lo:.1f}, {hi:.1f}]"
         )
         rows.append(
-            (bounds, result["midpoint"], result["initial"], result["after"])
+            [bounds, result["midpoint"], result["initial"], result["after"]]
         )
-    return rows
-
-
-def table1_rows(
-    intervals: int = 5, campaign: Optional[Campaign] = None
-) -> List[Tuple[str, float, float, float]]:
-    """Rows: (interval bounds, P_F|B midpoint, initial belief, after one
-    suspicion)."""
-    campaign = campaign or Campaign()
-    return table1_aggregate(campaign.run(table1_build(intervals)), intervals)
-
-
-def table1_render(
-    intervals: int = 5, campaign: Optional[Campaign] = None
-) -> str:
-    """Render Table 1 as text (initial vs after-suspicion beliefs)."""
-    from repro.util.tables import render_table
-
-    rows = table1_rows(intervals, campaign=campaign)
-    return render_table(
-        headers=list(TABLE1_HEADERS),
-        rows=[list(r) for r in rows],
-        title=TABLE1_TITLE,
-        precision=4,
+    return ResultSet.from_rows(
+        "table1",
+        "Table 1 - adapting failure beliefs after a suspicion",
+        ("interval", "P_F|B", "P_B initial", "P_B after suspicion"),
+        rows,
     )

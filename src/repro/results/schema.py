@@ -14,11 +14,9 @@ persists them as JSONL), export to CSV, and diff cell-by-cell with a
 numeric tolerance — which is what makes run-to-run regression checks
 (``repro results diff``) possible at all.
 
-Rendering stays bit-compatible with the legacy experiment output:
-:meth:`ResultSet.render` feeds the same columns and rows to
-:func:`repro.util.tables.render_table` that the pre-registry experiment
-modules used, so a stored result prints exactly the table the paper
-reproduction always printed.
+:meth:`ResultSet.render` feeds the columns and rows to
+:func:`repro.util.tables.render_table`, so a stored result prints
+exactly the table its run printed.
 """
 
 from __future__ import annotations
@@ -33,7 +31,7 @@ from dataclasses import dataclass, field, replace
 from typing import Dict, List, Mapping, Optional, Sequence, Tuple, Union
 
 from repro.errors import ValidationError
-from repro.util.tables import Series, SeriesTable, render_table
+from repro.util.tables import render_table
 
 #: Version of the on-disk result schema.  Bump when the JSON layout of
 #: :class:`ResultSet`/:class:`Provenance` changes incompatibly; the
@@ -261,10 +259,9 @@ class ResultRow:
 class ResultSet:
     """A queryable experiment result: typed rows + provenance.
 
-    The canonical output of :func:`repro.api.run_experiment`.  Figure-
-    shaped experiments carry an ``x_label`` and convert back to a
-    :class:`~repro.util.tables.SeriesTable` via :meth:`to_table`; flat
-    tables (Table 1) leave ``x_label`` as None.
+    The one table type every experiment produces.  Figure-shaped
+    experiments (:meth:`from_curves`) carry an ``x_label`` naming their
+    first column; flat tables (Table 1) leave ``x_label`` as None.
 
     ``run_id`` is assigned by the :class:`~repro.results.store.ResultStore`
     on append and is None for in-memory result sets.
@@ -308,48 +305,37 @@ class ResultSet:
         )
 
     @classmethod
-    def from_table(cls, experiment: str, table: SeriesTable) -> "ResultSet":
-        """Convert a figure-shaped :class:`SeriesTable` losslessly.
+    def from_curves(
+        cls,
+        experiment: str,
+        title: str,
+        x_label: str,
+        curves: Sequence[Tuple[str, Mapping[float, Optional[float]]]],
+    ) -> "ResultSet":
+        """A figure-shaped result set from ``(name, {x: y})`` curves.
 
-        The row grid is built exactly the way ``SeriesTable.render``
-        builds its rows (sorted x, None gaps), so rendering the result
-        set reproduces the legacy table text bit-for-bit.
+        One row per distinct x in ascending order (cast to float), one
+        column per curve in the given order, None where a curve has no
+        point at that x.
         """
-        columns = [table.x_label] + [s.name for s in table.series]
-        lookup = [s.as_dict() for s in table.series]
+        xs = sorted({float(x) for _, points in curves for x in points})
         rows = [
-            [x] + [d.get(x) for d in lookup] for x in table.x_values()
+            [x]
+            + [
+                None if points.get(x) is None else float(points[x])
+                for _, points in curves
+            ]
+            for x in xs
         ]
         return cls.from_rows(
             experiment,
-            table.title,
-            columns,
+            title,
+            [x_label] + [name for name, _ in curves],
             rows,
-            x_label=table.x_label,
+            x_label=x_label,
         )
 
     # -- views ------------------------------------------------------------------------
-
-    def to_table(self) -> SeriesTable:
-        """Rebuild the :class:`SeriesTable` of a figure-shaped result set."""
-        if self.x_label is None:
-            raise ValidationError(
-                f"result set {self.experiment!r} is a flat table "
-                "(no x axis); render it or read rows directly"
-            )
-        table = SeriesTable(title=self.title, x_label=self.x_label)
-        for index, name in enumerate(self.columns[1:], start=1):
-            series = Series(name=name)
-            for row in self.rows:
-                values = row.values()
-                x = values[0]
-                y = values[index]
-                series.add(
-                    float(x),  # type: ignore[arg-type]
-                    None if y is None else float(y),  # type: ignore[arg-type]
-                )
-            table.add_series(series)
-        return table
 
     def column(self, name: str) -> List[Cell]:
         """All values of one column, in row order."""
@@ -361,7 +347,7 @@ class ResultSet:
         return [row.get(name) for row in self.rows]
 
     def render(self, precision: int = 4) -> str:
-        """The ASCII table — identical to the legacy experiment output."""
+        """The boxed ASCII table ``repro`` prints for this result."""
         return render_table(
             list(self.columns),
             [list(row.values()) for row in self.rows],

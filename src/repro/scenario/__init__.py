@@ -48,7 +48,8 @@ from repro.scenario.registry import (
 )
 from repro.scenario.run import (
     SCENARIO_SWEEP_KEYS,
-    ScenarioReport,
+    ComparisonResult,
+    ProtocolResult,
     scenario_report,
     scenario_reports,
 )
@@ -88,7 +89,8 @@ __all__ = [
     "scenario_names",
     "scenario_trials",
     "run_scenario_trial",
-    "ScenarioReport",
+    "ComparisonResult",
+    "ProtocolResult",
     "scenario_report",
     "scenario_reports",
     "SCENARIO_SWEEP_KEYS",

@@ -45,6 +45,7 @@ from repro.scenario.schema import (
     TopologySpec,
     WorkloadSpec,
 )
+from repro.util.validation import check_positive_int
 
 #: Scenario systems cap out below the paper's n=100: the dynamics layer
 #: stresses *change*, not size, and adaptive trials are O(n * duration).
@@ -61,9 +62,13 @@ def _stretch(scale: ExperimentScale) -> float:
 
 
 def scenario_trials(scale: ExperimentScale, override: Optional[int] = None) -> int:
-    """Trials per (scenario, protocol) cell — fewer than figure trials."""
+    """Trials per (scenario, protocol) cell — fewer than figure trials.
+
+    An explicit ``override`` must be a positive int (not a bool, float
+    or NaN); every scenario path checks it here.
+    """
     if override is not None:
-        return override
+        return check_positive_int(override, "trials")
     return max(2, scale.trials // 4)
 
 

@@ -13,7 +13,7 @@ from __future__ import annotations
 
 import json
 import os
-from dataclasses import dataclass, field
+from dataclasses import asdict, astuple, dataclass, field, fields, replace
 from itertools import islice
 from typing import Dict, List, Optional, Sequence, Tuple
 
@@ -25,6 +25,7 @@ from repro.protocols.registry import (
     parse_param_key,
     resolve_protocol,
 )
+from repro.results.schema import Provenance, ResultSet
 from repro.scenario.registry import (
     MAX_SCENARIO_N,
     build_scenario,
@@ -73,16 +74,46 @@ def _fmt(value: object) -> str:
     return f"{value:g}" if isinstance(value, (int, float)) else str(value)
 
 
-@dataclass
-class ScenarioReport:
-    """One scenario's protocol-comparison table (renderable + JSON-able)."""
+@dataclass(frozen=True)
+class ProtocolResult:
+    """One protocol's aggregated row of a scenario comparison.
+
+    ``reconv_time`` / ``reconverged`` are None for protocols without
+    learned knowledge.
+    """
+
+    protocol: str
+    delivery_ratio: float
+    data_messages: float
+    total_messages: float
+    reconv_time: Optional[float]
+    reconverged: Optional[float]
+
+    def to_row(self) -> Dict[str, object]:
+        return asdict(self)
+
+
+@dataclass(frozen=True)
+class ComparisonResult:
+    """One scenario's protocol-comparison table (typed, renderable, JSON-able)."""
 
     scenario: str
     description: str
     scale: str
     trials: int
-    overrides: Dict[str, float] = field(default_factory=dict)
-    rows: List[Dict[str, object]] = field(default_factory=list)
+    overrides: Dict[str, object] = field(default_factory=dict)
+    rows: Tuple[ProtocolResult, ...] = ()
+
+    def row(self, protocol: str) -> ProtocolResult:
+        """The row of one protocol (name or alias)."""
+        name = resolve_protocol(protocol).name
+        for entry in self.rows:
+            if entry.protocol == name:
+                return entry
+        raise ValidationError(
+            f"protocol {name!r} is not part of this comparison "
+            f"({', '.join(r.protocol for r in self.rows)})"
+        )
 
     def render(self, precision: int = 4) -> str:
         headers = [
@@ -93,18 +124,7 @@ class ScenarioReport:
             "reconv time",
             "reconv frac",
         ]
-        table_rows = []
-        for row in self.rows:
-            table_rows.append(
-                [
-                    row["protocol"],
-                    row["delivery_ratio"],
-                    row["data_messages"],
-                    row["total_messages"],
-                    row["reconv_time"],
-                    row["reconverged"],
-                ]
-            )
+        table_rows = [astuple(row) for row in self.rows]
         suffix = "".join(
             f" {k}={_fmt(v)}" for k, v in sorted(self.overrides.items())
         )
@@ -121,10 +141,10 @@ class ScenarioReport:
             "scale": self.scale,
             "trials": self.trials,
             "overrides": dict(self.overrides),
-            "rows": [dict(r) for r in self.rows],
+            "rows": [row.to_row() for row in self.rows],
         }
 
-    def to_result_set(self):
+    def to_result_set(self) -> ResultSet:
         """The comparison table as a storable ResultSet.
 
         Experiment name ``scenario-<name>``, one row per protocol, with
@@ -132,27 +152,14 @@ class ScenarioReport:
         in the results store's zero-tolerance re-run diffs exactly like
         registry experiments.
         """
-        from dataclasses import replace
-
-        from repro.results.schema import Provenance, ResultSet
-
-        columns = [
-            "protocol",
-            "delivery_ratio",
-            "data_messages",
-            "total_messages",
-            "reconv_time",
-            "reconverged",
-        ]
-        rows = [[row[column] for column in columns] for row in self.rows]
         result = ResultSet.from_rows(
             f"scenario-{self.scenario}",
             title=(
                 f"scenario {self.scenario} ({self.scale} scale, "
                 f"{self.trials} trials) — {self.description}"
             ),
-            columns=columns,
-            rows=rows,
+            columns=[f.name for f in fields(ProtocolResult)],
+            rows=[astuple(row) for row in self.rows],
         )
         params: Dict[str, object] = {"trials": self.trials}
         params.update(self.overrides)
@@ -172,7 +179,7 @@ class ScenarioReport:
         # scale, protocol selection and trials are all part of the stem:
         # runs differing in any of --scale/--protocols/--sweep write one
         # artefact pair per combination instead of overwriting
-        protocols = "-".join(str(row["protocol"]) for row in self.rows)
+        protocols = "-".join(row.protocol for row in self.rows)
         stem = f"scenario_{self.scenario}_{self.scale}_{protocols}" \
                f"_trials{self.trials}"
         if self.overrides:
@@ -284,22 +291,24 @@ def _validated_spec(
 
 def protocol_row(
     protocol: str, chunk: Sequence[Dict[str, float]]
-) -> Dict[str, object]:
+) -> ProtocolResult:
     """Aggregate one protocol's trial metrics into a comparison row.
 
     Shared by the campaign path below and ``repro.api``'s serial
     custom-spec path, so both aggregate identically.
     """
-    row: Dict[str, object] = {"protocol": protocol}
-    for metric in ("delivery_ratio", "data_messages", "total_messages"):
-        row[metric] = Campaign.aggregate(chunk, metric).mean
-    if all(r["reconverged"] < 0.0 for r in chunk):
-        row["reconv_time"] = None
-        row["reconverged"] = None
-    else:
-        row["reconv_time"] = Campaign.aggregate(chunk, "reconv_time").mean
-        row["reconverged"] = Campaign.aggregate(chunk, "reconverged").mean
-    return row
+    def mean(metric: str) -> float:
+        return Campaign.aggregate(chunk, metric).mean
+
+    learned = not all(r["reconverged"] < 0.0 for r in chunk)
+    return ProtocolResult(
+        protocol=protocol,
+        delivery_ratio=mean("delivery_ratio"),
+        data_messages=mean("data_messages"),
+        total_messages=mean("total_messages"),
+        reconv_time=mean("reconv_time") if learned else None,
+        reconverged=mean("reconverged") if learned else None,
+    )
 
 
 def scenario_reports(
@@ -308,7 +317,7 @@ def scenario_reports(
     protocols: Optional[Sequence[str]] = None,
     scale: Optional[ExperimentScale] = None,
     campaign: Optional[Campaign] = None,
-) -> List[ScenarioReport]:
+) -> List[ComparisonResult]:
     """Run one scenario for several sweep combinations in one batch.
 
     Every combination's ``protocols x trials`` specs go through a single
@@ -339,8 +348,6 @@ def scenario_reports(
             dict(combo), protocols
         )
         trials = scenario_trials(scale, overrides.pop("trials", None))
-        if trials < 1:
-            raise ValidationError(f"trials must be >= 1, got {trials}")
         spec = _validated_spec(scenario, scale, overrides)
         for name, param_over in param_overrides.items():
             # validate eagerly (field names, types, dataclass invariants)
@@ -376,15 +383,9 @@ def scenario_reports(
     # exactly with the old materialize-then-slice aggregation.
     stream = campaign.run_stream(all_specs)
 
-    reports: List[ScenarioReport] = []
+    reports: List[ComparisonResult] = []
     for spec, trials, overrides, count in prepared:
-        report = ScenarioReport(
-            scenario=scenario,
-            description=spec.description,
-            scale=scale.name,
-            trials=trials,
-            overrides=overrides,
-        )
+        rows = []
         for protocol in protocols:
             chunk = list(islice(stream, trials))
             if len(chunk) != trials:
@@ -392,8 +393,17 @@ def scenario_reports(
                     f"campaign stream ended early: expected {trials} "
                     f"trials for {protocol!r}, got {len(chunk)}"
                 )
-            report.rows.append(protocol_row(protocol, chunk))
-        reports.append(report)
+            rows.append(protocol_row(protocol, chunk))
+        reports.append(
+            ComparisonResult(
+                scenario=scenario,
+                description=spec.description,
+                scale=scale.name,
+                trials=trials,
+                overrides=overrides,
+                rows=tuple(rows),
+            )
+        )
     return reports
 
 
@@ -404,7 +414,7 @@ def scenario_report(
     trials: Optional[int] = None,
     campaign: Optional[Campaign] = None,
     overrides: Optional[Dict[str, float]] = None,
-) -> ScenarioReport:
+) -> ComparisonResult:
     """Run one scenario across protocols and aggregate the comparison.
 
     Args:

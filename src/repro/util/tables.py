@@ -1,15 +1,15 @@
 """ASCII rendering of experiment tables and data series.
 
-The benchmark harness regenerates each of the paper's figures as a *data
-series table* (x column plus one y column per curve) — the same rows one
-would feed to gnuplot to redraw the figure.  This module renders those
-tables, plus a crude unicode line plot for terminal inspection.
+Every experiment produces a :class:`~repro.results.ResultSet`; a figure's
+is a *data series table* (x column plus one y column per curve) — the
+same rows one would feed to gnuplot to redraw the figure.  This module
+renders such tables, plus a crude unicode line plot for terminal
+inspection.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-from typing import Dict, List, Mapping, Optional, Sequence, Union
+from typing import List, Optional, Sequence, Union
 
 Cell = Union[str, int, float, None]
 
@@ -58,66 +58,6 @@ def render_table(
     return "\n".join(lines)
 
 
-@dataclass
-class Series:
-    """One named curve: parallel x and y values (y may contain None gaps)."""
-
-    name: str
-    xs: List[float] = field(default_factory=list)
-    ys: List[Optional[float]] = field(default_factory=list)
-
-    def add(self, x: float, y: Optional[float]) -> None:
-        self.xs.append(float(x))
-        self.ys.append(None if y is None else float(y))
-
-    def as_dict(self) -> Dict[float, Optional[float]]:
-        return dict(zip(self.xs, self.ys))
-
-
-@dataclass
-class SeriesTable:
-    """A figure-shaped result: shared x axis, one column per curve.
-
-    This is the canonical output type of every experiment module; benches
-    print ``str(table)`` so the regenerated figure data appears in the
-    benchmark log.
-    """
-
-    title: str
-    x_label: str
-    series: List[Series] = field(default_factory=list)
-
-    def add_series(self, series: Series) -> None:
-        self.series.append(series)
-
-    def x_values(self) -> List[float]:
-        seen: List[float] = []
-        for s in self.series:
-            for x in s.xs:
-                if x not in seen:
-                    seen.append(x)
-        return sorted(seen)
-
-    def render(self, precision: int = 4) -> str:
-        headers = [self.x_label] + [s.name for s in self.series]
-        lookup = [s.as_dict() for s in self.series]
-        rows: List[List[Cell]] = []
-        for x in self.x_values():
-            rows.append([x] + [d.get(x) for d in lookup])
-        return render_table(headers, rows, title=self.title, precision=precision)
-
-    def __str__(self) -> str:
-        return self.render()
-
-
-def render_mapping(
-    mapping: Mapping[str, Cell], title: Optional[str] = None, precision: int = 4
-) -> str:
-    """Render a flat key/value mapping as a two-column table."""
-    rows = [[key, value] for key, value in mapping.items()]
-    return render_table(["key", "value"], rows, title=title, precision=precision)
-
-
 def sparkline(values: Sequence[float], width: int = 60) -> str:
     """One-line unicode sparkline of a numeric series (for quick inspection)."""
     blocks = "▁▂▃▄▅▆▇█"
@@ -137,20 +77,23 @@ def sparkline(values: Sequence[float], width: int = 60) -> str:
     return "".join(out)
 
 
-def line_plot(
-    table: SeriesTable, height: int = 16, width: int = 72
-) -> str:
+def line_plot(result, height: int = 16, width: int = 72) -> str:
     """Very small dependency-free scatter/line plot for terminals.
 
+    ``result`` is a figure-shaped :class:`~repro.results.ResultSet`: x in
+    the first column, one curve per further column (None = no point).
     Intended for example scripts; the authoritative output is always the
-    numeric :meth:`SeriesTable.render` table.
+    numeric ``result.render()`` table.
     """
     markers = "*o+x#@%&"
+    names = result.columns[1:]
+    rows = [row.values() for row in result.rows]
     points: List[tuple] = []
-    for si, s in enumerate(table.series):
-        for x, y in zip(s.xs, s.ys):
+    for si in range(len(names)):
+        for values in rows:
+            y = values[si + 1]
             if y is not None:
-                points.append((x, y, markers[si % len(markers)]))
+                points.append((values[0], y, markers[si % len(markers)]))
     if not points:
         return "(no data)"
     xs = [p[0] for p in points]
@@ -167,10 +110,10 @@ def line_plot(
         row = height - 1 - int((y - y_lo) / (y_hi - y_lo) * (height - 1))
         grid[row][col] = mark
     legend = "  ".join(
-        f"{markers[i % len(markers)]}={s.name}" for i, s in enumerate(table.series)
+        f"{markers[i % len(markers)]}={name}" for i, name in enumerate(names)
     )
-    lines = [table.title, f"y: [{y_lo:.4g}, {y_hi:.4g}]"]
+    lines = [result.title, f"y: [{y_lo:.4g}, {y_hi:.4g}]"]
     lines += ["|" + "".join(row) for row in grid]
     lines.append("+" + "-" * width)
-    lines.append(f" x: {table.x_label} in [{x_lo:.4g}, {x_hi:.4g}]   {legend}")
+    lines.append(f" x: {result.x_label} in [{x_lo:.4g}, {x_hi:.4g}]   {legend}")
     return "\n".join(lines)

@@ -127,7 +127,7 @@ def coerce_scalar(label: str, hint, value):
             number = float(value)
         except (TypeError, ValueError):
             raise bad("integer") from None
-        if number != int(number):
+        if not math.isfinite(number) or number != int(number):
             raise bad("integer")
         return int(number)
     if base is float:

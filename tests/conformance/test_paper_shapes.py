@@ -21,18 +21,15 @@ than the paper's n=100, K=0.9999 ones, but orderings and growth hold:
 
 from math import inf
 
+import repro.api as api
 from repro.analysis.convergence import ConvergenceCriterion, estimate_errors
 from repro.core.adaptive import AdaptiveBroadcast, AdaptiveParameters
 from repro.core.bayesian import BeliefEstimator
 from repro.core.knowledge import KnowledgeParameters
 from repro.core.refinement import AdaptiveResolutionEstimator
-from repro.experiments.figure4 import figure4_point, figure4_table
-from repro.experiments.figure5 import (
-    convergence_messages_per_link,
-    figure5_table,
-)
-from repro.experiments.figure6 import figure6_table
-from repro.experiments.heterogeneous import heterogeneity_table
+from repro.experiments.campaign import Campaign
+from repro.experiments.figure4 import figure4_aggregate, figure4_build
+from repro.experiments.figure5 import convergence_messages_per_link
 from repro.experiments.runner import QUICK, make_network, scaled
 from repro.sim.monitors import BroadcastMonitor
 from repro.sim.network import NetworkOptions
@@ -58,59 +55,60 @@ EXTENSION_SCALE = scaled(
 )
 
 
+def run(name, scale, **params):
+    return api.run_experiment(name, scale=scale, params=params, backend="serial")
+
+
+def curves(result):
+    """Each curve's points, by column name (None gaps dropped)."""
+    return {
+        name: [y for y in result.column(name) if y is not None]
+        for name in result.columns[1:]
+    }
+
+
 # -- Figures 4-6 ----------------------------------------------------------------------
 
 
 def test_figure4a_crash_variant():
-    table = figure4_table(variant="crash", scale=FIGURE4_SCALE)
-    for series in table.series:
-        ys = [y for y in series.ys if y is not None]
+    for ys in curves(run("figure4a", FIGURE4_SCALE)).values():
         assert all(y > 0 for y in ys)
         # the reference algorithm never beats the optimal one
         assert max(ys) >= 1.0
 
 
 def test_figure4b_loss_variant():
-    table = figure4_table(variant="loss", scale=FIGURE4_SCALE)
     # growth with connectivity: the densest point should dominate the
     # sparsest for every curve (the paper's headline trend)
-    for series in table.series:
-        ys = [y for y in series.ys if y is not None]
+    for ys in curves(run("figure4b", FIGURE4_SCALE)).values():
         if len(ys) >= 2:
             assert ys[-1] >= ys[0]
 
 
 def test_figure5a_crash_variant():
-    table = figure5_table(
-        variant="crash", scale=FIGURE5_SCALE, values=FIGURE5_VALUES, trials=2
-    )
-    for series in table.series:
-        assert all(y is not None and y > 0 for y in series.ys)
-    zero = next(s for s in table.series if s.name == "P=0")
-    worst = table.series[-1]
-    assert min(zero.ys) <= min(worst.ys)
+    result = run("figure5a", FIGURE5_SCALE, crash=FIGURE5_VALUES, trials=2)
+    for name in result.columns[1:]:
+        assert all(y is not None and y > 0 for y in result.column(name))
+    zero, worst = result.column("P=0"), result.column(result.columns[-1])
+    assert min(zero) <= min(worst)
 
 
 def test_figure5b_loss_variant():
-    table = figure5_table(
-        variant="loss", scale=FIGURE5_SCALE, values=FIGURE5_VALUES, trials=2
-    )
-    zero = next(s for s in table.series if s.name == "L=0")
-    worst = table.series[-1]
-    assert min(zero.ys) <= min(worst.ys)
+    result = run("figure5b", FIGURE5_SCALE, loss=FIGURE5_VALUES, trials=2)
+    zero, worst = result.column("L=0"), result.column(result.columns[-1])
+    assert min(zero) <= min(worst)
 
 
 def test_figure6_scalability():
-    table = figure6_table(scale=QUICK, trials=2)
-    ring = next(s for s in table.series if s.name == "ring")
-    tree = next(s for s in table.series if s.name == "tree")
+    result = run("figure6", QUICK, trials=2)
+    ring, tree = result.column("ring"), result.column("tree")
     # ring effort grows from the smallest to the largest system
-    assert ring.ys[-1] > ring.ys[0]
+    assert ring[-1] > ring[0]
     # at the largest size, the ring costs more than the tree
-    assert ring.ys[-1] > tree.ys[-1]
+    assert ring[-1] > tree[-1]
     # the tree curve grows much slower than the ring curve
-    ring_growth = ring.ys[-1] / ring.ys[0]
-    tree_growth = tree.ys[-1] / max(tree.ys[0], 1e-9)
+    ring_growth = ring[-1] / ring[0]
+    tree_growth = tree[-1] / max(tree[0], 1e-9)
     assert tree_growth < ring_growth
 
 
@@ -119,9 +117,19 @@ def test_figure6_scalability():
 
 def test_ack_accounting_ablation():
     """Counting ACKs roughly doubles the reference algorithm's cost."""
-    without = figure4_point(4, 0.0, 0.03, ABLATION_SCALE, count_acks=False)
-    with_acks = figure4_point(4, 0.0, 0.03, ABLATION_SCALE, count_acks=True)
-    assert with_acks["ratio"] > without["ratio"] * 1.5
+    scale = scaled(ABLATION_SCALE, connectivities=(4,))
+
+    def ratio(count_acks):
+        campaign = Campaign()
+        phase1, specs = figure4_build(
+            "loss", scale, campaign, values=(0.03,), count_acks=count_acks
+        )
+        result = figure4_aggregate(
+            "loss", scale, phase1, campaign.run(specs), values=(0.03,)
+        )
+        return result.column("L=0.03")[0]
+
+    assert ratio(count_acks=True) > ratio(count_acks=False) * 1.5
 
 
 def test_interval_count_ablation():
@@ -195,13 +203,14 @@ def test_iid_crash_self_estimate():
 
 
 def test_heterogeneous_environments():
-    table = heterogeneity_table(scale=EXTENSION_SCALE, mean_loss=0.05)
-    uniform = table.series[0].as_dict()
-    hetero = table.series[1].as_dict()
+    result = run("heterogeneous", EXTENSION_SCALE, loss=0.05)
     # at the densest measured connectivity the adaptive gain should be at
     # least as large in the heterogeneous environment
-    densest = max(uniform)
-    assert hetero[densest] >= uniform[densest] * 0.9
+    densest = result.rows[-1]
+    assert (
+        densest.get("ratio (heterogeneous L)")
+        >= densest.get("ratio (uniform L)") * 0.9
+    )
 
 
 def test_dynamic_resolution():

@@ -149,6 +149,19 @@ class TestRunScenario:
         with pytest.raises(ValidationError, match="name-based"):
             api.run_scenario(spec, ("flooding",), n=16, trials=1)
 
+    @pytest.mark.parametrize("trials", [2.5, float("nan"), True, 0])
+    @pytest.mark.parametrize("by_name", [True, False], ids=["name", "spec"])
+    def test_bad_trials_rejected_on_both_paths(self, trials, by_name):
+        scenario = (
+            "partition-heal" if by_name
+            else api.get_scenario("partition-heal", "quick")
+        )  # fmt: skip
+        with pytest.raises(ValidationError, match="trials must be"):
+            api.run_scenario(
+                scenario, ("flooding",), trials=trials, scale="quick",
+                backend="serial",
+            )  # fmt: skip
+
     def test_registered_protocol_compares_against_builtins(
         self, clean_registry
     ):

@@ -15,8 +15,8 @@ from repro.experiments.campaign import (
     parse_sweep,
     parse_sweeps,
 )
-from repro.experiments.figure4 import figure4_table
 from repro.experiments.figure5 import CONVERGENCE_FN
+from repro.experiments.registry import run_experiment
 from repro.experiments.runner import QUICK, scaled
 from repro.topology.configuration import Configuration
 from repro.util.cache import TrialCache, content_key
@@ -252,30 +252,30 @@ class TestCampaignCache:
         assert campaign.executed == 2
 
 
+def figure4b(campaign=None, scale=TINY):
+    return run_experiment(
+        "figure4b", scale=scale, params={"loss": [0.05]}, campaign=campaign
+    )
+
+
 class TestFigureCampaigns:
     """The acceptance-criteria behaviours at test scale."""
 
     def test_parallel_figure4_identical_to_serial(self):
-        serial = figure4_table(variant="loss", scale=TINY, values=(0.05,))
+        serial = figure4b()
         campaign = Campaign(backend="process:2")
-        parallel = figure4_table(
-            variant="loss", scale=TINY, values=(0.05,), campaign=campaign
-        )
+        parallel = figure4b(campaign)
         assert serial.render() == parallel.render()
         assert campaign.executed > 0
 
     def test_figure4_rerun_hits_cache(self, tmp_path):
         cache = TrialCache(str(tmp_path))
         first = Campaign(cache=cache)
-        table1 = figure4_table(
-            variant="loss", scale=TINY, values=(0.05,), campaign=first
-        )
+        table1 = figure4b(first)
         assert first.executed > 0
 
         second = Campaign(cache=cache)
-        table2 = figure4_table(
-            variant="loss", scale=TINY, values=(0.05,), campaign=second
-        )
+        table2 = figure4b(second)
         assert second.executed == 0
         assert second.cached == first.executed
         assert table1.render() == table2.render()
@@ -493,12 +493,8 @@ def test_aggregates_reference_no_analytic_name():
 
 
 def test_figure4_point_is_one_point_of_the_grid():
-    from repro.experiments.figure4 import figure4_point
-
-    table = figure4_table(variant="loss", scale=TINY, values=(0.05,))
-    for connectivity, ratio in zip(table.series[0].xs, table.series[0].ys):
-        point = figure4_point(int(connectivity), crash=0.0, loss=0.05, scale=TINY)
-        assert point["ratio"] == ratio
-        assert (
-            point["reference_messages"] / point["optimal_messages"] == ratio
-        )
+    grid = figure4b()
+    xs = grid.column("connectivity (links/process)")
+    for connectivity, ratio in zip(xs, grid.column("L=0.05")):
+        point = figure4b(scale=scaled(TINY, connectivities=(int(connectivity),)))
+        assert point.column("L=0.05") == [ratio]

@@ -65,14 +65,19 @@ class TestCommands:
 
     def test_table1_with_out(self, tmp_path, capsys):
         assert main(["table1", "--out", str(tmp_path)]) == 0
-        assert (tmp_path / "table_1.txt").exists()
+        assert "artefacts written to" in capsys.readouterr().out
+        assert (tmp_path / "table1.txt").exists()
+        data = json.loads((tmp_path / "table1.json").read_text())
+        assert data["experiment"] == "table1"
+        assert data["x_label"] is None
+        assert "campaign" not in data  # the short form prints no counters
 
     def test_figure1_with_out(self, tmp_path, capsys):
         assert main(["figure1", "--out", str(tmp_path)]) == 0
         assert (tmp_path / "figure1.json").exists()
         data = json.loads((tmp_path / "figure1.json").read_text())
-        assert data["experiment_id"] == "figure1"
-        assert len(data["series"]) == 3
+        assert data["experiment"] == "figure1"
+        assert data["columns"] == ["alpha", "L=0.01", "L=0.001", "L=0.0001"]
 
     @pytest.mark.slow
     def test_demo(self, capsys):
@@ -171,7 +176,7 @@ class TestCampaignCommand:
         first_table = out.split("campaign:")[0]
         assert (tmp_path / "out" / "figure4b.json").exists()
         data = json.loads((tmp_path / "out" / "figure4b.json").read_text())
-        assert data["metadata"]["trials_executed"] > 0
+        assert data["campaign"]["trials_executed"] > 0
 
         # second invocation: everything comes from the cache
         assert main(argv) == 0
@@ -909,3 +914,102 @@ def test_plugin_raising_at_import_is_skipped_by_the_cli_and_its_workers(tmp_path
     assert "30 trials executed" in run.stdout
     assert "backend=shard:2" in run.stdout
     assert "Traceback" not in run.stderr
+
+
+#: The smallest sweeps that run each registered experiment in seconds
+#: (figure5a times out at plain quick scale).
+SMALL_SWEEPS = {
+    "figure1": ["loss=0.01", "alpha=1,2"],
+    "table1": ["intervals=2"],
+    "figure4a": ["crash=0.03", "connectivity=2", "trials=2"],
+    "figure4b": ["loss=0.03", "connectivity=2", "trials=2"],
+    "figure5a": ["crash=0.0", "connectivity=2", "trials=1"],
+    "figure5b": ["loss=0.0", "connectivity=2", "trials=1"],
+    "figure6": ["size=10", "topology=ring", "trials=1"],
+    "membership": [
+        "scenario=partition-heal", "policy=head:rand:pushpull",
+        "view_size=8", "trials=1",
+    ],
+    "kvstore": [
+        "scenario=hot-key-storm", "protocol=gossip", "ops=16", "trials=1",
+    ],
+    "heterogeneous": ["connectivity=2", "trials=2"],
+}  # fmt: skip
+
+
+def _small_run(name, *options):
+    argv = ["experiments", "run", name, "--scale", "quick", *options]
+    for sweep in SMALL_SWEEPS[name]:
+        argv += ["--sweep", sweep]
+    return argv
+
+
+def test_small_sweeps_cover_every_registered_experiment():
+    from repro.experiments.registry import experiment_names
+
+    assert set(SMALL_SWEEPS) == set(experiment_names())
+
+
+@pytest.mark.parametrize("name", sorted(SMALL_SWEEPS))
+def test_out_writes_the_printed_table_and_the_stored_result(name, tmp_path, capsys):
+    """``--out DIR`` writes ``<name>.txt`` (the printed table) and
+    ``<name>.json`` (the ResultSet, as the store holds it)."""
+    import repro.api as api
+
+    store = str(tmp_path / "runs.jsonl")
+    argv = _small_run(
+        name, "--backend", "serial", "--no-cache", "--store", store,
+        "--out", str(tmp_path / "art"),
+    )  # fmt: skip
+    assert main(argv) == 0
+    printed = capsys.readouterr().out.partition("\ncampaign:")[0]
+    assert (tmp_path / "art" / f"{name}.txt").read_text() == printed
+    payload = json.loads((tmp_path / "art" / f"{name}.json").read_text())
+    assert payload["campaign"]["trials_executed"] > 0
+    artefact = ResultSet.from_json(payload)
+    assert artefact.render() + "\n" == printed
+    assert artefact.run_id is not None
+    assert api.diff_results(artefact, artefact.run_id, store=store).clean
+
+
+@pytest.mark.parametrize(
+    "name,metric",
+    [
+        ("figure1", "ratio"),
+        ("table1", "after"),
+        ("figure5a", "messages_per_link"),
+        ("figure5b", "messages_per_link"),
+        ("figure6", "messages_per_link"),
+        ("membership", "view_clustering"),
+        ("kvstore", "kv_buffer_max"),
+    ],
+)
+def test_an_entry_lacking_a_read_metric_is_recomputed(
+    name, metric, tmp_path, capsys
+):
+    """Every build declares the metrics its aggregate reads, so a cache
+    entry without one is a miss: recomputed and rewritten, not a
+    ``KeyError`` from the aggregate."""
+    from repro.util.cache import TrialCache
+
+    argv = _small_run(
+        name, "--backend", "serial", "--cache-dir", str(tmp_path), "--no-store"
+    )
+    assert main(argv) == 0
+    table = capsys.readouterr().out.partition("campaign:")[0]
+    cache = TrialCache(str(tmp_path))
+    key = next(iter(cache.keys()))
+    path = os.path.join(cache.directory, f"{key}.json")
+    with open(path) as fh:
+        entry = json.load(fh)
+    good = dict(entry["result"])
+    del entry["result"][metric]
+    with open(path, "w") as fh:
+        json.dump(entry, fh)
+
+    assert main(argv) == 0
+    captured = capsys.readouterr()
+    assert captured.err == ""
+    assert captured.out.partition("campaign:")[0] == table
+    assert "campaign: 1 trials executed" in captured.out
+    assert cache.get(key) == good

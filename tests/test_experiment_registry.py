@@ -20,8 +20,8 @@ import repro.api as api
 from repro.errors import UnknownExperimentError, ValidationError
 from repro.experiments import registry as reg
 from repro.experiments.campaign import Campaign, TrialSpec
-from repro.experiments.figure1 import figure1_table
-from repro.experiments.figure4 import figure4_table
+from repro.experiments.figure1 import figure1_aggregate, figure1_build
+from repro.experiments.figure4 import figure4_aggregate, figure4_build
 from repro.experiments.registry import (
     ExperimentSpec,
     Figure4aParams,
@@ -35,7 +35,7 @@ from repro.experiments.registry import (
     unregister_experiment,
 )
 from repro.experiments.runner import current_scale, scaled
-from repro.experiments.table1 import table1_render
+from repro.experiments.table1 import table1_aggregate, table1_build
 from repro.results.schema import SCHEMA_VERSION, ResultSet
 
 TINY = scaled(
@@ -238,21 +238,30 @@ class TestParams:
 
 
 class TestRunExperiment:
+    """A registry run equals its module's build/aggregate pair composed
+    on a plain campaign: the hooks add provenance and nothing else."""
+
     def test_figure1_bit_identical_to_table_builder(self):
         result = run_experiment("figure1")
-        assert result.render() == figure1_table().render()
+        expected = figure1_aggregate(Campaign().run(figure1_build()))
+        assert result.rows == expected.rows
+        assert result.render() == expected.render()
 
     def test_table1_bit_identical_to_renderer(self):
         result = run_experiment("table1")
-        assert result.render() == table1_render()
+        expected = table1_aggregate(Campaign().run(table1_build()))
+        assert result.render() == expected.render()
         assert result.x_label is None
 
     def test_figure4a_bit_identical_to_table_builder(self):
         params = {"crash": [0.03]}
         result = run_experiment("figure4a", scale=TINY, params=params)
-        expected = figure4_table(
-            variant="crash", scale=TINY, values=(0.03,)
+        campaign = Campaign()
+        phase1, specs = figure4_build("crash", TINY, campaign, values=(0.03,))
+        expected = figure4_aggregate(
+            "crash", TINY, phase1, campaign.run(specs), values=(0.03,)
         )
+        assert result.rows == expected.rows
         assert result.render() == expected.render()
 
     def test_provenance_stamped(self):

@@ -8,12 +8,16 @@ import math
 
 import pytest
 
+import repro.api as api
 from repro.errors import ValidationError
-from repro.experiments.figure1 import expected_anchor_points, figure1_table
-from repro.experiments.figure4 import figure4_point, figure4_table, optimal_messages
-from repro.experiments.figure5 import convergence_messages_per_link, figure5_point
-from repro.experiments.figure6 import figure6_point
-from repro.experiments.report import ExperimentRecord, ReportWriter
+from repro.experiments.campaign import Campaign
+from repro.experiments.figure1 import expected_anchor_points
+from repro.experiments.figure4 import (
+    figure4_aggregate,
+    figure4_build,
+    optimal_messages,
+)
+from repro.experiments.figure5 import convergence_messages_per_link
 from repro.experiments.runner import (
     DEFAULT,
     FULL,
@@ -23,10 +27,9 @@ from repro.experiments.runner import (
     make_network,
     scaled,
 )
-from repro.experiments.table1 import PAPER_AFTER_SUSPICION, table1_render, table1_rows
+from repro.experiments.table1 import PAPER_AFTER_SUSPICION
 from repro.topology.configuration import Configuration
 from repro.topology.generators import k_regular, ring
-from repro.util.tables import Series, SeriesTable
 
 TINY = scaled(
     QUICK,
@@ -76,41 +79,51 @@ class TestMakeNetwork:
         assert n1.stats.snapshot() == n2.stats.snapshot()
 
 
+def run(name, scale=None, **params):
+    return api.run_experiment(name, scale=scale, params=params, backend="serial")
+
+
 class TestFigure1:
     def test_table_shape(self):
-        table = figure1_table()
-        assert len(table.series) == 3
-        assert len(table.x_values()) == 10
+        result = run("figure1")
+        assert len(result.columns) == 1 + 3
+        assert len(result.rows) == 10
 
     def test_anchor_points(self):
         anchors = expected_anchor_points()
-        table = figure1_table()
-        for series in table.series:
-            assert series.ys[0] == pytest.approx(1.0)  # alpha = 1
-        l4 = next(s for s in table.series if s.name == "L=0.0001")
-        assert l4.as_dict()[10.0] == pytest.approx(
+        result = run("figure1")
+        for curve in result.columns[1:]:
+            assert result.column(curve)[0] == pytest.approx(1.0)  # alpha = 1
+        at_alpha = dict(zip(result.column("alpha"), result.column("L=0.0001")))
+        assert at_alpha[10.0] == pytest.approx(
             anchors[("alpha=10", "L=1e-4")], abs=1e-3
         )
 
 
 class TestTable1:
     def test_rows_match_paper(self):
-        rows = table1_rows()
-        assert [round(r[3], 2) for r in rows] == list(PAPER_AFTER_SUSPICION)
-        assert all(r[2] == pytest.approx(0.2) for r in rows)
+        result = run("table1")
+        after = result.column("P_B after suspicion")
+        assert [round(b, 2) for b in after] == list(PAPER_AFTER_SUSPICION)
+        assert result.column("P_B initial") == pytest.approx([0.2] * 5)
 
     def test_render_contains_intervals(self):
-        text = table1_render()
+        text = run("table1").render()
         assert "[0.0, 0.2)" in text
         assert "0.36" in text
 
 
 class TestFigure4:
     def test_point_fields(self):
-        point = figure4_point(2, crash=0.0, loss=0.05, scale=TINY)
-        assert point["ratio"] > 0
-        assert point["optimal_messages"] >= TINY.n - 1
-        assert point["rounds"] >= 1
+        scale = scaled(TINY, connectivities=(2,))
+        campaign = Campaign()
+        (phase1,), specs = figure4_build("loss", scale, campaign, values=(0.05,))
+        result = figure4_aggregate(
+            "loss", scale, [phase1], campaign.run(specs), values=(0.05,)
+        )
+        assert result.column("L=0.05")[0] > 0
+        assert phase1["optimal_messages"] >= TINY.n - 1
+        assert phase1["rounds"] >= 1
 
     def test_optimal_messages_monotone_in_k(self):
         g = k_regular(10, 4)
@@ -118,11 +131,11 @@ class TestFigure4:
         assert optimal_messages(g, c, 0.999) >= optimal_messages(g, c, 0.9)
 
     def test_table_variants(self):
-        table = figure4_table(variant="loss", scale=TINY, values=(0.05,))
-        assert table.series[0].name == "L=0.05"
-        assert len(table.series[0].xs) == 2
+        result = run("figure4b", TINY, loss=0.05)
+        assert result.columns[1:] == ("L=0.05",)
+        assert result.column("connectivity (links/process)") == [2.0, 4.0]
         with pytest.raises(ValueError):
-            figure4_table(variant="nope", scale=TINY)
+            figure4_build("nope", TINY, Campaign())
 
 
 class TestFigure5:
@@ -171,34 +184,16 @@ class TestFigure5:
             assert "view_impl" not in names
 
     def test_point(self):
-        point = figure5_point(2, crash=0.0, loss=0.0, scale=TINY, trials=2)
-        assert point["trials"] == 2.0
-        assert point["messages_per_link"] > 0
+        result = run("figure5a", TINY, connectivity=2, crash=0.0, trials=2)
+        assert result.column("connectivity (links/process)") == [2.0]
+        assert result.column("P=0")[0] > 0
 
 
 class TestFigure6:
     def test_points(self):
-        ring_point = figure6_point("ring", 10, TINY, trials=2)
-        tree_point = figure6_point("tree", 10, TINY, trials=2)
-        assert ring_point["messages_per_link"] > 0
-        assert tree_point["messages_per_link"] > 0
+        result = run("figure6", TINY, size=10, trials=2)
+        assert result.column("number of processes") == [10.0]
+        assert result.column("ring")[0] > 0
+        assert result.column("tree")[0] > 0
         with pytest.raises(ValueError):
-            figure6_point("torus", 10, TINY, trials=1)
-
-
-class TestReport:
-    def test_writer_outputs(self, tmp_path):
-        table = SeriesTable(title="T", x_label="x")
-        s = Series("a")
-        s.add(1, 2.0)
-        table.add_series(s)
-        record = ExperimentRecord(
-            experiment_id="Fig X", description="demo", scale="quick", table=table
-        )
-        writer = ReportWriter(str(tmp_path))
-        writer.add(record)
-        assert (tmp_path / "fig_x.txt").exists()
-        assert (tmp_path / "fig_x.json").exists()
-        combined = writer.render_all()
-        assert "Fig X" in combined
-        assert "demo" in combined
+            run("figure6", TINY, size=10, trials=1, topology="torus")

@@ -307,7 +307,7 @@ class TestRegressionPin:
             trials=2,
             campaign=Campaign(),
         )
-        assert report.rows == [
+        assert [row.to_row() for row in report.rows] == [
             {
                 "protocol": "adaptive",
                 "delivery_ratio": 0.875,

@@ -1,7 +1,7 @@
 """Tests for the results layer (repro.results).
 
 Covers the typed schema (ResultSet/ResultRow/Provenance round-trips,
-SeriesTable conversion, CSV export), the append-only JSONL store
+figure-shaped construction from curves, CSV export), the append-only JSONL store
 (atomic appends, torn-write tolerance, query filters, exports) and the
 cell-by-cell diff with its tolerance semantics.
 """
@@ -22,7 +22,7 @@ from repro.results.schema import (
     diff_result_sets,
 )
 from repro.results.store import ResultStore, default_store_path
-from repro.util.tables import Series, SeriesTable
+from repro.util.tables import render_table
 
 
 def _sample(experiment="demo", y=2.5):
@@ -33,18 +33,6 @@ def _sample(experiment="demo", y=2.5):
         [[1.0, y, "a"], [2.0, None, "b"]],
         x_label="x",
     )
-
-
-def _figure_table():
-    table = SeriesTable(title="fig", x_label="alpha")
-    one = Series(name="L=0.01")
-    one.add(1.0, 1.0)
-    one.add(2.0, 0.9)
-    two = Series(name="L=0.001")
-    two.add(1.0, 1.0)
-    table.add_series(one)
-    table.add_series(two)
-    return table
 
 
 class TestResultSet:
@@ -58,22 +46,26 @@ class TestResultSet:
         clone = ResultSet.from_json(json.loads(json.dumps(rs.to_json())))
         assert clone == rs
 
-    def test_from_table_render_matches_series_table(self):
-        table = _figure_table()
-        rs = ResultSet.from_table("fig", table)
-        assert rs.render() == table.render()
-        # the None gap (L=0.001 has no x=2 point) survives
-        assert rs.rows[1].get("L=0.001") is None
-
-    def test_to_table_round_trip(self):
-        table = _figure_table()
-        rs = ResultSet.from_table("fig", table)
-        assert rs.to_table().render() == table.render()
-
-    def test_flat_set_refuses_to_table(self):
-        rs = ResultSet.from_rows("t", "t", ["a"], [[1.0]])
-        with pytest.raises(ValidationError, match="flat table"):
-            rs.to_table()
+    def test_from_curves_builds_the_figure_grid(self):
+        rs = ResultSet.from_curves(
+            "fig",
+            "fig",
+            "alpha",
+            [("L=0.01", {2: 0.9, 1: 1}), ("L=0.001", {1.0: 1.0})],
+        )
+        assert rs.x_label == "alpha"
+        assert rs.columns == ("alpha", "L=0.01", "L=0.001")
+        # sorted float x, float y, and a None gap where L=0.001 has no x=2
+        assert [row.values() for row in rs.rows] == [
+            (1.0, 1.0, 1.0),
+            (2.0, 0.9, None),
+        ]
+        assert all(type(x) is float for x in rs.column("alpha"))
+        assert rs.render() == render_table(
+            ["alpha", "L=0.01", "L=0.001"],
+            [[1.0, 1.0, 1.0], [2.0, 0.9, None]],
+            title="fig",
+        )
 
     def test_column_access(self):
         rs = _sample()

@@ -8,6 +8,7 @@ recovery notifications (Event 4) driven through scripted burst toggles.
 """
 
 import json
+import math
 
 import pytest
 
@@ -572,9 +573,10 @@ class TestScenarioCampaign:
             ({"los": 0.1}, "do not sweep 'los'.*n, trials, loss, crash, duration"
                            ".*did you mean 'loss'"),
             ({"trials": 2.9}, "--sweep trials takes integer values, got 2.9"),
+            ({"trials": math.nan}, "--sweep trials takes integer values, got nan"),
             ({"loss": "lots"}, "--sweep loss takes numeric values, got 'lots'"),
         ],
-        ids=["unknown-key", "fractional-trials", "non-numeric"],
+        ids=["unknown-key", "fractional-trials", "nan-trials", "non-numeric"],
     )  # fmt: skip
     def test_bad_sweep_is_rejected_before_any_trial(self, combo, expected):
         """The API path checks what the CLI checks: a typo'd key must not
@@ -625,7 +627,7 @@ class TestScenarioCli:
             ]
         )
         assert rc == 2
-        assert "trials must be >= 1" in capsys.readouterr().err
+        assert "trials must be positive, got 0" in capsys.readouterr().err
 
     def test_run_uncapped_n_errors(self, capsys):
         # builders cap the system size; a clamped sweep must refuse
@@ -701,11 +703,11 @@ class TestEveryScenarioSmoke:
         )
         assert len(report.rows) == 3
         for row in report.rows:
-            assert 0.0 <= row["delivery_ratio"] <= 1.0
-            assert row["total_messages"] > 0.0
+            assert 0.0 <= row.delivery_ratio <= 1.0
+            assert row.total_messages > 0.0
         adaptive = report.rows[0]
-        assert adaptive["protocol"] == "adaptive"
-        assert adaptive["reconv_time"] is not None
+        assert adaptive.protocol == "adaptive"
+        assert adaptive.reconv_time is not None
         text = report.render()
         assert name in text
 

@@ -2,15 +2,18 @@
 
 import pytest
 
+from repro.results.schema import ResultSet
 from repro.util.tables import (
-    Series,
-    SeriesTable,
     format_cell,
     line_plot,
-    render_mapping,
     render_table,
     sparkline,
 )
+
+
+def figure(*curves):
+    """A figure-shaped result set with x axis ``x`` and title ``T``."""
+    return ResultSet.from_curves("fig", "T", "x", list(curves))
 
 
 class TestFormatCell:
@@ -47,27 +50,19 @@ class TestRenderTable:
 
 class TestSeries:
     def test_add_and_lookup(self):
-        s = Series("curve")
-        s.add(1, 2.0)
-        s.add(2, None)
-        assert s.as_dict() == {1.0: 2.0, 2.0: None}
+        result = figure(("curve", {1: 2.0, 2: None}))
+        assert dict(zip(result.column("x"), result.column("curve"))) == {
+            1.0: 2.0,
+            2.0: None,
+        }
 
 
 class TestSeriesTable:
     def _table(self):
-        t = SeriesTable(title="T", x_label="x")
-        s1 = Series("a")
-        s1.add(1, 10.0)
-        s1.add(2, 20.0)
-        s2 = Series("b")
-        s2.add(2, 200.0)
-        s2.add(3, 300.0)
-        t.add_series(s1)
-        t.add_series(s2)
-        return t
+        return figure(("a", {1: 10.0, 2: 20.0}), ("b", {2: 200.0, 3: 300.0}))
 
     def test_x_values_union_sorted(self):
-        assert self._table().x_values() == [1.0, 2.0, 3.0]
+        assert self._table().column("x") == [1.0, 2.0, 3.0]
 
     def test_render_fills_gaps(self):
         out = self._table().render()
@@ -77,13 +72,6 @@ class TestSeriesTable:
     def test_str_is_render(self):
         t = self._table()
         assert str(t) == t.render()
-
-
-class TestRenderMapping:
-    def test_basic(self):
-        out = render_mapping({"k": 1.5}, title="cfg")
-        assert "cfg" in out
-        assert "1.5" in out
 
 
 class TestSparkline:
@@ -105,16 +93,9 @@ class TestSparkline:
 
 class TestLinePlot:
     def test_contains_markers_and_legend(self):
-        t = SeriesTable(title="plot", x_label="x")
-        s = Series("only")
-        s.add(0, 0.0)
-        s.add(1, 1.0)
-        t.add_series(s)
-        out = line_plot(t)
+        out = line_plot(figure(("only", {0: 0.0, 1: 1.0})))
         assert "*" in out
         assert "only" in out
 
     def test_no_data(self):
-        t = SeriesTable(title="plot", x_label="x")
-        t.add_series(Series("empty"))
-        assert line_plot(t) == "(no data)"
+        assert line_plot(figure(("empty", {0: None}))) == "(no data)"

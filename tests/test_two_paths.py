@@ -5,11 +5,11 @@ import math
 import pytest
 from hypothesis import given, settings, strategies as st
 
+import repro.api as api
 from repro.analysis.two_paths import (
     adaptive_reach,
     gossip_reach,
     message_ratio,
-    ratio_series,
     required_messages,
     simulate_two_paths,
 )
@@ -66,17 +66,22 @@ class TestClosedForms:
 
 class TestFigure1Table:
     def test_paper_curves(self):
-        table = ratio_series()
-        assert [s.name for s in table.series] == ["L=0.01", "L=0.001", "L=0.0001"]
-        assert table.x_values() == [float(a) for a in range(1, 11)]
-        # all ratios in (0, 1]
-        for series in table.series:
-            assert all(0.0 < y <= 1.0 for y in series.ys)
+        result = api.run_experiment("figure1", backend="serial")
+        curves = ["L=0.01", "L=0.001", "L=0.0001"]
+        assert list(result.columns) == ["alpha", *curves]
+        assert result.column("alpha") == [float(a) for a in range(1, 11)]
+        # all ratios in (0, 1], each the closed form at its point
+        for curve, loss in zip(curves, (1e-2, 1e-3, 1e-4)):
+            ys = result.column(curve)
+            assert all(0.0 < y <= 1.0 for y in ys)
+            assert ys == [message_ratio(loss, a) for a in range(1, 11)]
 
     def test_custom_axes(self):
-        table = ratio_series(losses=(0.1,), alphas=(1, 2))
-        assert len(table.series) == 1
-        assert table.x_values() == [1.0, 2.0]
+        result = api.run_experiment(
+            "figure1", params={"loss": 0.1, "alpha": (1, 2)}, backend="serial"
+        )
+        assert list(result.columns) == ["alpha", "L=0.1"]
+        assert result.column("alpha") == [1.0, 2.0]
 
 
 class TestMonteCarloAgreement:
