@@ -29,7 +29,7 @@ from repro.analysis.convergence import (
     learnable_link_probability,
     views_converged,
 )
-from repro.analysis.optimality import is_maximum_spanning_tree, verify_adaptiveness
+from repro.analysis.optimality import verify_adaptiveness
 from repro.analysis.two_paths import message_ratio
 from repro.core.adaptive import (
     AdaptiveBroadcast,
@@ -40,11 +40,10 @@ from repro.core.adaptive import (
 from repro.core.bayesian import BeliefEstimator
 from repro.core.refinement import AdaptiveResolutionEstimator
 from repro.core.broadcast import DataMessage, ReliableBroadcastProcess
-from repro.core.estimates import Estimate, select_best_estimate
-from repro.core.knowledge import KnowledgeParameters, ProcessView
+from repro.core.knowledge import KnowledgeParameters
 from repro.core.mrt import maximum_reliability_tree
 from repro.core.optimal import OptimalBroadcast
-from repro.core.optimize import OptimizeResult, optimize, optimize_bruteforce
+from repro.core.optimize import OptimizeResult, optimize
 from repro.core.reach import reach, reach_recursive, transmission_lambda
 from repro.core.tree import SpanningTree
 from repro.core.viewtable import VectorView
@@ -157,13 +156,9 @@ __all__ = [
     "reach_recursive",
     "transmission_lambda",
     "optimize",
-    "optimize_bruteforce",
     "OptimizeResult",
     "BeliefEstimator",
-    "Estimate",
-    "select_best_estimate",
     "KnowledgeParameters",
-    "ProcessView",
     "VectorView",
     # protocols
     "ReliableBroadcastProcess",
@@ -246,7 +241,6 @@ __all__ = [
     "views_converged",
     "estimate_errors",
     "learnable_link_probability",
-    "is_maximum_spanning_tree",
     "verify_adaptiveness",
     # misc
     "RandomSource",

@@ -4,8 +4,8 @@
   Appendix A / Figure 1, with a Monte-Carlo cross-check.
 * :mod:`repro.analysis.convergence` — the "all processes learned the
   probabilities" criterion of Figures 5/6 and estimate-error metrics.
-* :mod:`repro.analysis.optimality` — checks for Definitions 1/2 and the
-  Appendix C/D theorems (MRT maximality, greedy optimality).
+* :mod:`repro.analysis.optimality` — the Definition 2 (adaptiveness)
+  check.
 * :mod:`repro.analysis.rules` / :mod:`repro.analysis.lint` — the
   determinism static-analysis pass behind ``repro lint`` (rules
   D001-D005 plus ``# repro: noqa-det[...]`` suppression).
@@ -17,11 +17,7 @@ from repro.analysis.convergence import (
     learnable_link_probability,
     views_converged,
 )
-from repro.analysis.optimality import (
-    is_maximum_spanning_tree,
-    kruskal_maximum_spanning_weight,
-    verify_adaptiveness,
-)
+from repro.analysis.optimality import verify_adaptiveness
 from repro.analysis.lint import (
     format_report,
     lint_file,
@@ -43,8 +39,6 @@ __all__ = [
     "views_converged",
     "estimate_errors",
     "learnable_link_probability",
-    "is_maximum_spanning_tree",
-    "kruskal_maximum_spanning_weight",
     "verify_adaptiveness",
     "RULE_CODES",
     "Violation",

@@ -21,16 +21,13 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Dict, Iterable, Sequence, Tuple, Union
+from typing import Dict, Iterable, Sequence, Tuple
 
 import numpy as np
 
-from repro.core.knowledge import ProcessView
 from repro.core.viewtable import VectorView
 from repro.topology.configuration import Configuration
 from repro.types import Link
-
-ViewLike = Union[ProcessView, VectorView]
 
 
 def learnable_link_probability(config: Configuration, link: Link) -> float:
@@ -76,7 +73,7 @@ def _target_interval(probability: float, intervals: int) -> int:
 
 
 def view_converged(
-    view: ViewLike,
+    view: VectorView,
     config: Configuration,
     criterion: ConvergenceCriterion = ConvergenceCriterion(),
 ) -> bool:
@@ -85,13 +82,8 @@ def view_converged(
     intervals = view.params.intervals
     tol = criterion.tolerance_intervals
 
-    if criterion.require_full_topology:
-        if isinstance(view, VectorView):
-            if not view.all_links_known():
-                return False
-        else:
-            if len(view.known_links) < graph.link_count:
-                return False
+    if criterion.require_full_topology and not view.all_links_known():
+        return False
 
     link_targets = np.array(
         [learnable_link_probability(config, link) for link in graph.links]
@@ -103,59 +95,35 @@ def view_converged(
             targets = np.minimum(
                 (link_targets * intervals).astype(int), intervals - 1
             )
-            if isinstance(view, VectorView):
-                maps = view.link_map_intervals()
-                if (maps < 0).any() or (np.abs(maps - targets) > tol).any():
-                    return False
-            else:
-                for idx, link in enumerate(graph.links):
-                    if not view.knows_link(link):
-                        return False
-                    if abs(view.link_map_interval(link) - int(targets[idx])) > tol:
-                        return False
+            maps = view.link_map_intervals()
+            if (maps < 0).any() or (np.abs(maps - targets) > tol).any():
+                return False
         if criterion.check_processes:
             targets = np.minimum(
                 (proc_targets * intervals).astype(int), intervals - 1
             )
-            if isinstance(view, VectorView):
-                maps = view.proc_map_intervals()
-                if (np.abs(maps - targets) > tol).any():
-                    return False
-            else:
-                for p in graph.processes:
-                    if abs(view.proc_map_interval(p) - int(targets[p])) > tol:
-                        return False
+            maps = view.proc_map_intervals()
+            if (np.abs(maps - targets) > tol).any():
+                return False
         return True
 
     # point mode
     ptol = criterion.point_tolerance
     if criterion.check_links:
-        if isinstance(view, VectorView):
-            points = view.link_point_estimates()
-            if np.isnan(points).any():
-                return False
-            if (np.abs(points - link_targets) > ptol).any():
-                return False
-        else:
-            for idx, link in enumerate(graph.links):
-                if not view.knows_link(link):
-                    return False
-                if abs(view.loss_probability(link) - link_targets[idx]) > ptol:
-                    return False
+        points = view.link_point_estimates()
+        if np.isnan(points).any():
+            return False
+        if (np.abs(points - link_targets) > ptol).any():
+            return False
     if criterion.check_processes:
-        if isinstance(view, VectorView):
-            points = view.proc_point_estimates()
-            if (np.abs(points - proc_targets) > ptol).any():
-                return False
-        else:
-            for p in graph.processes:
-                if abs(view.crash_probability(p) - proc_targets[p]) > ptol:
-                    return False
+        points = view.proc_point_estimates()
+        if (np.abs(points - proc_targets) > ptol).any():
+            return False
     return True
 
 
 def views_converged(
-    views: Iterable[ViewLike],
+    views: Iterable[VectorView],
     config: Configuration,
     criterion: ConvergenceCriterion = ConvergenceCriterion(),
 ) -> bool:
@@ -164,7 +132,7 @@ def views_converged(
 
 
 def estimate_errors(
-    view: ViewLike, config: Configuration
+    view: VectorView, config: Configuration
 ) -> Dict[str, float]:
     """Mean absolute error of the view's point estimates vs the truth.
 

@@ -1,91 +1,20 @@
-"""Optimality verification (Definitions 1/2, Appendices C and D).
+"""Adaptiveness verification (Definition 2).
 
-Independent cross-checks used by the test-suite and the ablation benches:
-
-* the MRT really is a *maximum spanning tree* of the reliability-weighted
-  graph (Lemma 2) — verified against a from-scratch Kruskal;
-* the tree/vector pair produced by ``optimize`` cannot be beaten by any
-  enumerated alternative on small instances (Theorem 2);
-* an adaptive process's plan eventually equals the optimal plan
-  (Definition 2 — adaptiveness).
+An adaptive process's plan eventually equals the optimal plan:
+:func:`verify_adaptiveness` builds both and compares them.  The oracles
+for Lemma 2 (MRT maximality) and Theorem 2 (greedy optimality) are kept
+with the tests.
 """
 
 from __future__ import annotations
 
-import math
-from typing import Dict, List, Tuple
+from typing import Dict
 
-from repro.core.mrt import link_weight, maximum_reliability_tree
+from repro.core.mrt import maximum_reliability_tree
 from repro.core.optimize import optimize
-from repro.core.tree import ReliabilityView, SpanningTree
+from repro.core.tree import ReliabilityView
 from repro.topology.graph import Graph
-from repro.types import Link, ProcessId
-from repro.util.unionfind import UnionFind
-
-
-def kruskal_maximum_spanning_weight(
-    graph: Graph, view: ReliabilityView
-) -> float:
-    """Log-weight of a maximum spanning tree, via Kruskal (oracle).
-
-    Returns ``sum(log w(e))`` over the chosen edges; ``-inf`` weights
-    (zero-reliability links) sort last and are used only if forced.
-    """
-    edges: List[Tuple[float, Link]] = []
-    for link in graph.links:
-        w = link_weight(view, link)
-        logw = math.log(w) if w > 0 else -math.inf
-        edges.append((logw, link))
-    edges.sort(key=lambda e: (-e[0], e[1]))
-    uf = UnionFind(range(graph.n))
-    total = 0.0
-    taken = 0
-    for logw, link in edges:
-        if uf.union(link.u, link.v):
-            total += logw
-            taken += 1
-            if taken == graph.n - 1:
-                break
-    return total
-
-
-def tree_log_weight(tree: SpanningTree, view: ReliabilityView) -> float:
-    """``sum(log w(l))`` over a tree's links (``-inf`` if any is zero)."""
-    total = 0.0
-    for j in tree.non_root_nodes:
-        w = link_weight(view, tree.link_to(j))
-        if w <= 0.0:
-            return -math.inf
-        total += math.log(w)
-    return total
-
-
-def is_maximum_spanning_tree(
-    graph: Graph, view: ReliabilityView, tree: SpanningTree, tol: float = 1e-9
-) -> bool:
-    """Lemma 2 check: the tree's total log-weight equals Kruskal's."""
-    if tree.size != graph.n:
-        return False
-    return abs(
-        tree_log_weight(tree, view) - kruskal_maximum_spanning_weight(graph, view)
-    ) <= tol
-
-
-def edge_dominance_bijection(
-    mst_weights: List[float], other_weights: List[float]
-) -> bool:
-    """Appendix C's bijection property: sorted MST weights dominate.
-
-    For a maximum spanning tree there is a bijection onto any other
-    spanning tree's edges such that each MST edge weighs at least as much
-    as its image; for sorted weight lists this reduces to element-wise
-    dominance.
-    """
-    if len(mst_weights) != len(other_weights):
-        return False
-    a = sorted(mst_weights, reverse=True)
-    b = sorted(other_weights, reverse=True)
-    return all(x >= y - 1e-12 for x, y in zip(a, b))
+from repro.types import ProcessId
 
 
 def verify_adaptiveness(

@@ -4,16 +4,12 @@
   Tree (Section 3.1, Algorithm 6).
 * :mod:`repro.core.reach` — the ``reach`` function (Eq. 1 recursive,
   Eq. 2 iterative).
-* :mod:`repro.core.optimize` — the greedy ``optimize()`` (Algorithm 2)
-  plus a brute-force reference optimizer used to test its optimality
-  (Appendix D).
+* :mod:`repro.core.optimize` — the greedy ``optimize()`` (Algorithm 2).
 * :mod:`repro.core.bayesian` — reliability-belief management
   (Algorithm 5, Eq. 4).
-* :mod:`repro.core.estimates` — estimates with distortion factors and
-  ``selectBestEstimate`` (Algorithm 3).
 * :mod:`repro.core.knowledge` / :mod:`repro.core.viewtable` — the
-  knowledge-approximation activity (Algorithm 4), in a didactic
-  object-based form and a vectorised NumPy form (bit-compatible).
+  knowledge-approximation activity (Algorithms 3 and 4): its tunables
+  and the vectorised NumPy view the adaptive protocol runs.
 * :mod:`repro.core.broadcast` — shared reliable-broadcast process base.
 * :mod:`repro.core.optimal` — the optimal algorithm (Algorithm 1).
 * :mod:`repro.core.adaptive` — the adaptive algorithm (Section 4).
@@ -22,11 +18,9 @@
 from repro.core.adaptive import AdaptiveBroadcast, AdaptiveParameters
 from repro.core.bayesian import BeliefEstimator, interval_midpoints
 from repro.core.broadcast import DataMessage, ReliableBroadcastProcess
-from repro.core.estimates import Estimate, select_best_estimate
-from repro.core.knowledge import ProcessView
 from repro.core.mrt import maximum_reliability_tree
 from repro.core.optimal import OptimalBroadcast
-from repro.core.optimize import optimize, optimize_bruteforce
+from repro.core.optimize import optimize
 from repro.core.reach import reach, reach_recursive, transmission_lambda
 from repro.core.tree import SpanningTree
 from repro.core.viewtable import VectorView
@@ -38,12 +32,8 @@ __all__ = [
     "reach_recursive",
     "transmission_lambda",
     "optimize",
-    "optimize_bruteforce",
     "BeliefEstimator",
     "interval_midpoints",
-    "Estimate",
-    "select_best_estimate",
-    "ProcessView",
     "VectorView",
     "ReliableBroadcastProcess",
     "DataMessage",

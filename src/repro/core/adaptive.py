@@ -24,21 +24,18 @@ precisely this kind of state).
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Any, Optional, Union
+from typing import Any, Optional
 
 from repro.core.broadcast import DataMessage, MessageId, ReliableBroadcastProcess
-from repro.core.knowledge import HeartbeatSnapshot, KnowledgeParameters, ProcessView
+from repro.core.knowledge import KnowledgeParameters
 from repro.core.mrt import maximum_reliability_tree, reachable_processes
 from repro.core.optimize import OptimizeResult, optimize
 from repro.core.tree import SpanningTree
 from repro.core.viewtable import VectorSnapshot, VectorView
-from repro.errors import ValidationError
 from repro.sim.monitors import BroadcastMonitor
 from repro.sim.network import Network
 from repro.sim.trace import MessageCategory
 from repro.types import ProcessId
-
-ViewType = Union[ProcessView, VectorView]
 
 
 @dataclass(frozen=True)
@@ -49,7 +46,7 @@ class HeartbeatMessage:
     ``VectorSnapshot``'s arrays are read-only for that reason.
     """
 
-    snapshot: Union[HeartbeatSnapshot, VectorSnapshot]
+    snapshot: VectorSnapshot
 
 
 @dataclass(frozen=True)
@@ -66,7 +63,7 @@ class PiggybackedData:
     """
 
     data: DataMessage
-    snapshot: Union[HeartbeatSnapshot, VectorSnapshot]
+    snapshot: VectorSnapshot
 
 
 @dataclass(frozen=True)
@@ -75,13 +72,6 @@ class AdaptiveParameters:
 
     Attributes:
         knowledge: heartbeat period, interval count, tick period.
-        view_impl: "vector" (NumPy tables, default — what every
-            registry deployment runs) or "object": the literal
-            Algorithm 4 :class:`ProcessView`, kept as the differential
-            reference ``VectorView`` is tested against
-            (``tests/test_viewtable.py``, ``test_adaptive.py``,
-            ``test_determinism.py``).  This is the only place it is
-            selectable; no protocol params class forwards it.
         recompute_at_receiver: re-run ``optimize`` at every hop as in
             Algorithm 1 line 9 (same result, more CPU).
         piggyback_knowledge: attach the sender's ``(Lambda, C)`` snapshot
@@ -90,15 +80,8 @@ class AdaptiveParameters:
     """
 
     knowledge: KnowledgeParameters = field(default_factory=KnowledgeParameters)
-    view_impl: str = "vector"
     recompute_at_receiver: bool = False
     piggyback_knowledge: bool = False
-
-    def __post_init__(self) -> None:
-        if self.view_impl not in ("vector", "object"):
-            raise ValidationError(
-                f"view_impl must be 'vector' or 'object', got {self.view_impl!r}"
-            )
 
 
 class AdaptiveBroadcast(ReliableBroadcastProcess):
@@ -123,13 +106,7 @@ class AdaptiveBroadcast(ReliableBroadcastProcess):
     ) -> None:
         super().__init__(pid, network, monitor, k_target)
         self.params = params or AdaptiveParameters()
-        kp = self.params.knowledge
-        if self.params.view_impl == "vector":
-            self.view: ViewType = VectorView(pid, network.graph, kp, now=self.now)
-        else:
-            self.view = ProcessView(
-                pid, network.graph.n, self.neighbors, kp, now=self.now
-            )
+        self.view = VectorView(pid, network.graph, self.params.knowledge, now=self.now)
         self._heartbeats_sent = 0
 
     # -- lifecycle -----------------------------------------------------------------

@@ -11,17 +11,13 @@ because the gain is isotonic (non-increasing in ``m_j``); this
 implementation exploits exactly that property to replace the paper's
 argmax scan with a max-heap — the result is identical (ties broken by
 node id for determinism) at O(total increments · log n).
-
-A brute-force optimizer over small trees is included as the test oracle
-for the optimality theorem.
 """
 
 from __future__ import annotations
 
-import itertools
 import math
 from dataclasses import dataclass
-from typing import Dict, Optional, Tuple
+from typing import Dict, Optional
 
 from repro.errors import UnreachableTargetError, ValidationError
 from repro.core.reach import reach
@@ -142,51 +138,6 @@ def optimize(
         achieved=reach(tree, counts, view),
         total_messages=total,
         increments=increments,
-    )
-
-
-def optimize_bruteforce(
-    tree: SpanningTree,
-    k_target: float,
-    view: ReliabilityView,
-    max_per_link: int = 8,
-) -> OptimizeResult:
-    """Exhaustive reference optimizer (exponential — tests only).
-
-    Enumerates all vectors with ``1 <= m_j <= max_per_link`` and returns
-    one with minimal total messages among those meeting ``K`` (ties broken
-    by highest reach, then lexicographically by node id for determinism).
-
-    Raises:
-        UnreachableTargetError: if no enumerated vector meets ``K``.
-    """
-    check_open_probability(k_target, "k_target")
-    nodes = list(tree.non_root_nodes)
-    if not nodes:
-        return OptimizeResult(counts={}, achieved=1.0, total_messages=0, increments=0)
-    if len(nodes) > 6:
-        raise ValidationError(
-            f"brute force limited to 6 links, tree has {len(nodes)}"
-        )
-    best: Optional[Tuple[int, float, Tuple[int, ...]]] = None
-    for combo in itertools.product(range(1, max_per_link + 1), repeat=len(nodes)):
-        counts = dict(zip(nodes, combo))
-        r = reach(tree, counts, view)
-        if r < k_target:
-            continue
-        key = (sum(combo), -r, combo)
-        if best is None or key < (best[0], -best[1], best[2]):
-            best = (sum(combo), r, combo)
-    if best is None:
-        raise UnreachableTargetError(
-            f"no vector with m_j <= {max_per_link} reaches K={k_target}"
-        )
-    total, achieved, combo = best
-    return OptimizeResult(
-        counts=dict(zip(nodes, combo)),
-        achieved=achieved,
-        total_messages=total,
-        increments=total - len(nodes),
     )
 
 

@@ -1,15 +1,15 @@
-"""Vectorised knowledge tables — NumPy twin of :class:`ProcessView`.
+"""Vectorised knowledge tables — the view the adaptive protocol runs.
 
 Algorithm 4's per-heartbeat work touches every process estimate and every
 known link estimate; at the paper's scale (100 processes, up to 1000
-links, U = 100 intervals) the object implementation spends its time in
+links, U = 100 intervals) an object per estimate spends its time in
 Python attribute access.  :class:`VectorView` keeps the whole ``C_k`` as
 one fused NumPy table and performs the ``selectBestEstimate`` merge as a
 single comparison followed by index-based row copies.
 
-Behavioural equivalence with :class:`repro.core.knowledge.ProcessView`
-is enforced by differential tests driving both implementations through
-identical event sequences.
+Behavioural equivalence with the literal object form of Algorithm 4,
+kept with the tests as the reference model, is enforced by differential
+tests driving both through identical event sequences.
 
 Implementation note: process and link estimates share one table of
 ``n + m`` rows — rows ``[0, n)`` are processes, row ``n + i`` is the link
@@ -78,7 +78,7 @@ class VectorSnapshot:
 
 
 class VectorView:
-    """``(Lambda_k, C_k)`` as NumPy tables, same events as ProcessView.
+    """``(Lambda_k, C_k)`` as NumPy tables, with the Event 1-4 handlers.
 
     Args:
         pid: owning process.

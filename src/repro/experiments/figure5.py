@@ -22,7 +22,7 @@ from typing import Dict, List, Optional, Sequence, Tuple
 
 from repro.analysis.convergence import ConvergenceCriterion, views_converged
 from repro.core.adaptive import AdaptiveParameters
-from repro.errors import ConvergenceTimeoutError, ValidationError
+from repro.errors import ConvergenceTimeoutError
 from repro.experiments.campaign import Campaign, TrialSpec, chunked
 from repro.protocols.registry import (
     AdaptiveProtocolParams,
@@ -53,18 +53,10 @@ def _registry_params(
     """Map the core parameter object onto the registry's flat params.
 
     Deployment goes through the protocol registry (the same
-    ``factory(ctx)`` path as scenario trials); callers that tune
-    :class:`AdaptiveParameters` directly keep working — except for
-    ``view_impl="object"``, which the registry does not deploy and this
-    refuses rather than silently measuring the vector view instead.
+    ``factory(ctx)`` path as scenario trials); callers may still tune
+    :class:`AdaptiveParameters` directly.
     """
     p = params or AdaptiveParameters()
-    if p.view_impl != "vector":
-        raise ValidationError(
-            "figure 5/6 runs deploy the vector view; view_impl="
-            f"{p.view_impl!r} is only selectable on AdaptiveParameters "
-            "handed to AdaptiveBroadcast directly"
-        )
     kp = p.knowledge
     return AdaptiveProtocolParams(
         delta=kp.delta,

@@ -32,20 +32,13 @@ from typing import Dict, List, Optional, Sequence, Set, Tuple
 from repro.sim.engine import Simulator
 from repro.sim.monitors import EPOCH_PROBE_PRIORITY
 from repro.types import ProcessId
+from repro.util.stats import percentile
 from repro.util.validation import check_positive
 
 __all__ = ["KV_METRICS_POLL", "KVMetricsMonitor"]
 
 #: Default sampling period for buffer-occupancy / convergence polls.
 KV_METRICS_POLL = 10.0
-
-
-def _percentile(sorted_values: Sequence[float], fraction: float) -> float:
-    """Nearest-rank percentile of an ascending sequence (p99 style)."""
-    if not sorted_values:
-        return -1.0
-    rank = max(0, min(len(sorted_values) - 1, int(fraction * len(sorted_values))))
-    return float(sorted_values[rank])
 
 
 class KVMetricsMonitor:
@@ -182,8 +175,8 @@ class KVMetricsMonitor:
             "kv_staleness_seconds": (
                 self._staleness_seconds / reads if reads else 0.0
             ),
-            "kv_visibility_p50": _percentile(visibility, 0.50),
-            "kv_visibility_p99": _percentile(visibility, 0.99),
+            "kv_visibility_p50": percentile(visibility, 0.50) if visibility else -1.0,
+            "kv_visibility_p99": percentile(visibility, 0.99) if visibility else -1.0,
             "kv_visibility_samples": float(len(visibility)),
             "kv_buffer_mean": (
                 sum(self._buffer_means) / len(self._buffer_means)

@@ -30,18 +30,11 @@ from repro.sim.engine import Simulator
 from repro.sim.monitors import EPOCH_PROBE_PRIORITY
 from repro.sim.network import Network
 from repro.types import ProcessId
+from repro.util.stats import percentile
 from repro.util.validation import check_positive
 
 #: Default sampling period for view-quality polls.
 VIEW_QUALITY_POLL = 10.0
-
-
-def _percentile(sorted_values: Sequence[int], fraction: float) -> float:
-    """Nearest-rank percentile of an ascending sequence (p99 style)."""
-    if not sorted_values:
-        return 0.0
-    rank = max(0, min(len(sorted_values) - 1, int(fraction * len(sorted_values))))
-    return float(sorted_values[rank])
 
 
 class ViewQualityMonitor:
@@ -106,7 +99,7 @@ class ViewQualityMonitor:
         snapshot = {
             "time": now,
             "indegree_mean": (sum(degrees) / count) if count else 0.0,
-            "indegree_p99": _percentile(degrees, 0.99),
+            "indegree_p99": percentile(degrees, 0.99) if degrees else 0.0,
             "indegree_max": float(degrees[-1]) if degrees else 0.0,
             "staleness": (stale / total) if total else 0.0,
             "clustering": (overlap_sum / overlap_count) if overlap_count else 0.0,

@@ -11,7 +11,7 @@ This package is that simulator, built from scratch:
 * :mod:`repro.sim.link` / :mod:`repro.sim.network` — lossy message
   transport with per-category message accounting.
 * :mod:`repro.sim.process` — base class for protocol processes (timers,
-  sends, crash-aware delivery, volatile/stable storage).
+  sends, crash-aware delivery).
 * :mod:`repro.sim.trace` / :mod:`repro.sim.monitors` — statistics,
   delivery tracking and convergence detection.
 """
@@ -22,7 +22,6 @@ from repro.sim.events import Event
 from repro.sim.monitors import BroadcastMonitor, ConvergenceMonitor
 from repro.sim.network import Network, NetworkOptions
 from repro.sim.process import SimProcess
-from repro.sim.stable_storage import StableStorage, VolatileMemory
 from repro.sim.trace import MessageCategory, MessageStats
 
 __all__ = [
@@ -35,8 +34,6 @@ __all__ = [
     "Network",
     "NetworkOptions",
     "SimProcess",
-    "StableStorage",
-    "VolatileMemory",
     "MessageCategory",
     "MessageStats",
     "BroadcastMonitor",

@@ -1,8 +1,8 @@
 """Base class for simulated protocol processes.
 
-A :class:`SimProcess` owns a process id, volatile memory, stable storage
-and convenience wrappers around the network/engine: ``send``,
-``set_timer`` and ``set_periodic``.  Protocol implementations (optimal,
+A :class:`SimProcess` owns a process id, its timers and convenience
+wrappers around the network/engine: ``send``, ``set_timer`` and
+``set_periodic``.  Protocol implementations (optimal,
 adaptive, gossip, ...) subclass it and override the ``on_*`` hooks.
 
 A periodic timer is one :class:`~repro.sim.events.Event` for its whole
@@ -11,9 +11,11 @@ life: each firing re-queues it while it is still the armed one, so
 
 Crash semantics: *step* crashes (message-level) are applied by the
 network.  *Burst* crashes (Markov model) additionally call
-:meth:`handle_crash` / :meth:`handle_recovery`, which wipe volatile memory
-and notify the subclass, letting protocols exercise the paper's
-crash-recovery path (Event 4 of Algorithm 4 and stable-storage reads).
+:meth:`handle_crash` / :meth:`handle_recovery`, which mark the process
+down or up and notify the subclass, letting protocols exercise the
+paper's crash-recovery path (Event 4 of Algorithm 4).  A protocol keeps
+its own state in its own attributes; what a crash loses is the
+protocol's choice, made in :meth:`on_crash`.
 """
 
 from __future__ import annotations
@@ -23,7 +25,6 @@ from typing import Any, Callable, Dict, Tuple
 from repro.sim.engine import Simulator
 from repro.sim.events import Event
 from repro.sim.network import Network
-from repro.sim.stable_storage import StableStorage, VolatileMemory
 from repro.sim.trace import MessageCategory
 from repro.types import ProcessId
 from repro.util.validation import check_positive
@@ -44,8 +45,6 @@ class SimProcess:
         "pid",
         "network",
         "neighbors",
-        "volatile",
-        "stable",
         "_timers",
         "_down",
     )
@@ -57,8 +56,6 @@ class SimProcess:
     def __init__(self, pid: ProcessId, network: Network) -> None:
         self.pid = pid
         self.network = network
-        self.volatile = VolatileMemory()
-        self.stable = StableStorage()
         self._timers: Dict[str, Event] = {}
         self._down = False
         network.register(self)
@@ -169,9 +166,8 @@ class SimProcess:
     # -- crash plumbing (called by the network's crash model) ----------------------
 
     def handle_crash(self, when: float) -> None:
-        """Burst crash began: wipe volatile memory, notify subclass."""
+        """Burst crash began: mark the process down, notify subclass."""
         self._down = True
-        self.volatile.wipe()
         self.on_crash()
 
     def handle_recovery(self, when: float, down_ticks: int) -> None:
@@ -191,7 +187,7 @@ class SimProcess:
         """Called when a one-shot timer named ``name`` expires."""
 
     def on_crash(self) -> None:
-        """Called when a burst crash begins (volatile memory already wiped)."""
+        """Called when a burst crash begins (the process is already down)."""
 
     def on_recovery(self, down_ticks: int) -> None:
         """Called when the process recovers after ``down_ticks`` ticks down."""

@@ -3,26 +3,22 @@
 These modules have no knowledge of the paper's protocols; they are the
 foundation the simulation kernel and the algorithms are built on:
 
-* :mod:`repro.util.heap` — addressable binary heaps (event queue, Prim).
-* :mod:`repro.util.unionfind` — disjoint sets (spanning-tree verification).
+* :mod:`repro.util.heap` — the addressable binary heap (Prim, ``optimize``).
 * :mod:`repro.util.stats` — streaming statistics and confidence intervals.
 * :mod:`repro.util.rng` — deterministic, splittable random streams.
 * :mod:`repro.util.tables` — ASCII tables/series for experiment reports.
 * :mod:`repro.util.validation` — argument validation helpers.
 """
 
-from repro.util.heap import AddressableHeap, MaxHeap
+from repro.util.heap import AddressableHeap
 from repro.util.rng import DrawLedger, RandomSource, ledger_scope
 from repro.util.stats import OnlineStats, mean_confidence_interval
-from repro.util.unionfind import UnionFind
 
 __all__ = [
     "AddressableHeap",
-    "MaxHeap",
     "DrawLedger",
     "ledger_scope",
     "RandomSource",
     "OnlineStats",
     "mean_confidence_interval",
-    "UnionFind",
 ]

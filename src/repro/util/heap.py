@@ -1,17 +1,14 @@
-"""Addressable binary heaps.
+"""An addressable binary heap.
 
-Two small, dependency-free heap variants used across the library:
-
-* :class:`AddressableHeap` — a min-heap keyed by arbitrary hashable items
-  supporting ``decrease``/``update`` in O(log n).  Used by the modified
-  Prim's algorithm that builds the Maximum Reliability Tree (Appendix B of
-  the paper) and by Dijkstra-style path computations.
-* :class:`MaxHeap` — thin max-order wrapper around :class:`AddressableHeap`
-  used by the greedy ``optimize()`` (Algorithm 2), which repeatedly extracts
-  the link with the maximum reliability gain.
+:class:`AddressableHeap` is a small, dependency-free min-heap keyed by
+arbitrary hashable items supporting ``decrease``/``update`` in O(log n).
+Used by the modified Prim's algorithm that builds the Maximum Reliability
+Tree (Appendix B of the paper), by Dijkstra-style path computations and
+by the greedy ``optimize()`` (Algorithm 2), which repeatedly extracts the
+link with the maximum reliability gain (a negated priority).
 
 The simulation event queue uses :mod:`heapq` directly (it never needs
-re-prioritisation); these classes exist for algorithms that do.
+re-prioritisation); this class exists for algorithms that do.
 """
 
 from __future__ import annotations
@@ -159,57 +156,3 @@ class AddressableHeap(Generic[ItemT]):
                 break
         self._entries[pos] = entry
         self._index[entry[1]] = pos
-
-
-class MaxHeap(Generic[ItemT]):
-    """Max-order addressable heap (negates priorities of an inner min-heap)."""
-
-    def __init__(self) -> None:
-        self._heap: AddressableHeap[ItemT] = AddressableHeap()
-
-    def __len__(self) -> int:
-        return len(self._heap)
-
-    def __bool__(self) -> bool:
-        return bool(self._heap)
-
-    def __contains__(self, item: ItemT) -> bool:
-        return item in self._heap
-
-    def priority(self, item: ItemT) -> float:
-        return -self._heap.priority(item)
-
-    def push(self, item: ItemT, priority: float) -> None:
-        self._heap.push(item, -priority)
-
-    def update(self, item: ItemT, priority: float) -> None:
-        self._heap.update(item, -priority)
-
-    def push_or_update(self, item: ItemT, priority: float) -> None:
-        self._heap.push_or_update(item, -priority)
-
-    def peek(self) -> Tuple[ItemT, float]:
-        item, priority = self._heap.peek()
-        return item, -priority
-
-    def pop(self) -> Tuple[ItemT, float]:
-        item, priority = self._heap.pop()
-        return item, -priority
-
-    def remove(self, item: ItemT) -> None:
-        self._heap.remove(item)
-
-
-def heapsorted(pairs: List[Tuple[ItemT, float]]) -> List[Tuple[ItemT, float]]:
-    """Sort (item, priority) pairs ascending by priority via the heap.
-
-    Exists mainly as a self-check utility for tests; equivalent to
-    ``sorted(pairs, key=lambda p: p[1])`` for distinct items.
-    """
-    heap: AddressableHeap[ItemT] = AddressableHeap()
-    for item, priority in pairs:
-        heap.push(item, priority)
-    out: List[Tuple[ItemT, float]] = []
-    while heap:
-        out.append(heap.pop())
-    return out

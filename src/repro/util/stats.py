@@ -11,8 +11,7 @@ core library; SciPy is only used in tests as an oracle).
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
-from typing import Dict, Iterable, List, Sequence, Tuple
+from typing import Dict, Iterable, Sequence, Tuple
 
 #: Two-sided z quantiles for common confidence levels.
 _Z_TABLE: Dict[float, float] = {
@@ -119,33 +118,6 @@ class OnlineStats:
         half = z_quantile(level) * self.stderr
         return self.mean - half, self.mean + half
 
-    def summary(self) -> "StatsSummary":
-        """Snapshot the accumulator into an immutable summary record."""
-        return StatsSummary(
-            count=self._n,
-            mean=self.mean,
-            stdev=self.stdev,
-            minimum=self._min,
-            maximum=self._max,
-        )
-
-
-@dataclass(frozen=True)
-class StatsSummary:
-    """Immutable snapshot of an :class:`OnlineStats` accumulator."""
-
-    count: int
-    mean: float
-    stdev: float
-    minimum: float
-    maximum: float
-
-    def __str__(self) -> str:  # pragma: no cover - repr sugar
-        return (
-            f"n={self.count} mean={self.mean:.4g} sd={self.stdev:.3g} "
-            f"min={self.minimum:.4g} max={self.maximum:.4g}"
-        )
-
 
 def z_quantile(level: float) -> float:
     """Two-sided standard-normal quantile for a confidence ``level``.
@@ -196,58 +168,15 @@ def mean_confidence_interval(
     return stats.mean, lower, upper
 
 
-def percentile(values: Sequence[float], q: float) -> float:
-    """Linear-interpolated percentile, ``q`` in [0, 100]."""
-    if not values:
+def percentile(sorted_values: Sequence[float], fraction: float) -> float:
+    """Nearest-rank percentile of an ascending sequence (p99 style).
+
+    ``fraction`` is in [0, 1]; the rank ``int(fraction * n)`` is clamped
+    to the last element.  Callers decide what an empty sequence reports.
+    """
+    if not sorted_values:
         raise ValueError("no observations")
-    if not 0.0 <= q <= 100.0:
-        raise ValueError(f"percentile must be in [0,100], got {q}")
-    ordered = sorted(values)
-    if len(ordered) == 1:
-        return ordered[0]
-    rank = q / 100.0 * (len(ordered) - 1)
-    low = int(math.floor(rank))
-    high = int(math.ceil(rank))
-    if low == high:
-        return ordered[low]
-    frac = rank - low
-    return ordered[low] * (1.0 - frac) + ordered[high] * frac
-
-
-@dataclass
-class Histogram:
-    """Fixed-width histogram over ``[lo, hi)`` with overflow/underflow bins."""
-
-    lo: float
-    hi: float
-    bins: int
-    counts: List[int] = field(default_factory=list)
-    underflow: int = 0
-    overflow: int = 0
-
-    def __post_init__(self) -> None:
-        if self.hi <= self.lo:
-            raise ValueError("hi must exceed lo")
-        if self.bins <= 0:
-            raise ValueError("bins must be positive")
-        if not self.counts:
-            self.counts = [0] * self.bins
-
-    def add(self, value: float) -> None:
-        if value < self.lo:
-            self.underflow += 1
-            return
-        if value >= self.hi:
-            self.overflow += 1
-            return
-        idx = int((value - self.lo) / (self.hi - self.lo) * self.bins)
-        self.counts[min(idx, self.bins - 1)] += 1
-
-    @property
-    def total(self) -> int:
-        return sum(self.counts) + self.underflow + self.overflow
-
-    def bin_edges(self) -> List[Tuple[float, float]]:
-        width = (self.hi - self.lo) / self.bins
-        return [(self.lo + i * width, self.lo + (i + 1) * width)
-                for i in range(self.bins)]
+    if not 0.0 <= fraction <= 1.0:
+        raise ValueError(f"fraction must be in [0,1], got {fraction}")
+    rank = min(len(sorted_values) - 1, int(fraction * len(sorted_values)))
+    return float(sorted_values[rank])

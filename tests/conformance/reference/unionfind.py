@@ -2,7 +2,7 @@
 
 Used to verify spanning-tree invariants (a set of ``n - 1`` links forms a
 spanning tree iff no union is redundant) and by the Kruskal-based
-cross-check of the Maximum Reliability Tree in :mod:`repro.analysis.optimality`.
+cross-check of the Maximum Reliability Tree in :mod:`.optimality`.
 """
 
 from __future__ import annotations

@@ -10,43 +10,38 @@ from repro.analysis.convergence import (
 )
 from repro.analysis.optimality import verify_adaptiveness
 from repro.core.adaptive import AdaptiveBroadcast, AdaptiveParameters
-from repro.core.knowledge import KnowledgeParameters, ProcessView
-from repro.core.viewtable import VectorView
-from repro.errors import ValidationError
+from repro.core.knowledge import KnowledgeParameters
 from repro.sim.monitors import BroadcastMonitor
 from repro.sim.trace import MessageCategory
 from repro.topology.configuration import Configuration
 from repro.topology.generators import ring
 from repro.types import Link
+from tests.conformance.reference.knowledge import ProcessView
 from tests.conftest import build_network
 
 
-def deploy(config, k_target=0.95, seed=0, view_impl="vector", intervals=50):
+def deploy(config, k_target=0.95, seed=0, intervals=50, reference=False):
+    """Wire and start one adaptive process per node.
+
+    ``reference=True`` swaps every process's ``VectorView`` for the
+    literal Algorithm 4 ``ProcessView`` before the network starts.
+    """
     network = build_network(config, seed)
     monitor = BroadcastMonitor(config.graph.n)
     params = AdaptiveParameters(
         knowledge=KnowledgeParameters(delta=1.0, intervals=intervals, tick=1.0),
-        view_impl=view_impl,
     )
     procs = [
         AdaptiveBroadcast(p, network, monitor, k_target, params)
         for p in config.graph.processes
     ]
+    if reference:
+        for proc in procs:
+            proc.view = ProcessView(
+                proc.pid, config.graph.n, proc.neighbors, params.knowledge
+            )
     network.start()
     return network, monitor, procs
-
-
-class TestParameters:
-    def test_invalid_view_impl(self):
-        with pytest.raises(ValidationError):
-            AdaptiveParameters(view_impl="quantum")
-
-    def test_view_impl_selection(self):
-        config = Configuration.reliable(ring(4))
-        _, _, procs_v = deploy(config, view_impl="vector")
-        assert isinstance(procs_v[0].view, VectorView)
-        _, _, procs_o = deploy(config, view_impl="object")
-        assert isinstance(procs_o[0].view, ProcessView)
 
 
 class TestKnowledgeActivity:
@@ -108,14 +103,14 @@ class TestConvergence:
         )
 
     def test_object_and_vector_converge_alike(self):
-        """Both view implementations drive the protocol to convergence."""
+        """Both views drive the protocol to convergence."""
         config = Configuration.reliable(ring(4))
-        for impl in ("vector", "object"):
-            network, _, procs = deploy(config, seed=7, view_impl=impl)
+        for reference in (False, True):
+            network, _, procs = deploy(config, seed=7, reference=reference)
             network.sim.run(until=200.0)
             errors = estimate_errors(procs[0].view, config)
-            assert errors["link_mae"] < 0.03, impl
-            assert errors["known_links"] == 4.0, impl
+            assert errors["link_mae"] < 0.03, reference
+            assert errors["known_links"] == 4.0, reference
 
 
 class TestBroadcastActivity:

@@ -12,7 +12,7 @@ from repro.analysis.convergence import (
     view_converged,
     views_converged,
 )
-from repro.core.knowledge import KnowledgeParameters, ProcessView
+from repro.core.knowledge import KnowledgeParameters
 from repro.core.viewtable import VectorView
 from repro.topology.configuration import Configuration
 from repro.topology.generators import line, ring
@@ -106,12 +106,6 @@ class TestViewConverged:
             check_processes=False, check_links=True, point_tolerance=0.6
         )
         assert view_converged(view, c, crit_links_only)
-
-    def test_object_view_supported(self):
-        g = ring(4)
-        c = Configuration.reliable(g)
-        view = ProcessView(0, g.n, g.neighbors(0), PARAMS)
-        assert not view_converged(view, c)  # topology incomplete
 
 
 class TestViewsConverged:

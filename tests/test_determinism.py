@@ -44,12 +44,11 @@ def run_gossip(seed):
     return network.stats.snapshot(), monitor.delivery_count(mid)
 
 
-def run_adaptive(seed, view_impl="vector"):
+def run_adaptive(seed):
     network = build_network(CONFIG, ("det-ada", seed))
     monitor = BroadcastMonitor(GRAPH.n)
     params = AdaptiveParameters(
         knowledge=KnowledgeParameters(delta=1.0, intervals=50, tick=1.0),
-        view_impl=view_impl,
     )
     nodes = [
         AdaptiveBroadcast(p, network, monitor, 0.95, params)

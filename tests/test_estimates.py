@@ -4,7 +4,7 @@ import math
 
 import numpy as np
 
-from repro.core.estimates import (
+from tests.conformance.reference.estimates import (
     UNKNOWN_DISTORTION,
     Estimate,
     select_best_estimate,

@@ -163,26 +163,6 @@ class TestFigure5:
         )
         assert math.isinf(effort)
 
-    def test_object_view_is_refused_not_ignored(self):
-        """``view_impl`` is selectable on AdaptiveParameters only; the
-        registry deploys the vector view, so figure 5 must say so."""
-        import dataclasses
-
-        from repro.core.adaptive import AdaptiveParameters
-        from repro.errors import ValidationError
-        from repro.protocols.partial_view import AdaptivePVParams
-        from repro.protocols.registry import AdaptiveProtocolParams
-
-        g = ring(8)
-        with pytest.raises(ValidationError, match="view_impl='object'"):
-            convergence_messages_per_link(
-                g, Configuration.reliable(g), "t", deadline=2000.0,
-                params=AdaptiveParameters(view_impl="object"),
-            )
-        for forwarder in (AdaptiveProtocolParams, AdaptivePVParams):
-            names = [f.name for f in dataclasses.fields(forwarder)]
-            assert "view_impl" not in names
-
     def test_point(self):
         result = run("figure5a", TINY, connectivity=2, crash=0.0, trials=2)
         assert result.column("connectivity (links/process)") == [2.0]

@@ -1,9 +1,9 @@
-"""Unit tests for the addressable heaps."""
+"""Unit tests for the addressable heap."""
 
 import pytest
 from hypothesis import given, strategies as st
 
-from repro.util.heap import AddressableHeap, MaxHeap, heapsorted
+from repro.util.heap import AddressableHeap
 
 
 class TestAddressableHeap:
@@ -96,8 +96,10 @@ class TestAddressableHeap:
 
     @given(st.lists(st.floats(allow_nan=False, allow_infinity=False), max_size=60))
     def test_heapsort_matches_sorted(self, priorities):
-        pairs = list(enumerate(priorities))
-        result = heapsorted(pairs)
+        heap = AddressableHeap()
+        for item, priority in enumerate(priorities):
+            heap.push(item, priority)
+        result = [heap.pop() for _ in priorities]
         assert [p for _, p in result] == sorted(priorities)
 
     @given(
@@ -120,29 +122,3 @@ class TestAddressableHeap:
             reference.items(), key=lambda x: (x[1], x[0])
         )
         assert [p for _, p in out] == sorted(reference.values())
-
-
-class TestMaxHeap:
-    def test_pop_returns_maximum(self):
-        heap = MaxHeap()
-        heap.push("a", 1.0)
-        heap.push("b", 9.0)
-        heap.push("c", 4.0)
-        assert heap.pop() == ("b", 9.0)
-        assert heap.peek() == ("c", 4.0)
-
-    def test_priority_is_unnegated(self):
-        heap = MaxHeap()
-        heap.push("a", 2.5)
-        assert heap.priority("a") == 2.5
-
-    def test_update_and_remove(self):
-        heap = MaxHeap()
-        heap.push("a", 1.0)
-        heap.push("b", 2.0)
-        heap.update("a", 5.0)
-        assert heap.peek() == ("a", 5.0)
-        heap.remove("a")
-        assert heap.pop() == ("b", 2.0)
-        assert not heap
-        assert "a" not in heap

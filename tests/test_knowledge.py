@@ -5,11 +5,9 @@ import math
 import pytest
 
 from repro.errors import ProtocolError
-from repro.core.knowledge import (
-    KnowledgeParameters,
-    ProcessView,
-)
+from repro.core.knowledge import KnowledgeParameters
 from repro.types import Link
+from tests.conformance.reference.knowledge import ProcessView
 
 
 def make_view(pid=0, n=4, neighbors=(1, 2), intervals=10, delta=1.0):

@@ -25,6 +25,7 @@ from repro.errors import UnreachableTargetError, ValidationError
 from repro.experiments.registry import resolve_experiment
 from repro.experiments.runner import current_scale
 from repro.kvstore.clocks import VectorClock
+from repro.kvstore.metrics import KVMetricsMonitor
 from repro.kvstore.replica import CausalOrderError, KVReplica, KVWrite
 from repro.kvstore.workload import (
     KVOp,
@@ -33,6 +34,7 @@ from repro.kvstore.workload import (
     decode_workload,
 )
 from repro.scenario.registry import build_scenario
+from repro.sim.engine import Simulator
 from repro.sim.trace import MessageCategory, MessageStats
 from repro.types import Link
 from repro.util.rng import RandomSource
@@ -544,6 +546,14 @@ class TestWorkloadGenerator:
 # ---------------------------------------------------------------------------
 # MessageStats per-category per-link split (satellite fix)
 # ---------------------------------------------------------------------------
+
+
+class TestKVMetricsSummary:
+    def test_no_visibility_samples_report_minus_one(self):
+        summary = KVMetricsMonitor(Simulator()).summary()
+        assert summary["kv_visibility_samples"] == 0.0
+        assert summary["kv_visibility_p50"] == -1.0
+        assert summary["kv_visibility_p99"] == -1.0
 
 
 class TestMessageStatsPerCategorySplit:

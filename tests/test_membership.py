@@ -12,7 +12,7 @@ from __future__ import annotations
 import pytest
 
 from repro.errors import ValidationError
-from repro.membership.quality import ViewQualityMonitor, _percentile
+from repro.membership.quality import ViewQualityMonitor
 from repro.membership.sampler import (
     PROPAGATION_POLICIES,
     SELECTION_POLICIES,
@@ -26,6 +26,7 @@ from repro.sim.network import Network
 from repro.topology.configuration import Configuration
 from repro.topology.generators import k_regular
 from repro.util.rng import RandomSource
+from repro.util.stats import percentile
 
 
 def _sampler(pid=0, neighbors=range(1, 11), seed="t", **overrides):
@@ -282,9 +283,15 @@ class TestPeerSamplingService:
 
 class TestViewQualityMonitor:
     def test_percentile_nearest_rank(self):
-        assert _percentile([], 0.99) == 0.0
-        assert _percentile([1, 2, 3, 4], 0.99) == 4.0
-        assert _percentile([5], 0.5) == 5.0
+        assert percentile([1, 2, 3, 4], 0.99) == 4.0
+        assert percentile([5], 0.5) == 5.0
+        # a poll over no samplers reports an in-degree p99 of 0.0
+        sim, network, _, until = _overlay()
+        monitor = ViewQualityMonitor(sim, network, {}, period=10.0)
+        network.start()
+        sim.run(until=until)
+        assert monitor.snapshots
+        assert {s["indegree_p99"] for s in monitor.snapshots} == {0.0}
 
     def test_summary_over_static_overlay(self):
         sim, network, services, until = _overlay()

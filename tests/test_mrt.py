@@ -4,11 +4,6 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from repro.errors import DisconnectedGraphError, UnknownProcessError
-from repro.analysis.optimality import (
-    is_maximum_spanning_tree,
-    kruskal_maximum_spanning_weight,
-    tree_log_weight,
-)
 from repro.core.mrt import (
     link_weight,
     maximum_reliability_tree,
@@ -20,6 +15,11 @@ from repro.topology.generators import clique, k_regular, random_connected, ring
 from repro.topology.graph import Graph
 from repro.types import Link
 from repro.util.rng import RandomSource
+from tests.conformance.reference.optimality import (
+    is_maximum_spanning_tree,
+    kruskal_maximum_spanning_weight,
+    tree_log_weight,
+)
 
 
 class TestLinkWeight:

@@ -4,18 +4,18 @@ import math
 
 import pytest
 
-from repro.analysis.optimality import (
-    edge_dominance_bijection,
-    is_maximum_spanning_tree,
-    kruskal_maximum_spanning_weight,
-    tree_log_weight,
-    verify_adaptiveness,
-)
+from repro.analysis.optimality import verify_adaptiveness
 from repro.core.mrt import link_weight, maximum_reliability_tree
 from repro.core.tree import SpanningTree
 from repro.topology.configuration import Configuration
 from repro.topology.generators import clique, random_connected, ring
 from repro.types import Link
+from tests.conformance.reference.optimality import (
+    edge_dominance_bijection,
+    is_maximum_spanning_tree,
+    kruskal_maximum_spanning_weight,
+    tree_log_weight,
+)
 
 
 class TestKruskalOracle:

@@ -7,7 +7,6 @@ from repro.errors import UnreachableTargetError, ValidationError
 from repro.core.optimize import (
     gain,
     optimize,
-    optimize_bruteforce,
     optimize_for_budget,
 )
 from repro.core.reach import reach
@@ -15,6 +14,7 @@ from repro.core.tree import SpanningTree
 from repro.topology.configuration import Configuration
 from repro.topology.generators import line, random_tree, star
 from repro.util.rng import RandomSource
+from tests.conformance.reference.optimize import optimize_bruteforce
 
 
 def chain_tree(n):

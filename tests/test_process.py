@@ -1,10 +1,9 @@
-"""Unit tests for the SimProcess base class (timers, storage, crashes)."""
+"""Unit tests for the SimProcess base class (timers, sends, crashes)."""
 
 import pytest
 
 from repro.errors import ValidationError
 from repro.sim.process import SimProcess
-from repro.sim.stable_storage import StableStorage, VolatileMemory
 from repro.topology.configuration import Configuration
 from repro.topology.generators import line, ring
 from tests.conftest import build_network
@@ -150,16 +149,12 @@ class TestSendHelpers:
 
 
 class TestBurstCrashLifecycle:
-    def test_handle_crash_wipes_volatile(self):
+    def test_handle_crash_marks_down_and_notifies(self):
         network, procs = wire(Configuration.reliable(ring(3)))
         p = procs[0]
-        p.volatile.put("key", 123)
-        p.stable.write("key", 456)
         p.handle_crash(when=1.0)
         assert p.is_down
         assert p.crashes == 1
-        assert p.volatile.get("key") is None
-        assert p.stable.read("key") == 456  # stable storage survives
 
     def test_recovery_notifies(self):
         network, procs = wire(Configuration.reliable(ring(3)))
@@ -195,29 +190,3 @@ class TestBurstCrashLifecycle:
         assert procs[0].crashes > 0
         assert procs[0].recoveries
         assert all(n >= 1 for n in procs[0].recoveries)
-
-
-class TestStorage:
-    def test_volatile_memory(self):
-        mem = VolatileMemory()
-        mem.put("a", 1)
-        assert "a" in mem
-        assert mem.get("a") == 1
-        assert len(mem) == 1
-        mem.delete("a")
-        assert mem.get("a", "default") == "default"
-        mem.put("b", 2)
-        mem.wipe()
-        assert len(mem) == 0
-
-    def test_stable_storage_counts(self):
-        storage = StableStorage()
-        storage.write("x", 10)
-        storage.write("y", 20)
-        assert storage.read("x") == 10
-        assert storage.write_count == 2
-        assert storage.read_count == 1
-        assert "y" in storage
-        storage.delete("y")
-        assert "y" not in storage
-        assert sorted(storage.keys()) == ["x"]

@@ -12,7 +12,7 @@ from repro.core.reach import reach
 from repro.topology.configuration import Configuration
 from repro.topology.generators import random_connected
 from repro.util.rng import RandomSource
-from repro.util.unionfind import UnionFind
+from tests.conformance.reference.unionfind import UnionFind
 
 
 def random_setup(seed, n_lo=3, n_hi=10):

@@ -6,7 +6,6 @@ import pytest
 from hypothesis import given, strategies as st
 
 from repro.util.stats import (
-    Histogram,
     OnlineStats,
     mean_confidence_interval,
     percentile,
@@ -85,15 +84,6 @@ class TestOnlineStats:
         lo, hi = s.confidence_interval(0.95)
         assert lo <= s.mean <= hi
 
-    def test_summary_snapshot(self):
-        s = OnlineStats()
-        s.extend([1.0, 3.0])
-        summary = s.summary()
-        assert summary.count == 2
-        assert summary.mean == 2.0
-        assert summary.minimum == 1.0
-        assert summary.maximum == 3.0
-
 
 class TestZQuantile:
     def test_table_values(self):
@@ -115,28 +105,39 @@ class TestZQuantile:
 
 class TestPercentile:
     def test_median(self):
-        assert percentile([3.0, 1.0, 2.0], 50) == 2.0
+        assert percentile([1.0, 2.0, 3.0], 0.5) == 2.0
 
-    def test_interpolation(self):
-        assert percentile([0.0, 10.0], 25) == 2.5
+    def test_nearest_rank(self):
+        """Rank ``int(fraction * n)``: an element, never an interpolation."""
+        assert percentile([0.0, 10.0], 0.25) == 0.0
+        assert percentile([0.0, 10.0], 0.5) == 10.0
+        assert percentile([1, 2, 3, 4], 0.99) == 4.0
+        assert percentile([5], 0.5) == 5.0
+        assert isinstance(percentile([1, 2], 0.5), float)
 
     def test_extremes(self):
-        values = [5.0, 1.0, 9.0]
-        assert percentile(values, 0) == 1.0
-        assert percentile(values, 100) == 9.0
+        values = [1.0, 5.0, 9.0]
+        assert percentile(values, 0.0) == 1.0
+        assert percentile(values, 1.0) == 9.0
 
     def test_errors(self):
         with pytest.raises(ValueError):
-            percentile([], 50)
-        with pytest.raises(ValueError):
-            percentile([1.0], 101)
+            percentile([], 0.5)
+        for fraction in (-0.01, 1.01, 50, float("nan")):
+            with pytest.raises(ValueError):
+                percentile([1.0], fraction)
 
     @given(st.lists(finite_floats, min_size=1, max_size=50),
-           st.floats(0, 100))
-    def test_matches_numpy(self, values, q):
-        assert percentile(values, q) == pytest.approx(
-            float(np.percentile(values, q)), rel=1e-9, abs=1e-6
-        )
+           st.floats(0, 1))
+    def test_rank_bounds(self, values, fraction):
+        """At most ``fraction * n`` values lie below the result, and more
+        than that lie at or below it unless it is the maximum."""
+        ordered = sorted(values)
+        result = percentile(ordered, fraction)
+        assert result in ordered
+        bound = fraction * len(ordered)
+        assert sum(v < result for v in ordered) <= bound
+        assert sum(v <= result for v in ordered) > bound or result == ordered[-1]
 
 
 class TestMeanConfidenceInterval:
@@ -144,29 +145,3 @@ class TestMeanConfidenceInterval:
         mean, lo, hi = mean_confidence_interval([1.0, 2.0, 3.0])
         assert mean == 2.0
         assert lo < 2.0 < hi
-
-
-class TestHistogram:
-    def test_basic_binning(self):
-        h = Histogram(lo=0.0, hi=10.0, bins=5)
-        for v in [0.5, 1.5, 9.9, 5.0]:
-            h.add(v)
-        assert h.counts == [2, 0, 1, 0, 1]
-        assert h.total == 4
-
-    def test_overflow_underflow(self):
-        h = Histogram(lo=0.0, hi=1.0, bins=2)
-        h.add(-0.1)
-        h.add(1.0)
-        assert h.underflow == 1
-        assert h.overflow == 1
-
-    def test_bin_edges(self):
-        h = Histogram(lo=0.0, hi=1.0, bins=2)
-        assert h.bin_edges() == [(0.0, 0.5), (0.5, 1.0)]
-
-    def test_invalid_params(self):
-        with pytest.raises(ValueError):
-            Histogram(lo=1.0, hi=0.0, bins=3)
-        with pytest.raises(ValueError):
-            Histogram(lo=0.0, hi=1.0, bins=0)

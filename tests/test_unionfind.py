@@ -2,7 +2,7 @@
 
 from hypothesis import given, strategies as st
 
-from repro.util.unionfind import UnionFind
+from tests.conformance.reference.unionfind import UnionFind
 
 
 class TestUnionFind:

@@ -1,10 +1,12 @@
 """VectorView unit tests + differential tests against ProcessView.
 
 The vectorised implementation must be behaviourally identical to the
-object one; these tests drive both through the same event sequences and
-compare every observable.
+literal Algorithm 4 reference (``tests/conformance/reference``); these
+tests drive both through the same event sequences and compare every
+observable.
 """
 
+import itertools
 import math
 
 import numpy as np
@@ -12,11 +14,12 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from repro.errors import ProtocolError, UnknownProcessError, ValidationError
-from repro.core.knowledge import KnowledgeParameters, ProcessView
+from repro.core.knowledge import KnowledgeParameters
 from repro.core.viewtable import VectorView
 from repro.topology.generators import k_regular, ring
 from repro.types import Link
 from repro.util.rng import RandomSource
+from tests.conformance.reference.knowledge import ProcessView
 
 PARAMS = KnowledgeParameters(delta=1.0, intervals=20, tick=1.0)
 
@@ -70,19 +73,19 @@ def assert_outside_graph_agrees(graph, obj: ProcessView, vec: VectorView):
         for name in ("crash_probability", "distortion_of", "proc_map_interval"):
             got = outcome(getattr(obj, name), p), outcome(getattr(vec, name), p)
             assert got == (UnknownProcessError,) * 2, (name, p)
-    missing = [
+    missing = (
         Link.of(u, v)
         for u in graph.processes
         for v in range(u + 1, graph.n)
         if not graph.has_link(u, v)
-    ]
+    )
     expected = {
         "knows_link": False,
         "link_distortion": math.inf,
         "loss_probability": ProtocolError,
         "link_map_interval": ProtocolError,
     }
-    for link in missing[:1]:
+    for link in itertools.islice(missing, 1):
         for name, answer in expected.items():
             got = outcome(getattr(obj, name), link), outcome(getattr(vec, name), link)
             assert got == (answer,) * 2, (name, link)
