@@ -184,18 +184,40 @@ class KVReplica:
         else:
             self._parked.setdefault(entry, []).append(write)
 
-    def _ready(self, write: KVWrite) -> bool:
-        """The causal-broadcast deliverability condition."""
-        return write.clock.waits_for(write.writer, self.clock) is None
+    def _ready(self, write: KVWrite) -> Optional[VectorClock]:
+        """The causal-broadcast deliverability condition, fused with the merge.
+
+        One pass over the write's clock: the local clock merged with it
+        when the write may apply, else None.  A deliverable write differs
+        from the local clock only in its writer's entry, one ahead, so the
+        merge is the local clock with that entry advanced.
+        """
+        local = self.clock._counts
+        writer = write.writer
+        count = None
+        for pid, theirs in write.clock._counts.items():
+            if pid == writer:
+                count = theirs
+            elif theirs > local.get(pid, 0):
+                return None
+        if count != local.get(writer, 0) + 1:
+            return None
+        merged = VectorClock.__new__(VectorClock)
+        merged._counts = {**local, writer: count}
+        return merged
 
     def _apply(self, write: KVWrite) -> None:
-        if write.writer != self.pid and not self._ready(write):
-            raise CausalOrderError(
-                f"replica {self.pid} applying {write.write_id} with clock "
-                f"{write.clock!r} before its dependencies (local clock "
-                f"{self.clock!r})"
-            )
-        self.clock = self.clock.merge(write.clock)
+        if write.writer == self.pid:
+            self.clock = self.clock.merge(write.clock)
+        else:
+            clock = self._ready(write)  # never an empty, falsy clock when ready
+            if not clock:
+                raise CausalOrderError(
+                    f"replica {self.pid} applying {write.write_id} with clock "
+                    f"{write.clock!r} before its dependencies (local clock "
+                    f"{self.clock!r})"
+                )
+            self.clock = clock
         current = self._store.get(write.key)
         if current is None or write.order_key > current.order_key:
             self._store[write.key] = write

@@ -7,6 +7,12 @@ neighbour and request anything they are missing.  Implemented here as an
 extended baseline: it eventually delivers everywhere like the adaptive
 algorithm, but pays digest traffic instead of exploiting link
 reliability knowledge.
+
+A process's message store only ever grows (ids are inserted, never
+removed or replaced), so its size identifies its content between two
+rounds: each process keeps one :class:`TpDigest` of its store and
+rebuilds it only when the store has grown.  A digest that equals the
+receiver's own current one is answered at once, without a per-id walk.
 """
 
 from __future__ import annotations
@@ -43,6 +49,10 @@ class TpRequest:
     """Retransmission request for specific message ids."""
 
     wanted: FrozenSet[MessageId]
+
+
+#: The digest of every empty store, shared: a new process builds no set.
+_NO_MESSAGES = TpDigest(known=frozenset())
 
 
 @dataclass(frozen=True)
@@ -82,10 +92,13 @@ class TwoPhaseBroadcast(ReliableBroadcastProcess):
         super().__init__(pid, network, monitor, k_target)
         self.params = params or TwoPhaseParameters()
         self._rng = (rng or RandomSource("twophase", pid)).child("peer")
-        self._messages: Dict[MessageId, Any] = {}
+        self._messages: Dict[MessageId, Any] = {}  # insert-only
+        self._digest = _NO_MESSAGES  # the store's digest while sizes agree
         self._rounds_done = 0
 
     def on_start(self) -> None:
+        if self.neighbors:  # fixed for the process's lifetime
+            self._peer_picks = self._rng.buffered_indices(len(self.neighbors))
         self.set_periodic(
             self.params.gossip_period, "anti-entropy", self._anti_entropy
         )
@@ -110,9 +123,17 @@ class TwoPhaseBroadcast(ReliableBroadcastProcess):
         if self._rounds_done >= self.params.rounds or not self.neighbors:
             return
         self._rounds_done += 1
-        peer = self._rng.choice(self.neighbors)
-        digest = TpDigest(known=frozenset(self._messages))
-        self.send(peer, digest, category=MessageCategory.CONTROL)
+        peer = self.neighbors[self._peer_picks.next()]
+        self.send(peer, self._current_digest(), category=MessageCategory.CONTROL)
+
+    def _current_digest(self) -> TpDigest:
+        """The store's digest, rebuilt only when the store has grown."""
+        digest = self._digest
+        if len(digest.known) != len(self._messages):
+            # a set built from the store alone: its iteration order, and
+            # so every TpRequest.wanted's, depends on nothing else
+            digest = self._digest = TpDigest(known=frozenset(self._messages))
+        return digest
 
     def on_message(self, sender: ProcessId, payload: Any) -> None:
         if isinstance(payload, TpData):
@@ -124,16 +145,18 @@ class TwoPhaseBroadcast(ReliableBroadcastProcess):
                         self.send(q, payload, category=MessageCategory.DATA)
             return
         if isinstance(payload, TpDigest):
-            # most digests match the store: the C-level subset tests skip
-            # both Python walks then, and the walks keep their order
-            known = payload.known
-            if not known <= self._messages.keys():
+            # most digests match the store: one C-level set equality over
+            # stored hashes answers them; a mismatch runs both walks
+            known, mine = payload.known, self._current_digest().known
+            if known == mine:
+                return
+            if not known <= mine:
                 missing = frozenset(mid for mid in known if mid not in self._messages)
                 self.send(
                     sender, TpRequest(wanted=missing), category=MessageCategory.CONTROL
                 )
             # symmetric push: send anything the peer is missing
-            if not self._messages.keys() <= known:
+            if not mine <= known:
                 surplus = [mid for mid in self._messages if mid not in known]
                 for mid in surplus:
                     self.send(

@@ -8,6 +8,9 @@ independent :class:`numpy.random.Generator`, so per-link loss draws,
 per-process crash draws and workload generation each consume their own
 stream and experiments remain reproducible under refactoring.
 :class:`StreamBatch` seeds many sibling streams in one vectorised pass.
+:class:`BufferedUniforms` and :class:`BufferedIndices` serve a stream's
+uniform floats or bounded indices from blocks of draws, bit-identical
+to drawing them one at a time.
 
 The module also hosts the opt-in **draw ledger** (:class:`DrawLedger`
 plus :func:`ledger_scope`): while a ledger is active, every stream
@@ -87,13 +90,54 @@ def ledger_scope(ledger: DrawLedger) -> Iterator[DrawLedger]:
         _ACTIVE_LEDGER = None
 
 
-#: First refill of a :class:`BufferedUniforms` and the factor by which
-#: each later refill grows, up to the wrapper's ``block`` cap.
+#: First refill of a block buffer and the factor by which each later
+#: refill grows, up to the buffer's ``block`` cap.
 _FIRST_BLOCK = 4
 _BLOCK_GROWTH = 4
 
 
-class BufferedUniforms:
+class _BlockBuffer:
+    """Draws served from blocks of one generator; subclasses draw a block."""
+
+    __slots__ = (
+        "_generator", "_block", "_size", "_buffer", "_pos", "_ledger", "_stream"
+    )
+
+    def __init__(
+        self,
+        generator: np.random.Generator,
+        block: int = 256,
+        _ledger: Optional[DrawLedger] = None,
+        _stream: str = "",
+    ) -> None:
+        check_positive_int(block, "block")
+        self._generator = generator
+        self._block = block
+        self._size = min(_FIRST_BLOCK, block)  # the next refill's size
+        self._buffer: list = []
+        self._pos = 0
+        self._ledger = _ledger
+        self._stream = _stream
+
+    def _draw(self, size: int) -> list:
+        raise NotImplementedError
+
+    def next(self):
+        """The next value of the wrapped stream."""
+        if self._ledger is not None:
+            self._ledger.record(self._stream)
+        pos = self._pos
+        buffer = self._buffer
+        if pos >= len(buffer):
+            size = self._size
+            buffer = self._buffer = self._draw(size)
+            self._size = min(size * _BLOCK_GROWTH, self._block)
+            pos = 0
+        self._pos = pos + 1
+        return buffer[pos]
+
+
+class BufferedUniforms(_BlockBuffer):
     """Block-buffered uniform draws off one :class:`numpy.random.Generator`.
 
     ``next()`` is bit-identical to calling ``float(generator.random())``
@@ -119,41 +163,45 @@ class BufferedUniforms:
     and unbuffered consumption of a stream ledger identically.
     """
 
-    __slots__ = (
-        "_generator", "_block", "_size", "_buffer", "_pos", "_ledger", "_stream"
-    )
+    __slots__ = ()
+
+    def _draw(self, size: int) -> list:
+        # .tolist() converts float64 -> float exactly and makes the
+        # per-draw indexing a plain list access
+        return self._generator.random(size).tolist()
+
+
+class BufferedIndices(_BlockBuffer):
+    """Block-buffered ``integers(bound)`` draws: uniform indices below ``bound``.
+
+    ``next()`` is bit-identical to calling ``int(generator.integers(bound))``
+    repeatedly, the draw behind :meth:`RandomSource.choice` over a
+    sequence of ``bound`` items.  NumPy serves a bound up to 2³² from
+    32-bit draws, and PCG64 keeps the unused half of a 64-bit output
+    between calls, so scalar and batched ``integers`` consume one
+    persistent 32-bit stream in the same order (including Lemire
+    rejections); a larger bound draws 64 bits per try either way.  The
+    bound is fixed per wrapper — a per-process neighbour pick, whose
+    neighbour set never changes.  Refills (with the default ``block``
+    cap), exclusivity and ledger accounting are those of
+    :class:`BufferedUniforms`: one logical draw per ``next()``, as one
+    ``choice`` call counts.
+    """
+
+    __slots__ = ("_bound",)
 
     def __init__(
         self,
         generator: np.random.Generator,
-        block: int = 256,
+        bound: int,
         _ledger: Optional[DrawLedger] = None,
         _stream: str = "",
     ) -> None:
-        check_positive_int(block, "block")
-        self._generator = generator
-        self._block = block
-        self._size = min(_FIRST_BLOCK, block)  # the next refill's size
-        self._buffer: list = []
-        self._pos = 0
-        self._ledger = _ledger
-        self._stream = _stream
+        self._bound = check_positive_int(bound, "bound")
+        super().__init__(generator, _ledger=_ledger, _stream=_stream)
 
-    def next(self) -> float:
-        """The next uniform float in [0, 1) from the wrapped stream."""
-        if self._ledger is not None:
-            self._ledger.record(self._stream)
-        pos = self._pos
-        buffer = self._buffer
-        if pos >= len(buffer):
-            size = self._size
-            # .tolist() converts float64 -> float exactly and makes the
-            # per-draw indexing a plain list access
-            buffer = self._buffer = self._generator.random(size).tolist()
-            self._size = min(size * _BLOCK_GROWTH, self._block)
-            pos = 0
-        self._pos = pos + 1
-        return buffer[pos]
+    def _draw(self, size: int) -> list:
+        return self._generator.integers(self._bound, size=size).tolist()
 
 
 def _seed_bytes(seed: SeedLike) -> bytes:
@@ -397,6 +445,18 @@ class RandomSource:
         """
         return BufferedUniforms(
             self._generator, block, _ledger=self._ledger, _stream=self._stream
+        )
+
+    def buffered_indices(self, bound: int) -> BufferedIndices:
+        """Wrap this stream's generator for block-buffered picks below ``bound``.
+
+        See :class:`BufferedIndices`: ``seq[wrapper.next()]`` is bit-identical
+        to repeated :meth:`choice` calls over a fixed ``seq`` of ``bound``
+        items, ledger included, with the same exclusivity rule as
+        :meth:`buffered`.
+        """
+        return BufferedIndices(
+            self._generator, bound, _ledger=self._ledger, _stream=self._stream
         )
 
     def _count(self, draws: int) -> None:

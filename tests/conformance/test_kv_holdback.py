@@ -51,8 +51,12 @@ class RescanReplica(KVReplica):
         self._buffer[write.write_id] = write
         self._flush()
 
-    def _ready(self, write: KVWrite) -> bool:
-        """The causal-broadcast deliverability condition."""
+    def _ready(self, write: KVWrite):
+        """The causal-broadcast deliverability condition.
+
+        Truthy when ready: the merged clock, the value the inherited
+        ``_apply`` installs — built here by the plain ``VectorClock.merge``.
+        """
         clock = self.clock
         for pid, count in write.clock.items():
             if pid == write.writer:
@@ -60,7 +64,7 @@ class RescanReplica(KVReplica):
                     return False
             elif count > clock.counter(pid):
                 return False
-        return True
+        return clock.merge(write.clock)
 
     def _flush(self) -> None:
         # transitive: each apply may unblock further buffered writes, so

@@ -211,6 +211,28 @@ def test_kvstore_hot_key_storm_digest():
     _check("kvstore-hot-key-storm-gossip", payload)
 
 
+@pytest.mark.parametrize(("protocol", "trial"), [("gossip", 100), ("two-phase", 100)])
+def test_kvstore_hot_key_storm_default_digest(protocol, trial):
+    """Pinned default-scale hot-key-storm KV trials with a 200-op schedule.
+
+    The quick-scale trial above leaves the hold-back buffer idle; here
+    the gossip trial holds back up to 21 writes (``kv_buffer_max``) and
+    the two-phase trial's anti-entropy rounds find stores that disagree,
+    so requests and pushes run too.  Any drift in the causal apply path
+    or the digest exchange shows up here.
+    """
+    from repro.experiments.runner import current_scale
+    from repro.kvstore.trial import run_kv_trial
+    from repro.kvstore.workload import KVWorkloadParams
+    from repro.scenario.registry import build_scenario
+
+    spec = build_scenario("hot-key-storm", current_scale("default"))
+    workload = KVWorkloadParams(ops=200, surge_ops=60, keys=64, write_ratio=0.3)
+    metrics = run_kv_trial(spec, protocol, trial, workload=workload)
+    payload = json.dumps({k: repr(v) for k, v in metrics.items()}, sort_keys=True)
+    _check(f"kvstore-hot-key-storm-default-{protocol}-{trial}", payload)
+
+
 def test_generated_scenario_digest():
     """One pinned generator coordinate stays golden end to end.
 

@@ -346,6 +346,40 @@ class TestKVReplica:
         with pytest.raises(CausalOrderError):
             replica._apply(gap)
 
+    @pytest.mark.parametrize(
+        "clock",
+        [
+            {0: 2, 2: 2},  # the writer is next, another entry is ahead
+            {0: 1, 2: 1},  # the writer's entry is stale: already applied
+            {2: 1},  # the writer's entry is absent
+        ],
+        ids=["other-entry-ahead", "writer-stale", "writer-absent"],
+    )
+    def test_every_unready_shape_raises_and_changes_nothing(self, clock):
+        replica = _replica(1)
+        replica.put("y", "mine")
+        _deliver(replica, KVWrite("x", "a", 0, VectorClock({0: 1})))
+        _deliver(replica, KVWrite("z", "b", 2, VectorClock({2: 1})))
+        _deliver(replica, KVWrite("x", "c", 3, VectorClock({3: 2})))  # held back
+
+        def state():
+            parked = {entry: list(ws) for entry, ws in replica._parked.items()}
+            return (
+                replica.clock,
+                dict(replica._store),
+                dict(replica._buffer),
+                parked,
+                list(replica._deliverable),
+            )
+
+        before = state()
+        assert before[0] == VectorClock({0: 1, 1: 1, 2: 1})
+        unready = KVWrite("x", "late", 0, VectorClock(clock))
+        assert not replica._ready(unready)
+        with pytest.raises(CausalOrderError, match="before its dependencies"):
+            replica._apply(unready)
+        assert state() == before
+
     def test_monitor_sees_puts_applies_and_reads(self):
         monitor = _RecordingMonitor()
         writer = _replica(0, monitor=monitor)

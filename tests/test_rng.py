@@ -7,6 +7,7 @@ from hypothesis import given, strategies as st
 from repro.errors import ValidationError
 from repro.util import rng as rng_module
 from repro.util.rng import (
+    BufferedIndices,
     BufferedUniforms,
     DrawLedger,
     RandomSource,
@@ -281,7 +282,7 @@ class _Eager:
 
 
 class _CountingGenerator:
-    """A Generator stand-in that records each ``random(size)`` request."""
+    """A Generator stand-in that records each batched request's size."""
 
     def __init__(self, generator):
         self._generator = generator
@@ -290,6 +291,10 @@ class _CountingGenerator:
     def random(self, size):
         self.requests.append(size)
         return self._generator.random(size)
+
+    def integers(self, bound, size):
+        self.requests.append(size)
+        return self._generator.integers(bound, size=size)
 
 
 def _ledger_key(build):
@@ -395,6 +400,46 @@ class TestBufferedUniforms:
         a = RandomSource("twin").buffered(block=3)
         b = RandomSource("twin").buffered(block=1000)
         assert [a.next() for _ in range(10)] == [b.next() for _ in range(10)]
+
+
+class TestBufferedIndices:
+    # first refills of 4, 16, 64 and 256 values: 400 draws span four refills
+    DRAWS = 400
+
+    @pytest.mark.parametrize("bound", [1, 2, 3, 4, 7, 2**31 - 1, 2**31 + 1, 2**32 - 1])
+    def test_bit_identical_to_single_draws(self, bound):
+        """Batched ``integers(bound, size)`` consumes the bit stream exactly
+        as repeated scalar ``integers(bound)`` does, rejections included."""
+        twin = RandomSource("indices", bound).generator
+        picks = RandomSource("indices", bound).buffered_indices(bound)
+        expected = [int(twin.integers(bound)) for _ in range(self.DRAWS)]
+        got = [picks.next() for _ in range(self.DRAWS)]
+        assert got == expected
+        assert all(type(v) is int for v in got)
+
+    def test_picks_equal_choice_and_ledger_alike(self):
+        seq = tuple("abcdefg")
+        ledgers = DrawLedger(), DrawLedger()
+        with ledger_scope(ledgers[0]):
+            picks = RandomSource("pick").child("peer").buffered_indices(len(seq))
+        with ledger_scope(ledgers[1]):
+            chooser = RandomSource("pick").child("peer")
+        got = [seq[picks.next()] for _ in range(self.DRAWS)]
+        assert got == [chooser.choice(seq) for _ in range(self.DRAWS)]
+        assert ledgers[0].as_dict() == ledgers[1].as_dict()
+        assert ledgers[0].as_dict() == {"pick/peer": self.DRAWS}
+
+    def test_refills_follow_demand(self):
+        spy = _CountingGenerator(RandomSource("indices-demand").generator)
+        picks = BufferedIndices(spy, 5)
+        for _ in range(self.DRAWS):
+            picks.next()
+        assert spy.requests == [4, 16, 64, 256, 256]
+
+    @pytest.mark.parametrize("bound", [0, -1, True, 2.5])
+    def test_bad_bound_is_rejected(self, bound):
+        with pytest.raises(ValidationError, match="bound"):
+            RandomSource("indices-bad").buffered_indices(bound)
 
 
 def _pcg64_seeds(seeds):
