@@ -68,10 +68,6 @@ class ConvergenceCriterion:
             raise ValueError(f"mode must be 'map' or 'point', got {self.mode!r}")
 
 
-def _target_interval(probability: float, intervals: int) -> int:
-    return min(int(probability * intervals), intervals - 1)
-
-
 def view_converged(
     view: VectorView,
     config: Configuration,

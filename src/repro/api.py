@@ -75,7 +75,6 @@ from repro.protocols.registry import (
     DeployContext,
     ProtocolSpec,
     default_protocols,
-    deploy_protocol,
     discover_plugins,
     protocol_names,
     protocol_specs,
@@ -83,6 +82,7 @@ from repro.protocols.registry import (
     resolve_protocol,
     unregister_protocol,
 )
+from repro.protocols.trial import Trial
 from repro.results.schema import (
     Provenance,
     ResultDiff,
@@ -121,11 +121,11 @@ __all__ = [
     # protocol surface
     "ProtocolSpec",
     "DeployContext",
+    "Trial",
     "list_protocols",
     "get_protocol",
     "register_protocol",
     "unregister_protocol",
-    "deploy_protocol",
     "discover_plugins",
     "protocol_names",
     "default_protocols",

@@ -74,13 +74,13 @@ from repro.experiments.campaign import Campaign, parse_sweeps
 from repro.experiments.registry import experiment_specs, resolve_experiment
 from repro.experiments.runner import current_scale
 from repro.protocols.registry import (
-    DeployContext,
     GossipProtocolParams,
     default_protocols,
     protocol_names,
     protocol_specs,
     resolve_protocol,
 )
+from repro.protocols.trial import Trial
 from repro.results.schema import ResultSet
 from repro.results.store import (
     ResultStore,
@@ -111,11 +111,10 @@ from repro.util.tables import render_table
 def _run_demo(args: argparse.Namespace) -> int:
     """A self-contained optimal-vs-gossip comparison (quickstart-sized).
 
-    Deploys both stacks through the protocol registry — the same
-    ``factory(ctx)`` path scenario trials and the public API use.
+    Runs both stacks through :class:`~repro.protocols.trial.Trial`, the
+    deploy/run/close lifecycle every trial runner uses.
     """
     from repro import (
-        BroadcastMonitor,
         Configuration,
         MessageCategory,
         Network,
@@ -131,20 +130,14 @@ def _run_demo(args: argparse.Namespace) -> int:
         ("optimal", None),
         ("gossip", GossipProtocolParams(rounds=4)),
     ):
-        sim = Simulator()
-        network = Network(sim, config, RandomSource("cli-demo", label))
-        monitor = BroadcastMonitor(graph.n)
-        ctx = DeployContext(
-            network=network, monitor=monitor, k_target=0.99, params=params
-        )
-        nodes = resolve_protocol(label).deploy(ctx)
-        network.start()
-        mid = nodes[0].broadcast("demo")
-        sim.run(until=10.0)
-        network.close()
+        network = Network(Simulator(), config, RandomSource("cli-demo", label))
+        with Trial(network, label, 0.99, params=params) as t:
+            t.network.start()
+            mid = t.nodes[0].broadcast("demo")
+            t.sim.run(until=10.0)
         results[label] = (
             network.stats.sent(MessageCategory.DATA),
-            monitor.delivery_ratio(mid),
+            t.monitor.delivery_ratio(mid),
         )
     print("30 processes, connectivity 6, L=0.03, K=0.99")
     for label, (messages, ratio) in results.items():

@@ -21,14 +21,10 @@ import math
 from typing import Dict, List, Optional, Sequence, Tuple
 
 from repro.analysis.convergence import ConvergenceCriterion, views_converged
-from repro.core.adaptive import AdaptiveParameters
 from repro.errors import ConvergenceTimeoutError
 from repro.experiments.campaign import Campaign, TrialSpec, chunked
-from repro.protocols.registry import (
-    AdaptiveProtocolParams,
-    DeployContext,
-    resolve_protocol,
-)
+from repro.protocols.registry import AdaptiveProtocolParams
+from repro.protocols.trial import Trial
 from repro.results.schema import ResultSet
 from repro.experiments.runner import (
     ExperimentScale,
@@ -36,7 +32,7 @@ from repro.experiments.runner import (
     point_grid,
     variant_axes,
 )
-from repro.sim.monitors import BroadcastMonitor, ConvergenceMonitor
+from repro.sim.monitors import ConvergenceMonitor
 from repro.sim.trace import MessageCategory
 from repro.topology.configuration import Configuration
 from repro.topology.generators import k_regular
@@ -47,26 +43,6 @@ PAPER_CRASH_VALUES = (0.0, 0.01, 0.03, 0.05)
 PAPER_LOSS_VALUES = (0.0, 0.01, 0.03, 0.05)
 
 
-def _registry_params(
-    params: Optional[AdaptiveParameters],
-) -> AdaptiveProtocolParams:
-    """Map the core parameter object onto the registry's flat params.
-
-    Deployment goes through the protocol registry (the same
-    ``factory(ctx)`` path as scenario trials); callers may still tune
-    :class:`AdaptiveParameters` directly.
-    """
-    p = params or AdaptiveParameters()
-    kp = p.knowledge
-    return AdaptiveProtocolParams(
-        delta=kp.delta,
-        intervals=kp.intervals,
-        tick=kp.tick,
-        recompute_at_receiver=p.recompute_at_receiver,
-        piggyback_knowledge=p.piggyback_knowledge,
-    )
-
-
 def convergence_messages_per_link(
     graph: Graph,
     config: Configuration,
@@ -74,7 +50,7 @@ def convergence_messages_per_link(
     deadline: float,
     criterion: Optional[ConvergenceCriterion] = None,
     poll_period: float = 5.0,
-    params: Optional[AdaptiveParameters] = None,
+    params: Optional[AdaptiveProtocolParams] = None,
     strict: bool = True,
 ) -> float:
     """Run the adaptive protocol until global convergence.
@@ -89,36 +65,25 @@ def convergence_messages_per_link(
     """
     criterion = criterion or ConvergenceCriterion()
     network = make_network(config, "fig5", seed_tag)
-    monitor = BroadcastMonitor(graph.n)
-    nodes = resolve_protocol("adaptive").deploy(
-        DeployContext(
-            network=network,
-            monitor=monitor,
-            k_target=0.99,
-            params=_registry_params(params),
-        )
-    )
-    try:
-        network.start()
-        views = [node.view for node in nodes]
+    with Trial(network, "adaptive", 0.99, params=params) as t:
+        t.network.start()
+        views = [node.view for node in t.nodes]
         watcher = ConvergenceMonitor(
-            network.sim,
+            t.sim,
             lambda: views_converged(views, config, criterion),
             period=poll_period,
             stop_when_converged=True,
             deadline=deadline,
         )
-        network.sim.run(until=deadline)
-        if not watcher.converged:
-            if strict:
-                raise ConvergenceTimeoutError(
-                    f"no convergence within {deadline} time units "
-                    f"(n={graph.n}, links={graph.link_count})"
-                )
-            return math.inf
-        return network.stats.sent(MessageCategory.HEARTBEAT) / graph.link_count
-    finally:
-        network.close()
+        t.sim.run(until=deadline)
+    if not watcher.converged:
+        if strict:
+            raise ConvergenceTimeoutError(
+                f"no convergence within {deadline} time units "
+                f"(n={graph.n}, links={graph.link_count})"
+            )
+        return math.inf
+    return network.stats.sent(MessageCategory.HEARTBEAT) / graph.link_count
 
 
 def convergence_trial_task(

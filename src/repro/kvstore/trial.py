@@ -1,8 +1,9 @@
 """Seeded execution of one (scenario, protocol, workload) KV trial.
 
 :func:`run_kv_trial` deploys a registered broadcast protocol into a
-scenario's network (exactly like
-:func:`repro.scenario.trial.run_scenario_trial`), attaches one
+scenario's network (through the same
+:func:`repro.scenario.trial.scenario_trial` setup as
+:func:`~repro.scenario.trial.run_scenario_trial`), attaches one
 :class:`~repro.kvstore.replica.KVReplica` per node, and drives the
 replicas with the seeded client schedule of
 :class:`~repro.kvstore.workload.WorkloadGenerator`.  The spawn-safe
@@ -26,10 +27,8 @@ replica stays untouched — see :meth:`KVReplica.put`).
 
 from __future__ import annotations
 
-from typing import Dict, List, Optional
+from typing import Dict, Optional
 
-from repro.errors import UnreachableTargetError
-from repro.experiments.runner import current_scale, scaled
 from repro.kvstore.metrics import KVMetricsMonitor
 from repro.kvstore.replica import KVReplica
 from repro.kvstore.workload import (
@@ -38,13 +37,9 @@ from repro.kvstore.workload import (
     decode_workload,
 )
 from repro.protocols.registry import resolve_protocol
-from repro.scenario.registry import build_scenario
 from repro.scenario.schema import ScenarioSpec
-from repro.scenario.trial import _canonical_params, _deploy, decode_params
-from repro.sim.dynamics import DynamicsDriver
-from repro.sim.engine import Simulator
-from repro.sim.monitors import BroadcastMonitor, InvariantMonitor
-from repro.sim.network import Network, NetworkOptions
+from repro.scenario.trial import decode_params, scenario_trial, task_scenario
+from repro.sim.monitors import InvariantMonitor
 from repro.sim.trace import MessageCategory
 from repro.util.rng import RandomSource
 
@@ -78,83 +73,55 @@ def run_kv_trial(
     """
     proto = resolve_protocol(protocol)
     wparams = workload or KVWorkloadParams()
-    overrides = _canonical_params(params).get(proto.name)
+    t, _ = scenario_trial(spec, proto, "repro-kvstore", trial, params)
+    with t:
+        event_times = [e.at for e in spec.timeline]
+        checker: Optional[InvariantMonitor] = None
+        if invariants:
+            checker = t.attach(
+                InvariantMonitor(t.sim, t.network, event_times=event_times)
+            )
 
-    graph, tiers = spec.topology.build_with_tiers()
-    config = spec.environment.base_configuration(graph, tiers)
-    sim = Simulator()
-    root = RandomSource("repro-kvstore", spec.name, proto.name, trial)
-    options = NetworkOptions(
-        crash_model=spec.environment.crash_model,
-        markov_mean_down_ticks=spec.environment.mean_down_ticks,
-    )
-    network = Network(sim, config, root.child("net"), options=options)
-    monitor = BroadcastMonitor(graph.n)
-    nodes = _deploy(proto, spec, network, monitor, root, overrides)
+        kv = KVMetricsMonitor(t.sim, event_times=event_times)
+        replicas = {node.pid: t.attach(KVReplica(node, monitor=kv)) for node in t.nodes}
 
-    driver = DynamicsDriver(network, spec.timeline, name=spec.name, tiers=tiers)
-    driver.install()
-    event_times = [e.at for e in spec.timeline]
-    checker: Optional[InvariantMonitor] = None
-    if invariants:
-        checker = InvariantMonitor(sim, network, event_times=event_times)
+        # client schedule keyed by (scenario, trial) only — NOT by protocol —
+        # so every protocol row faces identical traffic
+        schedule_rng = RandomSource("repro-kvstore-workload", spec.name, trial)
+        generator = WorkloadGenerator(wparams, t.network.graph.n, schedule_rng)
+        ops = generator.generate(spec)
 
-    kv = KVMetricsMonitor(sim, event_times=event_times)
-    replicas = {node.pid: KVReplica(node, monitor=kv) for node in nodes}
+        def issue(op) -> None:
+            replica = replicas[op.origin]
+            if op.kind == "put":
+                # a refused write leaves the replica untouched — no
+                # causal gap opens
+                t.issue(lambda: replica.put(op.key, op.value))
+            else:
+                replica.get(op.key)
 
-    # client schedule keyed by (scenario, trial) only — NOT by protocol —
-    # so every protocol row faces identical traffic
-    schedule_rng = RandomSource("repro-kvstore-workload", spec.name, trial)
-    ops = WorkloadGenerator(wparams, graph.n, schedule_rng).generate(spec)
+        for op in ops:
+            if op.at >= spec.duration:
+                continue
+            t.sim.schedule_at(op.at, lambda o=op: issue(o), name="kv-op")
 
-    mids: List[object] = []
-    failed_writes = [0]
-
-    def issue(op) -> None:
-        replica = replicas[op.origin]
-        if op.kind == "put":
-            try:
-                mids.append(replica.put(op.key, op.value))
-            except UnreachableTargetError:
-                # a planning protocol may (correctly) find the target K
-                # unattainable mid-disruption; the write is refused and
-                # the replica stays untouched — no causal gap opens
-                if not proto.plans:
-                    raise
-                failed_writes[0] += 1
-                mids.append(("failed-write", op.origin, op.seq))
-        else:
-            replica.get(op.key)
-
-    for op in ops:
-        if op.at >= spec.duration:
-            continue
-        sim.schedule_at(op.at, lambda o=op: issue(o), name="kv-op")
-
-    try:
-        network.start()
-        sim.run(until=spec.duration)
-        ratios = [monitor.delivery_ratio(mid) for mid in mids]
+        t.network.start()
+        t.sim.run(until=spec.duration)
+        stats = t.network.stats
         result: Dict[str, float] = {
-            "delivery_ratio": sum(ratios) / len(ratios) if ratios else 0.0,
-            "data_messages": float(network.stats.sent(MessageCategory.DATA)),
-            "control_messages": float(network.stats.sent(MessageCategory.CONTROL)),
-            "heartbeat_messages": float(network.stats.sent(MessageCategory.HEARTBEAT)),
-            "total_messages": float(network.stats.sent()),
-            "broadcasts": float(len(mids)),
-            "kv_failed_writes": float(failed_writes[0]),
+            "delivery_ratio": t.delivery_ratio(),
+            "data_messages": float(stats.sent(MessageCategory.DATA)),
+            "control_messages": float(stats.sent(MessageCategory.CONTROL)),
+            "heartbeat_messages": float(stats.sent(MessageCategory.HEARTBEAT)),
+            "total_messages": float(stats.sent()),
+            "broadcasts": float(len(t.mids)),
+            "kv_failed_writes": float(t.refused),
             "kv_ops": float(len(ops)),
         }
         result.update(kv.summary())
         if checker is not None:
             result["invariant_records"] = float(checker.records_checked)
         return result
-    finally:
-        for replica in replicas.values():
-            replica.close()
-        if checker is not None:
-            checker.close()
-        network.close()
 
 
 def kv_trial_task(
@@ -177,13 +144,8 @@ def kv_trial_task(
     per-protocol overrides — both strings because campaign spec
     parameters are hashable JSON-able scalars.
     """
-    scale_obj = current_scale(str(scale))
-    if n is not None:
-        scale_obj = scaled(scale_obj, n=int(n))
-    spec = build_scenario(str(scenario), scale_obj)
-    spec = spec.with_overrides(loss=loss, crash=crash, duration=duration)
     return run_kv_trial(
-        spec,
+        task_scenario(scenario, scale, n, loss, crash, duration),
         str(protocol),
         int(trial),
         workload=decode_workload(workload),

@@ -6,6 +6,8 @@
   uniform ``factory(ctx)``, a typed parameter dataclass and capability
   flags; third-party protocols plug in via ``repro.protocols`` entry
   points or :func:`register_protocol`.
+* :mod:`repro.protocols.trial` — :class:`Trial`, the one lifecycle of
+  a run: deploy a registered protocol into a network, run it, close it.
 * :mod:`repro.protocols.gossip` — the Section 5 reference algorithm:
   step-synchronous forwarding with ACK suppression, run for a round count
   calibrated to the target reliability.
@@ -32,7 +34,6 @@ from repro.protocols.registry import (
     ProtocolSpec,
     TwoPhaseProtocolParams,
     default_protocols,
-    deploy_protocol,
     discover_plugins,
     protocol_names,
     protocol_specs,
@@ -40,6 +41,7 @@ from repro.protocols.registry import (
     resolve_protocol,
     unregister_protocol,
 )
+from repro.protocols.trial import Trial
 from repro.protocols.twophase import TwoPhaseBroadcast, TwoPhaseParameters
 
 __all__ = [
@@ -52,13 +54,13 @@ __all__ = [
     # registry
     "ProtocolSpec",
     "DeployContext",
+    "Trial",
     "register_protocol",
     "unregister_protocol",
     "resolve_protocol",
     "protocol_names",
     "protocol_specs",
     "default_protocols",
-    "deploy_protocol",
     "discover_plugins",
     "AdaptiveProtocolParams",
     "OptimalProtocolParams",

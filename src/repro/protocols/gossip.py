@@ -192,44 +192,27 @@ def run_gossip_trial(
         dict with ``reached`` (1.0 if all processes delivered),
         ``data_messages``, ``ack_messages``, ``delivery_ratio``.
     """
-    # deployment goes through the protocol registry — the same
-    # factory(ctx) path as scenario trials and the public API (imported
-    # lazily: the registry imports this module for the factory)
-    from repro.protocols.registry import DeployContext, resolve_protocol
+    # the one trial lifecycle (imported lazily: the protocol registry
+    # imports this module for the factory)
+    from repro.protocols.trial import Trial
 
-    network = make_network()
-    monitor = BroadcastMonitor(network.graph.n)
-    resolve_protocol("gossip").deploy(
-        DeployContext(
-            network=network,
-            monitor=monitor,
-            k_target=k_target,
-            params=GossipParameters(
-                rounds=rounds, step_period=step_period, fanout=fanout
-            ),
+    params = GossipParameters(rounds=rounds, step_period=step_period, fanout=fanout)
+    with Trial(make_network(), "gossip", k_target, params=params) as t:
+        t.network.start()
+        t.sim.schedule(
+            0.0,
+            lambda: t.issue(lambda: t.network.process(origin).broadcast("m")),
+            name="gossip-origin",
         )
-    )
-    mid_box: Dict[str, MessageId] = {}
-
-    def kick() -> None:
-        proc = network.process(origin)
-        assert isinstance(proc, GossipBroadcast)
-        mid_box["mid"] = proc.broadcast("m")
-
-    try:
-        network.start()
-        network.sim.schedule(0.0, kick, name="gossip-origin")
         # rounds+2 periods cover all forwarding plus in-flight deliveries
-        network.sim.run(until=(rounds + 2) * step_period)
-        mid = mid_box["mid"]
+        t.sim.run(until=(rounds + 2) * step_period)
+        mid = t.mids[0]
         return {
-            "reached": 1.0 if monitor.fully_delivered(mid) else 0.0,
-            "delivery_ratio": monitor.delivery_ratio(mid),
-            "data_messages": float(network.stats.sent(MessageCategory.DATA)),
-            "ack_messages": float(network.stats.sent(MessageCategory.ACK)),
+            "reached": 1.0 if t.monitor.fully_delivered(mid) else 0.0,
+            "delivery_ratio": t.monitor.delivery_ratio(mid),
+            "data_messages": float(t.network.stats.sent(MessageCategory.DATA)),
+            "ack_messages": float(t.network.stats.sent(MessageCategory.ACK)),
         }
-    finally:
-        network.close()
 
 
 def _probe_ladder(max_rounds: int) -> Iterator[int]:

@@ -104,11 +104,10 @@ SCENARIO_KNOWLEDGE = KnowledgeParameters(delta=1.0, intervals=50, tick=1.0)
 class DeployContext:
     """Everything a protocol factory may need to instantiate its nodes.
 
-    One uniform argument replaces the per-protocol constructor wiring
-    that used to live in ``scenario/trial.py``: factories read the
-    network, the delivery monitor, the reliability target, an optional
-    seeded RNG (present when the spec declares ``needs_rng``) and the
-    protocol's typed parameter object.
+    One uniform argument, built by :class:`~repro.protocols.trial.Trial`:
+    factories read the network, the delivery monitor, the reliability
+    target, an optional seeded RNG (present when the spec declares
+    ``needs_rng``) and the protocol's typed parameter object.
 
     Attributes:
         network: the simulated network to deploy into.
@@ -376,13 +375,6 @@ def default_protocols() -> Tuple[str, ...]:
     return tuple(
         spec.name for spec in protocol_specs() if spec.default_compare
     )
-
-
-def deploy_protocol(
-    protocol: Union[str, ProtocolSpec], ctx: DeployContext
-) -> List[object]:
-    """Resolve and deploy in one call (the common call-site shape)."""
-    return resolve_protocol(protocol).deploy(ctx)
 
 
 def parse_param_key(key: str) -> Tuple[ProtocolSpec, str]:

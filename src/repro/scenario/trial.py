@@ -1,14 +1,14 @@
 """Seeded execution of one (scenario, protocol) trial.
 
-:func:`run_scenario_trial` deploys one protocol stack into a scenario's
-network through the protocol registry
-(:mod:`repro.protocols.registry`), installs the
-:class:`~repro.sim.dynamics.DynamicsDriver`, drives the declared
-workload and reports flat float metrics.  The module-level
-:func:`scenario_trial_task` is the spawn-safe campaign entry point: it
-rebuilds everything from JSON-able scalars, so scenario trials are pure
-functions of ``(scenario, protocol, scale, trial, overrides)`` and run
-bit-identically in any process.
+:func:`scenario_trial` builds a scenario's network, deploys one
+protocol stack into it as a :class:`~repro.protocols.trial.Trial` and
+installs the :class:`~repro.sim.dynamics.DynamicsDriver`: the setup the
+scenario and KV runners share.  :func:`run_scenario_trial` drives the
+declared workload through it and reports flat float metrics.  The
+module-level :func:`scenario_trial_task` is the spawn-safe campaign
+entry point: it rebuilds everything from JSON-able scalars, so scenario
+trials are pure functions of ``(scenario, protocol, scale, trial,
+overrides)`` and run bit-identically in any process.
 
 Protocol handling is registry-driven: any registered
 :class:`~repro.protocols.registry.ProtocolSpec` — built-in or plugin —
@@ -41,23 +41,23 @@ Metrics:
 from __future__ import annotations
 
 import json
-from typing import Dict, List, Optional
+from typing import Dict, List, Optional, Tuple
 
 from repro.analysis.convergence import ConvergenceCriterion, views_converged
-from repro.errors import UnreachableTargetError, ValidationError
+from repro.errors import ValidationError
 from repro.experiments.runner import current_scale, scaled
 from repro.protocols.registry import (
     SCENARIO_KNOWLEDGE,
-    DeployContext,
     ProtocolSpec,
     resolve_protocol,
 )
+from repro.protocols.trial import Trial
 from repro.membership.quality import ViewQualityMonitor
 from repro.scenario.registry import build_scenario
 from repro.scenario.schema import Heal, ScenarioSpec
 from repro.sim.dynamics import DynamicsDriver
 from repro.sim.engine import Simulator
-from repro.sim.monitors import BroadcastMonitor, ConvergenceMonitor
+from repro.sim.monitors import ConvergenceMonitor
 from repro.sim.network import Network, NetworkOptions
 from repro.sim.trace import MessageCategory
 from repro.util.rng import RandomSource
@@ -67,6 +67,7 @@ __all__ = [
     "RECONV_POLL",
     "canonical_spec_json",
     "run_scenario_trial",
+    "scenario_trial",
     "scenario_trial_task",
     "membership_trial_task",
     "spec_trial_task",
@@ -77,26 +78,6 @@ __all__ = [
 
 #: Poll period of the re-convergence watcher (omniscient, message-free).
 RECONV_POLL = 5.0
-
-
-def _deploy(
-    proto: ProtocolSpec,
-    spec: ScenarioSpec,
-    network: Network,
-    monitor: BroadcastMonitor,
-    rng: RandomSource,
-    param_overrides: Optional[Dict[str, object]] = None,
-) -> List[object]:
-    """Deploy one registered protocol stack into a scenario network."""
-    params = proto.make_params(scenario=spec, overrides=param_overrides)
-    ctx = DeployContext(
-        network=network,
-        monitor=monitor,
-        k_target=spec.k_target,
-        rng=rng,
-        params=params,
-    )
-    return proto.deploy(ctx)
 
 
 def _workload_origins(
@@ -117,15 +98,49 @@ def _workload_origins(
     return [(trial + i) % n for i in range(count)]
 
 
-def _canonical_params(
-    params: Optional[Dict[str, Dict[str, object]]],
-) -> Dict[str, Dict[str, object]]:
-    """Key per-protocol overrides by canonical protocol name."""
-    canonical: Dict[str, Dict[str, object]] = {}
-    for key, overrides in (params or {}).items():
-        name = resolve_protocol(key).name
-        canonical.setdefault(name, {}).update(overrides)
-    return canonical
+def scenario_trial(
+    spec: ScenarioSpec,
+    proto: ProtocolSpec,
+    seed: str,
+    trial: int,
+    params: Optional[Dict[str, Dict[str, object]]] = None,
+) -> Tuple[Trial, DynamicsDriver]:
+    """Deploy ``proto`` into ``spec``'s network and install its dynamics.
+
+    The root stream is keyed by ``(seed, scenario, protocol, trial)``;
+    ``params`` are per-protocol overrides keyed by protocol name or alias.
+    """
+    overrides: Dict[str, object] = {}
+    for key, values in (params or {}).items():
+        if resolve_protocol(key).name == proto.name:
+            overrides.update(values)
+    graph, tiers = spec.topology.build_with_tiers()
+    config = spec.environment.base_configuration(graph, tiers)
+    root = RandomSource(seed, spec.name, proto.name, trial)
+    options = NetworkOptions(
+        crash_model=spec.environment.crash_model,
+        markov_mean_down_ticks=spec.environment.mean_down_ticks,
+    )
+    network = Network(Simulator(), config, root.child("net"), options=options)
+    typed = proto.make_params(scenario=spec, overrides=overrides)
+    t = Trial(network, proto, spec.k_target, params=typed, rng=root)
+    driver = DynamicsDriver(network, spec.timeline, name=spec.name, tiers=tiers)
+    driver.install()
+    return t, driver
+
+
+def schedule_workload(t: Trial, spec: ScenarioSpec, trial: int) -> None:
+    """Schedule the scenario's broadcasts, each issued through ``t``."""
+    times = spec.workload.broadcast_times()
+    for when, origin in zip(times, _workload_origins(spec, trial, len(times))):
+        if when < spec.duration:
+            t.sim.schedule_at(
+                when,
+                lambda o=origin: t.issue(
+                    lambda: t.network.process(o).broadcast({"scenario": spec.name})
+                ),
+                name="workload",
+            )
 
 
 def run_scenario_trial(
@@ -154,112 +169,65 @@ def run_scenario_trial(
             not it is attached.
     """
     proto = resolve_protocol(protocol)
-    param_overrides = _canonical_params(params).get(proto.name)
-    graph, tiers = spec.topology.build_with_tiers()
-    config = spec.environment.base_configuration(graph, tiers)
-    sim = Simulator()
-    root = RandomSource("repro-scenario", spec.name, proto.name, trial)
-    options = NetworkOptions(
-        crash_model=spec.environment.crash_model,
-        markov_mean_down_ticks=spec.environment.mean_down_ticks,
-    )
-    network = Network(sim, config, root.child("net"), options=options)
-    monitor = BroadcastMonitor(graph.n)
-    nodes = _deploy(proto, spec, network, monitor, root, param_overrides)
-
-    driver = DynamicsDriver(network, spec.timeline, name=spec.name, tiers=tiers)
-    driver.install()
-
-    quality: Optional[ViewQualityMonitor] = None
-    if view_quality:
-        samplers = {
-            node.pid: node.sampler
-            for node in nodes
-            if hasattr(node, "sampler")
-        }
-        if not samplers:
-            raise ValidationError(
-                f"view_quality metrics need a partial-view protocol "
-                f"(nodes with a .sampler); {proto.name!r} has none"
-            )
-        heal_times = [e.at for e in spec.timeline if isinstance(e, Heal)]
-        quality = ViewQualityMonitor(
-            sim, network, samplers, heal_times=heal_times
-        )
-
-    times = spec.workload.broadcast_times()
-    origins = _workload_origins(spec, trial, len(times))
-    mids: List[object] = []
-    failed_plans = [0]
-
-    def issue(origin: int) -> None:
-        try:
-            mids.append(
-                network.process(origin).broadcast({"scenario": spec.name})
-            )
-        except UnreachableTargetError:
-            # a planning protocol may (correctly) find the target K
-            # unattainable mid-disruption — e.g. the oracle during a
-            # partition; the broadcast fails outright and scores 0
-            if not proto.plans:
-                raise
-            failed_plans[0] += 1
-            mids.append(("failed-plan", origin, sim.now))
-
-    for when, origin in zip(times, origins):
-        if when >= spec.duration:
-            continue
-        sim.schedule_at(when, lambda o=origin: issue(o), name="workload")
-
-    watcher_box: Dict[str, ConvergenceMonitor] = {}
-    if proto.learns and spec.timeline:
-        criterion = ConvergenceCriterion(
-            mode="point",
-            point_tolerance=spec.reconv_tolerance,
-            require_full_topology=True,
-        )
-        views = [node.view for node in nodes]
-
-        def arm_watcher() -> None:
-            # created at the final event's instant (after it applied —
-            # dynamics run at a more urgent priority), so the predicate
-            # compares against the settled configuration
-            watcher_box["watcher"] = ConvergenceMonitor(
-                sim,
-                lambda: views_converged(views, network.config, criterion),
-                period=RECONV_POLL,
+    t, driver = scenario_trial(spec, proto, "repro-scenario", trial, params)
+    with t:
+        quality: Optional[ViewQualityMonitor] = None
+        if view_quality:
+            samplers = {n.pid: n.sampler for n in t.nodes if hasattr(n, "sampler")}
+            if not samplers:
+                raise ValidationError(
+                    f"view_quality metrics need a partial-view protocol "
+                    f"(nodes with a .sampler); {proto.name!r} has none"
+                )
+            heal_times = [e.at for e in spec.timeline if isinstance(e, Heal)]
+            quality = ViewQualityMonitor(
+                t.sim, t.network, samplers, heal_times=heal_times
             )
 
-        sim.schedule_at(driver.last_event_time, arm_watcher, name="arm-reconv")
+        schedule_workload(t, spec, trial)
 
-    try:
-        network.start()
-        sim.run(until=spec.duration)
-        ratios = [monitor.delivery_ratio(mid) for mid in mids]
+        watcher_box: Dict[str, ConvergenceMonitor] = {}
+        if proto.learns and spec.timeline:
+            criterion = ConvergenceCriterion(
+                mode="point",
+                point_tolerance=spec.reconv_tolerance,
+                require_full_topology=True,
+            )
+            views = [node.view for node in t.nodes]
+
+            def arm_watcher() -> None:
+                # created at the final event's instant (after it applied —
+                # dynamics run at a more urgent priority), so the predicate
+                # compares against the settled configuration
+                watcher_box["watcher"] = ConvergenceMonitor(
+                    t.sim,
+                    lambda: views_converged(views, t.network.config, criterion),
+                    period=RECONV_POLL,
+                )
+
+            t.sim.schedule_at(driver.last_event_time, arm_watcher, name="arm-reconv")
+
+        t.network.start()
+        t.sim.run(until=spec.duration)
         result: Dict[str, float] = {
-            "delivery_ratio": sum(ratios) / len(ratios) if ratios else 0.0,
-            "data_messages": float(network.stats.sent(MessageCategory.DATA)),
-            "total_messages": float(network.stats.sent()),
-            "broadcasts": float(len(mids)),
-            "failed_plans": float(failed_plans[0]),
+            "delivery_ratio": t.delivery_ratio(),
+            "data_messages": float(t.network.stats.sent(MessageCategory.DATA)),
+            "total_messages": float(t.network.stats.sent()),
+            "broadcasts": float(len(t.mids)),
+            "failed_plans": float(t.refused),
         }
         watcher = watcher_box.get("watcher")
         if watcher is None:
-            result["reconverged"] = -1.0
-            result["reconv_time"] = -1.0
+            result.update(reconverged=-1.0, reconv_time=-1.0)
+        elif watcher.converged:
+            since = watcher.converged_at - driver.last_event_time
+            result.update(reconverged=1.0, reconv_time=since)
         else:
             window = spec.duration - driver.last_event_time
-            if watcher.converged:
-                result["reconverged"] = 1.0
-                result["reconv_time"] = watcher.converged_at - driver.last_event_time
-            else:
-                result["reconverged"] = 0.0
-                result["reconv_time"] = window
+            result.update(reconverged=0.0, reconv_time=window)
         if quality is not None:
             result.update(quality.summary())
         return result
-    finally:
-        network.close()
 
 
 def decode_params(payload: Optional[str]) -> Optional[Dict[str, Dict[str, object]]]:
@@ -275,6 +243,22 @@ def decode_params(payload: Optional[str]) -> Optional[Dict[str, Dict[str, object
             f"got {payload!r}"
         )
     return decoded
+
+
+def task_scenario(
+    scenario: str,
+    scale: str,
+    n: Optional[int] = None,
+    loss: Optional[float] = None,
+    crash: Optional[float] = None,
+    duration: Optional[float] = None,
+) -> ScenarioSpec:
+    """Rebuild a campaign task's scenario from its JSON-able scalars."""
+    scale_obj = current_scale(str(scale))
+    if n is not None:
+        scale_obj = scaled(scale_obj, n=int(n))
+    spec = build_scenario(str(scenario), scale_obj)
+    return spec.with_overrides(loss=loss, crash=crash, duration=duration)
 
 
 def scenario_trial_task(
@@ -295,14 +279,8 @@ def scenario_trial_task(
     (``{"gossip": {"rounds": 4}}``), kept as a string because campaign
     spec parameters are hashable JSON-able scalars.
     """
-    scale_obj = current_scale(str(scale))
-    if n is not None:
-        scale_obj = scaled(scale_obj, n=int(n))
-    spec = build_scenario(str(scenario), scale_obj)
-    spec = spec.with_overrides(loss=loss, crash=crash, duration=duration)
-    return run_scenario_trial(
-        spec, str(protocol), int(trial), params=decode_params(params)
-    )
+    spec = task_scenario(scenario, scale, n, loss, crash, duration)
+    return run_scenario_trial(spec, str(protocol), int(trial), decode_params(params))
 
 
 TRIAL_FN = "repro.scenario.trial:scenario_trial_task"
@@ -327,17 +305,9 @@ def membership_trial_task(
     :class:`~repro.membership.quality.ViewQualityMonitor`.  Used by the
     ``membership`` experiment.
     """
-    scale_obj = current_scale(str(scale))
-    if n is not None:
-        scale_obj = scaled(scale_obj, n=int(n))
-    spec = build_scenario(str(scenario), scale_obj)
-    spec = spec.with_overrides(loss=loss, crash=crash, duration=duration)
+    spec = task_scenario(scenario, scale, n, loss, crash, duration)
     return run_scenario_trial(
-        spec,
-        str(protocol),
-        int(trial),
-        params=decode_params(params),
-        view_quality=True,
+        spec, str(protocol), int(trial), decode_params(params), view_quality=True
     )
 
 

@@ -239,11 +239,6 @@ class DynamicsDriver:
             self._crash_overlay[int(p)] = float(crash)
         self._reconfigure()
 
-    def restore_crash(self, processes: Iterable[ProcessId]) -> None:
-        for p in processes:
-            self._crash_overlay.pop(int(p), None)
-        self._reconfigure()
-
     def restore_all(self) -> None:
         """Return the whole environment to its base state.
 

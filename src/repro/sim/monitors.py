@@ -224,15 +224,17 @@ class _CheckingCrashModel(CrashModel):
 class InvariantMonitor:
     """Asserts structural invariants on every network transmission.
 
-    Attach to a network after construction (and after the scenario's
-    :class:`~repro.sim.dynamics.DynamicsDriver` is installed) but before
-    ``network.start()``::
+    Attach it to a :class:`~repro.protocols.trial.Trial` after the
+    scenario's :class:`~repro.sim.dynamics.DynamicsDriver` is installed
+    but before ``network.start()``; the trial closes it on exit::
 
-        monitor = InvariantMonitor(sim, network,
-                                   event_times=[e.at for e in spec.timeline])
-        network.start()
-        sim.run(until=duration)
-        assert monitor.records_checked > 0
+        t, driver = scenario_trial(spec, proto, "repro-scenario", 0)
+        with t:
+            checker = t.attach(InvariantMonitor(
+                t.sim, t.network, event_times=[e.at for e in spec.timeline]))
+            t.network.start()
+            t.sim.run(until=spec.duration)
+        assert checker.records_checked > 0
 
     Checked on every :meth:`MessageStats.record`:
 

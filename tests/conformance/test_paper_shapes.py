@@ -31,6 +31,7 @@ from repro.experiments.campaign import Campaign
 from repro.experiments.figure4 import figure4_aggregate, figure4_build
 from repro.experiments.figure5 import convergence_messages_per_link
 from repro.experiments.runner import QUICK, make_network, scaled
+from repro.protocols.registry import AdaptiveProtocolParams
 from repro.sim.monitors import BroadcastMonitor
 from repro.sim.network import NetworkOptions
 from repro.topology.configuration import Configuration
@@ -142,9 +143,7 @@ def test_interval_count_ablation():
             config,
             ("ablate-u", intervals),
             deadline=4000.0,
-            params=AdaptiveParameters(
-                knowledge=KnowledgeParameters(delta=1.0, intervals=intervals)
-            ),
+            params=AdaptiveProtocolParams(delta=1.0, intervals=intervals),
             criterion=ConvergenceCriterion(point_tolerance=0.025),
             strict=False,
         )

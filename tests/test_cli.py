@@ -82,8 +82,12 @@ class TestCommands:
     @pytest.mark.slow
     def test_demo(self, capsys):
         assert main(["demo"]) == 0
-        out = capsys.readouterr().out
-        assert "gossip/optimal message ratio" in out
+        assert capsys.readouterr().out == (
+            "30 processes, connectivity 6, L=0.03, K=0.99\n"
+            "  optimal :   77 data messages, delivery 1.000\n"
+            "  gossip  :  129 data messages, delivery 1.000\n"
+            "  gossip/optimal message ratio: 1.68x\n"
+        )
 
     @pytest.mark.slow
     def test_heterogeneous_quick(self, capsys, monkeypatch):

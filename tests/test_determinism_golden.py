@@ -284,3 +284,20 @@ def test_table1_table_digest():
 
     result = resolve_experiment("table1").run(scale=current_scale("quick"))
     _check("table1-table", result.render())
+
+
+@pytest.mark.parametrize("variant", ["crash", "loss"])
+def test_figure5_table_digest(variant):
+    """The Figure 5 convergence-effort tables (reduced quick grid) render
+    byte-identically: the one pin on ``convergence_messages_per_link``."""
+    from repro.experiments.campaign import Campaign
+    from repro.experiments.registry import resolve_experiment
+    from repro.experiments.runner import current_scale
+
+    name = "figure5a" if variant == "crash" else "figure5b"
+    result = resolve_experiment(name).run(
+        scale=current_scale("quick"),
+        params={variant: [0.03], "connectivity": [2, 4], "trials": [2]},
+        campaign=Campaign(),
+    )
+    _check(f"{name}-table", result.render())

@@ -16,22 +16,21 @@ from __future__ import annotations
 
 import pytest
 
-from repro.errors import SchedulingError, UnreachableTargetError
+from repro.errors import SchedulingError
 from repro.experiments.runner import current_scale
 from repro.protocols.gossip import run_gossip_trial
 from repro.protocols.registry import resolve_protocol
 from repro.scenario.generate import ScenarioGenerator
 from repro.scenario.schema import ScenarioSpec
-from repro.scenario.trial import _deploy, _workload_origins, run_scenario_trial
-from repro.sim.dynamics import DynamicsDriver
+from repro.scenario.trial import (
+    run_scenario_trial,
+    schedule_workload,
+    scenario_trial,
+)
 from repro.sim.engine import Simulator
 from repro.sim.events import Event
-from repro.sim.monitors import (
-    BroadcastMonitor,
-    InvariantMonitor,
-    InvariantViolation,
-)
-from repro.sim.network import Network, NetworkOptions
+from repro.sim.monitors import InvariantMonitor, InvariantViolation
+from repro.sim.network import Network
 from repro.sim.process import SimProcess
 from repro.topology.configuration import Configuration
 from repro.topology.generators import line, ring
@@ -44,47 +43,22 @@ SMOKE_SCENARIOS = 50
 def _run_monitored(spec: ScenarioSpec, protocol: str = "gossip", trial: int = 0):
     """``run_scenario_trial`` with an :class:`InvariantMonitor` attached.
 
-    Mirrors the trial runner's setup exactly (same seed derivation, same
-    deploy/driver ordering) so the monitored run exercises the very
-    event sequences the experiments measure.
+    Built on the runner's own setup (:func:`scenario_trial`, same seed
+    derivation, same deploy/driver ordering) and workload, so the
+    monitored run exercises the very event sequences the experiments
+    measure.  The trial closes on return: the network's stats stay
+    readable, and the closed checker still counts what it checked.
     """
-    proto = resolve_protocol(protocol)
-    graph, tiers = spec.topology.build_with_tiers()
-    config = spec.environment.base_configuration(graph, tiers)
-    sim = Simulator()
-    root = RandomSource("repro-scenario", spec.name, proto.name, trial)
-    options = NetworkOptions(
-        crash_model=spec.environment.crash_model,
-        markov_mean_down_ticks=spec.environment.mean_down_ticks,
+    t, driver = scenario_trial(
+        spec, resolve_protocol(protocol), "repro-scenario", trial
     )
-    network = Network(sim, config, root.child("net"), options=options)
-    monitor = BroadcastMonitor(graph.n)
-    _deploy(proto, spec, network, monitor, root, None)
-    driver = DynamicsDriver(network, spec.timeline, name=spec.name, tiers=tiers)
-    driver.install()
-    invariants = InvariantMonitor(
-        sim, network, event_times=[e.at for e in spec.timeline]
-    )
-
-    times = spec.workload.broadcast_times()
-    origins = _workload_origins(spec, trial, len(times))
-
-    def issue(origin: int) -> None:
-        try:
-            network.process(origin).broadcast({"scenario": spec.name})
-        except UnreachableTargetError:
-            if not proto.plans:
-                raise
-
-    for when, origin in zip(times, origins):
-        if when >= spec.duration:
-            continue
-        sim.schedule_at(when, lambda o=origin: issue(o), name="workload")
-
-    network.start()
-    sim.run(until=spec.duration)
-    network.close()  # stats stay readable; the checker stays callable
-    return network, driver, invariants
+    with t:
+        event_times = [e.at for e in spec.timeline]
+        invariants = t.attach(InvariantMonitor(t.sim, t.network, event_times))
+        schedule_workload(t, spec, trial)
+        t.network.start()
+        t.sim.run(until=spec.duration)
+    return t.network, driver, invariants
 
 
 def test_invariants_hold_over_generated_scenarios():

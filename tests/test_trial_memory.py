@@ -18,6 +18,8 @@ from __future__ import annotations
 import pytest
 
 import repro.api as api
+from repro import cli
+from repro.experiments import figure5
 from repro.experiments.figure4 import measure_reference_once
 from repro.experiments.figure5 import convergence_messages_per_link
 from repro.experiments.runner import current_scale
@@ -95,23 +97,56 @@ class Boom(Exception):
     pass
 
 
-def test_a_trial_that_raises_frees_itself_too(monkeypatch):
-    """The runners close in a ``finally``: a failure mid-run leaks nothing."""
-    delivered = BroadcastMonitor.delivered
+def _raising_runs():
+    """(runner, (owner, name) of the callable that raises mid-run, period)."""
+    spec = build_scenario("partition-heal", QUICK)
+    graph = k_regular(12, 4)
+    config = Configuration.uniform(graph, loss=0.02)
+    delivered = (BroadcastMonitor, "delivered")
+    return {
+        "kv": (
+            lambda: run_kv_trial(
+                spec, "gossip", 0, workload=WORKLOAD, invariants=True
+            ),
+            delivered,
+            50,
+        ),
+        "scenario": (lambda: run_scenario_trial(spec, "gossip", 0), delivered, 50),
+        "gossip": (
+            lambda: measure_reference_once(
+                Configuration.uniform(k_regular(16, 4), loss=0.05), "t", 0, 4, 0.95
+            ),
+            delivered,
+            10,
+        ),
+        # no broadcast: the convergence watcher's predicate raises instead
+        "convergence": (
+            lambda: convergence_messages_per_link(graph, config, "t", 400.0),
+            (figure5, "views_converged"),
+            3,
+        ),
+        "demo": (lambda: cli._run_demo(None), delivered, 50),
+    }
+
+
+@pytest.mark.parametrize("runner", ["kv", "scenario", "gossip", "convergence", "demo"])
+def test_a_trial_that_raises_frees_itself_too(monkeypatch, capsys, runner):
+    """Every runner closes on the way out: a failure mid-run leaks nothing."""
+    trial, (owner, name), period = _raising_runs()[runner]
+    original = getattr(owner, name)
     calls = [0]
 
-    def failing(self, mid, pid, now):
+    def failing(*args):
         calls[0] += 1
-        if calls[0] % 50 == 0:
+        if calls[0] % period == 0:
             raise Boom
-        delivered(self, mid, pid, now)
+        return original(*args)
 
-    monkeypatch.setattr(BroadcastMonitor, "delivered", failing)
-    spec = build_scenario("partition-heal", QUICK)
+    monkeypatch.setattr(owner, name, failing)
 
     def run():
         try:
-            run_kv_trial(spec, "gossip", 0, workload=WORKLOAD, invariants=True)
+            trial()
         except Boom:
             return
         raise AssertionError("the trial did not raise")
