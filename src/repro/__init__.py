@@ -44,7 +44,7 @@ from repro.core.knowledge import KnowledgeParameters
 from repro.core.mrt import maximum_reliability_tree
 from repro.core.optimal import OptimalBroadcast
 from repro.core.optimize import OptimizeResult, optimize
-from repro.core.reach import reach, reach_recursive, transmission_lambda
+from repro.core.reach import reach
 from repro.core.tree import SpanningTree
 from repro.core.viewtable import VectorView
 from repro.errors import ReproError
@@ -91,7 +91,6 @@ from repro.topology.generators import (
     grid,
     k_regular,
     line,
-    random_connected,
     random_tree,
     ring,
     scale_free,
@@ -145,7 +144,6 @@ __all__ = [
     "grid",
     "k_regular",
     "random_tree",
-    "random_connected",
     "small_world",
     "scale_free",
     "two_tier",
@@ -153,8 +151,6 @@ __all__ = [
     "SpanningTree",
     "maximum_reliability_tree",
     "reach",
-    "reach_recursive",
-    "transmission_lambda",
     "optimize",
     "OptimizeResult",
     "BeliefEstimator",

@@ -2,8 +2,7 @@
 
 * :mod:`repro.core.tree` / :mod:`repro.core.mrt` — Maximum Reliability
   Tree (Section 3.1, Algorithm 6).
-* :mod:`repro.core.reach` — the ``reach`` function (Eq. 1 recursive,
-  Eq. 2 iterative).
+* :mod:`repro.core.reach` — the ``reach`` function (Eq. 2).
 * :mod:`repro.core.optimize` — the greedy ``optimize()`` (Algorithm 2).
 * :mod:`repro.core.bayesian` — reliability-belief management
   (Algorithm 5, Eq. 4).
@@ -21,7 +20,7 @@ from repro.core.broadcast import DataMessage, ReliableBroadcastProcess
 from repro.core.mrt import maximum_reliability_tree
 from repro.core.optimal import OptimalBroadcast
 from repro.core.optimize import optimize
-from repro.core.reach import reach, reach_recursive, transmission_lambda
+from repro.core.reach import reach
 from repro.core.tree import SpanningTree
 from repro.core.viewtable import VectorView
 
@@ -29,8 +28,6 @@ __all__ = [
     "SpanningTree",
     "maximum_reliability_tree",
     "reach",
-    "reach_recursive",
-    "transmission_lambda",
     "optimize",
     "BeliefEstimator",
     "interval_midpoints",

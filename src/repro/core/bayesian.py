@@ -38,53 +38,6 @@ def interval_midpoints(intervals: int) -> np.ndarray:
     return (2.0 * u - 1.0) / (2.0 * intervals)
 
 
-def uniform_beliefs(intervals: int) -> np.ndarray:
-    """``P_B[u] = 1/U`` — the equal a-priori beliefs of Algorithm 5."""
-    check_positive_int(intervals, "intervals")
-    return np.full(intervals, 1.0 / intervals)
-
-
-def _apply_likelihood(
-    beliefs: np.ndarray, likelihood: np.ndarray, factor: int
-) -> np.ndarray:
-    """``beliefs * likelihood**factor``, renormalised, underflow-safe.
-
-    Repeated Bayes updates with the same likelihood and renormalisation
-    each round equal a single multiplication by ``likelihood ** factor``
-    followed by one renormalisation (normalisation is a scalar divisor).
-    Large factors (e.g. a long recorded downtime) underflow the direct
-    product, so the computation falls back to log space when needed.
-    """
-    updated = beliefs * likelihood**factor
-    total = updated.sum()
-    if total > 0.0:
-        return updated / total
-    # log-space fallback: exact up to float rounding, immune to underflow
-    with np.errstate(divide="ignore"):
-        logs = np.log(beliefs) + factor * np.log(likelihood)
-    peak = logs.max()
-    if peak == -np.inf:  # pragma: no cover - beliefs are a prob. vector
-        raise ValidationError("belief mass vanished during Bayes update")
-    updated = np.exp(logs - peak)
-    return updated / updated.sum()
-
-
-def apply_failures(beliefs: np.ndarray, midpoints: np.ndarray, factor: int) -> np.ndarray:
-    """Pure-function form of ``decreaseReliability`` (factor repetitions)."""
-    check_non_negative_int(factor, "factor")
-    if factor == 0:
-        return beliefs.copy()
-    return _apply_likelihood(beliefs, midpoints, factor)
-
-
-def apply_successes(beliefs: np.ndarray, midpoints: np.ndarray, factor: int) -> np.ndarray:
-    """Pure-function form of ``increaseReliability``."""
-    check_non_negative_int(factor, "factor")
-    if factor == 0:
-        return beliefs.copy()
-    return _apply_likelihood(beliefs, 1.0 - midpoints, factor)
-
-
 class BeliefEstimator:
     """One estimate's Bayesian network (Algorithm 5).
 
@@ -156,16 +109,6 @@ class BeliefEstimator:
             raise ValidationError(f"interval {u} outside 0..{self.intervals - 1}")
         width = 1.0 / self.intervals
         return u * width, (u + 1) * width
-
-    def interval_of(self, probability: float) -> int:
-        """0-based interval containing ``probability`` (1.0 maps to the last)."""
-        if not 0.0 <= probability <= 1.0:
-            raise ValidationError(f"probability {probability} outside [0,1]")
-        return min(int(probability * self.intervals), self.intervals - 1)
-
-    def belief_sum(self) -> float:
-        """Always 1.0 up to float rounding — the invariant of Section 4.3."""
-        return float(self.beliefs.sum())
 
     # -- updates (Algorithm 5) -----------------------------------------------------
 

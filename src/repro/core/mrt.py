@@ -116,14 +116,6 @@ def maximum_reliability_tree(
     return SpanningTree(root, parent)
 
 
-def mrt_weight_product(tree: SpanningTree, view: ReliabilityView) -> float:
-    """Product of link weights over the tree (for maximality cross-checks)."""
-    prod = 1.0
-    for j in tree.non_root_nodes:
-        prod *= link_weight(view, tree.link_to(j))
-    return prod
-
-
 def reachable_processes(
     graph: Graph, links: Iterable[Link], start: ProcessId
 ) -> Set[ProcessId]:

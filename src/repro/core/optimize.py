@@ -139,46 +139,3 @@ def optimize(
         total_messages=total,
         increments=increments,
     )
-
-
-def optimize_for_budget(
-    tree: SpanningTree,
-    budget: int,
-    view: ReliabilityView,
-) -> OptimizeResult:
-    """The dual problem of Eq. 5: maximise reach subject to ``sum(m) <= M``.
-
-    Runs the same greedy with the stop condition swapped (footnote 3 of
-    Appendix D).  Used by the equivalence tests for Lemma 3.
-
-    Raises:
-        ValidationError: if ``budget`` cannot cover the minimal vector.
-    """
-    nodes = tree.non_root_nodes
-    if budget < len(nodes):
-        raise ValidationError(
-            f"budget {budget} below the minimal vector size {len(nodes)}"
-        )
-    lambdas = tree.lambdas(view)
-    counts: Dict[ProcessId, int] = {j: 1 for j in nodes}
-    heap: AddressableHeap[ProcessId] = AddressableHeap()
-    for j in nodes:
-        g = gain(lambdas[j], 1)
-        if g > 1.0:
-            heap.push(j, (-g, j))  # type: ignore[arg-type]
-    total = len(nodes)
-    increments = 0
-    while total < budget and heap:
-        j, _ = heap.pop()
-        counts[j] += 1
-        total += 1
-        increments += 1
-        g_next = gain(lambdas[j], counts[j])
-        if g_next > 1.0:
-            heap.push(j, (-g_next, j))  # type: ignore[arg-type]
-    return OptimizeResult(
-        counts=counts,
-        achieved=reach(tree, counts, view),
-        total_messages=total,
-        increments=increments,
-    )

@@ -11,9 +11,10 @@ probability ``p_j`` gets at least one of its ``m_j`` copies is
 ``1 - lambda_j ** m_j`` and the tree-wide probability is the product over
 all non-root nodes (Eq. 2).
 
-Both the recursive form of Eq. 1 and the iterative form of Eq. 2 are
-implemented; tests assert they agree (they are algebraically identical —
-Eq. 1 is the tail-recursive expansion over direct subtrees).
+:func:`reach` is that product; :func:`log_reach` is its logarithm,
+computed in log space for trees whose product would underflow.  The
+recursive form of Eq. 1 is the tests' oracle for both and lives with
+them, in ``tests/conformance/reference/reach.py``.
 """
 
 from __future__ import annotations
@@ -23,23 +24,7 @@ from typing import Dict, Mapping
 
 from repro.errors import ValidationError
 from repro.core.tree import ReliabilityView, SpanningTree
-from repro.types import Link, ProcessId
-
-
-def transmission_lambda(
-    view: ReliabilityView, sender: ProcessId, receiver: ProcessId
-) -> float:
-    """``lambda`` for one copy from ``sender`` to ``receiver``.
-
-    ``1 - (1-P_sender)(1-L)(1-P_receiver)`` — probability the copy is lost
-    to a sender crashed step, a link loss, or a receiver crashed step.
-    """
-    link = Link.of(sender, receiver)
-    return 1.0 - (
-        (1.0 - view.crash_probability(sender))
-        * (1.0 - view.loss_probability(link))
-        * (1.0 - view.crash_probability(receiver))
-    )
+from repro.types import ProcessId
 
 
 def _validated_counts(
@@ -99,56 +84,3 @@ def log_reach(
             return -math.inf
         total += math.log(term)
     return total
-
-
-def reach_recursive(
-    tree: SpanningTree,
-    counts: Mapping[ProcessId, int],
-    view: ReliabilityView,
-) -> float:
-    """Recursive ``reach`` (Eq. 1): per-direct-subtree expansion.
-
-    Provided for fidelity with the paper and as a differential-testing
-    oracle for :func:`reach`; it computes the same value.
-    """
-    m = _validated_counts(tree, counts)
-    lambdas = tree.lambdas(view)
-
-    def rec(node: ProcessId) -> float:
-        prob = 1.0
-        for child in tree.children(node):
-            arrived = 1.0 - lambdas[child] ** m[child]
-            prob *= arrived * rec(child)
-        return prob
-
-    return rec(tree.root)
-
-
-def node_reach_probability(
-    tree: SpanningTree,
-    counts: Mapping[ProcessId, int],
-    view: ReliabilityView,
-    target: ProcessId,
-) -> float:
-    """Probability that one specific node receives the message.
-
-    The message must arrive at every ancestor on the root path, so this is
-    the product of ``1 - lambda_a ** m_a`` along that path.  (Not used by
-    the optimisation itself, but handy for diagnosing which subtree drags
-    the global reach down.)
-    """
-    if target == tree.root:
-        return 1.0
-    m = _validated_counts(tree, counts)
-    lambdas = tree.lambdas(view)
-    prob = 1.0
-    node = target
-    while node != tree.root:
-        prob *= 1.0 - lambdas[node] ** m[node]
-        node = tree.parent(node)
-    return prob
-
-
-def minimal_counts(tree: SpanningTree) -> Dict[ProcessId, int]:
-    """The all-ones starting vector of Algorithm 2."""
-    return {j: 1 for j in tree.non_root_nodes}

@@ -102,11 +102,6 @@ class AdaptiveResolutionEstimator:
         u = self.map_interval()
         return float(self._edges[u]), float(self._edges[u + 1])
 
-    def resolution_at_map(self) -> float:
-        """Width of the currently most-believed interval."""
-        lo, hi = self.map_bounds()
-        return hi - lo
-
     # -- observations ---------------------------------------------------------------
 
     def decrease_reliability(self, factor: int = 1) -> None:

@@ -142,17 +142,6 @@ class SpanningTree:
         """All tree links (one per non-root node, BFS order)."""
         return [self.link_to(p) for p in self.non_root_nodes]
 
-    def subtree_nodes(self, p: ProcessId) -> List[ProcessId]:
-        """All nodes of ``T_p`` (the subtree rooted at ``p``), BFS order."""
-        if not self.contains(p):
-            raise TreeError(f"node {p} not in tree")
-        out = [p]
-        idx = 0
-        while idx < len(out):
-            out.extend(self._children[out[idx]])
-            idx += 1
-        return out
-
     def depth(self, p: ProcessId) -> int:
         """Hop distance from the root."""
         if not self.contains(p):
@@ -235,7 +224,3 @@ class SpanningTree:
                 "non-root nodes: not a tree on the root's component"
             )
         return cls(root, parent)
-
-    def reroot(self, new_root: ProcessId) -> "SpanningTree":
-        """The same undirected tree, rooted elsewhere."""
-        return SpanningTree.from_links(new_root, self.links())

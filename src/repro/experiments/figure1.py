@@ -65,16 +65,3 @@ def figure1_aggregate(
         "alpha",
         [(f"L={loss:g}", points) for loss, points in by_loss.items()],
     )
-
-
-def expected_anchor_points() -> dict:
-    """Anchor values stated in the paper's introduction, for verification.
-
-    *"When alpha = 10 ... L = 0.0001, an adaptive algorithm only needs
-    about 87% of the messages sent by a traditional gossip algorithm"*,
-    and at ``alpha = 1`` the ratio is exactly 1.
-    """
-    return {
-        ("alpha=1", "any L"): 1.0,
-        ("alpha=10", "L=1e-4"): 0.875,
-    }

@@ -98,18 +98,6 @@ class VectorClock:
             for pid, count in self._counts.items()
         )
 
-    def happens_before(self, other: "VectorClock") -> bool:
-        """Strict causal precedence: ``self <= other`` and they differ."""
-        return self.dominated_by(other) and self._counts != other._counts
-
-    def concurrent_with(self, other: "VectorClock") -> bool:
-        """Neither clock precedes the other (and they differ)."""
-        return (
-            self._counts != other._counts
-            and not self.dominated_by(other)
-            and not other.dominated_by(self)
-        )
-
     def compare(self, other: "VectorClock") -> Optional[int]:
         """-1 / 0 / +1 for before / equal / after; None when concurrent."""
         if self._counts == other._counts:

@@ -28,14 +28,15 @@ from __future__ import annotations
 
 import json
 from bisect import bisect_left
-from dataclasses import asdict, dataclass, fields as dataclass_fields
+from dataclasses import asdict, dataclass
 from typing import Dict, List, Optional, Tuple
 
-from repro.errors import ValidationError, did_you_mean
+from repro.errors import ValidationError
 from repro.scenario.schema import ScenarioSpec
 from repro.types import ProcessId
 from repro.util.rng import RandomSource
 from repro.util.validation import (
+    check_known_fields,
     check_non_negative,
     check_non_negative_int,
     check_positive_int,
@@ -83,19 +84,9 @@ def decode_workload(payload: Optional[str]) -> Optional[KVWorkloadParams]:
     if payload is None:
         return None
     decoded = json.loads(payload)
-    if not isinstance(decoded, dict):
-        raise ValidationError(
-            f"workload must encode a parameter object, got {payload!r}"
-        )
-    names = tuple(f.name for f in dataclass_fields(KVWorkloadParams))
-    for key in decoded:
-        if key not in names:
-            _, hint = did_you_mean(key, names)
-            raise ValidationError(
-                f"unknown workload parameter {key!r}; "
-                f"supported: {', '.join(names)}{hint}"
-            )
-    return KVWorkloadParams(**decoded)
+    return KVWorkloadParams(
+        **check_known_fields(KVWorkloadParams, decoded, "workload parameter")
+    )
 
 
 @dataclass(frozen=True)

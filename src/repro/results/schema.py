@@ -21,9 +21,7 @@ exactly the table its run printed.
 
 from __future__ import annotations
 
-import csv
 import functools
-import io
 import math
 import os
 import subprocess
@@ -391,18 +389,6 @@ class ResultSet:
             ),
             run_id=payload.get("run_id"),  # type: ignore[arg-type]
         )
-
-    def to_csv(self) -> str:
-        """The rows as CSV text (header + one line per row)."""
-        out = io.StringIO()
-        writer = csv.writer(out, lineterminator="\n")
-        writer.writerow(self.columns)
-        for row in self.rows:
-            writer.writerow(
-                ["" if v is None else v for v in row.values()]
-            )
-        return out.getvalue()
-
 
 # -- diffing --------------------------------------------------------------------------
 

@@ -347,17 +347,6 @@ class ResultStore:
         """The ``count`` most recent runs (optionally of one experiment)."""
         return self.query(experiment=experiment, last=count)
 
-    # -- exporting --------------------------------------------------------------------
-
-    def export_json(self, experiment: Optional[str] = None) -> str:
-        """:func:`results_json` of the matching runs."""
-        return results_json(self.query(experiment=experiment))
-
-    def export_csv(self, experiment: Optional[str] = None) -> str:
-        """:func:`results_csv` of the matching runs."""
-        return results_csv(self.query(experiment=experiment))
-
-
 def results_json(results: List[ResultSet]) -> str:
     """Runs as a JSON array (full records, provenance included)."""
     return json.dumps([r.to_json() for r in results], indent=2, sort_keys=True)

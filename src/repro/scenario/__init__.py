@@ -39,7 +39,6 @@ from repro.scenario.generate import (
 )
 from repro.scenario.registry import (
     build_scenario,
-    describe_scenario,
     promote_scenario,
     promoted_names,
     scenario_names,
@@ -85,7 +84,6 @@ __all__ = [
     "BurstToggle",
     "event_from_json",
     "build_scenario",
-    "describe_scenario",
     "scenario_names",
     "scenario_trials",
     "run_scenario_trial",

@@ -32,7 +32,6 @@ including the minimized timelines.
 
 from __future__ import annotations
 
-import json
 from dataclasses import dataclass, replace
 from typing import Dict, List, Optional, Sequence, Tuple
 
@@ -447,11 +446,3 @@ def hunt(
         executed=campaign.executed,
         cached=campaign.cached,
     )
-
-
-def parse_hunt_json(payload: str) -> Dict[str, object]:
-    """Decode a ``HuntResult.to_json`` payload (for tooling round-trips)."""
-    decoded = json.loads(payload)
-    if not isinstance(decoded, dict) or "finds" not in decoded:
-        raise ValidationError("not a hunt result payload")
-    return decoded

@@ -411,7 +411,3 @@ def build_scenario(
         f"scenarios live under {scenarios_dir()!r}" + hint,
         suggestion=suggestion,
     )
-
-
-def describe_scenario(name: str, scale: Optional[ExperimentScale] = None) -> str:
-    return build_scenario(name, scale).describe()

@@ -43,9 +43,11 @@ from repro.topology.graph import Graph
 from repro.types import Link
 from repro.util.rng import RandomSource
 from repro.util.validation import (
+    check_known_fields,
     check_non_negative,
     check_non_negative_int,
     check_positive,
+    check_positive_int,
     check_probability,
 )
 
@@ -110,6 +112,8 @@ class TopologySpec:
                 f"unknown topology kind {self.kind!r}; "
                 f"choose from {', '.join(self._KINDS)}"
             )
+        for name in ("n", "degree", "clusters"):
+            check_positive_int(getattr(self, name), f"topology {name}")
         if self.n < 2:
             raise ValidationError(f"topology needs n >= 2, got {self.n}")
 
@@ -480,11 +484,16 @@ def event_to_json(event) -> Dict[str, object]:
 
 def event_from_json(payload: Dict[str, object]):
     """Rebuild a timeline event from its :func:`event_to_json` form."""
+    if not isinstance(payload, dict):
+        raise ValidationError(
+            f"expected a JSON object for a timeline event, got {payload!r}"
+        )
     data = dict(payload)
     kind = data.pop("kind", None)
     cls = EVENT_TYPES.get(kind)
     if cls is None:
         raise ValidationError(f"unknown timeline event kind {kind!r}")
+    check_known_fields(cls, data, f"{kind} event field")
     if "links" in data:
         data["links"] = tuple(tuple(pair) for pair in data["links"])
     if "processes" in data:
@@ -599,21 +608,38 @@ class ScenarioSpec:
         }
 
     @classmethod
-    def from_json(cls, payload: Dict[str, object]) -> "ScenarioSpec":
-        return cls(
-            name=str(payload["name"]),
-            description=str(payload["description"]),
-            topology=TopologySpec(**payload["topology"]),
-            environment=EnvironmentSpec(**payload["environment"]),
-            timeline=tuple(
-                event_from_json(e) for e in payload.get("timeline", [])
-            ),
-            workload=WorkloadSpec(**payload["workload"]),
-            duration=float(payload["duration"]),
-            k_target=float(payload["k_target"]),
-            gossip_rounds=int(payload["gossip_rounds"]),
-            reconv_tolerance=float(payload["reconv_tolerance"]),
-        )
+    def from_json(cls, payload: object) -> "ScenarioSpec":
+        data = dict(check_known_fields(cls, payload, "scenario field"))
+        for key, spec in (
+            ("topology", TopologySpec),
+            ("environment", EnvironmentSpec),
+            ("workload", WorkloadSpec),
+        ):
+            if key in data:
+                fields_of = check_known_fields(spec, data[key], f"{key} field")
+                data[key] = spec(**fields_of)
+        timeline = data.get("timeline", [])
+        if not isinstance(timeline, list):
+            raise ValidationError(
+                f"scenario timeline must be a JSON list, got {timeline!r}"
+            )
+        data["timeline"] = tuple(event_from_json(e) for e in timeline)
+        for key, kind in (
+            ("duration", float),
+            ("k_target", float),
+            ("gossip_rounds", int),
+            ("reconv_tolerance", float),
+        ):
+            if key in data:
+                value = data[key]
+                if isinstance(value, bool) or not isinstance(value, (int, float)):
+                    raise ValidationError(
+                        f"scenario {key} must be a number, got {value!r}"
+                    )
+                data[key] = kind(value)
+        data["name"] = str(data["name"])
+        data["description"] = str(data["description"])
+        return cls(**data)
 
     def describe(self) -> str:
         """Multi-line human-readable rendering (``repro scenario describe``)."""

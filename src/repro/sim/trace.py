@@ -184,14 +184,3 @@ class MessageStats:
         out["sent_total"] = self.sent()
         out["delivered_total"] = self.delivered()
         return out
-
-    def reset(self) -> None:
-        """Zero all counters (e.g. after the warm-up/convergence phase)."""
-        for cat in MessageCategory:
-            self._sent[cat] = 0
-            self._delivered[cat] = 0
-        for reason in DropReason:
-            self._dropped[reason] = 0
-        for per_link in self._per_link_sent.values():
-            per_link.clear()
-        self._records.clear()

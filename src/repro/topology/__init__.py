@@ -8,7 +8,7 @@ loss probability to every link (Section 2.1).  This package provides:
 * :mod:`repro.topology.generators` — the topologies of Section 5 (ring,
   k-regular, random tree) plus richer families for examples and ablations.
 * :class:`repro.topology.configuration.Configuration` — the ``C`` tuple.
-* :mod:`repro.topology.paths` — BFS distances and path-reliability tools.
+* :mod:`repro.topology.paths` — BFS hop distances and the diameter.
 """
 
 from repro.topology.configuration import Configuration
@@ -17,7 +17,6 @@ from repro.topology.generators import (
     grid,
     k_regular,
     line,
-    random_connected,
     random_tree,
     ring,
     scale_free,
@@ -30,8 +29,6 @@ from repro.topology.paths import (
     bfs_distances,
     diameter,
     distance_matrix,
-    most_reliable_path,
-    path_delivery_probability,
 )
 
 __all__ = [
@@ -44,13 +41,10 @@ __all__ = [
     "grid",
     "k_regular",
     "random_tree",
-    "random_connected",
     "small_world",
     "scale_free",
     "two_tier",
     "bfs_distances",
     "distance_matrix",
     "diameter",
-    "most_reliable_path",
-    "path_delivery_probability",
 ]

@@ -185,18 +185,6 @@ class Configuration:
             * (1.0 - self.crash_probability(link.v))
         )
 
-    def transmission_failure(self, sender: ProcessId, link: Link) -> float:
-        """``lambda`` for one message from ``sender`` across ``link``:
-        ``1 - (1-P_sender)(1-L)(1-P_receiver)`` (Eq. 3's lambda_j).
-        """
-        link = Link.of(*link)
-        receiver = link.other(sender)
-        return 1.0 - (
-            (1.0 - self.crash_probability(sender))
-            * (1.0 - self.loss_probability(link))
-            * (1.0 - self.crash_probability(receiver))
-        )
-
     # -- derivation ---------------------------------------------------------------
 
     def with_crash(self, updates: Mapping[ProcessId, float]) -> "Configuration":
@@ -209,23 +197,6 @@ class Configuration:
         loss = {Link.of(*raw): value for raw, value in updates.items()}
         loss_vec = _set_loss(self._loss.copy(), self._graph, loss)
         return self._derive(self._crash, loss_vec)
-
-    def for_graph(self, graph: Graph) -> "Configuration":
-        """Re-key this configuration onto another graph over the same
-        processes (links present in both keep their loss; new links get 0).
-
-        Used when deriving the configuration of a spanning subgraph.
-        """
-        if graph.n != self._graph.n:
-            raise ConfigurationError("graphs have different process counts")
-        crash = {p: float(self._crash[p]) for p in graph.processes}
-        loss = {}
-        for link in graph.links:
-            try:
-                loss[link] = self.loss_probability(link)
-            except Exception:
-                loss[link] = 0.0
-        return Configuration(graph, crash=crash, loss=loss)
 
     # -- dunder -------------------------------------------------------------------
 

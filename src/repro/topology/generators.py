@@ -139,35 +139,6 @@ def random_tree(n: int, rng: RandomSource) -> Graph:
     return Graph(n, links)
 
 
-def random_connected(n: int, extra_links: int, rng: RandomSource) -> Graph:
-    """Random connected graph: a random tree plus ``extra_links`` random
-    additional links (Erdős–Rényi-style densification over a spanning tree).
-    """
-    check_positive_int(n, "n")
-    if extra_links < 0:
-        raise ValidationError(f"extra_links must be >= 0, got {extra_links}")
-    base = random_tree(n, rng.child("tree")) if n > 1 else Graph(1, [])
-    existing = set(base.links)
-    max_extra = n * (n - 1) // 2 - len(existing)
-    if extra_links > max_extra:
-        raise ValidationError(
-            f"extra_links={extra_links} exceeds available pairs ({max_extra})"
-        )
-    pick = rng.child("extra")
-    added: List[Link] = []
-    while len(added) < extra_links:
-        u = pick.integer(n)
-        v = pick.integer(n)
-        if u == v:
-            continue
-        link = Link.of(u, v)
-        if link in existing:
-            continue
-        existing.add(link)
-        added.append(link)
-    return base.with_links(added)
-
-
 def small_world(n: int, k: int, beta: float, rng: RandomSource) -> Graph:
     """Watts–Strogatz small world: ``k_regular(n, k)`` with each link
     rewired with probability ``beta`` (kept connected by retrying).
@@ -290,18 +261,3 @@ def two_tier(
     if not graph.is_connected():  # pragma: no cover - construction guarantees it
         raise TopologyError("two_tier produced a disconnected graph")
     return graph, lan_links, wan_links
-
-
-def connectivity_sweep(n: int, max_connectivity: int) -> List[Tuple[int, Graph]]:
-    """The x-axis of Figures 4 and 5: k-neighbour graphs for k = 2,4,..,max.
-
-    Returns ``(connectivity, graph)`` pairs.
-    """
-    check_positive_int(n, "n")
-    check_positive_int(max_connectivity, "max_connectivity")
-    out: List[Tuple[int, Graph]] = []
-    for k in range(2, max_connectivity + 1, 2):
-        if k >= n:
-            break
-        out.append((k, k_regular(n, k)))
-    return out

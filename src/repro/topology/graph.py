@@ -9,10 +9,9 @@ by each process view, not a :class:`Graph`.)
 
 from __future__ import annotations
 
-from typing import Dict, FrozenSet, Iterable, Iterator, List, Sequence, Tuple
+from typing import Dict, FrozenSet, Iterable, Iterator, List, Tuple
 
 from repro.errors import (
-    DisconnectedGraphError,
     TopologyError,
     UnknownLinkError,
     UnknownProcessError,
@@ -118,10 +117,6 @@ class Graph:
         self._check_process(p)
         return [Link.of(p, q) for q in self._neighbors[p]]
 
-    def average_connectivity(self) -> float:
-        """Average number of links per process (the x-axis of Figures 4/5)."""
-        return 2.0 * len(self._links) / self._n
-
     def _check_process(self, p: ProcessId) -> None:
         if not isinstance(p, int) or isinstance(p, bool) or not 0 <= p < self._n:
             raise UnknownProcessError(f"process {p!r} not in graph of size {self._n}")
@@ -144,19 +139,6 @@ class Graph:
                     count += 1
                     stack.append(q)
         return count == self._n
-
-    def require_connected(self) -> "Graph":
-        """Return self, raising if the graph is disconnected."""
-        if not self.is_connected():
-            raise DisconnectedGraphError(
-                f"graph with {self._n} processes and {len(self._links)} links "
-                "is not connected"
-            )
-        return self
-
-    def is_tree(self) -> bool:
-        """Whether the graph is a spanning tree of itself."""
-        return len(self._links) == self._n - 1 and self.is_connected()
 
     def components(self) -> List[FrozenSet[ProcessId]]:
         """Connected components as frozen sets of process ids."""
@@ -183,27 +165,6 @@ class Graph:
     def with_links(self, extra: Iterable[Tuple[ProcessId, ProcessId]]) -> "Graph":
         """A new graph with additional links (same process set)."""
         return Graph(self._n, list(self._links) + list(extra))
-
-    def without_link(self, u: ProcessId, v: ProcessId) -> "Graph":
-        """A new graph with one link removed.
-
-        Raises:
-            UnknownLinkError: if the link is absent.
-        """
-        target = Link.of(u, v)
-        if target not in self._link_index:
-            raise UnknownLinkError(f"link {target} not in graph")
-        return Graph(self._n, [link for link in self._links if link != target])
-
-    def without_process(self, p: ProcessId) -> "Graph":
-        """A new graph with process ``p``'s links removed (id space unchanged).
-
-        The process id space is preserved so configurations stay aligned;
-        the removed process simply becomes isolated.  Useful for simulating
-        permanent departures.
-        """
-        self._check_process(p)
-        return Graph(self._n, [link for link in self._links if p not in (link.u, link.v)])
 
     def subgraph_links(self, keep: Iterable[Link]) -> "Graph":
         """A new graph over the same processes with only ``keep`` links.
@@ -232,17 +193,3 @@ class Graph:
 
     def __repr__(self) -> str:
         return f"Graph(n={self._n}, links={len(self._links)})"
-
-    # -- interop ------------------------------------------------------------------
-
-    def adjacency_lists(self) -> List[List[ProcessId]]:
-        """Mutable copy of the adjacency structure (for external tooling)."""
-        return [list(adj) for adj in self._neighbors]
-
-    @classmethod
-    def from_adjacency(cls, adjacency: Sequence[Sequence[ProcessId]]) -> "Graph":
-        """Build a graph from adjacency lists (symmetry not required)."""
-        links = [
-            (u, v) for u, adj in enumerate(adjacency) for v in adj if u < v or v < u
-        ]
-        return cls(len(adjacency), links)

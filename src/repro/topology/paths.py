@@ -1,22 +1,18 @@
-"""Path and distance computations over topologies.
+"""Hop distances over topologies.
 
 The adaptive protocol's distortion factors are lower-bounded by network
-distance (Section 4.2), and the most-reliable-path computation underlies
-both the motivating example of the introduction and several tests that
-cross-check the Maximum Reliability Tree.
+distance (Section 4.2): ``bfs_distances`` gives one process's hop
+distances, ``distance_matrix`` all pairs, and ``diameter`` the largest.
 """
 
 from __future__ import annotations
 
-import math
 from collections import deque
-from typing import Dict, List, Optional, Tuple
+from typing import List
 
 from repro.errors import DisconnectedGraphError, UnknownProcessError
-from repro.topology.configuration import Configuration
 from repro.topology.graph import Graph
-from repro.types import Link, ProcessId
-from repro.util.heap import AddressableHeap
+from repro.types import ProcessId
 
 UNREACHABLE = -1
 """Distance marker for unreachable processes."""
@@ -56,118 +52,3 @@ def diameter(graph: Graph) -> int:
                 raise DisconnectedGraphError("diameter of a disconnected graph")
             best = max(best, d)
     return best
-
-
-def average_path_length(graph: Graph) -> float:
-    """Mean hop distance over ordered pairs of distinct processes."""
-    if graph.n < 2:
-        return 0.0
-    total = 0
-    pairs = 0
-    for row in distance_matrix(graph):
-        for d in row:
-            if d == UNREACHABLE:
-                raise DisconnectedGraphError("path length of a disconnected graph")
-            total += d
-        pairs += graph.n - 1
-    return total / pairs
-
-
-def path_delivery_probability(
-    config: Configuration, path: List[ProcessId]
-) -> float:
-    """Probability a single message survives a multi-hop path.
-
-    The message must survive every hop: for hop ``u -> v`` the success
-    probability is ``(1-P_u)(1-L_uv)(1-P_v)``; intermediate processes are
-    counted once per incident hop, matching the per-step crash semantics of
-    the paper (receiving and forwarding are distinct steps).
-    """
-    if len(path) < 2:
-        return 1.0
-    prob = 1.0
-    for u, v in zip(path, path[1:]):
-        link = Link.of(u, v)
-        prob *= config.link_weight(link)
-    return prob
-
-
-def most_reliable_path(
-    config: Configuration, source: ProcessId, target: ProcessId
-) -> Tuple[List[ProcessId], float]:
-    """Single most reliable path between two processes.
-
-    Runs Dijkstra over ``-log(weight)`` edge lengths, where the edge weight
-    is the per-hop success probability ``(1-P_u)(1-L)(1-P_v)``.
-
-    Returns:
-        ``(path, probability)`` — the hop sequence and its single-message
-        delivery probability.
-
-    Raises:
-        DisconnectedGraphError: if no path with positive probability exists.
-    """
-    graph = config.graph
-    if not 0 <= source < graph.n:
-        raise UnknownProcessError(f"process {source} not in graph")
-    if not 0 <= target < graph.n:
-        raise UnknownProcessError(f"process {target} not in graph")
-    if source == target:
-        return [source], 1.0
-
-    dist: Dict[ProcessId, float] = {source: 0.0}
-    parent: Dict[ProcessId, ProcessId] = {}
-    heap: AddressableHeap[ProcessId] = AddressableHeap()
-    heap.push(source, 0.0)
-    visited = set()
-    while heap:
-        p, d = heap.pop()
-        if p in visited:
-            continue
-        visited.add(p)
-        if p == target:
-            break
-        for q in graph.neighbors(p):
-            if q in visited:
-                continue
-            weight = config.link_weight(Link.of(p, q))
-            if weight <= 0.0:
-                continue  # unusable hop
-            nd = d - math.log(weight)
-            if q not in dist or nd < dist[q]:
-                dist[q] = nd
-                parent[q] = p
-                heap.push_or_update(q, nd)
-    if target not in visited:
-        raise DisconnectedGraphError(
-            f"no usable path from {source} to {target}"
-        )
-    path = [target]
-    while path[-1] != source:
-        path.append(parent[path[-1]])
-    path.reverse()
-    return path, math.exp(-dist[target])
-
-
-def eccentricity(graph: Graph, p: ProcessId) -> int:
-    """Largest hop distance from ``p`` to any process."""
-    dists = bfs_distances(graph, p)
-    worst = 0
-    for d in dists:
-        if d == UNREACHABLE:
-            raise DisconnectedGraphError("eccentricity in a disconnected graph")
-        worst = max(worst, d)
-    return worst
-
-
-def graph_center(graph: Graph) -> ProcessId:
-    """A process with minimal eccentricity (ties broken by lowest id)."""
-    best_p: Optional[ProcessId] = None
-    best_e = math.inf
-    for p in graph.processes:
-        e = eccentricity(graph, p)
-        if e < best_e:
-            best_e = e
-            best_p = p
-    assert best_p is not None
-    return best_p

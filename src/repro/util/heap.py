@@ -3,9 +3,9 @@
 :class:`AddressableHeap` is a small, dependency-free min-heap keyed by
 arbitrary hashable items supporting ``decrease``/``update`` in O(log n).
 Used by the modified Prim's algorithm that builds the Maximum Reliability
-Tree (Appendix B of the paper), by Dijkstra-style path computations and
-by the greedy ``optimize()`` (Algorithm 2), which repeatedly extracts the
-link with the maximum reliability gain (a negated priority).
+Tree (Appendix B of the paper) and by the greedy ``optimize()``
+(Algorithm 2), which repeatedly extracts the link with the maximum
+reliability gain (a negated priority).
 
 The simulation event queue uses :mod:`heapq` directly (it never needs
 re-prioritisation); this class exists for algorithms that do.
@@ -80,13 +80,6 @@ class AddressableHeap(Generic[ItemT]):
         else:
             self._sift_down(pos)
 
-    def push_or_update(self, item: ItemT, priority: float) -> None:
-        """Insert ``item`` or update its priority if already present."""
-        if item in self._index:
-            self.update(item, priority)
-        else:
-            self.push(item, priority)
-
     def peek(self) -> Tuple[ItemT, float]:
         """Return (item, priority) with the minimum priority without removing it."""
         if not self._entries:
@@ -99,29 +92,13 @@ class AddressableHeap(Generic[ItemT]):
         if not self._entries:
             raise IndexError("pop from an empty heap")
         priority, item = self._entries[0]
-        self._remove_at(0)
-        return item, priority
-
-    def remove(self, item: ItemT) -> None:
-        """Remove an arbitrary item from the heap."""
-        self._remove_at(self._index[item])
-
-    def _remove_at(self, pos: int) -> None:
-        last = len(self._entries) - 1
-        _, item = self._entries[pos]
         del self._index[item]
-        if pos != last:
-            moved = self._entries[last]
-            self._entries[pos] = moved
-            self._index[moved[1]] = pos
-            self._entries.pop()
-            parent = (pos - 1) >> 1
-            if pos > 0 and moved[0] < self._entries[parent][0]:
-                self._sift_up(pos)
-            else:
-                self._sift_down(pos)
-        else:
-            self._entries.pop()
+        last = self._entries.pop()
+        if self._entries:
+            self._entries[0] = last
+            self._index[last[1]] = 0
+            self._sift_down(0)
+        return item, priority
 
     def _sift_up(self, pos: int) -> None:
         entry = self._entries[pos]

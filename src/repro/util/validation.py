@@ -9,9 +9,10 @@ names the offending parameter, so call sites stay one-liners::
 from __future__ import annotations
 
 import math
-from typing import Iterable
+from dataclasses import MISSING, fields
+from typing import Any, Dict
 
-from repro.errors import ValidationError
+from repro.errors import ValidationError, did_you_mean
 
 
 def check_probability(value: float, name: str) -> float:
@@ -67,13 +68,31 @@ def check_non_negative_int(value: int, name: str) -> int:
     return value
 
 
-def check_in_range(value: float, lo: float, hi: float, name: str) -> float:
-    """Validate ``lo <= value <= hi``."""
-    if isinstance(value, bool) or not isinstance(value, (int, float)):
-        raise ValidationError(f"{name} must be a number, got {type(value).__name__}")
-    if math.isnan(value) or not lo <= value <= hi:
-        raise ValidationError(f"{name} must be in [{lo}, {hi}], got {value!r}")
-    return float(value)
+def check_known_fields(cls, payload: object, what: str) -> Dict[str, Any]:
+    """Validate a JSON object against the fields of dataclass ``cls``.
+
+    ``payload`` must be a dict whose keys all name fields of ``cls`` and
+    which holds every field that has no default; an unknown key is
+    rejected with the supported names and the closest one, a missing one
+    by name, so ``cls(**payload)`` never fails on the key set.  Returns
+    ``payload``.
+    """
+    if not isinstance(payload, dict):
+        raise ValidationError(
+            f"expected a JSON object of {cls.__name__} fields, got {payload!r}"
+        )
+    names = tuple(f.name for f in fields(cls))
+    for key in payload:
+        if key not in names:
+            _, hint = did_you_mean(str(key), names)
+            raise ValidationError(
+                f"unknown {what} {key!r}; supported: {', '.join(names)}{hint}"
+            )
+    for f in fields(cls):
+        required = f.default is MISSING and f.default_factory is MISSING
+        if required and f.init and f.name not in payload:
+            raise ValidationError(f"missing {what} {f.name!r}")
+    return payload
 
 
 def unwrap_optional(hint):
@@ -138,13 +157,3 @@ def coerce_scalar(label: str, hint, value):
     if base is str:
         return str(value)
     return value
-
-
-def check_not_empty(items: Iterable, name: str) -> None:
-    """Validate that a sized container has at least one element."""
-    try:
-        size = len(items)  # type: ignore[arg-type]
-    except TypeError as exc:
-        raise ValidationError(f"{name} must be a sized container") from exc
-    if size == 0:
-        raise ValidationError(f"{name} must not be empty")

@@ -1,19 +1,24 @@
-"""Brute-force reference for the greedy ``optimize()`` (Theorem 2).
+"""Reference optimizers for the greedy ``optimize()`` (Theorem 2).
 
-Appendix D proves the greedy choice optimal.  This exhaustive optimizer
-is the oracle the tests hold :func:`repro.core.optimize.optimize`
-against on small trees; it is exponential in the number of tree links.
+Appendix D proves the greedy choice optimal.  The exhaustive
+:func:`optimize_bruteforce` is the oracle the tests hold
+:func:`repro.core.optimize.optimize` against on small trees; it is
+exponential in the number of tree links.  :func:`optimize_for_budget`
+is the greedy for the dual problem (Lemma 3): the largest reach for a
+message budget.
 """
 
 from __future__ import annotations
 
 import itertools
-from typing import Optional, Tuple
+from typing import Dict, Optional, Tuple
 
-from repro.core.optimize import OptimizeResult
+from repro.core.optimize import OptimizeResult, gain
 from repro.core.reach import reach
 from repro.core.tree import ReliabilityView, SpanningTree
 from repro.errors import UnreachableTargetError, ValidationError
+from repro.types import ProcessId
+from repro.util.heap import AddressableHeap
 from repro.util.validation import check_open_probability
 
 
@@ -59,4 +64,47 @@ def optimize_bruteforce(
         achieved=achieved,
         total_messages=total,
         increments=total - len(nodes),
+    )
+
+
+def optimize_for_budget(
+    tree: SpanningTree,
+    budget: int,
+    view: ReliabilityView,
+) -> OptimizeResult:
+    """The dual problem of Eq. 5: maximise reach subject to ``sum(m) <= M``.
+
+    Runs the same greedy with the stop condition swapped (footnote 3 of
+    Appendix D).  The oracle of the equivalence tests for Lemma 3.
+
+    Raises:
+        ValidationError: if ``budget`` cannot cover the minimal vector.
+    """
+    nodes = tree.non_root_nodes
+    if budget < len(nodes):
+        raise ValidationError(
+            f"budget {budget} below the minimal vector size {len(nodes)}"
+        )
+    lambdas = tree.lambdas(view)
+    counts: Dict[ProcessId, int] = {j: 1 for j in nodes}
+    heap: AddressableHeap[ProcessId] = AddressableHeap()
+    for j in nodes:
+        g = gain(lambdas[j], 1)
+        if g > 1.0:
+            heap.push(j, (-g, j))  # type: ignore[arg-type]
+    total = len(nodes)
+    increments = 0
+    while total < budget and heap:
+        j, _ = heap.pop()
+        counts[j] += 1
+        total += 1
+        increments += 1
+        g_next = gain(lambdas[j], counts[j])
+        if g_next > 1.0:
+            heap.push(j, (-g_next, j))  # type: ignore[arg-type]
+    return OptimizeResult(
+        counts=counts,
+        achieved=reach(tree, counts, view),
+        total_messages=total,
+        increments=increments,
     )

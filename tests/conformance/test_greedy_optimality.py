@@ -19,9 +19,9 @@ import pytest
 from repro.core.mrt import maximum_reliability_tree
 from repro.core.optimize import optimize
 from repro.topology.configuration import Configuration
-from repro.topology.generators import random_connected
 from repro.topology.graph import Graph
 from repro.util.rng import RandomSource
+from tests.conformance.reference.graphs import random_connected
 from tests.conformance.reference.optimize import optimize_bruteforce
 
 #: Reliability targets, cycled over the graphs.

@@ -4,7 +4,6 @@ import pytest
 
 from repro.errors import ConfigurationError, ValidationError
 from repro.topology.configuration import Configuration
-from repro.topology.generators import ring
 from repro.topology.graph import Graph
 from repro.types import Link
 from repro.util.rng import RandomSource
@@ -98,16 +97,6 @@ class TestDerivedQuantities:
         expected = (1 - 0.0) * (1 - 0.01) * (1 - 0.01)
         assert small_config.link_weight(link) == pytest.approx(expected)
 
-    def test_transmission_failure_direction(self, small_config):
-        link = Link.of(1, 2)
-        # same link, either sender: loss and both endpoint crashes are
-        # involved symmetrically in this model
-        from_1 = small_config.transmission_failure(1, link)
-        from_2 = small_config.transmission_failure(2, link)
-        expected = 1 - (1 - 0.01) * (1 - 0.10) * (1 - 0.02)
-        assert from_1 == pytest.approx(expected)
-        assert from_2 == pytest.approx(expected)
-
     def test_out_of_graph_queries(self, small_config):
         with pytest.raises(ConfigurationError):
             small_config.crash_probability(42)
@@ -186,18 +175,6 @@ class TestDerivation:
             else:
                 small_config.with_loss(loss)
         assert str(derived.value) == str(rebuilt.value)
-
-    def test_for_graph_subset(self, small_graph, small_config):
-        sub = small_graph.subgraph_links(
-            [Link.of(0, 1), Link.of(1, 2), Link.of(2, 3), Link.of(3, 4), Link.of(4, 5)]
-        )
-        derived = small_config.for_graph(sub)
-        assert derived.loss_probability(Link.of(1, 2)) == 0.10
-        assert derived.crash_probability(4) == 0.05
-
-    def test_for_graph_size_mismatch(self, small_config):
-        with pytest.raises(ConfigurationError):
-            small_config.for_graph(ring(5))
 
     def test_equality(self, small_graph):
         a = Configuration.uniform(small_graph, crash=0.1)

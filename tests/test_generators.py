@@ -6,11 +6,9 @@ from hypothesis import given, settings, strategies as st
 from repro.errors import ValidationError
 from repro.topology.generators import (
     clique,
-    connectivity_sweep,
     grid,
     k_regular,
     line,
-    random_connected,
     random_tree,
     ring,
     scale_free,
@@ -19,6 +17,7 @@ from repro.topology.generators import (
     two_tier,
 )
 from repro.util.rng import RandomSource
+from tests.conformance.reference.graphs import random_connected
 
 
 class TestRing:
@@ -81,7 +80,7 @@ class TestKRegular:
         g = k_regular(12, k)
         assert all(g.degree(p) == k for p in g.processes)
         assert g.is_connected()
-        assert g.average_connectivity() == pytest.approx(k)
+        assert 2 * g.link_count / g.n == pytest.approx(k)
 
     def test_odd_k_rejected(self):
         with pytest.raises(ValidationError):
@@ -96,7 +95,7 @@ class TestRandomTree:
     def test_is_tree(self, rng):
         for n in (2, 3, 10, 40):
             g = random_tree(n, rng.child(n))
-            assert g.is_tree()
+            assert g.link_count == n - 1 and g.is_connected()
 
     def test_deterministic_per_seed(self):
         a = random_tree(20, RandomSource(5))
@@ -172,15 +171,3 @@ class TestTwoTier:
     def test_thick_backbone(self, rng):
         g, lan, wan = two_tier(6, 2, rng=rng, backbone_degree=3)
         assert len(wan) > 6
-
-
-class TestConnectivitySweep:
-    def test_even_axis(self):
-        points = connectivity_sweep(20, 8)
-        assert [k for k, _ in points] == [2, 4, 6, 8]
-        for k, g in points:
-            assert g.average_connectivity() == pytest.approx(k)
-
-    def test_caps_below_n(self):
-        points = connectivity_sweep(6, 10)
-        assert [k for k, _ in points] == [2, 4]

@@ -4,7 +4,6 @@ import pytest
 from hypothesis import given, strategies as st
 
 from repro.errors import (
-    DisconnectedGraphError,
     TopologyError,
     UnknownLinkError,
     UnknownProcessError,
@@ -78,8 +77,6 @@ class TestGraphQueries:
     def test_degree_and_connectivity(self, small_graph):
         assert small_graph.degree(0) == 3
         assert small_graph.degree(5) == 1
-        expected = 2 * small_graph.link_count / small_graph.n
-        assert small_graph.average_connectivity() == expected
 
     def test_incident_links(self, small_graph):
         incident = small_graph.incident_links(4)
@@ -93,20 +90,12 @@ class TestGraphQueries:
 
     def test_connectivity(self, small_graph):
         assert small_graph.is_connected()
-        assert small_graph.require_connected() is small_graph
 
     def test_disconnected(self):
         g = Graph(4, [(0, 1)])
         assert not g.is_connected()
-        with pytest.raises(DisconnectedGraphError):
-            g.require_connected()
         comps = {frozenset(c) for c in g.components()}
         assert comps == {frozenset({0, 1}), frozenset({2}), frozenset({3})}
-
-    def test_is_tree(self):
-        assert Graph(3, [(0, 1), (1, 2)]).is_tree()
-        assert not Graph(3, [(0, 1), (1, 2), (0, 2)]).is_tree()
-        assert not Graph(4, [(0, 1), (2, 3)]).is_tree()
 
     def test_single_process_graph(self):
         g = Graph(1, [])
@@ -121,28 +110,12 @@ class TestGraphDerivation:
         assert g2.link_count == small_graph.link_count + 1
         assert not small_graph.has_link(1, 5)  # original immutable
 
-    def test_without_link(self, small_graph):
-        g2 = small_graph.without_link(0, 1)
-        assert not g2.has_link(0, 1)
-        with pytest.raises(UnknownLinkError):
-            small_graph.without_link(0, 5)
-
-    def test_without_process(self, small_graph):
-        g2 = small_graph.without_process(4)
-        assert g2.degree(4) == 0
-        assert g2.n == small_graph.n
-
     def test_subgraph_links(self, small_graph):
         keep = [Link.of(0, 1), Link.of(1, 2)]
         sub = small_graph.subgraph_links(keep)
         assert sub.link_count == 2
         with pytest.raises(TopologyError):
             small_graph.subgraph_links([Link.of(0, 5)])
-
-    def test_adjacency_roundtrip(self, small_graph):
-        adj = small_graph.adjacency_lists()
-        rebuilt = Graph.from_adjacency(adj)
-        assert rebuilt == small_graph
 
     def test_equality_and_hash(self):
         a = Graph(3, [(0, 1), (1, 2)])

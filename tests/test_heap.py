@@ -51,11 +51,18 @@ class TestAddressableHeap:
         assert heap.pop() == ("b", 2.0)
         assert heap.pop() == ("a", 3.0)
 
-    def test_push_or_update(self):
+    def test_iter_yields_every_item(self):
         heap = AddressableHeap()
-        heap.push_or_update("a", 2.0)
-        heap.push_or_update("a", 1.0)
-        assert len(heap) == 1
+        for i, p in enumerate([4.0, 1.0, 3.0, 2.0]):
+            heap.push(i, p)
+        heap.pop()
+        assert sorted(heap) == [0, 2, 3]
+
+    def test_update_unknown_item_raises(self):
+        heap = AddressableHeap()
+        heap.push("a", 1.0)
+        with pytest.raises(KeyError):
+            heap.update("zzz", 0.0)
         assert heap.pop() == ("a", 1.0)
 
     def test_priority_lookup(self):
@@ -77,14 +84,6 @@ class TestAddressableHeap:
             heap.peek()
         with pytest.raises(IndexError):
             heap.pop()
-
-    def test_remove_middle_item(self):
-        heap = AddressableHeap()
-        for i, p in enumerate([5.0, 3.0, 8.0, 1.0, 9.0]):
-            heap.push(i, p)
-        heap.remove(0)  # priority 5.0
-        out = [heap.pop() for _ in range(len(heap))]
-        assert [p for _, p in out] == [1.0, 3.0, 8.0, 9.0]
 
     def test_tuple_priorities(self):
         heap = AddressableHeap()
@@ -113,7 +112,10 @@ class TestAddressableHeap:
         heap = AddressableHeap()
         reference = {}
         for item, priority in ops:
-            heap.push_or_update(item, priority)
+            if item in heap:
+                heap.update(item, priority)
+            else:
+                heap.push(item, priority)
             reference[item] = priority
         out = []
         while heap:

@@ -154,9 +154,3 @@ class TestMessageStats:
             )
         ]
 
-    def test_reset(self):
-        stats = MessageStats()
-        stats.record(0.0, 0, 1, MessageCategory.DATA, True)
-        stats.reset()
-        assert stats.sent() == 0
-        assert stats.per_link_sent() == {}

@@ -7,14 +7,14 @@ from repro.errors import DisconnectedGraphError, UnknownProcessError
 from repro.core.mrt import (
     link_weight,
     maximum_reliability_tree,
-    mrt_weight_product,
     reachable_processes,
 )
 from repro.topology.configuration import Configuration
-from repro.topology.generators import clique, k_regular, random_connected, ring
+from repro.topology.generators import clique, k_regular, ring
 from repro.topology.graph import Graph
 from repro.types import Link
 from repro.util.rng import RandomSource
+from tests.conformance.reference.graphs import random_connected
 from tests.conformance.reference.optimality import (
     is_maximum_spanning_tree,
     kruskal_maximum_spanning_weight,
@@ -45,6 +45,20 @@ class TestBasicStructure:
         c = Configuration(g, loss={(0, 1): 0.5, (1, 2): 0.01, (0, 2): 0.01})
         tree = maximum_reliability_tree(g, c, root=0)
         assert Link.of(0, 1) not in tree.links()
+
+    def test_keeps_direct_link_when_most_reliable(self):
+        g = clique(3)
+        c = Configuration(g, loss={(0, 2): 0.01, (0, 1): 0.3, (1, 2): 0.3})
+        tree = maximum_reliability_tree(g, c, root=0)
+        assert tree.parent(2) == 0
+        assert Link.of(0, 2) in tree.links()
+
+    def test_never_uses_a_link_that_always_loses(self):
+        g = clique(3)
+        c = Configuration(g, loss={(0, 2): 1.0, (0, 1): 0.2, (1, 2): 0.2})
+        tree = maximum_reliability_tree(g, c, root=0)
+        assert Link.of(0, 2) not in tree.links()
+        assert tree.parent(2) == 1
 
     def test_crash_probability_influences_tree(self):
         """A flaky relay makes its links unattractive."""
@@ -108,10 +122,6 @@ class TestMaximality:
         assert tree_log_weight(tree, c) == pytest.approx(
             kruskal_maximum_spanning_weight(g, c), abs=1e-9
         )
-
-    def test_weight_product_positive(self, small_graph, small_config):
-        tree = maximum_reliability_tree(small_graph, small_config, root=0)
-        assert 0.0 < mrt_weight_product(tree, small_config) <= 1.0
 
 
 class TestRestrictTo:

@@ -8,8 +8,9 @@ from repro.analysis.optimality import verify_adaptiveness
 from repro.core.mrt import link_weight, maximum_reliability_tree
 from repro.core.tree import SpanningTree
 from repro.topology.configuration import Configuration
-from repro.topology.generators import clique, random_connected, ring
+from repro.topology.generators import clique, ring
 from repro.types import Link
+from tests.conformance.reference.graphs import random_connected
 from tests.conformance.reference.optimality import (
     edge_dominance_bijection,
     is_maximum_spanning_tree,

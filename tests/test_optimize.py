@@ -4,17 +4,16 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from repro.errors import UnreachableTargetError, ValidationError
-from repro.core.optimize import (
-    gain,
-    optimize,
-    optimize_for_budget,
-)
+from repro.core.optimize import gain, optimize
 from repro.core.reach import reach
 from repro.core.tree import SpanningTree
 from repro.topology.configuration import Configuration
 from repro.topology.generators import line, random_tree, star
 from repro.util.rng import RandomSource
-from tests.conformance.reference.optimize import optimize_bruteforce
+from tests.conformance.reference.optimize import (
+    optimize_bruteforce,
+    optimize_for_budget,
+)
 
 
 def chain_tree(n):

@@ -1,24 +1,17 @@
-"""Unit tests for path/distance computations."""
+"""Unit tests for hop-distance computations."""
 
 
 import pytest
 
 from repro.errors import DisconnectedGraphError, UnknownProcessError
-from repro.topology.configuration import Configuration
-from repro.topology.generators import clique, line, ring
+from repro.topology.generators import clique, line, ring, star
 from repro.topology.graph import Graph
 from repro.topology.paths import (
     UNREACHABLE,
-    average_path_length,
     bfs_distances,
     diameter,
     distance_matrix,
-    eccentricity,
-    graph_center,
-    most_reliable_path,
-    path_delivery_probability,
 )
-from repro.types import Link
 
 
 class TestBfsDistances:
@@ -41,6 +34,20 @@ class TestDiameterAndFriends:
         assert diameter(ring(8)) == 4
         assert diameter(ring(9)) == 4
 
+    def test_line_diameter(self):
+        assert diameter(line(5)) == 4
+
+    def test_star_diameter(self):
+        assert diameter(star(6)) == 2
+
+    def test_single_process_diameter(self):
+        assert diameter(Graph(1, [])) == 0
+
+    def test_distance_matrix_rows_are_bfs(self, small_graph):
+        matrix = distance_matrix(small_graph)
+        for p in small_graph.processes:
+            assert matrix[p] == bfs_distances(small_graph, p)
+
     def test_clique_diameter(self):
         assert diameter(clique(6)) == 1
 
@@ -48,18 +55,6 @@ class TestDiameterAndFriends:
         g = Graph(3, [(0, 1)])
         with pytest.raises(DisconnectedGraphError):
             diameter(g)
-        with pytest.raises(DisconnectedGraphError):
-            average_path_length(g)
-
-    def test_average_path_length_line(self):
-        # line(3): distances 0-1:1, 0-2:2, 1-2:1 → mean over ordered pairs
-        assert average_path_length(line(3)) == pytest.approx((1 + 2 + 1 + 1 + 2 + 1) / 6)
-
-    def test_eccentricity_and_center(self):
-        g = line(5)
-        assert eccentricity(g, 0) == 4
-        assert eccentricity(g, 2) == 2
-        assert graph_center(g) == 2
 
     def test_distance_matrix_symmetry(self, small_graph):
         matrix = distance_matrix(small_graph)
@@ -67,72 +62,3 @@ class TestDiameterAndFriends:
             for j in small_graph.processes:
                 assert matrix[i][j] == matrix[j][i]
             assert matrix[i][i] == 0
-
-
-class TestPathDeliveryProbability:
-    def test_trivial_path(self, small_config):
-        assert path_delivery_probability(small_config, [0]) == 1.0
-        assert path_delivery_probability(small_config, []) == 1.0
-
-    def test_single_hop(self, small_config):
-        prob = path_delivery_probability(small_config, [0, 1])
-        assert prob == pytest.approx(small_config.link_weight(Link.of(0, 1)))
-
-    def test_multi_hop_product(self, small_config):
-        prob = path_delivery_probability(small_config, [0, 1, 2])
-        expected = small_config.link_weight(Link.of(0, 1)) * small_config.link_weight(
-            Link.of(1, 2)
-        )
-        assert prob == pytest.approx(expected)
-
-
-class TestMostReliablePath:
-    def test_prefers_reliable_detour(self):
-        """Two-path topology: direct lossy link vs reliable 2-hop path."""
-        g = Graph(3, [(0, 2), (0, 1), (1, 2)])
-        c = Configuration(
-            g,
-            loss={(0, 2): 0.5, (0, 1): 0.01, (1, 2): 0.01},
-        )
-        path, prob = most_reliable_path(c, 0, 2)
-        assert path == [0, 1, 2]
-        assert prob == pytest.approx(0.99 * 0.99)
-
-    def test_direct_when_better(self):
-        g = Graph(3, [(0, 2), (0, 1), (1, 2)])
-        c = Configuration(g, loss={(0, 2): 0.01, (0, 1): 0.3, (1, 2): 0.3})
-        path, prob = most_reliable_path(c, 0, 2)
-        assert path == [0, 2]
-        assert prob == pytest.approx(0.99)
-
-    def test_same_process(self, small_config):
-        assert most_reliable_path(small_config, 3, 3) == ([3], 1.0)
-
-    def test_crash_probabilities_matter(self):
-        """A perfectly reliable link through a flaky relay should lose."""
-        g = Graph(4, [(0, 1), (1, 3), (0, 2), (2, 3)])
-        c = Configuration(
-            g,
-            crash={1: 0.5, 2: 0.0},
-            loss={(0, 1): 0.0, (1, 3): 0.0, (0, 2): 0.05, (2, 3): 0.05},
-        )
-        path, _ = most_reliable_path(c, 0, 3)
-        assert path == [0, 2, 3]
-
-    def test_unusable_link_avoided(self):
-        g = Graph(3, [(0, 2), (0, 1), (1, 2)])
-        c = Configuration(g, loss={(0, 2): 1.0, (0, 1): 0.2, (1, 2): 0.2})
-        path, prob = most_reliable_path(c, 0, 2)
-        assert path == [0, 1, 2]
-
-    def test_disconnected(self):
-        g = Graph(3, [(0, 1)])
-        c = Configuration.reliable(g)
-        with pytest.raises(DisconnectedGraphError):
-            most_reliable_path(c, 0, 2)
-
-    def test_reported_probability_matches_path(self, small_config):
-        path, prob = most_reliable_path(small_config, 0, 5)
-        assert prob == pytest.approx(
-            path_delivery_probability(small_config, path)
-        )

@@ -7,11 +7,12 @@ from hypothesis import HealthCheck, given, settings, strategies as st
 
 from repro.core.bayesian import BeliefEstimator
 from repro.core.mrt import maximum_reliability_tree
-from repro.core.optimize import gain, optimize, optimize_for_budget
+from repro.core.optimize import gain, optimize
 from repro.core.reach import reach
 from repro.topology.configuration import Configuration
-from repro.topology.generators import random_connected
 from repro.util.rng import RandomSource
+from tests.conformance.reference.graphs import random_connected
+from tests.conformance.reference.optimize import optimize_for_budget
 from tests.conformance.reference.unionfind import UnionFind
 
 

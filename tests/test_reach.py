@@ -6,18 +6,12 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from repro.errors import ValidationError
-from repro.core.reach import (
-    log_reach,
-    minimal_counts,
-    node_reach_probability,
-    reach,
-    reach_recursive,
-    transmission_lambda,
-)
+from repro.core.reach import log_reach, reach
 from repro.core.tree import SpanningTree
 from repro.topology.configuration import Configuration
 from repro.topology.generators import line, random_tree, star
 from repro.util.rng import RandomSource
+from tests.conformance.reference.reach import reach_recursive
 
 
 @pytest.fixture
@@ -33,23 +27,25 @@ def chain_tree():
     return SpanningTree(0, {1: 0, 2: 1})
 
 
-class TestTransmissionLambda:
-    def test_formula(self, chain_config):
-        lam = transmission_lambda(chain_config, 0, 1)
-        assert lam == pytest.approx(1 - 1.0 * 0.8 * 0.9)
-
-    def test_symmetric_in_this_model(self, chain_config):
-        assert transmission_lambda(chain_config, 0, 1) == pytest.approx(
-            transmission_lambda(chain_config, 1, 0)
-        )
-
-
 class TestReach:
     def test_single_copy(self, chain_tree, chain_config):
-        lam1 = transmission_lambda(chain_config, 0, 1)
-        lam2 = transmission_lambda(chain_config, 1, 2)
-        expected = (1 - lam1) * (1 - lam2)
+        lambdas = chain_tree.lambdas(chain_config)
+        expected = (1 - lambdas[1]) * (1 - lambdas[2])
         assert reach(chain_tree, {1: 1, 2: 1}, chain_config) == pytest.approx(expected)
+
+    def test_lambda_is_one_minus_hop_success(self, chain_tree, chain_config):
+        # lambda_j = 1 - (1-P_parent)(1-L)(1-P_j); link 0-1: P_0=0, L=0.2, P_1=0.1
+        lambdas = chain_tree.lambdas(chain_config)
+        assert lambdas[1] == pytest.approx(1 - 1.0 * 0.8 * 0.9)
+        assert lambdas[2] == pytest.approx(1 - 0.9 * 0.7 * 1.0)
+
+    def test_copies_compound_per_link(self, chain_tree, chain_config):
+        """Eq. 2 on a chain: each link fails only if all m_j copies fail."""
+        lambdas = chain_tree.lambdas(chain_config)
+        expected = (1 - lambdas[1] ** 2) * (1 - lambdas[2])
+        assert reach(chain_tree, {1: 2, 2: 1}, chain_config) == pytest.approx(
+            expected
+        )
 
     def test_more_copies_help(self, chain_tree, chain_config):
         r1 = reach(chain_tree, {1: 1, 2: 1}, chain_config)
@@ -132,29 +128,3 @@ class TestLogReach:
         g = line(3)
         c = Configuration(g, loss={(0, 1): 1.0, (1, 2): 0.0})
         assert log_reach(chain_tree, {1: 1, 2: 1}, c) == -math.inf
-
-
-class TestNodeReachProbability:
-    def test_root_is_certain(self, chain_tree, chain_config):
-        assert node_reach_probability(chain_tree, {1: 1, 2: 1}, chain_config, 0) == 1.0
-
-    def test_path_product(self, chain_tree, chain_config):
-        counts = {1: 2, 2: 1}
-        lam1 = transmission_lambda(chain_config, 0, 1)
-        lam2 = transmission_lambda(chain_config, 1, 2)
-        expected = (1 - lam1**2) * (1 - lam2)
-        assert node_reach_probability(
-            chain_tree, counts, chain_config, 2
-        ) == pytest.approx(expected)
-
-    def test_reach_is_product_over_leaves_in_chain(self, chain_tree, chain_config):
-        """In a chain, reach == deepest node's reach probability."""
-        counts = {1: 2, 2: 3}
-        assert reach(chain_tree, counts, chain_config) == pytest.approx(
-            node_reach_probability(chain_tree, counts, chain_config, 2)
-        )
-
-
-class TestMinimalCounts:
-    def test_all_ones(self, chain_tree):
-        assert minimal_counts(chain_tree) == {1: 1, 2: 1}

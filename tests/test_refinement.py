@@ -98,7 +98,8 @@ class TestAccuracy:
         fixed = BeliefEstimator(8)
         fixed.observe(successes=n - failures, failures=failures)
         fixed_width = 1.0 / 8
-        assert refined.resolution_at_map() < fixed_width / 4
+        lo, hi = refined.map_bounds()
+        assert hi - lo < fixed_width / 4
 
     def test_comparable_to_u100_with_fewer_intervals(self):
         """Streamed observations (the protocol's reality: one per

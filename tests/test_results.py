@@ -21,7 +21,12 @@ from repro.results.schema import (
     _git_describe,
     diff_result_sets,
 )
-from repro.results.store import ResultStore, default_store_path
+from repro.results.store import (
+    ResultStore,
+    default_store_path,
+    results_csv,
+    results_json,
+)
 from repro.util.tables import render_table
 
 
@@ -88,13 +93,6 @@ class TestResultSet:
     def test_non_scalar_cell_rejected(self):
         with pytest.raises(ValidationError, match="cells must be"):
             ResultSet.from_rows("x", "x", ["a"], [[[1, 2]]])
-
-    def test_csv_export(self):
-        text = _sample().to_csv()
-        lines = text.strip().split("\n")
-        assert lines[0] == "x,left,right"
-        assert lines[1] == "1.0,2.5,a"
-        assert lines[2] == "2.0,,b"
 
     def test_provenance_defaults(self):
         prov = Provenance.capture("demo")
@@ -277,7 +275,7 @@ class TestResultStore:
                 provenance=Provenance.capture("demo", scale="quick"),
             )
         )
-        text = store.export_csv()
+        text = results_csv(store.query())
         lines = text.strip().split("\n")
         assert lines[0] == "run_id,experiment,scale,x,left,right"
         assert lines[1].startswith(f"{stored.run_id},demo,quick,1.0,2.5,a")
@@ -285,7 +283,7 @@ class TestResultStore:
     def test_export_json_is_loadable(self, tmp_path):
         store = ResultStore(str(tmp_path / "r.jsonl"))
         store.append(_sample())
-        payload = json.loads(store.export_json())
+        payload = json.loads(results_json(store.query()))
         assert len(payload) == 1
         assert payload[0]["experiment"] == "demo"
 

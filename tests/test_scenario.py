@@ -9,6 +9,7 @@ recovery notifications (Event 4) driven through scripted burst toggles.
 
 import json
 import math
+import re
 
 import pytest
 
@@ -811,6 +812,96 @@ class TestGeneratedAndPromoted:
         with pytest.raises(ValidationError, match="declares name"):
             build_scenario("honest", QUICK)
 
+    @pytest.mark.parametrize(
+        "edit, message",
+        [
+            (
+                lambda p: p["topology"].update(degre=4),
+                "unknown topology field 'degre'.*did you mean 'degree'",
+            ),
+            (lambda p: p["topology"].update(n="16"), "topology n must be an int"),
+            (
+                lambda p: p["timeline"][0].update(fractoin=0.5),
+                "unknown partition event field 'fractoin'",
+            ),
+            (lambda p: p["topology"].update(degree=0), "topology degree must be"),
+            (
+                lambda p: p["topology"].update(clusters=True),
+                "topology clusters must be an int",
+            ),
+            (
+                lambda p: p.update(topology=16),
+                "expected a JSON object of TopologySpec fields",
+            ),
+            (lambda p: p.pop("topology"), "missing scenario field 'topology'"),
+            (
+                lambda p: p["environment"].update(los=0.1),
+                "unknown environment field 'los'.*did you mean 'loss'",
+            ),
+            (
+                lambda p: p["workload"].update(perod=60.0),
+                "unknown workload field 'perod'",
+            ),
+            (
+                lambda p: p.update(durration=700.0),
+                "unknown scenario field 'durration'",
+            ),
+            (
+                lambda p: p.update(duration="long"),
+                "scenario duration must be a number",
+            ),
+            (lambda p: p.update(timeline=5), "timeline must be a JSON list"),
+            (
+                lambda p: p["timeline"].__setitem__(0, "partition"),
+                "expected a JSON object for a timeline event",
+            ),
+            (
+                lambda p: p["timeline"].__setitem__(0, {"kind": "heal"}),
+                "missing heal event field 'at'",
+            ),
+            (
+                lambda p: p["timeline"][0].update(kind="partiton"),
+                "unknown timeline event kind 'partiton'",
+            ),
+        ],
+        ids=[
+            "unknown-topology-key",
+            "string-n",
+            "unknown-event-key",
+            "zero-degree",
+            "bool-clusters",
+            "non-object-topology",
+            "missing-topology",
+            "unknown-environment-key",
+            "unknown-workload-key",
+            "unknown-scenario-key",
+            "string-duration",
+            "non-list-timeline",
+            "non-object-event",
+            "missing-event-field",
+            "unknown-event-kind",
+        ],
+    )
+    def test_malformed_promoted_file_is_a_usage_error(
+        self, edit, message, tmp_path, monkeypatch, capsys
+    ):
+        from repro.scenario import promote_scenario
+
+        spec = build_scenario("partition-heal", QUICK)
+        path = promote_scenario(spec, "hand-edited", directory=str(tmp_path))
+        with open(path) as fh:
+            payload = json.load(fh)
+        assert payload["timeline"][0]["kind"] == "partition"
+        edit(payload)
+        with open(path, "w") as fh:
+            json.dump(payload, fh)
+        monkeypatch.setenv("REPRO_SCENARIOS_DIR", str(tmp_path))
+        assert main(["scenario", "describe", "hand-edited"]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: ")
+        assert re.search(message, err)
+        assert "Traceback" not in err
+
 
 # -- adversarial search units ----------------------------------------------------------
 
@@ -873,14 +964,14 @@ class TestAdversarialUnits:
             assert find.spec.name.startswith("gen:unit:")
 
     def test_hunt_result_round_trips_and_renders(self):
-        from repro.scenario.adversarial import hunt, parse_hunt_json
+        from repro.scenario.adversarial import hunt
 
         result = hunt(
             seed="unit2", budget=2, scale=QUICK, top=1, trials=1,
             shrink=False, campaign=Campaign(),
         )
         payload = json.dumps(result.to_json())
-        parsed = parse_hunt_json(payload)
+        parsed = json.loads(payload)
         assert parsed["seed"] == "unit2"
         assert parsed["budget"] == 2
         text = result.render()

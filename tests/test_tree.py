@@ -73,11 +73,6 @@ class TestStructureQueries:
     def test_links_cover_non_roots(self, sample_tree):
         assert len(sample_tree.links()) == 5
 
-    def test_subtree_nodes(self, sample_tree):
-        assert set(sample_tree.subtree_nodes(1)) == {1, 4}
-        assert set(sample_tree.subtree_nodes(0)) == set(range(6))
-        assert sample_tree.subtree_nodes(5) == [5]
-
     def test_depth(self, sample_tree):
         assert sample_tree.depth(0) == 0
         assert sample_tree.depth(3) == 1
@@ -125,7 +120,7 @@ class TestFromLinks:
             SpanningTree.from_links(0, [Link.of(0, 1), Link.of(2, 3)])
 
     def test_reroot_preserves_edges(self, sample_tree):
-        rerooted = sample_tree.reroot(4)
+        rerooted = SpanningTree.from_links(4, sample_tree.links())
         assert rerooted.root == 4
         assert set(rerooted.links()) == set(sample_tree.links())
         assert rerooted.parent(1) == 4

@@ -2,14 +2,15 @@
 
 import math
 
+from dataclasses import dataclass
+
 import pytest
 
 from repro.errors import ValidationError
 from repro.util.validation import (
-    check_in_range,
+    check_known_fields,
     check_non_negative,
     check_non_negative_int,
-    check_not_empty,
     check_open_probability,
     check_positive,
     check_positive_int,
@@ -69,23 +70,41 @@ class TestNumericChecks:
             with pytest.raises(ValidationError):
                 check_non_negative_int(bad, "n")
 
-    def test_in_range(self):
-        assert check_in_range(5, 0, 10, "x") == 5.0
-        with pytest.raises(ValidationError):
-            check_in_range(11, 0, 10, "x")
-        with pytest.raises(ValidationError):
-            check_in_range(math.nan, 0, 10, "x")
+
+@dataclass
+class _Spec:
+    kind: str
+    size: int = 4
 
 
-class TestCheckNotEmpty:
-    def test_accepts_non_empty(self):
-        check_not_empty([1], "items")
-        check_not_empty({"a": 1}, "items")
+class TestCheckKnownFields:
+    def test_returns_payload(self):
+        payload = {"kind": "ring", "size": 8}
+        assert check_known_fields(_Spec, payload, "spec field") is payload
+        assert _Spec(**payload) == _Spec("ring", 8)
 
-    def test_rejects_empty(self):
-        with pytest.raises(ValidationError):
-            check_not_empty([], "items")
+    def test_defaults_may_be_omitted(self):
+        assert check_known_fields(_Spec, {"kind": "ring"}, "spec field") == {
+            "kind": "ring"
+        }
 
-    def test_rejects_unsized(self):
-        with pytest.raises(ValidationError):
-            check_not_empty(iter([1]), "items")
+    @pytest.mark.parametrize("payload", [["kind"], "ring", None, 3])
+    def test_rejects_non_object(self, payload):
+        with pytest.raises(ValidationError, match="expected a JSON object of _Spec"):
+            check_known_fields(_Spec, payload, "spec field")
+
+    def test_unknown_key_names_supported_and_closest(self):
+        with pytest.raises(ValidationError) as info:
+            check_known_fields(_Spec, {"kind": "ring", "sise": 8}, "spec field")
+        message = str(info.value)
+        assert "unknown spec field 'sise'" in message
+        assert "supported: kind, size" in message
+        assert "did you mean 'size'" in message
+
+    def test_non_string_key_rejected(self):
+        with pytest.raises(ValidationError, match="unknown spec field 1"):
+            check_known_fields(_Spec, {"kind": "ring", 1: 8}, "spec field")
+
+    def test_missing_required_field_named(self):
+        with pytest.raises(ValidationError, match="missing spec field 'kind'"):
+            check_known_fields(_Spec, {"size": 8}, "spec field")
