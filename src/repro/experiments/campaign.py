@@ -32,7 +32,9 @@ process boundary.
 
 from __future__ import annotations
 
+import functools
 import importlib
+import math
 from dataclasses import dataclass, field
 from typing import (
     TYPE_CHECKING,
@@ -61,6 +63,14 @@ RNG_KEY_PREFIX = "rng."
 TrialResult = Dict[str, float]
 
 SweepValue = Union[int, float, str]
+
+
+@functools.lru_cache(maxsize=None)
+def _code_version() -> str:
+    """The package version, imported once per process."""
+    from repro import __version__  # deferred: package init imports us
+
+    return __version__
 
 
 @dataclass(frozen=True)
@@ -93,14 +103,16 @@ class TrialSpec:
                 f"trial fn must be 'module:function', got {fn!r}"
             )
         for name, value in params.items():
-            if isinstance(value, bool) or value is None:
+            kind = type(value)
+            if kind is int or kind is str or kind is bool or value is None:
                 continue
-            if not isinstance(value, (int, float, str)):
+            if kind is not float and not isinstance(value, (int, float, str)):
                 raise ValidationError(
                     f"trial param {name}={value!r} is not a JSON-able scalar"
                 )
-            if isinstance(value, float) and value != value:
-                raise ValidationError(f"trial param {name} is NaN")
+            # NaN and infinities would not round-trip through the JSON key
+            if isinstance(value, float) and not math.isfinite(value):
+                raise ValidationError(f"trial param {name} is not finite")
         return cls(fn, tuple(sorted(params.items())), tuple(reads))
 
     def kwargs(self) -> Dict[str, object]:
@@ -111,13 +123,21 @@ class TrialSpec:
         """Stable content hash identifying this trial (the cache key).
 
         The package version is folded into the hash so a warm cache
-        never serves results produced by older simulation code.
+        never serves results produced by older simulation code.  The
+        key is derived on the first call and kept on the spec, outside
+        its fields (so equality, hashing, ``repr`` and
+        :func:`dataclasses.replace` ignore it); it travels with the
+        spec when a shard worker receives it pickled.
         """
-        from repro import __version__  # deferred: package init imports us
-
-        return content_key(
-            {"fn": self.fn, "params": self.kwargs(), "code": __version__}
+        try:
+            return self._key  # type: ignore[attr-defined]
+        except AttributeError:
+            pass
+        key = content_key(
+            {"fn": self.fn, "params": self.kwargs(), "code": _code_version()}
         )
+        object.__setattr__(self, "_key", key)
+        return key
 
     def resolve(self) -> Callable[..., TrialResult]:
         """Import and return the trial function."""

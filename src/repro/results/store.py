@@ -143,10 +143,11 @@ class ResultStore:
         try:
             self._lock(fd)
             sequence = self._next_sequence()
-            stamped = replace(
-                result, run_id=f"{result.experiment}-{sequence:04d}-{digest}"
-            )
-            line = json.dumps(stamped.to_json(), sort_keys=True) + "\n"
+            run_id = f"{result.experiment}-{sequence:04d}-{digest}"
+            stamped = replace(result, run_id=run_id)
+            # run_id is the only field stamping changes: reuse the payload
+            payload["run_id"] = run_id
+            line = json.dumps(payload, sort_keys=True) + "\n"
             if self._missing_trailing_newline(fd):
                 # an earlier append was torn mid-line; start on a fresh
                 # line so the new record never merges into the corrupt

@@ -40,6 +40,19 @@ def default_cache_dir() -> str:
     return os.environ.get(CACHE_DIR_ENV, DEFAULT_CACHE_DIR)
 
 
+#: The encoder ``json.dumps`` would build on every call with these
+#: arguments, built once: encoding is stateless between calls.
+_CANONICAL = json.JSONEncoder(
+    sort_keys=True, separators=(",", ":"), allow_nan=False
+)
+
+#: ``os.open`` flags for reading an entry (``O_BINARY`` exists on Windows).
+_READ_FLAGS = os.O_RDONLY | getattr(os, "O_BINARY", 0)
+
+#: Bytes asked of each ``os.read``; an entry is a few hundred bytes.
+_READ_SIZE = 8192
+
+
 def content_key(payload: object) -> str:
     """Hash a JSON-able payload into a stable hex content key.
 
@@ -47,9 +60,7 @@ def content_key(payload: object) -> str:
     hashing so logically equal dicts produce the same key.  ``NaN`` and
     infinities are rejected: they would not round-trip through JSON.
     """
-    canonical = json.dumps(
-        payload, sort_keys=True, separators=(",", ":"), allow_nan=False
-    )
+    canonical = _CANONICAL.encode(payload)
     return hashlib.sha256(canonical.encode("utf-8")).hexdigest()
 
 
@@ -67,13 +78,15 @@ class TrialCache:
     def __init__(self, directory: Optional[str] = None) -> None:
         self._dir = directory or default_cache_dir()
         os.makedirs(self._dir, exist_ok=True)
+        # what os.path.join(directory, name) puts before the entry name
+        self._prefix = os.path.join(self._dir, "")
 
     @property
     def directory(self) -> str:
         return self._dir
 
     def _path(self, key: str) -> str:
-        return os.path.join(self._dir, f"{key}.json")
+        return self._prefix + key + ".json"
 
     def get(self, key: str) -> Optional[Dict]:
         """Return the cached payload for ``key``, or None on any miss.
@@ -83,10 +96,21 @@ class TrialCache:
         entry holding anything else is a miss.
         """
         try:
-            with open(self._path(key), "rb") as fh:
-                entry = json.loads(fh.read())
+            # a raw descriptor: a buffered file object costs more to
+            # build than the few hundred bytes of an entry take to read
+            fd = os.open(self._path(key), _READ_FLAGS)
+        except OSError:
+            return None
+        try:
+            data = chunk = os.read(fd, _READ_SIZE)
+            while chunk:
+                chunk = os.read(fd, _READ_SIZE)
+                data += chunk
+            entry = json.loads(data)
         except (OSError, ValueError):
             return None
+        finally:
+            os.close(fd)
         result = entry.get("result") if isinstance(entry, dict) else None
         if not isinstance(result, dict):
             return None

@@ -6,6 +6,8 @@ import sys
 from collections import Counter
 
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 
 from repro.errors import ConvergenceTimeoutError, ValidationError
 from repro.experiments.campaign import (
@@ -57,6 +59,14 @@ def _overwrite_entry(cache: TrialCache, key: str, payload: object) -> str:
     return path
 
 
+class _Whole(int):
+    pass
+
+
+class _Real(float):
+    pass
+
+
 class TestTrialSpec:
     def test_key_is_stable_and_order_insensitive(self):
         a = TrialSpec.make("m.mod:fn", x=1, y=2.5)
@@ -77,6 +87,58 @@ class TestTrialSpec:
             TrialSpec.make("m:fn", x=[1, 2])
         with pytest.raises(ValidationError):
             TrialSpec.make("m:fn", x=float("nan"))
+
+    @pytest.mark.parametrize(
+        "value", [float("inf"), float("-inf"), float("nan"), 1e400]
+    )
+    def test_rejects_non_finite_param(self, value):
+        with pytest.raises(ValidationError, match="trial param x is not finite"):
+            TrialSpec.make("m:fn", x=value)
+
+    def test_rejects_non_finite_float_subclass(self):
+        with pytest.raises(ValidationError, match="not finite"):
+            TrialSpec.make("m:fn", x=_Real("inf"))
+
+    @pytest.mark.parametrize(
+        "value",
+        [0, -3, 2**70, 0.5, -0.0, "", "ring\u00e9", True, False, None,
+         _Whole(7), _Real(0.25)],
+    )
+    def test_accepts_json_scalars_and_their_subclasses(self, value):
+        assert TrialSpec.make("m:fn", x=value).params == (("x", value),)
+
+    @pytest.mark.parametrize(
+        "value", [[1], (1,), {"a": 1}, b"x", 1j, object(), frozenset()]
+    )
+    def test_rejects_non_scalars(self, value):
+        with pytest.raises(ValidationError, match="not a JSON-able scalar"):
+            TrialSpec.make("m:fn", x=value)
+
+    def test_key_is_derived_once_and_kept_outside_the_fields(self, monkeypatch):
+        import dataclasses
+        import pickle
+
+        import repro.experiments.campaign as campaign_module
+
+        calls = []
+        monkeypatch.setattr(
+            campaign_module,
+            "content_key",
+            lambda payload: calls.append(payload) or content_key(payload),
+        )
+        keyed = TrialSpec.make("m.mod:fn", x=1, y=2.5)
+        fresh = TrialSpec.make("m.mod:fn", x=1, y=2.5)
+        key = keyed.key()
+        assert keyed.key() == key and len(calls) == 1
+        assert (keyed == fresh, hash(keyed), repr(keyed)) == (
+            True, hash(fresh), repr(fresh)
+        )
+        other = dataclasses.replace(keyed, params=(("x", 2), ("y", 2.5)))
+        assert other.key() == TrialSpec.make("m.mod:fn", x=2, y=2.5).key()
+        assert other.key() != key and len(calls) == 3
+        # a shard worker receives the key with the spec
+        shipped = pickle.loads(pickle.dumps(keyed))
+        assert shipped == keyed and shipped.key() == key and len(calls) == 3
 
     def test_resolve_and_execute(self):
         spec = _convergence_spec(0)
@@ -129,8 +191,134 @@ class TestTrialCache:
         assert len(cache) == 0
 
     def test_content_key_rejects_nan(self):
-        with pytest.raises(ValueError):
-            content_key({"x": float("nan")})
+        for value in (float("nan"), float("inf"), float("-inf")):
+            with pytest.raises(ValueError):
+                content_key({"x": value})
+
+
+#: Keys computed by the release that wrote today's ``.repro-cache``
+#: entries: a change to the key derivation must keep every one of them.
+LITERAL_KEYS = [
+    (
+        ("repro.experiments.figure4:figure4_trial",),
+        {"n": 16, "connectivity": 4, "crash": 0.03, "trial": 2},
+        "9b1187ca28d906a2066715571d6c7001f3326c2b77f02db28b2b8478664f1ea0",
+    ),
+    (
+        ("m.mod:fn",),
+        {"flag": True, "off": False, "none": None, "x": 0.1, "y": -7},
+        "5b9de78f5789e537b7554aabe80057fe91f3f70f92dfe6b1c8f4a540d5d530d2",
+    ),
+    (
+        ("repro.experiments.figure5:convergence_trial",),
+        {
+            "seed_tag": "ring\u00e9\u2013\u00fc",
+            "loss": 1e-05,
+            "big": 10**20,
+            "deadline": 1200.0,
+        },
+        "b69b1a12ed149e598c3cc1dcf8ad4bb657eba03a6fe1b1b78f85621ab58f0b90",
+    ),
+    (
+        ("m:fn",),
+        {},
+        "1f89fe07a51e4b9266ae4a69ef4f5b527fd13df87b4df1e3b25419e98551f424",
+    ),
+]
+
+
+class TestCacheKeysStayCompatible:
+    @pytest.mark.parametrize(
+        "fn,params,key",
+        LITERAL_KEYS,
+        ids=["figure4-trial", "bool-none-float-int", "non-ascii-seed-tag", "empty"],
+    )
+    def test_literal_key(self, fn, params, key):
+        import repro
+
+        assert repro.__version__ == "1.0.0"  # the version these keys fold in
+        assert TrialSpec.make(*fn, **params).key() == key
+
+    @given(
+        st.recursive(
+            st.none()
+            | st.booleans()
+            | st.integers()
+            | st.floats(allow_nan=False, allow_infinity=False)
+            | st.text(),
+            lambda children: st.lists(children, max_size=4)
+            | st.dictionaries(st.text(), children, max_size=4),
+            max_leaves=12,
+        )
+    )
+    def test_content_key_is_sha256_of_canonical_dumps(self, payload):
+        import hashlib
+
+        canonical = json.dumps(
+            payload, sort_keys=True, separators=(",", ":"), allow_nan=False
+        )
+        expected = hashlib.sha256(canonical.encode("utf-8")).hexdigest()
+        assert content_key(payload) == expected
+
+
+def _entry(result: object) -> bytes:
+    return json.dumps({"result": result}).encode("utf-8")
+
+
+#: (raw bytes at the entry path, or a sentinel) -> what get() returns;
+#: the verdicts are those of ``json.loads`` on the file's bytes.
+GET_VERDICTS = {
+    "missing": (None, None),
+    "directory": ("dir", None),
+    "empty": (b"", None),
+    "truncated": (b'{"result": {"m": 1.0', None),
+    "non-utf8": (b'{"result": {"m": 1.0}, "x": "\xff\xfe"}', None),
+    "non-dict": (b"[1, 2]", None),
+    "non-dict-result": (_entry([1.0]), None),
+    "bool-result": (_entry({"m": True}), None),
+    "hit": (_entry({"m": 1.5, "n": 2}), {"m": 1.5, "n": 2}),
+    "larger-than-one-read": (
+        _entry({f"m{i:05d}": i + 0.5 for i in range(8000)}),
+        {f"m{i:05d}": i + 0.5 for i in range(8000)},
+    ),
+    "utf8-bom": (b"\xef\xbb\xbf" + _entry({"m": 1.5}), {"m": 1.5}),
+    "utf16": (
+        json.dumps({"result": {"m": 1.5}}).encode("utf-16"),
+        {"m": 1.5},
+    ),
+    "utf16-le": (
+        json.dumps({"result": {"m": 1.5}}).encode("utf-16-le"),
+        {"m": 1.5},
+    ),
+}
+
+
+@pytest.mark.parametrize("case", sorted(GET_VERDICTS))
+def test_cache_get_verdict(tmp_path, monkeypatch, case):
+    """Every entry keeps its hit-or-miss verdict, and every descriptor
+    ``get`` opens is closed again, on the hit and on every miss path."""
+    raw, expected = GET_VERDICTS[case]
+    cache = TrialCache(str(tmp_path))
+    key = content_key({"case": case})
+    path = os.path.join(str(tmp_path), f"{key}.json")
+    if raw == "dir":
+        os.mkdir(path)
+    elif raw is not None:
+        with open(path, "wb") as fh:
+            fh.write(raw)
+    opened, closed = [], []
+    real_open, real_close = os.open, os.close
+    monkeypatch.setattr(
+        os, "open", lambda *args: opened.append(real_open(*args)) or opened[-1]
+    )
+    monkeypatch.setattr(os, "close", lambda fd: closed.append(fd) or real_close(fd))
+    assert cache.get(key) == expected
+    monkeypatch.undo()
+    assert sorted(opened) == sorted(closed)
+    if case == "larger-than-one-read":
+        from repro.util import cache as cache_module
+
+        assert len(raw) > 4 * cache_module._READ_SIZE
 
 
 class TestCampaignExecution:
@@ -434,6 +622,78 @@ class TestCachedRunDoesNoAnalyticWork:
         assert warm.rows == cold.rows
         assert not old_keys & set(asked)
         assert (second.executed, second.cached) == (points, len(measurements))
+
+
+class TestPinnedShellWorkCounts:
+    """The campaign shell's work on a pinned figure4a sweep, counted exactly.
+
+    The sweep is 2 points x (1 phase-1 spec + 4 trials) = 10 specs.  Each
+    spec derives its key once (the spec keeps it), the campaign reads
+    each entry once, and the backend that executes a spec writes it
+    once; a shard worker re-reads the entries of its shard (its
+    predecessor may have died after writing them), so a cold sharded
+    run reads twice.  A resumed run reads each entry once and writes
+    nothing.
+    """
+
+    PARAMS = {"crash": (0.03,), "connectivity": (2, 4), "trials": 4}
+
+    @pytest.fixture
+    def shell_calls(self, monkeypatch):
+        counts = Counter()
+
+        def counting(name, fn):
+            def wrapper(*args, **kwargs):
+                counts[name] += 1
+                return fn(*args, **kwargs)
+
+            return wrapper
+
+        for module_name, module in list(sys.modules.items()):
+            if module_name.startswith("repro") and (
+                vars(module).get("content_key") is content_key
+            ):
+                monkeypatch.setattr(
+                    module, "content_key", counting("content_key", content_key)
+                )
+        for name in ("get", "put"):
+            monkeypatch.setattr(
+                TrialCache, name, counting(name, getattr(TrialCache, name))
+            )
+        return counts
+
+    def _run(self, tmp_path, backend):
+        from repro.exec import SerialBackend, ShardQueueBackend
+        from repro.experiments.registry import resolve_experiment
+
+        backends = {
+            "serial": SerialBackend,
+            "shard:1": lambda: ShardQueueBackend(workers=1, inline=True),
+        }
+        campaign = Campaign(
+            cache=TrialCache(str(tmp_path)), backend=backends[backend]()
+        )
+        result = resolve_experiment("figure4a").run(
+            scale=QUICK, params=self.PARAMS, campaign=campaign
+        )
+        return campaign, result
+
+    @pytest.mark.parametrize(
+        "backend,cold_gets", [("serial", 10), ("shard:1", 20)]
+    )
+    def test_cold_then_resumed(self, tmp_path, shell_calls, backend, cold_gets):
+        cold, cold_result = self._run(tmp_path, backend)
+        assert (cold.executed, cold.cached) == (10, 0)
+        assert dict(shell_calls) == {
+            "content_key": 10, "get": cold_gets, "put": 10,
+        }
+
+        for resume_backend in ("serial", "shard:1"):
+            shell_calls.clear()
+            resumed, result = self._run(tmp_path, resume_backend)
+            assert (resumed.executed, resumed.cached) == (0, 10)
+            assert dict(shell_calls) == {"content_key": 10, "get": 10}
+            assert result.rows == cold_result.rows
 
 
 @pytest.mark.parametrize("backend", ["serial", "shard:2"])

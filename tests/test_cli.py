@@ -877,6 +877,38 @@ def test_unwritable_path_is_one_error_line_and_exit_2(
     assert sorted(p.name for p in tmp_path.iterdir()) == ["file"]  # no residue
 
 
+@pytest.mark.parametrize(
+    "name,sweep,param",
+    [
+        ("figure4a", "crash=inf", "crash"),
+        ("figure4a", "crash=-inf", "crash"),
+        ("figure4a", "crash=1e400", "crash"),
+        ("figure4b", "loss=inf", "loss"),
+        ("heterogeneous", "loss=inf", "mean_loss"),
+        ("figure6", "loss=inf", "loss"),
+        ("figure5a", "crash=inf", "crash"),
+    ],
+)
+def test_non_finite_sweep_value_is_one_error_line_and_exit_2(
+    name, sweep, param, capsys
+):
+    """An infinite probability cannot form a JSON cache key: the spec
+    refuses it as a usage error instead of ``content_key`` raising."""
+    rc = main(
+        [
+            "experiments", "run", name, "--scale", "quick", "--no-store",
+            "--no-cache", "--backend", "serial", "--sweep", sweep,
+        ]
+    )
+    captured = capsys.readouterr()
+    assert rc == 2
+    assert captured.out == ""
+    assert "Traceback" not in captured.err
+    assert captured.err.splitlines() == [
+        f"error: trial param {param} is not finite"
+    ]
+
+
 def test_plugin_raising_at_import_is_skipped_by_the_cli_and_its_workers(tmp_path):
     """A ``REPRO_EXPERIMENTS`` module that raises at import costs one
     warning on stderr: listing exits 0 without a traceback, and a

@@ -120,6 +120,23 @@ class TestResultStore:
         # identical payloads share the content digest suffix
         assert first.run_id.split("-")[-1] == second.run_id.split("-")[-1]
 
+    def test_appended_line_is_the_stamped_run(self, tmp_path):
+        path = tmp_path / "r.jsonl"
+        store = ResultStore(str(path))
+        run = _sample()
+        first = store.append(run)
+        second = store.append(_sample(y=9.9))
+        # digests as earlier releases minted them
+        assert (first.run_id, second.run_id) == (
+            "demo-0001-e1705d92", "demo-0002-41fd7e87"
+        )
+        lines = path.read_text(encoding="utf-8").splitlines()
+        assert lines == [
+            json.dumps(first.to_json(), sort_keys=True),
+            json.dumps(second.to_json(), sort_keys=True),
+        ]
+        assert run.run_id is None and run.to_json()["run_id"] is None
+
     def test_truncated_last_line_skipped_with_warning(self, tmp_path):
         path = str(tmp_path / "r.jsonl")
         store = ResultStore(path)
