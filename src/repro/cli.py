@@ -62,7 +62,6 @@ Handlers raise; they do not print ``error:`` lines or return 2.
 from __future__ import annotations
 
 import argparse
-import json
 import os
 import sys
 from typing import Dict, List, Optional
@@ -104,6 +103,7 @@ from repro.scenario.run import (
     sweep_combos,
 )
 from repro.scenario.trial import canonical_spec_json
+from repro.util import jsonio
 from repro.util.cache import TrialCache, default_cache_dir
 from repro.util.tables import render_table
 
@@ -587,12 +587,6 @@ def _campaign_summary(campaign: Campaign) -> str:
     )
 
 
-def _write_json(path: str, payload: object) -> None:
-    with open(path, "w", encoding="utf-8") as fh:
-        json.dump(payload, fh, indent=2, sort_keys=True)
-        fh.write("\n")
-
-
 def _write_result_artefacts(
     name: str,
     result: ResultSet,
@@ -612,7 +606,7 @@ def _write_result_artefacts(
             "trials_executed": campaign.executed,
             "cache_hits": campaign.cached,
         }
-    _write_json(os.path.join(out_dir, f"{name}.json"), payload)
+    jsonio.write_pretty(os.path.join(out_dir, f"{name}.json"), payload)
 
 
 def _run_experiment(args: argparse.Namespace) -> int:
@@ -958,7 +952,9 @@ def _scenario_generate(args: argparse.Namespace) -> int:
         os.makedirs(args.out, exist_ok=True)
         for spec in specs:
             stem = spec.name.replace(":", "-")
-            _write_json(os.path.join(args.out, f"{stem}.json"), spec.to_json())
+            jsonio.write_pretty(
+                os.path.join(args.out, f"{stem}.json"), jsonio.encode(spec)
+            )
         print(f"{len(specs)} specs written to {args.out}/")
     elif args.json:
         for spec in specs:
@@ -999,7 +995,7 @@ def _scenario_hunt(args: argparse.Namespace) -> int:
             args.out,
             f"hunt_{result.seed}_{result.scale}_b{result.budget}.json",
         )
-        _write_json(path, result.to_json())
+        jsonio.write_pretty(path, jsonio.encode(result))
         print(f"hunt artefact written to {path}")
     if args.promote:
         if not result.finds:

@@ -28,7 +28,7 @@ from __future__ import annotations
 
 from abc import ABC, abstractmethod
 from dataclasses import dataclass
-from typing import Dict, Iterator, List, Optional, Sequence, Tuple
+from typing import Iterator, List, Optional, Sequence, Tuple
 
 from repro.experiments.campaign import TrialResult, TrialSpec
 from repro.util.cache import TrialCache
@@ -55,14 +55,6 @@ class ShardRecord:
     attempts: int
     executed: int
     cached: int
-
-    def to_json(self) -> Dict[str, int]:
-        return {
-            "shard": self.shard,
-            "attempts": self.attempts,
-            "executed": self.executed,
-            "cached": self.cached,
-        }
 
 
 class ExecutionBackend(ABC):

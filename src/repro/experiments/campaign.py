@@ -48,6 +48,7 @@ from typing import (
 )
 
 from repro.errors import ValidationError
+from repro.util import jsonio
 from repro.util.cache import TrialCache, content_key
 from repro.util.rng import DrawLedger, ledger_scope
 from repro.util.stats import OnlineStats
@@ -376,7 +377,7 @@ class Campaign:
         return {
             "backend": self.backend.name,
             "workers": self.backend.workers,
-            "shards": [record.to_json() for record in records],
+            "shards": jsonio.encode(records),
         }
 
     # -- aggregation ---------------------------------------------------------------

@@ -37,6 +37,7 @@ from repro.kvstore.trial import KV_TRIAL_FN
 from repro.kvstore.workload import KVWorkloadParams
 from repro.results.schema import ResultSet
 from repro.scenario.registry import scenario_trials
+from repro.util import jsonio
 
 __all__ = [
     "DEFAULT_SCENARIOS",
@@ -128,7 +129,9 @@ def kvstore_build(scale: ExperimentScale, params) -> List[TrialSpec]:
         for protocol in protocols:
             for zipf_s in zipfs:
                 for write_ratio in ratios:
-                    payload = _workload(params, zipf_s, write_ratio).to_payload()
+                    payload = jsonio.dumps(
+                        jsonio.encode(_workload(params, zipf_s, write_ratio))
+                    )
                     for trial in range(trials):
                         specs.append(
                             TrialSpec.make(

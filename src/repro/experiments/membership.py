@@ -23,7 +23,6 @@ One aggregated row per ``(scenario, policy, view_size)`` cell:
 
 from __future__ import annotations
 
-import json
 from typing import List, Optional, Sequence, Tuple
 
 from repro.errors import ValidationError, did_you_mean
@@ -33,6 +32,7 @@ from repro.membership.sampler import PROPAGATION_POLICIES, SELECTION_POLICIES
 from repro.results.schema import ResultSet
 from repro.scenario.registry import scenario_trials
 from repro.scenario.trial import MEMBERSHIP_TRIAL_FN
+from repro.util import jsonio
 
 __all__ = [
     "DEFAULT_POLICIES",
@@ -120,7 +120,7 @@ def membership_build(scale: ExperimentScale, params) -> List[TrialSpec]:
         for policy in policies:
             view, peer, propagation = parse_policy_triple(policy)
             for size in view_sizes:
-                payload = json.dumps(
+                payload = jsonio.dumps(
                     {
                         protocol: {
                             "view_size": int(size),
@@ -129,7 +129,7 @@ def membership_build(scale: ExperimentScale, params) -> List[TrialSpec]:
                             "propagation": propagation,
                         }
                     },
-                    sort_keys=True,
+                    compact=False,
                 )
                 for trial in range(trials):
                     specs.append(

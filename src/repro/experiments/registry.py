@@ -53,12 +53,9 @@ from repro.errors import (
 from repro.experiments.campaign import Campaign, TrialResult, TrialSpec
 from repro.experiments.runner import ExperimentScale, current_scale, scaled
 from repro.results.schema import Provenance, ResultSet
+from repro.util import jsonio
 from repro.util.registry import Registry, normalise
-from repro.util.validation import (
-    check_positive_int,
-    coerce_scalar,
-    unwrap_optional,
-)
+from repro.util.validation import check_positive_int, unwrap_optional
 
 #: Entry-point group third-party packages register experiment specs under.
 ENTRY_POINT_GROUP = "repro.experiments"
@@ -382,26 +379,18 @@ class ExperimentSpec:
                 experiment=self.name,
                 artefact=self.artefact,
                 scale=scale.name,
-                params=_params_json(ctx.params),
+                # the non-default axis overrides
+                params={
+                    key: value
+                    for key, value in (jsonio.encode(ctx.params) or {}).items()
+                    if value is not None
+                },
                 rng_ledger=(
                     dict(campaign.rng_draws) if campaign.rng_ledger else None
                 ),
                 execution=campaign.execution_record(),
             ),
         )
-
-
-def _params_json(params: Optional[object]) -> Dict[str, object]:
-    """The non-default axis overrides of a params instance, JSON-able."""
-    if params is None:
-        return {}
-    out: Dict[str, object] = {}
-    for f in dataclass_fields(params):
-        value = getattr(params, f.name)
-        if value is None:
-            continue
-        out[f.name] = list(value) if isinstance(value, tuple) else value
-    return out
 
 
 def _axis_type_name(hint: Any) -> str:
@@ -414,26 +403,23 @@ def _axis_type_name(hint: Any) -> str:
 
 
 def _coerce_axis(experiment: str, key: str, hint: Any, value: Any) -> Any:
-    """Coerce one axis override: scalars for scalar axes, tuples for grids."""
-    if value is None:
-        return None
-    base = unwrap_optional(hint)
-    label = f"experiment parameter {experiment}.{key}"
-    if get_origin(base) is tuple:
-        element = get_args(base)[0]
-        if isinstance(value, (list, tuple)):
-            items = list(value)
-        else:
-            items = [value]
-        return tuple(coerce_scalar(label, element, item) for item in items)
-    if isinstance(value, (list, tuple)):
+    """Coerce one axis override through the codec's field walk, after the
+    sweep-only leniency: a scalar is a one-point grid, and a one-element
+    list a scalar."""
+    grid = get_origin(unwrap_optional(hint)) is tuple
+    listed = isinstance(value, (list, tuple))
+    if grid and value is not None and not listed:
+        value = [value]
+    elif not grid and listed:
         if len(value) != 1:
             raise ValidationError(
                 f"sweep key {key!r} accepts exactly one value here, "
                 f"got {list(value)}"
             )
         value = value[0]
-    return coerce_scalar(label, base, value)
+    return jsonio.decode_value(
+        f"experiment parameter {experiment}.{key}", hint, value
+    )
 
 
 # -- the registry ---------------------------------------------------------------------

@@ -140,9 +140,9 @@ def kv_trial_task(
     """Campaign task: rebuild the KV trial from scalars and run it.
 
     ``workload`` is the canonical JSON of a :class:`KVWorkloadParams`
-    (see :meth:`KVWorkloadParams.to_payload`), ``params`` the usual JSON
-    per-protocol overrides — both strings because campaign spec
-    parameters are hashable JSON-able scalars.
+    (see :func:`~repro.kvstore.workload.decode_workload`), ``params``
+    the usual JSON per-protocol overrides — both strings because
+    campaign spec parameters are hashable JSON-able scalars.
     """
     return run_kv_trial(
         task_scenario(scenario, scale, n, loss, crash, duration),

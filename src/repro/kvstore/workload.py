@@ -26,17 +26,16 @@ Traffic shape:
 
 from __future__ import annotations
 
-import json
 from bisect import bisect_left
-from dataclasses import asdict, dataclass
+from dataclasses import dataclass
 from typing import Dict, List, Optional, Tuple
 
 from repro.errors import ValidationError
 from repro.scenario.schema import ScenarioSpec
 from repro.types import ProcessId
+from repro.util import jsonio
 from repro.util.rng import RandomSource
 from repro.util.validation import (
-    check_known_fields,
     check_non_negative,
     check_non_negative_int,
     check_positive_int,
@@ -74,19 +73,14 @@ class KVWorkloadParams:
         check_positive_int(self.regions, "regions")
         check_non_negative_int(self.surge_ops, "surge_ops")
 
-    def to_payload(self) -> str:
-        """Canonical JSON — the spawn-safe campaign parameter encoding."""
-        return json.dumps(asdict(self), sort_keys=True, separators=(",", ":"))
-
 
 def decode_workload(payload: Optional[str]) -> Optional[KVWorkloadParams]:
-    """Decode the JSON workload payload of a campaign spec (None passes)."""
+    """Decode the workload payload of a campaign spec (None passes): the
+    canonical JSON (``jsonio.dumps(jsonio.encode(params))``) of a
+    :class:`KVWorkloadParams`."""
     if payload is None:
         return None
-    decoded = json.loads(payload)
-    return KVWorkloadParams(
-        **check_known_fields(KVWorkloadParams, decoded, "workload parameter")
-    )
+    return jsonio.decode(KVWorkloadParams, jsonio.loads(payload), "workload")
 
 
 @dataclass(frozen=True)

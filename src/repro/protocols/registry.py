@@ -78,12 +78,12 @@ from repro.protocols.partial_view import (
 from repro.protocols.twophase import TwoPhaseBroadcast, TwoPhaseParameters
 from repro.sim.monitors import BroadcastMonitor
 from repro.sim.network import Network
+from repro.util import jsonio
 from repro.util.registry import Registry
 from repro.util.rng import RandomSource
 from repro.util.validation import (
     check_positive,
     check_positive_int,
-    coerce_scalar,
     unwrap_optional,
 )
 
@@ -286,7 +286,7 @@ class ProtocolSpec:
                         f"protocol {self.name!r} has no parameter {key!r} "
                         f"(available: {', '.join(names) or 'none'}){hint}"
                     )
-                values[key] = coerce_scalar(
+                values[key] = jsonio.decode_value(
                     f"protocol parameter {self.name}.{key}", hints[key], value
                 )
         return self.params_type(**values)

@@ -29,6 +29,7 @@ from dataclasses import dataclass, field, replace
 from typing import Dict, List, Mapping, Optional, Sequence, Tuple, Union
 
 from repro.errors import ValidationError
+from repro.util import jsonio
 from repro.util.tables import render_table
 
 #: Version of the on-disk result schema.  Bump when the JSON layout of
@@ -117,8 +118,14 @@ class Provenance:
     schema_version: int = SCHEMA_VERSION
     git: Optional[str] = None
     created_at: Optional[str] = None
-    rng_ledger: Optional[Mapping[str, int]] = None
-    execution: Optional[Mapping[str, object]] = None
+    # only ledgered runs carry the key, and only sharded runs the backend
+    # record, so other provenance JSON stays byte-identical to earlier builds
+    rng_ledger: Optional[Mapping[str, int]] = field(
+        default=None, metadata=jsonio.OMIT_NONE
+    )
+    execution: Optional[Mapping[str, object]] = field(
+        default=None, metadata=jsonio.OMIT_NONE
+    )
 
     @classmethod
     def capture(
@@ -147,59 +154,6 @@ class Provenance:
                 else {key: int(rng_ledger[key]) for key in sorted(rng_ledger)}
             ),
             execution=None if execution is None else dict(execution),
-        )
-
-    def to_json(self) -> Dict[str, object]:
-        payload: Dict[str, object] = {
-            "experiment": self.experiment,
-            "artefact": self.artefact,
-            "scale": self.scale,
-            "params": dict(self.params),
-            "seed": self.seed,
-            "repro_version": self.repro_version,
-            "schema_version": self.schema_version,
-            "git": self.git,
-            "created_at": self.created_at,
-        }
-        # only ledgered runs carry the key, so unledgered provenance
-        # JSON stays byte-identical to pre-ledger builds
-        if self.rng_ledger is not None:
-            payload["rng_ledger"] = {
-                key: int(self.rng_ledger[key])
-                for key in sorted(self.rng_ledger)
-            }
-        # same contract for the backend record: only sharded runs carry it
-        if self.execution is not None:
-            payload["execution"] = dict(self.execution)
-        return payload
-
-    @classmethod
-    def from_json(cls, payload: Mapping[str, object]) -> "Provenance":
-        raw_ledger = payload.get("rng_ledger")
-        raw_execution = payload.get("execution")
-        return cls(
-            experiment=str(payload.get("experiment", "")),
-            artefact=str(payload.get("artefact", "")),
-            scale=str(payload.get("scale", "")),
-            params=dict(payload.get("params", {}) or {}),
-            seed=str(payload.get("seed", DERIVED_SEED_POLICY)),
-            repro_version=str(payload.get("repro_version", "")),
-            schema_version=int(payload.get("schema_version", SCHEMA_VERSION)),
-            git=payload.get("git"),  # type: ignore[arg-type]
-            created_at=payload.get("created_at"),  # type: ignore[arg-type]
-            rng_ledger=(
-                None
-                if raw_ledger is None
-                else {
-                    str(key): int(value)
-                    for key, value in dict(raw_ledger).items()  # type: ignore[call-overload]
-                }
-            ),
-            execution=(
-                None
-                if raw_execution is None
-                else dict(raw_execution)  # type: ignore[call-overload]
-            ),
         )
 
 
@@ -365,9 +319,7 @@ class ResultSet:
             "columns": list(self.columns),
             "x_label": self.x_label,
             "rows": [list(row.values()) for row in self.rows],
-            "provenance": (
-                None if self.provenance is None else self.provenance.to_json()
-            ),
+            "provenance": jsonio.encode(self.provenance),
             "run_id": self.run_id,
         }
 
@@ -385,7 +337,9 @@ class ResultSet:
         return replace(
             result,
             provenance=(
-                None if provenance is None else Provenance.from_json(provenance)
+                None
+                if provenance is None
+                else jsonio.decode(Provenance, provenance, "provenance")
             ),
             run_id=payload.get("run_id"),  # type: ignore[arg-type]
         )

@@ -27,6 +27,7 @@ from typing import Dict, List, Optional, Union
 
 from repro.errors import ValidationError
 from repro.results.schema import SCHEMA_VERSION, ResultSet
+from repro.util import jsonio
 from repro.util.cache import content_key
 
 #: Environment variable overriding the default store path.
@@ -211,6 +212,7 @@ class ResultStore:
                 if not line:
                     continue
                 try:
+                    # not jsonio.loads: a stored cell may be NaN or inf
                     payload = json.loads(line)
                 except ValueError:
                     if warn:
@@ -350,7 +352,7 @@ class ResultStore:
 
 def results_json(results: List[ResultSet]) -> str:
     """Runs as a JSON array (full records, provenance included)."""
-    return json.dumps([r.to_json() for r in results], indent=2, sort_keys=True)
+    return jsonio.pretty([r.to_json() for r in results])
 
 
 def results_csv(results: List[ResultSet]) -> str:

@@ -65,7 +65,6 @@ from repro.scenario.schema import (
     ScenarioSpec,
     TopologySpec,
     WorkloadSpec,
-    event_from_json,
 )
 from repro.scenario.trial import run_scenario_trial
 
@@ -82,7 +81,6 @@ __all__ = [
     "ProcessLeave",
     "ProcessJoin",
     "BurstToggle",
-    "event_from_json",
     "build_scenario",
     "scenario_names",
     "scenario_trials",

@@ -107,19 +107,6 @@ class Find:
     def events_minimized(self) -> int:
         return len(self.minimized.timeline)
 
-    def to_json(self) -> Dict[str, object]:
-        return {
-            "rank": self.rank,
-            "index": self.index,
-            "name": self.name,
-            "regret": self.regret,
-            "regret_minimized": self.regret_minimized,
-            "adaptive": dict(self.adaptive),
-            "oracle": dict(self.oracle),
-            "spec": self.spec.to_json(),
-            "minimized": self.minimized.to_json(),
-        }
-
 
 @dataclass(frozen=True)
 class HuntResult:
@@ -137,22 +124,6 @@ class HuntResult:
     finds: Tuple[Find, ...]
     executed: int
     cached: int
-
-    def to_json(self) -> Dict[str, object]:
-        return {
-            "seed": self.seed,
-            "scale": self.scale,
-            "budget": self.budget,
-            "trials": self.trials,
-            "top": self.top,
-            "min_regret": self.min_regret,
-            "protocol": self.protocol,
-            "oracle": self.oracle,
-            "shrink": self.shrink,
-            "finds": [find.to_json() for find in self.finds],
-            "executed": self.executed,
-            "cached": self.cached,
-        }
 
     def to_result_set(self) -> ResultSet:
         """The frontier as a storable :class:`ResultSet`.

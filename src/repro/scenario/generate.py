@@ -55,6 +55,7 @@ from repro.scenario.schema import (
     ProcessJoin,
     ProcessLeave,
     ScenarioSpec,
+    TimelineEvent,
     TopologySpec,
     WorkloadSpec,
 )
@@ -235,7 +236,7 @@ class ScenarioGenerator:
         topology: TopologySpec,
         environment: EnvironmentSpec,
         duration: float,
-    ) -> Tuple[object, ...]:
+    ) -> Tuple[TimelineEvent, ...]:
         count = rng.integer(0, MAX_TIMELINE_EVENTS + 1)
         times: List[float] = []
         previous = 0.0
@@ -251,7 +252,7 @@ class ScenarioGenerator:
         if environment.crash_model != "none":
             kinds.append("crash-burst")
 
-        events: List[object] = []
+        events: List[TimelineEvent] = []
         departed: List[int] = []
         for at in times:
             if departed and rng.bernoulli(0.5):

@@ -23,7 +23,6 @@ The stable of stress patterns:
 
 from __future__ import annotations
 
-import json
 import os
 import re
 from dataclasses import replace
@@ -42,9 +41,11 @@ from repro.scenario.schema import (
     ProcessJoin,
     ProcessLeave,
     ScenarioSpec,
+    TimelineEvent,
     TopologySpec,
     WorkloadSpec,
 )
+from repro.util import jsonio
 from repro.util.validation import check_positive_int
 
 #: Scenario systems cap out below the paper's n=100: the dynamics layer
@@ -132,7 +133,7 @@ def _rolling_restart(scale: ExperimentScale) -> ScenarioSpec:
     s = _stretch(scale)
     n = _size(scale)
     victims = [p * (n // 4) for p in range(1, 4)]  # three spread-out pids
-    timeline: List[object] = []
+    timeline: List[TimelineEvent] = []
     t = 100.0 * s
     for p in victims:
         timeline.append(ProcessLeave(at=t, process=p))
@@ -202,7 +203,7 @@ def _crash_wave(scale: ExperimentScale) -> ScenarioSpec:
 def _churn_mill(scale: ExperimentScale) -> ScenarioSpec:
     s = _stretch(scale)
     n = _size(scale)
-    timeline: List[object] = []
+    timeline: List[TimelineEvent] = []
     t = 90.0 * s
     for cycle in range(3):
         p = (1 + cycle * 5) % n
@@ -235,7 +236,7 @@ def _churn_storm(scale: ExperimentScale) -> ScenarioSpec:
     start = 30.0 * s
     duration = 240.0 * s
     spacing = (duration - start - 10.0 * s) / waves
-    timeline: List[object] = []
+    timeline: List[TimelineEvent] = []
     for i in range(waves):
         p = (i * 13 + 7) % n
         at = start + i * spacing
@@ -335,11 +336,14 @@ def _load_promoted(name: str, directory: Optional[str]) -> Optional[ScenarioSpec
         return None
     path = os.path.join(scenarios_dir(directory), f"{name}.json")
     try:
-        with open(path, encoding="utf-8") as fh:
-            payload = json.load(fh)
+        with open(path, "rb") as fh:
+            data = fh.read()
     except OSError:
         return None
-    spec = ScenarioSpec.from_json(payload)
+    try:
+        spec = jsonio.decode(ScenarioSpec, jsonio.loads(data), "scenario")
+    except ValidationError as exc:
+        raise ValidationError(f"promoted scenario file {path}: {exc}") from None
     if spec.name != name:
         raise ValidationError(
             f"promoted scenario file {path} declares name {spec.name!r}, "
@@ -373,9 +377,7 @@ def promote_scenario(
     os.makedirs(path, exist_ok=True)
     target = os.path.join(path, f"{name}.json")
     renamed = replace(spec, name=name)
-    with open(target, "w", encoding="utf-8") as fh:
-        json.dump(renamed.to_json(), fh, indent=2, sort_keys=True)
-        fh.write("\n")
+    jsonio.write_pretty(target, jsonio.encode(renamed))
     return target
 
 

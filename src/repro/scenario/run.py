@@ -11,9 +11,8 @@ printed table is **bit-identical** to a serial run.
 
 from __future__ import annotations
 
-import json
 import os
-from dataclasses import asdict, astuple, dataclass, field, fields, replace
+from dataclasses import astuple, dataclass, field, fields, replace
 from itertools import islice
 from typing import Dict, List, Optional, Sequence, Tuple
 
@@ -33,6 +32,7 @@ from repro.scenario.registry import (
 )
 from repro.scenario.schema import ScenarioSpec
 from repro.scenario.trial import TRIAL_FN
+from repro.util import jsonio
 from repro.util.tables import render_table
 from repro.util.validation import coerce_scalar
 
@@ -89,9 +89,6 @@ class ProtocolResult:
     reconv_time: Optional[float]
     reconverged: Optional[float]
 
-    def to_row(self) -> Dict[str, object]:
-        return asdict(self)
-
 
 @dataclass(frozen=True)
 class ComparisonResult:
@@ -133,16 +130,6 @@ class ComparisonResult:
             f"{self.trials} trials{suffix}) — {self.description}"
         )
         return render_table(headers, table_rows, title=title, precision=precision)
-
-    def to_json(self) -> Dict[str, object]:
-        return {
-            "scenario": self.scenario,
-            "description": self.description,
-            "scale": self.scale,
-            "trials": self.trials,
-            "overrides": dict(self.overrides),
-            "rows": [row.to_row() for row in self.rows],
-        }
 
     def to_result_set(self) -> ResultSet:
         """The comparison table as a storable ResultSet.
@@ -189,8 +176,7 @@ class ComparisonResult:
         with open(os.path.join(directory, f"{stem}.txt"), "w") as fh:
             fh.write(self.render() + "\n")
         path = os.path.join(directory, f"{stem}.json")
-        with open(path, "w") as fh:
-            json.dump(self.to_json(), fh, indent=2, sort_keys=True)
+        jsonio.write_pretty(path, jsonio.encode(self))
         return path
 
 
@@ -217,8 +203,8 @@ def compile_specs(
     for protocol in protocols:
         extra: Dict[str, object] = dict(overrides)
         if params.get(protocol):
-            extra["params"] = json.dumps(
-                {protocol: params[protocol]}, sort_keys=True
+            extra["params"] = jsonio.dumps(
+                {protocol: params[protocol]}, compact=False
             )
         for trial in range(trials):
             specs.append(

@@ -12,18 +12,18 @@ A :class:`ScenarioSpec` composes five declarative parts:
 5. a duration plus protocol-facing knobs (``k_target``, the gossip round
    budget, the re-convergence tolerance).
 
-Everything round-trips through plain JSON (``to_json`` / ``from_json``),
-so scenarios can be stored, diffed and handed to worker processes as
-data.  Every event implements ``apply(driver)`` against the
-:class:`~repro.sim.dynamics.DynamicsDriver` overlay API; events never
-touch the network directly.
+Everything round-trips through plain JSON (:mod:`repro.util.jsonio`'s
+``encode`` / ``decode``), so scenarios can be stored, diffed and handed
+to worker processes as data.  Every event implements ``apply(driver)``
+against the :class:`~repro.sim.dynamics.DynamicsDriver` overlay API;
+events never touch the network directly.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import asdict, dataclass, field, replace
-from typing import Dict, List, Optional, Tuple
+from typing import Dict, List, Optional, Tuple, Union, get_args
 
 from repro.errors import ValidationError
 from repro.topology.configuration import Configuration
@@ -43,7 +43,6 @@ from repro.topology.graph import Graph
 from repro.types import Link
 from repro.util.rng import RandomSource
 from repro.util.validation import (
-    check_known_fields,
     check_non_negative,
     check_non_negative_int,
     check_positive,
@@ -157,9 +156,6 @@ class TopologySpec:
         )
         return graph, {"lan": tuple(lan_links), "wan": tuple(wan_links)}
 
-    def to_json(self) -> Dict[str, object]:
-        return dict(asdict(self))
-
 
 # -- base environment ----------------------------------------------------------------
 
@@ -208,9 +204,6 @@ class EnvironmentSpec:
             )
         return config
 
-    def to_json(self) -> Dict[str, object]:
-        return dict(asdict(self))
-
 
 # -- workload ------------------------------------------------------------------------
 
@@ -253,9 +246,6 @@ class WorkloadSpec:
         if self.surge_at is not None:
             times.extend(self.surge_at + float(i) for i in range(self.surge_count))
         return sorted(times)
-
-    def to_json(self) -> Dict[str, object]:
-        return dict(asdict(self))
 
 
 # -- dynamics timeline ----------------------------------------------------------------
@@ -457,48 +447,17 @@ class BurstToggle:
         driver.set_crash_model(self.model, self.mean_down_ticks)
 
 
-EVENT_TYPES = {
-    cls.KIND: cls
-    for cls in (
-        LinkDegrade,
-        LinkRestore,
-        Partition,
-        Heal,
-        CrashBurst,
-        ProcessLeave,
-        ProcessJoin,
-        BurstToggle,
-    )
-}
-
-
-def event_to_json(event) -> Dict[str, object]:
-    payload: Dict[str, object] = {"kind": type(event).KIND}
-    data = asdict(event)
-    for key, value in data.items():
-        if isinstance(value, tuple):
-            value = [list(v) if isinstance(v, tuple) else v for v in value]
-        payload[key] = value
-    return payload
-
-
-def event_from_json(payload: Dict[str, object]):
-    """Rebuild a timeline event from its :func:`event_to_json` form."""
-    if not isinstance(payload, dict):
-        raise ValidationError(
-            f"expected a JSON object for a timeline event, got {payload!r}"
-        )
-    data = dict(payload)
-    kind = data.pop("kind", None)
-    cls = EVENT_TYPES.get(kind)
-    if cls is None:
-        raise ValidationError(f"unknown timeline event kind {kind!r}")
-    check_known_fields(cls, data, f"{kind} event field")
-    if "links" in data:
-        data["links"] = tuple(tuple(pair) for pair in data["links"])
-    if "processes" in data:
-        data["processes"] = tuple(data["processes"])
-    return cls(**data)
+#: A timeline entry; its JSON form is tagged with the class's ``KIND``.
+TimelineEvent = Union[
+    LinkDegrade,
+    LinkRestore,
+    Partition,
+    Heal,
+    CrashBurst,
+    ProcessLeave,
+    ProcessJoin,
+    BurstToggle,
+]
 
 
 # -- the scenario --------------------------------------------------------------------
@@ -529,7 +488,7 @@ class ScenarioSpec:
     description: str
     topology: TopologySpec
     environment: EnvironmentSpec = field(default_factory=EnvironmentSpec)
-    timeline: Tuple[object, ...] = ()
+    timeline: Tuple[TimelineEvent, ...] = ()
     workload: WorkloadSpec = field(default_factory=WorkloadSpec)
     duration: float = 600.0
     k_target: float = 0.95
@@ -546,12 +505,8 @@ class ScenarioSpec:
             raise ValidationError("gossip_rounds must be >= 1")
         check_probability(self.reconv_tolerance, "reconv_tolerance")
         for event in self.timeline:
-            if type(event).__name__ not in {
-                cls.__name__ for cls in EVENT_TYPES.values()
-            }:
-                raise ValidationError(
-                    f"unknown timeline event {event!r}"
-                )
+            if not isinstance(event, get_args(TimelineEvent)):
+                raise ValidationError(f"unknown timeline event {event!r}")
             if float(event.at) >= self.duration:
                 # An event at exactly t == duration would technically fire
                 # (the engine's ``run(until=)`` is inclusive) but with zero
@@ -592,54 +547,6 @@ class ScenarioSpec:
                 )
             spec = replace(spec, duration=float(duration))
         return spec
-
-    def to_json(self) -> Dict[str, object]:
-        return {
-            "name": self.name,
-            "description": self.description,
-            "topology": self.topology.to_json(),
-            "environment": self.environment.to_json(),
-            "timeline": [event_to_json(e) for e in self.timeline],
-            "workload": self.workload.to_json(),
-            "duration": self.duration,
-            "k_target": self.k_target,
-            "gossip_rounds": self.gossip_rounds,
-            "reconv_tolerance": self.reconv_tolerance,
-        }
-
-    @classmethod
-    def from_json(cls, payload: object) -> "ScenarioSpec":
-        data = dict(check_known_fields(cls, payload, "scenario field"))
-        for key, spec in (
-            ("topology", TopologySpec),
-            ("environment", EnvironmentSpec),
-            ("workload", WorkloadSpec),
-        ):
-            if key in data:
-                fields_of = check_known_fields(spec, data[key], f"{key} field")
-                data[key] = spec(**fields_of)
-        timeline = data.get("timeline", [])
-        if not isinstance(timeline, list):
-            raise ValidationError(
-                f"scenario timeline must be a JSON list, got {timeline!r}"
-            )
-        data["timeline"] = tuple(event_from_json(e) for e in timeline)
-        for key, kind in (
-            ("duration", float),
-            ("k_target", float),
-            ("gossip_rounds", int),
-            ("reconv_tolerance", float),
-        ):
-            if key in data:
-                value = data[key]
-                if isinstance(value, bool) or not isinstance(value, (int, float)):
-                    raise ValidationError(
-                        f"scenario {key} must be a number, got {value!r}"
-                    )
-                data[key] = kind(value)
-        data["name"] = str(data["name"])
-        data["description"] = str(data["description"])
-        return cls(**data)
 
     def describe(self) -> str:
         """Multi-line human-readable rendering (``repro scenario describe``)."""

@@ -40,7 +40,6 @@ Metrics:
 
 from __future__ import annotations
 
-import json
 from typing import Dict, List, Optional, Tuple
 
 from repro.analysis.convergence import ConvergenceCriterion, views_converged
@@ -60,6 +59,7 @@ from repro.sim.engine import Simulator
 from repro.sim.monitors import ConvergenceMonitor
 from repro.sim.network import Network, NetworkOptions
 from repro.sim.trace import MessageCategory
+from repro.util import jsonio
 from repro.util.rng import RandomSource
 
 __all__ = [
@@ -234,15 +234,9 @@ def decode_params(payload: Optional[str]) -> Optional[Dict[str, Dict[str, object
     """Decode the JSON per-protocol params payload of a campaign spec."""
     if payload is None:
         return None
-    decoded = json.loads(payload)
-    if not isinstance(decoded, dict) or not all(
-        isinstance(v, dict) for v in decoded.values()
-    ):
-        raise ValidationError(
-            "params must encode {protocol: {param: value}} mappings, "
-            f"got {payload!r}"
-        )
-    return decoded
+    return jsonio.decode_value(
+        "protocol params", Dict[str, Dict[str, object]], jsonio.loads(payload)
+    )
 
 
 def task_scenario(
@@ -322,7 +316,7 @@ def canonical_spec_json(spec: ScenarioSpec) -> str:
     adversarial search.  Canonicalisation makes equal specs hash to
     equal campaign cache keys.
     """
-    return json.dumps(spec.to_json(), sort_keys=True, separators=(",", ":"))
+    return jsonio.dumps(jsonio.encode(spec))
 
 
 def spec_trial_task(
@@ -339,7 +333,7 @@ def spec_trial_task(
     mutated specs (shrunk timelines, tightened durations) that exist
     nowhere but in the caller's memory.
     """
-    spec = ScenarioSpec.from_json(json.loads(spec_json))
+    spec = jsonio.decode(ScenarioSpec, jsonio.loads(spec_json), "scenario")
     return run_scenario_trial(
         spec, str(protocol), int(trial), params=decode_params(params)
     )

@@ -17,16 +17,22 @@ The cache is deliberately dumb and robust:
 * unreadable or malformed entries are treated as misses, never as errors:
   :meth:`TrialCache.get` returns a payload only when it has the shape
   trials are stored in — a dict of real numbers — so a hand-edited or
-  truncated entry is recomputed and overwritten, not aggregated.
+  truncated entry is recomputed and overwritten, not aggregated.  Entries
+  are read by :func:`repro.util.jsonio.loads`, so ``NaN``, ``Infinity``
+  and ``-Infinity`` tokens, literals that overflow a float (``1e400``)
+  and duplicate keys at any level are misses too; :meth:`TrialCache.put`
+  never writes such an entry.
 """
 
 from __future__ import annotations
 
 import hashlib
-import json
 import os
 import tempfile
 from typing import Dict, Iterator, Optional
+
+from repro.errors import ValidationError
+from repro.util import jsonio
 
 #: Environment variable overriding the default cache directory.
 CACHE_DIR_ENV = "REPRO_CACHE_DIR"
@@ -39,12 +45,6 @@ def default_cache_dir() -> str:
     """Resolve the cache directory (env ``REPRO_CACHE_DIR`` > default)."""
     return os.environ.get(CACHE_DIR_ENV, DEFAULT_CACHE_DIR)
 
-
-#: The encoder ``json.dumps`` would build on every call with these
-#: arguments, built once: encoding is stateless between calls.
-_CANONICAL = json.JSONEncoder(
-    sort_keys=True, separators=(",", ":"), allow_nan=False
-)
 
 #: ``os.open`` flags for reading an entry (``O_BINARY`` exists on Windows).
 _READ_FLAGS = os.O_RDONLY | getattr(os, "O_BINARY", 0)
@@ -60,7 +60,7 @@ def content_key(payload: object) -> str:
     hashing so logically equal dicts produce the same key.  ``NaN`` and
     infinities are rejected: they would not round-trip through JSON.
     """
-    canonical = _CANONICAL.encode(payload)
+    canonical = jsonio.dumps(payload)
     return hashlib.sha256(canonical.encode("utf-8")).hexdigest()
 
 
@@ -106,7 +106,7 @@ class TrialCache:
             while chunk:
                 chunk = os.read(fd, _READ_SIZE)
                 data += chunk
-            entry = json.loads(data)
+            entry = jsonio.loads(data)
         except (OSError, ValueError):
             return None
         finally:
@@ -121,13 +121,20 @@ class TrialCache:
         return result
 
     def put(self, key: str, result: Dict, context: Optional[Dict] = None) -> None:
-        """Atomically persist ``result`` (with optional debug ``context``)."""
+        """Atomically persist ``result`` (with optional debug ``context``).
+
+        An entry holding NaN or an infinity is not written: :meth:`get`
+        would refuse it, so the trial is recomputed on the next run.
+        """
         entry = {"result": result}
         if context:
             entry["context"] = context
         # one-shot dumps takes the C encoder; json.dump's streaming encoder
         # is nested closures that leave a reference cycle behind per call
-        text = json.dumps(entry, sort_keys=True)
+        try:
+            text = jsonio.dumps(entry, compact=False)
+        except ValidationError:
+            return
         fd, tmp = tempfile.mkstemp(dir=self._dir, suffix=".tmp")
         try:
             with os.fdopen(fd, "w", encoding="utf-8") as fh:

@@ -9,10 +9,8 @@ names the offending parameter, so call sites stay one-liners::
 from __future__ import annotations
 
 import math
-from dataclasses import MISSING, fields
-from typing import Any, Dict
 
-from repro.errors import ValidationError, did_you_mean
+from repro.errors import ValidationError
 
 
 def check_probability(value: float, name: str) -> float:
@@ -68,33 +66,6 @@ def check_non_negative_int(value: int, name: str) -> int:
     return value
 
 
-def check_known_fields(cls, payload: object, what: str) -> Dict[str, Any]:
-    """Validate a JSON object against the fields of dataclass ``cls``.
-
-    ``payload`` must be a dict whose keys all name fields of ``cls`` and
-    which holds every field that has no default; an unknown key is
-    rejected with the supported names and the closest one, a missing one
-    by name, so ``cls(**payload)`` never fails on the key set.  Returns
-    ``payload``.
-    """
-    if not isinstance(payload, dict):
-        raise ValidationError(
-            f"expected a JSON object of {cls.__name__} fields, got {payload!r}"
-        )
-    names = tuple(f.name for f in fields(cls))
-    for key in payload:
-        if key not in names:
-            _, hint = did_you_mean(str(key), names)
-            raise ValidationError(
-                f"unknown {what} {key!r}; supported: {', '.join(names)}{hint}"
-            )
-    for f in fields(cls):
-        required = f.default is MISSING and f.default_factory is MISSING
-        if required and f.init and f.name not in payload:
-            raise ValidationError(f"missing {what} {f.name!r}")
-    return payload
-
-
 def unwrap_optional(hint):
     """Strip ``Optional[...]`` from a type annotation.
 
@@ -144,7 +115,7 @@ def coerce_scalar(label: str, hint, value):
     if base is int:
         try:
             number = float(value)
-        except (TypeError, ValueError):
+        except (TypeError, ValueError, OverflowError):
             raise bad("integer") from None
         if not math.isfinite(number) or number != int(number):
             raise bad("integer")
@@ -152,7 +123,7 @@ def coerce_scalar(label: str, hint, value):
     if base is float:
         try:
             return float(value)
-        except (TypeError, ValueError):
+        except (TypeError, ValueError, OverflowError):
             raise bad("numeric") from None
     if base is str:
         return str(value)

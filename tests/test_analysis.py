@@ -23,6 +23,7 @@ from repro.analysis.rules import RULE_CODES, rule_table, subsystem_of
 from repro.cli import main
 from repro.experiments.campaign import Campaign, TrialSpec
 from repro.results import Provenance, diff_result_sets
+from repro.util import jsonio
 from repro.util.rng import DrawLedger, RandomSource, ledger_scope
 
 FIXTURES = os.path.join(os.path.dirname(__file__), "fixtures", "lint")
@@ -409,14 +410,19 @@ class TestLedgerProvenance:
 
     def test_provenance_json_round_trip(self):
         ledgered = self._run(rng_ledger=True)
-        payload = ledgered.provenance.to_json()
+        payload = jsonio.encode(ledgered.provenance)
         assert payload["rng_ledger"] == dict(ledgered.provenance.rng_ledger)
-        back = Provenance.from_json(json.loads(json.dumps(payload)))
+        back = jsonio.decode(
+            Provenance, json.loads(json.dumps(payload)), "provenance"
+        )
         assert back.rng_ledger == ledgered.provenance.rng_ledger
 
         plain = self._run()
-        assert "rng_ledger" not in plain.provenance.to_json()
-        assert Provenance.from_json(plain.provenance.to_json()).rng_ledger is None
+        assert "rng_ledger" not in jsonio.encode(plain.provenance)
+        rebuilt = jsonio.decode(
+            Provenance, jsonio.encode(plain.provenance), "provenance"
+        )
+        assert rebuilt.rng_ledger is None
 
     def test_diff_attributes_drift_to_stream(self):
         base = self._run(rng_ledger=True)

@@ -9,6 +9,7 @@ from repro.errors import UnknownProtocolError, ValidationError
 from repro.experiments.runner import current_scale
 from repro.protocols.flooding import FloodingBroadcast
 from repro.protocols.registry import ProtocolSpec
+from repro.util import jsonio
 
 QUICK = current_scale("quick")
 
@@ -188,7 +189,7 @@ class TestRunScenario:
         result = api.run_scenario(
             "partition-heal", ("flooding",), scale="quick", trials=1
         )
-        payload = result.to_json()
+        payload = jsonio.encode(result)
         assert payload["scenario"] == "partition-heal"
         assert payload["rows"][0]["protocol"] == "flooding"
 

@@ -1,6 +1,7 @@
 """Tests for the campaign subsystem (parallel execution, cache, resume)."""
 
 import json
+import math
 import os
 import sys
 from collections import Counter
@@ -179,7 +180,9 @@ class TestTrialCache:
     def test_number_payloads_are_hits(self, tmp_path):
         cache = TrialCache(str(tmp_path))
         key = content_key({"a": 1})
-        for payload in ({}, {"m": 1}, {"m": float("inf"), "rng.x": 3.0}):
+        # an infinite value is a miss: see
+        # test_cache_put_never_writes_what_get_refuses
+        for payload in ({}, {"m": 1}, {"m": 1e308, "rng.x": 3.0}):
             cache.put(key, payload)
             assert cache.get(key) == payload
 
@@ -266,7 +269,8 @@ def _entry(result: object) -> bytes:
 
 
 #: (raw bytes at the entry path, or a sentinel) -> what get() returns;
-#: the verdicts are those of ``json.loads`` on the file's bytes.
+#: the verdicts are those of ``json.loads`` on the file's bytes, except
+#: that non-finite numbers and duplicate keys are misses.
 GET_VERDICTS = {
     "missing": (None, None),
     "directory": ("dir", None),
@@ -290,6 +294,12 @@ GET_VERDICTS = {
         json.dumps({"result": {"m": 1.5}}).encode("utf-16-le"),
         {"m": 1.5},
     ),
+    # not real numbers, or not one value per key
+    "nan": (b'{"result": {"x": NaN}}', None),
+    "overflow": (b'{"result": {"x": 1e400}}', None),
+    "minus-infinity": (b'{"result": {"x": -Infinity}}', None),
+    "duplicate-result-key": (b'{"result": {"x": 1.0, "x": 2.0}}', None),
+    "duplicate-top-key": (b'{"result": {"x": 1.0}, "result": {"x": 2.0}}', None),
 }
 
 
@@ -319,6 +329,26 @@ def test_cache_get_verdict(tmp_path, monkeypatch, case):
         from repro.util import cache as cache_module
 
         assert len(raw) > 4 * cache_module._READ_SIZE
+
+
+@pytest.mark.parametrize("value", [math.nan, math.inf, -math.inf])
+def test_cache_put_never_writes_what_get_refuses(tmp_path, value):
+    cache = TrialCache(str(tmp_path))
+    key = content_key({"value": repr(value)})
+    cache.put(key, {"m": value})
+    assert key not in cache and cache.get(key) is None
+
+
+def test_cache_put_bytes_are_unchanged(tmp_path):
+    cache = TrialCache(str(tmp_path))
+    key = content_key({"bytes": 1})
+    context = {"fn": "m:f", "params": {"seed_tag": "ü", "n": 2}}
+    cache.put(key, {"m": 1.5, "k": 2}, context=context)
+    with open(os.path.join(str(tmp_path), f"{key}.json"), "rb") as fh:
+        raw = fh.read()
+    entry = {"result": {"m": 1.5, "k": 2}, "context": context}
+    assert raw == json.dumps(entry, sort_keys=True).encode("utf-8")
+    assert cache.get(key) == {"m": 1.5, "k": 2}
 
 
 class TestCampaignExecution:

@@ -26,6 +26,7 @@ from repro.exec import (
 from repro.experiments.campaign import Campaign, TrialSpec
 from repro.experiments.figure5 import CONVERGENCE_FN
 from repro.results.schema import Provenance, diff_result_sets
+from repro.util import jsonio
 from repro.util.cache import TrialCache
 
 
@@ -472,12 +473,14 @@ class TestProvenance:
     def test_serial_run_has_no_execution_record(self):
         result = self._run("serial")
         assert result.provenance.execution is None
-        assert "execution" not in result.provenance.to_json()
+        assert "execution" not in jsonio.encode(result.provenance)
 
     def test_execution_record_round_trips(self):
         backend = ShardQueueBackend(workers=1, shards=2, inline=True)
         provenance = self._run(backend).provenance
-        rebuilt = Provenance.from_json(provenance.to_json())
+        rebuilt = jsonio.decode(
+            Provenance, jsonio.encode(provenance), "provenance"
+        )
         assert rebuilt.execution == provenance.execution
 
     def test_shard_vs_serial_diff_clean(self):

@@ -5,11 +5,17 @@ The generator is itself the strategy source: Hypothesis supplies
 contract at every coordinate — specs are valid by construction,
 round-trip JSON bit-identically, and replay deterministically (both at
 the spec level and through :class:`~repro.sim.dynamics.DynamicsDriver`).
+The same specs, and KV workload payloads, are the seeds of a JSON fuzz
+target: one mutation anywhere in the text either still decodes or is a
+:class:`~repro.errors.ValidationError`, never another exception.
 """
 
 from __future__ import annotations
 
 import json
+import os
+import tempfile
+from dataclasses import asdict, replace
 
 import pytest
 
@@ -19,17 +25,24 @@ from hypothesis import given, settings, strategies as st  # noqa: E402
 
 from repro.errors import ValidationError  # noqa: E402
 from repro.experiments.runner import current_scale  # noqa: E402
+from repro.kvstore.workload import KVWorkloadParams, decode_workload  # noqa: E402
 from repro.scenario.generate import (  # noqa: E402
     ScenarioGenerator,
     check_generator_seed,
     generated_name,
     parse_generated_name,
 )
-from repro.scenario.registry import MAX_SCENARIO_N, build_scenario  # noqa: E402
+from repro.scenario.registry import (  # noqa: E402
+    MAX_SCENARIO_N,
+    _load_promoted,
+    build_scenario,
+)
 from repro.scenario.schema import ScenarioSpec  # noqa: E402
+from repro.scenario.trial import canonical_spec_json  # noqa: E402
 from repro.sim.dynamics import DynamicsDriver  # noqa: E402
 from repro.sim.engine import Simulator  # noqa: E402
 from repro.sim.network import Network, NetworkOptions  # noqa: E402
+from repro.util import jsonio  # noqa: E402
 from repro.util.rng import RandomSource  # noqa: E402
 
 SEEDS = st.text(
@@ -40,7 +53,7 @@ SCALES = st.sampled_from(["quick", "default", "full"])
 
 
 def _canonical(spec: ScenarioSpec) -> str:
-    return json.dumps(spec.to_json(), sort_keys=True)
+    return json.dumps(jsonio.encode(spec), sort_keys=True)
 
 
 @given(seed=SEEDS, index=INDICES, scale=SCALES)
@@ -74,7 +87,7 @@ def test_generated_specs_validate_and_stay_in_envelope(seed, index, scale):
 def test_generated_specs_round_trip_json_bit_identically(seed, index, scale):
     spec = ScenarioGenerator(seed, current_scale(scale)).generate(index)
     encoded = _canonical(spec)
-    rebuilt = ScenarioSpec.from_json(json.loads(encoded))
+    rebuilt = jsonio.decode(ScenarioSpec, json.loads(encoded), "scenario")
     assert rebuilt == spec
     assert _canonical(rebuilt) == encoded
 
@@ -148,3 +161,123 @@ def test_specs_batch_matches_individual_generation():
     ]
     for offset, spec in enumerate(batch):
         assert _canonical(spec) == _canonical(generator.generate(2 + offset))
+
+
+# -- the spec JSON fuzz target --------------------------------------------------------
+
+_MUTATIONS = (
+    "drop",
+    "unknown",
+    "string",
+    "bool",
+    "list",
+    "null",
+    "NaN",
+    "Infinity",
+    "1e400",
+    "duplicate",
+    "truncate",
+)
+_TOKENS = {
+    "string": '"x"',
+    "bool": "true",
+    "list": "[1]",
+    "null": "null",
+    "NaN": "NaN",
+    "Infinity": "Infinity",
+    "1e400": "1e400",
+}
+_SENTINEL = "\u2603 mutated \u2603"
+
+
+def _nodes(node, path=()):
+    """``(path, node)`` for every value of a JSON tree, root first."""
+    yield path, node
+    if isinstance(node, dict):
+        children = node.items()
+    elif isinstance(node, list):
+        children = enumerate(node)
+    else:
+        children = ()
+    for key, child in children:
+        yield from _nodes(child, path + (key,))
+
+
+def _mutate(text: str, data) -> str:
+    """One drawn mutation of JSON ``text`` at one drawn path."""
+    mutation = data.draw(st.sampled_from(_MUTATIONS), label="mutation")
+    if mutation == "truncate":
+        return text[: data.draw(st.integers(0, len(text) - 1), label="cut")]
+    payload = json.loads(text)
+    nodes = list(_nodes(payload))
+    if mutation == "unknown":
+        objects = [node for _, node in nodes if isinstance(node, dict)]
+        data.draw(st.sampled_from(objects), label="object")["zz_unknown"] = 1
+        return json.dumps(payload)
+    members = [path for path, _ in nodes if path and isinstance(path[-1], str)]
+    anywhere = [path for path, _ in nodes if path]
+    path = data.draw(
+        st.sampled_from(members if mutation in ("drop", "duplicate") else anywhere),
+        label="path",
+    )
+    parent = payload
+    for step in path[:-1]:
+        parent = parent[step]
+    key = path[-1]
+    if mutation == "drop":
+        del parent[key]
+        return json.dumps(payload)
+    original = json.dumps(parent[key])
+    token = _TOKENS.get(mutation) or f"{original}, {json.dumps(key)}: {original}"
+    parent[key] = _SENTINEL
+    return json.dumps(payload).replace(json.dumps(_SENTINEL), token)
+
+
+def _load_text(directory: str, text: str):
+    """Read ``text`` as the promoted scenario file ``fuzz.json``."""
+    with open(os.path.join(directory, "fuzz.json"), "w", encoding="utf-8") as fh:
+        fh.write(text)
+    return _load_promoted("fuzz", directory)
+
+
+@given(seed=SEEDS, index=INDICES, data=st.data())
+@settings(max_examples=200)
+def test_mutated_spec_json_decodes_or_is_a_validation_error(seed, index, data):
+    """A promoted file one edit away from a generated spec either loads,
+    and its canonical JSON loads back to an equal spec, or is refused
+    with a ValidationError (the CLI's exit 2)."""
+    spec = ScenarioGenerator(seed, current_scale("quick")).generate(index)
+    text = _mutate(canonical_spec_json(replace(spec, name="fuzz")), data)
+    with tempfile.TemporaryDirectory() as directory:
+        try:
+            decoded = _load_text(directory, text)
+        except ValidationError:
+            return
+        assert _load_text(directory, canonical_spec_json(decoded)) == decoded
+
+
+WORKLOADS = st.builds(
+    KVWorkloadParams,
+    keys=st.integers(1, 64),
+    zipf_s=st.floats(0.0, 3.0),
+    write_ratio=st.floats(0.0, 1.0),
+    ops=st.integers(1, 500),
+    regions=st.integers(1, 4),
+    surge_ops=st.integers(0, 32),
+    surge_zipf_s=st.floats(0.0, 3.0),
+)
+
+
+def _workload_json(params: KVWorkloadParams) -> str:
+    return json.dumps(asdict(params), sort_keys=True, separators=(",", ":"))
+
+
+@given(params=WORKLOADS, data=st.data())
+@settings(max_examples=200)
+def test_mutated_workload_payload_decodes_or_is_a_validation_error(params, data):
+    text = _mutate(_workload_json(params), data)
+    try:
+        decoded = decode_workload(text)
+    except ValidationError:
+        return
+    assert decode_workload(_workload_json(decoded)) == decoded

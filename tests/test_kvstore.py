@@ -37,6 +37,7 @@ from repro.scenario.registry import build_scenario
 from repro.sim.engine import Simulator
 from repro.sim.trace import MessageCategory, MessageStats
 from repro.types import Link
+from repro.util import jsonio
 from repro.util.rng import RandomSource
 
 
@@ -566,7 +567,7 @@ class TestWorkloadGenerator:
 
     def test_payload_round_trip(self):
         params = KVWorkloadParams(zipf_s=1.1, write_ratio=0.5, ops=10)
-        assert decode_workload(params.to_payload()) == params
+        assert decode_workload(jsonio.dumps(jsonio.encode(params))) == params
         assert decode_workload(None) is None
 
     def test_unknown_payload_key_gets_suggestion(self):

@@ -29,6 +29,7 @@ from repro.protocols.registry import protocol_names
 from repro.results.store import ResultStore
 from repro.scenario.generate import ScenarioGenerator
 from repro.scenario.registry import build_scenario, scenario_names
+from repro.util import jsonio
 
 PV_PROTOCOLS = ("gossip-pv", "flooding-pv", "adaptive-pv")
 SMOKE_SCENARIOS = 50
@@ -82,7 +83,7 @@ class TestHotKeyStormScenario:
 
 
 def _kv_specs(trials=2):
-    payload = KVWorkloadParams(ops=16, surge_ops=4).to_payload()
+    payload = jsonio.dumps(jsonio.encode(KVWorkloadParams(ops=16, surge_ops=4)))
     return [
         TrialSpec.make(
             KV_TRIAL_FN,
@@ -108,7 +109,7 @@ class TestCampaignDeterminism:
         assert Campaign().run(specs) == Campaign().run(specs)
 
     def test_task_rebuilds_the_trial_from_scalars(self):
-        payload = KVWorkloadParams(ops=16, surge_ops=4).to_payload()
+        payload = jsonio.dumps(jsonio.encode(KVWorkloadParams(ops=16, surge_ops=4)))
         direct = run_kv_trial(
             build_scenario("hot-key-storm", current_scale("quick")),
             "gossip",

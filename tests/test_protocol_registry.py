@@ -40,6 +40,7 @@ from repro.sim.monitors import BroadcastMonitor
 from repro.sim.network import Network
 from repro.topology.configuration import Configuration
 from repro.topology.generators import ring
+from repro.util import jsonio
 from repro.util.rng import RandomSource
 
 QUICK = current_scale("quick")
@@ -291,6 +292,24 @@ class TestCapabilityDrivenTrials:
         )
         assert tight["data_messages"] < base["data_messages"]
 
+    @pytest.mark.parametrize(
+        "payload, message",
+        [
+            ("[1]", "protocol params must be a JSON object"),
+            ('{"gossip": 4}', "protocol params must be a JSON object, got 4"),
+            ('{"gossip": {"rounds": 4}', "malformed JSON"),
+            ('{"gossip": {}, "gossip": {}}', "duplicate key 'gossip'"),
+        ],
+    )
+    def test_params_payload_maps_protocols_to_objects(self, payload, message):
+        from repro.scenario.trial import decode_params
+
+        assert decode_params('{"gossip": {"rounds": 4}}') == {
+            "gossip": {"rounds": 4}
+        }
+        with pytest.raises(ValidationError, match=message):
+            decode_params(payload)
+
 
 class TestRegressionPin:
     def test_partition_heal_rows_bit_identical_to_pre_registry(self):
@@ -307,7 +326,7 @@ class TestRegressionPin:
             trials=2,
             campaign=Campaign(),
         )
-        assert [row.to_row() for row in report.rows] == [
+        assert [jsonio.encode(row) for row in report.rows] == [
             {
                 "protocol": "adaptive",
                 "delivery_ratio": 0.875,

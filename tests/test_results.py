@@ -8,7 +8,9 @@ cell-by-cell diff with its tolerance semantics.
 
 import json
 import math
+import os
 import subprocess
+from dataclasses import replace
 
 import pytest
 
@@ -27,6 +29,7 @@ from repro.results.store import (
     results_csv,
     results_json,
 )
+from repro.util import jsonio
 from repro.util.tables import render_table
 
 
@@ -206,7 +209,7 @@ class TestResultStore:
         store = ResultStore(path)
         store.append(_sample())
         payload = _sample().to_json()
-        payload["provenance"] = Provenance.capture("demo").to_json()
+        payload["provenance"] = jsonio.encode(Provenance.capture("demo"))
         payload["provenance"]["schema_version"] = SCHEMA_VERSION + 1
         with open(path, "a", encoding="utf-8") as fh:
             fh.write(json.dumps(payload) + "\n")
@@ -509,3 +512,76 @@ class TestDiff:
         text = diff.render()
         assert "drift" in text
         assert "1/6 cells drifted" in text
+
+
+FIXTURE_STORE = os.path.join(
+    os.path.dirname(__file__), "fixtures", "results_store_v1.jsonl"
+)
+
+
+class TestFixtureStoreV1:
+    """A store written before the results JSON went through one codec.
+
+    ``tests/fixtures/results_store_v1.jsonl`` was written by the code of
+    the commit before :mod:`repro.util.jsonio` existed, into a fresh
+    store, in this order: ``api.run_experiment("figure4a",
+    scale="quick", params={"crash": [0.03], "connectivity": [2],
+    "trials": 2}, store=...)`` on the ``serial`` backend, the same with
+    ``rng_ledger=True``, the same on ``ShardQueueBackend(workers=1,
+    shards=2, inline=True)`` (its provenance carries ``execution``), then
+    a hand-built ``ResultSet.from_rows("non-finite", ...)`` holding
+    ``inf``, ``-inf``, ``nan``, None and a string, appended with
+    ``ResultStore.append``, and finally the first half of that last line
+    again without a newline: a torn append.  The store keeps accepting
+    non-finite cells (``_digestable`` hashes them), so it keeps its own
+    lenient ``json.loads``.
+    """
+
+    RUN_IDS = [
+        "figure4a-0001-b2a030fe",
+        "figure4a-0002-b2a030fe",
+        "figure4a-0003-b2a030fe",
+        "non-finite-0004-bc79e5e5",
+    ]
+
+    def _lines(self):
+        with open(FIXTURE_STORE, encoding="utf-8") as fh:
+            return fh.read().split("\n")
+
+    def _load(self):
+        with pytest.warns(UserWarning, match=r"results_store_v1.jsonl:5 \(torn"):
+            return ResultStore(FIXTURE_STORE).load()
+
+    def test_every_whole_record_loads_with_its_run_id(self):
+        results = self._load()
+        assert [r.run_id for r in results] == self.RUN_IDS
+        provenance = [r.provenance for r in results]
+        assert [p.rng_ledger is not None for p in provenance] == [
+            False, True, False, False
+        ]
+        assert [p.execution is not None for p in provenance] == [
+            False, False, True, False
+        ]
+        cells = results[3].column("y") + results[3].column("z")
+        assert math.isinf(cells[0]) and math.isnan(cells[3])
+
+    def test_each_record_encodes_to_its_stored_line(self):
+        lines = self._lines()
+        assert lines[4] and lines[4] in lines[3]  # the torn tail
+        for result, line in zip(self._load(), lines[:4]):
+            assert json.dumps(result.to_json(), sort_keys=True) == line
+
+    def test_each_run_diffs_clean_against_itself_reloaded(self):
+        for first, again in zip(self._load(), self._load()):
+            diff = diff_result_sets(first, again, tolerance=0.0)
+            assert diff.clean, diff.render()
+
+    def test_appending_the_runs_again_writes_the_same_lines(self, tmp_path):
+        """Sequence numbers and row digests reproduce the run ids, and
+        each new line is the parent's ``json.dumps(stamped.to_json(),
+        sort_keys=True)`` byte for byte."""
+        store = ResultStore(str(tmp_path / "again.jsonl"))
+        for result in self._load():
+            store.append(replace(result, run_id=None))
+        with open(store.path, encoding="utf-8") as fh:
+            assert fh.read().split("\n")[:4] == self._lines()[:4]

@@ -34,7 +34,7 @@ from repro.scenario import (
     scenario_names,
 )
 from repro.scenario.run import scenario_report
-from repro.scenario.schema import EnvironmentSpec, event_from_json, event_to_json
+from repro.scenario.schema import EnvironmentSpec, TimelineEvent
 from repro.scenario.trial import SCENARIO_KNOWLEDGE, run_scenario_trial
 from repro.sim.crash import IidCrashModel, MarkovCrashModel
 from repro.sim.dynamics import DynamicsDriver
@@ -42,6 +42,7 @@ from repro.sim.monitors import BroadcastMonitor
 from repro.topology.configuration import Configuration
 from repro.topology.generators import k_regular, ring
 from repro.types import Link
+from repro.util import jsonio
 from tests.conftest import build_network
 
 QUICK = current_scale("quick")
@@ -54,18 +55,21 @@ class TestSchema:
     def test_every_builtin_round_trips_through_json(self):
         for name in scenario_names():
             spec = build_scenario(name, QUICK)
-            payload = json.loads(json.dumps(spec.to_json()))
-            rebuilt = ScenarioSpec.from_json(payload)
+            payload = json.loads(json.dumps(jsonio.encode(spec)))
+            rebuilt = jsonio.decode(ScenarioSpec, payload, "scenario")
             assert rebuilt == spec
 
     def test_event_round_trip_preserves_links(self):
         event = LinkDegrade(at=5.0, loss=0.4, links=((0, 1), (2, 3)))
-        rebuilt = event_from_json(json.loads(json.dumps(event_to_json(event))))
+        payload = json.loads(json.dumps(jsonio.encode(event)))
+        rebuilt = jsonio.decode_value("timeline", TimelineEvent, payload)
         assert rebuilt == event
 
     def test_unknown_event_kind_rejected(self):
         with pytest.raises(ValidationError):
-            event_from_json({"kind": "meteor-strike", "at": 1.0})
+            jsonio.decode_value(
+                "timeline", TimelineEvent, {"kind": "meteor-strike", "at": 1.0}
+            )
 
     def test_timeline_beyond_duration_rejected(self):
         with pytest.raises(ValidationError):
@@ -130,7 +134,7 @@ class TestSchema:
     )
     def test_scenario_json_rejects_malformed_numbers(self, part, field, value):
         # e.g. a hand-edited promoted .repro-scenarios/*.json
-        payload = build_scenario("partition-heal", QUICK).to_json()
+        payload = jsonio.encode(build_scenario("partition-heal", QUICK))
         if part == "workload":
             payload["workload"][field] = value
         else:
@@ -138,18 +142,18 @@ class TestSchema:
                 {"kind": part, "at": 1.0, "model": "markov", field: value}
             )
         with pytest.raises(ValidationError, match=field):
-            ScenarioSpec.from_json(payload)
+            jsonio.decode(ScenarioSpec, payload, "scenario")
 
     @pytest.mark.parametrize("value", [float("nan"), 0.5, -1.0, 0.0, True])
     def test_environment_mean_down_ticks_is_validated(self, value):
         """Checked at spec construction, before any trial fans out; a NaN
         used to reach the Markov model and silently disable crashes."""
         payload = json.loads(
-            json.dumps(build_scenario("partition-heal", QUICK).to_json())
+            json.dumps(jsonio.encode(build_scenario("partition-heal", QUICK)))
         )
         payload["environment"]["mean_down_ticks"] = value
         with pytest.raises(ValidationError, match="mean_down_ticks"):
-            ScenarioSpec.from_json(payload)
+            jsonio.decode(ScenarioSpec, payload, "scenario")
         with pytest.raises(ValidationError, match="mean_down_ticks"):
             EnvironmentSpec(crash_model="markov", mean_down_ticks=value)
 
@@ -540,7 +544,7 @@ class TestScenarioCampaign:
             "rolling-restart", campaign=Campaign(backend="process:2"), **kwargs
         )
         assert parallel.render() == serial.render()
-        assert parallel.to_json() == serial.to_json()
+        assert jsonio.encode(parallel) == jsonio.encode(serial)
 
     def test_cache_resume_executes_nothing(self, tmp_path):
         from repro.util.cache import TrialCache
@@ -863,6 +867,59 @@ class TestGeneratedAndPromoted:
                 lambda p: p["timeline"][0].update(kind="partiton"),
                 "unknown timeline event kind 'partiton'",
             ),
+            # an edit returning text replaces the file's contents
+            (lambda p: json.dumps(p)[:-9], "hand-edited.json: malformed JSON: "),
+            (
+                lambda p: json.dumps(p)[:-1] + ', "duration": 5.0}',
+                "malformed JSON: duplicate key 'duration'",
+            ),
+            (
+                lambda p: p["topology"].update(beta=math.nan),
+                "malformed JSON: non-finite number NaN",
+            ),
+            (
+                lambda p: p["workload"].update(surge_at=math.nan),
+                "malformed JSON: non-finite number NaN",
+            ),
+            (
+                lambda p: p["workload"].update(surge_at=math.inf),
+                "malformed JSON: non-finite number Infinity",
+            ),
+            (
+                lambda p: json.dumps(p).replace(
+                    '"surge_at": null', '"surge_at": 1e400'
+                ),
+                "malformed JSON: number 1e400 overflows a float",
+            ),
+            (
+                lambda p: p.update(gossip_rounds=2.5),
+                "scenario gossip_rounds takes integer values, got 2.5",
+            ),
+            (
+                lambda p: p["timeline"].append(
+                    {"kind": "process-leave", "at": 1.0, "process": 1.5}
+                ),
+                "process-leave event process takes integer values, got 1.5",
+            ),
+            (
+                lambda p: p["timeline"].append(
+                    {"kind": "crash-burst", "at": 1.0, "crash": 0.5,
+                     "processes": ["a"]}
+                ),
+                "crash-burst event processes takes integer values, got 'a'",
+            ),
+            (
+                lambda p: p["timeline"].append(
+                    {"kind": "link-degrade", "at": 1.0, "loss": 0.5,
+                     "links": [[0, 1, 2]]}
+                ),
+                r"link-degrade event links entries must hold 2 values, "
+                r"got \[0, 1, 2\]",
+            ),
+            (
+                lambda p: p["timeline"].append({"kind": "heal", "at": "5"}),
+                "heal event at must be a number, got str",
+            ),
         ],
         ids=[
             "unknown-topology-key",
@@ -880,6 +937,17 @@ class TestGeneratedAndPromoted:
             "non-object-event",
             "missing-event-field",
             "unknown-event-kind",
+            "truncated",
+            "duplicate-duration",
+            "nan-beta",
+            "nan-surge-at",
+            "infinite-surge-at",
+            "overflowing-surge-at",
+            "fractional-gossip-rounds",
+            "fractional-leave-process",
+            "string-burst-process",
+            "three-ended-link",
+            "string-heal-time",
         ],
     )
     def test_malformed_promoted_file_is_a_usage_error(
@@ -892,13 +960,14 @@ class TestGeneratedAndPromoted:
         with open(path) as fh:
             payload = json.load(fh)
         assert payload["timeline"][0]["kind"] == "partition"
-        edit(payload)
+        text = edit(payload)
         with open(path, "w") as fh:
-            json.dump(payload, fh)
+            fh.write(text if isinstance(text, str) else json.dumps(payload))
         monkeypatch.setenv("REPRO_SCENARIOS_DIR", str(tmp_path))
         assert main(["scenario", "describe", "hand-edited"]) == 2
         err = capsys.readouterr().err
         assert err.startswith("error: ")
+        assert len(re.findall("^error: ", err, re.M)) == 1
         assert re.search(message, err)
         assert "Traceback" not in err
 
@@ -955,8 +1024,8 @@ class TestAdversarialUnits:
             seed="unit", budget=3, scale=QUICK, top=2, trials=1,
             shrink=False, campaign=Campaign(backend="process:2"),
         )
-        assert json.dumps(serial.to_json(), sort_keys=True) == json.dumps(
-            parallel.to_json(), sort_keys=True
+        assert json.dumps(jsonio.encode(serial), sort_keys=True) == json.dumps(
+            jsonio.encode(parallel), sort_keys=True
         )
         assert len(serial.finds) <= 2
         for find in serial.finds:
@@ -970,7 +1039,7 @@ class TestAdversarialUnits:
             seed="unit2", budget=2, scale=QUICK, top=1, trials=1,
             shrink=False, campaign=Campaign(),
         )
-        payload = json.dumps(result.to_json())
+        payload = json.dumps(jsonio.encode(result))
         parsed = json.loads(payload)
         assert parsed["seed"] == "unit2"
         assert parsed["budget"] == 2

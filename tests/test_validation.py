@@ -7,8 +7,8 @@ from dataclasses import dataclass
 import pytest
 
 from repro.errors import ValidationError
+from repro.util import jsonio
 from repro.util.validation import (
-    check_known_fields,
     check_non_negative,
     check_non_negative_int,
     check_open_probability,
@@ -77,25 +77,24 @@ class _Spec:
     size: int = 4
 
 
-class TestCheckKnownFields:
-    def test_returns_payload(self):
+class TestDecodeKeySet:
+    """The key-set half of :func:`repro.util.jsonio.decode`."""
+
+    def test_builds_the_dataclass(self):
         payload = {"kind": "ring", "size": 8}
-        assert check_known_fields(_Spec, payload, "spec field") is payload
-        assert _Spec(**payload) == _Spec("ring", 8)
+        assert jsonio.decode(_Spec, payload, "spec") == _Spec("ring", 8)
 
     def test_defaults_may_be_omitted(self):
-        assert check_known_fields(_Spec, {"kind": "ring"}, "spec field") == {
-            "kind": "ring"
-        }
+        assert jsonio.decode(_Spec, {"kind": "ring"}, "spec") == _Spec("ring")
 
     @pytest.mark.parametrize("payload", [["kind"], "ring", None, 3])
     def test_rejects_non_object(self, payload):
         with pytest.raises(ValidationError, match="expected a JSON object of _Spec"):
-            check_known_fields(_Spec, payload, "spec field")
+            jsonio.decode(_Spec, payload, "spec")
 
     def test_unknown_key_names_supported_and_closest(self):
         with pytest.raises(ValidationError) as info:
-            check_known_fields(_Spec, {"kind": "ring", "sise": 8}, "spec field")
+            jsonio.decode(_Spec, {"kind": "ring", "sise": 8}, "spec")
         message = str(info.value)
         assert "unknown spec field 'sise'" in message
         assert "supported: kind, size" in message
@@ -103,8 +102,8 @@ class TestCheckKnownFields:
 
     def test_non_string_key_rejected(self):
         with pytest.raises(ValidationError, match="unknown spec field 1"):
-            check_known_fields(_Spec, {"kind": "ring", 1: 8}, "spec field")
+            jsonio.decode(_Spec, {"kind": "ring", 1: 8}, "spec")
 
     def test_missing_required_field_named(self):
         with pytest.raises(ValidationError, match="missing spec field 'kind'"):
-            check_known_fields(_Spec, {"size": 8}, "spec field")
+            jsonio.decode(_Spec, {"size": 8}, "spec")
