@@ -18,7 +18,11 @@ Implementation notes:
   round budget ``rounds`` is exhausted.  A state with rounds left sits in
   ``_active`` (arrival order) and leaves it on its last forward, so a
   step visits the broadcasts in flight, not every one ever seen;
-  ``_states`` keeps them all as the seen/ACK record.
+  ``_states`` keeps them all as the seen/ACK record.  While ``_active``
+  is empty a step does nothing, so the step chain is parked exactly
+  then (its ticks still happen, in the same order, without the call)
+  and unparked when a state enters ``_active`` (:class:`_GossipSteps`,
+  shared with the partial-view gossip).
 * :func:`calibrate_rounds` automates the paper's "determined
   interactively": it probes round budgets ``1..8, 10, 12, ...`` and
   returns the first whose empirical all-reached frequency meets the
@@ -41,6 +45,7 @@ from typing import Any, Callable, Dict, Iterator, Optional, Set
 
 from repro.core.broadcast import MessageId, ReliableBroadcastProcess
 from repro.errors import CalibrationError, ValidationError
+from repro.sim.events import Event
 from repro.sim.monitors import BroadcastMonitor
 from repro.sim.network import Network
 from repro.sim.trace import MessageCategory
@@ -97,7 +102,54 @@ class _GossipState:
         self.rounds_left = rounds_left
 
 
-class GossipBroadcast(ReliableBroadcastProcess):
+class _GossipSteps(ReliableBroadcastProcess):
+    """A gossip process's broadcast states and its step chain.
+
+    ``_states`` is the seen/ACK record; ``_active`` holds the states with
+    rounds left, in arrival order.  A step forwards every state in
+    ``_active`` and does nothing while it is empty, so the step chain is
+    parked exactly then: :meth:`_admit` unparks it and :meth:`_retire`
+    parks it when the last live state leaves.  Subclasses define
+    :meth:`_forward`, which calls :meth:`_retire` on a state's last round.
+    """
+
+    def __init__(
+        self,
+        pid: ProcessId,
+        network: Network,
+        monitor: BroadcastMonitor,
+        k_target: float,
+    ) -> None:
+        super().__init__(pid, network, monitor, k_target)
+        self._states: Dict[MessageId, _GossipState] = {}  # seen/ACK record
+        self._active: Dict[MessageId, _GossipState] = {}  # rounds left
+        self._stepper: Optional[Event] = None  # the step chain, once started
+
+    def _start_steps(self, period: float) -> None:
+        self._stepper = self.set_periodic(period, "gossip-step", self._step)
+        self._stepper.parked = not self._active
+
+    def _admit(self, mid: MessageId, state: _GossipState) -> None:
+        """Record a new broadcast as seen and live: steps have work again."""
+        self._states[mid] = self._active[mid] = state
+        if self._stepper is not None:
+            self._stepper.parked = False
+
+    def _retire(self, state: _GossipState) -> None:
+        """Drop a state that has used its last round from ``_active``."""
+        del self._active[state.message.mid]
+        if not self._active and self._stepper is not None:
+            self._stepper.parked = True  # nothing live: steps do nothing
+
+    def _step(self) -> None:
+        for state in list(self._active.values()):  # _forward retires states
+            self._forward(state)
+
+    def _forward(self, state: _GossipState) -> None:
+        raise NotImplementedError
+
+
+class GossipBroadcast(_GossipSteps):
     """Section 5's reference gossip with ACK suppression."""
 
     def __init__(
@@ -110,11 +162,9 @@ class GossipBroadcast(ReliableBroadcastProcess):
     ) -> None:
         super().__init__(pid, network, monitor, k_target)
         self.params = params or GossipParameters()
-        self._states: Dict[MessageId, _GossipState] = {}  # seen/ACK record
-        self._active: Dict[MessageId, _GossipState] = {}  # rounds left
 
     def on_start(self) -> None:
-        self.set_periodic(self.params.step_period, "gossip-step", self._step)
+        self._start_steps(self.params.step_period)
 
     # -- broadcast ------------------------------------------------------------------
 
@@ -122,7 +172,7 @@ class GossipBroadcast(ReliableBroadcastProcess):
         mid = self.next_message_id()
         message = GossipData(mid=mid, payload=payload)
         state = _GossipState(message, self.params.rounds)
-        self._states[mid] = self._active[mid] = state
+        self._admit(mid, state)
         self.deliver(mid, payload)
         self._forward(state)  # origin forwards immediately
         return mid
@@ -143,21 +193,17 @@ class GossipBroadcast(ReliableBroadcastProcess):
         state = self._states.get(payload.mid)
         if state is None:
             state = _GossipState(payload, self.params.rounds)
-            self._states[payload.mid] = self._active[payload.mid] = state
+            self._admit(payload.mid, state)
             self.deliver(payload.mid, payload.payload)
         # rule (a): never forward back to a process we received from
         state.excluded.add(sender)
 
     # -- stepping -------------------------------------------------------------------
 
-    def _step(self) -> None:
-        for state in list(self._active.values()):  # _forward retires states
-            self._forward(state)
-
     def _forward(self, state: _GossipState) -> None:
         state.rounds_left -= 1
         if state.rounds_left <= 0:
-            del self._active[state.message.mid]
+            self._retire(state)
         targets = [q for q in self.neighbors if q not in state.excluded]
         if self.params.fanout is not None and len(targets) > self.params.fanout:
             targets = targets[: self.params.fanout]

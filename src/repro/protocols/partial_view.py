@@ -25,7 +25,7 @@ standard param/sweep/cache machinery.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Any, Dict, Optional
+from typing import Any, Optional
 
 from repro.core.adaptive import (
     AdaptiveBroadcast,
@@ -36,7 +36,7 @@ from repro.core.broadcast import MessageId, ReliableBroadcastProcess
 from repro.core.knowledge import KnowledgeParameters
 from repro.membership.sampler import MembershipParams, PeerSampler, ViewExchange
 from repro.protocols.flooding import FloodData
-from repro.protocols.gossip import GossipAck, GossipData, _GossipState
+from repro.protocols.gossip import GossipAck, GossipData, _GossipState, _GossipSteps
 from repro.sim.monitors import BroadcastMonitor
 from repro.sim.network import Network
 from repro.sim.trace import MessageCategory
@@ -165,7 +165,7 @@ class FloodingPVBroadcast(_SamplerHost, ReliableBroadcastProcess):
                 self.send(q, payload, category=MessageCategory.DATA)
 
 
-class GossipPVBroadcast(_SamplerHost, ReliableBroadcastProcess):
+class GossipPVBroadcast(_SamplerHost, _GossipSteps):
     """Section 5 gossip with ACK suppression, stepping over the view."""
 
     def __init__(
@@ -182,18 +182,16 @@ class GossipPVBroadcast(_SamplerHost, ReliableBroadcastProcess):
         self.params = params
         self.membership = params
         self.sampler = PeerSampler(pid, self.neighbors, params, rng)
-        self._states: Dict[MessageId, _GossipState] = {}  # seen/ACK record
-        self._active: Dict[MessageId, _GossipState] = {}  # rounds left
 
     def on_start(self) -> None:
         self.start_membership()
-        self.set_periodic(self.params.step_period, "gossip-step", self._step)
+        self._start_steps(self.params.step_period)
 
     def broadcast(self, payload: Any) -> MessageId:
         mid = self.next_message_id()
         message = GossipData(mid=mid, payload=payload)
         state = _GossipState(message, self.params.rounds)
-        self._states[mid] = self._active[mid] = state
+        self._admit(mid, state)
         self.deliver(mid, payload)
         self._forward(state)
         return mid
@@ -212,18 +210,14 @@ class GossipPVBroadcast(_SamplerHost, ReliableBroadcastProcess):
         state = self._states.get(payload.mid)
         if state is None:
             state = _GossipState(payload, self.params.rounds)
-            self._states[payload.mid] = self._active[payload.mid] = state
+            self._admit(payload.mid, state)
             self.deliver(payload.mid, payload.payload)
         state.excluded.add(sender)
-
-    def _step(self) -> None:
-        for state in list(self._active.values()):  # _forward retires states
-            self._forward(state)
 
     def _forward(self, state: _GossipState) -> None:
         state.rounds_left -= 1
         if state.rounds_left <= 0:
-            del self._active[state.message.mid]
+            self._retire(state)
         targets = [q for q in self.sampled_peers if q not in state.excluded]
         if self.params.fanout is not None and len(targets) > self.params.fanout:
             targets = targets[: self.params.fanout]

@@ -237,6 +237,8 @@ class WorkloadSpec:
         check_non_negative_int(self.count, "count")
         if self.origin not in ("rotate", "fixed", "random"):
             raise ValidationError(f"unknown origin policy {self.origin!r}")
+        if self.surge_at is not None:
+            check_non_negative(self.surge_at, "surge_at")
         check_non_negative_int(self.surge_count, "surge_count")
         if self.surge_count and self.surge_at is None:
             raise ValidationError("surge_count needs surge_at")

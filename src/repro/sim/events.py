@@ -10,6 +10,9 @@ item)`` tuples, so ``heapq`` compares native tuples and never calls into
 the item during push/pop.  A queue item is anything with ``cancelled``,
 ``name`` and ``callback()``: :class:`Event` is the general one, and the
 network queues its own per-message delivery object without an ``Event``.
+The one other queue item is the engine's tick group, which stands for
+every periodic chain due at one instant with one period; each chain is an
+``Event`` member of it (see :mod:`repro.sim.engine`).
 ``Event`` itself is a ``__slots__`` record (no per-instance dict, no
 dataclass machinery); it is what ``Simulator.schedule`` returns, and it
 still defines the full ``(time, priority, seq)`` ordering protocol for
@@ -40,9 +43,13 @@ class Event:
     Only the ``(time, priority, seq)`` key participates in ordering; the
     callback and metadata are comparison-excluded so arbitrary callables
     can be scheduled.
+
+    ``parked`` applies to a periodic chain only: a parked member of a tick
+    group is counted, traced and re-armed as usual but its callback is not
+    called.  Park a chain only while its callback provably does nothing.
     """
 
-    __slots__ = ("time", "priority", "seq", "callback", "name", "cancelled")
+    __slots__ = ("time", "priority", "seq", "callback", "name", "cancelled", "parked")
 
     def __init__(
         self,
@@ -58,6 +65,7 @@ class Event:
         self.callback: Optional[Callable[[], None]] = callback
         self.name = name
         self.cancelled = False
+        self.parked = False
 
     @property
     def key(self) -> Tuple[float, int, int]:
@@ -70,7 +78,8 @@ class Event:
     def cancel(self) -> None:
         """Mark the event so the engine skips it (O(1), lazy removal).
 
-        Its callback goes too: a periodic chain's callback holds the event.
+        Its callback goes too: it may hold what holds the event (a
+        process's periodic chain holds the process).
         """
         self.cancelled = True
         self.callback = None

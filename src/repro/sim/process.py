@@ -6,8 +6,10 @@ wrappers around the network/engine: ``send``, ``set_timer`` and
 adaptive, gossip, ...) subclass it and override the ``on_*`` hooks.
 
 A periodic timer is one :class:`~repro.sim.events.Event` for its whole
-life: each firing re-queues it while it is still the armed one, so
-(re-)arming or cancelling a name leaves at most one chain.
+life, a member of one of the engine's tick groups (the queue item that
+fires every chain due at the same instant with one period; see
+:mod:`repro.sim.engine`).  (Re-)arming a name cancels its chain first,
+so a name has at most one chain.
 
 Crash semantics: *step* crashes (message-level) are applied by the
 network.  *Burst* crashes (Markov model) additionally call
@@ -131,29 +133,29 @@ class SimProcess:
     def timer_active(self, name: str) -> bool:
         return name in self._timers
 
-    def set_periodic(self, period: float, name: str, action: Callable[[], None]) -> None:
+    def set_periodic(
+        self, period: float, name: str, action: Callable[[], None]
+    ) -> Event:
         """(Re-)arm ``action`` every ``period`` time units until cancelled.
 
         The first firing happens one full period from now; re-arming a
         name cancels its running chain first.  A down process skips
         firings but the schedule keeps ticking (the process resumes its
-        periodic activity on recovery).
+        periodic activity on recovery).  Returns the chain's
+        :class:`~repro.sim.events.Event`, whose ``parked`` flag the
+        caller may set while ``action`` provably does nothing.
         """
         check_positive(period, "period")
         timer_key = f"__periodic__{name}"
         self.cancel_timer(timer_key)
-        timers = self._timers
-        sim = self.sim
 
         def tick() -> None:
             if not self._down:
                 action()
-            if timers.get(timer_key) is event:
-                event.time = time = sim.now + period
-                event.seq = sim._push(time, event.priority, event)
 
-        event = sim.schedule(period, tick, name=f"periodic:{self.pid}:{name}")
-        timers[timer_key] = event
+        event = self.sim.periodic(period, tick, name=f"periodic:{self.pid}:{name}")
+        self._timers[timer_key] = event
+        return event
 
     def cancel_periodic(self, name: str) -> None:
         self.cancel_timer(f"__periodic__{name}")

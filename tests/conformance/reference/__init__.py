@@ -20,4 +20,7 @@ imports it.
   Lemma 2's check that the MRT is a maximum spanning tree.
 * :mod:`.graphs` — ``random_connected``, the seeded random connected
   graphs the property and conformance tests draw their inputs from.
+* :mod:`.periodic` — a periodic chain as one event re-pushed per firing,
+  the oracle :meth:`repro.sim.engine.Simulator.periodic`'s tick groups
+  are held to.
 """

@@ -233,6 +233,81 @@ class TestStepVisitsOnlyLiveBroadcasts:
         assert sent == []
 
 
+@pytest.mark.parametrize(
+    "kind, events, groups, instants",
+    [("gossip", 62_596, 1, 240), ("gossip-pv", 79_723, 2, 264)],
+)
+class TestPinnedTickWork:
+    """The tick work of the ``churn-storm`` n=250 quick trial 100, exactly.
+
+    Its 250 step chains fire at each of 240 instants: 60,000 ticks, all
+    executed events, as they were when each tick was its own heap entry
+    (``events`` is the count from before tick groups).  The chains of an
+    instant share one tick group, so a group is pushed once when it is
+    created and once per instant it fires at (gossip-pv adds a second
+    group, its membership exchanges).  A step chain is parked while its
+    process has no live broadcast, so ``_step`` runs on 2,998 of the
+    60,000 ticks: the steps that forward something.
+    """
+
+    def test_counts(self, kind, events, groups, instants, monkeypatch):
+        import heapq
+        import types
+
+        import repro.sim.engine as engine
+        from repro.experiments.runner import scaled
+        from repro.scenario.registry import build_scenario
+        from repro.scenario.trial import run_scenario_trial
+
+        counts = {"events": 0, "pushes": 0, "steps": 0, "live": 0}
+        fired = set()
+
+        def heappush(queue, entry):
+            counts["pushes"] += entry[3].__class__ is engine._TickGroup
+            heapq.heappush(queue, entry)
+
+        monkeypatch.setattr(
+            engine,
+            "heapq",
+            types.SimpleNamespace(heappush=heappush, heappop=heapq.heappop),
+        )
+        fire = engine.Simulator._fire
+
+        def counting_fire(sim, group, budget):
+            fired.add((group.time, group.period))
+            return fire(sim, group, budget)
+
+        monkeypatch.setattr(engine.Simulator, "_fire", counting_fire)
+        run = engine.Simulator.run
+
+        def counting_run(sim, *args, **kwargs):
+            before = sim.executed_events
+            try:
+                return run(sim, *args, **kwargs)
+            finally:
+                counts["events"] += sim.executed_events - before
+
+        monkeypatch.setattr(engine.Simulator, "run", counting_run)
+        cls = GossipBroadcast if kind == "gossip" else GossipPVBroadcast
+        step = cls._step
+
+        def counting_step(proc):
+            counts["steps"] += 1
+            counts["live"] += bool(proc._active)
+            step(proc)
+
+        monkeypatch.setattr(cls, "_step", counting_step)
+
+        spec = build_scenario("churn-storm", scaled(current_scale("quick"), n=250))
+        run_scenario_trial(spec, kind, 100)
+
+        assert counts["events"] == events
+        assert len(fired) == instants
+        assert counts["pushes"] == groups + instants
+        # only steps with a live broadcast run
+        assert counts["steps"] == counts["live"] == 2_998
+
+
 class TestRunGossipTrial:
     def test_outcome_fields(self):
         config = Configuration.reliable(ring(5))

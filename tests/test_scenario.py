@@ -162,6 +162,17 @@ class TestSchema:
                           surge_count=3)
         assert wl.broadcast_times() == [5.0, 7.0, 8.0, 9.0, 15.0]
 
+    @pytest.mark.parametrize("surge_at", [-50.0, -0.5, math.nan, math.inf])
+    def test_workload_surge_at_must_be_a_time_of_the_run(self, surge_at):
+        """A surge before t = 0 (or at no time) would queue broadcasts the
+        simulator refuses, and ``nan`` would sort into the schedule."""
+        with pytest.raises(ValidationError, match="surge_at must be >= 0"):
+            WorkloadSpec(surge_at=surge_at, surge_count=2)
+
+    def test_workload_surge_at_zero_is_accepted(self):
+        wl = WorkloadSpec(start=5.0, count=1, surge_at=0.0, surge_count=2)
+        assert wl.broadcast_times() == [0.0, 1.0, 5.0]
+
 
 class TestRegistry:
     def test_ten_builtins(self):
@@ -892,6 +903,10 @@ class TestGeneratedAndPromoted:
                 "malformed JSON: number 1e400 overflows a float",
             ),
             (
+                lambda p: p["workload"].update(surge_at=-50.0, surge_count=2),
+                r"surge_at must be >= 0 and finite, got -50\.0",
+            ),
+            (
                 lambda p: p.update(gossip_rounds=2.5),
                 "scenario gossip_rounds takes integer values, got 2.5",
             ),
@@ -943,6 +958,7 @@ class TestGeneratedAndPromoted:
             "nan-surge-at",
             "infinite-surge-at",
             "overflowing-surge-at",
+            "negative-surge-at",
             "fractional-gossip-rounds",
             "fractional-leave-process",
             "string-burst-process",

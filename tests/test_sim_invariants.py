@@ -175,7 +175,7 @@ def test_schedule_returns_the_queued_event():
 
 def test_one_event_per_schedule_call_none_per_message(monkeypatch):
     """A gossip run builds an ``Event`` only per ``schedule``/``schedule_at``
-    call: deliveries and periodic re-arms queue without one."""
+    /``periodic`` call: deliveries and periodic firings queue without one."""
     constructed, calls, networks = [], [], []
     event_init = Event.__init__
 
@@ -193,6 +193,7 @@ def test_one_event_per_schedule_call_none_per_message(monkeypatch):
 
     monkeypatch.setattr(Simulator, "schedule", counted(Simulator.schedule))
     monkeypatch.setattr(Simulator, "schedule_at", counted(Simulator.schedule_at))
+    monkeypatch.setattr(Simulator, "periodic", counted(Simulator.periodic))
 
     config = Configuration.reliable(ring(12))
     rounds = 4
