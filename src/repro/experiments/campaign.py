@@ -33,6 +33,7 @@ process boundary.
 from __future__ import annotations
 
 import functools
+import hashlib
 import importlib
 import math
 from dataclasses import dataclass, field
@@ -64,6 +65,12 @@ RNG_KEY_PREFIX = "rng."
 TrialResult = Dict[str, float]
 
 SweepValue = Union[int, float, str]
+
+#: The params key ``"trial"`` in a canonical payload follows ``,`` (or
+#: ``{`` when it is the first).  Inside a JSON string every quote is
+#: escaped, so no string (a parameter name or value, the fn path) holds
+#: either text.
+_TRIAL_KEY = ',"trial":'
 
 
 @functools.lru_cache(maxsize=None)
@@ -98,10 +105,15 @@ class TrialSpec:
     def make(
         cls, fn: str, reads: Tuple[str, ...] = (), **params: object
     ) -> "TrialSpec":
-        """Build a spec, validating the function path and parameters."""
+        """Build a spec, validating the function path, reads and parameters."""
         if ":" not in fn:
             raise ValidationError(
                 f"trial fn must be 'module:function', got {fn!r}"
+            )
+        if isinstance(reads, str):
+            # tuple("messages") would be eight one-letter metric names
+            raise ValidationError(
+                f"trial reads must be a sequence of metric names, got {reads!r}"
             )
         for name, value in params.items():
             kind = type(value)
@@ -115,6 +127,42 @@ class TrialSpec:
             if isinstance(value, float) and not math.isfinite(value):
                 raise ValidationError(f"trial param {name} is not finite")
         return cls(fn, tuple(sorted(params.items())), tuple(reads))
+
+    @classmethod
+    def trials(
+        cls, fn: str, reads: Tuple[str, ...], count: int, **params: object
+    ) -> List["TrialSpec"]:
+        """The specs of one cell: trials ``0 .. count-1`` of one parameter set.
+
+        Element for element equal to ``[TrialSpec.make(fn, reads,
+        trial=t, **params) for t in range(count)]``, keys included, but
+        validated and rendered once.  The specs differ only in ``trial``,
+        so the canonical key payload of trial 0 is split around the
+        trial value: each key is the sha256 state of the text before it,
+        copied and fed ``str(t)`` plus the text after it.  The key is
+        kept where :meth:`key` keeps it.
+        """
+        if count < 0:
+            raise ValidationError(f"trial count must be >= 0, got {count!r}")
+        first = cls.make(fn, reads, trial=0, **params)
+        text = jsonio.dumps(first._payload())
+        cut = text.find(_TRIAL_KEY)
+        if cut < 0:  # "trial" is the first parameter
+            cut = text.find("{" + _TRIAL_KEY[1:])
+        cut += len(_TRIAL_KEY)
+        head = hashlib.sha256(text[:cut].encode())
+        tail = text[cut + 1 :]  # past the "0"
+        at = [name for name, _ in first.params].index("trial")
+        before, after = first.params[:at], first.params[at + 1 :]
+        reads = first.reads
+        specs: List[TrialSpec] = []
+        for trial in range(count):
+            spec = cls(fn, before + (("trial", trial),) + after, reads)
+            state = head.copy()
+            state.update(f"{trial}{tail}".encode())
+            object.__setattr__(spec, "_key", state.hexdigest())
+            specs.append(spec)
+        return specs
 
     def kwargs(self) -> Dict[str, object]:
         """The parameters as a plain keyword-argument dict."""
@@ -134,11 +182,13 @@ class TrialSpec:
             return self._key  # type: ignore[attr-defined]
         except AttributeError:
             pass
-        key = content_key(
-            {"fn": self.fn, "params": self.kwargs(), "code": _code_version()}
-        )
+        key = content_key(self._payload())
         object.__setattr__(self, "_key", key)
         return key
+
+    def _payload(self) -> Dict[str, object]:
+        """What the key hashes, in :func:`~repro.util.jsonio.dumps` form."""
+        return {"fn": self.fn, "params": self.kwargs(), "code": _code_version()}
 
     def resolve(self) -> Callable[..., TrialResult]:
         """Import and return the trial function."""

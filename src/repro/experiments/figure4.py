@@ -187,16 +187,16 @@ def run_phase1(
         ]
     )
     meas_specs = [
-        TrialSpec.make(
+        spec
+        for point, result in zip(points, phase1)
+        for spec in TrialSpec.trials(
             measurement_fn,
             ("messages",),
+            scale.trials,
             rounds=int(result["rounds"]),
-            trial=trial,
             **point,
             **measurement_params,
         )
-        for point, result in zip(points, phase1)
-        for trial in range(scale.trials)
     ]
     return phase1, meas_specs
 

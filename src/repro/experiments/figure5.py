@@ -117,28 +117,6 @@ def convergence_trial_task(
 CONVERGENCE_FN = "repro.experiments.figure5:convergence_trial_task"
 
 
-def _point_specs(
-    connectivity: int,
-    crash: float,
-    loss: float,
-    scale: ExperimentScale,
-    trials: int,
-) -> List[TrialSpec]:
-    return [
-        TrialSpec.make(
-            CONVERGENCE_FN,
-            ("messages_per_link",),
-            n=scale.n,
-            connectivity=int(connectivity),
-            crash=float(crash),
-            loss=float(loss),
-            deadline=float(scale.convergence_deadline),
-            trial=trial,
-        )
-        for trial in range(trials)
-    ]
-
-
 def _variant_axes(
     variant: str, values: Optional[Sequence[float]]
 ) -> Tuple[Tuple[float, ...], str, str]:
@@ -165,9 +143,16 @@ def figure5_build(
     trials = scale.convergence_trials(trials)
     specs: List[TrialSpec] = []
     for value, connectivity in point_grid(scale, values):
-        crash = float(value) if variant == "crash" else 0.0
-        loss = float(value) if variant == "loss" else 0.0
-        specs.extend(_point_specs(connectivity, crash, loss, scale, trials))
+        specs += TrialSpec.trials(
+            CONVERGENCE_FN,
+            ("messages_per_link",),
+            trials,
+            n=scale.n,
+            connectivity=int(connectivity),
+            crash=float(value) if variant == "crash" else 0.0,
+            loss=float(value) if variant == "loss" else 0.0,
+            deadline=float(scale.convergence_deadline),
+        )
     return specs
 
 

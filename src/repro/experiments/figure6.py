@@ -70,27 +70,6 @@ def scalability_trial_task(
 SCALABILITY_FN = "repro.experiments.figure6:scalability_trial_task"
 
 
-def _point_specs(
-    topology: str,
-    n: int,
-    scale: ExperimentScale,
-    trials: int,
-    loss: float,
-) -> List[TrialSpec]:
-    return [
-        TrialSpec.make(
-            SCALABILITY_FN,
-            ("messages_per_link",),
-            topology=topology,
-            n=int(n),
-            loss=float(loss),
-            deadline=float(scale.convergence_deadline),
-            trial=trial,
-        )
-        for trial in range(trials)
-    ]
-
-
 def _cell_grid(
     scale: ExperimentScale,
     sizes: Optional[Sequence[int]],
@@ -129,7 +108,15 @@ def figure6_build(
     trials = scale.convergence_trials(trials)
     specs: List[TrialSpec] = []
     for topology, loss_value, n in cells:
-        specs.extend(_point_specs(topology, n, scale, trials, loss_value))
+        specs += TrialSpec.trials(
+            SCALABILITY_FN,
+            ("messages_per_link",),
+            trials,
+            topology=topology,
+            n=int(n),
+            loss=float(loss_value),
+            deadline=float(scale.convergence_deadline),
+        )
     return specs
 
 

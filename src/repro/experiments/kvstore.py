@@ -132,18 +132,15 @@ def kvstore_build(scale: ExperimentScale, params) -> List[TrialSpec]:
                     payload = jsonio.dumps(
                         jsonio.encode(_workload(params, zipf_s, write_ratio))
                     )
-                    for trial in range(trials):
-                        specs.append(
-                            TrialSpec.make(
-                                KV_TRIAL_FN,
-                                _READS,
-                                scenario=str(scenario),
-                                protocol=str(protocol),
-                                scale=scale.name,
-                                trial=trial,
-                                workload=payload,
-                            )
-                        )
+                    specs += TrialSpec.trials(
+                        KV_TRIAL_FN,
+                        _READS,
+                        trials,
+                        scenario=str(scenario),
+                        protocol=str(protocol),
+                        scale=scale.name,
+                        workload=payload,
+                    )
     return specs
 
 

@@ -131,18 +131,15 @@ def membership_build(scale: ExperimentScale, params) -> List[TrialSpec]:
                     },
                     compact=False,
                 )
-                for trial in range(trials):
-                    specs.append(
-                        TrialSpec.make(
-                            MEMBERSHIP_TRIAL_FN,
-                            _READS,
-                            scenario=str(scenario),
-                            protocol=str(protocol),
-                            scale=scale.name,
-                            trial=trial,
-                            params=payload,
-                        )
-                    )
+                specs += TrialSpec.trials(
+                    MEMBERSHIP_TRIAL_FN,
+                    _READS,
+                    trials,
+                    scenario=str(scenario),
+                    protocol=str(protocol),
+                    scale=scale.name,
+                    params=payload,
+                )
     return specs
 
 

@@ -94,6 +94,11 @@ class TrialCache:
         A payload is a ``{metric: number}`` dict (what
         :func:`~repro.experiments.campaign.execute_spec` writes); an
         entry holding anything else is a miss.
+
+        The entry is read until a read comes back short of the buffer,
+        so a hit costs one ``os.read``.  A short read before the end of
+        the file could only cut the text, and a cut-off JSON object
+        never parses: the worst case is a miss, never a wrong hit.
         """
         try:
             # a raw descriptor: a buffered file object costs more to
@@ -103,7 +108,7 @@ class TrialCache:
             return None
         try:
             data = chunk = os.read(fd, _READ_SIZE)
-            while chunk:
+            while len(chunk) == _READ_SIZE:
                 chunk = os.read(fd, _READ_SIZE)
                 data += chunk
             entry = jsonio.loads(data)

@@ -141,6 +141,28 @@ class TestTrialSpec:
         shipped = pickle.loads(pickle.dumps(keyed))
         assert shipped == keyed and shipped.key() == key and len(calls) == 3
 
+        # a cell's specs are keyed as they are built, without content_key
+        cell = TrialSpec.trials("m.mod:fn", (), 2, x=1, y=2.5)
+        assert [spec.key() for spec in cell] == [
+            TrialSpec.make("m.mod:fn", trial=t, x=1, y=2.5).key() for t in (0, 1)
+        ]
+        assert len(calls) == 5  # the two make twins only
+        twin = TrialSpec.make("m.mod:fn", trial=1, x=1, y=2.5)
+        assert (cell[1] == twin, hash(cell[1]), repr(cell[1])) == (
+            True, hash(twin), repr(twin)
+        )
+        moved = dataclasses.replace(cell[1], params=(("trial", 1), ("x", 2)))
+        assert moved.key() == TrialSpec.make("m.mod:fn", trial=1, x=2).key()
+        assert len(calls) == 7
+        shipped = pickle.loads(pickle.dumps(cell[1]))
+        assert shipped.key() == cell[1].key() and len(calls) == 7
+
+    def test_reads_given_as_a_string_is_refused(self):
+        # tuple("messages") was eight one-letter metrics: every entry missed
+        with pytest.raises(ValidationError, match="sequence of metric names"):
+            TrialSpec.make("m:f", "messages", x=1)
+        assert TrialSpec.make("m:f", ["messages"], x=1).reads == ("messages",)
+
     def test_resolve_and_execute(self):
         spec = _convergence_spec(0)
         result = execute_spec(spec)
@@ -185,6 +207,25 @@ class TestTrialCache:
         for payload in ({}, {"m": 1}, {"m": 1e308, "rng.x": 3.0}):
             cache.put(key, payload)
             assert cache.get(key) == payload
+
+    def test_entry_past_one_read_buffer_still_hits(self, tmp_path):
+        cache = TrialCache(str(tmp_path))
+        key = content_key({"a": 1})
+        cache.put(key, {"m": 2.0}, context={"note": "x" * 20000})
+        assert os.path.getsize(os.path.join(str(tmp_path), f"{key}.json")) > 16384
+        assert cache.get(key) == {"m": 2.0}
+
+    def test_small_hit_takes_one_read(self, tmp_path, monkeypatch):
+        cache = TrialCache(str(tmp_path))
+        key = content_key({"a": 1})
+        cache.put(key, {"m": 2.0}, context={"fn": "m:f"})
+        reads = []
+        real_read = os.read
+        monkeypatch.setattr(
+            os, "read", lambda fd, n: reads.append(n) or real_read(fd, n)
+        )
+        assert cache.get(key) == {"m": 2.0}
+        assert len(reads) == 1
 
     def test_clear(self, tmp_path):
         cache = TrialCache(str(tmp_path))
@@ -658,12 +699,14 @@ class TestPinnedShellWorkCounts:
     """The campaign shell's work on a pinned figure4a sweep, counted exactly.
 
     The sweep is 2 points x (1 phase-1 spec + 4 trials) = 10 specs.  Each
-    spec derives its key once (the spec keeps it), the campaign reads
-    each entry once, and the backend that executes a spec writes it
-    once; a shard worker re-reads the entries of its shard (its
-    predecessor may have died after writing them), so a cold sharded
-    run reads twice.  A resumed run reads each entry once and writes
-    nothing.
+    phase-1 spec derives its key once from the full payload
+    (``content_key``); each point's 4 trials are one cell, whose payload
+    :meth:`TrialSpec.trials` renders once for all 4 keys.  The specs keep
+    their keys, the campaign reads each entry once, and the backend that
+    executes a spec writes it once; a shard worker re-reads the entries
+    of its shard (its predecessor may have died after writing them), so
+    a cold sharded run reads twice.  A resumed run reads each entry once
+    and writes nothing.
     """
 
     PARAMS = {"crash": (0.03,), "connectivity": (2, 4), "trials": 4}
@@ -690,6 +733,14 @@ class TestPinnedShellWorkCounts:
             monkeypatch.setattr(
                 TrialCache, name, counting(name, getattr(TrialCache, name))
             )
+        trials = TrialSpec.trials.__func__
+
+        def cell(cls, fn, reads, count, **params):
+            counts["cells"] += 1
+            counts["cell_trials"] += count
+            return trials(cls, fn, reads, count, **params)
+
+        monkeypatch.setattr(TrialSpec, "trials", classmethod(cell))
         return counts
 
     def _run(self, tmp_path, backend):
@@ -715,14 +766,17 @@ class TestPinnedShellWorkCounts:
         cold, cold_result = self._run(tmp_path, backend)
         assert (cold.executed, cold.cached) == (10, 0)
         assert dict(shell_calls) == {
-            "content_key": 10, "get": cold_gets, "put": 10,
+            "content_key": 2, "cells": 2, "cell_trials": 8,
+            "get": cold_gets, "put": 10,
         }
 
         for resume_backend in ("serial", "shard:1"):
             shell_calls.clear()
             resumed, result = self._run(tmp_path, resume_backend)
             assert (resumed.executed, resumed.cached) == (0, 10)
-            assert dict(shell_calls) == {"content_key": 10, "get": 10}
+            assert dict(shell_calls) == {
+                "content_key": 2, "cells": 2, "cell_trials": 8, "get": 10,
+            }
             assert result.rows == cold_result.rows
 
 
