@@ -301,3 +301,67 @@ def test_figure5_table_digest(variant):
         campaign=Campaign(),
     )
     _check(f"{name}-table", result.render())
+
+
+def _table(name: str, params=None) -> str:
+    """One registered experiment's quick-scale table, run serially."""
+    from repro.experiments.campaign import Campaign
+    from repro.experiments.registry import resolve_experiment
+    from repro.experiments.runner import current_scale
+
+    return (
+        resolve_experiment(name)
+        .run(scale=current_scale("quick"), params=params, campaign=Campaign())
+        .render()
+    )
+
+
+def test_figure1_table_digest():
+    """The Figure 1 regeneration (the paper's full L x alpha grid)
+    renders byte-identically."""
+    _check("figure1-table", _table("figure1"))
+
+
+def test_figure4b_table_digest():
+    """The figure4b table (reduced quick grid, two curves) renders
+    byte-identically."""
+    params = {"loss": [0.01, 0.05], "connectivity": [2, 4], "trials": [2]}
+    _check("figure4b-table", _table("figure4b", params))
+
+
+def test_figure6_table_digest():
+    """The Figure 6 table (both topologies, two losses, two sizes)
+    renders byte-identically."""
+    params = {"size": [8, 12], "loss": [0.0, 0.01], "trials": [1]}
+    _check("figure6-table", _table("figure6", params))
+
+
+def test_heterogeneous_table_digest():
+    """The heterogeneous comparison (reduced quick grid) renders
+    byte-identically."""
+    params = {"connectivity": [2, 4], "trials": [2]}
+    _check("heterogeneous-table", _table("heterogeneous", params))
+
+
+def test_membership_table_digest():
+    """The membership table (two policies x two view sizes) renders
+    byte-identically."""
+    params = {
+        "scenario": ["churn-mill"],
+        "policy": ["head:rand:pushpull", "rand:rand:pull"],
+        "view_size": [4, 8],
+        "trials": [1],
+    }
+    _check("membership-table", _table("membership", params))
+
+
+def test_kvstore_table_digest():
+    """The KV-store table (two protocols x two Zipf skews) renders
+    byte-identically."""
+    params = {
+        "scenario": ["hot-key-storm"],
+        "protocol": ["gossip", "flooding"],
+        "zipf_s": [0.9, 1.2],
+        "trials": [1],
+    }
+    _check("kvstore-table", _table("kvstore", params))
