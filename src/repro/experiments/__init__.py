@@ -1,12 +1,14 @@
 """Experiment harness regenerating every table and figure of Section 5.
 
-Each module exposes a ``*_build`` / ``*_aggregate`` pair: ``build``
-describes every trial as a campaign spec, ``aggregate`` folds the ordered
-trial results into a :class:`repro.results.ResultSet` with the rows and
-curves the paper plots.  The experiment registry composes the two, and
-:func:`run_experiment` (or :func:`repro.api.run_experiment`) is the one
-way to run an experiment; ``tests/conformance/test_paper_shapes.py``
-asserts the curves' shapes.
+An experiment is a grid of cells, one per grid point, and each module
+exposes a ``cells`` / ``fold`` pair: ``cells`` pairs each point's
+coordinates with its trials, described as campaign specs; ``fold``
+reads each point's ordered trial results beside its coordinates into a
+:class:`repro.results.ResultSet` with the rows and curves the paper
+plots.  The experiment registry runs every cell's trials as one
+campaign batch between the two, and :func:`run_experiment` (or
+:func:`repro.api.run_experiment`) is the one way to run an experiment;
+``tests/conformance/test_paper_shapes.py`` asserts the curves' shapes.
 
 Scales: the paper runs 100 processes with ``K = 0.9999``; certifying that
 reliability empirically needs orders of magnitude more trials than a

@@ -37,8 +37,10 @@ import hashlib
 import importlib
 import math
 from dataclasses import dataclass, field
+from itertools import islice
 from typing import (
     TYPE_CHECKING,
+    Any,
     Callable,
     Dict,
     List,
@@ -258,10 +260,15 @@ def cached_result(
     return hit
 
 
-def chunked(results: Sequence[TrialResult], size: int):
-    """Slice ordered campaign results into consecutive per-point chunks."""
-    for start in range(0, len(results), size):
-        yield results[start : start + size]
+#: The coordinates of one experiment cell (a grid point): whatever its
+#: experiment's ``cells`` hook names it by and its ``fold`` hook reads.
+Coords = Any
+
+#: One experiment cell: a grid point's coordinates and its trials.
+Cell = Tuple[Coords, List[TrialSpec]]
+
+#: One cell's coordinates beside its trials' results, in trial order.
+CellResults = Tuple[Coords, List[TrialResult]]
 
 
 class Campaign:
@@ -320,6 +327,12 @@ class Campaign:
         A materialized :meth:`run_stream` — see there for semantics.
         """
         return list(self.run_stream(specs))
+
+    def run_cells(self, cells: Sequence[Cell]) -> List[CellResults]:
+        """Execute every cell's trials as one batch; each cell's results
+        come back beside its coordinates, in the cell's trial order."""
+        results = iter(self.run([spec for _, specs in cells for spec in specs]))
+        return [(coords, list(islice(results, len(specs)))) for coords, specs in cells]
 
     def run_stream(self, specs: Sequence[TrialSpec]):
         """Execute ``specs``, yielding results in submission order.

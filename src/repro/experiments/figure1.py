@@ -12,11 +12,14 @@ exactly like Figures 4/5/6.
 
 from __future__ import annotations
 
-from typing import Dict, Iterable, List, Sequence, Tuple
+from typing import TYPE_CHECKING, Dict, List, Sequence
 
 from repro.analysis.two_paths import message_ratio
-from repro.experiments.campaign import TrialSpec
+from repro.experiments.campaign import Cell, CellResults, TrialSpec
 from repro.results.schema import ResultSet
+
+if TYPE_CHECKING:  # import cycle: the registry imports this module
+    from repro.experiments.registry import ExperimentContext
 
 #: The loss probabilities plotted in the paper's Figure 1.
 PAPER_LOSSES = (1e-2, 1e-3, 1e-4)
@@ -33,31 +36,27 @@ def two_path_ratio_task(*, loss: float, alpha: float) -> Dict[str, float]:
 RATIO_FN = "repro.experiments.figure1:two_path_ratio_task"
 
 
-def _grid(
-    losses: Sequence[float], alphas: Iterable[float]
-) -> List[Tuple[float, float]]:
-    return [(loss, alpha) for loss in losses for alpha in alphas]
-
-
-def figure1_build(
-    losses: Sequence[float] = PAPER_LOSSES,
-    alphas: Iterable[float] = PAPER_ALPHAS,
-) -> List[TrialSpec]:
-    """One spec per (L, alpha) point, in the plotting order."""
+def cells(ctx: ExperimentContext) -> List[Cell]:
+    """One seed-free spec per ``(L, alpha)`` point, in the plotting order."""
+    p = ctx.params
     return [
-        TrialSpec.make(RATIO_FN, ("ratio",), loss=float(loss), alpha=float(alpha))
-        for loss, alpha in _grid(losses, list(alphas))
+        (
+            (loss, alpha),
+            [
+                TrialSpec.make(
+                    RATIO_FN, ("ratio",), loss=float(loss), alpha=float(alpha)
+                )
+            ],
+        )
+        for loss in p.loss or PAPER_LOSSES
+        for alpha in p.alpha or PAPER_ALPHAS
     ]
 
 
-def figure1_aggregate(
-    results: Sequence[Dict[str, float]],
-    losses: Sequence[float] = PAPER_LOSSES,
-    alphas: Iterable[float] = PAPER_ALPHAS,
-) -> ResultSet:
+def fold(ctx: ExperimentContext, cells: Sequence[CellResults]) -> ResultSet:
     """Fold the point results into Figure 1: one curve per ``L``."""
     by_loss: Dict[float, Dict[float, float]] = {}
-    for (loss, alpha), result in zip(_grid(losses, list(alphas)), results):
+    for (loss, alpha), (result,) in cells:
         by_loss.setdefault(loss, {})[alpha] = result["ratio"]
     return ResultSet.from_curves(
         "figure1",

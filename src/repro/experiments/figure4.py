@@ -13,8 +13,9 @@ algorithms must deliver to all processes with the same probability ``K``.
   over the MRT under the true configuration (the cost function of Eq. 3).
   It is computed once per grid point, by the phase-1 task that already
   holds the point's configuration (:func:`phase1_reference`), and
-  reaches the aggregate as a trial result — through the cache, the
-  worker pipes and every backend, like the round budget beside it.
+  reaches the fold in the point's coordinates — as a trial result
+  through the cache, the worker pipes and every backend, like the round
+  budget beside it.
 * The **reference** side is empirical: gossip rounds are first calibrated
   so the all-reached frequency meets ``K`` (the paper's "determined
   interactively"), then data-message counts are averaged over measurement
@@ -23,24 +24,25 @@ algorithms must deliver to all processes with the same probability ``K``.
   ``needs_calibration`` capability flag marks exactly this knob.
 
 Execution is campaign-based (see :mod:`repro.experiments.campaign`):
-:func:`figure4_build` describes every calibration and measurement trial
-as a seed-complete :class:`~repro.experiments.campaign.TrialSpec` and a
+:func:`cells` describes every calibration and measurement trial as a
+seed-complete :class:`~repro.experiments.campaign.TrialSpec` and a
 :class:`~repro.experiments.campaign.Campaign` runs them — serially
 in-process by default, or fanned out over worker processes with on-disk
-result caching, with bit-identical aggregates either way.
+result caching, with bit-identical tables either way.
 """
 
 from __future__ import annotations
 
-from typing import Dict, List, Optional, Sequence, Tuple
+from typing import TYPE_CHECKING, Dict, List, Sequence, Tuple
 
 from repro.core.mrt import maximum_reliability_tree
 from repro.core.optimize import optimize
-from repro.experiments.campaign import Campaign, TrialSpec, chunked
+from repro.experiments.campaign import Campaign, Cell, CellResults, TrialSpec
 from repro.experiments.runner import (
     ExperimentScale,
     make_network,
     point_grid,
+    sized_scale,
     variant_axes,
 )
 from repro.protocols.gossip import calibrate_rounds, run_gossip_trial
@@ -49,9 +51,19 @@ from repro.topology.configuration import Configuration
 from repro.topology.generators import k_regular
 from repro.topology.graph import Graph
 
+if TYPE_CHECKING:  # import cycle: the registry imports this module
+    from repro.experiments.registry import ExperimentContext
+
 #: Probability values plotted in the paper for each variant.
-PAPER_CRASH_VALUES = (0.01, 0.03, 0.05, 0.07)
-PAPER_LOSS_VALUES = (0.01, 0.03, 0.05, 0.07)
+PAPER_VALUES = {
+    "crash": (0.01, 0.03, 0.05, 0.07),
+    "loss": (0.01, 0.03, 0.05, 0.07),
+}
+
+TITLES = {
+    "crash": "Figure 4(a) - reference/optimal ratio, reliable links (L=0)",
+    "loss": "Figure 4(b) - reference/optimal ratio, reliable processes (P=0)",
+}
 
 
 def optimal_messages(graph: Graph, config: Configuration, k_target: float) -> int:
@@ -166,13 +178,16 @@ def run_phase1(
     scale: ExperimentScale,
     campaign: Campaign,
     fns: Tuple[str, str],
-    points: Sequence[Dict[str, object]],
+    points: Sequence[Tuple[Tuple[object, ...], Dict[str, object]]],
     **measurement_params: object,
-) -> Tuple[List[Dict[str, float]], List[TrialSpec]]:
-    """Run phase 1 of ``points``: its results and the specs they parameterise.
+) -> List[Cell]:
+    """Run phase 1 of ``points``; returns the measurement cells.
 
-    ``fns`` is the (phase-1, measurement) task pair: one phase-1 trial per
-    point, then ``scale.trials`` measurement specs per point at its budget.
+    ``points`` pairs each point's coordinates with its spec parameters;
+    ``fns`` is the (phase-1, measurement) task pair.  One phase-1 trial
+    per point fixes its round budget and optimal cost; the point's cell
+    is ``scale.trials`` measurement specs at that budget, and its
+    coordinates gain the optimal cost.
     """
     phase1_fn, measurement_fn = fns
     phase1 = campaign.run(
@@ -181,39 +196,25 @@ def run_phase1(
                 phase1_fn,
                 ("rounds", "optimal_messages"),
                 trials=scale.calibration_trials,
-                **point,
+                **params,
             )
-            for point in points
+            for _, params in points
         ]
     )
-    meas_specs = [
-        spec
-        for point, result in zip(points, phase1)
-        for spec in TrialSpec.trials(
-            measurement_fn,
-            ("messages",),
-            scale.trials,
-            rounds=int(result["rounds"]),
-            **point,
-            **measurement_params,
+    return [
+        (
+            (*coords, result["optimal_messages"]),
+            TrialSpec.trials(
+                measurement_fn,
+                ("messages",),
+                scale.trials,
+                rounds=int(result["rounds"]),
+                **params,
+                **measurement_params,
+            ),
         )
+        for (coords, params), result in zip(points, phase1)
     ]
-    return phase1, meas_specs
-
-
-def _variant_axes(
-    variant: str, values: Optional[Sequence[float]]
-) -> Tuple[Tuple[float, ...], str, str]:
-    """The (values, curve label, title) triple of one Figure 4 variant."""
-    return variant_axes(
-        variant,
-        values,
-        defaults={"crash": PAPER_CRASH_VALUES, "loss": PAPER_LOSS_VALUES},
-        titles={
-            "crash": "Figure 4(a) - reference/optimal ratio, reliable links (L=0)",
-            "loss": "Figure 4(b) - reference/optimal ratio, reliable processes (P=0)",
-        },
-    )
 
 
 def _probs(variant: str, value: float) -> Tuple[float, float]:
@@ -221,47 +222,41 @@ def _probs(variant: str, value: float) -> Tuple[float, float]:
     return (float(value), 0.0) if variant == "crash" else (0.0, float(value))
 
 
-def figure4_build(
-    variant: str,
-    scale: ExperimentScale,
-    campaign: Campaign,
-    values: Optional[Sequence[float]] = None,
-    count_acks: bool = False,
-) -> Tuple[List[Dict[str, float]], List[TrialSpec]]:
-    """Phase 1 + the phase-2 specs of one Figure 4 variant.
+def cells(
+    variant: str, ctx: ExperimentContext, count_acks: bool = False
+) -> List[Cell]:
+    """Phase 1, then the measurement cells of one Figure 4 variant.
 
     Phase 1 (one round-budget fit and one optimal cost per grid point)
-    runs through ``campaign`` immediately — its results parameterise the
-    measurement specs.  Returns ``(phase-1 results, measurement specs)``:
-    the caller (the experiment registry) runs the specs through the same
-    campaign and hands both result lists to :func:`figure4_aggregate`.
+    runs through ``ctx.campaign`` immediately — its results parameterise
+    the measurement specs.  A cell's coordinates are its curve label,
+    its connectivity and its optimal cost.  ``count_acks`` adds the
+    reference side's ACKs to its cost (the ACK-accounting ablation).
     """
-    values, _, _ = _variant_axes(variant, values)
+    scale = sized_scale(ctx.scale, ctx.params, trials_in_scale=True)
+    values, label = variant_axes(variant, ctx.params, PAPER_VALUES)
     points = [
-        _point_params(scale, connectivity, *_probs(variant, value))
+        (
+            (f"{label}={value:g}", connectivity),
+            _point_params(scale, connectivity, *_probs(variant, value)),
+        )
         for value, connectivity in point_grid(scale, values)
     ]
-    return run_phase1(scale, campaign, TASK_FNS, points, count_acks=count_acks)
+    return run_phase1(scale, ctx.campaign, TASK_FNS, points, count_acks=count_acks)
 
 
-def figure4_aggregate(
-    variant: str,
-    scale: ExperimentScale,
-    phase1: Sequence[Dict[str, float]],
-    measurements: Sequence[Dict[str, float]],
-    values: Optional[Sequence[float]] = None,
+def fold(
+    variant: str, ctx: ExperimentContext, cells: Sequence[CellResults]
 ) -> ResultSet:
-    """Fold ordered phase-1 and measurement results into the Figure 4 table."""
-    values, label, title = _variant_axes(variant, values)
-    by_value: Dict[float, Dict[int, float]] = {value: {} for value in values}
-    for (value, connectivity), point, chunk in zip(
-        point_grid(scale, values), phase1, chunked(measurements, scale.trials)
-    ):
-        reference = Campaign.aggregate(chunk, "messages").mean
-        by_value[value][connectivity] = reference / point["optimal_messages"]
+    """Fold each point's measurements over its optimal cost into the
+    Figure 4 table: one curve per probability value."""
+    curves: Dict[str, Dict[int, float]] = {}
+    for (curve, connectivity, optimal), results in cells:
+        reference = Campaign.aggregate(results, "messages").mean
+        curves.setdefault(curve, {})[connectivity] = reference / optimal
     return ResultSet.from_curves(
         "figure4a" if variant == "crash" else "figure4b",
-        title,
+        TITLES[variant],
         "connectivity (links/process)",
-        [(f"{label}={value:g}", by_value[value]) for value in values],
+        list(curves.items()),
     )

@@ -18,18 +18,18 @@ serial run.
 from __future__ import annotations
 
 import math
-from typing import Dict, List, Optional, Sequence, Tuple
+from typing import TYPE_CHECKING, Dict, List, Optional, Sequence
 
 from repro.analysis.convergence import ConvergenceCriterion, views_converged
 from repro.errors import ConvergenceTimeoutError
-from repro.experiments.campaign import Campaign, TrialSpec, chunked
+from repro.experiments.campaign import Campaign, Cell, CellResults, TrialSpec
 from repro.protocols.registry import AdaptiveProtocolParams
 from repro.protocols.trial import Trial
 from repro.results.schema import ResultSet
 from repro.experiments.runner import (
-    ExperimentScale,
     make_network,
     point_grid,
+    sized_scale,
     variant_axes,
 )
 from repro.sim.monitors import ConvergenceMonitor
@@ -38,9 +38,19 @@ from repro.topology.configuration import Configuration
 from repro.topology.generators import k_regular
 from repro.topology.graph import Graph
 
+if TYPE_CHECKING:  # import cycle: the registry imports this module
+    from repro.experiments.registry import ExperimentContext
+
 #: Probability values plotted in the paper for each variant.
-PAPER_CRASH_VALUES = (0.0, 0.01, 0.03, 0.05)
-PAPER_LOSS_VALUES = (0.0, 0.01, 0.03, 0.05)
+PAPER_VALUES = {
+    "crash": (0.0, 0.01, 0.03, 0.05),
+    "loss": (0.0, 0.01, 0.03, 0.05),
+}
+
+TITLES = {
+    "crash": "Figure 5(a) - convergence effort, reliable links (L=0)",
+    "loss": "Figure 5(b) - convergence effort, reliable processes (P=0)",
+}
 
 
 def convergence_messages_per_link(
@@ -117,65 +127,42 @@ def convergence_trial_task(
 CONVERGENCE_FN = "repro.experiments.figure5:convergence_trial_task"
 
 
-def _variant_axes(
-    variant: str, values: Optional[Sequence[float]]
-) -> Tuple[Tuple[float, ...], str, str]:
-    """The (values, curve label, title) triple of one Figure 5 variant."""
-    return variant_axes(
-        variant,
-        values,
-        defaults={"crash": PAPER_CRASH_VALUES, "loss": PAPER_LOSS_VALUES},
-        titles={
-            "crash": "Figure 5(a) - convergence effort, reliable links (L=0)",
-            "loss": "Figure 5(b) - convergence effort, reliable processes (P=0)",
-        },
-    )
-
-
-def figure5_build(
-    variant: str,
-    scale: ExperimentScale,
-    values: Optional[Sequence[float]] = None,
-    trials: Optional[int] = None,
-) -> List[TrialSpec]:
-    """All convergence trials of one Figure 5 variant, in grid order."""
-    values, _, _ = _variant_axes(variant, values)
-    trials = scale.convergence_trials(trials)
-    specs: List[TrialSpec] = []
-    for value, connectivity in point_grid(scale, values):
-        specs += TrialSpec.trials(
-            CONVERGENCE_FN,
-            ("messages_per_link",),
-            trials,
-            n=scale.n,
-            connectivity=int(connectivity),
-            crash=float(value) if variant == "crash" else 0.0,
-            loss=float(value) if variant == "loss" else 0.0,
-            deadline=float(scale.convergence_deadline),
+def cells(variant: str, ctx: ExperimentContext) -> List[Cell]:
+    """The convergence trials of one Figure 5 variant, one cell per
+    ``(curve label, connectivity)`` point, in grid order."""
+    scale = sized_scale(ctx.scale, ctx.params, trials_in_scale=False)
+    values, label = variant_axes(variant, ctx.params, PAPER_VALUES)
+    trials = scale.convergence_trials(ctx.params.trials)
+    return [
+        (
+            (f"{label}={value:g}", connectivity),
+            TrialSpec.trials(
+                CONVERGENCE_FN,
+                ("messages_per_link",),
+                trials,
+                n=scale.n,
+                connectivity=int(connectivity),
+                crash=float(value) if variant == "crash" else 0.0,
+                loss=float(value) if variant == "loss" else 0.0,
+                deadline=float(scale.convergence_deadline),
+            ),
         )
-    return specs
+        for value, connectivity in point_grid(scale, values)
+    ]
 
 
-def figure5_aggregate(
-    variant: str,
-    scale: ExperimentScale,
-    results: Sequence[Dict[str, float]],
-    values: Optional[Sequence[float]] = None,
-    trials: Optional[int] = None,
+def fold(
+    variant: str, ctx: ExperimentContext, cells: Sequence[CellResults]
 ) -> ResultSet:
-    """Fold ordered convergence results into the Figure 5 table."""
-    values, label, title = _variant_axes(variant, values)
-    trials = scale.convergence_trials(trials)
-    by_value: Dict[float, Dict[int, float]] = {value: {} for value in values}
-    for (value, connectivity), chunk in zip(
-        point_grid(scale, values), chunked(results, trials)
-    ):
-        by_value[value][connectivity] = Campaign.aggregate(
-            chunk, "messages_per_link"
+    """Fold each point's convergence efforts into the Figure 5 table."""
+    curves: Dict[str, Dict[int, float]] = {}
+    for (curve, connectivity), results in cells:
+        curves.setdefault(curve, {})[connectivity] = Campaign.aggregate(
+            results, "messages_per_link"
         ).mean
     return ResultSet.from_curves(
         "figure5a" if variant == "crash" else "figure5b",
-        title,
+        TITLES[variant],
         "connectivity (links/process)",
-        [(f"{label}={value:g}", by_value[value]) for value in values],
+        list(curves.items()),
     )

@@ -6,8 +6,8 @@ convergence effort grows linearly with n) and random trees (convergence
 effort stays nearly constant).  The metric is the same messages/link
 counter as Figure 5, with a mildly unreliable uniform configuration.
 
-Like Figures 4/5, every (topology, n, trial) cell is a seed-complete
-campaign spec, so ``repro experiments run figure6`` parallelises and
+Like Figures 4/5, every trial of a (topology, loss, n) cell is a
+seed-complete campaign spec, so ``repro experiments run figure6`` parallelises and
 caches the sweep; ``--sweep topology=... --sweep size=... --sweep loss=...`` widens
 or narrows the grid (multiple loss values add one curve per topology x
 loss combination).
@@ -15,16 +15,18 @@ loss combination).
 
 from __future__ import annotations
 
-from typing import Dict, List, Optional, Sequence, Tuple
+from typing import TYPE_CHECKING, Dict, List, Sequence
 
 from repro.errors import ValidationError
-from repro.experiments.campaign import Campaign, TrialSpec, chunked
+from repro.experiments.campaign import Campaign, Cell, CellResults, TrialSpec
 from repro.experiments.figure5 import convergence_messages_per_link
-from repro.experiments.runner import ExperimentScale
 from repro.results.schema import ResultSet
 from repro.topology.configuration import Configuration
 from repro.topology.generators import random_tree, ring
 from repro.util.rng import RandomSource
+
+if TYPE_CHECKING:  # import cycle: the registry imports this module
+    from repro.experiments.registry import ExperimentContext
 
 #: Loss probability used for the scalability runs (mildly lossy links —
 #: the paper does not state the exact value; 0.01 keeps suspicion traffic
@@ -70,83 +72,48 @@ def scalability_trial_task(
 SCALABILITY_FN = "repro.experiments.figure6:scalability_trial_task"
 
 
-def _cell_grid(
-    scale: ExperimentScale,
-    sizes: Optional[Sequence[int]],
-    topologies: Optional[Sequence[str]],
-    losses: Optional[Sequence[float]],
-    loss: float,
-):
-    """The validated (topology, loss, n) cell grid of one Figure 6 run."""
-    sizes = tuple(sizes or scale.figure6_sizes)
-    topologies = tuple(topologies or TOPOLOGIES)
-    losses = tuple(losses or (loss,))
+def cells(ctx: ExperimentContext) -> List[Cell]:
+    """All scalability trials of one Figure 6 grid, one cell per
+    ``(curve label, n)`` point: one curve per topology, and per loss
+    (with an ``L=`` suffix) when several losses are swept."""
+    p = ctx.params
+    topologies = p.topology or TOPOLOGIES
     for topology in topologies:
         if topology not in TOPOLOGIES:
             raise ValidationError(
                 f"topology must be 'ring' or 'tree', got {topology!r}"
             )
-    cells = [
-        (topology, loss_value, n)
-        for topology in topologies
-        for loss_value in losses
-        for n in sizes
-    ]
-    return cells, losses
-
-
-def figure6_build(
-    scale: ExperimentScale,
-    sizes: Optional[Sequence[int]] = None,
-    trials: Optional[int] = None,
-    loss: float = DEFAULT_LOSS,
-    topologies: Optional[Sequence[str]] = None,
-    losses: Optional[Sequence[float]] = None,
-) -> List[TrialSpec]:
-    """All scalability trials of one Figure 6 grid, in cell order."""
-    cells, _ = _cell_grid(scale, sizes, topologies, losses, loss)
-    trials = scale.convergence_trials(trials)
-    specs: List[TrialSpec] = []
-    for topology, loss_value, n in cells:
-        specs += TrialSpec.trials(
-            SCALABILITY_FN,
-            ("messages_per_link",),
-            trials,
-            topology=topology,
-            n=int(n),
-            loss=float(loss_value),
-            deadline=float(scale.convergence_deadline),
+    losses = p.loss or (DEFAULT_LOSS,)
+    trials = ctx.scale.convergence_trials(p.trials)
+    return [
+        (
+            (topology if len(losses) == 1 else f"{topology} L={loss:g}", n),
+            TrialSpec.trials(
+                SCALABILITY_FN,
+                ("messages_per_link",),
+                trials,
+                topology=topology,
+                n=int(n),
+                loss=float(loss),
+                deadline=float(ctx.scale.convergence_deadline),
+            ),
         )
-    return specs
+        for topology in topologies
+        for loss in losses
+        for n in p.size or ctx.scale.figure6_sizes
+    ]
 
 
-def figure6_aggregate(
-    scale: ExperimentScale,
-    results: Sequence[Dict[str, float]],
-    sizes: Optional[Sequence[int]] = None,
-    trials: Optional[int] = None,
-    loss: float = DEFAULT_LOSS,
-    topologies: Optional[Sequence[str]] = None,
-    losses: Optional[Sequence[float]] = None,
-) -> ResultSet:
-    """Fold ordered scalability results into the Figure 6 table.
-
-    One curve per topology; several ``losses`` add ``L=`` suffixes and
-    one curve per topology x loss combination.
-    """
-    cells, losses = _cell_grid(scale, sizes, topologies, losses, loss)
-    trials = scale.convergence_trials(trials)
-    curves: Dict[Tuple[str, float], Dict[int, float]] = {}
-    for (topology, loss_value, n), chunk in zip(cells, chunked(results, trials)):
-        stats = Campaign.aggregate(chunk, "messages_per_link")
-        curves.setdefault((topology, loss_value), {})[n] = stats.mean
-    single = len(losses) == 1
+def fold(ctx: ExperimentContext, cells: Sequence[CellResults]) -> ResultSet:
+    """Fold each point's convergence efforts into the Figure 6 table."""
+    curves: Dict[str, Dict[int, float]] = {}
+    for (curve, n), results in cells:
+        curves.setdefault(curve, {})[n] = Campaign.aggregate(
+            results, "messages_per_link"
+        ).mean
     return ResultSet.from_curves(
         "figure6",
         "Figure 6 - adaptive algorithm scalability",
         "number of processes",
-        [
-            (topology if single else f"{topology} L={loss_value:g}", points)
-            for (topology, loss_value), points in curves.items()
-        ],
+        list(curves.items()),
     )

@@ -25,20 +25,23 @@ parallelises the comparison.  Protocol stacks deploy through the protocol regist
 
 from __future__ import annotations
 
-from typing import Dict, List, Optional, Sequence, Tuple
+from typing import TYPE_CHECKING, Dict, List, Sequence, Tuple
 
-from repro.experiments.campaign import Campaign, TrialSpec, chunked
+from repro.experiments.campaign import Campaign, Cell, CellResults
 from repro.experiments.figure4 import (
     measure_reference_once,
     phase1_reference,
     run_phase1,
 )
-from repro.experiments.runner import ExperimentScale
+from repro.experiments.runner import ExperimentScale, sized_scale
 from repro.results.schema import ResultSet
 from repro.topology.configuration import Configuration
 from repro.topology.generators import k_regular
 from repro.topology.graph import Graph
 from repro.util.rng import RandomSource
+
+if TYPE_CHECKING:  # import cycle: the registry imports this module
+    from repro.experiments.registry import ExperimentContext
 
 MODES = ("uniform", "hetero")
 
@@ -138,82 +141,49 @@ def _point_params(
     }
 
 
-def _aggregate_point(
-    connectivity: int,
-    phase1: Sequence[Dict[str, float]],
-    measurements: Sequence[Sequence[Dict[str, float]]],
-) -> Dict[str, float]:
-    """Fold one point's phase-1 result and measurement chunk per mode."""
-    out: Dict[str, float] = {"connectivity": float(connectivity)}
-    for mode, result, chunk in zip(MODES, phase1, measurements):
-        optimal = result["optimal_messages"]
-        reference = Campaign.aggregate(chunk, "messages").mean
-        out[f"{mode}_optimal"] = optimal
-        out[f"{mode}_reference"] = reference
-        out[f"{mode}_ratio"] = reference / optimal
-    out["gain_delta"] = out["hetero_ratio"] - out["uniform_ratio"]
-    return out
+def _mean_loss(ctx: ExperimentContext) -> float:
+    return ctx.params.loss if ctx.params.loss is not None else 0.05
 
 
-def _points(
-    scale: ExperimentScale, connectivities: Optional[Sequence[int]]
-) -> List[int]:
-    connectivities = tuple(
-        connectivities or [k for k in scale.connectivities if k <= 12]
-    )
-    return [k for k in connectivities if k < scale.n]
+def cells(
+    ctx: ExperimentContext, spread: float = 1.0, seed: int = 0
+) -> List[Cell]:
+    """Phase 1, then one measurement cell per ``(connectivity, mode)``.
 
-
-def heterogeneity_build(
-    scale: ExperimentScale,
-    campaign: Campaign,
-    mean_loss: float = 0.05,
-    connectivities: Optional[Sequence[int]] = None,
-    spread: float = 1.0,
-    seed: int = 0,
-) -> Tuple[List[Dict[str, float]], List[TrialSpec]]:
-    """Phase 1 + the measurement specs of the comparison.
-
-    As with Figure 4, phase 1 runs through ``campaign`` eagerly; returns
-    ``(phase-1 results, measurement specs)`` — the caller (the
-    experiment registry) executes the specs and hands both result lists
-    to :func:`heterogeneity_aggregate`.
+    As with Figure 4, phase 1 runs through ``ctx.campaign`` eagerly and
+    each cell's coordinates carry its configuration's optimal cost.
 
     Args:
         spread: half-width of the loss distribution relative to the mean
             (1.0 means per-link losses uniform over [0, 2*mean]).
     """
+    scale = sized_scale(ctx.scale, ctx.params, trials_in_scale=True)
+    connectivities = ctx.params.connectivity or [
+        k for k in scale.connectivities if k <= 12
+    ]
+    mean_loss = _mean_loss(ctx)
     points = [
-        _point_params(mode, k, mean_loss, scale, spread, seed)
-        for k in _points(scale, connectivities)
+        ((k, mode), _point_params(mode, k, mean_loss, scale, spread, seed))
+        for k in connectivities
+        if k < scale.n
         for mode in MODES
     ]
-    return run_phase1(scale, campaign, TASK_FNS, points)
+    return run_phase1(scale, ctx.campaign, TASK_FNS, points)
 
 
-def heterogeneity_aggregate(
-    scale: ExperimentScale,
-    phase1: Sequence[Dict[str, float]],
-    measurements: Sequence[Dict[str, float]],
-    mean_loss: float = 0.05,
-    connectivities: Optional[Sequence[int]] = None,
-) -> ResultSet:
-    """Fold ordered phase-1 and measurement results into the comparison table."""
-    uniform: Dict[int, float] = {}
-    hetero: Dict[int, float] = {}
-    chunks = list(chunked(measurements, scale.trials))
-    for k, point_phase1, point_chunks in zip(
-        _points(scale, connectivities),
-        chunked(phase1, len(MODES)),
-        chunked(chunks, len(MODES)),
-    ):
-        point = _aggregate_point(k, point_phase1, point_chunks)
-        uniform[k] = point["uniform_ratio"]
-        hetero[k] = point["hetero_ratio"]
+def fold(ctx: ExperimentContext, cells: Sequence[CellResults]) -> ResultSet:
+    """Fold each cell's measurements over its optimal cost into the
+    comparison table: one ratio curve per mode."""
+    ratios: Dict[str, Dict[int, float]] = {mode: {} for mode in MODES}
+    for (k, mode, optimal), results in cells:
+        ratios[mode][k] = Campaign.aggregate(results, "messages").mean / optimal
     return ResultSet.from_curves(
         "heterogeneous",
         "Extension - heterogeneous environments "
-        f"(mean L={mean_loss}, equal-mean comparison)",
+        f"(mean L={_mean_loss(ctx)}, equal-mean comparison)",
         "connectivity (links/process)",
-        [("ratio (uniform L)", uniform), ("ratio (heterogeneous L)", hetero)],
+        [
+            ("ratio (uniform L)", ratios["uniform"]),
+            ("ratio (heterogeneous L)", ratios["hetero"]),
+        ],
     )

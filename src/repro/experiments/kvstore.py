@@ -28,24 +28,26 @@ cell:
 
 from __future__ import annotations
 
-from typing import List, Optional, Sequence, Tuple
+from typing import TYPE_CHECKING, List, Optional, Sequence, Tuple
 
-from repro.errors import ValidationError
-from repro.experiments.campaign import TrialSpec
-from repro.experiments.runner import ExperimentScale
+from repro.experiments.campaign import Cell, CellResults, TrialSpec
 from repro.kvstore.trial import KV_TRIAL_FN
 from repro.kvstore.workload import KVWorkloadParams
+from repro.protocols.registry import protocol_names
 from repro.results.schema import ResultSet
 from repro.scenario.registry import scenario_trials
 from repro.util import jsonio
+
+if TYPE_CHECKING:  # import cycle: the registry imports this module
+    from repro.experiments.registry import ExperimentContext
 
 __all__ = [
     "DEFAULT_SCENARIOS",
     "DEFAULT_WRITE_RATIOS",
     "DEFAULT_ZIPF_S",
     "KV_COLUMNS",
-    "kvstore_aggregate",
-    "kvstore_build",
+    "cells",
+    "fold",
 ]
 
 DEFAULT_SCENARIOS: Tuple[str, ...] = (
@@ -73,7 +75,7 @@ KV_COLUMNS: Tuple[str, ...] = (
     "control_msgs",
 )
 
-#: The trial metrics :func:`kvstore_aggregate` reads.
+#: The trial metrics :func:`fold` reads.
 _READS: Tuple[str, ...] = (
     "delivery_ratio",
     "kv_stale_reads",
@@ -89,27 +91,6 @@ _READS: Tuple[str, ...] = (
 )
 
 
-def _default_protocols() -> Tuple[str, ...]:
-    """All registered broadcast protocols, in registry order.
-
-    Deferred so plugin protocols registered before the run participate;
-    build and aggregate resolve the same ordered tuple within one
-    process, so the result slicing stays aligned.
-    """
-    from repro.protocols.registry import protocol_names
-
-    return protocol_names()
-
-
-def _grid(scale: ExperimentScale, params):
-    scenarios = tuple(params.scenario or DEFAULT_SCENARIOS)
-    protocols = tuple(params.protocol or _default_protocols())
-    zipfs = tuple(params.zipf_s or DEFAULT_ZIPF_S)
-    ratios = tuple(params.write_ratio or DEFAULT_WRITE_RATIOS)
-    trials = scenario_trials(scale, params.trials)
-    return scenarios, protocols, zipfs, ratios, trials
-
-
 def _workload(params, zipf_s: float, write_ratio: float) -> KVWorkloadParams:
     overrides = {
         name: getattr(params, name)
@@ -121,27 +102,32 @@ def _workload(params, zipf_s: float, write_ratio: float) -> KVWorkloadParams:
     )
 
 
-def kvstore_build(scale: ExperimentScale, params) -> List[TrialSpec]:
-    """One trial spec per (scenario, protocol, zipf, ratio, trial) cell."""
-    scenarios, protocols, zipfs, ratios, trials = _grid(scale, params)
-    specs: List[TrialSpec] = []
-    for scenario in scenarios:
-        for protocol in protocols:
-            for zipf_s in zipfs:
-                for write_ratio in ratios:
-                    payload = jsonio.dumps(
-                        jsonio.encode(_workload(params, zipf_s, write_ratio))
-                    )
-                    specs += TrialSpec.trials(
-                        KV_TRIAL_FN,
-                        _READS,
-                        trials,
-                        scenario=str(scenario),
-                        protocol=str(protocol),
-                        scale=scale.name,
-                        workload=payload,
-                    )
-    return specs
+def cells(ctx: ExperimentContext) -> List[Cell]:
+    """One cell per (scenario, protocol, zipf, ratio) point; the protocols
+    default to every registered one (plugins included), in registry
+    order."""
+    p = ctx.params
+    trials = scenario_trials(ctx.scale, p.trials)
+    return [
+        (
+            (scenario, protocol, zipf_s, write_ratio),
+            TrialSpec.trials(
+                KV_TRIAL_FN,
+                _READS,
+                trials,
+                scenario=scenario,
+                protocol=protocol,
+                scale=ctx.scale.name,
+                workload=jsonio.dumps(
+                    jsonio.encode(_workload(p, zipf_s, write_ratio))
+                ),
+            ),
+        )
+        for scenario in map(str, p.scenario or DEFAULT_SCENARIOS)
+        for protocol in map(str, p.protocol or protocol_names())
+        for zipf_s in map(float, p.zipf_s or DEFAULT_ZIPF_S)
+        for write_ratio in map(float, p.write_ratio or DEFAULT_WRITE_RATIOS)
+    ]
 
 
 def _mean(values: Sequence[float]) -> float:
@@ -154,57 +140,26 @@ def _mean_present(values: Sequence[float]) -> Optional[float]:
     return _mean(present) if present else None
 
 
-def kvstore_aggregate(
-    scale: ExperimentScale, params, results: Sequence[dict]
-) -> ResultSet:
-    """Fold per-trial metrics into one row per grid cell."""
-    scenarios, protocols, zipfs, ratios, trials = _grid(scale, params)
-    expected = len(scenarios) * len(protocols) * len(zipfs) * len(ratios) * trials
-    if len(results) != expected:
-        raise ValidationError(
-            f"kvstore aggregate expected {expected} trial results, "
-            f"got {len(results)}"
-        )
-    rows: List[List[object]] = []
-    index = 0
-    for scenario in scenarios:
-        for protocol in protocols:
-            for zipf_s in zipfs:
-                for write_ratio in ratios:
-                    chunk = results[index : index + trials]
-                    index += trials
-                    rows.append(
-                        [
-                            str(scenario),
-                            str(protocol),
-                            float(zipf_s),
-                            float(write_ratio),
-                            _mean([r["delivery_ratio"] for r in chunk]),
-                            _mean([r["kv_stale_reads"] for r in chunk]),
-                            _mean(
-                                [r["kv_staleness_versions"] for r in chunk]
-                            ),
-                            _mean_present(
-                                [r["kv_visibility_p50"] for r in chunk]
-                            ),
-                            _mean_present(
-                                [r["kv_visibility_p99"] for r in chunk]
-                            ),
-                            _mean([r["kv_buffer_mean"] for r in chunk]),
-                            max(r["kv_buffer_max"] for r in chunk),
-                            _mean_present(
-                                [r["kv_convergence_time"] for r in chunk]
-                            ),
-                            _mean([r["data_messages"] for r in chunk]),
-                            _mean(
-                                [
-                                    r["control_messages"]
-                                    + r["heartbeat_messages"]
-                                    for r in chunk
-                                ]
-                            ),
-                        ]
-                    )
+def fold(ctx: ExperimentContext, cells: Sequence[CellResults]) -> ResultSet:
+    """Fold per-trial metrics into one row per cell."""
+    rows = [
+        [
+            *coords,
+            _mean([r["delivery_ratio"] for r in chunk]),
+            _mean([r["kv_stale_reads"] for r in chunk]),
+            _mean([r["kv_staleness_versions"] for r in chunk]),
+            _mean_present([r["kv_visibility_p50"] for r in chunk]),
+            _mean_present([r["kv_visibility_p99"] for r in chunk]),
+            _mean([r["kv_buffer_mean"] for r in chunk]),
+            max(r["kv_buffer_max"] for r in chunk),
+            _mean_present([r["kv_convergence_time"] for r in chunk]),
+            _mean([r["data_messages"] for r in chunk]),
+            _mean(
+                [r["control_messages"] + r["heartbeat_messages"] for r in chunk]
+            ),
+        ]
+        for coords, chunk in cells
+    ]
     return ResultSet.from_rows(
         "kvstore",
         "Causal KV store quality (protocols x workload mixes x scenarios)",

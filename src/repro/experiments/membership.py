@@ -23,16 +23,18 @@ One aggregated row per ``(scenario, policy, view_size)`` cell:
 
 from __future__ import annotations
 
-from typing import List, Optional, Sequence, Tuple
+from typing import TYPE_CHECKING, List, Optional, Sequence, Tuple
 
 from repro.errors import ValidationError, did_you_mean
-from repro.experiments.campaign import TrialSpec
-from repro.experiments.runner import ExperimentScale
+from repro.experiments.campaign import Cell, CellResults, TrialSpec
 from repro.membership.sampler import PROPAGATION_POLICIES, SELECTION_POLICIES
 from repro.results.schema import ResultSet
 from repro.scenario.registry import scenario_trials
 from repro.scenario.trial import MEMBERSHIP_TRIAL_FN
 from repro.util import jsonio
+
+if TYPE_CHECKING:  # import cycle: the registry imports this module
+    from repro.experiments.registry import ExperimentContext
 
 __all__ = [
     "DEFAULT_POLICIES",
@@ -40,8 +42,8 @@ __all__ = [
     "DEFAULT_SCENARIOS",
     "DEFAULT_VIEW_SIZES",
     "MEMBERSHIP_COLUMNS",
-    "membership_aggregate",
-    "membership_build",
+    "cells",
+    "fold",
     "parse_policy_triple",
 ]
 
@@ -67,7 +69,7 @@ MEMBERSHIP_COLUMNS: Tuple[str, ...] = (
     "recovery_s",
 )
 
-#: The trial metrics :func:`membership_aggregate` reads.
+#: The trial metrics :func:`fold` reads.
 _READS: Tuple[str, ...] = (
     "delivery_ratio",
     "view_indegree_mean",
@@ -101,92 +103,72 @@ def parse_policy_triple(policy: str) -> Tuple[str, str, str]:
     return view, peer, propagation
 
 
-def _grid(
-    scale: ExperimentScale, params
-) -> Tuple[Tuple[str, ...], Tuple[str, ...], Tuple[int, ...], str, int]:
-    scenarios = tuple(params.scenario or DEFAULT_SCENARIOS)
-    policies = tuple(params.policy or DEFAULT_POLICIES)
-    view_sizes = tuple(params.view_size or DEFAULT_VIEW_SIZES)
-    protocol = params.protocol or DEFAULT_PROTOCOL
-    trials = scenario_trials(scale, params.trials)
-    return scenarios, policies, view_sizes, protocol, trials
+def _cell_params(protocol: str, policy: str, size: int) -> str:
+    """The protocol-parameter payload of one (policy, view size) cell."""
+    view, peer, propagation = parse_policy_triple(policy)
+    return jsonio.dumps(
+        {
+            protocol: {
+                "view_size": size,
+                "view_selection": view,
+                "peer_selection": peer,
+                "propagation": propagation,
+            }
+        },
+        compact=False,
+    )
 
 
-def membership_build(scale: ExperimentScale, params) -> List[TrialSpec]:
-    """One trial spec per (scenario, policy, view_size, trial) cell."""
-    scenarios, policies, view_sizes, protocol, trials = _grid(scale, params)
-    specs: List[TrialSpec] = []
-    for scenario in scenarios:
-        for policy in policies:
-            view, peer, propagation = parse_policy_triple(policy)
-            for size in view_sizes:
-                payload = jsonio.dumps(
-                    {
-                        protocol: {
-                            "view_size": int(size),
-                            "view_selection": view,
-                            "peer_selection": peer,
-                            "propagation": propagation,
-                        }
-                    },
-                    compact=False,
-                )
-                specs += TrialSpec.trials(
-                    MEMBERSHIP_TRIAL_FN,
-                    _READS,
-                    trials,
-                    scenario=str(scenario),
-                    protocol=str(protocol),
-                    scale=scale.name,
-                    params=payload,
-                )
-    return specs
+def cells(ctx: ExperimentContext) -> List[Cell]:
+    """One cell per (scenario, policy, view_size) point."""
+    p = ctx.params
+    protocol = str(p.protocol or DEFAULT_PROTOCOL)
+    trials = scenario_trials(ctx.scale, p.trials)
+    return [
+        (
+            (scenario, policy, size),
+            TrialSpec.trials(
+                MEMBERSHIP_TRIAL_FN,
+                _READS,
+                trials,
+                scenario=scenario,
+                protocol=protocol,
+                scale=ctx.scale.name,
+                params=_cell_params(protocol, policy, size),
+            ),
+        )
+        for scenario in map(str, p.scenario or DEFAULT_SCENARIOS)
+        for policy in map(str, p.policy or DEFAULT_POLICIES)
+        for size in map(int, p.view_size or DEFAULT_VIEW_SIZES)
+    ]
 
 
 def _mean(values: Sequence[float]) -> float:
     return sum(values) / len(values)
 
 
-def membership_aggregate(
-    scale: ExperimentScale, params, results: Sequence[dict]
-) -> ResultSet:
-    """Fold per-trial metrics into one row per grid cell."""
-    scenarios, policies, view_sizes, _, trials = _grid(scale, params)
-    expected = len(scenarios) * len(policies) * len(view_sizes) * trials
-    if len(results) != expected:
-        raise ValidationError(
-            f"membership aggregate expected {expected} trial results, "
-            f"got {len(results)}"
-        )
+def fold(ctx: ExperimentContext, cells: Sequence[CellResults]) -> ResultSet:
+    """Fold per-trial metrics into one row per cell."""
     rows: List[List[object]] = []
-    index = 0
-    for scenario in scenarios:
-        for policy in policies:
-            for size in view_sizes:
-                chunk = results[index : index + trials]
-                index += trials
-                recoveries = [
-                    r["view_partition_recovery"]
-                    for r in chunk
-                    if r["view_partition_recovery"] >= 0.0
-                ]
-                recovery: Optional[float] = (
-                    _mean(recoveries) if recoveries else None
-                )
-                rows.append(
-                    [
-                        str(scenario),
-                        str(policy),
-                        int(size),
-                        _mean([r["delivery_ratio"] for r in chunk]),
-                        _mean([r["view_indegree_mean"] for r in chunk]),
-                        _mean([r["view_indegree_p99"] for r in chunk]),
-                        max(r["view_indegree_max"] for r in chunk),
-                        _mean([r["view_staleness"] for r in chunk]),
-                        _mean([r["view_clustering"] for r in chunk]),
-                        recovery,
-                    ]
-                )
+    for coords, chunk in cells:
+        recoveries = [
+            r["view_partition_recovery"]
+            for r in chunk
+            if r["view_partition_recovery"] >= 0.0
+        ]
+        recovery: Optional[float] = _mean(recoveries) if recoveries else None
+        rows.append(
+            [
+                *coords,
+                _mean([r["delivery_ratio"] for r in chunk]),
+                _mean([r["view_indegree_mean"] for r in chunk]),
+                _mean([r["view_indegree_p99"] for r in chunk]),
+                max(r["view_indegree_max"] for r in chunk),
+                _mean([r["view_staleness"] for r in chunk]),
+                _mean([r["view_clustering"] for r in chunk]),
+                recovery,
+            ]
+        )
     return ResultSet.from_rows(
         "membership",
         "Partial-view membership quality (policy triples x view sizes)",

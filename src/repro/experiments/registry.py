@@ -1,26 +1,29 @@
 """Experiment registry: every paper artefact as a first-class object.
 
-PR 3 made protocols registry objects; this module does the same for the
-experiments themselves.  Each of the paper's artefacts — Figures 1/4/5/6,
-Table 1, and the heterogeneous-environment extension — is described by an
-:class:`ExperimentSpec`: a canonical name plus aliases, the paper
-artefact it regenerates, a typed parameter dataclass (the sweepable
-axes), and a uniform two-hook execution contract:
+Each of the paper's artefacts — Figures 1/4/5/6, Table 1, and the
+heterogeneous-environment extension — and the membership and KV-store
+studies is described by an :class:`ExperimentSpec`: a canonical name
+plus aliases, the paper artefact it regenerates, a typed parameter
+dataclass (the sweepable axes), and a uniform two-hook execution
+contract over the experiment's grid of *cells* (one per grid point):
 
-* ``build(ctx) -> list[TrialSpec]`` — describe every trial as a
-  seed-complete campaign spec (multi-phase experiments such as Figure 4
-  run phase 1 through ``ctx.campaign``, keep its results in
-  ``ctx.phase1`` and return the measurement specs);
-* ``aggregate(ctx, results) -> ResultSet`` — fold the ordered results
-  (and ``ctx.phase1``) into a typed, provenance-stamped
-  :class:`~repro.results.ResultSet`; it folds numbers and does no
-  analytic work, so a fully cached run costs cache reads only.
+* ``cells(ctx) -> [(coords, [TrialSpec])]`` — each grid point's
+  coordinates beside its seed-complete campaign specs (two-phase
+  experiments such as Figure 4 run phase 1 through ``ctx.campaign``
+  here and put what it found, e.g. a point's optimal cost, into the
+  point's coordinates);
+* ``fold(ctx, [(coords, [TrialResult])]) -> ResultSet`` — fold each
+  cell's ordered results, read beside its coordinates, into a typed
+  :class:`~repro.results.ResultSet`; it folds numbers and derives no
+  grid and does no analytic work, so a fully cached run costs cache
+  reads only.
 
-:func:`run_experiment` composes the two through a
-:class:`~repro.experiments.campaign.Campaign`, so every registered
-experiment — built-in or third-party — parallelises, caches and resumes
-uniformly, and its output lands in the results store as durable data
-rather than rendered text.
+:func:`run_experiment` runs every cell's trials as one batch through a
+:class:`~repro.experiments.campaign.Campaign` (see
+:meth:`~repro.experiments.campaign.Campaign.run_cells`), so every
+registered experiment — built-in or third-party — parallelises, caches
+and resumes uniformly, and its output lands in the results store as
+durable data rather than rendered text.
 
 Third-party packages register experiments exactly like protocols,
 through the ``repro.experiments`` entry-point group or the
@@ -31,13 +34,13 @@ through the ``repro.experiments`` entry-point group or the
 from __future__ import annotations
 
 from dataclasses import dataclass, fields as dataclass_fields
+from functools import partial
 from typing import (
     Any,
     Callable,
     Dict,
     List,
     Optional,
-    Sequence,
     Tuple,
     Union,
     get_args,
@@ -50,8 +53,18 @@ from repro.errors import (
     ValidationError,
     did_you_mean,
 )
-from repro.experiments.campaign import Campaign, TrialResult, TrialSpec
-from repro.experiments.runner import ExperimentScale, current_scale, scaled
+from repro.experiments import (
+    figure1,
+    figure4,
+    figure5,
+    figure6,
+    heterogeneous,
+    kvstore,
+    membership,
+    table1,
+)
+from repro.experiments.campaign import Campaign, Cell, CellResults
+from repro.experiments.runner import ExperimentScale, current_scale
 from repro.results.schema import Provenance, ResultSet
 from repro.util import jsonio
 from repro.util.registry import Registry, normalise
@@ -66,26 +79,22 @@ PLUGIN_ENV = "REPRO_EXPERIMENTS"
 
 @dataclass
 class ExperimentContext:
-    """Everything an experiment's build/aggregate hooks may need.
+    """Everything an experiment's ``cells``/``fold`` hooks may need.
 
     Attributes:
         scale: the sizing preset the run uses (before the experiment's
-            own parameter overrides are applied — hooks derive their
+            own parameter overrides are applied — ``cells`` derives the
             effective scale from ``scale`` + ``params``).
-        campaign: execution engine; ``build`` hooks may run phase 1
+        campaign: execution engine; ``cells`` may run phase 1
             (calibration, optimal cost) through it, and
-            :func:`run_experiment` uses it for the main trial batch.
+            :func:`run_experiment` uses it for the cells' trials.
         params: instance of the spec's ``params_type`` (never None when
             the spec declares one — defaults are materialised).
-        phase1: the ordered phase-1 results a ``build`` hook ran, kept
-            for its ``aggregate`` hook (empty for single-phase
-            experiments).
     """
 
     scale: ExperimentScale
     campaign: Campaign
-    params: Optional[object] = None
-    phase1: Sequence[TrialResult] = ()
+    params: Any = None
 
 
 # -- typed per-experiment parameter dataclasses ---------------------------------------
@@ -246,9 +255,6 @@ class HeterogeneousParams:
 
 # -- the spec -------------------------------------------------------------------------
 
-BuildHook = Callable[[ExperimentContext], List[TrialSpec]]
-AggregateHook = Callable[[ExperimentContext, Sequence[TrialResult]], ResultSet]
-
 
 @dataclass(frozen=True)
 class ExperimentSpec:
@@ -257,11 +263,12 @@ class ExperimentSpec:
     Attributes:
         name: canonical registry name (lower-case, e.g. ``figure4a``).
         description: one-line human summary.
-        build: hook compiling the context into campaign trial specs
-            (may run pre-phases through ``ctx.campaign``).
-        aggregate: hook folding the ordered trial results into a
-            :class:`~repro.results.ResultSet` (:func:`run_experiment`
-            stamps provenance afterwards).
+        cells: hook compiling the context into the experiment's cells,
+            each grid point's coordinates beside its campaign trial
+            specs (may run pre-phases through ``ctx.campaign``).
+        fold: hook folding the cells' results, each cell's beside its
+            coordinates, into a :class:`~repro.results.ResultSet`
+            (:func:`run_experiment` stamps provenance afterwards).
         artefact: the paper artefact the experiment regenerates
             (``"Figure 4(a)"``, ``"Table 1"``, ...).
         aliases: alternative accepted spellings.
@@ -274,8 +281,8 @@ class ExperimentSpec:
 
     name: str
     description: str
-    build: BuildHook
-    aggregate: AggregateHook
+    cells: Callable[[ExperimentContext], List[Cell]]
+    fold: Callable[[ExperimentContext, List[CellResults]], ResultSet]
     artefact: str = ""
     aliases: Tuple[str, ...] = ()
     params_type: Optional[type] = None
@@ -306,7 +313,8 @@ class ExperimentSpec:
         as-is), or a mapping of axis name to value(s) — single values
         and lists both coerce, so CLI sweeps and API keyword overrides
         share one path.  Unknown axes raise with the supported keys and
-        a closest-match suggestion.
+        a closest-match suggestion; a grid axis that lists a value twice
+        raises either way.
         """
         if self.params_type is None:
             if overrides:
@@ -318,18 +326,30 @@ class ExperimentSpec:
         if overrides is None:
             return self.params_type()
         if isinstance(overrides, self.params_type):
-            return overrides
-        if not isinstance(overrides, dict):
+            params = overrides
+        elif isinstance(overrides, dict):
+            hints = get_type_hints(self.params_type)
+            values: Dict[str, Any] = {}
+            for key, value in overrides.items():
+                axis = self._axis_name(key)
+                values[axis] = _coerce_axis(self.name, axis, hints[axis], value)
+            params = self.params_type(**values)
+        else:
             raise ValidationError(
                 f"experiment params must be a {self.params_type.__name__} "
                 f"or a dict, got {type(overrides).__name__}"
             )
-        hints = get_type_hints(self.params_type)
-        values: Dict[str, Any] = {}
-        for key, value in overrides.items():
-            axis = self._axis_name(key)
-            values[axis] = _coerce_axis(self.name, axis, hints[axis], value)
-        return self.params_type(**values)
+        # a grid axis lists each value once: a repeated one would be a
+        # second, identical cell
+        for axis in dataclass_fields(params):
+            grid = getattr(params, axis.name)
+            if isinstance(grid, tuple):
+                for at, value in enumerate(grid):
+                    if value in grid[:at]:
+                        raise ValidationError(
+                            f"sweep key {axis.name!r} lists {value!r} more than once"
+                        )
+        return params
 
     def _axis_name(self, key: str) -> str:
         """Resolve one override key to a sweep axis, or raise helpfully.
@@ -362,15 +382,13 @@ class ExperimentSpec:
         params: Optional[Union[object, Dict[str, Any]]] = None,
         campaign: Optional[Campaign] = None,
     ) -> ResultSet:
-        """Build, execute and aggregate one run; see :func:`run_experiment`."""
+        """Build, execute and fold one run; see :func:`run_experiment`."""
         scale = scale or current_scale()
         campaign = campaign or Campaign()
         ctx = ExperimentContext(
             scale=scale, campaign=campaign, params=self.make_params(params)
         )
-        specs = self.build(ctx)
-        results = campaign.run(specs)
-        result_set = self.aggregate(ctx, results)
+        result_set = self.fold(ctx, campaign.run_cells(self.cells(ctx)))
         from dataclasses import replace
 
         return replace(
@@ -426,9 +444,9 @@ def _coerce_axis(experiment: str, key: str, hint: Any, value: Any) -> Any:
 
 
 def _check_spec(name: str, spec: ExperimentSpec) -> None:
-    if not callable(spec.build) or not callable(spec.aggregate):
+    if not callable(spec.cells) or not callable(spec.fold):
         raise ValidationError(
-            f"experiment {name!r} build/aggregate hooks must be callable"
+            f"experiment {name!r} cells/fold hooks must be callable"
         )
 
 
@@ -504,223 +522,14 @@ def run_experiment(
 
     The one execution path behind ``repro experiments run``, the short
     ``repro <experiment>`` commands and :func:`repro.api.run_experiment`:
-    resolve the spec, materialise its typed params, ``build`` the trial
-    specs, execute them through the campaign (serially by default;
-    parallel and cached when the campaign says so) and ``aggregate``
-    into a provenance-stamped :class:`~repro.results.ResultSet`.
+    resolve the spec, materialise its typed params, compile its
+    ``cells``, execute their trials through the campaign (serially by
+    default; parallel and cached when the campaign says so) and
+    ``fold`` the results into a provenance-stamped
+    :class:`~repro.results.ResultSet`.
     """
     return resolve_experiment(experiment).run(
         scale=scale, params=params, campaign=campaign
-    )
-
-
-# -- built-in experiment hooks --------------------------------------------------------
-
-
-def _sized_scale(
-    scale: ExperimentScale,
-    params: object,
-    trials_in_scale: bool,
-) -> ExperimentScale:
-    """Apply the shared n / connectivity / trials axes to the scale.
-
-    The ``--sweep`` semantics of ``repro experiments run``: ``n``
-    replaces the system size first, swept connectivities must fit below
-    the (possibly overridden) ``n`` — an explicitly requested value must
-    never be silently dropped by the builders' ``connectivity < n`` grid
-    filter — and ``trials`` lands in the scale only for the experiments
-    that read ``scale.trials`` (Figures 4 and the heterogeneous study;
-    the convergence experiments take trials as an explicit argument).
-    """
-    n = getattr(params, "n", None)
-    if n is not None:
-        scale = scaled(scale, n=int(n))
-    connectivity = getattr(params, "connectivity", None)
-    if connectivity:
-        bad = [k for k in connectivity if k >= scale.n]
-        if bad:
-            raise ValidationError(
-                f"swept connectivity values {bad} must be below n={scale.n} "
-                "(sweep n=... too, or pick smaller values)"
-            )
-        scale = scaled(scale, connectivities=tuple(connectivity))
-    trials = getattr(params, "trials", None)
-    if trials_in_scale and trials is not None:
-        scale = scaled(scale, trials=int(trials))
-    return scale
-
-
-def _figure1_build(ctx: ExperimentContext) -> List[TrialSpec]:
-    from repro.experiments.figure1 import PAPER_ALPHAS, PAPER_LOSSES, figure1_build
-
-    p: Figure1Params = ctx.params
-    return figure1_build(
-        losses=p.loss or PAPER_LOSSES, alphas=p.alpha or PAPER_ALPHAS
-    )
-
-
-def _figure1_aggregate(
-    ctx: ExperimentContext, results: Sequence[TrialResult]
-) -> ResultSet:
-    from repro.experiments.figure1 import (
-        PAPER_ALPHAS,
-        PAPER_LOSSES,
-        figure1_aggregate,
-    )
-
-    p: Figure1Params = ctx.params
-    return figure1_aggregate(
-        results, losses=p.loss or PAPER_LOSSES, alphas=p.alpha or PAPER_ALPHAS
-    )
-
-
-def _table1_build(ctx: ExperimentContext) -> List[TrialSpec]:
-    from repro.experiments.table1 import table1_build
-
-    p: Table1Params = ctx.params
-    return table1_build(p.intervals if p.intervals is not None else 5)
-
-
-def _table1_aggregate(
-    ctx: ExperimentContext, results: Sequence[TrialResult]
-) -> ResultSet:
-    from repro.experiments.table1 import table1_aggregate
-
-    p: Table1Params = ctx.params
-    return table1_aggregate(results, p.intervals if p.intervals is not None else 5)
-
-
-def _figure4_hooks(variant: str) -> Tuple[BuildHook, AggregateHook]:
-    def build(ctx: ExperimentContext) -> List[TrialSpec]:
-        from repro.experiments.figure4 import figure4_build
-
-        scale = _sized_scale(ctx.scale, ctx.params, trials_in_scale=True)
-        values = getattr(ctx.params, variant)
-        ctx.phase1, specs = figure4_build(
-            variant, scale, ctx.campaign, values=values
-        )
-        return specs
-
-    def aggregate(
-        ctx: ExperimentContext, results: Sequence[TrialResult]
-    ) -> ResultSet:
-        from repro.experiments.figure4 import figure4_aggregate
-
-        scale = _sized_scale(ctx.scale, ctx.params, trials_in_scale=True)
-        values = getattr(ctx.params, variant)
-        return figure4_aggregate(variant, scale, ctx.phase1, results, values=values)
-
-    return build, aggregate
-
-
-def _figure5_hooks(variant: str) -> Tuple[BuildHook, AggregateHook]:
-    def build(ctx: ExperimentContext) -> List[TrialSpec]:
-        from repro.experiments.figure5 import figure5_build
-
-        scale = _sized_scale(ctx.scale, ctx.params, trials_in_scale=False)
-        values = getattr(ctx.params, variant)
-        return figure5_build(
-            variant, scale, values=values, trials=ctx.params.trials
-        )
-
-    def aggregate(
-        ctx: ExperimentContext, results: Sequence[TrialResult]
-    ) -> ResultSet:
-        from repro.experiments.figure5 import figure5_aggregate
-
-        scale = _sized_scale(ctx.scale, ctx.params, trials_in_scale=False)
-        values = getattr(ctx.params, variant)
-        return figure5_aggregate(
-            variant, scale, results, values=values, trials=ctx.params.trials
-        )
-
-    return build, aggregate
-
-
-def _figure6_build(ctx: ExperimentContext) -> List[TrialSpec]:
-    from repro.experiments.figure6 import figure6_build
-
-    p: Figure6Params = ctx.params
-    return figure6_build(
-        ctx.scale,
-        sizes=p.size,
-        trials=p.trials,
-        topologies=p.topology,
-        losses=p.loss,
-    )
-
-
-def _figure6_aggregate(
-    ctx: ExperimentContext, results: Sequence[TrialResult]
-) -> ResultSet:
-    from repro.experiments.figure6 import figure6_aggregate
-
-    p: Figure6Params = ctx.params
-    return figure6_aggregate(
-        ctx.scale,
-        results,
-        sizes=p.size,
-        trials=p.trials,
-        topologies=p.topology,
-        losses=p.loss,
-    )
-
-
-def _membership_build(ctx: ExperimentContext) -> List[TrialSpec]:
-    from repro.experiments.membership import membership_build
-
-    return membership_build(ctx.scale, ctx.params)
-
-
-def _membership_aggregate(
-    ctx: ExperimentContext, results: Sequence[TrialResult]
-) -> ResultSet:
-    from repro.experiments.membership import membership_aggregate
-
-    return membership_aggregate(ctx.scale, ctx.params, results)
-
-
-def _kvstore_build(ctx: ExperimentContext) -> List[TrialSpec]:
-    from repro.experiments.kvstore import kvstore_build
-
-    return kvstore_build(ctx.scale, ctx.params)
-
-
-def _kvstore_aggregate(
-    ctx: ExperimentContext, results: Sequence[TrialResult]
-) -> ResultSet:
-    from repro.experiments.kvstore import kvstore_aggregate
-
-    return kvstore_aggregate(ctx.scale, ctx.params, results)
-
-
-def _heterogeneous_build(ctx: ExperimentContext) -> List[TrialSpec]:
-    from repro.experiments.heterogeneous import heterogeneity_build
-
-    p: HeterogeneousParams = ctx.params
-    scale = _sized_scale(ctx.scale, p, trials_in_scale=True)
-    ctx.phase1, specs = heterogeneity_build(
-        scale,
-        ctx.campaign,
-        mean_loss=p.loss if p.loss is not None else 0.05,
-        connectivities=p.connectivity,
-    )
-    return specs
-
-
-def _heterogeneous_aggregate(
-    ctx: ExperimentContext, results: Sequence[TrialResult]
-) -> ResultSet:
-    from repro.experiments.heterogeneous import heterogeneity_aggregate
-
-    p: HeterogeneousParams = ctx.params
-    scale = _sized_scale(ctx.scale, p, trials_in_scale=True)
-    return heterogeneity_aggregate(
-        scale,
-        ctx.phase1,
-        results,
-        mean_loss=p.loss if p.loss is not None else 0.05,
-        connectivities=p.connectivity,
     )
 
 
@@ -734,8 +543,8 @@ register_experiment(
         aliases=("fig1",),
         params_type=Figure1Params,
         simulated=False,
-        build=_figure1_build,
-        aggregate=_figure1_aggregate,
+        cells=figure1.cells,
+        fold=figure1.fold,
     )
 )
 register_experiment(
@@ -746,11 +555,10 @@ register_experiment(
         aliases=("tab1",),
         params_type=Table1Params,
         simulated=False,
-        build=_table1_build,
-        aggregate=_table1_aggregate,
+        cells=table1.cells,
+        fold=table1.fold,
     )
 )
-_f4a_build, _f4a_aggregate = _figure4_hooks("crash")
 register_experiment(
     ExperimentSpec(
         name="figure4a",
@@ -758,11 +566,10 @@ register_experiment(
         artefact="Figure 4(a)",
         aliases=("fig4a",),
         params_type=Figure4aParams,
-        build=_f4a_build,
-        aggregate=_f4a_aggregate,
+        cells=partial(figure4.cells, "crash"),
+        fold=partial(figure4.fold, "crash"),
     )
 )
-_f4b_build, _f4b_aggregate = _figure4_hooks("loss")
 register_experiment(
     ExperimentSpec(
         name="figure4b",
@@ -770,11 +577,10 @@ register_experiment(
         artefact="Figure 4(b)",
         aliases=("fig4b",),
         params_type=Figure4bParams,
-        build=_f4b_build,
-        aggregate=_f4b_aggregate,
+        cells=partial(figure4.cells, "loss"),
+        fold=partial(figure4.fold, "loss"),
     )
 )
-_f5a_build, _f5a_aggregate = _figure5_hooks("crash")
 register_experiment(
     ExperimentSpec(
         name="figure5a",
@@ -782,11 +588,10 @@ register_experiment(
         artefact="Figure 5(a)",
         aliases=("fig5a",),
         params_type=Figure5aParams,
-        build=_f5a_build,
-        aggregate=_f5a_aggregate,
+        cells=partial(figure5.cells, "crash"),
+        fold=partial(figure5.fold, "crash"),
     )
 )
-_f5b_build, _f5b_aggregate = _figure5_hooks("loss")
 register_experiment(
     ExperimentSpec(
         name="figure5b",
@@ -794,8 +599,8 @@ register_experiment(
         artefact="Figure 5(b)",
         aliases=("fig5b",),
         params_type=Figure5bParams,
-        build=_f5b_build,
-        aggregate=_f5b_aggregate,
+        cells=partial(figure5.cells, "loss"),
+        fold=partial(figure5.fold, "loss"),
     )
 )
 register_experiment(
@@ -805,8 +610,8 @@ register_experiment(
         artefact="Figure 6",
         aliases=("fig6",),
         params_type=Figure6Params,
-        build=_figure6_build,
-        aggregate=_figure6_aggregate,
+        cells=figure6.cells,
+        fold=figure6.fold,
     )
 )
 register_experiment(
@@ -816,8 +621,8 @@ register_experiment(
         artefact="Membership study",
         aliases=("peer-sampling", "pv"),
         params_type=MembershipExperimentParams,
-        build=_membership_build,
-        aggregate=_membership_aggregate,
+        cells=membership.cells,
+        fold=membership.fold,
     )
 )
 register_experiment(
@@ -827,8 +632,8 @@ register_experiment(
         artefact="KV application study",
         aliases=("kv", "kv-store"),
         params_type=KVExperimentParams,
-        build=_kvstore_build,
-        aggregate=_kvstore_aggregate,
+        cells=kvstore.cells,
+        fold=kvstore.fold,
     )
 )
 register_experiment(
@@ -838,7 +643,7 @@ register_experiment(
         artefact="Section 7 extension",
         aliases=("hetero", "het"),
         params_type=HeterogeneousParams,
-        build=_heterogeneous_build,
-        aggregate=_heterogeneous_aggregate,
+        cells=heterogeneous.cells,
+        fold=heterogeneous.fold,
     )
 )

@@ -112,22 +112,52 @@ def scaled(scale: ExperimentScale, **overrides) -> ExperimentScale:
     return replace(scale, **overrides)
 
 
+def sized_scale(
+    scale: ExperimentScale, params: object, trials_in_scale: bool
+) -> ExperimentScale:
+    """Apply the shared n / connectivity / trials axes to the scale.
+
+    The ``--sweep`` semantics of ``repro experiments run``: ``n``
+    replaces the system size first, swept connectivities must fit below
+    the (possibly overridden) ``n`` — an explicitly requested value must
+    never be silently dropped by :func:`point_grid`'s ``connectivity <
+    n`` filter — and ``trials`` lands in the scale only for the
+    experiments that read ``scale.trials`` (Figures 4 and the
+    heterogeneous study; the convergence experiments take trials as an
+    explicit argument).
+    """
+    n = getattr(params, "n", None)
+    if n is not None:
+        scale = scaled(scale, n=int(n))
+    connectivity = getattr(params, "connectivity", None)
+    if connectivity:
+        bad = [k for k in connectivity if k >= scale.n]
+        if bad:
+            raise ValidationError(
+                f"swept connectivity values {bad} must be below n={scale.n} "
+                "(sweep n=... too, or pick smaller values)"
+            )
+        scale = scaled(scale, connectivities=tuple(connectivity))
+    trials = getattr(params, "trials", None)
+    if trials_in_scale and trials is not None:
+        scale = scaled(scale, trials=int(trials))
+    return scale
+
+
 def variant_axes(
-    variant: str,
-    values: Optional[Sequence[float]],
-    defaults: Dict[str, Tuple[float, ...]],
-    titles: Dict[str, str],
-) -> Tuple[Tuple[float, ...], str, str]:
-    """The (values, curve label, title) triple of a crash/loss variant.
+    variant: str, params: object, defaults: Dict[str, Tuple[float, ...]]
+) -> Tuple[Tuple[float, ...], str]:
+    """The (values, curve label) pair of a crash/loss variant.
 
     Figures 4 and 5 both come in a crash-probability (a) and a
-    loss-probability (b) flavour; this is the one validation/defaulting
-    path behind both modules' ``_variant_axes``.
+    loss-probability (b) flavour, whose values are the ``params`` axis
+    named like the variant; this is the one validation/defaulting path
+    behind both modules' ``cells``.
     """
     if variant not in ("crash", "loss"):
         raise ValueError(f"variant must be 'crash' or 'loss', got {variant!r}")
     label = "P" if variant == "crash" else "L"
-    return tuple(values or defaults[variant]), label, titles[variant]
+    return tuple(getattr(params, variant) or defaults[variant]), label
 
 
 def point_grid(
@@ -136,14 +166,16 @@ def point_grid(
     """The (probability value, connectivity) grid of Figures 4/5.
 
     Connectivities that cannot exist at ``scale.n`` are dropped, exactly
-    as the serial builders always did.
+    as the serial builders always did; when none is left the grid is
+    refused rather than run as an empty table.
     """
-    return [
-        (value, connectivity)
-        for value in values
-        for connectivity in scale.connectivities
-        if connectivity < scale.n
-    ]
+    fitting = [k for k in scale.connectivities if k < scale.n]
+    if not fitting:
+        raise ValidationError(
+            f"no connectivity of {list(scale.connectivities)} fits below "
+            f"n={scale.n} (sweep connectivity=... or a larger n)"
+        )
+    return [(value, connectivity) for value in values for connectivity in fitting]
 
 
 def make_network(

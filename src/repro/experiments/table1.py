@@ -11,11 +11,14 @@ experiment — trivially cheap here, but uniform.
 
 from __future__ import annotations
 
-from typing import Dict, List, Sequence
+from typing import TYPE_CHECKING, Dict, List, Sequence
 
 from repro.core.bayesian import BeliefEstimator
-from repro.experiments.campaign import TrialSpec
+from repro.experiments.campaign import Cell, CellResults, TrialSpec
 from repro.results.schema import ResultSet
+
+if TYPE_CHECKING:  # import cycle: the registry imports this module
+    from repro.experiments.registry import ExperimentContext
 
 #: The paper's published case-(b) beliefs, for verification.
 PAPER_AFTER_SUSPICION = (0.04, 0.12, 0.20, 0.28, 0.36)
@@ -40,29 +43,24 @@ def belief_row_task(*, intervals: int, u: int) -> Dict[str, float]:
 BELIEF_FN = "repro.experiments.table1:belief_row_task"
 
 
-def table1_build(intervals: int = 5) -> List[TrialSpec]:
-    """One spec per belief interval."""
+def cells(ctx: ExperimentContext) -> List[Cell]:
+    """One spec per belief interval (the paper's ``U = 5`` unless swept)."""
+    intervals = ctx.params.intervals or 5
+    reads = ("lo", "hi", "midpoint", "initial", "after")
     return [
-        TrialSpec.make(
-            BELIEF_FN,
-            ("lo", "hi", "midpoint", "initial", "after"),
-            intervals=int(intervals),
-            u=u,
-        )
+        (u, [TrialSpec.make(BELIEF_FN, reads, intervals=intervals, u=u)])
         for u in range(intervals)
     ]
 
 
-def table1_aggregate(
-    results: Sequence[Dict[str, float]], intervals: int = 5
-) -> ResultSet:
+def fold(ctx: ExperimentContext, cells: Sequence[CellResults]) -> ResultSet:
     """Fold the per-interval results into Table 1: (interval bounds,
     P_F|B midpoint, initial belief, belief after one suspicion)."""
     rows = []
-    for u, result in enumerate(results):
+    for u, (result,) in cells:
         lo, hi = result["lo"], result["hi"]
         bounds = (
-            f"[{lo:.1f}, {hi:.1f})" if u < intervals - 1 else f"[{lo:.1f}, {hi:.1f}]"
+            f"[{lo:.1f}, {hi:.1f})" if u < len(cells) - 1 else f"[{lo:.1f}, {hi:.1f}]"
         )
         rows.append(
             [bounds, result["midpoint"], result["initial"], result["after"]]

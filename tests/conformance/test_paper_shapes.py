@@ -28,8 +28,9 @@ from repro.core.bayesian import BeliefEstimator
 from repro.core.knowledge import KnowledgeParameters
 from repro.core.refinement import AdaptiveResolutionEstimator
 from repro.experiments.campaign import Campaign
-from repro.experiments.figure4 import figure4_aggregate, figure4_build
+from repro.experiments import figure4
 from repro.experiments.figure5 import convergence_messages_per_link
+from repro.experiments.registry import ExperimentContext, Figure4bParams
 from repro.experiments.runner import QUICK, make_network, scaled
 from repro.protocols.registry import AdaptiveProtocolParams
 from repro.sim.monitors import BroadcastMonitor
@@ -122,12 +123,9 @@ def test_ack_accounting_ablation():
 
     def ratio(count_acks):
         campaign = Campaign()
-        phase1, specs = figure4_build(
-            "loss", scale, campaign, values=(0.03,), count_acks=count_acks
-        )
-        result = figure4_aggregate(
-            "loss", scale, phase1, campaign.run(specs), values=(0.03,)
-        )
+        ctx = ExperimentContext(scale, campaign, Figure4bParams(loss=(0.03,)))
+        cells = figure4.cells("loss", ctx, count_acks=count_acks)
+        result = figure4.fold("loss", ctx, campaign.run_cells(cells))
         return result.column("L=0.03")[0]
 
     assert ratio(count_acks=True) > ratio(count_acks=False) * 1.5

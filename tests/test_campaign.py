@@ -1,9 +1,11 @@
 """Tests for the campaign subsystem (parallel execution, cache, resume)."""
 
+import functools
 import json
 import math
 import os
 import sys
+import types
 from collections import Counter
 
 import pytest
@@ -19,7 +21,11 @@ from repro.experiments.campaign import (
     parse_sweeps,
 )
 from repro.experiments.figure5 import CONVERGENCE_FN
-from repro.experiments.registry import run_experiment
+from repro.experiments.registry import (
+    experiment_specs,
+    resolve_experiment,
+    run_experiment,
+)
 from repro.experiments.runner import QUICK, scaled
 from repro.topology.configuration import Configuration
 from repro.util.cache import TrialCache, content_key
@@ -819,20 +825,47 @@ def test_cli_repairs_an_entry_lacking_its_metric(
     assert cache.get(key) == good
 
 
-def test_aggregates_reference_no_analytic_name():
-    """One code path: the folds cannot rebuild what phase 1 computed."""
-    from repro.experiments import figure4, heterogeneous
+def _code_names(fn, seen=None):
+    """Every global or attribute name ``fn``'s code (and its nested
+    comprehensions') reads, and those of the experiment-module helpers
+    it calls."""
+    if seen is None:
+        seen = set()
+    while isinstance(fn, functools.partial):
+        fn = fn.func
+    if fn in seen:
+        return set()
+    seen.add(fn)
+    names = set()
+    codes = [fn.__code__]
+    while codes:
+        code = codes.pop()
+        names.update(code.co_names)
+        codes += [c for c in code.co_consts if isinstance(c, types.CodeType)]
+    for name in list(names):
+        helper = fn.__globals__.get(name)
+        if isinstance(helper, types.FunctionType) and helper.__module__.startswith(
+            "repro.experiments."
+        ):
+            names |= _code_names(helper, seen)
+    return names
+
+
+@pytest.mark.parametrize("name", [spec.name for spec in experiment_specs()])
+def test_folds_reference_no_grid_or_analytic_name(name):
+    """One code path: a fold reads each cell's results beside its
+    coordinates, so it cannot re-derive the grid its cells walked or
+    rebuild what phase 1 computed."""
+    from repro.experiments import figure4
 
     banned = {
+        "point_grid", "_cell_grid", "_points", "scenario_trials",
+        "sized_scale", "_sized_scale", "variant_axes",
         "optimal_messages", "_uniform_config", "_build_config",
         "k_regular", "Configuration",
     }
-    for fn in (
-        figure4.figure4_aggregate,
-        heterogeneous.heterogeneity_aggregate,
-        heterogeneous._aggregate_point,
-    ):
-        assert not banned & set(fn.__code__.co_names), fn.__name__
+    names = _code_names(resolve_experiment(name).fold)
+    assert not banned & names, sorted(banned & names)
     assert not hasattr(figure4, "reference_messages")
 
 

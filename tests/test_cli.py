@@ -367,6 +367,42 @@ class TestExperimentsCommand:
         assert rc == 2
         assert "does not sweep" in capsys.readouterr().err
 
+    @pytest.mark.parametrize(
+        "name,sweep",
+        [
+            ("figure4a", "crash=0.03,0.03"),
+            ("figure1", "alpha=1,1,2"),
+            ("kvstore", "protocol=flooding,flooding"),
+            ("membership", "view_size=8,8"),
+        ],
+    )
+    def test_run_repeated_grid_value_errors(self, capsys, name, sweep):
+        rc = main(
+            [
+                "experiments", "run", name, "--scale", "quick", "--no-cache",
+                "--no-store", "--sweep", sweep,
+            ]
+        )
+        assert rc == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.count("error:") == 1
+        assert "lists" in captured.err and "more than once" in captured.err
+
+    @pytest.mark.parametrize("name", ["figure4a", "figure5b"])
+    def test_run_with_no_connectivity_below_n_errors(self, capsys, name):
+        rc = main(
+            [
+                "experiments", "run", name, "--scale", "quick", "--no-cache",
+                "--no-store", "--sweep", "n=2",
+            ]
+        )
+        assert rc == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.count("error:") == 1
+        assert "fits below n=2" in captured.err
+
     def test_bad_sweep_leaves_no_store_behind(self, tmp_path, capsys):
         store = tmp_path / "new" / "results.jsonl"
         rc = main(
@@ -616,17 +652,22 @@ def failing_experiment():
     """A registered experiment whose two trials raise CalibrationError:
     gossip calibration over links that lose every message."""
 
-    def build(ctx):
+    def cells(ctx):
         return [
-            TrialSpec.make(
-                "repro.experiments.figure4:gossip_phase1_task",
-                n=4,
-                connectivity=2,
-                crash=0.0,
-                loss=1.0,
-                k_target=0.9,
-                trials=5,
-                seed_tag=tag,
+            (
+                tag,
+                [
+                    TrialSpec.make(
+                        "repro.experiments.figure4:gossip_phase1_task",
+                        n=4,
+                        connectivity=2,
+                        crash=0.0,
+                        loss=1.0,
+                        k_target=0.9,
+                        trials=5,
+                        seed_tag=tag,
+                    )
+                ],
             )
             for tag in ("a", "b")
         ]
@@ -635,8 +676,8 @@ def failing_experiment():
         ExperimentSpec(
             name="cal-fail",
             description="every trial fails to calibrate",
-            build=build,
-            aggregate=lambda ctx, results: ResultSet.from_rows(
+            cells=cells,
+            fold=lambda ctx, cells: ResultSet.from_rows(
                 "cal-fail", "t", ["v"], [[0.0]]
             ),
         )
@@ -654,8 +695,8 @@ def shadowing_experiments():
             ExperimentSpec(
                 name=name,
                 description=f"plugin shadowing '{name}'",
-                build=lambda ctx: [],
-                aggregate=lambda ctx, results, name=name: ResultSet.from_rows(
+                cells=lambda ctx: [],
+                fold=lambda ctx, cells, name=name: ResultSet.from_rows(
                     name, "shadow plugin", ["v"], [[1.0]]
                 ),
             )
@@ -1023,9 +1064,9 @@ def test_out_writes_the_printed_table_and_the_stored_result(name, tmp_path, caps
 def test_an_entry_lacking_a_read_metric_is_recomputed(
     name, metric, tmp_path, capsys
 ):
-    """Every build declares the metrics its aggregate reads, so a cache
-    entry without one is a miss: recomputed and rewritten, not a
-    ``KeyError`` from the aggregate."""
+    """Every cell declares the metrics its fold reads, so a cache entry
+    without one is a miss: recomputed and rewritten, not a ``KeyError``
+    from the fold."""
     from repro.util.cache import TrialCache
 
     argv = _small_run(

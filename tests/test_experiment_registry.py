@@ -1,10 +1,12 @@
 """Tests for the experiment registry (repro.experiments.registry).
 
 Covers spec registration/resolution/aliases, did-you-mean errors, typed
-axis params (coercion, unknown keys, single-vs-multi value axes), the
-uniform build/aggregate execution path (bit-identical to the legacy
-table builders), provenance stamping, the api surface (run_experiment /
-load_results / diff_results with a store), and plugin discovery
+axis params (coercion, unknown keys, single-vs-multi value axes,
+repeated grid values), the uniform cells/fold execution path
+(bit-identical to the modules' cells/fold pairs composed on a plain
+campaign, each cell's results folded beside its coordinates),
+provenance stamping, the api surface (run_experiment / load_results /
+diff_results with a store), and plugin discovery
 (entry points + REPRO_EXPERIMENTS).  The registry mechanics themselves
 (normalisation, collisions, lazy discovery, plugin atomicity) are tested
 once, generically, in ``test_registry.py``.
@@ -13,17 +15,19 @@ once, generically, in ``test_registry.py``.
 import dataclasses
 import sys
 import textwrap
+from typing import get_args, get_origin, get_type_hints
 
 import pytest
 
 import repro.api as api
 from repro.errors import UnknownExperimentError, ValidationError
 from repro.experiments import registry as reg
-from repro.experiments.campaign import Campaign, TrialSpec
-from repro.experiments.figure1 import figure1_aggregate, figure1_build
-from repro.experiments.figure4 import figure4_aggregate, figure4_build
+from repro.experiments import figure1, figure4, table1
+from repro.experiments.campaign import Campaign, TrialSpec, execute_spec
 from repro.experiments.registry import (
+    ExperimentContext,
     ExperimentSpec,
+    Figure1Params,
     Figure4aParams,
     HeterogeneousParams,
     Table1Params,
@@ -35,8 +39,8 @@ from repro.experiments.registry import (
     unregister_experiment,
 )
 from repro.experiments.runner import current_scale, scaled
-from repro.experiments.table1 import table1_aggregate, table1_build
 from repro.results.schema import SCHEMA_VERSION, ResultSet
+from repro.util.validation import unwrap_optional
 
 TINY = scaled(
     current_scale("quick"),
@@ -52,10 +56,8 @@ def _dummy_spec(name="test-exp", **kwargs):
     return ExperimentSpec(
         name=name,
         description="test experiment",
-        build=lambda ctx: [],
-        aggregate=lambda ctx, results: ResultSet.from_rows(
-            name, "test", ["v"], [[1.0]]
-        ),
+        cells=lambda ctx: [],
+        fold=lambda ctx, cells: ResultSet.from_rows(name, "test", ["v"], [[1.0]]),
         **kwargs,
     )
 
@@ -237,32 +239,99 @@ class TestParams:
             )
 
 
+def _grid_axes():
+    """Every tuple-typed axis of every built-in experiment, with a value
+    its element type decodes."""
+    sample = {int: 2, float: 0.03, str: "x"}
+    for spec in reg.experiment_specs():
+        for name, hint in get_type_hints(spec.params_type).items():
+            hint = unwrap_optional(hint)
+            if get_origin(hint) is tuple:
+                yield spec.name, name, sample[get_args(hint)[0]]
+
+
+@pytest.mark.parametrize("name,axis,value", list(_grid_axes()))
+def test_a_grid_axis_refuses_a_repeated_value(name, axis, value):
+    spec = resolve_experiment(name)
+    repeated = rf"{axis}.*{value!r}.*more than once"
+    with pytest.raises(ValidationError, match=repeated):
+        spec.make_params({axis: [value, value]})
+    with pytest.raises(ValidationError, match=repeated):
+        spec.make_params(spec.params_type(**{axis: (value, value)}))
+    assert spec.make_params({axis: [value]}) is not None
+
+
 class TestRunExperiment:
-    """A registry run equals its module's build/aggregate pair composed
-    on a plain campaign: the hooks add provenance and nothing else."""
+    """A registry run equals its module's cells/fold pair composed on a
+    plain campaign: the hooks add provenance and nothing else."""
+
+    @staticmethod
+    def _composed(module, scale, params, *variant):
+        campaign = Campaign()
+        ctx = ExperimentContext(scale, campaign, params)
+        cells = module.cells(*variant, ctx)
+        return module.fold(*variant, ctx, campaign.run_cells(cells))
 
     def test_figure1_bit_identical_to_table_builder(self):
         result = run_experiment("figure1")
-        expected = figure1_aggregate(Campaign().run(figure1_build()))
+        expected = self._composed(figure1, TINY, Figure1Params())
         assert result.rows == expected.rows
         assert result.render() == expected.render()
 
     def test_table1_bit_identical_to_renderer(self):
         result = run_experiment("table1")
-        expected = table1_aggregate(Campaign().run(table1_build()))
+        expected = self._composed(table1, TINY, Table1Params())
         assert result.render() == expected.render()
         assert result.x_label is None
 
     def test_figure4a_bit_identical_to_table_builder(self):
         params = {"crash": [0.03]}
         result = run_experiment("figure4a", scale=TINY, params=params)
-        campaign = Campaign()
-        phase1, specs = figure4_build("crash", TINY, campaign, values=(0.03,))
-        expected = figure4_aggregate(
-            "crash", TINY, phase1, campaign.run(specs), values=(0.03,)
+        expected = self._composed(
+            figure4, TINY, Figure4aParams(crash=(0.03,)), "crash"
         )
         assert result.rows == expected.rows
         assert result.render() == expected.render()
+
+    def test_cells_of_different_lengths_fold_beside_their_coords(
+        self, clean_registry
+    ):
+        def ratio(alpha):
+            return TrialSpec.make(
+                "repro.experiments.figure1:two_path_ratio_task",
+                ("ratio",),
+                loss=0.01,
+                alpha=float(alpha),
+            )
+
+        cells = [
+            ("one", [ratio(1)]),
+            ("three", [ratio(2), ratio(3), ratio(4)]),
+            ("none", []),
+            ("two", [ratio(5), ratio(6)]),
+        ]
+        folded = []
+
+        def fold(ctx, got):
+            folded.extend(got)
+            return ResultSet.from_rows("cells-exp", "t", ["v"], [[0.0]])
+
+        register_experiment(
+            ExperimentSpec(
+                name="cells-exp",
+                description="",
+                cells=lambda ctx: cells,
+                fold=fold,
+            )
+        )
+        campaign = Campaign()
+        run_experiment("cells-exp", campaign=campaign)
+        assert folded == [
+            (coords, [execute_spec(spec) for spec in specs])
+            for coords, specs in cells
+        ]
+        assert [len(results) for _, results in folded] == [1, 3, 0, 2]
+        assert campaign.executed == 6
 
     def test_provenance_stamped(self):
         result = run_experiment(
@@ -338,10 +407,10 @@ class TestApiSurface:
 
     def test_run_experiment_probes_store_before_running(self, tmp_path,
                                                         clean_registry):
-        # the writability probe must fire before build/trials run
+        # the writability probe must fire before cells/trials run
         ran = []
 
-        def build(ctx):
+        def cells(ctx):
             ran.append(True)
             return []
 
@@ -349,8 +418,8 @@ class TestApiSurface:
             ExperimentSpec(
                 name="probe-exp",
                 description="",
-                build=build,
-                aggregate=lambda ctx, results: ResultSet.from_rows(
+                cells=cells,
+                fold=lambda ctx, cells: ResultSet.from_rows(
                     "probe-exp", "t", ["v"], [[0.0]]
                 ),
             )
@@ -381,8 +450,8 @@ PLUGIN_MODULE = textwrap.dedent(
         description="dummy plugin experiment",
         artefact="Plugin Figure",
         aliases=("dexp",),
-        build=lambda ctx: [],
-        aggregate=lambda ctx, results: ResultSet.from_rows(
+        cells=lambda ctx: [],
+        fold=lambda ctx, cells: ResultSet.from_rows(
             "dummy-exp", "dummy", ["v"], [[42.0]]
         ),
     )
@@ -499,10 +568,10 @@ class TestCliIntegration:
 
 
 class TestExperimentContext:
-    def test_build_sees_materialised_params(self, clean_registry):
+    def test_cells_see_materialised_params(self, clean_registry):
         seen = {}
 
-        def build(ctx):
+        def cells(ctx):
             seen["params"] = ctx.params
             seen["scale"] = ctx.scale
             return []
@@ -512,8 +581,8 @@ class TestExperimentContext:
                 name="ctx-exp",
                 description="",
                 params_type=Figure4aParams,
-                build=build,
-                aggregate=lambda ctx, results: ResultSet.from_rows(
+                cells=cells,
+                fold=lambda ctx, cells: ResultSet.from_rows(
                     "ctx-exp", "t", ["v"], [[0.0]]
                 ),
             )
@@ -522,8 +591,8 @@ class TestExperimentContext:
         assert seen["params"] == Figure4aParams()
         assert seen["scale"] is TINY
 
-    def test_build_may_run_prephases_through_campaign(self, clean_registry):
-        def build(ctx):
+    def test_cells_may_run_prephases_through_campaign(self, clean_registry):
+        def cells(ctx):
             pre = ctx.campaign.run(
                 [TrialSpec.make(
                     "repro.experiments.figure1:two_path_ratio_task",
@@ -538,8 +607,8 @@ class TestExperimentContext:
             ExperimentSpec(
                 name="pre-exp",
                 description="",
-                build=build,
-                aggregate=lambda ctx, results: ResultSet.from_rows(
+                cells=cells,
+                fold=lambda ctx, cells: ResultSet.from_rows(
                     "pre-exp", "t", ["v"], [[0.0]]
                 ),
             )

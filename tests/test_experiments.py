@@ -10,13 +10,11 @@ import pytest
 
 import repro.api as api
 from repro.errors import ValidationError
+from repro.experiments import figure4
 from repro.experiments.campaign import Campaign
-from repro.experiments.figure4 import (
-    figure4_aggregate,
-    figure4_build,
-    optimal_messages,
-)
+from repro.experiments.figure4 import optimal_messages
 from repro.experiments.figure5 import convergence_messages_per_link
+from repro.experiments.registry import ExperimentContext, Figure4bParams
 from repro.experiments.runner import (
     DEFAULT,
     FULL,
@@ -115,10 +113,11 @@ class TestFigure4:
     def test_point_fields(self):
         scale = scaled(TINY, connectivities=(2,))
         campaign = Campaign()
-        (phase1,), specs = figure4_build("loss", scale, campaign, values=(0.05,))
-        result = figure4_aggregate(
-            "loss", scale, [phase1], campaign.run(specs), values=(0.05,)
-        )
+        ctx = ExperimentContext(scale, campaign, Figure4bParams(loss=(0.05,)))
+        (cell,) = figure4.cells("loss", ctx)
+        (_, _, optimal), specs = cell
+        phase1 = {"optimal_messages": optimal, "rounds": specs[0].kwargs()["rounds"]}
+        result = figure4.fold("loss", ctx, campaign.run_cells([cell]))
         assert result.column("L=0.05")[0] > 0
         assert phase1["optimal_messages"] >= TINY.n - 1
         assert phase1["rounds"] >= 1
@@ -133,7 +132,9 @@ class TestFigure4:
         assert result.columns[1:] == ("L=0.05",)
         assert result.column("connectivity (links/process)") == [2.0, 4.0]
         with pytest.raises(ValueError):
-            figure4_build("nope", TINY, Campaign())
+            figure4.cells(
+                "nope", ExperimentContext(TINY, Campaign(), Figure4bParams())
+            )
 
 
 class TestFigure5:

@@ -8,8 +8,7 @@ from hypothesis import given, settings, strategies as st
 import repro.protocols.gossip as gossip
 from repro.errors import CalibrationError, ValidationError
 from repro.experiments.campaign import Campaign
-from repro.experiments.figure4 import figure4_build
-from repro.experiments.heterogeneous import heterogeneity_build
+from repro.experiments.registry import ExperimentContext, resolve_experiment
 from repro.experiments.runner import current_scale
 from repro.protocols.gossip import (
     GossipBroadcast,
@@ -634,7 +633,7 @@ QUICK_CALIBRATED_ROUNDS = {
 
 class _CalibrationRecorder(Campaign):
     """Serial campaign remembering the budget of every spec it runs (the
-    ``*_build`` functions run the calibrations and return the rest)."""
+    ``cells`` hooks run the calibrations and return the rest)."""
 
     def __init__(self):
         super().__init__()
@@ -653,13 +652,14 @@ class _CalibrationRecorder(Campaign):
 def quick_calibrated_rounds():
     scale = current_scale("quick")
     found = {}
-    for name, axis, prefix, build in (
-        ("figure4a", "crash", "P=", lambda c: figure4_build("crash", scale, c)),
-        ("figure4b", "loss", "L=", lambda c: figure4_build("loss", scale, c)),
-        ("heterogeneous", "mode", "", lambda c: heterogeneity_build(scale, c)),
+    for name, axis, prefix in (
+        ("figure4a", "crash", "P="),
+        ("figure4b", "loss", "L="),
+        ("heterogeneous", "mode", ""),
     ):
+        spec = resolve_experiment(name)
         recorder = _CalibrationRecorder()
-        build(recorder)
+        spec.cells(ExperimentContext(scale, recorder, spec.make_params()))
         for kwargs, rounds in recorder.calibrated:
             point = f"{name} k={kwargs['connectivity']} {prefix}{kwargs[axis]}"
             found[point] = rounds

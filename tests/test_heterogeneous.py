@@ -3,8 +3,9 @@
 import pytest
 
 import repro.api as api
-from repro.experiments.campaign import Campaign, chunked
-from repro.experiments.heterogeneous import _aggregate_point, heterogeneity_build
+from repro.experiments import heterogeneous
+from repro.experiments.campaign import Campaign
+from repro.experiments.registry import ExperimentContext, HeterogeneousParams
 from repro.experiments.runner import QUICK, scaled
 
 TINY = scaled(
@@ -13,13 +14,21 @@ TINY = scaled(
 
 
 def point(spread=1.0):
-    """One connectivity-4 point, folded the way the aggregate folds it."""
+    """One connectivity-4 point: each mode's optimal cost, mean reference
+    cost and their ratio, folded as the table's fold folds them."""
     campaign = Campaign()
-    phase1, specs = heterogeneity_build(
-        TINY, campaign, mean_loss=0.05, connectivities=(4,), spread=spread
+    ctx = ExperimentContext(
+        TINY, campaign, HeterogeneousParams(loss=0.05, connectivity=(4,))
     )
-    chunks = list(chunked(campaign.run(specs), TINY.trials))
-    return _aggregate_point(4, phase1, chunks)
+    cells = campaign.run_cells(heterogeneous.cells(ctx, spread=spread))
+    fields = {}
+    for (_, mode, optimal), results in cells:
+        reference = Campaign.aggregate(results, "messages").mean
+        fields[f"{mode}_optimal"] = optimal
+        fields[f"{mode}_reference"] = reference
+        fields[f"{mode}_ratio"] = reference / optimal
+    fields["gain_delta"] = fields["hetero_ratio"] - fields["uniform_ratio"]
+    return fields
 
 
 class TestHeterogeneityPoint:

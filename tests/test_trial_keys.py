@@ -137,27 +137,40 @@ class _StubCampaign:
 
 def site_specs():
     """Each converted experiment's quick-scale specs from fixed inputs."""
-    from repro.experiments.figure4 import figure4_build
-    from repro.experiments.figure5 import figure5_build
-    from repro.experiments.figure6 import figure6_build
-    from repro.experiments.heterogeneous import heterogeneity_build
-    from repro.experiments.kvstore import kvstore_build
-    from repro.experiments.membership import membership_build
+    from repro.experiments import figure4
     from repro.experiments.registry import (
-        KVExperimentParams,
-        MembershipExperimentParams,
+        ExperimentContext,
+        Figure4bParams,
+        resolve_experiment,
     )
     from repro.experiments.runner import QUICK
 
+    def specs(cells):
+        return [spec for _, cell in cells for spec in cell]
+
+    def registered(name):
+        spec = resolve_experiment(name)
+        ctx = ExperimentContext(QUICK, _StubCampaign(), spec.make_params())
+        return specs(spec.cells(ctx))
+
+    names = (
+        "figure4a",
+        "heterogeneous",
+        "figure5a",
+        "figure5b",
+        "figure6",
+        "kvstore",
+        "membership",
+    )
     return {
-        "figure4a": figure4_build("crash", QUICK, _StubCampaign())[1],
-        "figure4b": figure4_build("loss", QUICK, _StubCampaign(), count_acks=True)[1],
-        "heterogeneous": heterogeneity_build(QUICK, _StubCampaign())[1],
-        "figure5a": figure5_build("crash", QUICK),
-        "figure5b": figure5_build("loss", QUICK),
-        "figure6": figure6_build(QUICK),
-        "kvstore": kvstore_build(QUICK, KVExperimentParams()),
-        "membership": membership_build(QUICK, MembershipExperimentParams()),
+        **{name: registered(name) for name in names},
+        "figure4b": specs(
+            figure4.cells(
+                "loss",
+                ExperimentContext(QUICK, _StubCampaign(), Figure4bParams()),
+                count_acks=True,
+            )
+        ),
     }
 
 
