@@ -2,9 +2,9 @@
 """Watch the adaptive protocol's knowledge converge, live.
 
 Runs the knowledge activity (Algorithm 4) on a lossy ring and samples the
-estimate errors over time: topology discovery completes within a
-diameter's worth of heartbeats, while the Bayesian loss estimates tighten
-like 1/sqrt(observations).  Prints an error trace, a terminal sparkline,
+estimate errors over time: topology discovery completes once heartbeats
+have relayed knowledge to the farthest process, while the Bayesian loss
+estimates tighten like 1/sqrt(observations).  Prints an error trace, a terminal sparkline,
 and the convergence time under two criteria (posterior-mean tolerance and
 the paper's "right probability interval" MAP criterion).
 

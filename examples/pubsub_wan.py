@@ -53,7 +53,7 @@ def deploy(spec, graph, config, seed):
 
 
 def main():
-    # the registry scenario provides the topology, the tiered base
+    # the registry scenario provides the topology, the LAN/WAN base
     # configuration *and* the brownout timeline as one declarative spec
     scale = scaled(current_scale("quick"), n=CLUSTERS * CLUSTER_SIZE)
     spec = build_scenario("wan-brownout", scale)

@@ -38,7 +38,6 @@ from repro.core.adaptive import (
     PiggybackedData,
 )
 from repro.core.bayesian import BeliefEstimator
-from repro.core.refinement import AdaptiveResolutionEstimator
 from repro.core.broadcast import DataMessage, ReliableBroadcastProcess
 from repro.core.knowledge import KnowledgeParameters
 from repro.core.mrt import maximum_reliability_tree
@@ -164,7 +163,6 @@ __all__ = [
     "AdaptiveBroadcast",
     "AdaptiveParameters",
     "PiggybackedData",
-    "AdaptiveResolutionEstimator",
     "GossipBroadcast",
     "GossipParameters",
     "calibrate_rounds",

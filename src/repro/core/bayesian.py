@@ -16,6 +16,10 @@ interval ``u``.  Beliefs start uniform (Algorithm 5, lines 5-7).
 After ``f`` failures and ``s`` successes the posterior is proportional to
 ``P_F|B^f (1-P_F|B)^s`` — a discretised Beta posterior whose mass
 concentrates on the interval containing the empirical failure frequency.
+
+The adaptive protocol applies both updates to its own belief rows
+(:class:`repro.core.viewtable.VectorView`).  :class:`BeliefEstimator` is
+the single-estimate form Table 1 reports; it records failures only.
 """
 
 from __future__ import annotations
@@ -119,22 +123,10 @@ class BeliefEstimator:
             self._log_beliefs += factor * np.log(self._midpoints)
             self._log_beliefs -= self._log_beliefs.max()
 
-    def increase_reliability(self, factor: int = 1) -> None:
-        """Record ``factor`` success observations (lines 12-15)."""
-        check_non_negative_int(factor, "factor")
-        if factor:
-            self._log_beliefs += factor * np.log1p(-self._midpoints)
-            self._log_beliefs -= self._log_beliefs.max()
-
-    def observe(self, successes: int, failures: int) -> None:
-        """Batch form: ``successes`` up observations and ``failures`` down."""
-        self.increase_reliability(successes)
-        self.decrease_reliability(failures)
-
     # -- copying -----------------------------------------------------------------
 
     def copy(self) -> "BeliefEstimator":
-        clone = BeliefEstimator(self.intervals)
+        clone = type(self)(self.intervals)
         clone._log_beliefs = self._log_beliefs.copy()
         return clone
 

@@ -142,16 +142,6 @@ class SpanningTree:
         """All tree links (one per non-root node, BFS order)."""
         return [self.link_to(p) for p in self.non_root_nodes]
 
-    def depth(self, p: ProcessId) -> int:
-        """Hop distance from the root."""
-        if not self.contains(p):
-            raise TreeError(f"node {p} not in tree")
-        d = 0
-        while p != self._root:
-            p = self._parent[p]
-            d += 1
-        return d
-
     def leaves(self) -> List[ProcessId]:
         return [p for p in self._order if not self._children[p]]
 

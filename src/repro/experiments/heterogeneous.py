@@ -33,7 +33,11 @@ from repro.experiments.figure4 import (
     phase1_reference,
     run_phase1,
 )
-from repro.experiments.runner import ExperimentScale, sized_scale
+from repro.experiments.runner import (
+    ExperimentScale,
+    fitting_connectivities,
+    sized_scale,
+)
 from repro.results.schema import ResultSet
 from repro.topology.configuration import Configuration
 from repro.topology.generators import k_regular
@@ -158,14 +162,14 @@ def cells(
             (1.0 means per-link losses uniform over [0, 2*mean]).
     """
     scale = sized_scale(ctx.scale, ctx.params, trials_in_scale=True)
-    connectivities = ctx.params.connectivity or [
-        k for k in scale.connectivities if k <= 12
-    ]
+    connectivities = fitting_connectivities(
+        ctx.params.connectivity or [k for k in scale.connectivities if k <= 12],
+        scale.n,
+    )
     mean_loss = _mean_loss(ctx)
     points = [
         ((k, mode), _point_params(mode, k, mean_loss, scale, spread, seed))
         for k in connectivities
-        if k < scale.n
         for mode in MODES
     ]
     return run_phase1(scale, ctx.campaign, TASK_FNS, points)

@@ -17,7 +17,7 @@ cell:
                      samples; None when no write ever reached a remote)
 ``visibility_p99``   likewise at p99
 ``buffer_mean``      mean causal-buffer occupancy (per-replica mean)
-``buffer_max``       worst per-replica buffer depth across trials
+``buffer_max``       worst per-replica buffer occupancy across trials
 ``convergence_s``    mean post-dynamics convergence time over the trials
                      that converged (None when none did)
 ``data_msgs``        mean DATA messages (replication traffic)

@@ -120,9 +120,9 @@ def sized_scale(
     The ``--sweep`` semantics of ``repro experiments run``: ``n``
     replaces the system size first, swept connectivities must fit below
     the (possibly overridden) ``n`` — an explicitly requested value must
-    never be silently dropped by :func:`point_grid`'s ``connectivity <
-    n`` filter — and ``trials`` lands in the scale only for the
-    experiments that read ``scale.trials`` (Figures 4 and the
+    never be silently dropped by :func:`fitting_connectivities`'
+    ``connectivity < n`` filter — and ``trials`` lands in the scale only
+    for the experiments that read ``scale.trials`` (Figures 4 and the
     heterogeneous study; the convergence experiments take trials as an
     explicit argument).
     """
@@ -160,21 +160,28 @@ def variant_axes(
     return tuple(getattr(params, variant) or defaults[variant]), label
 
 
+def fitting_connectivities(connectivities: Sequence[int], n: int) -> List[int]:
+    """The connectivities that can exist among ``n`` processes (``k < n``).
+
+    The others are dropped, exactly as the serial builders always did;
+    when none is left the grid is refused rather than run as an empty
+    table.
+    """
+    fitting = [k for k in connectivities if k < n]
+    if not fitting:
+        raise ValidationError(
+            f"no connectivity of {list(connectivities)} fits below "
+            f"n={n} (sweep connectivity=... or a larger n)"
+        )
+    return fitting
+
+
 def point_grid(
     scale: ExperimentScale, values: Sequence[float]
 ) -> List[Tuple[float, int]]:
-    """The (probability value, connectivity) grid of Figures 4/5.
-
-    Connectivities that cannot exist at ``scale.n`` are dropped, exactly
-    as the serial builders always did; when none is left the grid is
-    refused rather than run as an empty table.
-    """
-    fitting = [k for k in scale.connectivities if k < scale.n]
-    if not fitting:
-        raise ValidationError(
-            f"no connectivity of {list(scale.connectivities)} fits below "
-            f"n={scale.n} (sweep connectivity=... or a larger n)"
-        )
+    """The (probability value, connectivity) grid of Figures 4/5, over
+    the :func:`fitting_connectivities` of ``scale``."""
+    fitting = fitting_connectivities(scale.connectivities, scale.n)
     return [(value, connectivity) for value in values for connectivity in fitting]
 
 

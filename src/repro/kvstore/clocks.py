@@ -53,9 +53,6 @@ class VectorClock:
         """The non-zero entries, ascending by pid."""
         return tuple(sorted(self._counts.items()))
 
-    def pids(self) -> Tuple[ProcessId, ...]:
-        return tuple(sorted(self._counts))
-
     def total(self) -> int:
         """Sum of all counters — the number of writes this clock has seen.
 

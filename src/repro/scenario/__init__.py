@@ -49,7 +49,6 @@ from repro.scenario.run import (
     SCENARIO_SWEEP_KEYS,
     ComparisonResult,
     ProtocolResult,
-    scenario_report,
     scenario_reports,
 )
 from repro.scenario.schema import (
@@ -87,7 +86,6 @@ __all__ = [
     "run_scenario_trial",
     "ComparisonResult",
     "ProtocolResult",
-    "scenario_report",
     "scenario_reports",
     "SCENARIO_SWEEP_KEYS",
     "ScenarioGenerator",

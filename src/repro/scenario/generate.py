@@ -61,7 +61,7 @@ from repro.scenario.schema import (
 )
 from repro.util.rng import RandomSource
 
-#: Seeds become path- and name-safe components of ``gen:<seed>:<index>``.
+#: Seeds become path- and name-safe parts of ``gen:<seed>:<index>``.
 _SEED_RE = re.compile(r"^[A-Za-z0-9_.-]+$")
 
 #: Lower bound on generated system size: small enough for quick smoke

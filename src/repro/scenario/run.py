@@ -1,6 +1,6 @@
 """Campaign execution of scenarios and protocol-comparison reporting.
 
-:func:`scenario_report` compiles a scenario's ``protocols x trials``
+:func:`scenario_reports` compiles a scenario's ``protocols x trials``
 matrix into :class:`~repro.experiments.campaign.TrialSpec`\\ s and runs
 them through a :class:`~repro.experiments.campaign.Campaign` — so
 scenario runs inherit the whole campaign contract for free: parallel
@@ -393,31 +393,3 @@ def scenario_reports(
     return reports
 
 
-def scenario_report(
-    scenario: str,
-    protocols: Optional[Sequence[str]] = None,
-    scale: Optional[ExperimentScale] = None,
-    trials: Optional[int] = None,
-    campaign: Optional[Campaign] = None,
-    overrides: Optional[Dict[str, float]] = None,
-) -> ComparisonResult:
-    """Run one scenario across protocols and aggregate the comparison.
-
-    Args:
-        scenario: built-in scenario name.
-        protocols: protocol subset (default: the registry's
-            ``default_compare`` set — adaptive/optimal/gossip/flooding);
-            names and aliases resolve through the protocol registry.
-        scale: sizing preset (default: ambient scale).
-        trials: seeded trials per protocol (default: scale-derived).
-        campaign: execution engine (default: serial, cache-less).
-        overrides: sweep overrides — ``n``, ``loss``, ``crash``,
-            ``duration`` flow into the trial task (``trials`` is handled
-            via the ``trials`` argument).
-    """
-    combo: Dict[str, float] = dict(overrides or {})
-    if trials is not None:
-        combo["trials"] = trials
-    return scenario_reports(
-        scenario, [combo], protocols=protocols, scale=scale, campaign=campaign
-    )[0]

@@ -116,9 +116,6 @@ class TopologySpec:
         if self.n < 2:
             raise ValidationError(f"topology needs n >= 2, got {self.n}")
 
-    def build(self) -> Graph:
-        return self.build_with_tiers()[0]
-
     def build_with_tiers(self) -> Tuple[Graph, Dict[str, Tuple[Link, ...]]]:
         """Build the graph plus named link tiers (``two_tier`` only)."""
         rng = RandomSource("scenario-topology", self.seed, self.kind, self.n)

@@ -42,10 +42,6 @@ class CrashModel(abc.ABC):
     def crashed_step(self, p: ProcessId, now: float) -> bool:
         """Whether process ``p`` executes a crashed step at time ``now``."""
 
-    @abc.abstractmethod
-    def down_fraction(self, p: ProcessId) -> float:
-        """The stationary crashed-step probability ``P_p`` of this model."""
-
     def is_down(self, p: ProcessId, now: float) -> bool:
         """Whether ``p`` is currently in a down *period* (burst models only).
 
@@ -62,9 +58,6 @@ class NoCrashModel(CrashModel):
     def crashed_step(self, p: ProcessId, now: float) -> bool:
         return False
 
-    def down_fraction(self, p: ProcessId) -> float:
-        return 0.0
-
 
 class IidCrashModel(CrashModel):
     """Each step is independently crashed with probability ``P_p``.
@@ -75,7 +68,7 @@ class IidCrashModel(CrashModel):
         rng: deterministic stream for the draws.
     """
 
-    __slots__ = ("_probs", "_prob_list", "_draw")
+    __slots__ = ("_prob_list", "_draw")
 
     def __init__(self, crash_probabilities: np.ndarray, rng: RandomSource) -> None:
         probs = np.asarray(crash_probabilities, dtype=float)
@@ -83,7 +76,6 @@ class IidCrashModel(CrashModel):
             raise ValidationError("crash_probabilities must be a 1-D vector")
         if np.any(np.isnan(probs)) or np.any(probs < 0) or np.any(probs > 1):
             raise ValidationError("crash probabilities must be in [0, 1]")
-        self._probs = probs
         # python-float copy for the per-step lookup (no numpy scalar
         # boxing per call) and block-buffered draws off the same child
         # stream single draws always used — values are bit-identical
@@ -97,9 +89,6 @@ class IidCrashModel(CrashModel):
         if prob >= 1.0:
             return True
         return self._draw.next() < prob
-
-    def down_fraction(self, p: ProcessId) -> float:
-        return float(self._probs[p])
 
 
 class MarkovCrashModel(CrashModel):
@@ -205,9 +194,6 @@ class MarkovCrashModel(CrashModel):
     def is_down(self, p: ProcessId, now: float) -> bool:
         self._advance(p, now)
         return bool(self._down[p])
-
-    def down_fraction(self, p: ProcessId) -> float:
-        return float(self._probs[p])
 
     def force_recover_all(self, now: float) -> None:
         """Recover every currently-down process, firing ``on_recover``.

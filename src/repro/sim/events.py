@@ -71,10 +71,6 @@ class Event:
     def key(self) -> Tuple[float, int, int]:
         return (self.time, self.priority, self.seq)
 
-    @property
-    def active(self) -> bool:
-        return not self.cancelled
-
     def cancel(self) -> None:
         """Mark the event so the engine skips it (O(1), lazy removal).
 

@@ -210,9 +210,6 @@ class _CheckingCrashModel(CrashModel):
         self._last_step[p] = (now, crashed)
         return crashed
 
-    def down_fraction(self, p: ProcessId) -> float:
-        return self._inner.down_fraction(p)
-
     def is_down(self, p: ProcessId, now: float) -> bool:
         return self._inner.is_down(p, now)
 
@@ -287,11 +284,6 @@ class InvariantMonitor:
     def records_checked(self) -> int:
         """Transmission records inspected so far."""
         return self._checked
-
-    @property
-    def epochs(self) -> int:
-        """Configuration epochs snapshotted (1 + probes fired)."""
-        return len(self._epochs)
 
     def close(self) -> None:
         """Let go of the network, whose stats hold this monitor (a cycle)."""

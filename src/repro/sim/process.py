@@ -1,9 +1,9 @@
 """Base class for simulated protocol processes.
 
 A :class:`SimProcess` owns a process id, its timers and convenience
-wrappers around the network/engine: ``send``, ``set_timer`` and
-``set_periodic``.  Protocol implementations (optimal,
-adaptive, gossip, ...) subclass it and override the ``on_*`` hooks.
+wrappers around the network/engine: ``send`` and ``set_periodic``.
+Protocol implementations (optimal, adaptive, gossip, ...) subclass it
+and override the ``on_*`` hooks.
 
 A periodic timer is one :class:`~repro.sim.events.Event` for its whole
 life, a member of one of the engine's tick groups (the queue item that
@@ -39,7 +39,6 @@ class SimProcess:
 
     * :meth:`on_start` — called once when the network starts.
     * :meth:`on_message` — called per delivered message.
-    * :meth:`on_timer` — called per expired (non-periodic) timer.
     * :meth:`on_crash` / :meth:`on_recovery` — burst-crash notifications.
     """
 
@@ -112,24 +111,6 @@ class SimProcess:
 
     # -- timers -------------------------------------------------------------------
 
-    def set_timer(self, delay: float, name: str) -> None:
-        """(Re-)arm a named one-shot timer; fires :meth:`on_timer`."""
-        check_positive(delay, "delay")
-        self.cancel_timer(name)
-        event_name = f"timer:{self.pid}:{name}"
-
-        def fire() -> None:
-            self._timers.pop(name, None)
-            if not self._down:
-                self.on_timer(name)
-
-        self._timers[name] = self.sim.schedule(delay, fire, name=event_name)
-
-    def cancel_timer(self, name: str) -> None:
-        event = self._timers.pop(name, None)
-        if event is not None:
-            event.cancel()
-
     def timer_active(self, name: str) -> bool:
         return name in self._timers
 
@@ -146,19 +127,20 @@ class SimProcess:
         caller may set while ``action`` provably does nothing.
         """
         check_positive(period, "period")
-        timer_key = f"__periodic__{name}"
-        self.cancel_timer(timer_key)
+        self.cancel_periodic(name)
 
         def tick() -> None:
             if not self._down:
                 action()
 
         event = self.sim.periodic(period, tick, name=f"periodic:{self.pid}:{name}")
-        self._timers[timer_key] = event
+        self._timers[name] = event
         return event
 
     def cancel_periodic(self, name: str) -> None:
-        self.cancel_timer(f"__periodic__{name}")
+        event = self._timers.pop(name, None)
+        if event is not None:
+            event.cancel()
 
     def cancel_all_timers(self) -> None:
         for event in self._timers.values():
@@ -184,9 +166,6 @@ class SimProcess:
 
     def on_message(self, sender: ProcessId, payload: Any) -> None:
         """Called for each message delivered to this process."""
-
-    def on_timer(self, name: str) -> None:
-        """Called when a one-shot timer named ``name`` expires."""
 
     def on_crash(self) -> None:
         """Called when a burst crash begins (the process is already down)."""

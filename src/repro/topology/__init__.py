@@ -8,7 +8,6 @@ loss probability to every link (Section 2.1).  This package provides:
 * :mod:`repro.topology.generators` — the topologies of Section 5 (ring,
   k-regular, random tree) plus richer families for examples and ablations.
 * :class:`repro.topology.configuration.Configuration` — the ``C`` tuple.
-* :mod:`repro.topology.paths` — BFS hop distances and the diameter.
 """
 
 from repro.topology.configuration import Configuration
@@ -25,11 +24,6 @@ from repro.topology.generators import (
     two_tier,
 )
 from repro.topology.graph import Graph
-from repro.topology.paths import (
-    bfs_distances,
-    diameter,
-    distance_matrix,
-)
 
 __all__ = [
     "Graph",
@@ -44,7 +38,4 @@ __all__ = [
     "small_world",
     "scale_free",
     "two_tier",
-    "bfs_distances",
-    "distance_matrix",
-    "diameter",
 ]

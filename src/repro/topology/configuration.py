@@ -13,7 +13,7 @@ the motivating example (two-tier WAN/LAN) and ablations.
 
 from __future__ import annotations
 
-from typing import Dict, Iterable, Mapping, Optional, Sequence, Tuple
+from typing import Mapping, Optional, Tuple
 
 import numpy as np
 
@@ -134,21 +134,6 @@ class Configuration:
             link: l_lo + (l_hi - l_lo) * loss_rng.random() for link in graph.links
         }
         return cls(graph, crash=crash, loss=loss)
-
-    @classmethod
-    def tiered(
-        cls,
-        graph: Graph,
-        tiers: Sequence[Tuple[Iterable[Link], float]],
-        crash: float = 0.0,
-        default_loss: float = 0.0,
-    ) -> "Configuration":
-        """Assign one loss probability per link tier (e.g. LAN vs WAN)."""
-        loss: Dict[Link, float] = {}
-        for links, value in tiers:
-            for link in links:
-                loss[Link.of(*link)] = value
-        return cls(graph, loss=loss, default_crash=crash, default_loss=default_loss)
 
     # -- accessors ----------------------------------------------------------------
 

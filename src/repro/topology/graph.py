@@ -9,7 +9,7 @@ by each process view, not a :class:`Graph`.)
 
 from __future__ import annotations
 
-from typing import Dict, FrozenSet, Iterable, Iterator, List, Tuple
+from typing import Dict, Iterable, Iterator, List, Tuple
 
 from repro.errors import (
     TopologyError,
@@ -139,26 +139,6 @@ class Graph:
                     count += 1
                     stack.append(q)
         return count == self._n
-
-    def components(self) -> List[FrozenSet[ProcessId]]:
-        """Connected components as frozen sets of process ids."""
-        seen = [False] * self._n
-        out: List[FrozenSet[ProcessId]] = []
-        for start in range(self._n):
-            if seen[start]:
-                continue
-            stack = [start]
-            seen[start] = True
-            comp = [start]
-            while stack:
-                p = stack.pop()
-                for q in self._neighbors[p]:
-                    if not seen[q]:
-                        seen[q] = True
-                        comp.append(q)
-                        stack.append(q)
-            out.append(frozenset(comp))
-        return out
 
     # -- derivation ---------------------------------------------------------------
 

@@ -4,7 +4,7 @@ These modules have no knowledge of the paper's protocols; they are the
 foundation the simulation kernel and the algorithms are built on:
 
 * :mod:`repro.util.heap` — the addressable binary heap (Prim, ``optimize``).
-* :mod:`repro.util.stats` — streaming statistics and confidence intervals.
+* :mod:`repro.util.stats` — streaming statistics and percentiles.
 * :mod:`repro.util.rng` — deterministic, splittable random streams.
 * :mod:`repro.util.tables` — ASCII tables/series for experiment reports.
 * :mod:`repro.util.validation` — argument validation helpers.
@@ -12,7 +12,7 @@ foundation the simulation kernel and the algorithms are built on:
 
 from repro.util.heap import AddressableHeap
 from repro.util.rng import DrawLedger, RandomSource, ledger_scope
-from repro.util.stats import OnlineStats, mean_confidence_interval
+from repro.util.stats import OnlineStats
 
 __all__ = [
     "AddressableHeap",
@@ -20,5 +20,4 @@ __all__ = [
     "ledger_scope",
     "RandomSource",
     "OnlineStats",
-    "mean_confidence_interval",
 ]

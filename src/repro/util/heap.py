@@ -80,13 +80,6 @@ class AddressableHeap(Generic[ItemT]):
         else:
             self._sift_down(pos)
 
-    def peek(self) -> Tuple[ItemT, float]:
-        """Return (item, priority) with the minimum priority without removing it."""
-        if not self._entries:
-            raise IndexError("peek from an empty heap")
-        priority, item = self._entries[0]
-        return item, priority
-
     def pop(self) -> Tuple[ItemT, float]:
         """Remove and return (item, priority) with the minimum priority."""
         if not self._entries:

@@ -6,7 +6,8 @@ imports it.
 * :mod:`.knowledge` / :mod:`.estimates` — the literal object form of
   Algorithm 4 (``ProcessView``) and Algorithm 3 (``Estimate``,
   ``select_best_estimate``), the differential reference for
-  :class:`repro.core.viewtable.VectorView`.
+  :class:`repro.core.viewtable.VectorView`; its ``BeliefEstimator``
+  adds Algorithm 5's success update to the shipped estimator.
 * :mod:`.bayesian` — Algorithm 5's literal multiply-and-renormalise
   updates (``uniform_beliefs``, ``apply_failures``,
   ``apply_successes``), which the log-space
@@ -19,7 +20,10 @@ imports it.
 * :mod:`.optimality` / :mod:`.unionfind` — the Kruskal oracle behind
   Lemma 2's check that the MRT is a maximum spanning tree.
 * :mod:`.graphs` — ``random_connected``, the seeded random connected
-  graphs the property and conformance tests draw their inputs from.
+  graphs the property and conformance tests draw their inputs from, and
+  ``bfs_distances``, hop distances over them.
+* :mod:`.stats` — ``mean_confidence_interval`` and ``z_quantile``, the
+  normal-approximation intervals of Monte Carlo checks.
 * :mod:`.periodic` — a periodic chain as one event re-pushed per firing,
   the oracle :meth:`repro.sim.engine.Simulator.periodic`'s tick groups
   are held to.

@@ -20,10 +20,32 @@ import math
 from dataclasses import dataclass, field
 from typing import Optional
 
-from repro.core.bayesian import DEFAULT_INTERVALS, BeliefEstimator
+import numpy as np
+
+from repro.core import bayesian
+from repro.core.bayesian import DEFAULT_INTERVALS
+from repro.util.validation import check_non_negative_int
 
 #: Distortion of an estimate the process knows nothing about.
 UNKNOWN_DISTORTION = math.inf
+
+
+class BeliefEstimator(bayesian.BeliefEstimator):
+    """The shipped estimator plus Algorithm 5's success update.
+
+    :class:`repro.core.viewtable.VectorView` applies successes to its own
+    belief rows; the object-form model here applies them one estimate at
+    a time, in the same log-space arithmetic.
+    """
+
+    __slots__ = ()
+
+    def increase_reliability(self, factor: int = 1) -> None:
+        """Record ``factor`` success observations (lines 12-15)."""
+        check_non_negative_int(factor, "factor")
+        if factor:
+            self._log_beliefs += factor * np.log1p(-self._midpoints)
+            self._log_beliefs -= self._log_beliefs.max()
 
 
 @dataclass

@@ -1,4 +1,5 @@
-"""Random connected graphs: the generated inputs of the property tests.
+"""Random connected graphs, the generated inputs of the property tests,
+and hop distances over them.
 
 The paper's topologies (rings, k-neighbour graphs, random trees) are
 regular or acyclic.  The tests also want arbitrary connected graphs, so
@@ -9,12 +10,13 @@ are a function of its seed.
 
 from __future__ import annotations
 
+from collections import deque
 from typing import List
 
-from repro.errors import ValidationError
+from repro.errors import UnknownProcessError, ValidationError
 from repro.topology.generators import random_tree
 from repro.topology.graph import Graph
-from repro.types import Link
+from repro.types import Link, ProcessId
 from repro.util.rng import RandomSource
 from repro.util.validation import check_positive_int
 
@@ -46,3 +48,23 @@ def random_connected(n: int, extra_links: int, rng: RandomSource) -> Graph:
         existing.add(link)
         added.append(link)
     return base.with_links(added)
+
+
+UNREACHABLE = -1
+"""Distance marker for unreachable processes."""
+
+
+def bfs_distances(graph: Graph, source: ProcessId) -> List[int]:
+    """Hop distance from ``source`` to every process (-1 if unreachable)."""
+    if not 0 <= source < graph.n:
+        raise UnknownProcessError(f"process {source} not in graph")
+    dist = [UNREACHABLE] * graph.n
+    dist[source] = 0
+    queue = deque([source])
+    while queue:
+        p = queue.popleft()
+        for q in graph.neighbors(p):
+            if dist[q] == UNREACHABLE:
+                dist[q] = dist[p] + 1
+                queue.append(q)
+    return dist

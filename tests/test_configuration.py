@@ -3,8 +3,8 @@
 import pytest
 
 from repro.errors import ConfigurationError, ValidationError
+from repro.scenario.schema import EnvironmentSpec, TopologySpec
 from repro.topology.configuration import Configuration
-from repro.topology.graph import Graph
 from repro.types import Link
 from repro.util.rng import RandomSource
 
@@ -81,14 +81,36 @@ class TestRandomUniform:
 
 
 class TestTiered:
+    """The base configuration of a two-tier scenario topology."""
+
+    def two_tier(self):
+        return TopologySpec("two_tier", n=8, clusters=2).build_with_tiers()
+
+    def test_tiers_partition_the_links(self):
+        graph, tiers = self.two_tier()
+        lan, wan = set(tiers["lan"]), set(tiers["wan"])
+        assert lan and wan and not lan & wan
+        assert lan | wan == set(graph.links)
+
     def test_tier_assignment(self):
-        g = Graph(4, [(0, 1), (1, 2), (2, 3)])
-        lan = [Link.of(0, 1)]
-        wan = [Link.of(1, 2), Link.of(2, 3)]
-        c = Configuration.tiered(g, [(lan, 0.01), (wan, 0.2)], crash=0.05)
-        assert c.loss_probability(Link.of(0, 1)) == 0.01
-        assert c.loss_probability(Link.of(1, 2)) == 0.2
-        assert c.crash_probability(0) == 0.05
+        graph, tiers = self.two_tier()
+        env = EnvironmentSpec(crash=0.05, loss=0.01, wan_loss=0.2)
+        c = env.base_configuration(graph, tiers)
+        assert {c.loss_probability(link) for link in tiers["lan"]} == {0.01}
+        assert {c.loss_probability(link) for link in tiers["wan"]} == {0.2}
+        assert {c.crash_probability(p) for p in graph.processes} == {0.05}
+
+    def test_no_wan_loss_keeps_the_uniform_loss(self):
+        graph, tiers = self.two_tier()
+        c = EnvironmentSpec(loss=0.01).base_configuration(graph, tiers)
+        assert c == Configuration.uniform(graph, loss=0.01)
+
+    def test_wan_loss_without_a_wan_tier_is_ignored(self):
+        graph, tiers = TopologySpec("ring", n=6).build_with_tiers()
+        assert tiers == {}
+        env = EnvironmentSpec(loss=0.01, wan_loss=0.2)
+        c = env.base_configuration(graph, tiers)
+        assert c == Configuration.uniform(graph, loss=0.01)
 
 
 class TestDerivedQuantities:

@@ -17,7 +17,6 @@ class TestNoCrashModel:
         model = NoCrashModel()
         assert not model.crashed_step(0, 0.0)
         assert not model.is_down(0, 100.0)
-        assert model.down_fraction(0) == 0.0
 
 
 class TestIidCrashModel:
@@ -39,10 +38,6 @@ class TestIidCrashModel:
         assert not any(model.crashed_step(0, t) for t in range(200))
         crashed = sum(model.crashed_step(1, t) for t in range(5000))
         assert 0.45 < crashed / 5000 < 0.55
-
-    def test_down_fraction(self):
-        model = IidCrashModel(np.array([0.07]), RandomSource(1))
-        assert model.down_fraction(0) == pytest.approx(0.07)
 
     def test_is_down_always_false(self):
         """i.i.d. step crashes are instantaneous: no down periods."""

@@ -79,7 +79,7 @@ class TestCancellation:
         handle.cancel()
         sim.run()
         assert fired == []
-        assert not handle.active
+        assert handle.cancelled
 
     def test_cancel_from_callback(self):
         sim = Simulator()

@@ -21,7 +21,9 @@ from repro.experiments.runner import (
     QUICK,
     SCALE_ENV,
     current_scale,
+    fitting_connectivities,
     make_network,
+    point_grid,
     scaled,
 )
 from repro.experiments.table1 import PAPER_AFTER_SUSPICION
@@ -74,6 +76,25 @@ class TestMakeNetwork:
         n1.send(0, 1, "x")
         n2.send(0, 1, "x")
         assert n1.stats.snapshot() == n2.stats.snapshot()
+
+
+class TestConnectivityGrid:
+    def test_keeps_the_connectivities_below_n_in_order(self):
+        assert fitting_connectivities([6, 2, 10, 4], 6) == [2, 4]
+
+    def test_refuses_when_no_connectivity_fits(self):
+        with pytest.raises(ValidationError, match="fits below n=2"):
+            fitting_connectivities([2, 4], 2)
+
+    def test_point_grid_pairs_each_value_with_each_fitting_connectivity(self):
+        scale = scaled(TINY, connectivities=(2, 4, 12))
+        assert point_grid(scale, [0.1, 0.2]) == [
+            (0.1, 2), (0.1, 4), (0.2, 2), (0.2, 4),
+        ]
+
+    def test_point_grid_refuses_when_no_connectivity_fits(self):
+        with pytest.raises(ValidationError, match="fits below n=2"):
+            point_grid(scaled(TINY, n=2), [0.1])
 
 
 def run(name, scale=None, **params):

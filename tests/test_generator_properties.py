@@ -78,7 +78,7 @@ def test_generated_specs_validate_and_stay_in_envelope(seed, index, scale):
     ]
     assert all(0.0 <= t < spec.duration for t in regular)
     # the topology actually constructs
-    graph = spec.topology.build()
+    graph = spec.topology.build_with_tiers()[0]
     assert graph.n == spec.topology.n
 
 

@@ -94,8 +94,6 @@ class TestGraphQueries:
     def test_disconnected(self):
         g = Graph(4, [(0, 1)])
         assert not g.is_connected()
-        comps = {frozenset(c) for c in g.components()}
-        assert comps == {frozenset({0, 1}), frozenset({2}), frozenset({3})}
 
     def test_single_process_graph(self):
         g = Graph(1, [])

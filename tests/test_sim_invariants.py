@@ -70,7 +70,7 @@ def test_invariants_hold_over_generated_scenarios():
         assert invariants.records_checked > 0, spec.name
         assert len(driver.applied_events) == len(spec.timeline), spec.name
         # one base epoch plus one snapshot per distinct timeline instant
-        assert invariants.epochs == 1 + len({e.at for e in spec.timeline})
+        assert len(invariants._epochs) == 1 + len({e.at for e in spec.timeline})
         total_checked += invariants.records_checked
     assert total_checked > SMOKE_SCENARIOS  # the runs actually sent traffic
 
@@ -133,7 +133,7 @@ def test_cancelled_events_never_fire():
     keep = sim.schedule(1.0, lambda: fired.append("keep"), name="keep")
     drop = sim.schedule(2.0, lambda: fired.append("drop"), name="drop")
     drop.cancel()
-    assert keep.active and not drop.active
+    assert not keep.cancelled and drop.cancelled
     sim.run()
     assert fired == ["keep"]
     assert [r for r in sim.trace if r.detail == "drop"] == []
@@ -167,9 +167,9 @@ def test_schedule_returns_the_queued_event():
     absolute = sim.schedule_at(3.0, lambda: None)
     assert isinstance(relative, Event) and isinstance(absolute, Event)
     assert (relative.time, absolute.time) == (2.0, 3.0)
-    assert relative.active and absolute.active
+    assert not relative.cancelled and not absolute.cancelled
     relative.cancel()
-    assert not relative.active and absolute.active
+    assert relative.cancelled and not absolute.cancelled
     assert sim.pending_events == 1
 
 

@@ -73,10 +73,12 @@ class TestStructureQueries:
     def test_links_cover_non_roots(self, sample_tree):
         assert len(sample_tree.links()) == 5
 
-    def test_depth(self, sample_tree):
-        assert sample_tree.depth(0) == 0
-        assert sample_tree.depth(3) == 1
-        assert sample_tree.depth(5) == 2
+    def test_bfs_order_is_level_order(self, sample_tree):
+        def depth(p):
+            return 0 if p == sample_tree.root else 1 + depth(sample_tree.parent(p))
+
+        depths = [depth(p) for p in sample_tree.nodes]
+        assert depths == [0, 1, 1, 1, 2, 2]
 
     def test_leaves(self, sample_tree):
         assert set(sample_tree.leaves()) == {2, 4, 5}
